@@ -8,6 +8,7 @@ import os
 import sys
 from math import inf
 
+from .acceptance import run_sweep_artifacts, uniformity_by_key
 from .errors import PhaseprojError
 from .harness import (
     RunConfig,
@@ -17,7 +18,6 @@ from .harness import (
     parse_p,
     reference_sweep_configs,
     run,
-    run_reference_sweep,
     save_baselines,
 )
 
@@ -100,21 +100,17 @@ def _cmd_sweep(args):
     configs = reference_sweep_configs(seeds=seeds, m_values=m_values,
                                       grid_n=args.grid_n or (1 << 17),
                                       depth=args.depth or 2)
-    table, failures = run_reference_sweep(configs)
-    for config, message in failures:
-        print(f"FAILED seed={config.tree_seed} m={config.gap_m}: {message}")
-    rows = table.uniformity()
-    by_key = {}
-    for row in rows:
-        key = (row["inequality"], row["p"])
-        by_key[key] = max(by_key.get(key, 0.0), row["uniformity"])
-    for (ineq, p), value in sorted(by_key.items(), key=str):
+    art = run_sweep_artifacts(configs)
+    for config, error in art["failures"]:
+        print(f"FAILED seed={config.tree_seed} m={config.gap_m}: "
+              f"stage {error['stage']}: {error['message']}")
+    for (ineq, p), value in sorted(uniformity_by_key(art["table"]).items(), key=str):
         print(f"{ineq} p={p}: worst uniformity across m = {value:.3f}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        table.to_csv(os.path.join(args.out, "sweep.csv"))
+        art["table"].to_csv(os.path.join(args.out, "sweep.csv"))
         print(f"rows in {args.out}/sweep.csv")
-    return 1 if failures else 0
+    return 1 if art["failures"] else 0
 
 
 def _cmd_spq(args):

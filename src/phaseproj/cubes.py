@@ -170,10 +170,6 @@ class CubeMap:
         idx = tuple(k + (k0 << s) for k, k0 in zip(cube.index, self.origin_index))
         return DyadicCube(cube.level + self.level_shift, idx)
 
-    @property
-    def identity(self):
-        return self.level_shift == 0 and all(k == 0 for k in self.origin_index)
-
 
 @dataclass(frozen=True)
 class TreeConfig:

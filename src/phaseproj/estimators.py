@@ -6,6 +6,31 @@ replaced by a maximum over normalized dictionary members.  All theorem
 checks report the ratio lhs / rhs-without-constant; the proven constant
 is existential, so ratios are tracked against frozen regression
 baselines rather than asserted against an invented numeric bound.
+
+Every per-cube table (size, Carleson, off-tree, Bernstein) is a reduction
+over one primitive, `level_norms`: the weighted norms of each (cube,
+kernel) pair at one level.  Its speed rests on two exact arguments, so
+the tables equal, float for float, a direct evaluation with full-grid
+weights rho_I ** -e:
+
+- Dyadic translates.  Grid points -B + h n and cube centres (k + 1/2) 2^i
+  are dyadic rationals, so each difference x - c_I is computed exactly,
+  and within a level it recurs, shifted by a whole number of grid steps,
+  among the differences y - c_0 of one 2N-point base vector y = -2B + h m.
+  Applying max(1, 1/2 + |.| / s) ** -e to that vector once gives every
+  cube's per-axis weights as slices of it (grid.level_weights).  rho_I is
+  the max over axes, and max, +, / and ** -e are monotone, so rho_I ** -e
+  is the min over axes of the slices; in d = 1 it is the slice itself.
+- Clamping.  The off-tree right-hand side needs the peak of
+  rho_J ** -alpha over the grid points of the root U.  That is a
+  monotone function of the l-infinity distance to J's centre, and U's
+  points form a product of axis grids, so the peak sits at the distance
+  max over axes of (min over U's axis points of |u - c|).  The same
+  ufuncs applied to that one distance give the full-grid maximum's float.
+
+The Carleson terms are kept sorted by (level, index), which is the order
+in which carleson_sum adds them; it stops at J's level and tests
+ancestry with integer shifts.
 """
 
 from __future__ import annotations
@@ -18,9 +43,15 @@ from math import inf
 
 import numpy as np
 
-from .cubes import DyadicCube, rho_to_cube
-from .errors import ValidationError
-from .grid import apply_multiplier, cube_mask, rho_values, weighted_lp_norm
+from .cubes import DyadicCube
+from .errors import ResolutionError
+from .grid import (
+    apply_multiplier,
+    level_weights,
+    lp_norms,
+    rho_values,
+    weighted_lp_norm,
+)
 from .kernels import DictionarySpec, build_dictionary
 
 
@@ -33,18 +64,26 @@ def _conj_inv(p):
     return 1.0 - _inv(p)
 
 
-def _norms_all(mag, h_d, p_values):
-    out = {}
-    for p in p_values:
-        if p == inf:
-            out[p] = float(np.max(mag))
-        elif p == 1.0:
-            out[p] = float(np.sum(mag) * h_d)
-        elif p == 2.0:
-            out[p] = float(math.sqrt(np.sum(mag * mag) * h_d))
-        else:
-            out[p] = float((np.sum(mag ** p) * h_d) ** (1.0 / p))
-    return out
+def level_norms(field, kernels, cubes, level, weight_exp, p_values):
+    """Norms ||rho_I^{-weight_exp} |k * field| ||_p at one level.
+
+    Yields (cube, [(kernel_id, {p: norm}) per kernel]) for each cube in
+    the given order, kernels in dictionary order, so that callers keep
+    their tie-breaking order.
+    """
+    grid = field.grid
+    h_d = grid.spacing ** grid.dim
+    responses = [(k.kernel_id, np.abs(apply_multiplier(field, k.multiplier).values))
+                 for k in kernels]
+    weight_of = level_weights(grid, level, weight_exp)
+    for cube in cubes:
+        weight = weight_of(cube)
+        yield cube, [(kernel_id, lp_norms(weight * resp_mag, h_d, p_values))
+                     for kernel_id, resp_mag in responses]
+
+
+def _dictionary(grid, level, alpha, kind, dict_spec):
+    return build_dictionary(grid, level, 4 * alpha, kind, dict_spec, keep_fields=False)
 
 
 @dataclass
@@ -122,19 +161,12 @@ def estimate_S_multi(pin, alpha=None, p_values=(1.0, 2.0, inf), dict_spec=None):
     dict_spec = dict_spec or DictionarySpec()
     grid, tree, m = pin.grid, pin.tree, pin.cfg.gap_m
     d = grid.dim
-    h_d = grid.spacing ** d
     best = {p: (0.0, None) for p in p_values}
     per_level = {p: {} for p in p_values}
     for i in range(pin.cfg.j_min, 1):
-        kernels = build_dictionary(grid, i - m - 2, 4 * alpha, "phi", dict_spec,
-                                   keep_fields=False)
-        responses = [(k.kernel_id, np.abs(apply_multiplier(pin.f, k.multiplier).values))
-                     for k in kernels]
-        for cube in tree.cubes(i):
-            weight = rho_values(grid, cube) ** (-alpha)
-            for kernel_id, resp_mag in responses:
-                mag = weight * resp_mag
-                norms = _norms_all(mag, h_d, p_values)
+        kernels = _dictionary(grid, i - m - 2, alpha, "phi", dict_spec)
+        for cube, rows in level_norms(pin.f, kernels, tree.cubes(i), i, alpha, p_values):
+            for kernel_id, norms in rows:
                 for p in p_values:
                     term = 2.0 ** (-i * d * _inv(p)) * norms[p]
                     lvl = per_level[p]
@@ -153,18 +185,12 @@ def verify_witness(pin, est, dict_spec=None):
     """Re-evaluate the witness term; must reproduce the estimate."""
     if est.witness is None:
         return 0.0
-    dict_spec = dict_spec or DictionarySpec()
     i, cube, kernel_id = est.witness
-    alpha, m = est.alpha, est.m
-    grid = pin.grid
-    kernels = build_dictionary(grid, i - m - 2, 4 * alpha, "phi", dict_spec,
-                                   keep_fields=False)
+    kernels = _dictionary(pin.grid, i - est.m - 2, est.alpha, "phi",
+                          dict_spec or DictionarySpec())
     kernel = next(k for k in kernels if k.kernel_id == kernel_id)
-    resp = apply_multiplier(pin.f, kernel.multiplier)
-    weight = rho_values(grid, cube) ** (-alpha)
-    mag = weight * np.abs(resp.values)
-    norm = _norms_all(mag, grid.spacing ** grid.dim, (est.p,))[est.p]
-    return 2.0 ** (-i * grid.dim * _inv(est.p)) * norm
+    _, rows = next(level_norms(pin.f, [kernel], [cube], i, est.alpha, (est.p,)))
+    return 2.0 ** (-i * pin.grid.dim * _inv(est.p)) * rows[0][1][est.p]
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +205,16 @@ def offtree_eligible(tree, J):
         if tree.contains_tree_element(neighbor):
             return False, neighbor
     return True, None
+
+
+def root_peak_weight(grid, J, alpha):
+    """max of rho_J ** -alpha over the grid points of the root U, equal
+    to the full-grid maximum bit for bit: the ufuncs of rho_values run on
+    the one clamped distance (module docstring)."""
+    root_axis = grid.axis_points[grid.cube_slices(DyadicCube(0, (0,) * J.dim))[0]]
+    dist = max(np.min(np.abs(root_axis - c)) for c in J.center)
+    peak = np.maximum(1.0, 0.5 + np.array([dist]) / J.side) ** (-alpha)
+    return float(np.max(peak))
 
 
 def enumerate_window(dim, depth):
@@ -211,45 +247,44 @@ class EstimatorContext:
         self.p_values = tuple(p_values)
         self.depth = window_depth if window_depth is not None else -pin.cfg.j_min
         self.d = self.grid.dim
-        self.h_d = self.grid.spacing ** self.d
 
         self.sizes = estimate_S_multi(pin, self.alpha, self.p_values, self.dict_spec)
-        self._u_mask = cube_mask(self.grid, [DyadicCube(0, (0,) * self.d)])
         self._carleson_terms = self._build_carleson_terms()
         self._offtree_terms, self.offtree_floor = self._build_offtree_terms()
+
+    def _level_maxima(self, field, level, kind, cubes):
+        """Per cube at `level`: {p: max over the level's dictionary of the
+        rho^{-3 alpha}-weighted norm}."""
+        kernels = _dictionary(self.grid, level - self.m, self.alpha, kind, self.dict_spec)
+        for cube, rows in level_norms(field, kernels, cubes, level, 3 * self.alpha,
+                                      self.p_values):
+            yield cube, {p: max([0.0] + [norms[p] for _, norms in rows])
+                         for p in self.p_values}
 
     # -- carleson side -------------------------------------------------------
 
     def _build_carleson_terms(self):
+        """{p: {(level, index): term}} over tree cubes, in sorted key order,
+        which is the summation order of carleson_sum."""
         fg = self.pin.f - self.output.g
         terms = {p: {} for p in self.p_values}
         for i in range(self.pin.cfg.j_min, 1):
-            kernels = build_dictionary(
-                self.grid, i - self.m, 4 * self.alpha, "phi", self.dict_spec,
-                keep_fields=False)
-            responses = [np.abs(apply_multiplier(fg, k.multiplier).values)
-                         for k in kernels]
-            for cube in self.tree.cubes(i):
-                weight = rho_values(self.grid, cube) ** (-3 * self.alpha)
-                best = {p: 0.0 for p in self.p_values}
-                for resp_mag in responses:
-                    mag = weight * resp_mag
-                    norms = _norms_all(mag, self.h_d, self.p_values)
-                    for p in self.p_values:
-                        best[p] = max(best[p], norms[p])
+            for cube, best in self._level_maxima(fg, i, "phi", self.tree.cubes(i)):
                 for p in self.p_values:
                     terms[p][(i, cube.index)] = (
                         2.0 ** (i * self.d * _conj_inv(p)) * best[p])
-        return terms
+        return {p: dict(sorted(t.items())) for p, t in terms.items()}
 
     def carleson_sum(self, J, p):
         """Sum of the per-cube terms over tree cubes inside J against
         the size times |J|."""
-        terms = self._carleson_terms[p]
         by_level = {}
         lhs = 0.0
-        for (i, idx), value in sorted(terms.items()):
-            if J.contains(DyadicCube(i, idx)):
+        for (i, idx), value in self._carleson_terms[p].items():
+            if i > J.level:
+                break
+            shift = J.level - i
+            if all(k >> shift == kj for k, kj in zip(idx, J.index)):
                 lhs += value
                 by_level[i] = by_level.get(i, 0.0) + value
         rhs = self.sizes[p].value * 2.0 ** (J.level * self.d)
@@ -276,41 +311,36 @@ class EstimatorContext:
         nyq_floor = 2 + self.m - int(math.floor(math.log2(self.grid.nyquist)))
         floor = max(-(self.depth + 2), nyq_floor)
         tables = {p: {} for p in self.p_values}
-        g = self.output.g
         for i in range(floor, 1):
-            kernels = build_dictionary(
-                self.grid, i - self.m, 4 * self.alpha, "psi", self.dict_spec,
-                keep_fields=False)
-            responses = [np.abs(apply_multiplier(g, k.multiplier).values)
-                         for k in kernels]
             span = 1 << (-i)
             window_lo = -4 * span
-            shape = (9 * span,) * self.d
-            level_arrays = {p: np.zeros(shape) for p in self.p_values}
+            level_arrays = {p: np.zeros((9 * span,) * self.d) for p in self.p_values}
             tree_at_level = self.tree.slice_indices(i)
-            for idx in iproduct(range(-4 * span, 5 * span), repeat=self.d):
-                if idx in tree_at_level:
-                    continue
-                cube = DyadicCube(i, idx)
-                weight = rho_values(self.grid, cube) ** (-3 * self.alpha)
-                best = {p: 0.0 for p in self.p_values}
-                for resp_mag in responses:
-                    mag = weight * resp_mag
-                    norms = _norms_all(mag, self.h_d, self.p_values)
-                    for p in self.p_values:
-                        best[p] = max(best[p], norms[p])
-                pos = tuple(k - window_lo for k in idx)
+            cubes = [DyadicCube(i, idx)
+                     for idx in iproduct(range(-4 * span, 5 * span), repeat=self.d)
+                     if idx not in tree_at_level]
+            for cube, best in self._level_maxima(self.output.g, i, "psi", cubes):
+                pos = tuple(k - window_lo for k in cube.index)
                 for p in self.p_values:
                     level_arrays[p][pos] = 2.0 ** (-i * self.d * _inv(p)) * best[p]
             for p in self.p_values:
                 tables[p][i] = (window_lo, level_arrays[p])
         return tables, floor
 
-    def offtree_sum(self, J, p):
-        """Scale sum of suprema over off-tree cubes inside J against the
-        size times the peak of rho_J^{-alpha} over the root."""
+    def offtree_geometry(self, J):
+        """(violating neighbor or None, peak of rho_J^{-alpha} over U);
+        the peak is None for an ineligible J."""
         eligible, violator = offtree_eligible(self.tree, J)
         if not eligible:
+            return violator, None
+        return None, root_peak_weight(self.grid, J, self.alpha)
+
+    def offtree_sum(self, J, p, geometry=None):
+        """Scale sum of suprema over off-tree cubes inside J against the
+        size times the peak of rho_J^{-alpha} over the root.  `geometry`
+        is offtree_geometry(J), computed here when not given."""
+        violator, rhs_weight = geometry or self.offtree_geometry(J)
+        if violator is not None:
             return InequalityReport(
                 inequality="offtree", lhs=0.0, rhs_without_constant=0.0,
                 ratio=0.0, p=p,
@@ -331,8 +361,6 @@ class EstimatorContext:
             sup_i = float(np.max(block)) if block.size else 0.0
             lhs += sup_i
             per_scale.append({"i": i, "term": sup_i, "cumulative": lhs})
-        rho_j = rho_values(self.grid, J)
-        rhs_weight = float(np.max(rho_j[self._u_mask] ** (-self.alpha)))
         rhs = self.sizes[p].value * rhs_weight
         return InequalityReport(
             inequality="offtree", lhs=lhs, rhs_without_constant=rhs,
@@ -360,27 +388,13 @@ class EstimatorContext:
         the eligible ones, plus the norm bound."""
         reports = [self.norm_report(p) for p in self.p_values]
         for J in enumerate_window(self.d, self.depth):
+            geometry = self.offtree_geometry(J)
             for p in self.p_values:
                 reports.append(self.carleson_sum(J, p))
-                rep = self.offtree_sum(J, p)
+                rep = self.offtree_sum(J, p, geometry)
                 if "skipped" not in rep.context:
                     reports.append(rep)
         return reports
-
-
-# ---------------------------------------------------------------------------
-# Operation-style wrappers.
-
-def check_norm_bound(ctx, p):
-    return ctx.norm_report(p)
-
-
-def carleson_sum(ctx, J, p=2.0):
-    return ctx.carleson_sum(J, p)
-
-
-def offtree_sum(ctx, J, p=2.0):
-    return ctx.offtree_sum(J, p)
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +438,8 @@ def prop_spq_checks(pin, alpha=None, p=2.0, q=inf, n_draws=100, seed=0,
         if p < q:
             gap = _inv(p) - _inv(q)
             lhs = weighted_lp_norm(resp, rho ** (-alpha * (1 + gap)), p)
-            w_norm = _norms_all(rho ** (-alpha * gap), grid.spacing ** d,
-                                (1.0 / gap,))[1.0 / gap]
+            w_norm = lp_norms(rho ** (-alpha * gap), grid.spacing ** d,
+                              (1.0 / gap,))[1.0 / gap]
             rhs = w_norm * weighted_lp_norm(resp, rho ** (-alpha), q)
             reports.append(InequalityReport(
                 inequality="holder", lhs=lhs, rhs_without_constant=rhs,
@@ -450,10 +464,9 @@ def bernstein_sweep(pin, alpha, dict_spec, m_range, draws):
 
     The tracked quantity divides out the expected 2^{d(m-i)} growth of
     the band radius, so its per-step log-increment stays well below
-    d + 1/2."""
-    grid, tree = pin.grid, pin.tree
-    d = grid.dim
-    h_d = grid.spacing ** d
+    d + 1/2.  A gap whose dictionary the grid cannot resolve ends the
+    sweep with a skipped row."""
+    d = pin.grid.dim
     reports = []
     levels = sorted({i for i, _, _ in draws})
     cubes_by_level = {i: sorted({c for ii, c, _ in draws if ii == i}) for i in levels}
@@ -462,22 +475,17 @@ def bernstein_sweep(pin, alpha, dict_spec, m_range, draws):
         worst_ctx = None
         for i in levels:
             try:
-                kernels = build_dictionary(grid, i - m_val - 2, 4 * alpha,
-                                           "phi", dict_spec, keep_fields=False)
-            except Exception as exc:  # Nyquist refusal at large m
+                kernels = _dictionary(pin.grid, i - m_val - 2, alpha, "phi", dict_spec)
+            except ResolutionError as exc:  # Nyquist refusal at large m
                 reports.append(InequalityReport(
                     inequality="bernstein", lhs=0.0, rhs_without_constant=0.0,
                     ratio=0.0, p=inf,
                     context={"m": m_val, "skipped": str(exc)}))
                 break
-            responses = [(k.kernel_id, apply_multiplier(pin.f, k.multiplier))
-                         for k in kernels]
-            for cube in cubes_by_level[i]:
-                weight = rho_values(grid, cube) ** (-alpha)
-                for kernel_id, resp in responses:
-                    mag = weight * np.abs(resp.values)
-                    sup = float(np.max(mag))
-                    mean = float(np.sum(mag) * h_d)
+            for cube, rows in level_norms(pin.f, kernels, cubes_by_level[i], i, alpha,
+                                          (1.0, inf)):
+                for kernel_id, norms in rows:
+                    sup, mean = norms[inf], norms[1.0]
                     if mean == 0.0:
                         continue
                     ratio = sup / (2.0 ** (d * (m_val - i)) * mean)
@@ -534,23 +542,3 @@ class ConstantTable:
             for row in self.rows:
                 w.writerow({**row, "p": "inf" if row["p"] == inf else row["p"],
                             "ratio": repr(row["ratio"])})
-
-
-def sweep(configs, runner, table=None):
-    """Run each config through `runner` and collect headline ratios.
-
-    Individual failures are recorded and the sweep continues; the
-    returned failures list pairs each failed config with its error.
-    """
-    table = table or ConstantTable()
-    failures = []
-    for config in configs:
-        try:
-            summary = runner(config)
-        except Exception as exc:
-            failures.append((config, repr(exc)))
-            continue
-        for entry in summary:
-            table.add(entry["inequality"], entry["p"], entry["seed"],
-                      entry["m"], entry["ratio"])
-    return table, failures

@@ -15,7 +15,7 @@ import struct
 import warnings
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from math import inf, prod
+from math import inf
 
 import numpy as np
 
@@ -325,6 +325,35 @@ def rho_values(grid, cube):
     return np.maximum(1.0, 0.5 + dist / cube.side)
 
 
+def level_weights(grid, level, exponent):
+    """Function cube -> rho_values(grid, cube) ** -exponent, bit for bit.
+
+    For the cubes at `level` each axis is an N-long slice of one base
+    vector on the 2N points -2B + h m, and the weight is their min over
+    axes (the estimators module docstring gives the exactness argument);
+    other cubes, cubes finer than the grid or past its domain take
+    rho_values.
+    """
+    n, h, side = grid.samples, grid.spacing, 2.0 ** level
+    cells = side / h
+    y = -2.0 * grid.half_width + h * np.arange(2 * n)
+    base = np.maximum(1.0, 0.5 + np.abs(y - 0.5 * side) / side) ** (-exponent)
+    base.flags.writeable = False
+
+    def weight(cube):
+        starts = [n // 2 - k * int(cells) for k in cube.index]
+        if (cube.level != level or cells < 1.0 or not cells.is_integer()
+                or not all(0 <= m0 <= n for m0 in starts)):
+            return rho_values(grid, cube) ** (-exponent)
+        out = None
+        for ax, m0 in enumerate(starts):
+            piece = base[m0:m0 + n].reshape([n if a == ax else 1 for a in range(grid.dim)])
+            out = piece if out is None else np.minimum(out, piece)
+        return out
+
+    return weight
+
+
 @dataclass
 class WeightField:
     """rho_I^{-beta} sampled on the grid; values in (0, 1]."""
@@ -342,22 +371,30 @@ class WeightField:
         self.values.flags.writeable = False
 
 
+def lp_norms(mag, h_d, p_values):
+    """{p: (h^d sum mag^p)^(1/p)} for magnitudes `mag`, the max for p = inf."""
+    out = {}
+    for p in p_values:
+        if p == inf:
+            out[p] = float(np.max(mag))
+        elif p <= 0:
+            raise ValidationError("p must be positive or inf")
+        elif p == 1.0:
+            out[p] = float(np.sum(mag) * h_d)
+        elif p == 2.0:
+            out[p] = float(np.sqrt(np.sum(mag * mag) * h_d))
+        else:
+            out[p] = float((np.sum(mag ** p) * h_d) ** (1.0 / p))
+    return out
+
+
 def weighted_lp_norm(a, weight=None, p=2.0):
     """(h^d sum |w a|^p)^(1/p), or the grid max for p = inf."""
     mag = np.abs(a.values)
     if weight is not None:
         w = weight.values if isinstance(weight, WeightField) else weight
         mag = mag * w
-    if p == inf:
-        return float(np.max(mag))
-    if p <= 0:
-        raise ValidationError("p must be positive or inf")
-    h_d = a.grid.spacing ** a.grid.dim
-    if p == 1.0:
-        return float(np.sum(mag) * h_d)
-    if p == 2.0:
-        return float(np.sqrt(np.sum(mag * mag) * h_d))
-    return float((np.sum(mag ** p) * h_d) ** (1.0 / p))
+    return lp_norms(mag, a.grid.spacing ** a.grid.dim, (p,))[p]
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +499,13 @@ def load_field(path):
         if magic != _MAGIC or version != 1:
             raise ValidationError(f"not a phaseproj field file: {path}")
         grid = TorusGrid(dim, half_width, samples)
-        data = np.frombuffer(fh.read(), dtype="<c16").reshape(grid.shape)
+        payload = fh.read()
+    expected = grid.size * 16
+    if len(payload) != expected:
+        raise ValidationError(
+            f"field file {path}: payload of {len(payload)} bytes, expected "
+            f"{expected} ({grid.size} complex128 samples of 16 bytes)")
+    data = np.frombuffer(payload, dtype="<c16").reshape(grid.shape)
     return SampledField(grid, data.copy())
 
 

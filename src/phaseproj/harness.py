@@ -13,7 +13,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from math import inf
 
 import numpy as np
@@ -23,26 +23,17 @@ from .cubes import (
     DyadicCube,
     DyadicPartition,
     TreeConfig,
-    tree_config_from_dict,
     tree_config_to_dict,
     tree_index_to_csv,
     unit_cube,
 )
-from .errors import PhaseprojError, ValidationError
-from .estimators import (
-    ConstantTable,
-    EstimatorContext,
-    enumerate_window,
-    estimate_S_multi,
-    prop_spq_checks,
-    sweep,
-)
+from .errors import ValidationError
+from .estimators import EstimatorContext
 from .grid import (
     SampledField,
     TorusGrid,
     cond_expectation,
     cube_average,
-    field_to_csv,
     inner_product,
     load_field,
     modulate,
@@ -118,6 +109,9 @@ class RunConfig:
     @staticmethod
     def from_dict(data):
         data = dict(data)
+        unknown = sorted(set(data) - {f.name for f in fields(RunConfig)})
+        if unknown:
+            raise ValidationError(f"unknown RunConfig keys: {', '.join(unknown)}")
         if data.get("leaves"):
             data["leaves"] = tuple(tuple(x) for x in data["leaves"])
         if data.get("f_modes"):
@@ -419,20 +413,6 @@ def reference_sweep_configs(seeds=range(20), m_values=(0, 1, 2, 3),
                 alpha=2.0, window_depth=depth, strict=True,
                 f_annulus=(1.0, 3.0), f_scale_with_gap=True))
     return configs
-
-
-def run_reference_sweep(configs=None):
-    configs = configs if configs is not None else reference_sweep_configs()
-
-    def runner(config):
-        record = run(config)
-        if "error" in record:
-            raise PhaseprojError(
-                f"stage {record['error']['stage']}: {record['error']['message']}")
-        return headline_rows(record, record["config"]["tree_seed"],
-                             record["config"]["gap_m"])
-
-    return sweep(configs, runner)
 
 
 # ---------------------------------------------------------------------------

@@ -544,8 +544,10 @@ def build_dictionary(grid, j, beta, kind, spec=None, keep_fields=True):
             f"empty {kind}-dictionary at level {j}: all candidates filtered")
     out.sort(key=lambda k: k.kernel_id)
     if not keep_fields:
+        # cached handles are shared by every caller: freeze their multipliers
         for handle in out:
             handle.field = None
+            handle.multiplier.flags.writeable = False
         if len(_DICTIONARY_CACHE) >= _DICTIONARY_CACHE_SIZE:
             _DICTIONARY_CACHE.pop(next(iter(_DICTIONARY_CACHE)))
         _DICTIONARY_CACHE[cache_key] = out

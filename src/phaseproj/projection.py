@@ -404,18 +404,6 @@ class ProjectionBuilder:
 # ---------------------------------------------------------------------------
 # Operation-style wrappers.
 
-def sigma(n, j, pin):
-    return ProjectionBuilder(pin).sigma(n, j)
-
-
-def big_g(n, j, pin):
-    return ProjectionBuilder(pin).big_g(n, j)
-
-
-def g_piece(n, j, pin):
-    return ProjectionBuilder(pin).g_piece(n, j)
-
-
 def assemble(pin):
     """Build the projection and verify its internal identities."""
     return ProjectionBuilder(pin).assemble()

@@ -1,25 +1,37 @@
 """Size surrogate, inequality reports, comparison checks, sweep table."""
 
+import hashlib
 import math
 from math import inf
 
 import numpy as np
 import pytest
 
+from phaseproj import estimators
+from phaseproj.acceptance import REFERENCE_CONFIG
 from phaseproj.cubes import DyadicCube, TreeConfig, unit_cube
 from phaseproj.estimators import (
     ConstantTable,
     EstimatorContext,
+    bernstein_sweep,
     enumerate_window,
     estimate_S,
     estimate_S_multi,
     offtree_eligible,
     prop_spq_checks,
-    sweep,
+    root_peak_weight,
     verify_witness,
 )
-from phaseproj.grid import SampledField, TorusGrid, modulate, zero_field
-from phaseproj.harness import random_bandpass_field
+from phaseproj.grid import (
+    SampledField,
+    TorusGrid,
+    cube_mask,
+    level_weights,
+    modulate,
+    rho_values,
+    zero_field,
+)
+from phaseproj.harness import random_bandpass_field, run
 from phaseproj.kernels import DictionarySpec
 from phaseproj.projection import ProjectionSettings, assemble, projection_input
 
@@ -239,20 +251,6 @@ class TestSweepTable:
         assert by_seed[0] == 2.0
         assert by_seed[1] == 1.0
 
-    def test_empty_sweep(self):
-        table, failures = sweep([], lambda c: [])
-        assert table.rows == [] and failures == []
-
-    def test_failures_recorded(self):
-        def runner(config):
-            if config == "bad":
-                raise ValueError("boom")
-            return [{"inequality": "norm", "p": 2.0, "seed": 0, "m": 0, "ratio": 1.0}]
-
-        table, failures = sweep(["ok", "bad"], runner)
-        assert len(table.rows) == 1
-        assert len(failures) == 1 and failures[0][0] == "bad"
-
     def test_determinism(self, setup):
         pin, out, _ = setup
         a = EstimatorContext(pin, out, window_depth=1, p_values=(2.0,))
@@ -260,3 +258,103 @@ class TestSweepTable:
         assert a.sizes[2.0].value == b.sizes[2.0].value
         J = DyadicCube(-2, (14,))
         assert a.offtree_sum(J, 2.0).lhs == b.offtree_sum(J, 2.0).lhs
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the fast table primitives: each must equal the direct
+# full-grid evaluation it replaces, bit for bit.
+
+# SHA-256 of report.json for REFERENCE_CONFIG, frozen from the direct
+# full-grid evaluation; the table primitives must leave every float as it was.
+REFERENCE_REPORT_SHA256 = "a2d5b078892c0f381e1351712f9010966b547c74d205fcf741accf020cb3f83e"
+
+
+@pytest.fixture(scope="module")
+def deep():
+    grid = TorusGrid(1, 8.0, 1 << 12)
+    cfg = TreeConfig(unit_cube(1), (DyadicCube(-2, (1,)), DyadicCube(-1, (1,))), 0, 2.0)
+    f = random_bandpass_field(grid, seed=7, annulus=(1.0, 3.0), n_modes=5)
+    pin = projection_input(f, cfg, grid, ProjectionSettings(strict=False))
+    return EstimatorContext(pin, assemble(pin), window_depth=2)
+
+
+class TestTableOracles:
+    @pytest.mark.parametrize("dim,samples,depth", [(1, 1 << 10, 2), (2, 1 << 6, 0)])
+    def test_slice_weights_equal_rho_powers(self, dim, samples, depth):
+        grid = TorusGrid(dim, 8.0, samples)
+        window = enumerate_window(dim, depth)
+        for e in (2.0, 3.0, 6.0, 9.0):
+            for level in range(0, -(depth + 3), -1):
+                weight = level_weights(grid, level, e)
+                for cube in (c for c in window if c.level == level):
+                    assert np.array_equal(weight(cube), rho_values(grid, cube) ** -e), (
+                        e, cube)
+
+    @pytest.mark.parametrize("half_width,samples,level,cube", [
+        (8.0, 1 << 10, -2, DyadicCube(-1, (3,))),    # cube off the level
+        (10.0, 1 << 10, -1, DyadicCube(-1, (3,))),   # side not a whole step count
+        (8.0, 1 << 6, -3, DyadicCube(-3, (5,))),     # side below the spacing
+        (8.0, 1 << 10, -1, DyadicCube(-1, (40,))),   # cube past the domain
+    ])
+    def test_slice_weights_fallback(self, half_width, samples, level, cube):
+        grid = TorusGrid(1, half_width, samples)
+        got = level_weights(grid, level, 2.0)(cube)
+        assert np.array_equal(got, rho_values(grid, cube) ** -2.0)
+
+    @pytest.mark.parametrize("dim,samples", [(1, 1 << 10), (2, 1 << 6)])
+    def test_clamped_root_peak_equals_grid_max(self, dim, samples):
+        grid = TorusGrid(dim, 8.0, samples)
+        u_mask = cube_mask(grid, [unit_cube(dim)])
+        for J in enumerate_window(dim, 1):
+            for alpha in (2.0, 3.0):
+                full = float(np.max(rho_values(grid, J)[u_mask] ** (-alpha)))
+                assert root_peak_weight(grid, J, alpha) == full, (J, alpha)
+
+    def test_carleson_sum_equals_contains_scan(self, setup, deep):
+        for ctx in (setup[2], deep):
+            for J in enumerate_window(1, ctx.depth) + [DyadicCube(1, (0,))]:
+                for p in ctx.p_values:
+                    lhs, by_level = 0.0, {}
+                    for (i, idx), value in sorted(ctx._carleson_terms[p].items()):
+                        if J.contains(DyadicCube(i, idx)):
+                            lhs += value
+                            by_level[i] = by_level.get(i, 0.0) + value
+                    rep = ctx.carleson_sum(J, p)
+                    assert rep.lhs == lhs
+                    assert [row["term"] for row in rep.per_scale] == [
+                        by_level[i] for i in sorted(by_level, reverse=True)]
+
+    def test_offtree_geometry_shared_across_p(self, deep):
+        for J in enumerate_window(1, 1):
+            geometry = deep.offtree_geometry(J)
+            for p in deep.p_values:
+                assert (deep.offtree_sum(J, p, geometry).to_dict()
+                        == deep.offtree_sum(J, p).to_dict())
+
+    def test_reference_report_bytes(self, tmp_path):
+        record = run(REFERENCE_CONFIG, out_dir=str(tmp_path))
+        assert "error" not in record
+        digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+        assert digest == REFERENCE_REPORT_SHA256
+
+
+class TestBernsteinErrors:
+    def test_nyquist_refusal_is_a_skipped_row(self, setup):
+        pin, _, _ = setup
+        # class level -1 - 9 - 2 = -12 needs N = 2^14 on this 2^13 grid
+        draws = [(-1, DyadicCube(-1, (0,)), None)]
+        reports = bernstein_sweep(pin, 2.0, DictionarySpec(), (0, 9), draws)
+        assert [r.context["m"] for r in reports] == [0, 9]
+        assert "skipped" not in reports[0].context
+        assert "Nyquist" in reports[1].context["skipped"]
+
+    def test_other_errors_propagate(self, setup, monkeypatch):
+        pin, _, _ = setup
+
+        def broken(*args, **kwargs):
+            raise TypeError("bug inside the sweep")
+
+        monkeypatch.setattr(estimators, "build_dictionary", broken)
+        with pytest.raises(TypeError, match="bug inside the sweep"):
+            bernstein_sweep(pin, 2.0, DictionarySpec(), (0,),
+                            [(-1, DyadicCube(-1, (0,)), None)])

@@ -305,6 +305,14 @@ class TestIO:
         assert b.grid == g2
         assert np.array_equal(a.values, b.values)
 
+    def test_truncated_file(self, tmp_path, g1):
+        path = tmp_path / "f.bin"
+        save_field(zero_field(g1), path)
+        data = path.read_bytes()
+        path.write_bytes(data[:-16])
+        with pytest.raises(ValidationError, match=r"65520 bytes, expected 65536"):
+            load_field(path)
+
     def test_csv(self, tmp_path, g1):
         a = smooth_bump(g1)
         path = tmp_path / "f.csv"

@@ -154,6 +154,13 @@ class TestConfig:
         assert back.config_hash() == config.config_hash()
         assert back.p_values == (1.0, math.inf)
 
+    def test_unknown_keys_rejected(self):
+        data = RunConfig().to_dict()
+        data["grdi_n"] = 4
+        data["zzz"] = 1
+        with pytest.raises(ValidationError, match="unknown RunConfig keys: grdi_n, zzz"):
+            RunConfig.from_dict(data)
+
     def test_explicit_leaves(self):
         config = RunConfig(dim=1, leaves=((-2, 1), (-1, 1)))
         cfg = build_tree_config(config)

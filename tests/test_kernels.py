@@ -367,6 +367,15 @@ class TestDictionary:
 
         assert surrogate(big) >= surrogate(small) - 1e-12
 
+    def test_cached_multipliers_read_only(self, g1):
+        # keep_fields=False dictionaries are shared through the cache
+        dicts = build_dictionary(g1, -3, 4 * ALPHA, "phi", keep_fields=False)
+        assert dicts is build_dictionary(g1, -3, 4 * ALPHA, "phi", keep_fields=False)
+        for handle in dicts:
+            assert not handle.multiplier.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                handle.multiplier[0] = 0.0
+
     def test_2d_dictionary(self, g2):
         dicts = build_dictionary(g2, -1, 4 * 3.0, "phi", DictionarySpec(2, 1, 1, 1))
         assert len(dicts) >= 4
