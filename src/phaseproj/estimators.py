@@ -200,6 +200,8 @@ def offtree_eligible(tree, J):
     """A cube J qualifies for the off-tree inequality when no same-level
     neighbor (mollified distance <= 1) contains a tree cube.  Returns
     (eligible, violating neighbor or None)."""
+    if J.level < tree.j_min:
+        return True, None   # a neighbor finer than every leaf contains none
     for off in iproduct((-1, 0, 1), repeat=J.dim):
         neighbor = DyadicCube(J.level, tuple(k + o for k, o in zip(J.index, off)))
         if tree.contains_tree_element(neighbor):
