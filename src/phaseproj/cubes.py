@@ -10,7 +10,6 @@ cross-checked against a bisection oracle in the test suite.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -65,7 +64,7 @@ class DyadicCube:
     def ancestor(self, level):
         """The unique cube at `level` >= self.level containing this cube."""
         if level < self.level:
-            raise ValueError("ancestor level must be >= cube level")
+            raise ValidationError("ancestor level must be >= cube level")
         s = level - self.level
         return DyadicCube(level, tuple(k >> s for k in self.index))
 
@@ -84,7 +83,7 @@ class DyadicCube:
     def dilated_contains(self, r, other):
         """other is a subset of r*self for odd integer r (exact)."""
         if r % 2 != 1 or r < 1:
-            raise ValueError("dilation factor must be an odd positive integer")
+            raise ValidationError("dilation factor must be an odd positive integer")
         half = (r - 1) // 2
         fine = min(self.level, other.level)
         s1, s2 = self.level - fine, other.level - fine
@@ -158,14 +157,14 @@ class CubeMap:
 
     def forward(self, cube):
         if cube.level > self.level_shift:
-            raise ValueError("cube coarser than the root cannot be normalized")
+            raise ValidationError("cube coarser than the root cannot be normalized")
         s = self.level_shift - cube.level
         idx = tuple(k - (k0 << s) for k, k0 in zip(cube.index, self.origin_index))
         return DyadicCube(cube.level - self.level_shift, idx)
 
     def backward(self, cube):
         if cube.level > 0:
-            raise ValueError("normalized cube coarser than the unit root")
+            raise ValidationError("normalized cube coarser than the unit root")
         s = -cube.level
         idx = tuple(k + (k0 << s) for k, k0 in zip(cube.index, self.origin_index))
         return DyadicCube(cube.level + self.level_shift, idx)
@@ -484,16 +483,6 @@ def tree_config_from_dict(data):
     if cfg.dim != int(data["dimension"]):
         raise ValidationError("declared dimension does not match the cubes")
     return cfg
-
-
-def load_tree_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return tree_config_from_dict(json.load(fh))
-
-
-def save_tree_config(cfg, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(tree_config_to_dict(cfg), fh, indent=2, sort_keys=True)
 
 
 def tree_index_to_csv(tree, path, level_floor=None):

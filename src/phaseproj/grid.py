@@ -160,9 +160,6 @@ class SampledField:
             return True
         return np.max(np.abs(self.values.imag)) <= tol * scale
 
-    def real_field(self):
-        return SampledField(self.grid, self.values.real.copy())
-
     def conjugate(self):
         return SampledField(self.grid, np.conj(self.values))
 

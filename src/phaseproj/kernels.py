@@ -15,8 +15,10 @@ the largest scaling that keeps the kernel under the pointwise envelope
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field as dc_field
+from collections import OrderedDict
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -89,16 +91,10 @@ class KernelHandle:
     field: SampledField
     certificate: dict = dc_field(default_factory=dict)
 
-    def scaled(self, factor, new_id=None):
-        return KernelHandle(
-            grid=self.grid,
-            kernel_id=new_id or self.kernel_id,
-            kind=self.kind,
-            level=self.level,
-            multiplier=self.multiplier * factor,
-            field=self.field * factor if self.field is not None else None,
-            certificate=dict(self.certificate),
-        )
+    def scaled(self, factor):
+        field = self.field * factor if self.field is not None else None
+        return replace(self, multiplier=self.multiplier * factor, field=field,
+                       certificate=dict(self.certificate))
 
 
 def _require_band_inside_nyquist(grid, radius, what):
@@ -249,10 +245,14 @@ def build_kappa(grid, scale):
 # ---------------------------------------------------------------------------
 # Class membership certificates.
 
+@functools.lru_cache(maxsize=4)
 def class_envelope(grid, j, beta):
-    """Pointwise bound 2^{-dj} rho_{[0,2^j]^d}(x)^{-beta} on the grid."""
+    """Pointwise bound 2^{-dj} rho_{[0,2^j]^d}(x)^{-beta} on the grid;
+    one read-only array shared by every certificate of the class."""
     cube = DyadicCube(j, (0,) * grid.dim)
-    return 2.0 ** (-grid.dim * j) * rho_values(grid, cube) ** (-beta)
+    env = 2.0 ** (-grid.dim * j) * rho_values(grid, cube) ** (-beta)
+    env.flags.writeable = False
+    return env
 
 
 def class_membership(handle, j, beta, kind="phi"):
@@ -366,6 +366,18 @@ def _psi_box_width(j, dim, center_radius):
     return min(h_outer, r - inner)
 
 
+@functools.lru_cache(maxsize=8)
+def _periodized_sinc_power(grid, a, k_pow, center):
+    """sum_nu sinc(a (x - center + 2 B nu))^(2 k_pow) over 7 images on
+    one axis, read-only: shared by every sign of eta and every axis."""
+    x_rel = grid.axis_points - center
+    per = np.zeros_like(x_rel)
+    for nu in range(-3, 4):
+        per = per + np.sinc(a * (x_rel + 2 * grid.half_width * nu)) ** (2 * k_pow)
+    per.flags.writeable = False
+    return per
+
+
 def build_sinc_power(grid, j, beta, kind="phi", eta=None, half_width=None):
     """Tensor power of a sinc, in frequency a tensor B-spline box.
 
@@ -392,6 +404,9 @@ def build_sinc_power(grid, j, beta, kind="phi", eta=None, half_width=None):
         raise ValidationError("spectral box does not fit the admissible set")
     a = half_width / k_pow
     cube_center = 2.0 ** (j - 1)
+    # spatial samples in closed form: the FFT route would bury the
+    # polynomial tail under its roundoff floor and wreck lambda
+    per = _periodized_sinc_power(grid, a, k_pow, cube_center)
     mult = np.ones(grid.shape, dtype=np.complex128)
     values = np.ones(grid.shape, dtype=np.complex128)
     phase = np.zeros(grid.shape)
@@ -406,14 +421,8 @@ def build_sinc_power(grid, j, beta, kind="phi", eta=None, half_width=None):
         shape[ax] = grid.samples
         mult = mult * mult_1d.reshape(shape)
         mult = mult * np.exp(-2j * np.pi * xi_1d * cube_center).reshape(shape)
-        # spatial samples in closed form: the FFT route would bury the
-        # polynomial tail under its roundoff floor and wreck lambda
-        x_rel = grid.axis_points - cube_center
-        per = np.zeros_like(x_rel)
-        for nu in range(-3, 4):
-            per = per + np.sinc(a * (x_rel + 2 * grid.half_width * nu)) ** (2 * k_pow)
         values = values * per.reshape(shape)
-        phase = phase + eta[ax] * x_rel.reshape(shape)
+        phase = phase + eta[ax] * (grid.point_component(ax) - cube_center)
     values = values * np.exp(2j * np.pi * phase)
     field = SampledField(grid, np.ascontiguousarray(values))
     tag = f"sincpow[{kind},{j}"
@@ -444,8 +453,80 @@ def _modulate_kernel(handle, grid, eta, new_id):
                         field_multiplier(out), out)
 
 
-_DICTIONARY_CACHE = {}
-_DICTIONARY_CACHE_SIZE = 12
+_DICTIONARY_CACHE = OrderedDict()   # LRU of keep_fields=False dictionaries
+_DICTIONARY_CACHE_SIZE = 16         # the reference sweep's 16 classes
+
+
+def _candidates(grid, j, beta, kind, spec):
+    """The candidates of build_dictionary, built one at a time.  The
+    translation and modulation bases reuse the candidate handles."""
+    reused = ({(build_tau, j + 1), (build_tau, j + 2)} if kind == "phi"
+              else {(build_psi_cone, 0, j + 2)})
+    kept = {}
+
+    def build(builder, *args):
+        key = (builder, *args)
+        if key in kept:
+            return kept.pop(key)
+        handle = builder(grid, *args)
+        if key in reused:
+            kept[key] = handle
+        return handle
+
+    lat = 1.0 / (2 * grid.half_width)
+    if kind == "phi":
+        for s in range(spec.n_tau):
+            yield build(build_tau, j + 1 + s)
+    for s in range(spec.n_psi):
+        for n in range(grid.dim):
+            yield build(build_psi_cone, n, j + 2 + s)
+    if spec.n_sinc:
+        yield build_sinc_power(grid, j, beta, kind)
+        if kind == "psi":
+            # a ladder across the annulus so every admissible frequency
+            # sits near some box center, on each axis and sign
+            u = 2.0 ** (-j - 3)
+            for ax in range(grid.dim):
+                for radius_units in (3.0, 5.0, 7.0):
+                    for sign in (1.0, -1.0):
+                        eta = np.zeros(grid.dim)
+                        eta[ax] = sign * radius_units * u
+                        if sign > 0 and ax == 0 and radius_units == 5.0:
+                            continue  # the default kernel above
+                        yield build_sinc_power(grid, j, beta, kind, eta)
+    if kind == "phi":
+        base_mod = build(build_tau, j + 2)
+        for i in range(spec.n_mod):
+            mag = 2.0 ** (-j - 1) / (i + 1)
+            eta = np.zeros(grid.dim)
+            eta[i % grid.dim] = round(mag / lat) * lat
+            if np.max(np.abs(eta)) + 2.0 ** (-j - 1) > 2.0 ** (-j) + 1e-12:
+                continue
+            if np.max(np.abs(eta)) == 0:
+                continue
+            yield _modulate_kernel(
+                base_mod, grid, eta, f"mod[{base_mod.kernel_id},eta{i}]")
+        del base_mod
+        if spec.n_sinc_mod:
+            # modulation ladder tiling the ball: centers at quarter-band
+            # steps, boxes shrinking toward the edge
+            for ax in range(grid.dim):
+                for k in range(1, 2 * spec.n_sinc_mod):
+                    for sign in (1.0, -1.0):
+                        eta = np.zeros(grid.dim)
+                        eta[ax] = sign * k * 2.0 ** (-j - 2)
+                        if k * 2.0 ** (-j - 2) >= 2.0 ** (-j):
+                            continue
+                        yield build_sinc_power(grid, j, beta, kind, eta)
+    trans_base = build(build_tau, j + 1) if kind == "phi" else build(build_psi_cone, 0, j + 2)
+    h = grid.spacing
+    for i in range(spec.n_trans):
+        mag = 2.0 ** j / (i + 1)
+        offset = np.zeros(grid.dim)
+        offset[i % grid.dim] = max(round(mag / h), 1) * h
+        if np.max(np.abs(offset)) > 2.0 ** j + 1e-12:
+            continue
+        yield _translate(trans_base, grid, offset, f"tr[{trans_base.kernel_id},t{i}]")
 
 
 def build_dictionary(grid, j, beta, kind, spec=None, keep_fields=True):
@@ -459,96 +540,44 @@ def build_dictionary(grid, j, beta, kind, spec=None, keep_fields=True):
     the class supremum.  Candidates with frequency leak (e.g. low
     frequencies in a Psi dictionary) are dropped.
 
-    With keep_fields=False the spatial samples are released after
-    certification and the result is cached per class, which is what the
-    estimator sweep relies on.
+    Each candidate is certified, scaled and released before the next is
+    built; with keep_fields=False only the scaled multipliers are kept
+    and the result is cached per class (an LRU).  All of it is exact:
+    builders are deterministic and certification does not modify a
+    handle, so a base may reuse its candidate; the envelope depends on
+    (grid, j, beta) only, a sinc profile on (grid, a, K, c) only (eta
+    enters as a separate phase, and every axis has the same points).
     """
     spec = spec or DictionarySpec()
     if kind not in ("phi", "psi"):
         raise ValidationError("kind must be 'phi' or 'psi'")
     cache_key = (grid.dim, grid.half_width, grid.samples, j, float(beta), kind, spec)
     if not keep_fields and cache_key in _DICTIONARY_CACHE:
+        _DICTIONARY_CACHE.move_to_end(cache_key)
         return _DICTIONARY_CACHE[cache_key]
-    lat = 1.0 / (2 * grid.half_width)
-    candidates = []
-    if kind == "phi":
-        for s in range(spec.n_tau):
-            candidates.append(build_tau(grid, j + 1 + s))
-    for s in range(spec.n_psi):
-        for n in range(grid.dim):
-            candidates.append(build_psi_cone(grid, n, j + 2 + s))
-    if spec.n_sinc:
-        candidates.append(build_sinc_power(grid, j, beta, kind))
-        if kind == "psi":
-            # a ladder across the annulus so every admissible frequency
-            # sits near some box center, on each axis and sign
-            u = 2.0 ** (-j - 3)
-            for ax in range(grid.dim):
-                for radius_units in (3.0, 5.0, 7.0):
-                    for sign in (1.0, -1.0):
-                        eta = np.zeros(grid.dim)
-                        eta[ax] = sign * radius_units * u
-                        if sign > 0 and ax == 0 and radius_units == 5.0:
-                            continue  # the default kernel above
-                        candidates.append(
-                            build_sinc_power(grid, j, beta, kind, eta))
-    if kind == "phi":
-        base_mod = build_tau(grid, j + 2)
-        for i in range(spec.n_mod):
-            mag = 2.0 ** (-j - 1) / (i + 1)
-            eta = np.zeros(grid.dim)
-            eta[i % grid.dim] = round(mag / lat) * lat
-            if np.max(np.abs(eta)) + 2.0 ** (-j - 1) > 2.0 ** (-j) + 1e-12:
-                continue
-            if np.max(np.abs(eta)) == 0:
-                continue
-            candidates.append(_modulate_kernel(
-                base_mod, grid, eta, f"mod[{base_mod.kernel_id},eta{i}]"))
-        if spec.n_sinc_mod:
-            # modulation ladder tiling the ball: centers at quarter-band
-            # steps, boxes shrinking toward the edge
-            for ax in range(grid.dim):
-                for k in range(1, 2 * spec.n_sinc_mod):
-                    for sign in (1.0, -1.0):
-                        eta = np.zeros(grid.dim)
-                        eta[ax] = sign * k * 2.0 ** (-j - 2)
-                        if k * 2.0 ** (-j - 2) >= 2.0 ** (-j):
-                            continue
-                        candidates.append(
-                            build_sinc_power(grid, j, beta, kind, eta))
-    trans_base = build_tau(grid, j + 1) if kind == "phi" else build_psi_cone(grid, 0, j + 2)
-    h = grid.spacing
-    for i in range(spec.n_trans):
-        mag = 2.0 ** j / (i + 1)
-        offset = np.zeros(grid.dim)
-        offset[i % grid.dim] = max(round(mag / h), 1) * h
-        if np.max(np.abs(offset)) > 2.0 ** j + 1e-12:
-            continue
-        candidates.append(_translate(
-            trans_base, grid, offset, f"tr[{trans_base.kernel_id},t{i}]"))
 
-    out = []
-    for cand in candidates:
+    def normalized(cand):
         cert = class_membership(cand, j, beta, kind)
-        if cert["leak"] > 1e-10:
-            continue
         lam = cert["lambda_max"]
-        if not np.isfinite(lam) or lam <= 0:
-            continue
+        if cert["leak"] > 1e-10 or not np.isfinite(lam) or lam <= 0:
+            return None
         norm = cand.scaled(lam)
         norm.certificate.update(class_membership(norm, j, beta, kind))
         norm.certificate["normalization"] = lam
-        out.append(norm)
+        if not keep_fields:
+            # cached handles are shared by every caller: freeze their multipliers
+            norm.field = None
+            norm.multiplier.flags.writeable = False
+        return norm
+
+    # map() drops each candidate as soon as it is normalized
+    out = [h for h in map(normalized, _candidates(grid, j, beta, kind, spec)) if h is not None]
     if not out:
         raise ValidationError(
             f"empty {kind}-dictionary at level {j}: all candidates filtered")
     out.sort(key=lambda k: k.kernel_id)
     if not keep_fields:
-        # cached handles are shared by every caller: freeze their multipliers
-        for handle in out:
-            handle.field = None
-            handle.multiplier.flags.writeable = False
         if len(_DICTIONARY_CACHE) >= _DICTIONARY_CACHE_SIZE:
-            _DICTIONARY_CACHE.pop(next(iter(_DICTIONARY_CACHE)))
+            _DICTIONARY_CACHE.popitem(last=False)
         _DICTIONARY_CACHE[cache_key] = out
     return out

@@ -1,0 +1,20 @@
+"""Shared fixtures."""
+
+import pytest
+
+from phaseproj import kernels
+
+
+def _clear_kernel_caches():
+    kernels._DICTIONARY_CACHE.clear()
+    kernels._periodized_sinc_power.cache_clear()
+    kernels.class_envelope.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def fresh_kernel_caches():
+    """Every test starts and ends with empty kernel caches, so no test
+    depends on what an earlier one built."""
+    _clear_kernel_caches()
+    yield
+    _clear_kernel_caches()

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phaseproj.cubes import (
+    CubeMap,
     DyadicCube,
     DyadicPartition,
     TreeConfig,
@@ -121,6 +122,27 @@ class TestCubeAlgebra:
     def test_child_parent_roundtrip(self, level, k):
         c = cube1(level, k)
         assert all(ch.parent() == c for ch in c.children())
+
+
+class TestBadCubeInput:
+    """Bad cube arguments fail with the package's ValidationError."""
+
+    def test_ancestor_below_level(self):
+        with pytest.raises(ValidationError, match="ancestor level"):
+            cube1(-1, 0).ancestor(-2)
+
+    @pytest.mark.parametrize("r", [2, 0, -1])
+    def test_dilated_contains_bad_factor(self, r):
+        with pytest.raises(ValidationError, match="odd positive"):
+            cube1(0, 0).dilated_contains(r, cube1(0, 0))
+
+    def test_forward_coarser_than_root(self):
+        with pytest.raises(ValidationError, match="coarser than the root"):
+            CubeMap(-1, (3,)).forward(cube1(0, 0))
+
+    def test_backward_coarser_than_unit_root(self):
+        with pytest.raises(ValidationError, match="coarser than the unit root"):
+            CubeMap(-1, (3,)).backward(cube1(1, 0))
 
 
 class TestTreeExpansion:

@@ -1,10 +1,12 @@
 """Kernel factory: profiles, band supports, cones, antiderivatives, classes."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from phaseproj import kernels
 from phaseproj.errors import ResolutionError, ValidationError
 from phaseproj.grid import (
     SampledField,
@@ -22,7 +24,9 @@ from phaseproj.kernels import (
     build_psi,
     build_psi_cone,
     build_tau,
+    build_sinc_power,
     build_theta,
+    class_envelope,
     class_membership,
     cone_multiplier_values,
     cone_partition,
@@ -381,3 +385,104 @@ class TestDictionary:
         assert len(dicts) >= 4
         for handle in dicts:
             assert handle.certificate["passed"]
+
+
+def dictionary_digest(dictionary):
+    """SHA-256 over each kernel's id, multiplier bytes, field bytes (when
+    kept) and certificate repr, in kernel_id order."""
+    h = hashlib.sha256()
+    for handle in sorted(dictionary, key=lambda k: k.kernel_id):
+        h.update(handle.kernel_id.encode())
+        h.update(handle.multiplier.tobytes())
+        if handle.field is not None:
+            h.update(handle.field.values.tobytes())
+        h.update(repr(handle.certificate).encode())
+    return h.hexdigest()
+
+
+# Frozen before the dictionary builder was restructured: any change to a
+# multiplier, a kept field, a certificate or the candidate set shows here.
+GOLDEN_DICTIONARIES = {
+    ("d1", "phi", True): "7ba9612e69a4fcddc3350f4f5bd152288c697c62f196645cfcb0e96d45718608",
+    ("d1", "phi", False): "c8c7c7e4e04ef38d58820871e42ba95012378c9c28cc1b48d58a7ede6835f88b",
+    ("d1", "psi", True): "9282ecaf8b3055461dbbc6110a8d07982b5929c63880cd5e83121611bd59cbac",
+    ("d1", "psi", False): "37d5f128148f1497fc5fdff47b9b8a70fb1adaeb4dcdab8407e358933a6ddfcc",
+    ("d2", "phi", True): "3bd7acd20f7aa782cf53461fb1664cfd8426328f64ee25547aeb00f12c0d4803",
+    ("d2", "phi", False): "73b32505ef678db6f3c7f67077f5d315595e6175bc3e4c9dc3cd81b882394480",
+}
+
+
+@pytest.mark.parametrize("dim,kind,keep_fields", sorted(GOLDEN_DICTIONARIES))
+def test_dictionary_golden_hash(dim, kind, keep_fields, g1, g2):
+    if dim == "d1":
+        dictionary = build_dictionary(g1, -3, 4 * ALPHA, kind, keep_fields=keep_fields)
+    else:
+        dictionary = build_dictionary(g2, -1, 4 * 3.0, kind, DictionarySpec(2, 1, 1, 1),
+                                      keep_fields=keep_fields)
+    assert dictionary_digest(dictionary) == GOLDEN_DICTIONARIES[(dim, kind, keep_fields)]
+
+
+class TestCaches:
+    """The per-class dictionary LRU and the per-box and per-class arrays."""
+
+    SPEC = DictionarySpec(n_tau=1, n_psi=1, n_mod=0, n_trans=0, n_sinc=0, n_sinc_mod=0)
+
+    @pytest.fixture
+    def small(self):
+        return TorusGrid(1, 8.0, 1 << 10)
+
+    def build(self, grid, i):
+        # one class per beta; beta is part of the cache key
+        return build_dictionary(grid, -2, 4.0 + i, "phi", self.SPEC, keep_fields=False)
+
+    @staticmethod
+    def cached(dictionary):
+        return any(v is dictionary for v in kernels._DICTIONARY_CACHE.values())
+
+    def test_sixteen_classes_stay_cached(self, small):
+        built = [self.build(small, i) for i in range(16)]
+        assert len(kernels._DICTIONARY_CACHE) == 16
+        assert all(self.cached(d) for d in built)
+        assert all(self.build(small, i) is d for i, d in enumerate(built))
+
+    def test_seventeenth_class_evicts_least_recent(self, small):
+        built = [self.build(small, i) for i in range(17)]
+        assert len(kernels._DICTIONARY_CACHE) == 16
+        assert not self.cached(built[0])
+        assert all(self.cached(d) for d in built[1:])
+        rebuilt = self.build(small, 0)
+        assert rebuilt is not built[0]
+        assert [k.kernel_id for k in rebuilt] == [k.kernel_id for k in built[0]]
+
+    def test_hit_refreshes_recency(self, small):
+        built = [self.build(small, i) for i in range(16)]
+        assert self.build(small, 0) is built[0]
+        self.build(small, 16)
+        assert self.cached(built[0])
+        assert not self.cached(built[1])
+
+    def test_kept_fields_bypass_cache(self, small):
+        kept = build_dictionary(small, -2, 4.0, "phi", self.SPEC)
+        assert not kernels._DICTIONARY_CACHE
+        assert all(k.field is not None for k in kept)
+
+    def test_profile_shared_across_signs_and_axes(self, g2):
+        eta = 3 * 2.0 ** -3
+        handles = [build_sinc_power(g2, -1, 12.0, "phi", np.array(e))
+                   for e in ([eta, 0.0], [-eta, 0.0], [0.0, eta], [0.0, -eta])]
+        info = kernels._periodized_sinc_power.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+        # a sign flip of eta conjugates the kernel; the box is the same
+        assert np.array_equal(handles[1].field.values, np.conj(handles[0].field.values))
+
+    def test_profile_read_only(self, g1):
+        profile = kernels._periodized_sinc_power(g1, 0.5, 4, 2.0 ** -4)
+        assert kernels._periodized_sinc_power(g1, 0.5, 4, 2.0 ** -4) is profile
+        with pytest.raises(ValueError, match="read-only"):
+            profile[0] = 0.0
+
+    def test_envelope_read_only(self, g1):
+        env = class_envelope(g1, -3, 4 * ALPHA)
+        assert class_envelope(g1, -3, 4 * ALPHA) is env
+        with pytest.raises(ValueError, match="read-only"):
+            env[0] = 0.0
