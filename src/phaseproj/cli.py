@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -41,11 +42,10 @@ def _add_run_flags(sub):
 
 
 def _config_from_args(args):
-    data = {}
+    config = RunConfig()
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    config = RunConfig.from_dict(data) if data else RunConfig()
+            config = RunConfig.from_dict(json.load(fh))
     overrides = {}
     for key in ("dim", "grid_n", "grid_b", "tree_seed", "tree_depth",
                 "leaf_count", "f_seed", "gap_m", "alpha", "window_depth"):
@@ -59,11 +59,7 @@ def _config_from_args(args):
         overrides["p_values"] = tuple(parse_p(p) for p in args.p.split(","))
     if getattr(args, "no_strict", False):
         overrides["strict"] = False
-    if overrides:
-        merged = config.to_dict()
-        merged.update(RunConfig(**{**config.__dict__, **overrides}).to_dict())
-        config = RunConfig.from_dict(merged)
-    return config
+    return dataclasses.replace(config, **overrides)
 
 
 def _cmd_build(args):

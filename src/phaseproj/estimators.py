@@ -83,7 +83,7 @@ def level_norms(field, kernels, cubes, level, weight_exp, p_values):
 
 
 def _dictionary(grid, level, alpha, kind, dict_spec):
-    return build_dictionary(grid, level, 4 * alpha, kind, dict_spec, keep_fields=False)
+    return build_dictionary(grid, level, 4 * alpha, kind, dict_spec)
 
 
 @dataclass
@@ -416,15 +416,11 @@ def prop_spq_checks(pin, alpha=None, p=2.0, q=inf, n_draws=100, seed=0,
     levels = list(range(pin.cfg.j_min, 1))
 
     draws = []
-    kernel_cache = {}
     for _ in range(n_draws):
         i = int(rng.choice(levels))
         cubes = tree.cubes(i)
         cube = cubes[int(rng.integers(len(cubes)))]
-        if i not in kernel_cache:
-            kernel_cache[i] = build_dictionary(
-                grid, i - m - 2, 4 * alpha, "phi", dict_spec)
-        kernels = kernel_cache[i]
+        kernels = _dictionary(grid, i - m - 2, alpha, "phi", dict_spec)
         kernel = kernels[int(rng.integers(len(kernels)))]
         draws.append((i, cube, kernel))
 

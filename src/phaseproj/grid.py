@@ -10,7 +10,6 @@ folded to Nyquist, which is exactly numpy's fftfreq(N, d=h).
 from __future__ import annotations
 
 import csv
-import os
 import struct
 import warnings
 from dataclasses import dataclass, field as dc_field
@@ -23,7 +22,6 @@ from .cubes import DyadicCube
 from .errors import ResolutionError, ValidationError
 
 _MAGIC = b"PPRJ"
-_DEBUG = bool(os.environ.get("PHASEPROJ_DEBUG"))
 
 
 class TorusGrid:
@@ -143,10 +141,6 @@ class SampledField:
         if self._fft is None:
             self._fft = np.fft.fftn(self.values)
             self._fft.flags.writeable = False
-        elif _DEBUG:
-            ref = np.fft.fftn(self.values)
-            scale = np.max(np.abs(ref)) or 1.0
-            assert np.max(np.abs(ref - self._fft)) <= 1e-10 * scale, "stale spectrum cache"
         return self._fft
 
     def with_fft(self, fft_values):

@@ -27,7 +27,7 @@ from .cubes import (
     tree_index_to_csv,
     unit_cube,
 )
-from .errors import ValidationError
+from .errors import PhaseprojError, ValidationError
 from .estimators import EstimatorContext
 from .grid import (
     SampledField,
@@ -263,8 +263,9 @@ def build_tree_config(config):
 def run(config, out_dir=None):
     """Build everything, evaluate every report, optionally persist.
 
-    Failures are recorded with their stage tag; whatever was computed
-    before the failure is still persisted.
+    A PhaseprojError is recorded with its stage tag, and whatever was
+    computed before it is still persisted; any other exception is a bug
+    and propagates.
     """
     record = {"config": config.to_dict(), "config_hash": config.config_hash()}
     timings = {}
@@ -298,9 +299,8 @@ def run(config, out_dir=None):
         stage = "write"
         if out_dir:
             _persist(record, timings, config, output, pin, out_dir)
-        record["_runtime"] = {"output": output, "pin": pin, "ctx": ctx}
         return record
-    except Exception as exc:
+    except PhaseprojError as exc:
         record["error"] = {"stage": stage, "message": str(exc),
                            "type": type(exc).__name__}
         if out_dir:
@@ -363,14 +363,13 @@ def _persist(record, timings, config, output, pin, out_dir):
             manifest.append(f"{name}.bin sha256={digest}")
         tree_index_to_csv(pin.tree, os.path.join(out_dir, "tree.csv"),
                           level_floor=-(config.window_depth or config.tree_depth) - 2)
-    clean = {k: v for k, v in record.items() if not k.startswith("_")}
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(clean, fh, sort_keys=True, indent=2)
+        json.dump(record, fh, sort_keys=True, indent=2)
         fh.write("\n")
     with open(os.path.join(out_dir, "config.echo"), "w", encoding="utf-8") as fh:
         json.dump(config.to_dict(), fh, sort_keys=True, indent=2)
         fh.write("\n")
-    _write_perscale(clean, os.path.join(out_dir, "perscale.csv"))
+    _write_perscale(record, os.path.join(out_dir, "perscale.csv"))
     with open(os.path.join(out_dir, "manifest.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(manifest) + "\n")
     with open(os.path.join(out_dir, "timings.txt"), "w", encoding="utf-8") as fh:

@@ -453,7 +453,7 @@ def _modulate_kernel(handle, grid, eta, new_id):
                         field_multiplier(out), out)
 
 
-_DICTIONARY_CACHE = OrderedDict()   # LRU of keep_fields=False dictionaries
+_DICTIONARY_CACHE = OrderedDict()   # LRU of dictionaries, one per class
 _DICTIONARY_CACHE_SIZE = 16         # the reference sweep's 16 classes
 
 
@@ -529,7 +529,7 @@ def _candidates(grid, j, beta, kind, spec):
         yield _translate(trans_base, grid, offset, f"tr[{trans_base.kernel_id},t{i}]")
 
 
-def build_dictionary(grid, j, beta, kind, spec=None, keep_fields=True):
+def build_dictionary(grid, j, beta, kind, spec=None):
     """Normalized dictionary of class-(Phi|Psi)_j^beta kernels.
 
     Candidates: tau_{j+1+s}, cone pieces psi_{n,j+2+s}, on-lattice
@@ -541,18 +541,19 @@ def build_dictionary(grid, j, beta, kind, spec=None, keep_fields=True):
     frequencies in a Psi dictionary) are dropped.
 
     Each candidate is certified, scaled and released before the next is
-    built; with keep_fields=False only the scaled multipliers are kept
-    and the result is cached per class (an LRU).  All of it is exact:
-    builders are deterministic and certification does not modify a
-    handle, so a base may reuse its candidate; the envelope depends on
-    (grid, j, beta) only, a sinc profile on (grid, a, K, c) only (eta
-    enters as a separate phase, and every axis has the same points).
+    built; only its scaled multiplier is kept, read-only, and the result
+    is cached per class (an LRU) and shared by every caller.  All of it
+    is exact: builders are deterministic and certification does not
+    modify a handle, so a base may reuse its candidate; the envelope
+    depends on (grid, j, beta) only, a sinc profile on (grid, a, K, c)
+    only (eta enters as a separate phase, and every axis has the same
+    points).
     """
     spec = spec or DictionarySpec()
     if kind not in ("phi", "psi"):
         raise ValidationError("kind must be 'phi' or 'psi'")
     cache_key = (grid.dim, grid.half_width, grid.samples, j, float(beta), kind, spec)
-    if not keep_fields and cache_key in _DICTIONARY_CACHE:
+    if cache_key in _DICTIONARY_CACHE:
         _DICTIONARY_CACHE.move_to_end(cache_key)
         return _DICTIONARY_CACHE[cache_key]
 
@@ -564,10 +565,8 @@ def build_dictionary(grid, j, beta, kind, spec=None, keep_fields=True):
         norm = cand.scaled(lam)
         norm.certificate.update(class_membership(norm, j, beta, kind))
         norm.certificate["normalization"] = lam
-        if not keep_fields:
-            # cached handles are shared by every caller: freeze their multipliers
-            norm.field = None
-            norm.multiplier.flags.writeable = False
+        norm.field = None
+        norm.multiplier.flags.writeable = False
         return norm
 
     # map() drops each candidate as soon as it is normalized
@@ -576,8 +575,7 @@ def build_dictionary(grid, j, beta, kind, spec=None, keep_fields=True):
         raise ValidationError(
             f"empty {kind}-dictionary at level {j}: all candidates filtered")
     out.sort(key=lambda k: k.kernel_id)
-    if not keep_fields:
-        if len(_DICTIONARY_CACHE) >= _DICTIONARY_CACHE_SIZE:
-            _DICTIONARY_CACHE.popitem(last=False)
-        _DICTIONARY_CACHE[cache_key] = out
+    if len(_DICTIONARY_CACHE) >= _DICTIONARY_CACHE_SIZE:
+        _DICTIONARY_CACHE.popitem(last=False)
+    _DICTIONARY_CACHE[cache_key] = out
     return out

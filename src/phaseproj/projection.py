@@ -20,6 +20,7 @@ and a finite-difference witness of the smoothness of G.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 from math import comb
@@ -46,25 +47,27 @@ from .kernels import (
 )
 
 
+# The cutoff mollifier radius as a fraction of one collar cell
+# 2^(j-m-3); anything below 1 preserves the exact plateau and support
+# facts.
+MOLLIFIER_CELL_FRACTION = 1.0
+# Strict mode demands this many grid samples per mollifier radius, which
+# is what the smoothness-dependent tolerances below were calibrated against.
+MIN_SAMPLES_PER_RADIUS = 32
+LEIBNIZ_REL_TOL = 1e-6
+SUPPORT_REL_TOL = 1e-8
+FD_REL_TOL = 1e-4
+# The finite-difference witness runs only at this many samples per radius.
+FD_MIN_SAMPLES_PER_RADIUS = 160
+
+
 @dataclass(frozen=True)
 class ProjectionSettings:
-    """Resolution policy and tolerances for a projection build.
+    """Resolution policy of a projection build: strict mode enforces the
+    smoothness-dependent diagnostics; keep_pieces keeps each scale's
+    cutoff, sigma and G next to its piece."""
 
-    `mollifier_cell_fraction` sets the cutoff mollifier radius as a
-    fraction of one collar cell 2^(j-m-3); anything below 1 preserves
-    the exact plateau and support facts.  Strict mode additionally
-    demands `min_samples_per_radius` grid samples per mollifier radius,
-    which is what the smoothness-dependent tolerances below were
-    calibrated against.
-    """
-
-    mollifier_cell_fraction: float = 1.0
     strict: bool = True
-    min_samples_per_radius: int = 32
-    leibniz_rel_tol: float = 1e-6
-    support_rel_tol: float = 1e-8
-    fd_rel_tol: float = 1e-4
-    fd_min_samples_per_radius: int = 160
     keep_pieces: bool = True
 
 
@@ -90,15 +93,12 @@ class ProjectionOutput:
     g: SampledField
     chi: SampledField
     pieces: dict
-    h_part: SampledField
-    k_parts: list
     diagnostics: dict
-    _builder: object = dc_field(default=None, repr=False, compare=False)
+    _builder: ProjectionBuilder = dc_field(repr=False, compare=False)
 
 
-def mollifier_radius(j, m, settings=None):
-    frac = (settings or ProjectionSettings()).mollifier_cell_fraction
-    return frac * 2.0 ** (j - m - 3)
+def mollifier_radius(j, m):
+    return MOLLIFIER_CELL_FRACTION * 2.0 ** (j - m - 3)
 
 
 def resolution_check(cfg, grid, settings):
@@ -121,8 +121,8 @@ def resolution_check(cfg, grid, settings):
         raise ResolutionError(
             f"collar cells at level {j_min - m - 3} are below the grid spacing; "
             f"need at least N={need}", required_samples=need)
-    radius = mollifier_radius(j_min, m, settings)
-    min_samples = settings.min_samples_per_radius if settings.strict else 1.0
+    radius = mollifier_radius(j_min, m)
+    min_samples = MIN_SAMPLES_PER_RADIUS if settings.strict else 1.0
     if radius < min_samples * grid.spacing:
         need = _next_pow2(math.ceil(min_samples * 2 * grid.half_width / radius))
         raise ResolutionError(
@@ -149,8 +149,21 @@ def projection_input(f, cfg, grid=None, settings=None):
     return ProjectionInput(f=f, cfg=cfg, tree=tree, grid=grid, settings=settings)
 
 
+def _memo(method):
+    """Cache a builder method's result on the instance, keyed by the
+    method name and its arguments."""
+    @functools.wraps(method)
+    def cached(self, *args):
+        key = (method.__name__, args)
+        if key not in self._memo:
+            self._memo[key] = method(self, *args)
+        return self._memo[key]
+    return cached
+
+
 class ProjectionBuilder:
-    """Caches per-level kernels, cutoffs and filtered copies of f."""
+    """Builds per-level kernels, cutoffs, filtered copies of f and the
+    pieces, each once per instance."""
 
     def __init__(self, pin):
         self.pin = pin
@@ -160,65 +173,41 @@ class ProjectionBuilder:
         self.dim = pin.grid.dim
         self.j_min = pin.cfg.j_min
         self.settings = pin.settings
-        self._chi = {}
-        self._masks = {}
-        self._inds = {}
-        self._theta_f = {}
-        self._psi_cone_f = {}
-        self._psi_f = {}
-        self._theta_mult = {}
+        self._memo = {}
         self.diagnostics = {"levels": {}, "wrap_flags": []}
 
     # -- cached primitives -------------------------------------------------
 
-    def e_mask(self, j, k=1):
-        key = (j, k)
-        if key not in self._masks:
-            self._masks[key] = cube_mask(self.grid, self.tree.cubes(j, k))
-        return self._masks[key]
+    @_memo
+    def e_mask(self, j, k):
+        return cube_mask(self.grid, self.tree.cubes(j, k))
 
+    @_memo
     def e_indicator(self, j):
-        if j not in self._inds:
-            self._inds[j] = SampledField(
-                self.grid, self.e_mask(j, 1).astype(np.complex128))
-        return self._inds[j]
+        return SampledField(self.grid, self.e_mask(j, 1).astype(np.complex128))
 
+    @_memo
     def chi_s(self, j):
-        if j not in self._chi:
-            radius = mollifier_radius(j, self.m, self.settings)
-            kappa = build_mollifier(self.grid, radius)
-            self._chi[j] = mollified_indicator(
-                self.grid, self.tree.cubes(j, 1), j, self.m, kappa)
-        return self._chi[j]
+        kappa = build_mollifier(self.grid, mollifier_radius(j, self.m))
+        return mollified_indicator(self.grid, self.tree.cubes(j, 1), j, self.m, kappa)
 
-    def theta_mult(self, n, j):
-        key = (n, j)
-        if key not in self._theta_mult:
-            handle = build_theta(self.grid, n, j - self.m)
-            if handle.certificate.get("wrap_flag"):
-                self.diagnostics["wrap_flags"].append(handle.kernel_id)
-            self._theta_mult[key] = handle.multiplier
-        return self._theta_mult[key]
-
+    @_memo
     def theta_f(self, n, j):
-        key = (n, j)
-        if key not in self._theta_f:
-            self._theta_f[key] = apply_multiplier(self.pin.f, self.theta_mult(n, j))
-        return self._theta_f[key]
+        handle = build_theta(self.grid, n, j - self.m)
+        if handle.certificate.get("wrap_flag"):
+            self.diagnostics["wrap_flags"].append(handle.kernel_id)
+        return apply_multiplier(self.pin.f, handle.multiplier)
 
+    @_memo
     def psi_cone_f(self, n, j):
-        key = (n, j)
-        if key not in self._psi_cone_f:
-            mult = psi_cone_multiplier(self.grid, n, j - self.m)
-            self._psi_cone_f[key] = apply_multiplier(self.pin.f, mult)
-        return self._psi_cone_f[key]
+        mult = psi_cone_multiplier(self.grid, n, j - self.m)
+        return apply_multiplier(self.pin.f, mult)
 
+    @_memo
     def psi_f(self, j):
-        if j not in self._psi_f:
-            mult = (tau_multiplier(self.grid, j - 1 - self.m)
-                    - tau_multiplier(self.grid, j - self.m))
-            self._psi_f[j] = apply_multiplier(self.pin.f, mult)
-        return self._psi_f[j]
+        mult = (tau_multiplier(self.grid, j - 1 - self.m)
+                - tau_multiplier(self.grid, j - self.m))
+        return apply_multiplier(self.pin.f, mult)
 
     def tau_f(self):
         handle = build_tau(self.grid, -self.m)
@@ -251,6 +240,7 @@ class ProjectionBuilder:
         self.diagnostics["levels"].setdefault((n, j), {})["big_g_route_err"] = float(err)
         return smooth
 
+    @_memo
     def g_piece(self, n, j):
         """(d+1)-fold derivative of G along the cone axis, with a Leibniz
         cross-check quantifying product-differentiation aliasing."""
@@ -271,20 +261,20 @@ class ProjectionBuilder:
         scale = max(piece.max_abs(), 1e-300)
         leib_err = float(np.max(np.abs(piece.values - leib.values)) / scale)
         diag["leibniz_rel_err"] = leib_err
-        if self.settings.strict and leib_err > self.settings.leibniz_rel_tol:
+        if self.settings.strict and leib_err > LEIBNIZ_REL_TOL:
             raise ResolutionError(
                 f"Leibniz cross-check failed at (n={n}, j={j}): {leib_err:.3e} "
-                f"> {self.settings.leibniz_rel_tol}; increase N")
+                f"> {LEIBNIZ_REL_TOL}; increase N")
 
-        radius = mollifier_radius(j, self.m, self.settings)
-        if radius / self.grid.spacing >= self.settings.fd_min_samples_per_radius:
+        radius = mollifier_radius(j, self.m)
+        if radius / self.grid.spacing >= FD_MIN_SAMPLES_PER_RADIUS:
             fd = fd_derivative(big_g, n, self.dim + 1)
             fd_err = float(np.max(np.abs(piece.values - fd.values)) / scale)
             diag["fd_rel_err"] = fd_err
-            if self.settings.strict and fd_err > self.settings.fd_rel_tol:
+            if self.settings.strict and fd_err > FD_REL_TOL:
                 raise ResolutionError(
                     f"finite-difference witness failed at (n={n}, j={j}): "
-                    f"{fd_err:.3e} > {self.settings.fd_rel_tol}")
+                    f"{fd_err:.3e} > {FD_REL_TOL}")
 
         sigma = self.sigma(n, j)
         smax = sigma.max_abs()
@@ -307,6 +297,7 @@ class ProjectionBuilder:
 
     # -- assembly -------------------------------------------------------------
 
+    @_memo
     def nyquist_level(self):
         """Coarsest j with tau-hat at scale j-m identically 1 on the lattice."""
         xi_max = float(np.max(self.grid.freq_radius))
@@ -331,19 +322,15 @@ class ProjectionBuilder:
                 else:
                     pieces[(n, j)] = piece
 
-        h_part = tau_f * chi
+        # telescoping route: h = tau*f chi + sum_j psi_j*f 1_{E_j^1}, then
+        # each axis's k_n = sum_j (g_piece - psi_cone*f 1_{E_j^1})
+        two_route = tau_f * chi
         for j in range(self.j_min, 1):
-            h_part = h_part + self.psi_f(j) * self.e_indicator(j)
-        k_parts = []
+            two_route = two_route + self.psi_f(j) * self.e_indicator(j)
         for n in range(self.dim):
             k_n = zero_field(self.grid)
             for j in range(self.j_min, 1):
-                gp = pieces[(n, j)].g_piece if self.settings.keep_pieces else pieces[(n, j)]
-                k_n = k_n + (gp - self.psi_cone_f(n, j) * self.e_indicator(j))
-            k_parts.append(k_n)
-
-        two_route = h_part
-        for k_n in k_parts:
+                k_n = k_n + (self.g_piece(n, j) - self.psi_cone_f(n, j) * self.e_indicator(j))
             two_route = two_route + k_n
         scale = max(g.max_abs(), 1e-300)
         route_err = float(np.max(np.abs(g.values - two_route.values)) / scale)
@@ -354,7 +341,7 @@ class ProjectionBuilder:
         outside_5u = ~cube_mask(
             self.grid, [DyadicCube(0, idx) for idx in _box_indices(self.dim, 2)])
         support_err = float(np.max(np.abs(g.values[outside_5u])) / scale) if scale > 0 else 0.0
-        if self.settings.strict and support_err > self.settings.support_rel_tol:
+        if self.settings.strict and support_err > SUPPORT_REL_TOL:
             raise ResolutionError(
                 f"g does not vanish outside 5U (rel {support_err:.3e}); increase N")
 
@@ -364,11 +351,8 @@ class ProjectionBuilder:
         diag["chi_derivative_sup"] = self._chi_derivative_certificates(chi)
         diag["nyquist_level"] = self.nyquist_level()
         diag["strict"] = self.settings.strict
-        out = ProjectionOutput(
-            g=g, chi=chi, pieces=pieces, h_part=h_part, k_parts=k_parts,
-            diagnostics=diag)
-        out._builder = self
-        return out
+        return ProjectionOutput(g=g, chi=chi, pieces=pieces, diagnostics=diag,
+                                _builder=self)
 
     def _chi_derivative_certificates(self, chi):
         """Sup norms of derivatives of chi against the 2^(m|l|) scaling."""
@@ -411,8 +395,7 @@ def assemble(pin):
 
 def residual_decomposition(pin, output):
     """Split f - g into its three parts and verify the reconstruction."""
-    builder = output._builder if output._builder is not None else ProjectionBuilder(pin)
-    comp_low, comp_mid, comp_corr = builder.residual_parts()
+    comp_low, comp_mid, comp_corr = output._builder.residual_parts()
     recon = comp_low + comp_mid - comp_corr
     target = pin.f - output.g
     scale = max(pin.f.max_abs(), 1e-300)

@@ -85,7 +85,12 @@ class TestSize:
         # weighted norms unchanged; with the kernel responses it means
         # |response| is invariant, checked through one explicit kernel
         pin, _, _ = setup
-        from phaseproj.grid import apply_multiplier, rho_values, weighted_lp_norm
+        from phaseproj.grid import (
+            apply_multiplier,
+            kernel_field_from_multiplier,
+            rho_values,
+            weighted_lp_norm,
+        )
         from phaseproj.kernels import build_dictionary
         eta = 2.0
         kernels = build_dictionary(pin.grid, -3, 8.0, "phi")
@@ -95,7 +100,7 @@ class TestSize:
         for kernel in kernels[:3]:
             resp = apply_multiplier(pin.f, kernel.multiplier)
             shifted = modulate(
-                SampledField(pin.grid, kernel.field.values), eta)
+                kernel_field_from_multiplier(pin.grid, kernel.multiplier), eta)
             from phaseproj.grid import field_multiplier
             resp_mod = apply_multiplier(f_mod, field_multiplier(shifted))
             a = weighted_lp_norm(resp, w, 2.0)

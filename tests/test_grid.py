@@ -116,6 +116,25 @@ class TestSpectrum:
         back = physical_spectrum(k)
         assert np.max(np.abs(back - mult)) < 1e-10
 
+    @pytest.mark.parametrize("grid_name", ["g1", "g2"])
+    def test_cached_spectrum_matches_fresh_transform(self, grid_name, request):
+        # the spectral ops hand their product spectrum to the output as its
+        # cached fft(); it must be the transform of the output's values
+        grid = request.getfixturevalue(grid_name)
+        rng = np.random.default_rng(1)
+        a = field_from_values(grid, rng.normal(size=grid.shape)
+                              + 1j * rng.normal(size=grid.shape))
+        outputs = [
+            apply_multiplier(a, np.exp(-grid.freq_radius ** 2)),
+            convolve(a, smooth_bump(grid)),
+            partial_derivative(a, grid.dim - 1, 3),
+        ]
+        for out in outputs:
+            assert out._fft is not None
+            fresh = np.fft.fftn(out.values)
+            scale = np.max(np.abs(fresh))
+            assert np.max(np.abs(out.fft() - fresh)) <= 1e-10 * scale
+
     def test_modulation_shifts_spectrum(self, g2):
         a = smooth_bump(g2)
         eta = (2.0 / 16.0, -3.0 / 16.0)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phaseproj import harness
 from phaseproj.cubes import DyadicCube, unit_cube
 from phaseproj.errors import ValidationError
 from phaseproj.grid import TorusGrid
@@ -108,6 +109,17 @@ class TestRun:
                            gap_m=3, alpha=2.0)
         record = run(config)
         assert record["error"]["stage"] == "projection"
+
+    def test_bug_propagates(self, tmp_path, monkeypatch):
+        # only package errors become failure rows; a bug is not recorded
+        def broken(config, grid):
+            raise TypeError("bug in a stage")
+
+        monkeypatch.setattr(harness, "build_f", broken)
+        config = RunConfig(dim=1, grid_n=1 << 10)
+        with pytest.raises(TypeError, match="bug in a stage"):
+            run(config, out_dir=str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
 
     def test_byte_identical_reports(self, tmp_path):
         config = RunConfig(dim=1, grid_n=1 << 13, tree_seed=5, tree_depth=1,

@@ -372,10 +372,11 @@ class TestDictionary:
         assert surrogate(big) >= surrogate(small) - 1e-12
 
     def test_cached_multipliers_read_only(self, g1):
-        # keep_fields=False dictionaries are shared through the cache
-        dicts = build_dictionary(g1, -3, 4 * ALPHA, "phi", keep_fields=False)
-        assert dicts is build_dictionary(g1, -3, 4 * ALPHA, "phi", keep_fields=False)
+        # dictionaries are shared through the cache, without fields
+        dicts = build_dictionary(g1, -3, 4 * ALPHA, "phi")
+        assert dicts is build_dictionary(g1, -3, 4 * ALPHA, "phi")
         for handle in dicts:
+            assert handle.field is None
             assert not handle.multiplier.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 handle.multiplier[0] = 0.0
@@ -388,38 +389,34 @@ class TestDictionary:
 
 
 def dictionary_digest(dictionary):
-    """SHA-256 over each kernel's id, multiplier bytes, field bytes (when
-    kept) and certificate repr, in kernel_id order."""
+    """SHA-256 over each kernel's id, multiplier bytes and certificate
+    repr, in kernel_id order."""
     h = hashlib.sha256()
     for handle in sorted(dictionary, key=lambda k: k.kernel_id):
         h.update(handle.kernel_id.encode())
         h.update(handle.multiplier.tobytes())
-        if handle.field is not None:
-            h.update(handle.field.values.tobytes())
         h.update(repr(handle.certificate).encode())
     return h.hexdigest()
 
 
 # Frozen before the dictionary builder was restructured: any change to a
-# multiplier, a kept field, a certificate or the candidate set shows here.
+# multiplier, a certificate or the candidate set shows here.  The third
+# key (False: no kernel fields kept) is part of the test ids the hashes
+# were frozen under.
 GOLDEN_DICTIONARIES = {
-    ("d1", "phi", True): "7ba9612e69a4fcddc3350f4f5bd152288c697c62f196645cfcb0e96d45718608",
     ("d1", "phi", False): "c8c7c7e4e04ef38d58820871e42ba95012378c9c28cc1b48d58a7ede6835f88b",
-    ("d1", "psi", True): "9282ecaf8b3055461dbbc6110a8d07982b5929c63880cd5e83121611bd59cbac",
     ("d1", "psi", False): "37d5f128148f1497fc5fdff47b9b8a70fb1adaeb4dcdab8407e358933a6ddfcc",
-    ("d2", "phi", True): "3bd7acd20f7aa782cf53461fb1664cfd8426328f64ee25547aeb00f12c0d4803",
     ("d2", "phi", False): "73b32505ef678db6f3c7f67077f5d315595e6175bc3e4c9dc3cd81b882394480",
 }
 
 
-@pytest.mark.parametrize("dim,kind,keep_fields", sorted(GOLDEN_DICTIONARIES))
-def test_dictionary_golden_hash(dim, kind, keep_fields, g1, g2):
+@pytest.mark.parametrize("dim,kind,fields", sorted(GOLDEN_DICTIONARIES))
+def test_dictionary_golden_hash(dim, kind, fields, g1, g2):
     if dim == "d1":
-        dictionary = build_dictionary(g1, -3, 4 * ALPHA, kind, keep_fields=keep_fields)
+        dictionary = build_dictionary(g1, -3, 4 * ALPHA, kind)
     else:
-        dictionary = build_dictionary(g2, -1, 4 * 3.0, kind, DictionarySpec(2, 1, 1, 1),
-                                      keep_fields=keep_fields)
-    assert dictionary_digest(dictionary) == GOLDEN_DICTIONARIES[(dim, kind, keep_fields)]
+        dictionary = build_dictionary(g2, -1, 4 * 3.0, kind, DictionarySpec(2, 1, 1, 1))
+    assert dictionary_digest(dictionary) == GOLDEN_DICTIONARIES[(dim, kind, fields)]
 
 
 class TestCaches:
@@ -433,7 +430,7 @@ class TestCaches:
 
     def build(self, grid, i):
         # one class per beta; beta is part of the cache key
-        return build_dictionary(grid, -2, 4.0 + i, "phi", self.SPEC, keep_fields=False)
+        return build_dictionary(grid, -2, 4.0 + i, "phi", self.SPEC)
 
     @staticmethod
     def cached(dictionary):
@@ -460,11 +457,6 @@ class TestCaches:
         self.build(small, 16)
         assert self.cached(built[0])
         assert not self.cached(built[1])
-
-    def test_kept_fields_bypass_cache(self, small):
-        kept = build_dictionary(small, -2, 4.0, "phi", self.SPEC)
-        assert not kernels._DICTIONARY_CACHE
-        assert all(k.field is not None for k in kept)
 
     def test_profile_shared_across_signs_and_axes(self, g2):
         eta = 3 * 2.0 ** -3

@@ -15,7 +15,9 @@ from phaseproj.grid import (
     weighted_lp_norm,
     zero_field,
 )
+from phaseproj import projection
 from phaseproj.projection import (
+    MIN_SAMPLES_PER_RADIUS,
     ProjectionBuilder,
     ProjectionSettings,
     assemble,
@@ -82,7 +84,7 @@ class TestResolutionPolicy:
         radius = 0.75 * 2.0 ** (-4)
         for n_exp in (10, 16):
             grid = TorusGrid(1, 8.0, 1 << n_exp)
-            ok = radius >= settings.min_samples_per_radius * grid.spacing
+            ok = radius >= MIN_SAMPLES_PER_RADIUS * grid.spacing
             if ok:
                 resolution_check(cfg, grid, settings)
             else:
@@ -180,6 +182,23 @@ class TestAssembly:
         target = setup_1d.f - output_1d.g
         scale = setup_1d.f.max_abs()
         assert np.max(np.abs(recon.values - target.values)) <= 1e-8 * scale
+
+    def test_residual_reuses_pieces(self, setup_1d, monkeypatch):
+        # every piece and its checks were built by assemble: the residual
+        # split takes no derivative of its own
+        out = assemble(setup_1d)
+        calls = []
+        original = projection.partial_derivative
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(projection, "partial_derivative", counted)
+        residual_decomposition(setup_1d, out)
+        assert calls == []
+        n, j = next(iter(out.pieces))
+        assert out._builder.g_piece(n, j) is out.pieces[(n, j)].g_piece
 
     def test_residual_zero_f(self, setup_1d):
         pin = projection_input(zero_field(setup_1d.grid), setup_1d.cfg, setup_1d.grid)
