@@ -195,15 +195,16 @@ def field_from_values(grid, values):
 # ---------------------------------------------------------------------------
 # Spectral primitives.
 
-def apply_multiplier(a, multiplier):
+def apply_multiplier(a, multiplier, keep_spectrum=True):
     """Field whose spectrum is `multiplier` times the spectrum of `a`.
 
     Realizes the convolution a * k for the kernel with Fourier transform
     `multiplier` sampled on the frequency lattice (fftfreq ordering).
+    The output caches that spectrum unless keep_spectrum is False.
     """
     raw = a.fft() * multiplier
     out = SampledField(a.grid, np.fft.ifftn(raw))
-    return out.with_fft(raw)
+    return out.with_fft(raw) if keep_spectrum else out
 
 
 def convolve(a, k):

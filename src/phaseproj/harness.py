@@ -43,6 +43,8 @@ from .grid import (
 )
 from .kernels import DictionarySpec
 from .projection import (
+    ProjectionFrame,
+    ProjectionOutput,
     ProjectionSettings,
     assemble,
     projection_input,
@@ -284,6 +286,10 @@ def run(config, out_dir=None):
         pin = projection_input(f, cfg, grid, settings)
         output = assemble(pin)
         residual_decomposition(pin, output)
+        # the split is verified: keep g and chi, release the builder, its
+        # frame and the pieces before the estimators run
+        output = ProjectionOutput(g=output.g, chi=output.chi, pieces={},
+                                  diagnostics=output.diagnostics)
         timings["build"] = time.perf_counter() - t0
         record["diagnostics"] = _diagnostics_dict(output.diagnostics)
 
@@ -440,11 +446,14 @@ def modulation_demo(config, separations=None, second_tree_seed=None):
             raise ValidationError(f"separation {eta} is off the frequency lattice")
 
     settings = ProjectionSettings(strict=config.strict, keep_pieces=False)
+    frames = {}     # one per tree config: its geometry does not depend on f
 
     def project(eta, tree_cfg):
         shifted = modulate(f, [-eta] + [0.0] * (config.dim - 1))
         pin = projection_input(shifted, tree_cfg, grid, settings)
-        out = assemble(pin)
+        if tree_cfg not in frames:
+            frames[tree_cfg] = ProjectionFrame.for_input(pin)
+        out = assemble(pin, frames[tree_cfg])
         return modulate(out.g, [eta] + [0.0] * (config.dim - 1))
 
     base = project(separations[0], cfg)

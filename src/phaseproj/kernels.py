@@ -139,12 +139,15 @@ def build_tau(grid, j):
     return _finish(grid, f"tau[{j}]", "phi", j, tau_multiplier(grid, j))
 
 
+def psi_multiplier(grid, j):
+    return tau_multiplier(grid, j - 1) - tau_multiplier(grid, j)
+
+
 def build_psi(grid, j):
     """Telescoping difference psi_j = tau_{j-1} - tau_j: an annulus kernel
     supported on 2^-j <= |xi| <= 2^(2-j)."""
     _require_band_inside_nyquist(grid, 2.0 ** (2 - j), f"psi_{j}")
-    mult = tau_multiplier(grid, j - 1) - tau_multiplier(grid, j)
-    return _finish(grid, f"psi[{j}]", "psi", j, mult)
+    return _finish(grid, f"psi[{j}]", "psi", j, psi_multiplier(grid, j))
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +189,7 @@ def psi_cone_multiplier(grid, n, j):
     """Multiplier of psi_{n,j} = psi_j * chi_{n,j}."""
     zeta = [2.0 ** j * grid.freq_component(ax) for ax in range(grid.dim)]
     chi = cone_multiplier_values(grid.dim, n, zeta)
-    mult = (tau_multiplier(grid, j - 1) - tau_multiplier(grid, j)) * chi
+    mult = psi_multiplier(grid, j) * chi
     return np.broadcast_to(mult, grid.shape)
 
 
@@ -255,6 +258,17 @@ def class_envelope(grid, j, beta):
     return env
 
 
+@functools.lru_cache(maxsize=4)
+def forbidden_frequencies(grid, j, kind):
+    """Lattice frequencies outside the admissible set of the class; one
+    read-only mask shared by every certificate of the class."""
+    forbidden = grid.freq_radius >= 2.0 ** (-j) * (1 - 1e-12)
+    if kind == "psi":
+        forbidden |= grid.freq_radius <= 2.0 ** (-j - 2) * (1 + 1e-12)
+    forbidden.flags.writeable = False
+    return forbidden
+
+
 def class_membership(handle, j, beta, kind="phi"):
     """Certificate for membership in Phi_j^beta (kind='phi') or Psi_j^beta.
 
@@ -264,9 +278,7 @@ def class_membership(handle, j, beta, kind="phi"):
     passing means leak <= 1e-10 and lambda_max >= 1.
     """
     grid = handle.grid
-    forbidden = grid.freq_radius >= 2.0 ** (-j) * (1 - 1e-12)
-    if kind == "psi":
-        forbidden |= grid.freq_radius <= 2.0 ** (-j - 2) * (1 + 1e-12)
+    forbidden = forbidden_frequencies(grid, j, kind)
     mag_mult = np.abs(handle.multiplier)
     peak = float(np.max(mag_mult))
     leak = float(np.max(mag_mult[forbidden])) if np.any(forbidden) else 0.0

@@ -16,6 +16,18 @@ Exact discrete identities (checked on every build):
 Smoothness-dependent diagnostics (enforced in strict mode): the Leibniz
 cross-check of each spectral derivative, the vanishing of g outside 5U,
 and a finite-difference witness of the smoothness of G.
+
+A build has two halves.  The stopping-time geometry -- the ring masks
+E_j^k, the cutoffs chi_j with their derivative certificates, the Nyquist
+level and the multipliers of theta_{n,j-m}, psi_{n,j-m}, psi_{j-m} and
+tau_{-m} with their wrap flags -- depends on (grid, tree, m) only and
+lives in a ProjectionFrame: built lazily, once, stored read-only, holding
+no f.  A caller projecting many fields onto one tree (the modulation
+demo) passes one frame to every `assemble`; without one each call builds
+a private frame.  The ProjectionBuilder holds one f: its filtered copies
+and pieces, each built once, and every f-dependent check above, run once
+per projection.  It appends each kernel's wrap flag to its own
+diagnostics when it filters f through that kernel.
 """
 
 from __future__ import annotations
@@ -43,6 +55,7 @@ from .kernels import (
     build_tau,
     build_theta,
     psi_cone_multiplier,
+    psi_multiplier,
     tau_multiplier,
 )
 
@@ -94,7 +107,8 @@ class ProjectionOutput:
     chi: SampledField
     pieces: dict
     diagnostics: dict
-    _builder: ProjectionBuilder = dc_field(repr=False, compare=False)
+    _builder: ProjectionBuilder | None = dc_field(default=None, repr=False,
+                                                  compare=False)
 
 
 def mollifier_radius(j, m):
@@ -150,8 +164,8 @@ def projection_input(f, cfg, grid=None, settings=None):
 
 
 def _memo(method):
-    """Cache a builder method's result on the instance, keyed by the
-    method name and its arguments."""
+    """Cache a method's result on the instance, keyed by the method name
+    and its arguments."""
     @functools.wraps(method)
     def cached(self, *args):
         key = (method.__name__, args)
@@ -161,26 +175,37 @@ def _memo(method):
     return cached
 
 
-class ProjectionBuilder:
-    """Builds per-level kernels, cutoffs, filtered copies of f and the
-    pieces, each once per instance."""
+def _read_only(array):
+    array.flags.writeable = False
+    return array
 
-    def __init__(self, pin):
-        self.pin = pin
-        self.grid = pin.grid
-        self.tree = pin.tree
-        self.m = pin.cfg.gap_m
-        self.dim = pin.grid.dim
-        self.j_min = pin.cfg.j_min
-        self.settings = pin.settings
+
+class ProjectionFrame:
+    """The f-independent half of a projection on one (grid, tree, strict):
+    tree masks, cutoffs, kernel multipliers with their wrap flags, the
+    Nyquist level and the chi derivative certificates, each built once
+    and stored read-only.  Holds no f and no spatial kernel field."""
+
+    def __init__(self, grid, tree, strict=True):
+        self.grid = grid
+        self.tree = tree
+        self.strict = strict
+        self.m = tree.cfg.gap_m
         self._memo = {}
-        self.diagnostics = {"levels": {}, "wrap_flags": []}
 
-    # -- cached primitives -------------------------------------------------
+    @classmethod
+    def for_input(cls, pin):
+        return cls(pin.grid, pin.tree, pin.settings.strict)
+
+    def check(self, pin):
+        if (self.grid != pin.grid or self.tree.cfg != pin.cfg
+                or self.strict != pin.settings.strict):
+            raise ValidationError(
+                "projection frame was built for another grid, tree or strictness")
 
     @_memo
     def e_mask(self, j, k):
-        return cube_mask(self.grid, self.tree.cubes(j, k))
+        return _read_only(cube_mask(self.grid, self.tree.cubes(j, k)))
 
     @_memo
     def e_indicator(self, j):
@@ -192,28 +217,94 @@ class ProjectionBuilder:
         return mollified_indicator(self.grid, self.tree.cubes(j, 1), j, self.m, kappa)
 
     @_memo
+    def outside_5u(self):
+        return _read_only(~cube_mask(
+            self.grid, [DyadicCube(0, idx) for idx in _box_indices(self.grid.dim, 2)]))
+
+    @_memo
+    def theta(self, n, j):
+        """(multiplier, kernel id, wrap flag) of theta_{n,j-m}."""
+        return _kernel_entry(build_theta(self.grid, n, j - self.m))
+
+    @_memo
+    def tau(self):
+        """(multiplier, kernel id, wrap flag) of tau_{-m}."""
+        return _kernel_entry(build_tau(self.grid, -self.m))
+
+    @_memo
+    def psi_cone(self, n, j):
+        return _read_only(psi_cone_multiplier(self.grid, n, j - self.m))
+
+    @_memo
+    def psi(self, j):
+        return _read_only(psi_multiplier(self.grid, j - self.m))
+
+    @_memo
+    def nyquist_level(self):
+        """Coarsest j with tau-hat at scale j-m identically 1 on the lattice."""
+        xi_max = float(np.max(self.grid.freq_radius))
+        j = self.m - math.ceil(math.log2(xi_max))
+        while np.min(tau_multiplier(self.grid, j - self.m)) < 1.0:
+            j -= 1
+        return j
+
+    @_memo
+    def chi_certificates(self):
+        """Sup norms of derivatives of chi_0 against the 2^(m|l|) scaling."""
+        out = {}
+        for order in (1, self.grid.dim + 1, 3 * self.grid.dim + 3):
+            d_chi = partial_derivative(self.chi_s(0), 0, order)
+            out[f"order_{order}"] = float(
+                d_chi.max_abs() / 2.0 ** (self.m * order))
+        return out
+
+
+def _kernel_entry(handle):
+    return (_read_only(handle.multiplier), handle.kernel_id,
+            handle.certificate["wrap_flag"])
+
+
+class ProjectionBuilder:
+    """Builds the filtered copies of one f and the pieces over a frame,
+    each once per instance, and runs every f-dependent check."""
+
+    def __init__(self, pin, frame=None):
+        self.frame = frame or ProjectionFrame.for_input(pin)
+        self.frame.check(pin)
+        self.pin = pin
+        self.grid = pin.grid
+        self.m = pin.cfg.gap_m
+        self.dim = pin.grid.dim
+        self.j_min = pin.cfg.j_min
+        self.settings = pin.settings
+        self._memo = {}
+        self.bundles = {}
+        self.diagnostics = {"levels": {}, "wrap_flags": []}
+
+    # -- filtered copies of f -------------------------------------------------
+    # Only theta*f is differentiated; the other copies are only multiplied,
+    # so they keep no spectrum (a full field each).
+
+    def _filtered(self, entry, keep_spectrum):
+        mult, kernel_id, wrap_flag = entry
+        if wrap_flag:
+            self.diagnostics["wrap_flags"].append(kernel_id)
+        return apply_multiplier(self.pin.f, mult, keep_spectrum)
+
+    @_memo
     def theta_f(self, n, j):
-        handle = build_theta(self.grid, n, j - self.m)
-        if handle.certificate.get("wrap_flag"):
-            self.diagnostics["wrap_flags"].append(handle.kernel_id)
-        return apply_multiplier(self.pin.f, handle.multiplier)
+        return self._filtered(self.frame.theta(n, j), True)
 
     @_memo
     def psi_cone_f(self, n, j):
-        mult = psi_cone_multiplier(self.grid, n, j - self.m)
-        return apply_multiplier(self.pin.f, mult)
+        return apply_multiplier(self.pin.f, self.frame.psi_cone(n, j), False)
 
     @_memo
     def psi_f(self, j):
-        mult = (tau_multiplier(self.grid, j - 1 - self.m)
-                - tau_multiplier(self.grid, j - self.m))
-        return apply_multiplier(self.pin.f, mult)
+        return apply_multiplier(self.pin.f, self.frame.psi(j), False)
 
     def tau_f(self):
-        handle = build_tau(self.grid, -self.m)
-        if handle.certificate.get("wrap_flag"):
-            self.diagnostics["wrap_flags"].append(handle.kernel_id)
-        return apply_multiplier(self.pin.f, handle.multiplier)
+        return self._filtered(self.frame.tau(), False)
 
     # -- per-scale pieces ----------------------------------------------------
 
@@ -222,16 +313,18 @@ class ProjectionBuilder:
         within the 2^(j-m-1)-collar (inside E_j^2)."""
         if j < self.j_min or j > 0:
             return zero_field(self.grid)
-        return (self.chi_s(j) - self.e_indicator(j)) * self.theta_f(n, j)
+        fr = self.frame
+        return (fr.chi_s(j) - fr.e_indicator(j)) * self.theta_f(n, j)
 
     def big_g(self, n, j):
         """Smooth product chi_j (theta*f); identical to the masked route."""
         if j < self.j_min or j > 0:
             return zero_field(self.grid)
         tf = self.theta_f(n, j)
-        smooth = self.chi_s(j) * tf
-        ind = self.e_indicator(j)
-        masked_route = ind * tf + (self.chi_s(j) - ind) * tf
+        chi = self.frame.chi_s(j)
+        smooth = chi * tf
+        ind = self.frame.e_indicator(j)
+        masked_route = ind * tf + (chi - ind) * tf
         scale = max(smooth.max_abs(), 1e-300)
         err = np.max(np.abs(smooth.values - masked_route.values)) / scale
         if err > 1e-12:
@@ -243,14 +336,15 @@ class ProjectionBuilder:
     @_memo
     def g_piece(self, n, j):
         """(d+1)-fold derivative of G along the cone axis, with a Leibniz
-        cross-check quantifying product-differentiation aliasing."""
+        cross-check quantifying product-differentiation aliasing.  With
+        keep_pieces its cutoff, sigma and G go into `bundles`."""
         if j < self.j_min or j > 0:
             return zero_field(self.grid)
         big_g = self.big_g(n, j)
         piece = partial_derivative(big_g, n, self.dim + 1)
         diag = self.diagnostics["levels"].setdefault((n, j), {})
 
-        chi = self.chi_s(j)
+        chi = self.frame.chi_s(j)
         tf = self.theta_f(n, j)
         leib = None
         for k in range(self.dim + 2):
@@ -280,9 +374,9 @@ class ProjectionBuilder:
         smax = sigma.max_abs()
         tf_max = tf.max_abs()
         if smax > 0 and tf_max > 0:
-            on_e = self.e_mask(j, 1)
+            on_e = self.frame.e_mask(j, 1)
             on_abs = float(np.max(np.abs(sigma.values[on_e]))) if on_e.any() else 0.0
-            out_abs = float(np.max(np.abs(sigma.values[~self.e_mask(j, 2)])))
+            out_abs = float(np.max(np.abs(sigma.values[~self.frame.e_mask(j, 2)])))
             diag["sigma_on_e_rel"] = on_abs / smax
             diag["sigma_outside_e2_rel"] = out_abs / smax
             # floors guard against degenerate sigma much smaller than the
@@ -293,44 +387,34 @@ class ProjectionBuilder:
             if out_abs > max(1e-12 * smax, 1e-13 * tf_max):
                 raise InternalConsistencyError(
                     f"sigma escapes E_{j}^2 (rel {out_abs / smax})")
+        if self.settings.keep_pieces:
+            self.bundles[(n, j)] = PieceBundle(chi_s=chi, sigma=sigma, big_g=big_g,
+                                               g_piece=piece)
         return piece
 
     # -- assembly -------------------------------------------------------------
 
-    @_memo
-    def nyquist_level(self):
-        """Coarsest j with tau-hat at scale j-m identically 1 on the lattice."""
-        xi_max = float(np.max(self.grid.freq_radius))
-        j = self.m - math.ceil(math.log2(xi_max))
-        while np.min(tau_multiplier(self.grid, j - self.m)) < 1.0:
-            j -= 1
-        return j
-
     def assemble(self):
+        fr = self.frame
         tau_f = self.tau_f()
-        chi = self.chi_s(0)
+        chi = fr.chi_s(0)
         g = tau_f * chi
         pieces = {}
         for n in range(self.dim):
             for j in range(self.j_min, 1):
                 piece = self.g_piece(n, j)
                 g = g + piece
-                if self.settings.keep_pieces:
-                    pieces[(n, j)] = PieceBundle(
-                        chi_s=self.chi_s(j), sigma=self.sigma(n, j),
-                        big_g=self.big_g(n, j), g_piece=piece)
-                else:
-                    pieces[(n, j)] = piece
+                pieces[(n, j)] = self.bundles[(n, j)] if self.settings.keep_pieces else piece
 
         # telescoping route: h = tau*f chi + sum_j psi_j*f 1_{E_j^1}, then
         # each axis's k_n = sum_j (g_piece - psi_cone*f 1_{E_j^1})
         two_route = tau_f * chi
         for j in range(self.j_min, 1):
-            two_route = two_route + self.psi_f(j) * self.e_indicator(j)
+            two_route = two_route + self.psi_f(j) * fr.e_indicator(j)
         for n in range(self.dim):
             k_n = zero_field(self.grid)
             for j in range(self.j_min, 1):
-                k_n = k_n + (self.g_piece(n, j) - self.psi_cone_f(n, j) * self.e_indicator(j))
+                k_n = k_n + (self.g_piece(n, j) - self.psi_cone_f(n, j) * fr.e_indicator(j))
             two_route = two_route + k_n
         scale = max(g.max_abs(), 1e-300)
         route_err = float(np.max(np.abs(g.values - two_route.values)) / scale)
@@ -338,8 +422,7 @@ class ProjectionBuilder:
             raise InternalConsistencyError(
                 f"direct and telescoping assemblies differ by {route_err}")
 
-        outside_5u = ~cube_mask(
-            self.grid, [DyadicCube(0, idx) for idx in _box_indices(self.dim, 2)])
+        outside_5u = fr.outside_5u()
         support_err = float(np.max(np.abs(g.values[outside_5u])) / scale) if scale > 0 else 0.0
         if self.settings.strict and support_err > SUPPORT_REL_TOL:
             raise ResolutionError(
@@ -348,53 +431,50 @@ class ProjectionBuilder:
         diag = self.diagnostics
         diag["g_two_route_rel_err"] = route_err
         diag["support_5u_rel"] = support_err
-        diag["chi_derivative_sup"] = self._chi_derivative_certificates(chi)
-        diag["nyquist_level"] = self.nyquist_level()
+        diag["chi_derivative_sup"] = dict(fr.chi_certificates())
+        diag["nyquist_level"] = fr.nyquist_level()
         diag["strict"] = self.settings.strict
         return ProjectionOutput(g=g, chi=chi, pieces=pieces, diagnostics=diag,
                                 _builder=self)
 
-    def _chi_derivative_certificates(self, chi):
-        """Sup norms of derivatives of chi against the 2^(m|l|) scaling."""
-        out = {}
-        for order in (1, self.dim + 1, 3 * self.dim + 3):
-            d_chi = partial_derivative(chi, 0, order)
-            out[f"order_{order}"] = float(
-                d_chi.max_abs() / 2.0 ** (self.m * order))
-        return out
-
     def residual_parts(self):
         """The three components of f - g: low-pass off-cutoff, annulus
-        pieces off the rings, and the correction derivatives."""
+        pieces off the rings, and the correction derivatives.  The annulus
+        copies below j_min are read once and not kept."""
+        fr = self.frame
         tau_f = self.tau_f()
-        chi = self.chi_s(0)
+        chi = fr.chi_s(0)
         one = SampledField(self.grid, np.ones(self.grid.shape, dtype=np.complex128))
         comp_low = tau_f * (one - chi)
         comp_mid = zero_field(self.grid)
-        for j in range(self.nyquist_level(), 1):
-            psi_f = self.psi_f(j)
+        for j in range(fr.nyquist_level(), 1):
             if j >= self.j_min:
-                comp_mid = comp_mid + psi_f * (one - self.e_indicator(j))
+                comp_mid = comp_mid + self.psi_f(j) * (one - fr.e_indicator(j))
             else:
-                comp_mid = comp_mid + psi_f
+                comp_mid = comp_mid + apply_multiplier(
+                    self.pin.f, psi_multiplier(self.grid, j - self.m), False)
         comp_corr = zero_field(self.grid)
         for n in range(self.dim):
             for j in range(self.j_min, 1):
                 comp_corr = comp_corr + (
-                    self.g_piece(n, j) - self.psi_cone_f(n, j) * self.e_indicator(j))
+                    self.g_piece(n, j) - self.psi_cone_f(n, j) * fr.e_indicator(j))
         return comp_low, comp_mid, comp_corr
 
 
 # ---------------------------------------------------------------------------
 # Operation-style wrappers.
 
-def assemble(pin):
-    """Build the projection and verify its internal identities."""
-    return ProjectionBuilder(pin).assemble()
+def assemble(pin, frame=None):
+    """Build the projection and verify its internal identities.  A frame
+    built for pin's grid, tree and strictness may be shared across
+    calls; without one a private frame is built."""
+    return ProjectionBuilder(pin, frame).assemble()
 
 
 def residual_decomposition(pin, output):
     """Split f - g into its three parts and verify the reconstruction."""
+    if output._builder is None:
+        raise ValidationError("the projection output no longer holds its builder")
     comp_low, comp_mid, comp_corr = output._builder.residual_parts()
     recon = comp_low + comp_mid - comp_corr
     target = pin.f - output.g

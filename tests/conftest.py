@@ -9,6 +9,7 @@ def _clear_kernel_caches():
     kernels._DICTIONARY_CACHE.clear()
     kernels._periodized_sinc_power.cache_clear()
     kernels.class_envelope.cache_clear()
+    kernels.forbidden_frequencies.cache_clear()
 
 
 @pytest.fixture(autouse=True)

@@ -1,15 +1,17 @@
 """Harness: generators, runs, persistence, demos, determinism."""
 
+import hashlib
 import json
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phaseproj import harness
+from phaseproj import harness, projection
 from phaseproj.cubes import DyadicCube, unit_cube
 from phaseproj.errors import ValidationError
 from phaseproj.grid import TorusGrid
@@ -121,6 +123,27 @@ class TestRun:
             run(config, out_dir=str(tmp_path / "out"))
         assert not (tmp_path / "out").exists()
 
+    def test_builder_released_before_estimators(self, monkeypatch):
+        refs, alive = [], []
+
+        def assemble(pin, frame=None):
+            out = projection.assemble(pin, frame)
+            refs.extend([weakref.ref(out._builder), weakref.ref(out._builder.frame)])
+            return out
+
+        class Context(harness.EstimatorContext):
+            def __init__(self, *args, **kwargs):
+                alive.extend(ref() is not None for ref in refs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "assemble", assemble)
+        monkeypatch.setattr(harness, "EstimatorContext", Context)
+        config = RunConfig(dim=1, grid_n=1 << 13, leaves=((-1, 0),), gap_m=0,
+                           alpha=2.0, window_depth=1, keep_pieces=True)
+        record = run(config)
+        assert "error" not in record
+        assert alive == [False, False]
+
     def test_byte_identical_reports(self, tmp_path):
         config = RunConfig(dim=1, grid_n=1 << 13, tree_seed=5, tree_depth=1,
                            leaf_count=1, f_seed=2, gap_m=0, alpha=2.0,
@@ -221,6 +244,39 @@ class TestModulationDemo:
         assert table[0]["pairing"] == pytest.approx(1.0, abs=1e-9)
         assert table[-1]["pairing"] < table[1]["pairing"]
         assert result["spearman"] < 0
+
+    # SHA-256 of the whole result (table floats, flags, spearman) on the
+    # default separations, keyed by second_tree_seed; frozen before the
+    # projections shared one frame per tree.
+    GOLDEN = {
+        None: "5a725266e14f536436c9857499c107954e8b441a2806eb58df92782f429e8234",
+        3: "75ee2efae683f4952eee55fec5a4131c633e4443b5c1246d6c75fd0c23eb58ec",
+    }
+
+    @pytest.mark.parametrize("second_tree_seed", [None, 3])
+    def test_golden_hash(self, second_tree_seed):
+        config = RunConfig(dim=1, grid_n=1 << 14, tree_seed=0, tree_depth=1,
+                           leaf_count=1, f_seed=11, gap_m=0, alpha=2.0,
+                           f_annulus=(1.0, 3.0))
+        result = modulation_demo(config, second_tree_seed=second_tree_seed)
+        digest = hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest()
+        assert digest == self.GOLDEN[second_tree_seed]
+
+    @pytest.mark.parametrize("second_tree_seed,frames", [(None, 1), (3, 2)])
+    def test_one_frame_per_tree(self, monkeypatch, second_tree_seed, frames):
+        seen = []
+
+        def assemble(pin, frame=None):
+            seen.append(frame)
+            return projection.assemble(pin, frame)
+
+        monkeypatch.setattr(harness, "assemble", assemble)
+        config = RunConfig(dim=1, grid_n=1 << 13, tree_depth=1, leaf_count=1,
+                           f_annulus=(1.0, 3.0))
+        modulation_demo(config, separations=[0.0, 4.0, 16.0],
+                        second_tree_seed=second_tree_seed)
+        assert len(seen) == 4 and None not in seen
+        assert len({id(frame) for frame in seen}) == frames
 
     def test_off_lattice_rejected(self):
         config = RunConfig(dim=1, grid_n=1 << 13, tree_depth=1, leaf_count=1)

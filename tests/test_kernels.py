@@ -478,3 +478,14 @@ class TestCaches:
         assert class_envelope(g1, -3, 4 * ALPHA) is env
         with pytest.raises(ValueError, match="read-only"):
             env[0] = 0.0
+
+    @pytest.mark.parametrize("kind", ["phi", "psi"])
+    def test_forbidden_mask_read_only_and_exact(self, g1, kind):
+        mask = kernels.forbidden_frequencies(g1, -3, kind)
+        assert kernels.forbidden_frequencies(g1, -3, kind) is mask
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0] = False
+        expected = g1.freq_radius >= 2.0 ** 3 * (1 - 1e-12)
+        if kind == "psi":
+            expected |= g1.freq_radius <= 2.0 ** 1 * (1 + 1e-12)
+        assert np.array_equal(mask, expected)

@@ -19,6 +19,7 @@ from phaseproj import projection
 from phaseproj.projection import (
     MIN_SAMPLES_PER_RADIUS,
     ProjectionBuilder,
+    ProjectionFrame,
     ProjectionSettings,
     assemble,
     projection_input,
@@ -146,7 +147,7 @@ class TestPieces:
             if not deep.any():
                 continue
             lhs = bundle.g_piece.values[deep]
-            rhs = (b.psi_cone_f(n, j) * b.e_indicator(j)).values[deep]
+            rhs = (b.psi_cone_f(n, j) * b.frame.e_indicator(j)).values[deep]
             scale = bundle.g_piece.max_abs()
             # deep inside E the sigma term vanishes identically
             assert np.max(np.abs(lhs - rhs)) <= 1e-3 * scale
@@ -223,6 +224,103 @@ class TestAssembly:
         inside_max = np.max(np.abs(resid.values[margin]))
         outside_max = np.max(np.abs(resid.values[~inner]))
         assert inside_max <= 1e-6 * max(outside_max, 1e-300)
+
+
+class TestPieceBundles:
+    def test_one_two_route_check_per_piece(self, setup_1d, monkeypatch):
+        # the bundles take the G and sigma that g_piece built
+        calls = []
+        original = ProjectionBuilder.big_g
+
+        def counted(self, n, j):
+            calls.append((n, j))
+            return original(self, n, j)
+
+        monkeypatch.setattr(ProjectionBuilder, "big_g", counted)
+        out = assemble(setup_1d)
+        assert setup_1d.settings.keep_pieces
+        assert sorted(calls) == sorted(out.pieces)
+        builder = out._builder
+        for (n, j), bundle in out.pieces.items():
+            assert bundle.chi_s is builder.frame.chi_s(j)
+            assert np.array_equal(bundle.big_g.values,
+                                  (bundle.chi_s * builder.theta_f(n, j)).values)
+            assert np.array_equal(bundle.sigma.values, builder.sigma(n, j).values)
+
+    def test_bundles_only_with_keep_pieces(self, setup_1d):
+        pin = projection_input(setup_1d.f, setup_1d.cfg, setup_1d.grid,
+                               ProjectionSettings(keep_pieces=False))
+        out = assemble(pin)
+        assert out._builder.bundles == {}
+        assert all(isinstance(p, SampledField) for p in out.pieces.values())
+
+
+def _arrays(value):
+    """Every ndarray reachable from a frame memo entry."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, SampledField):
+        return [a for a in (value.values, value._fft) if a is not None]
+    if isinstance(value, tuple):
+        return [a for item in value for a in _arrays(item)]
+    return []
+
+
+class TestFrame:
+    @pytest.fixture(scope="class")
+    def two_fields(self, setup_1d):
+        grid = setup_1d.grid
+        return [projection_input(bandpass_field(grid, seed=s), setup_1d.cfg, grid)
+                for s in (21, 22)]
+
+    def test_shared_frame_matches_fresh_builds(self, two_fields):
+        frame = ProjectionFrame.for_input(two_fields[0])
+        for pin in two_fields:
+            shared, fresh = assemble(pin, frame), assemble(pin)
+            assert shared._builder.frame is frame
+            assert fresh._builder.frame is not frame
+            assert shared.g.values.tobytes() == fresh.g.values.tobytes()
+            assert (residual_decomposition(pin, shared)[1].values.tobytes()
+                    == residual_decomposition(pin, fresh)[1].values.tobytes())
+            assert shared.diagnostics == fresh.diagnostics
+
+    def test_wrap_flags_per_projection(self, two_fields):
+        # each builder records its own kernels' wrap flags, including the
+        # tau flag of every tau_f call
+        frame = ProjectionFrame.for_input(two_fields[0])
+        flags = [assemble(pin, frame).diagnostics["wrap_flags"] for pin in two_fields]
+        assert flags[0] == flags[1] == assemble(two_fields[0]).diagnostics["wrap_flags"]
+
+    def test_mismatched_frame_refused(self, setup_1d):
+        grid, cfg, f = setup_1d.grid, setup_1d.cfg, setup_1d.f
+        frame = ProjectionFrame.for_input(setup_1d)
+        other_tree = TreeConfig(unit_cube(1), (DyadicCube(-1, (1,)),), 0, 2.0)
+        coarse = TorusGrid(1, 8.0, 1 << 13)
+        others = [
+            projection_input(f, other_tree, grid),
+            projection_input(SampledField(coarse, f.values[::2]), cfg, coarse,
+                             ProjectionSettings(strict=False)),
+            projection_input(f, cfg, grid, ProjectionSettings(strict=False)),
+        ]
+        for pin in others:
+            with pytest.raises(ValidationError, match="frame"):
+                assemble(pin, frame)
+
+    def test_frame_arrays_read_only(self, output_1d):
+        frame = output_1d._builder.frame
+        arrays = [a for value in frame._memo.values() for a in _arrays(value)]
+        assert len(arrays) >= 10
+        for array in arrays:
+            assert not array.flags.writeable
+
+    def test_frame_holds_no_field_of_f(self, setup_1d):
+        frame = ProjectionFrame.for_input(setup_1d)
+        assemble(setup_1d, frame)
+        assert not hasattr(frame, "pin") and not hasattr(frame, "f")
+        f_values = setup_1d.f.values
+        for value in frame._memo.values():
+            for array in _arrays(value):
+                assert not np.shares_memory(array, f_values)
 
 
 class TestFdWitness:
