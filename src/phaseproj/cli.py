@@ -35,7 +35,7 @@ def _add_run_flags(sub):
     sub.add_argument("--f-annulus", help="lo,hi frequency annulus for f")
     sub.add_argument("--m", type=int, dest="gap_m")
     sub.add_argument("--alpha", type=float)
-    sub.add_argument("--p", help="comma list from {1,2,inf}")
+    sub.add_argument("--p", help="comma list of exponents: positive numbers or inf")
     sub.add_argument("--window-depth", type=int)
     sub.add_argument("--no-strict", action="store_true")
     sub.add_argument("--out", help="run directory for reports and fields")
@@ -198,7 +198,7 @@ def main(argv=None):
 
     sub = subs.add_parser("spq", help="size comparison checks across exponents")
     _add_run_flags(sub)
-    sub.add_argument("--q", default="inf")
+    sub.add_argument("--q", default="inf", help="exponent q: a positive number or inf")
     sub.add_argument("--draws", type=int, default=100)
     sub.add_argument("--draw-seed", type=int, default=0)
     sub.set_defaults(func=_cmd_spq)

@@ -27,6 +27,13 @@ weights rho_I ** -e:
   points form a product of axis grids, so the peak sits at the distance
   max over axes of (min over U's axis points of |u - c|).  The same
   ufuncs applied to that one distance give the full-grid maximum's float.
+- Fan-out.  level_norms computes the kernel responses and each cube's
+  weight itself and hands the cube's norms to a thread pool.  A task runs
+  the same ufunc calls on the same inputs as a serial loop would (the
+  weighted magnitudes, their powers, the sums and maxima of grid.lp_norms),
+  writing only into a scratch array private to its worker, and the rows
+  are consumed in submission order; so each float and every tie-break is
+  the serial loop's, for any number of workers.
 
 The Carleson terms are kept sorted by (level, index), which is the order
 in which carleson_sum adds them; it stops at J's level and tests
@@ -37,6 +44,10 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field as dc_field
 from itertools import product as iproduct
 from math import inf
@@ -44,7 +55,7 @@ from math import inf
 import numpy as np
 
 from .cubes import DyadicCube
-from .errors import ResolutionError
+from .errors import InternalConsistencyError, ResolutionError
 from .grid import (
     apply_multiplier,
     level_weights,
@@ -64,22 +75,68 @@ def _conj_inv(p):
     return 1.0 - _inv(p)
 
 
+_POOL = None                 # (executor, worker count), made on first use
+_SCRATCH = threading.local()  # each worker's norm buffer
+
+
+def _norm_pool():
+    """The thread pool of the per-cube norms, one worker per CPU that the
+    process may run on."""
+    global _POOL
+    if _POOL is None:
+        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+        _POOL = (ThreadPoolExecutor(workers, thread_name_prefix="phaseproj-norms"),
+                 workers)
+    return _POOL
+
+
+def norm_workers():
+    """Number of threads that evaluate the per-cube norms."""
+    return _norm_pool()[1]
+
+
+def _cube_norms(weight, responses, shape, h_d, p_values):
+    """One cube's rows, computed in the calling worker's own scratch."""
+    scratch = getattr(_SCRATCH, "buffer", None)
+    if scratch is None or scratch.shape != shape:
+        scratch = _SCRATCH.buffer = np.empty(shape)
+    return [(kernel_id, lp_norms(resp_mag, h_d, p_values, weight, scratch))
+            for kernel_id, resp_mag in responses]
+
+
 def level_norms(field, kernels, cubes, level, weight_exp, p_values):
     """Norms ||rho_I^{-weight_exp} |k * field| ||_p at one level.
 
     Yields (cube, [(kernel_id, {p: norm}) per kernel]) for each cube in
     the given order, kernels in dictionary order, so that callers keep
-    their tie-breaking order.
+    their tie-breaking order.  The kernel responses and each cube's weight
+    are computed here; the norms run on the pool, at most two cubes per
+    worker ahead of the consumer.  Closing the generator early, or an
+    error in a task, cancels the queued cubes and waits for the running
+    ones.
     """
     grid = field.grid
     h_d = grid.spacing ** grid.dim
     responses = [(k.kernel_id, np.abs(apply_multiplier(field, k.multiplier).values))
                  for k in kernels]
     weight_of = level_weights(grid, level, weight_exp)
-    for cube in cubes:
-        weight = weight_of(cube)
-        yield cube, [(kernel_id, lp_norms(weight * resp_mag, h_d, p_values))
-                     for kernel_id, resp_mag in responses]
+    pool, workers = _norm_pool()
+    pending = deque()
+    try:
+        for cube in cubes:
+            pending.append((cube, pool.submit(_cube_norms, weight_of(cube), responses,
+                                              grid.shape, h_d, p_values)))
+            if len(pending) >= 2 * workers:
+                done, task = pending.popleft()
+                yield done, task.result()
+        while pending:
+            done, task = pending.popleft()
+            yield done, task.result()
+    finally:
+        for _, task in pending:
+            task.cancel()
+        wait([task for _, task in pending])
 
 
 def _dictionary(grid, level, alpha, kind, dict_spec):
@@ -251,6 +308,12 @@ class EstimatorContext:
         self.d = self.grid.dim
 
         self.sizes = estimate_S_multi(pin, self.alpha, self.p_values, self.dict_spec)
+        for p, est in self.sizes.items():
+            value = verify_witness(pin, est, self.dict_spec)
+            if value != est.value:
+                raise InternalConsistencyError(
+                    f"size witness {est.witness} at p={p} re-evaluates to "
+                    f"{value!r}, not {est.value!r}")
         self._carleson_terms = self._build_carleson_terms()
         self._offtree_terms, self.offtree_floor = self._build_offtree_terms()
 

@@ -363,30 +363,45 @@ class WeightField:
         self.values.flags.writeable = False
 
 
-def lp_norms(mag, h_d, p_values):
-    """{p: (h^d sum mag^p)^(1/p)} for magnitudes `mag`, the max for p = inf."""
-    out = {}
+def lp_norms(mag, h_d, p_values, weight=None, out=None):
+    """{p: (h^d sum (w mag)^p)^(1/p)} for magnitudes `mag` times an
+    optional broadcastable weight w, the max for p = inf.
+
+    `out`, a float array of the grid shape, receives the weighted
+    magnitudes and then, in place, their powers, so that the call
+    allocates no array of that size.  The norms that read the magnitudes
+    themselves come first, and a second power recomputes them: the floats
+    are the same either way.
+    """
+    weighted = mag if weight is None else np.multiply(weight, mag, out=out)
+    norms = {}
     for p in p_values:
         if p == inf:
-            out[p] = float(np.max(mag))
+            norms[p] = float(np.max(weighted))
         elif p <= 0:
             raise ValidationError("p must be positive or inf")
         elif p == 1.0:
-            out[p] = float(np.sum(mag) * h_d)
-        elif p == 2.0:
-            out[p] = float(np.sqrt(np.sum(mag * mag) * h_d))
+            norms[p] = float(np.sum(weighted) * h_d)
+    overwritten = False
+    for p in p_values:
+        if p in norms:
+            continue
+        if overwritten:
+            np.multiply(weight, mag, out=out)
+        if p == 2.0:
+            powered = np.multiply(weighted, weighted, out=out)
+            norms[p] = float(np.sqrt(np.sum(powered) * h_d))
         else:
-            out[p] = float((np.sum(mag ** p) * h_d) ** (1.0 / p))
-    return out
+            powered = np.power(weighted, p, out=out)
+            norms[p] = float((np.sum(powered) * h_d) ** (1.0 / p))
+        overwritten = powered is weighted
+    return {p: norms[p] for p in p_values}
 
 
 def weighted_lp_norm(a, weight=None, p=2.0):
     """(h^d sum |w a|^p)^(1/p), or the grid max for p = inf."""
-    mag = np.abs(a.values)
-    if weight is not None:
-        w = weight.values if isinstance(weight, WeightField) else weight
-        mag = mag * w
-    return lp_norms(mag, a.grid.spacing ** a.grid.dim, (p,))[p]
+    w = weight.values if isinstance(weight, WeightField) else weight
+    return lp_norms(np.abs(a.values), a.grid.spacing ** a.grid.dim, (p,), w)[p]
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .cubes import (
     unit_cube,
 )
 from .errors import PhaseprojError, ValidationError
-from .estimators import EstimatorContext
+from .estimators import EstimatorContext, norm_workers
 from .grid import (
     SampledField,
     TorusGrid,
@@ -51,13 +51,17 @@ from .projection import (
     residual_decomposition,
 )
 
-_P_NAMES = {"1": 1.0, "2": 2.0, "inf": inf}
-
 
 def parse_p(value):
-    if isinstance(value, str):
-        return _P_NAMES[value]
-    return inf if value == math.inf else float(value)
+    """An exponent from a number or its name (p_name): any positive
+    number, or "inf"."""
+    try:
+        p = float(value)
+    except (TypeError, ValueError):
+        p = math.nan
+    if not p > 0:
+        raise ValidationError(f"exponent {value!r} is not a positive number or inf")
+    return p
 
 
 def p_name(p):
@@ -381,6 +385,7 @@ def _persist(record, timings, config, output, pin, out_dir):
     with open(os.path.join(out_dir, "timings.txt"), "w", encoding="utf-8") as fh:
         for key, value in timings.items():
             fh.write(f"{key} {value:.3f}s\n")
+        fh.write(f"workers {norm_workers()}\n")
 
 
 def _write_perscale(record, path):

@@ -50,3 +50,17 @@ def test_unknown_config_key(tmp_path, capsys):
     assert cli.main(["verify", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "grdi_n" in err
+
+
+def test_any_positive_exponent(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run", lambda config, out_dir=None: {
+        "config_hash": config.config_hash()})
+    assert cli.main(["build", "--p", "3,1.5,inf"]) == 0
+    expected = RunConfig(p_values=(3.0, 1.5, math.inf))
+    assert f"config hash {expected.config_hash()}" in capsys.readouterr().out
+
+
+def test_bad_exponent(capsys):
+    assert cli.main(["verify", "--p", "2,-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'-1'" in err

@@ -2,6 +2,10 @@
 
 import hashlib
 import math
+import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from math import inf
 
 import numpy as np
@@ -10,6 +14,7 @@ import pytest
 from phaseproj import estimators
 from phaseproj.acceptance import REFERENCE_CONFIG
 from phaseproj.cubes import DyadicCube, TreeConfig, unit_cube
+from phaseproj.errors import InternalConsistencyError, ValidationError
 from phaseproj.estimators import (
     ConstantTable,
     EstimatorContext,
@@ -17,6 +22,7 @@ from phaseproj.estimators import (
     enumerate_window,
     estimate_S,
     estimate_S_multi,
+    level_norms,
     offtree_eligible,
     prop_spq_checks,
     root_peak_weight,
@@ -25,6 +31,7 @@ from phaseproj.estimators import (
 from phaseproj.grid import (
     SampledField,
     TorusGrid,
+    apply_multiplier,
     cube_mask,
     level_weights,
     modulate,
@@ -32,7 +39,7 @@ from phaseproj.grid import (
     zero_field,
 )
 from phaseproj.harness import random_bandpass_field, run
-from phaseproj.kernels import DictionarySpec
+from phaseproj.kernels import DictionarySpec, build_dictionary
 from phaseproj.projection import ProjectionSettings, assemble, projection_input
 
 
@@ -72,7 +79,14 @@ class TestSize:
         pin, _, ctx = setup
         for p in (1.0, 2.0, inf):
             est = ctx.sizes[p]
-            assert verify_witness(pin, est) == pytest.approx(est.value, rel=1e-12)
+            assert verify_witness(pin, est) == est.value
+
+    def test_unreproduced_witness_raises(self, setup, monkeypatch):
+        pin, out, _ = setup
+        monkeypatch.setattr(estimators, "verify_witness",
+                            lambda pin, est, dict_spec=None: est.value * (1 + 2 ** -52))
+        with pytest.raises(InternalConsistencyError, match="re-evaluates"):
+            EstimatorContext(pin, out, window_depth=1, p_values=(2.0,))
 
     def test_monotone_in_dictionary(self, setup):
         pin, _, _ = setup
@@ -341,6 +355,146 @@ class TestTableOracles:
         assert "error" not in record
         digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
         assert digest == REFERENCE_REPORT_SHA256
+
+    def test_reference_report_bytes_one_worker(self, tmp_path, pool):
+        pool(1)
+        record = run(REFERENCE_CONFIG, out_dir=str(tmp_path))
+        assert "error" not in record
+        digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+        assert digest == REFERENCE_REPORT_SHA256
+
+
+# ---------------------------------------------------------------------------
+# The per-cube norms on the thread pool.
+
+class RecordingPool(ThreadPoolExecutor):
+    """A thread pool that keeps every task it was given."""
+
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.tasks = []
+
+    def submit(self, fn, *args, **kwargs):
+        task = super().submit(fn, *args, **kwargs)
+        self.tasks.append(task)
+        return task
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    """pool(k) puts a k-worker RecordingPool in place of the norm pool."""
+    made = []
+
+    def install(workers):
+        made.append(RecordingPool(workers))
+        monkeypatch.setattr(estimators, "_POOL", (made[-1], workers))
+        return made[-1]
+
+    yield install
+    for executor in made:
+        executor.shutdown()
+
+
+def serial_level_norms(field, kernels, cubes, level, weight_exp, p_values):
+    """The per-cube loop without the pool, norms written out in full."""
+    grid = field.grid
+    h_d = grid.spacing ** grid.dim
+    responses = [(k.kernel_id, np.abs(apply_multiplier(field, k.multiplier).values))
+                 for k in kernels]
+    weight_of = level_weights(grid, level, weight_exp)
+    for cube in cubes:
+        weight = weight_of(cube)
+        rows = []
+        for kernel_id, resp_mag in responses:
+            mag = weight * resp_mag
+            norms = {}
+            for p in p_values:
+                if p == inf:
+                    norms[p] = float(np.max(mag))
+                elif p == 1.0:
+                    norms[p] = float(np.sum(mag) * h_d)
+                elif p == 2.0:
+                    norms[p] = float(np.sqrt(np.sum(mag * mag) * h_d))
+                else:
+                    norms[p] = float((np.sum(mag ** p) * h_d) ** (1.0 / p))
+            rows.append((kernel_id, norms))
+        yield cube, rows
+
+
+def norm_case(dim):
+    """A field, a dictionary, a level and cubes at it, plus cubes that
+    take the rho_values fallback (another level, past the domain)."""
+    if dim == 1:
+        grid = TorusGrid(1, 8.0, 1 << 10)
+        kernels = build_dictionary(grid, -3, 8.0, "phi")
+        level = -1
+        cubes = [DyadicCube(-1, (k,)) for k in range(-8, 9)]
+        cubes += [DyadicCube(-2, (3,)), DyadicCube(-1, (40,))]
+    else:
+        grid = TorusGrid(2, 8.0, 1 << 6)
+        kernels = build_dictionary(grid, -1, 12.0, "phi", DictionarySpec(2, 1, 1, 1))
+        level = 0
+        cubes = [DyadicCube(0, (a, b)) for a in range(-3, 4) for b in (-1, 0, 2)]
+        cubes += [DyadicCube(-1, (1, 0)), DyadicCube(0, (20, 0))]
+    field = random_bandpass_field(grid, seed=5, annulus=(1.0, 2.0), n_modes=4)
+    return field, kernels, cubes, level
+
+
+class TestNormPool:
+    P_VALUES = (1.0, 2.0, inf, 3.0)
+
+    @pytest.mark.parametrize("workers", [None, 1, 3])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_rows_equal_serial_loop(self, dim, workers, pool):
+        if workers is not None:
+            pool(workers)
+        field, kernels, cubes, level = norm_case(dim)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more thread switches inside each task
+        try:
+            for exponent in (2.0, 6.0):
+                got = list(level_norms(field, kernels, cubes, level, exponent,
+                                       self.P_VALUES))
+                want = list(serial_level_norms(field, kernels, cubes, level, exponent,
+                                               self.P_VALUES))
+                assert got == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_task_error_reaches_caller(self, workers, pool):
+        executor = pool(workers)
+        field, kernels, cubes, level = norm_case(1)
+        with pytest.raises(ValidationError, match="p must be positive"):
+            list(level_norms(field, kernels, cubes, level, 2.0, (1.0, 0.0)))
+        assert executor.tasks and all(task.done() for task in executor.tasks)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_abandoned_generator(self, workers, pool):
+        executor = pool(workers)
+        field, kernels, cubes, level = norm_case(1)
+        first = []
+
+        def take_one_row():
+            # as verify_witness does: one row, then the generator is dropped
+            first.append(next(level_norms(field, kernels, cubes, level, 2.0,
+                                          self.P_VALUES)))
+
+        caller = threading.Thread(target=take_one_row)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert all(task.done() for task in executor.tasks)
+        assert first == [next(serial_level_norms(field, kernels, cubes, level, 2.0,
+                                                 self.P_VALUES))]
+        for dim in (2, 1):  # the scratch follows the grid shape
+            field, kernels, cubes, level = norm_case(dim)
+            got = list(level_norms(field, kernels, cubes, level, 2.0, self.P_VALUES))
+            assert got == list(serial_level_norms(field, kernels, cubes, level, 2.0,
+                                                  self.P_VALUES))
+
+    def test_pool_sized_from_affinity(self):
+        assert estimators.norm_workers() == len(os.sched_getaffinity(0))
 
 
 class TestBernsteinErrors:

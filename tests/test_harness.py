@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import weakref
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phaseproj import harness, projection
+from phaseproj import estimators, harness, projection
 from phaseproj.cubes import DyadicCube, unit_cube
 from phaseproj.errors import ValidationError
 from phaseproj.grid import TorusGrid
@@ -26,6 +27,7 @@ from phaseproj.harness import (
     headline_rows,
     load_baselines,
     modulation_demo,
+    parse_p,
     random_bandpass_field,
     random_bandpass_modes,
     run,
@@ -170,6 +172,8 @@ class TestRun:
         data = json.loads((out / "report.json").read_text())
         assert data["config_hash"] == config.config_hash()
         assert "_runtime" not in data
+        timings = (out / "timings.txt").read_text().splitlines()
+        assert f"workers {estimators.norm_workers()}" in timings
 
     def test_headline_rows(self):
         config = RunConfig(dim=1, grid_n=1 << 13, tree_seed=5, tree_depth=1,
@@ -188,6 +192,23 @@ class TestConfig:
         back = RunConfig.from_dict(json.loads(json.dumps(config.to_dict())))
         assert back.config_hash() == config.config_hash()
         assert back.p_values == (1.0, math.inf)
+
+    def test_round_trip_any_exponent(self):
+        config = RunConfig(p_values=(1.5, 3.0, math.inf))
+        data = json.loads(json.dumps(config.to_dict()))
+        assert data["p_values"] == ["1.5", "3.0", "inf"]
+        back = RunConfig.from_dict(data)
+        assert back.p_values == (1.5, 3.0, math.inf)
+        assert back.config_hash() == config.config_hash()
+
+    @pytest.mark.parametrize("value", ["0", "-2", "abc", "nan", "", None, -1.0])
+    def test_bad_exponent_named(self, value):
+        with pytest.raises(ValidationError, match=re.escape(repr(value))):
+            parse_p(value)
+
+    def test_exponent_names(self):
+        assert [parse_p(v) for v in ("1", "2", "inf", "2.5", 4)] == [
+            1.0, 2.0, math.inf, 2.5, 4.0]
 
     def test_unknown_keys_rejected(self):
         data = RunConfig().to_dict()

@@ -489,3 +489,38 @@ class TestCaches:
         if kind == "psi":
             expected |= g1.freq_radius <= 2.0 ** 1 * (1 + 1e-12)
         assert np.array_equal(mask, expected)
+
+
+def direct_sinc_power(grid, a, k_pow, center):
+    """The seven-image sum evaluated point by point, in nu order."""
+    x_rel = grid.axis_points - center
+    per = np.zeros_like(x_rel)
+    for nu in range(-3, 4):
+        per = per + np.sinc(a * (x_rel + 2 * grid.half_width * nu)) ** (2 * k_pow)
+    return per
+
+
+class TestSincProfileTable:
+    """The mirrored table behind _periodized_sinc_power gives the floats of
+    the direct image sum."""
+
+    @pytest.mark.parametrize("samples", [1 << 10, 1 << 13, 1 << 17])
+    def test_equals_direct_images(self, samples):
+        grid = TorusGrid(1, 8.0, samples)
+        for j in range(-6, 1):
+            center = 2.0 ** (j - 1)
+            assert kernels._mirror_offset(grid, center) is not None
+            for a, k_pow in ((2.0 ** -j / 3, 1), (0.37, 3), (2.0 ** -j / 8, 4)):
+                got = kernels._periodized_sinc_power(grid, a, k_pow, center)
+                assert np.array_equal(got, direct_sinc_power(grid, a, k_pow, center)), (
+                    j, a, k_pow)
+
+    @pytest.mark.parametrize("half_width,samples,center", [
+        (10.0, 1 << 10, 0.25),        # spacing 5 * 2^-8: no mirrored lattice
+        (8.0, 1 << 10, 2.0 ** -9),    # center off the half-step lattice
+    ])
+    def test_other_grids_take_the_direct_sum(self, half_width, samples, center):
+        grid = TorusGrid(1, half_width, samples)
+        assert kernels._mirror_offset(grid, center) is None
+        got = kernels._periodized_sinc_power(grid, 0.3, 4, center)
+        assert np.array_equal(got, direct_sinc_power(grid, 0.3, 4, center))
