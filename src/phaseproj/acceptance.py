@@ -9,7 +9,6 @@ comparison draws and the modulation demo.
 from __future__ import annotations
 
 import math
-import time
 from math import inf
 
 import numpy as np
@@ -21,6 +20,7 @@ from .harness import (
     modulation_demo,
     reference_sweep_configs,
     run,
+    spq_checks,
 )
 
 REFERENCE_CONFIG = RunConfig(
@@ -32,6 +32,10 @@ MODULATION_CONFIG = RunConfig(
     f_seed=11, gap_m=0, alpha=2.0, f_annulus=(1.0, 3.0))
 
 MODULATION_SEPARATIONS = [0.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 2048.0, 3072.0]
+
+BERNSTEIN_CONFIG = RunConfig(
+    dim=1, grid_n=1 << 14, tree_seed=2, tree_depth=1, leaf_count=2, f_seed=5,
+    gap_m=0, alpha=2.0, f_annulus=(1.0, 3.0))
 
 
 def carleson_decay_score(report_dict):
@@ -57,7 +61,6 @@ def run_sweep_artifacts(configs=None):
     failures = []
     all_finite = True
     decay_max = 0.0
-    t0 = time.perf_counter()
     for config in configs:
         record = run(config)
         if "error" in record:
@@ -72,15 +75,18 @@ def run_sweep_artifacts(configs=None):
                 all_finite = False
             if rep["inequality"] == "carleson":
                 decay_max = max(decay_max, carleson_decay_score(rep))
-    elapsed = time.perf_counter() - t0
     return {
         "table": table,
         "failures": failures,
         "all_finite": all_finite,
         "decay_max": decay_max,
-        "elapsed": elapsed,
         "n_configs": len(configs),
     }
+
+
+def uniformity_key(inequality, p):
+    """The baselines.txt key of the worst uniformity of (inequality, p)."""
+    return f"uniformity_{inequality}_p{'inf' if p == inf else int(p)}"
 
 
 def uniformity_by_key(table):
@@ -94,20 +100,7 @@ def uniformity_by_key(table):
 
 def bernstein_artifacts(n_draws=40, seed=3):
     """Gap-parameter sweep of the sup-vs-mean comparison."""
-    from .estimators import prop_spq_checks
-    from .grid import TorusGrid
-    from .harness import build_f, build_tree_config
-    from .projection import ProjectionSettings, projection_input
-
-    config = RunConfig(dim=1, grid_n=1 << 14, tree_seed=2, tree_depth=1,
-                       leaf_count=2, f_seed=5, gap_m=0, alpha=2.0,
-                       f_annulus=(1.0, 3.0))
-    grid = TorusGrid(config.dim, config.grid_b, config.grid_n)
-    cfg = build_tree_config(config)
-    f = build_f(config, grid)
-    pin = projection_input(f, cfg, grid, ProjectionSettings(strict=False))
-    reports = prop_spq_checks(pin, config.alpha, p=2.0, q=inf,
-                              n_draws=n_draws, seed=seed, m_range=(0, 1, 2, 3, 4))
+    reports = spq_checks(BERNSTEIN_CONFIG, p=2.0, q=inf, n_draws=n_draws, seed=seed)
     ratios = {}
     for rep in reports:
         if rep.inequality == "bernstein" and "skipped" not in rep.context:
@@ -116,8 +109,7 @@ def bernstein_artifacts(n_draws=40, seed=3):
     increments = [math.log2(ratios[ms[k + 1]] / ratios[ms[k]])
                   for k in range(len(ms) - 1) if ratios[ms[k]] > 0]
     return {"ratios": ratios, "max_ratio": max(ratios.values()),
-            "max_log2_increment": max(increments) if increments else 0.0,
-            "reports": reports}
+            "max_log2_increment": max(increments) if increments else 0.0}
 
 
 def compute_baselines(verbose=False):
@@ -146,8 +138,7 @@ def compute_baselines(verbose=False):
         raise RuntimeError("non-finite ratio in the reference sweep")
     sweep_hash = reference_sweep_configs()[0].config_hash()
     for (ineq, p), worst in sorted(uniformity_by_key(art["table"]).items(), key=str):
-        p_tag = "inf" if p == inf else str(int(p))
-        key = f"uniformity_{ineq}_p{p_tag}"
+        key = uniformity_key(ineq, p)
         values[key] = round(worst * 1.02, 6)
         notes[key] = f"measured {worst:.4f}; sweep anchor {sweep_hash}"
         if verbose:

@@ -10,16 +10,16 @@ import sys
 from math import inf
 
 from .acceptance import run_sweep_artifacts, uniformity_by_key
-from .errors import PhaseprojError
+from .errors import PhaseprojError, ValidationError
 from .harness import (
     RunConfig,
     baseline_demo,
-    load_baselines,
     modulation_demo,
     parse_p,
     reference_sweep_configs,
     run,
     save_baselines,
+    spq_checks,
 )
 
 
@@ -41,6 +41,18 @@ def _add_run_flags(sub):
     sub.add_argument("--out", help="run directory for reports and fields")
 
 
+def _numbers(text, flag, count=None):
+    """The comma-separated numbers given to `flag`, `count` of them if set."""
+    try:
+        values = [float(v) for v in text.split(",")]
+        if count in (None, len(values)):
+            return values
+    except ValueError:
+        pass
+    raise ValidationError(
+        f"{flag} takes {count or 'one or more'} comma-separated numbers, not {text!r}")
+
+
 def _config_from_args(args):
     config = RunConfig()
     if args.config:
@@ -53,8 +65,7 @@ def _config_from_args(args):
         if val is not None:
             overrides[key] = val
     if getattr(args, "f_annulus", None):
-        lo, hi = args.f_annulus.split(",")
-        overrides["f_annulus"] = (float(lo), float(hi))
+        overrides["f_annulus"] = tuple(_numbers(args.f_annulus, "--f-annulus", 2))
     if getattr(args, "p", None):
         overrides["p_values"] = tuple(parse_p(p) for p in args.p.split(","))
     if getattr(args, "no_strict", False):
@@ -62,24 +73,17 @@ def _config_from_args(args):
     return dataclasses.replace(config, **overrides)
 
 
-def _cmd_build(args):
-    config = _config_from_args(args)
-    record = run(config, out_dir=args.out)
+def _cmd_run(args):
+    """build and verify: one run, after which verify prints its checks."""
+    record = run(_config_from_args(args), out_dir=args.out)
     if "error" in record:
         print(f"FAILED at stage {record['error']['stage']}: {record['error']['message']}")
         return 1
-    print(f"built projection; config hash {record['config_hash']}")
-    if args.out:
-        print(f"outputs in {args.out}")
-    return 0
-
-
-def _cmd_verify(args):
-    config = _config_from_args(args)
-    record = run(config, out_dir=args.out)
-    if "error" in record:
-        print(f"FAILED at stage {record['error']['stage']}: {record['error']['message']}")
-        return 1
+    if args.command == "build":
+        print(f"built projection; config hash {record['config_hash']}")
+        if args.out:
+            print(f"outputs in {args.out}")
+        return 0
     for key, entry in sorted(record["report_summary"].items()):
         status = "finite" if entry["finite"] else "INFINITE"
         print(f"{key}: max ratio {entry['max_ratio']:.6g} over {entry['count']} cubes [{status}]")
@@ -110,20 +114,10 @@ def _cmd_sweep(args):
 
 
 def _cmd_spq(args):
-    from .grid import TorusGrid
-    from .harness import build_f, build_tree_config
-    from .projection import projection_input, ProjectionSettings
-    from .estimators import prop_spq_checks
-
     config = _config_from_args(args)
-    grid = TorusGrid(config.dim, config.grid_b, config.grid_n)
-    cfg = build_tree_config(config)
-    f = build_f(config, grid)
-    pin = projection_input(f, cfg, grid, ProjectionSettings(strict=False))
     p = parse_p(args.p.split(",")[0]) if args.p else 2.0
     q = parse_p(args.q) if args.q else inf
-    reports = prop_spq_checks(pin, config.alpha, p, q, n_draws=args.draws,
-                              seed=args.draw_seed)
+    reports = spq_checks(config, p, q, n_draws=args.draws, seed=args.draw_seed)
     worst = {}
     for rep in reports:
         if "skipped" in rep.context:
@@ -143,7 +137,7 @@ def _cmd_mod_demo(args):
     config = _config_from_args(args)
     seps = None
     if args.separations:
-        seps = [float(s) for s in args.separations.split(",")]
+        seps = _numbers(args.separations, "--separations")
     result = modulation_demo(config, separations=seps,
                              second_tree_seed=args.second_tree_seed)
     for row in result["table"]:
@@ -155,7 +149,7 @@ def _cmd_mod_demo(args):
 
 def _cmd_baseline(args):
     result = baseline_demo(dim=args.dim or 1, seed=args.tree_seed or 0,
-                           depth=args.depth or 3, grid_n=args.grid_n or (1 << 12),
+                           depth=args.tree_depth or 3, grid_n=args.grid_n or (1 << 12),
                            f_seed=args.f_seed or 7,
                            csv_path=os.path.join(args.out, "baseline.csv") if args.out else None,
                            smooth_compare=args.smooth_compare)
@@ -180,13 +174,11 @@ def main(argv=None):
         description="Frequency-localized projections onto dyadic trees")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("build", help="build tree + projection, emit fields")
-    _add_run_flags(sub)
-    sub.set_defaults(func=_cmd_build)
-
-    sub = subs.add_parser("verify", help="full inequality suite for one config")
-    _add_run_flags(sub)
-    sub.set_defaults(func=_cmd_verify)
+    for name, text in (("build", "build tree + projection, emit fields"),
+                       ("verify", "full inequality suite for one config")):
+        sub = subs.add_parser(name, help=text)
+        _add_run_flags(sub)
+        sub.set_defaults(func=_cmd_run)
 
     sub = subs.add_parser("sweep", help="reference m/seed sweep")
     sub.add_argument("--seeds", type=int, default=20)

@@ -1,16 +1,13 @@
-"""Dyadic cubes, mollified distances and stopping-time trees.
+"""Dyadic cubes and stopping-time trees.
 
 Cube geometry is exact: a cube is a (level, integer index) pair and all
-set relations (containment, disjointness, dilated containment) are
-computed with integer shifts, never with floats.  Mollified distances
-use a closed form derived from the defining infimum; the derivation is
-cross-checked against a bisection oracle in the test suite.
+set relations (containment, disjointness) are computed with integer
+shifts, never with floats.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -55,12 +52,6 @@ class DyadicCube:
     def lower(self):
         return tuple(k * self.side for k in self.index)
 
-    def upper(self):
-        return tuple((k + 1) * self.side for k in self.index)
-
-    def parent(self):
-        return DyadicCube(self.level + 1, tuple(k >> 1 for k in self.index))
-
     def ancestor(self, level):
         """The unique cube at `level` >= self.level containing this cube."""
         if level < self.level:
@@ -80,19 +71,6 @@ class DyadicCube:
             return False
         return other.ancestor(self.level) == self
 
-    def dilated_contains(self, r, other):
-        """other is a subset of r*self for odd integer r (exact)."""
-        if r % 2 != 1 or r < 1:
-            raise ValidationError("dilation factor must be an odd positive integer")
-        half = (r - 1) // 2
-        fine = min(self.level, other.level)
-        s1, s2 = self.level - fine, other.level - fine
-        for k, a in zip(self.index, other.index):
-            lo, hi = (k - half) << s1, (k + 1 + half) << s1
-            if not (lo <= (a << s2) and ((a + 1) << s2) <= hi):
-                return False
-        return True
-
     def disjoint(self, other):
         return not (self.contains(other) or other.contains(self))
 
@@ -102,46 +80,6 @@ class DyadicCube:
 
 def unit_cube(dim):
     return DyadicCube(0, (0,) * dim)
-
-
-# ---------------------------------------------------------------------------
-# Mollified distance rho_I: equal to 1 on I, growing linearly with the
-# l-infinity distance to I measured in units of I's side.  Closed form:
-#     rho_I(y) = max(1, 1/2 + |y - c|_inf / side)
-# which equals inf{r > 1 : y in (2r-1) I}.
-
-def rho_point(cube, y):
-    """Mollified distance from cube to a point (closed form)."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    c = np.asarray(cube.center)
-    return max(1.0, 0.5 + float(np.max(np.abs(y - c))) / cube.side)
-
-
-def rho_to_cube(cube, other):
-    """Mollified distance from cube to the closure of another cube."""
-    dist = 0.0
-    for cs, co in zip(cube.center, other.center):
-        dist = max(dist, abs(cs - co) - other.side / 2.0)
-    return max(1.0, 0.5 + max(dist, 0.0) / cube.side)
-
-
-def rho_set(cube, target):
-    """Mollified distance from cube to a set.
-
-    `target` is a sequence of DyadicCube or an (m, d) array of points;
-    an empty target gives +inf (infimum over the empty set).
-    """
-    if isinstance(target, np.ndarray):
-        if target.size == 0:
-            return math.inf
-        pts = target.reshape(-1, cube.dim)
-        c = np.asarray(cube.center)
-        dist = np.min(np.max(np.abs(pts - c), axis=1))
-        return max(1.0, 0.5 + float(dist) / cube.side)
-    target = list(target)
-    if not target:
-        return math.inf
-    return min(rho_to_cube(cube, o) for o in target)
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +207,6 @@ class TreeIndex:
             self._rings[key] = frozenset(map(tuple, np.unique(dil, axis=0).tolist()))
         return self._rings[key]
 
-    def shell_indices(self, j, k):
-        """Normalized index set of B_j^k = T_j^{k+1} minus T_j^k."""
-        return self.slice_indices(j, k + 1) - self.slice_indices(j, k)
-
     # -- cube accessors (original frame) -----------------------------------
 
     def _to_original(self, j, indices):
@@ -283,7 +217,8 @@ class TreeIndex:
         return self._to_original(j, self.slice_indices(j, k))
 
     def shell_cubes(self, j, k):
-        return self._to_original(j, self.shell_indices(j, k))
+        """The cubes of the shell B_j^k = T_j^{k+1} minus T_j^k."""
+        return self._to_original(j, self.slice_indices(j, k + 1) - self.slice_indices(j, k))
 
     # -- membership (original-frame cubes) ----------------------------------
 
@@ -348,15 +283,12 @@ class TreeIndex:
 
     # -- maximal off-tree cubes ----------------------------------------------
 
-    def maximal_offtree(self, level_floor=None):
+    def maximal_offtree(self, level_floor):
         """Maximal dyadic K inside 7U whose triple contains no tree cube.
 
         The full family is an infinite Whitney-type covering; enumeration
-        stops at `level_floor` (default: two levels below the finest leaf).
-        Returned in the original frame.
+        stops at `level_floor`.  Returned in the original frame.
         """
-        if level_floor is None:
-            level_floor = self.j_min - 2
         level_floor -= self._shift
         tree_cubes = [DyadicCube(jn, idx) for jn in range(self.cfg_normalized.j_min, 1)
                       for idx in self._slice_norm(jn)]
@@ -419,15 +351,6 @@ def expand_to_tree(cfg):
     return TreeIndex(cfg)
 
 
-def corona_partition(tree):
-    """The corona family of a built tree as (level, cube) pairs."""
-    return tree.corona
-
-
-def maximal_offtree(tree, level_floor=None):
-    return tree.maximal_offtree(level_floor)
-
-
 # ---------------------------------------------------------------------------
 # Dyadic partitions of the root, for the conditional-expectation baseline.
 
@@ -476,16 +399,7 @@ def tree_config_to_dict(cfg):
     }
 
 
-def tree_config_from_dict(data):
-    root = DyadicCube(data["root"]["level"], tuple(data["root"]["index"]))
-    leaves = tuple(DyadicCube(c["level"], tuple(c["index"])) for c in data["leaves"])
-    cfg = TreeConfig(root, leaves, int(data["m"]), float(data["alpha"]))
-    if cfg.dim != int(data["dimension"]):
-        raise ValidationError("declared dimension does not match the cubes")
-    return cfg
-
-
-def tree_index_to_csv(tree, path, level_floor=None):
+def tree_index_to_csv(tree, path, level_floor):
     """Emit the expanded tree as rows (tag, level, index) for inspection."""
     rows = []
     for j in tree.levels():

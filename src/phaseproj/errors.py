@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class PhaseprojError(Exception):
     """Base class for all package errors."""
@@ -19,6 +21,13 @@ class ResolutionError(PhaseprojError):
     def __init__(self, message, required_samples=None):
         super().__init__(message)
         self.required_samples = required_samples
+
+    @classmethod
+    def needing(cls, message, samples):
+        """The error for a grid that needs `samples` points per axis,
+        rounded up to a power of two; the message ends with that count."""
+        need = 1 << (max(math.ceil(samples), 1) - 1).bit_length()
+        return cls(f"{message}; need at least N={need}", required_samples=need)
 
 
 class InternalConsistencyError(PhaseprojError):

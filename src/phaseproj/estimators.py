@@ -60,7 +60,7 @@ from .grid import (
     apply_multiplier,
     level_weights,
     lp_norms,
-    rho_values,
+    mollified_distance,
     weighted_lp_norm,
 )
 from .kernels import DictionarySpec, build_dictionary
@@ -201,20 +201,14 @@ def _ratio(lhs, rhs):
 # ---------------------------------------------------------------------------
 # Size estimate.
 
-def estimate_S(pin, alpha=None, p=2.0, dict_spec=None):
-    """Surrogate size: max over tree levels i, tree cubes I at level i and
-    dictionary kernels of 2^{-id/p} || rho_I^{-alpha} (phi * f) ||_p.
+def estimate_S_multi(pin, alpha, p_values=(1.0, 2.0, inf), dict_spec=None):
+    """{p: surrogate size}: max over tree levels i, tree cubes I at level
+    i and dictionary kernels of 2^{-id/p} || rho_I^{-alpha} (phi * f) ||_p.
 
     Dictionaries are built two levels below the gap scale (class level
     i - m - 2), so the surrogate is a certified lower bound for the
     class supremum defining the size.
     """
-    est = estimate_S_multi(pin, alpha=alpha, p_values=(p,), dict_spec=dict_spec)
-    return est[p]
-
-
-def estimate_S_multi(pin, alpha=None, p_values=(1.0, 2.0, inf), dict_spec=None):
-    alpha = alpha if alpha is not None else pin.cfg.alpha
     dict_spec = dict_spec or DictionarySpec()
     grid, tree, m = pin.grid, pin.tree, pin.cfg.gap_m
     d = grid.dim
@@ -268,22 +262,23 @@ def offtree_eligible(tree, J):
 
 def root_peak_weight(grid, J, alpha):
     """max of rho_J ** -alpha over the grid points of the root U, equal
-    to the full-grid maximum bit for bit: the ufuncs of rho_values run on
+    to the full-grid maximum bit for bit: grid.mollified_distance runs on
     the one clamped distance (module docstring)."""
     root_axis = grid.axis_points[grid.cube_slices(DyadicCube(0, (0,) * J.dim))[0]]
     dist = max(np.min(np.abs(root_axis - c)) for c in J.center)
-    peak = np.maximum(1.0, 0.5 + np.array([dist]) / J.side) ** (-alpha)
+    peak = mollified_distance(np.array([dist]), J.side) ** (-alpha)
     return float(np.max(peak))
+
+
+def window_cubes(dim, level):
+    """The cubes at `level` that meet 9U, in index order."""
+    span = 1 << (-level)
+    return [DyadicCube(level, idx) for idx in iproduct(range(-4 * span, 5 * span), repeat=dim)]
 
 
 def enumerate_window(dim, depth):
     """All dyadic cubes intersecting 9U with level >= -(depth + 2)."""
-    out = []
-    for level in range(0, -(depth + 3), -1):
-        span = 1 << (-level)
-        for idx in iproduct(range(-4 * span, 5 * span), repeat=dim):
-            out.append(DyadicCube(level, idx))
-    return out
+    return [c for level in range(0, -(depth + 3), -1) for c in window_cubes(dim, level)]
 
 
 # ---------------------------------------------------------------------------
@@ -295,13 +290,13 @@ class EstimatorContext:
     arithmetic over the tables."""
 
     def __init__(self, pin, output, dict_spec=None, p_values=(1.0, 2.0, inf),
-                 window_depth=None, alpha=None):
+                 window_depth=None):
         self.pin = pin
         self.output = output
         self.grid = pin.grid
         self.tree = pin.tree
         self.m = pin.cfg.gap_m
-        self.alpha = alpha if alpha is not None else pin.cfg.alpha
+        self.alpha = pin.cfg.alpha
         self.dict_spec = dict_spec or DictionarySpec()
         self.p_values = tuple(p_values)
         self.depth = window_depth if window_depth is not None else -pin.cfg.j_min
@@ -381,9 +376,7 @@ class EstimatorContext:
             window_lo = -4 * span
             level_arrays = {p: np.zeros((9 * span,) * self.d) for p in self.p_values}
             tree_at_level = self.tree.slice_indices(i)
-            cubes = [DyadicCube(i, idx)
-                     for idx in iproduct(range(-4 * span, 5 * span), repeat=self.d)
-                     if idx not in tree_at_level]
+            cubes = [c for c in window_cubes(self.d, i) if c.index not in tree_at_level]
             for cube, best in self._level_maxima(self.output.g, i, "psi", cubes):
                 pos = tuple(k - window_lo for k in cube.index)
                 for p in self.p_values:
@@ -465,13 +458,12 @@ class EstimatorContext:
 # ---------------------------------------------------------------------------
 # Comparison checks for the size across exponent pairs.
 
-def prop_spq_checks(pin, alpha=None, p=2.0, q=inf, n_draws=100, seed=0,
+def prop_spq_checks(pin, alpha, p=2.0, q=inf, n_draws=100, seed=0,
                     dict_spec=None, m_range=(0, 1, 2, 3, 4)):
     """Per-kernel comparison inequalities between sizes at different
     exponents: a weighted Hoelder step (p <= q), log-convexity
     interpolation (q <= p), and the locally band-limited sup-vs-mean
     ratio tracked across the frequency gap."""
-    alpha = alpha if alpha is not None else pin.cfg.alpha
     dict_spec = dict_spec or DictionarySpec()
     grid, tree, m = pin.grid, pin.tree, pin.cfg.gap_m
     d = grid.dim
@@ -487,37 +479,47 @@ def prop_spq_checks(pin, alpha=None, p=2.0, q=inf, n_draws=100, seed=0,
         kernel = kernels[int(rng.integers(len(kernels)))]
         draws.append((i, cube, kernel))
 
+    gap = _inv(p) - _inv(q)
+    norms = _draw_norms(pin, draws, alpha, (p, q, inf))
+    if p < q:
+        heavy = _draw_norms(pin, draws, alpha * (1 + gap), (p,))
     reports = []
-    resp_cache = {}
     for i, cube, kernel in draws:
-        key = kernel.kernel_id + f"@{i}"
-        if key not in resp_cache:
-            resp_cache[key] = apply_multiplier(pin.f, kernel.multiplier)
-        resp = resp_cache[key]
-        rho = rho_values(grid, cube)
+        key = (i, cube, kernel.kernel_id)
+        u = norms[key]
         ctx = {"i": i, "I": cube.label(), "kernel": kernel.kernel_id, "m": m}
         if p < q:
-            gap = _inv(p) - _inv(q)
-            lhs = weighted_lp_norm(resp, rho ** (-alpha * (1 + gap)), p)
-            w_norm = lp_norms(rho ** (-alpha * gap), grid.spacing ** d,
-                              (1.0 / gap,))[1.0 / gap]
-            rhs = w_norm * weighted_lp_norm(resp, rho ** (-alpha), q)
+            lhs = heavy[key][p]
+            weight = level_weights(grid, i, alpha * gap)(cube)
+            w_norm = lp_norms(weight, grid.spacing ** d, (1.0 / gap,))[1.0 / gap]
+            rhs = w_norm * u[q]
             reports.append(InequalityReport(
                 inequality="holder", lhs=lhs, rhs_without_constant=rhs,
                 ratio=_ratio(lhs, rhs), p=p, context=dict(ctx, q=q)))
         if q <= p:
-            u_p = weighted_lp_norm(resp, rho ** (-alpha), p)
-            u_q = weighted_lp_norm(resp, rho ** (-alpha), q)
-            u_inf = weighted_lp_norm(resp, rho ** (-alpha), inf)
             share = 0.0 if p == inf else q / p
-            rhs = (u_q ** share) * (u_inf ** (1.0 - share))
+            rhs = (u[q] ** share) * (u[inf] ** (1.0 - share))
             reports.append(InequalityReport(
-                inequality="logconvex", lhs=u_p, rhs_without_constant=rhs,
-                ratio=_ratio(u_p, rhs), p=p, context=dict(ctx, q=q)))
+                inequality="logconvex", lhs=u[p], rhs_without_constant=rhs,
+                ratio=_ratio(u[p], rhs), p=p, context=dict(ctx, q=q)))
 
     bern = bernstein_sweep(pin, alpha, dict_spec, m_range, draws)
     reports.extend(bern)
     return reports
+
+
+def _draw_norms(pin, draws, weight_exp, p_values):
+    """{(level, cube, kernel id): {p: norm}} of the rho^{-weight_exp}
+    weighted responses of the drawn kernels on the drawn cubes, one
+    level_norms call per level."""
+    out = {}
+    for i in sorted({i for i, _, _ in draws}):
+        kernels = {k.kernel_id: k for ii, _, k in draws if ii == i}
+        cubes = sorted({c for ii, c, _ in draws if ii == i})
+        for cube, rows in level_norms(pin.f, list(kernels.values()), cubes, i,
+                                      weight_exp, p_values):
+            out.update(((i, cube, kernel_id), norms) for kernel_id, norms in rows)
+    return out
 
 
 def bernstein_sweep(pin, alpha, dict_spec, m_range, draws):

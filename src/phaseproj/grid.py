@@ -9,7 +9,7 @@ folded to Nyquist, which is exactly numpy's fftfreq(N, d=h).
 
 from __future__ import annotations
 
-import csv
+import numbers
 import struct
 import warnings
 from dataclasses import dataclass, field as dc_field
@@ -18,7 +18,6 @@ from math import inf
 
 import numpy as np
 
-from .cubes import DyadicCube
 from .errors import ResolutionError, ValidationError
 
 _MAGIC = b"PPRJ"
@@ -28,11 +27,14 @@ class TorusGrid:
     """Uniform periodic grid on [-half_width, half_width)^d."""
 
     def __init__(self, dim, half_width=8.0, samples=4096):
-        if samples & (samples - 1) != 0 or samples <= 0:
-            raise ValidationError("samples per axis must be a power of two")
-        if not half_width >= 8.0:
+        if (not isinstance(samples, numbers.Integral) or samples <= 0
+                or samples & (samples - 1) != 0):
+            raise ValidationError(
+                f"samples per axis must be a power of two, not {samples!r}")
+        if not isinstance(half_width, numbers.Real) or not half_width >= 8.0:
             # 7U plus a quarter-domain decay buffer on each side needs B >= 8
-            raise ValidationError("half_width must be >= 8 to hold 7U with buffer")
+            raise ValidationError(
+                f"half_width must be >= 8 to hold 7U with buffer, not {half_width!r}")
         self.dim = int(dim)
         self.half_width = float(half_width)
         self.samples = int(samples)
@@ -72,16 +74,16 @@ class TorusGrid:
     def axis_freqs(self):
         return np.fft.fftfreq(self.samples, d=self.spacing)
 
+    def on_axis(self, vector, axis):
+        """An N-vector laid along `axis`, broadcastable to the grid shape."""
+        return vector.reshape([self.samples if a == axis else 1 for a in range(self.dim)])
+
     def point_component(self, axis):
         """Spatial coordinate along `axis`, broadcastable to the grid shape."""
-        shape = [1] * self.dim
-        shape[axis] = self.samples
-        return self.axis_points.reshape(shape)
+        return self.on_axis(self.axis_points, axis)
 
     def freq_component(self, axis):
-        shape = [1] * self.dim
-        shape[axis] = self.samples
-        return self.axis_freqs.reshape(shape)
+        return self.on_axis(self.axis_freqs, axis)
 
     @cached_property
     def freq_radius(self):
@@ -148,15 +150,6 @@ class SampledField:
         self._fft.flags.writeable = False
         return self
 
-    def is_real(self, tol=1e-12):
-        scale = np.max(np.abs(self.values))
-        if scale == 0:
-            return True
-        return np.max(np.abs(self.values.imag)) <= tol * scale
-
-    def conjugate(self):
-        return SampledField(self.grid, np.conj(self.values))
-
     def max_abs(self):
         return float(np.max(np.abs(self.values)))
 
@@ -180,16 +173,9 @@ class SampledField:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return SampledField(self.grid, -self.values)
-
 
 def zero_field(grid):
     return SampledField(grid, np.zeros(grid.shape, dtype=np.complex128))
-
-
-def field_from_values(grid, values):
-    return SampledField(grid, np.array(values, dtype=np.complex128))
 
 
 # ---------------------------------------------------------------------------
@@ -232,30 +218,25 @@ def kernel_field_from_multiplier(grid, multiplier):
     transform the multiplier samples (Poisson summation), evaluated on
     the grid.
     """
-    n, d = grid.samples, grid.dim
-    kappa = np.rint(grid.axis_freqs * 2 * grid.half_width).astype(np.int64)
-    phase_axis = 1.0 - 2.0 * (np.abs(kappa) % 2)
-    spec = np.array(multiplier, dtype=np.complex128)
-    for ax in range(d):
-        shape = [1] * d
-        shape[ax] = n
-        spec = spec * phase_axis.reshape(shape)
-    values = np.fft.ifftn(spec) * (n / (2.0 * grid.half_width)) ** d
+    spec = _lattice_sign(grid, np.array(multiplier, dtype=np.complex128))
+    values = np.fft.ifftn(spec) * (grid.samples / (2.0 * grid.half_width)) ** grid.dim
     return SampledField(grid, values)
 
 
 def physical_spectrum(a):
     """Samples of the continuous-convention Fourier transform
     h^d sum_x a(x) e^{-2 pi i x xi} on the frequency lattice."""
-    grid = a.grid
-    n, d = grid.samples, grid.dim
+    return _lattice_sign(a.grid, a.fft() * a.grid.spacing ** a.grid.dim)
+
+
+def _lattice_sign(grid, spec):
+    """Multiply `spec` in place by (-1)^(k_1 + ... + k_d), k the lattice
+    index of each frequency: the phase e^{2 pi i B . xi} between the
+    first sample -B and the origin.  Returns `spec`."""
     kappa = np.rint(grid.axis_freqs * 2 * grid.half_width).astype(np.int64)
-    phase_axis = 1.0 - 2.0 * (np.abs(kappa) % 2)
-    spec = a.fft() * grid.spacing ** d
-    for ax in range(d):
-        shape = [1] * d
-        shape[ax] = n
-        spec = spec * phase_axis.reshape(shape)
+    sign = 1.0 - 2.0 * (np.abs(kappa) % 2)
+    for ax in range(grid.dim):
+        spec *= grid.on_axis(sign, ax)
     return spec
 
 
@@ -294,10 +275,15 @@ def modulate(a, eta):
     snapped = np.rint(eta * 2 * grid.half_width) / (2 * grid.half_width)
     if np.max(np.abs(snapped - eta)) > 1e-9:
         warnings.warn("modulation frequency off the lattice; snapping to nearest")
+    return SampledField(grid, a.values * plane_wave(grid, snapped))
+
+
+def plane_wave(grid, freq):
+    """Samples of the character e^{2 pi i x . freq}."""
     phase = np.zeros(grid.shape)
     for ax in range(grid.dim):
-        phase = phase + snapped[ax] * grid.point_component(ax)
-    return SampledField(grid, a.values * np.exp(2j * np.pi * phase))
+        phase = phase + freq[ax] * grid.point_component(ax)
+    return np.exp(2j * np.pi * phase)
 
 
 def inner_product(a, b):
@@ -309,12 +295,21 @@ def inner_product(a, b):
 # ---------------------------------------------------------------------------
 # Weights and norms.
 
+def mollified_distance(dist, side):
+    """rho_I(y) = max(1, 1/2 + |y - c|_inf / side) from dist = |y - c|_inf,
+    c the centre of a cube I of the given side: the closed form of the
+    mollified distance inf{r > 1 : y in (2r-1) I}, checked against a
+    bisection of that infimum in the tests.  Every weight rho_I ** -e is
+    these ufuncs, in this order, followed by the power."""
+    return np.maximum(1.0, 0.5 + dist / side)
+
+
 def rho_values(grid, cube):
     """Mollified distance to `cube` sampled on the grid."""
     dist = np.zeros(grid.shape)
     for ax, c in enumerate(cube.center):
         dist = np.maximum(dist, np.abs(grid.point_component(ax) - c))
-    return np.maximum(1.0, 0.5 + dist / cube.side)
+    return mollified_distance(dist, cube.side)
 
 
 def level_weights(grid, level, exponent):
@@ -329,7 +324,7 @@ def level_weights(grid, level, exponent):
     n, h, side = grid.samples, grid.spacing, 2.0 ** level
     cells = side / h
     y = -2.0 * grid.half_width + h * np.arange(2 * n)
-    base = np.maximum(1.0, 0.5 + np.abs(y - 0.5 * side) / side) ** (-exponent)
+    base = mollified_distance(np.abs(y - 0.5 * side), side) ** (-exponent)
     base.flags.writeable = False
 
     def weight(cube):
@@ -339,28 +334,11 @@ def level_weights(grid, level, exponent):
             return rho_values(grid, cube) ** (-exponent)
         out = None
         for ax, m0 in enumerate(starts):
-            piece = base[m0:m0 + n].reshape([n if a == ax else 1 for a in range(grid.dim)])
+            piece = grid.on_axis(base[m0:m0 + n], ax)
             out = piece if out is None else np.minimum(out, piece)
         return out
 
     return weight
-
-
-@dataclass
-class WeightField:
-    """rho_I^{-beta} sampled on the grid; values in (0, 1]."""
-
-    grid: TorusGrid
-    cube: DyadicCube
-    beta: float
-    values: np.ndarray = dc_field(default=None)
-
-    def __post_init__(self):
-        if self.beta <= 0:
-            raise ValidationError("weight exponent must be positive")
-        if self.values is None:
-            self.values = rho_values(self.grid, self.cube) ** (-self.beta)
-        self.values.flags.writeable = False
 
 
 def lp_norms(mag, h_d, p_values, weight=None, out=None):
@@ -400,8 +378,7 @@ def lp_norms(mag, h_d, p_values, weight=None, out=None):
 
 def weighted_lp_norm(a, weight=None, p=2.0):
     """(h^d sum |w a|^p)^(1/p), or the grid max for p = inf."""
-    w = weight.values if isinstance(weight, WeightField) else weight
-    return lp_norms(np.abs(a.values), a.grid.spacing ** a.grid.dim, (p,), w)[p]
+    return lp_norms(np.abs(a.values), a.grid.spacing ** a.grid.dim, (p,), weight)[p]
 
 
 # ---------------------------------------------------------------------------
@@ -413,10 +390,6 @@ def cube_mask(grid, cubes):
     for cube in cubes:
         mask[grid.cube_slices(cube)] = True
     return mask
-
-
-def indicator_field(grid, cubes):
-    return SampledField(grid, cube_mask(grid, cubes).astype(np.complex128))
 
 
 def collar_mask(grid, e_cubes, fine_level):
@@ -488,7 +461,7 @@ def cube_average(f, cube):
 
 
 # ---------------------------------------------------------------------------
-# Serialization: flat binary fields and CSV for small 1-d cases.
+# Serialization: flat binary fields.
 
 def save_field(a, path):
     header = struct.pack("<4sBBId?", _MAGIC, 1, a.grid.dim, a.grid.samples,
@@ -515,12 +488,3 @@ def load_field(path):
     data = np.frombuffer(payload, dtype="<c16").reshape(grid.shape)
     return SampledField(grid, data.copy())
 
-
-def field_to_csv(a, path):
-    if a.grid.dim != 1:
-        raise ValidationError("CSV export only for 1-d fields")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "re", "im"])
-        for x, v in zip(a.grid.axis_points, a.values):
-            w.writerow([repr(float(x)), repr(float(v.real)), repr(float(v.imag))])

@@ -8,12 +8,13 @@ wall-clock timings go to a separate file so they never break that.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
 import os
 import time
-from dataclasses import dataclass, field as dc_field, fields
+from dataclasses import asdict, dataclass, field as dc_field, fields, replace
 from math import inf
 
 import numpy as np
@@ -28,7 +29,7 @@ from .cubes import (
     unit_cube,
 )
 from .errors import PhaseprojError, ValidationError
-from .estimators import EstimatorContext, norm_workers
+from .estimators import EstimatorContext, norm_workers, prop_spq_checks
 from .grid import (
     SampledField,
     TorusGrid,
@@ -38,6 +39,7 @@ from .grid import (
     load_field,
     modulate,
     physical_spectrum,
+    plane_wave,
     save_field,
     weighted_lp_norm,
 )
@@ -94,30 +96,18 @@ class RunConfig:
     keep_pieces: bool = False
 
     def to_dict(self):
-        out = {
-            "dim": self.dim, "grid_n": self.grid_n, "grid_b": self.grid_b,
-            "tree_seed": self.tree_seed, "tree_depth": self.tree_depth,
-            "leaf_count": self.leaf_count,
-            "leaves": [list(map(int, leaf)) for leaf in self.leaves] if self.leaves else None,
-            "f_seed": self.f_seed,
-            "f_modes": [list(mode) for mode in self.f_modes] if self.f_modes else None,
-            "f_annulus": list(self.f_annulus) if self.f_annulus else None,
-            "f_mode_count": self.f_mode_count,
-            "f_scale_with_gap": self.f_scale_with_gap,
-            "f_file": self.f_file, "gap_m": self.gap_m, "alpha": self.alpha,
-            "p_values": [p_name(p) for p in self.p_values],
-            "dict_spec": self.dict_spec.to_dict(),
-            "window_depth": self.window_depth, "strict": self.strict,
-            "keep_pieces": self.keep_pieces,
-        }
+        """Every field as JSON values: exponents by name (p_name), leaf
+        levels and indices as ints, an empty sequence as None."""
+        out = asdict(self)
+        out["p_values"] = [p_name(p) for p in self.p_values]
+        out["leaves"] = [[int(k) for k in leaf] for leaf in self.leaves] if self.leaves else None
+        out["f_modes"] = out["f_modes"] or None
+        out["f_annulus"] = out["f_annulus"] or None
         return out
 
     @staticmethod
     def from_dict(data):
-        data = dict(data)
-        unknown = sorted(set(data) - {f.name for f in fields(RunConfig)})
-        if unknown:
-            raise ValidationError(f"unknown RunConfig keys: {', '.join(unknown)}")
+        data = _known_fields(RunConfig, data)
         if data.get("leaves"):
             data["leaves"] = tuple(tuple(x) for x in data["leaves"])
         if data.get("f_modes"):
@@ -127,12 +117,21 @@ class RunConfig:
         if data.get("p_values"):
             data["p_values"] = tuple(parse_p(p) for p in data["p_values"])
         if data.get("dict_spec"):
-            data["dict_spec"] = DictionarySpec.from_dict(data["dict_spec"])
+            data["dict_spec"] = DictionarySpec(**_known_fields(DictionarySpec,
+                                                               data["dict_spec"]))
         return RunConfig(**data)
 
     def config_hash(self):
         canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
+
+
+def _known_fields(cls, data):
+    """A copy of `data`, whose keys must all be fields of `cls`."""
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValidationError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
+    return dict(data)
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +228,7 @@ def mode_field(grid, modes):
     vals = np.zeros(grid.shape, dtype=np.complex128)
     for freq, re, im in modes:
         freq = np.atleast_1d(np.asarray(freq, dtype=float))
-        phase = np.zeros(grid.shape)
-        for ax in range(grid.dim):
-            phase = phase + freq[ax] * grid.point_component(ax)
-        vals = vals + (re + 1j * im) * np.exp(2j * np.pi * phase)
+        vals = vals + (re + 1j * im) * plane_wave(grid, freq)
     return SampledField(grid, vals)
 
 
@@ -304,8 +300,9 @@ def run(config, out_dir=None):
         reports = ctx.evaluate_window()
         timings["estimators"] = time.perf_counter() - t0
         record["sizes"] = {p_name(p): est.to_dict() for p, est in ctx.sizes.items()}
-        record["reports"] = [r.to_dict() for r in _sorted_reports(reports)]
-        record["report_summary"] = _summarize(reports, config)
+        record["reports"] = [r.to_dict() for r in sorted(reports, key=lambda r: (
+            r.inequality, p_name(r.p), str(r.context.get("J", ""))))]
+        record["report_summary"] = _summarize(reports)
         stage = "write"
         if out_dir:
             _persist(record, timings, config, output, pin, out_dir)
@@ -328,12 +325,7 @@ def _diagnostics_dict(diag):
     return out
 
 
-def _sorted_reports(reports):
-    return sorted(reports, key=lambda r: (r.inequality, p_name(r.p),
-                                          str(r.context.get("J", ""))))
-
-
-def _summarize(reports, config):
+def _summarize(reports):
     """Headline ratios per (inequality, p): max over evaluated cubes."""
     summary = {}
     for rep in reports:
@@ -369,16 +361,15 @@ def _persist(record, timings, config, output, pin, out_dir):
         for name, field in (("g", output.g), ("chi", output.chi), ("f", pin.f)):
             path = os.path.join(fields_dir, f"{name}.bin")
             save_field(field, path)
-            digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
+            with open(path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
             manifest.append(f"{name}.bin sha256={digest}")
         tree_index_to_csv(pin.tree, os.path.join(out_dir, "tree.csv"),
                           level_floor=-(config.window_depth or config.tree_depth) - 2)
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(record, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    with open(os.path.join(out_dir, "config.echo"), "w", encoding="utf-8") as fh:
-        json.dump(config.to_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    for name, data in (("report.json", record), ("config.echo", config.to_dict())):
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+            json.dump(data, fh, sort_keys=True, indent=2)
+            fh.write("\n")
     _write_perscale(record, os.path.join(out_dir, "perscale.csv"))
     with open(os.path.join(out_dir, "manifest.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(manifest) + "\n")
@@ -389,15 +380,24 @@ def _persist(record, timings, config, output, pin, out_dir):
 
 
 def _write_perscale(record, path):
-    import csv as _csv
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = _csv.writer(fh)
+        w = csv.writer(fh)
         w.writerow(["inequality", "p", "J", "i", "term", "cumulative"])
         for rep in record.get("reports", []):
             for row in rep.get("per_scale", []):
                 w.writerow([rep["inequality"], rep["p"],
                             rep["context"].get("J", ""), row["i"],
                             repr(row["term"]), repr(row["cumulative"])])
+
+
+def spq_checks(config, p=2.0, q=inf, n_draws=100, seed=0):
+    """prop_spq_checks on a config's grid, tree and f, whose projection
+    input is checked at the non-strict resolution tier."""
+    grid = TorusGrid(config.dim, config.grid_b, config.grid_n)
+    cfg = build_tree_config(config)
+    f = build_f(config, grid)
+    pin = projection_input(f, cfg, grid, ProjectionSettings(strict=False))
+    return prop_spq_checks(pin, config.alpha, p, q, n_draws=n_draws, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -439,9 +439,8 @@ def modulation_demo(config, separations=None, second_tree_seed=None):
     cfg = build_tree_config(config)
     second_cfg = cfg
     if second_tree_seed is not None:
-        second_cfg = generate_tree(second_tree_seed, config.tree_depth,
-                                   config.leaf_count, config.dim, config.gap_m,
-                                   config.alpha)
+        second_cfg = build_tree_config(replace(config, tree_seed=second_tree_seed,
+                                               leaves=None))
     f = build_f(config, grid)
     lat = 1.0 / (2 * grid.half_width)
     if separations is None:
@@ -526,9 +525,8 @@ def baseline_demo(dim=1, seed=0, depth=3, grid_n=1 << 12, f_seed=7,
         pin = projection_input(f, cfg, grid, ProjectionSettings(strict=False))
         smooth = assemble(pin).g
         if csv_path:
-            import csv as _csv
             with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-                w = _csv.writer(fh)
+                w = csv.writer(fh)
                 w.writerow(["x", "f", "g_dyadic", "g_smooth"])
                 for x, fv, gd, gs in zip(grid.axis_points, f.values.real,
                                          g.values.real, smooth.values.real):

@@ -29,6 +29,7 @@ from .grid import (
     SampledField,
     field_multiplier,
     kernel_field_from_multiplier,
+    plane_wave,
     rho_values,
 )
 
@@ -77,7 +78,6 @@ class BumpProfile:
 LOWPASS_PROFILE = BumpProfile(1.0, 2.0)     # tau-hat's radial shape
 CONE_PROFILE = BumpProfile(0.5, 1.0)        # cone weights and radial cutoffs
 MOLLIFIER_PROFILE = BumpProfile(0.5, 1.0)   # kappa's radial shape
-KAPPA_SUPPORT_EXPONENT = -9                 # kappa vanishes beyond 2^-9
 
 
 @dataclass
@@ -100,12 +100,9 @@ class KernelHandle:
 
 def _require_band_inside_nyquist(grid, radius, what):
     if radius > grid.nyquist + 1e-12:
-        need = int(math.ceil(radius * 4 * grid.half_width))
-        need = 1 << (need - 1).bit_length()
-        raise ResolutionError(
+        raise ResolutionError.needing(
             f"{what}: frequency support radius {radius} exceeds the Nyquist "
-            f"frequency {grid.nyquist}; need at least N={need}",
-            required_samples=need)
+            f"frequency {grid.nyquist}", radius * 4 * grid.half_width)
 
 
 def _tail_fraction(field):
@@ -121,8 +118,11 @@ def _tail_fraction(field):
     return float(np.sum(mag[outer])) / total
 
 
-def _finish(grid, kernel_id, kind, level, mult):
-    field = kernel_field_from_multiplier(grid, mult)
+def _finish(grid, kernel_id, kind, level, mult, field=None):
+    """The handle of a kernel with its wrap-around certificate; the
+    spatial samples come from the multiplier unless given."""
+    if field is None:
+        field = kernel_field_from_multiplier(grid, mult)
     handle = KernelHandle(grid, kernel_id, kind, level, mult, field)
     tail = _tail_fraction(field)
     handle.certificate["tail_fraction"] = tail
@@ -142,13 +142,6 @@ def build_tau(grid, j):
 
 def psi_multiplier(grid, j):
     return tau_multiplier(grid, j - 1) - tau_multiplier(grid, j)
-
-
-def build_psi(grid, j):
-    """Telescoping difference psi_j = tau_{j-1} - tau_j: an annulus kernel
-    supported on 2^-j <= |xi| <= 2^(2-j)."""
-    _require_band_inside_nyquist(grid, 2.0 ** (2 - j), f"psi_{j}")
-    return _finish(grid, f"psi[{j}]", "psi", j, psi_multiplier(grid, j))
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +171,6 @@ def cone_multiplier_values(dim, n, zeta_axes):
     radial = (1.0 - CONE_PROFILE(r)) * BumpProfile(4.0, 8.0)(r)
     safe = np.where(total > 0, total, 1.0)
     return np.where(radial > 0, weights[n] / safe * radial, 0.0)
-
-
-def cone_partition(dim):
-    """The d cone multipliers as callables on broadcastable axis arrays;
-    they sum to exactly 1 on the annulus 1 <= |zeta| <= 4."""
-    return [lambda zeta_axes, n=n: cone_multiplier_values(dim, n, zeta_axes) for n in range(dim)]
 
 
 def psi_cone_multiplier(grid, n, j):
@@ -220,11 +207,9 @@ def build_mollifier(grid, radius):
     """Nonnegative smooth bump supported in the Euclidean ball of the
     given radius, with exact unit grid mass."""
     if radius < grid.spacing:
-        need = int(math.ceil(2 * grid.half_width / radius))
-        need = 1 << (need - 1).bit_length()
-        raise ResolutionError(
-            f"mollifier radius {radius} below grid spacing {grid.spacing}; "
-            f"need at least N={need}", required_samples=need)
+        raise ResolutionError.needing(
+            f"mollifier radius {radius} below grid spacing {grid.spacing}",
+            2 * grid.half_width / radius)
     raw = MOLLIFIER_PROFILE(grid.space_radius / radius)
     total = float(np.sum(raw)) * grid.spacing ** grid.dim
     values = raw / total
@@ -233,16 +218,6 @@ def build_mollifier(grid, radius):
                           field_multiplier(field), field)
     handle.certificate["grid_mass"] = float(np.sum(values) * grid.spacing ** grid.dim)
     handle.certificate["radius"] = float(radius)
-    return handle
-
-
-def build_kappa(grid, scale):
-    """The mollifier kappa at dyadic scale `scale`: support radius
-    2^(scale - 9), grid mass one."""
-    radius = 2.0 ** (scale + KAPPA_SUPPORT_EXPONENT)
-    handle = build_mollifier(grid, radius)
-    handle.kernel_id = f"kappa[{scale}]"
-    handle.level = scale
     return handle
 
 
@@ -332,15 +307,6 @@ class DictionarySpec:
     def spec_id(self):
         return (f"tau{self.n_tau}_psi{self.n_psi}_mod{self.n_mod}"
                 f"_tr{self.n_trans}_sinc{self.n_sinc}_sincmod{self.n_sinc_mod}")
-
-    def to_dict(self):
-        return {"n_tau": self.n_tau, "n_psi": self.n_psi,
-                "n_mod": self.n_mod, "n_trans": self.n_trans,
-                "n_sinc": self.n_sinc, "n_sinc_mod": self.n_sinc_mod}
-
-    @staticmethod
-    def from_dict(data):
-        return DictionarySpec(**data)
 
 
 def bspline_central(t, order):
@@ -439,7 +405,7 @@ def _periodized_sinc_power(grid, a, k_pow, center):
     return per
 
 
-def build_sinc_power(grid, j, beta, kind="phi", eta=None, half_width=None):
+def build_sinc_power(grid, j, beta, kind="phi", eta=None):
     """Tensor power of a sinc, in frequency a tensor B-spline box.
 
     The spatial kernel prod_n sinc(pi a (x - c)_n)^(2K) with 2K >= beta
@@ -456,11 +422,10 @@ def build_sinc_power(grid, j, beta, kind="phi", eta=None, half_width=None):
         if kind == "psi":
             eta[0] = 5.0 * 2.0 ** (-j - 3)
     eta = np.asarray(eta, dtype=float)
-    if half_width is None:
-        if kind == "psi":
-            half_width = _psi_box_width(j, d, float(np.linalg.norm(eta)))
-        else:
-            half_width = (2.0 ** (-j) - float(np.linalg.norm(eta))) / math.sqrt(d)
+    if kind == "psi":
+        half_width = _psi_box_width(j, d, float(np.linalg.norm(eta)))
+    else:
+        half_width = (2.0 ** (-j) - float(np.linalg.norm(eta))) / math.sqrt(d)
     if half_width <= 0:
         raise ValidationError("spectral box does not fit the admissible set")
     a = half_width / k_pow
@@ -478,22 +443,16 @@ def build_sinc_power(grid, j, beta, kind="phi", eta=None, half_width=None):
         inside = np.abs(xi_1d - eta[ax]) < k_pow * a
         mult_1d[inside] = bspline_central((xi_1d[inside] - eta[ax]) / a,
                                           2 * k_pow) / a
-        shape = [1] * d
-        shape[ax] = grid.samples
-        mult = mult * mult_1d.reshape(shape)
-        mult = mult * np.exp(-2j * np.pi * xi_1d * cube_center).reshape(shape)
-        values = values * per.reshape(shape)
+        mult = mult * grid.on_axis(mult_1d, ax)
+        mult = mult * grid.on_axis(np.exp(-2j * np.pi * xi_1d * cube_center), ax)
+        values = values * grid.on_axis(per, ax)
         phase = phase + eta[ax] * (grid.point_component(ax) - cube_center)
     values = values * np.exp(2j * np.pi * phase)
     field = SampledField(grid, np.ascontiguousarray(values))
     tag = f"sincpow[{kind},{j}"
     if np.any(np.asarray(eta) != 0):
         tag += ",eta=" + ",".join(f"{e:g}" for e in np.asarray(eta))
-    handle = KernelHandle(grid, tag + "]", kind, j, mult, field)
-    tail = _tail_fraction(field)
-    handle.certificate["tail_fraction"] = tail
-    handle.certificate["wrap_flag"] = bool(tail > 1e-6)
-    return handle
+    return _finish(grid, tag + "]", kind, j, mult, field)
 
 
 def _translate(handle, grid, offset, new_id):
@@ -506,10 +465,7 @@ def _translate(handle, grid, offset, new_id):
 
 
 def _modulate_kernel(handle, grid, eta, new_id):
-    phase = np.zeros(grid.shape)
-    for ax in range(grid.dim):
-        phase = phase + eta[ax] * grid.point_component(ax)
-    out = SampledField(grid, handle.field.values * np.exp(2j * np.pi * phase))
+    out = SampledField(grid, handle.field.values * plane_wave(grid, eta))
     return KernelHandle(grid, new_id, handle.kind, handle.level,
                         field_multiplier(out), out)
 

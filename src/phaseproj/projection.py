@@ -35,6 +35,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field as dc_field
+from itertools import product
 from math import comb
 
 import numpy as np
@@ -125,27 +126,20 @@ def resolution_check(cfg, grid, settings):
     j_min, m = cfg.j_min, cfg.gap_m
     band = 2.0 ** (2 + m - j_min)
     if band > grid.nyquist + 1e-12:
-        need = _next_pow2(math.ceil(band * 4 * grid.half_width))
-        raise ResolutionError(
-            f"kernel band radius {band} exceeds Nyquist {grid.nyquist}; "
-            f"need at least N={need}", required_samples=need)
+        raise ResolutionError.needing(
+            f"kernel band radius {band} exceeds Nyquist {grid.nyquist}",
+            band * 4 * grid.half_width)
     cell = 2.0 ** (j_min - m - 3)
     if grid.spacing > cell + 1e-15:
-        need = _next_pow2(math.ceil(2 * grid.half_width / cell))
-        raise ResolutionError(
-            f"collar cells at level {j_min - m - 3} are below the grid spacing; "
-            f"need at least N={need}", required_samples=need)
+        raise ResolutionError.needing(
+            f"collar cells at level {j_min - m - 3} are below the grid spacing",
+            2 * grid.half_width / cell)
     radius = mollifier_radius(j_min, m)
     min_samples = MIN_SAMPLES_PER_RADIUS if settings.strict else 1.0
     if radius < min_samples * grid.spacing:
-        need = _next_pow2(math.ceil(min_samples * 2 * grid.half_width / radius))
-        raise ResolutionError(
+        raise ResolutionError.needing(
             f"finest mollifier radius {radius} has fewer than {min_samples} "
-            f"grid samples; need at least N={need}", required_samples=need)
-
-
-def _next_pow2(n):
-    return 1 << (max(int(n), 1) - 1).bit_length()
+            f"grid samples", min_samples * 2 * grid.half_width / radius)
 
 
 def projection_input(f, cfg, grid=None, settings=None):
@@ -218,8 +212,8 @@ class ProjectionFrame:
 
     @_memo
     def outside_5u(self):
-        return _read_only(~cube_mask(
-            self.grid, [DyadicCube(0, idx) for idx in _box_indices(self.grid.dim, 2)]))
+        return _read_only(~cube_mask(self.grid, [
+            DyadicCube(0, idx) for idx in product(range(-2, 3), repeat=self.grid.dim)]))
 
     @_memo
     def theta(self, n, j):
@@ -487,7 +481,3 @@ def residual_decomposition(pin, output):
     output.diagnostics["residual_rel_err"] = err
     return comp_low, comp_mid, comp_corr
 
-
-def _box_indices(dim, radius):
-    from itertools import product as iproduct
-    return [tuple(t) for t in iproduct(range(-radius, radius + 1), repeat=dim)]

@@ -64,3 +64,28 @@ def test_bad_exponent(capsys):
     assert cli.main(["verify", "--p", "2,-1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'-1'" in err
+
+
+def test_bad_annulus(capsys):
+    assert cli.main(["verify", "--f-annulus", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--f-annulus" in err and "'1'" in err
+
+
+def test_bad_separations(capsys):
+    assert cli.main(["mod-demo", "--separations", "x"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--separations" in err and "'x'" in err
+
+
+def test_unknown_dict_spec_key(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"dict_spec": {"n_tau": 2, "n_bogus": 1, "zzz": 0}}))
+    assert cli.main(["verify", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "unknown DictionarySpec keys: n_bogus, zzz" in err
+
+
+def test_baseline_command(capsys):
+    assert cli.main(["baseline", "--grid-n", "1024", "--depth", "2"]) == 0
+    assert "sup_bound_holds: True" in capsys.readouterr().out

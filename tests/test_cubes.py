@@ -1,4 +1,5 @@
-"""Dyadic cube arithmetic, trees, coronas and off-tree coverings."""
+"""Dyadic cube arithmetic, mollified distances, trees, coronas and
+off-tree coverings."""
 
 import math
 
@@ -7,60 +8,51 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    dilated_contains,
+    rho_bisection,
+    rho_set,
+    rho_to_cube,
+    tree_config_from_dict,
+)
 from phaseproj.cubes import (
     CubeMap,
     DyadicCube,
     DyadicPartition,
     TreeConfig,
-    corona_partition,
     expand_to_tree,
-    maximal_offtree,
-    rho_point,
-    rho_set,
-    rho_to_cube,
-    tree_config_from_dict,
     tree_config_to_dict,
     unit_cube,
 )
 from phaseproj.errors import ValidationError
+from phaseproj.grid import TorusGrid, mollified_distance, rho_values
 
 
 def cube1(level, k):
     return DyadicCube(level, (k,))
 
 
-def rho_point_bisection(cube, y):
-    """Independent oracle: bisect the defining infimum inf{r>1: y in (2r-1)I}."""
+def rho_point(cube, y):
+    """The package's closed form of rho_I at the point y."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    c = np.asarray(cube.center)
-
-    def inside(r):
-        return np.all(np.abs(y - c) <= (2 * r - 1) * cube.side / 2)
-
-    lo, hi = 1.0, 2.0
-    while not inside(hi):
-        hi *= 2
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if inside(mid):
-            hi = mid
-        else:
-            lo = mid
-    return max(1.0, hi)
+    return float(mollified_distance(np.max(np.abs(y - np.asarray(cube.center))), cube.side))
 
 
 class TestRho:
+    """The closed form of rho_I (grid.mollified_distance) against a
+    bisection of its defining infimum, and the set-distance oracles."""
+
     def test_center_point(self):
         assert rho_point(unit_cube(1), 0.5) == 1.0
 
     def test_outside_point(self):
         assert rho_point(unit_cube(1), 2.0) == pytest.approx(
-            rho_point_bisection(unit_cube(1), 2.0), abs=1e-10)
+            rho_bisection(unit_cube(1), 2.0), abs=1e-10)
         assert rho_point(unit_cube(1), 2.0) == 2.0
 
     def test_2d_point(self):
         got = rho_point(unit_cube(2), (3.0, 0.5))
-        assert got == pytest.approx(rho_point_bisection(unit_cube(2), (3.0, 0.5)), abs=1e-10)
+        assert got == pytest.approx(rho_bisection(unit_cube(2), (3.0, 0.5)), abs=1e-10)
         assert got == 3.0
 
     @settings(max_examples=200, deadline=None)
@@ -71,14 +63,17 @@ class TestRho:
     )
     def test_closed_form_matches_bisection(self, level, k, y):
         cube = cube1(level, k)
-        assert rho_point(cube, y) == pytest.approx(rho_point_bisection(cube, y), abs=1e-10)
+        assert rho_point(cube, y) == pytest.approx(rho_bisection(cube, y), abs=1e-10)
 
     def test_closed_form_matches_bisection_2d(self):
+        # rho_values on the points of a 2-d grid
+        grid = TorusGrid(2, 8.0, 1 << 6)
         rng = np.random.default_rng(7)
         for _ in range(200):
             cube = DyadicCube(int(rng.integers(-3, 2)), tuple(rng.integers(-6, 6, size=2)))
-            y = rng.uniform(-10, 10, size=2)
-            assert rho_point(cube, y) == pytest.approx(rho_point_bisection(cube, y), abs=1e-10)
+            k = tuple(int(i) for i in rng.integers(grid.samples, size=2))
+            y = grid.axis_points[list(k)]
+            assert rho_values(grid, cube)[k] == pytest.approx(rho_bisection(cube, y), abs=1e-10)
 
     def test_rho_to_set_boundary(self):
         # F = {y : |y - 1/2| >= 3/2} approached through sample points
@@ -101,9 +96,10 @@ class TestRho:
 class TestCubeAlgebra:
     def test_nesting_chain(self):
         c = DyadicCube(-3, (5, -2))
-        assert c.parent().contains(c)
+        parent = c.ancestor(c.level + 1)
+        assert parent.contains(c)
         assert c.ancestor(0).contains(c)
-        assert not c.contains(c.parent())
+        assert not c.contains(parent)
 
     def test_same_level_disjoint(self):
         assert cube1(-1, 0).disjoint(cube1(-1, 1))
@@ -111,17 +107,17 @@ class TestCubeAlgebra:
 
     def test_dilated_contains(self):
         # 3*[0,1) = [-1,2)
-        assert cube1(0, 0).dilated_contains(3, cube1(0, -1))
-        assert cube1(0, 0).dilated_contains(3, cube1(0, 1))
-        assert not cube1(0, 0).dilated_contains(3, cube1(0, 2))
-        assert cube1(0, 0).dilated_contains(3, cube1(-2, -4))
-        assert not cube1(0, 0).dilated_contains(3, cube1(-2, -5))
+        assert dilated_contains(cube1(0, 0), 3, cube1(0, -1))
+        assert dilated_contains(cube1(0, 0), 3, cube1(0, 1))
+        assert not dilated_contains(cube1(0, 0), 3, cube1(0, 2))
+        assert dilated_contains(cube1(0, 0), 3, cube1(-2, -4))
+        assert not dilated_contains(cube1(0, 0), 3, cube1(-2, -5))
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=-4, max_value=0), st.integers(min_value=-10, max_value=10))
     def test_child_parent_roundtrip(self, level, k):
         c = cube1(level, k)
-        assert all(ch.parent() == c for ch in c.children())
+        assert all(ch.ancestor(level) == c for ch in c.children())
 
 
 class TestBadCubeInput:
@@ -130,11 +126,6 @@ class TestBadCubeInput:
     def test_ancestor_below_level(self):
         with pytest.raises(ValidationError, match="ancestor level"):
             cube1(-1, 0).ancestor(-2)
-
-    @pytest.mark.parametrize("r", [2, 0, -1])
-    def test_dilated_contains_bad_factor(self, r):
-        with pytest.raises(ValidationError, match="odd positive"):
-            cube1(0, 0).dilated_contains(r, cube1(0, 0))
 
     def test_forward_coarser_than_root(self):
         with pytest.raises(ValidationError, match="coarser than the root"):
@@ -196,7 +187,7 @@ class TestTreeExpansion:
             if j < 0:
                 up = tree.slice_indices(j + 1, 1)
                 for idx in e1:
-                    assert DyadicCube(j, idx).parent().index in up
+                    assert DyadicCube(j, idx).ancestor(j + 1).index in up
 
     def test_shells_disjoint_across_levels(self):
         cfg = TreeConfig(unit_cube(1), (cube1(-3, 1), cube1(-2, 2)), 0, 2.0)
@@ -209,8 +200,8 @@ class TestTreeExpansion:
         three_u = unit_cube(1)
         for j, c in shells:
             if j < 0:
-                assert three_u.dilated_contains(3, c)
-            assert three_u.dilated_contains(5, c)
+                assert dilated_contains(three_u, 3, c)
+            assert dilated_contains(three_u, 5, c)
 
     def test_equivariance_under_dilation_translation(self):
         root = DyadicCube(2, (1,))  # [4, 8)
@@ -240,20 +231,20 @@ class TestCorona:
         cfg = TreeConfig(unit_cube(1), (cube1(-2, 0),), 0, 2.0)
         tree = expand_to_tree(cfg)
         by_level = {}
-        for j, c in corona_partition(tree):
+        for j, c in tree.corona:
             by_level.setdefault(j, []).append(c)
         assert by_level[-1] == [cube1(-1, -2), cube1(-1, 2), cube1(-1, 3)]
         assert by_level[-2] == [cube1(-2, -2), cube1(-2, 2), cube1(-2, 3)]
         assert by_level[-3] == [cube1(-3, k) for k in (-2, -1, 0, 1, 2, 3)]
         assert set(by_level) == {-1, -2, -3}
         # union is [-1, 2): total measure 3
-        total = sum(c.side for _, c in corona_partition(tree))
+        total = sum(c.side for _, c in tree.corona)
         assert total == pytest.approx(3.0, abs=1e-12)
 
     def test_single_node_tree(self):
         cfg = TreeConfig(unit_cube(1), (unit_cube(1),), 0, 2.0)
         tree = expand_to_tree(cfg)
-        got = corona_partition(tree)
+        got = tree.corona
         assert [(j, c) for j, c in got] == [(-1, cube1(-1, k)) for k in (-2, -1, 0, 1, 2, 3)]
 
     @settings(max_examples=30, deadline=None)
@@ -261,13 +252,13 @@ class TestCorona:
     def test_measure_is_3_to_d(self, leaf_ks):
         leaves = tuple(cube1(-3, k) for k in sorted(leaf_ks))
         tree = expand_to_tree(TreeConfig(unit_cube(1), leaves, 0, 2.0))
-        total = sum(c.side for _, c in corona_partition(tree))
+        total = sum(c.side for _, c in tree.corona)
         assert total == pytest.approx(3.0, abs=1e-12)
 
     def test_measure_2d(self):
         leaves = (DyadicCube(-2, (0, 3)), DyadicCube(-1, (1, 0)))
         tree = expand_to_tree(TreeConfig(unit_cube(2), leaves, 0, 3.0))
-        total = sum(c.side ** 2 for _, c in corona_partition(tree))
+        total = sum(c.side ** 2 for _, c in tree.corona)
         assert total == pytest.approx(9.0, abs=1e-12)
 
 
@@ -279,9 +270,9 @@ class TestMaximalOfftree:
         seven_u = unit_cube(tree.dim)
 
         def in_family(c):
-            if not seven_u.dilated_contains(7, c):
+            if not dilated_contains(seven_u, 7, c):
                 return False
-            return not any(c.dilated_contains(3, t) for t in tree_cubes)
+            return not any(dilated_contains(c, 3, t) for t in tree_cubes)
 
         out = []
         for j in range(1, level_floor - 1, -1):
@@ -291,14 +282,14 @@ class TestMaximalOfftree:
                 lo, hi = -4, 4
             for idx in np.ndindex(*([hi - lo] * tree.dim)):
                 c = DyadicCube(j, tuple(int(i) + lo for i in idx))
-                if in_family(c) and not in_family(c.parent()):
+                if in_family(c) and not in_family(c.ancestor(j + 1)):
                     out.append(c)
         return sorted(out)
 
     def test_single_node_tree_matches_oracle(self):
         cfg = TreeConfig(unit_cube(1), (unit_cube(1),), 0, 2.0)
         tree = expand_to_tree(cfg)
-        got = maximal_offtree(tree, level_floor=-2)
+        got = tree.maximal_offtree(level_floor=-2)
         assert got == self.offtree_oracle(tree, -2)
         level0 = [c for c in got if c.level == 0]
         # level-0 members: triples miss U, parents fail the family test
@@ -309,29 +300,29 @@ class TestMaximalOfftree:
     def test_two_leaf_tree_matches_oracle(self):
         cfg = TreeConfig(unit_cube(1), (cube1(-2, 0), cube1(-1, 1)), 0, 2.0)
         tree = expand_to_tree(cfg)
-        got = maximal_offtree(tree, level_floor=-3)
+        got = tree.maximal_offtree(level_floor=-3)
         assert got == self.offtree_oracle(tree, -3)
 
     def test_2d_matches_oracle(self):
         cfg = TreeConfig(unit_cube(2), (DyadicCube(-1, (0, 0)),), 0, 3.0)
         tree = expand_to_tree(cfg)
-        got = maximal_offtree(tree, level_floor=-2)
+        got = tree.maximal_offtree(level_floor=-2)
         assert got == self.offtree_oracle(tree, -2)
 
     def test_properties(self):
         cfg = TreeConfig(unit_cube(1), (cube1(-3, 2),), 1, 2.0)
         tree = expand_to_tree(cfg)
-        fam = maximal_offtree(tree, level_floor=-4)
+        fam = tree.maximal_offtree(level_floor=-4)
         tree_cubes = [DyadicCube(j, idx) for j in tree.levels()
                       for idx in tree.slice_indices(j)]
         seven_u = unit_cube(1)
         for i, c in enumerate(fam):
             assert c.level <= 0
-            assert seven_u.dilated_contains(7, c)
-            assert not any(c.dilated_contains(3, t) for t in tree_cubes)
-            parent = c.parent()
-            parent_in = seven_u.dilated_contains(7, parent) and not any(
-                parent.dilated_contains(3, t) for t in tree_cubes)
+            assert dilated_contains(seven_u, 7, c)
+            assert not any(dilated_contains(c, 3, t) for t in tree_cubes)
+            parent = c.ancestor(c.level + 1)
+            parent_in = dilated_contains(seven_u, 7, parent) and not any(
+                dilated_contains(parent, 3, t) for t in tree_cubes)
             assert not parent_in
             for c2 in fam[i + 1:]:
                 assert c.disjoint(c2)

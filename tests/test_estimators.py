@@ -20,7 +20,6 @@ from phaseproj.estimators import (
     EstimatorContext,
     bernstein_sweep,
     enumerate_window,
-    estimate_S,
     estimate_S_multi,
     level_norms,
     offtree_eligible,
@@ -58,12 +57,12 @@ class TestSize:
     def test_zero_input(self, setup):
         pin, _, _ = setup
         zpin = projection_input(zero_field(pin.grid), pin.cfg, pin.grid)
-        assert estimate_S(zpin, 2.0, 2.0).value == 0.0
+        assert estimate_S_multi(zpin, 2.0, (2.0,))[2.0].value == 0.0
 
     def test_homogeneity(self, setup):
         pin, _, ctx = setup
         doubled = projection_input(2.0 * pin.f, pin.cfg, pin.grid)
-        est2 = estimate_S(doubled, 2.0, 2.0)
+        est2 = estimate_S_multi(doubled, 2.0, (2.0,))[2.0]
         assert est2.value == pytest.approx(2 * ctx.sizes[2.0].value, rel=1e-12)
 
     def test_mode_outside_every_band(self, setup):
@@ -73,7 +72,7 @@ class TestSize:
         x = pin.grid.axis_points
         mode = SampledField(pin.grid, np.exp(2j * np.pi * 100.0 * x))
         mpin = projection_input(mode, pin.cfg, pin.grid)
-        assert estimate_S(mpin, 2.0, 2.0).value <= 1e-12
+        assert estimate_S_multi(mpin, 2.0, (2.0,))[2.0].value <= 1e-12
 
     def test_witness_reproduces(self, setup):
         pin, _, ctx = setup
@@ -90,8 +89,8 @@ class TestSize:
 
     def test_monotone_in_dictionary(self, setup):
         pin, _, _ = setup
-        small = estimate_S(pin, 2.0, 2.0, DictionarySpec(1, 1, 0, 0, 1, 0))
-        big = estimate_S(pin, 2.0, 2.0, DictionarySpec(3, 2, 2, 2, 1, 2))
+        small = estimate_S_multi(pin, 2.0, (2.0,), DictionarySpec(1, 1, 0, 0, 1, 0))[2.0]
+        big = estimate_S_multi(pin, 2.0, (2.0,), DictionarySpec(3, 2, 2, 2, 1, 2))[2.0]
         assert big.value >= small.value - 1e-15
 
     def test_modulation_covariance(self, setup):
@@ -142,7 +141,7 @@ class TestCarleson:
         _, _, ctx = setup
         child = DyadicCube(-1, (0,))
         assert ctx.carleson_sum(child, 2.0).lhs <= ctx.carleson_sum(
-            child.parent(), 2.0).lhs + 1e-15
+            child.ancestor(0), 2.0).lhs + 1e-15
 
     def test_reduction_to_tree_cubes(self):
         # the window maximum of the ratio is attained on the tree

@@ -17,11 +17,9 @@ from phaseproj.grid import (
     cube_average,
     cube_mask,
     fd_derivative,
-    field_from_values,
-    field_to_csv,
-    indicator_field,
     inner_product,
     kernel_field_from_multiplier,
+    level_weights,
     load_field,
     modulate,
     mollified_indicator,
@@ -30,7 +28,6 @@ from phaseproj.grid import (
     rho_values,
     save_field,
     weighted_lp_norm,
-    WeightField,
     zero_field,
 )
 from phaseproj.kernels import build_mollifier
@@ -73,7 +70,7 @@ class TestConvolution:
 
     def test_mean_preservation(self, g1):
         kern = build_mollifier(g1, 0.5).field
-        const = field_from_values(g1, np.ones(g1.shape))
+        const = SampledField(g1, np.ones(g1.shape))
         out = convolve(const, kern)
         assert np.max(np.abs(out.values - 1.0)) < 1e-10
 
@@ -104,7 +101,7 @@ class TestConvolution:
 class TestSpectrum:
     def test_parseval(self, g1):
         rng = np.random.default_rng(0)
-        a = field_from_values(g1, rng.normal(size=g1.shape) + 1j * rng.normal(size=g1.shape))
+        a = SampledField(g1, rng.normal(size=g1.shape) + 1j * rng.normal(size=g1.shape))
         space = weighted_lp_norm(a, None, 2.0)
         spec = physical_spectrum(a)
         freq = math.sqrt(float(np.sum(np.abs(spec) ** 2)) / (2 * g1.half_width))
@@ -122,8 +119,8 @@ class TestSpectrum:
         # cached fft(); it must be the transform of the output's values
         grid = request.getfixturevalue(grid_name)
         rng = np.random.default_rng(1)
-        a = field_from_values(grid, rng.normal(size=grid.shape)
-                              + 1j * rng.normal(size=grid.shape))
+        a = SampledField(grid, rng.normal(size=grid.shape)
+                         + 1j * rng.normal(size=grid.shape))
         outputs = [
             apply_multiplier(a, np.exp(-grid.freq_radius ** 2)),
             convolve(a, smooth_bump(grid)),
@@ -157,7 +154,7 @@ class TestDerivative:
             assert np.max(np.abs(out.values - expected)) < tol
 
     def test_constant_derivative_is_zero(self, g2):
-        const = field_from_values(g2, np.ones(g2.shape))
+        const = SampledField(g2, np.ones(g2.shape))
         out = partial_derivative(const, 1, 3)
         assert np.max(np.abs(out.values)) < 1e-12
 
@@ -174,7 +171,7 @@ class TestDerivative:
         mult = np.where((np.abs(xi) > 0.5) & (np.abs(xi) < 2.0), 1.0, 0.0)
         rng = np.random.default_rng(1)
         a = apply_multiplier(
-            field_from_values(g1, rng.normal(size=g1.shape)), mult)
+            SampledField(g1, rng.normal(size=g1.shape)), mult)
         d = partial_derivative(a, 0, 2)
         inv = np.zeros_like(xi, dtype=np.complex128)
         nz = mult > 0
@@ -191,21 +188,21 @@ class TestDerivative:
 
 class TestNorms:
     def test_indicator_l1(self, g1):
-        u = indicator_field(g1, [unit_cube(1)])
+        u = SampledField(g1, cube_mask(g1, [unit_cube(1)]))
         assert weighted_lp_norm(u, None, 1.0) == pytest.approx(1.0, abs=1e-12)
         assert weighted_lp_norm(u, None, math.inf) == 1.0
 
     def test_weighted_indicator(self, g1):
-        u = indicator_field(g1, [unit_cube(1)])
-        w = WeightField(g1, unit_cube(1), 2.0)
+        u = SampledField(g1, cube_mask(g1, [unit_cube(1)]))
+        w = rho_values(g1, unit_cube(1)) ** -2.0
         assert weighted_lp_norm(u, w, 1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_weight_range(self, g2):
-        w = WeightField(g2, DyadicCube(-1, (0, 1)), 3.0)
-        assert np.all(w.values > 0)
-        assert np.all(w.values <= 1.0)
+        w = level_weights(g2, -1, 3.0)(DyadicCube(-1, (0, 1)))
+        assert np.all(w > 0)
+        assert np.all(w <= 1.0)
         rho = rho_values(g2, DyadicCube(-1, (0, 1)))
-        assert np.all((w.values == 1.0) == (rho == 1.0))
+        assert np.all((w == 1.0) == (rho == 1.0))
 
     def test_scaling_homogeneity(self, g1):
         a = smooth_bump(g1)
@@ -266,14 +263,14 @@ class TestCondExpectation:
     def test_measurable_fixed_point(self, g1):
         cells = (DyadicCube(-1, (0,)), DyadicCube(-1, (1,)))
         part = DyadicPartition(unit_cube(1), cells)
-        f = indicator_field(g1, [DyadicCube(-1, (0,))])
+        f = SampledField(g1, cube_mask(g1, [DyadicCube(-1, (0,))]))
         g = cond_expectation(f, part)
         assert np.max(np.abs(g.values - f.values)) < 1e-14
 
     def test_grid_mean(self, g1):
         part = DyadicPartition(unit_cube(1), (unit_cube(1),))
         x = np.where((g1.axis_points >= 0) & (g1.axis_points < 1), g1.axis_points, 0.0)
-        f = field_from_values(g1, x)
+        f = SampledField(g1, x)
         g = cond_expectation(f, part)
         inside = cube_mask(g1, [unit_cube(1)])
         expected = np.mean(f.values[inside])
@@ -284,7 +281,7 @@ class TestCondExpectation:
         rng = np.random.default_rng(5)
         cells = (DyadicCube(-2, (0,)), DyadicCube(-2, (1,)), DyadicCube(-1, (1,)))
         part = DyadicPartition(unit_cube(1), cells)
-        f = field_from_values(g1, rng.normal(size=g1.shape))
+        f = SampledField(g1, rng.normal(size=g1.shape))
         g = cond_expectation(f, part)
         for level in range(0, -4, -1):
             for k in range(0, 2 ** (-level)):
@@ -317,7 +314,7 @@ class TestModulate:
 class TestIO:
     def test_round_trip(self, tmp_path, g2):
         rng = np.random.default_rng(2)
-        a = field_from_values(g2, rng.normal(size=g2.shape) + 1j * rng.normal(size=g2.shape))
+        a = SampledField(g2, rng.normal(size=g2.shape) + 1j * rng.normal(size=g2.shape))
         path = tmp_path / "f.bin"
         save_field(a, path)
         b = load_field(path)
@@ -331,13 +328,6 @@ class TestIO:
         path.write_bytes(data[:-16])
         with pytest.raises(ValidationError, match=r"65520 bytes, expected 65536"):
             load_field(path)
-
-    def test_csv(self, tmp_path, g1):
-        a = smooth_bump(g1)
-        path = tmp_path / "f.csv"
-        field_to_csv(a, path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == g1.samples + 1
 
     def test_inner_product_self(self, g1):
         a = smooth_bump(g1)

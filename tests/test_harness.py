@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import warnings
 import weakref
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import is_real
 from phaseproj import estimators, harness, projection
 from phaseproj.cubes import DyadicCube, unit_cube
 from phaseproj.errors import ValidationError
@@ -88,12 +90,12 @@ class TestGenerators:
         spec = np.abs(physical_spectrum(scaled))
         idx = np.argmax(spec)
         assert abs(grid.axis_freqs[idx]) == pytest.approx(4 * 8 / 16.0, abs=1e-12)
-        assert base.is_real(1e-12) and scaled.is_real(1e-12)
+        assert is_real(base) and is_real(scaled)
 
     def test_field_real(self):
         grid = TorusGrid(1, 8.0, 1 << 12)
         f = random_bandpass_field(grid, 5, (1.0, 4.0), 6)
-        assert f.is_real(1e-12)
+        assert is_real(f)
 
 
 class TestRun:
@@ -113,6 +115,21 @@ class TestRun:
                            gap_m=3, alpha=2.0)
         record = run(config)
         assert record["error"]["stage"] == "projection"
+
+    def test_bad_grid_size_recorded_at_grid_stage(self):
+        record = run(RunConfig.from_dict({"grid_n": "abc"}))
+        error = record["error"]
+        assert error["stage"] == "grid" and error["type"] == "ValidationError"
+        assert "'abc'" in error["message"]
+
+    def test_persisted_run_closes_its_files(self, tmp_path):
+        config = RunConfig(dim=1, grid_n=1 << 13, leaves=((-1, 0),), gap_m=0,
+                           alpha=2.0, window_depth=1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            record = run(config, out_dir=str(tmp_path / "out"))
+        assert "error" not in record
+        assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
     def test_bug_propagates(self, tmp_path, monkeypatch):
         # only package errors become failure rows; a bug is not recorded

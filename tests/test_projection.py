@@ -11,7 +11,6 @@ from phaseproj.grid import (
     SampledField,
     TorusGrid,
     cube_mask,
-    field_from_values,
     weighted_lp_norm,
     zero_field,
 )
@@ -214,7 +213,7 @@ class TestAssembly:
         grid = TorusGrid(1, 8.0, 1 << 14)
         cfg = TreeConfig(unit_cube(1), (unit_cube(1),), 0, 2.0)
         x = grid.axis_points
-        f = field_from_values(grid, np.cos(2 * np.pi * x * (1.0 / 16.0)))
+        f = SampledField(grid, np.cos(2 * np.pi * x * (1.0 / 16.0)))
         pin = projection_input(f, cfg, grid)
         out = assemble(pin)
         comp_low, comp_mid, comp_corr = residual_decomposition(pin, out)
