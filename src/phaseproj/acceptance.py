@@ -2,22 +2,22 @@
 
 The acceptance suite pins its regression quantities here so that the
 command-line `freeze-baselines` and the tests exercise identical code:
-one reference verification config, the reference m-sweep, the size
-comparison draws and the modulation demo.
+one reference verification config, the reference m-sweep with its
+table of headline ratios, the size comparison draws and the modulation demo.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field as dc_field
 from math import inf
 
 import numpy as np
 
-from .estimators import ConstantTable
 from .harness import (
     RunConfig,
-    headline_rows,
     modulation_demo,
+    parse_p,
     reference_sweep_configs,
     run,
     spq_checks,
@@ -53,6 +53,52 @@ def carleson_decay_score(report_dict):
     return score
 
 
+@dataclass
+class ConstantTable:
+    """Headline ratios across a sweep, one row per (inequality, p, seed, m),
+    grouped for uniformity metrics."""
+
+    COLUMNS = ("inequality", "p", "seed", "m", "ratio")
+
+    rows: list = dc_field(default_factory=list)
+
+    def uniformity(self):
+        """max/min of the ratio over m, per (inequality, p, seed)."""
+        groups = {}
+        for row in self.rows:
+            key = (row["inequality"], row["p"], row["seed"])
+            groups.setdefault(key, []).append(row["ratio"])
+        out = []
+        for key in sorted(groups):
+            ratios = [r for r in groups[key] if r > 0]
+            if not ratios:
+                continue
+            out.append({
+                "inequality": key[0], "p": key[1], "seed": key[2],
+                "max_ratio": max(ratios), "min_ratio": min(ratios),
+                "uniformity": max(ratios) / min(ratios),
+            })
+        return out
+
+    def max_ratio(self, inequality):
+        vals = [r["ratio"] for r in self.rows
+                if r["inequality"] == inequality and np.isfinite(r["ratio"])]
+        return max(vals) if vals else 0.0
+
+    def csv_rows(self):
+        return ([row[c] for c in self.COLUMNS] for row in self.rows)
+
+
+def headline_rows(record, seed, m):
+    """Sweep rows (inequality, p, seed, m, ratio) from a finished record."""
+    rows = []
+    for key, entry in record["report_summary"].items():
+        ineq, p_part = key.split(":p=")
+        rows.append({"inequality": ineq, "p": parse_p(p_part), "seed": seed,
+                     "m": m, "ratio": entry["max_ratio"] if entry["finite"] else inf})
+    return rows
+
+
 def run_sweep_artifacts(configs=None):
     """Execute the reference sweep, collecting headline rows, finiteness
     flags and per-scale decay scores."""
@@ -66,8 +112,7 @@ def run_sweep_artifacts(configs=None):
         if "error" in record:
             failures.append((config, record["error"]))
             continue
-        for row in headline_rows(record, config.tree_seed, config.gap_m):
-            table.add(row["inequality"], row["p"], row["seed"], row["m"], row["ratio"])
+        table.rows.extend(headline_rows(record, config.tree_seed, config.gap_m))
         for rep in record["reports"]:
             if "skipped" in rep["context"]:
                 continue

@@ -20,6 +20,7 @@ from .harness import (
     run,
     save_baselines,
     spq_checks,
+    write_csv,
 )
 
 
@@ -108,7 +109,8 @@ def _cmd_sweep(args):
         print(f"{ineq} p={p}: worst uniformity across m = {value:.3f}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        art["table"].to_csv(os.path.join(args.out, "sweep.csv"))
+        write_csv(os.path.join(args.out, "sweep.csv"), art["table"].COLUMNS,
+                  art["table"].csv_rows())
         print(f"rows in {args.out}/sweep.csv")
     return 1 if art["failures"] else 0
 

@@ -7,7 +7,6 @@ shifts, never with floats.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -49,9 +48,6 @@ class DyadicCube:
     def center(self):
         return tuple((k + 0.5) * self.side for k in self.index)
 
-    def lower(self):
-        return tuple(k * self.side for k in self.index)
-
     def ancestor(self, level):
         """The unique cube at `level` >= self.level containing this cube."""
         if level < self.level:
@@ -83,36 +79,14 @@ def unit_cube(dim):
 
 
 # ---------------------------------------------------------------------------
-# Tree configuration and normalization.
-
-@dataclass(frozen=True)
-class CubeMap:
-    """Dyadic dilation/translation taking the working frame to the
-    normalized frame (root at level 0, index 0)."""
-
-    level_shift: int            # original root level i0
-    origin_index: tuple         # original root index
-
-    def forward(self, cube):
-        if cube.level > self.level_shift:
-            raise ValidationError("cube coarser than the root cannot be normalized")
-        s = self.level_shift - cube.level
-        idx = tuple(k - (k0 << s) for k, k0 in zip(cube.index, self.origin_index))
-        return DyadicCube(cube.level - self.level_shift, idx)
-
-    def backward(self, cube):
-        if cube.level > 0:
-            raise ValidationError("normalized cube coarser than the unit root")
-        s = -cube.level
-        idx = tuple(k + (k0 << s) for k, k0 in zip(cube.index, self.origin_index))
-        return DyadicCube(cube.level + self.level_shift, idx)
-
+# Tree configuration.
 
 @dataclass(frozen=True)
 class TreeConfig:
-    """Root cube U, disjoint leaves M inside it, frequency gap m, exponent alpha."""
+    """Disjoint leaves M inside the root U = [0,1)^d, frequency gap m,
+    exponent alpha.  Scaling makes the unit cube the root without loss
+    of generality."""
 
-    root: DyadicCube
     leaves: tuple
     gap_m: int
     alpha: float
@@ -122,7 +96,7 @@ class TreeConfig:
         object.__setattr__(self, "leaves", leaves)
         if not leaves:
             raise ValidationError("leaf collection M must be non-empty")
-        d = self.root.dim
+        d = self.dim
         for leaf in leaves:
             if leaf.dim != d:
                 raise ValidationError("leaf dimension differs from root dimension")
@@ -139,95 +113,66 @@ class TreeConfig:
 
     @property
     def dim(self):
-        return self.root.dim
+        return self.leaves[0].dim
+
+    @property
+    def root(self):
+        return unit_cube(self.dim)
 
     @property
     def j_min(self):
         return min(leaf.level for leaf in self.leaves)
-
-    @property
-    def normalized(self):
-        return self.root == unit_cube(self.dim)
-
-    def normalize(self):
-        """Return (normalized config, cube map original->normalized)."""
-        cmap = CubeMap(self.root.level, self.root.index)
-        if self.normalized:
-            return self, cmap
-        leaves = tuple(cmap.forward(leaf) for leaf in self.leaves)
-        cfg = TreeConfig(unit_cube(self.dim), leaves, self.gap_m, self.alpha)
-        return cfg, cmap
 
 
 # ---------------------------------------------------------------------------
 # Tree expansion: ancestors of the leaves, level slices, rings and shells.
 
 class TreeIndex:
-    """Level-sliced view of the stopping-time tree generated by a leaf set.
-
-    Index sets live in the normalized frame; cube-returning accessors map
-    back to the original frame through the stored CubeMap.
-    """
+    """Level-sliced view of the stopping-time tree generated by a leaf set."""
 
     def __init__(self, cfg):
-        cfg_n, cmap = cfg.normalize()
         self.cfg = cfg
-        self.cfg_normalized = cfg_n
-        self.cube_map = cmap
-        self.dim = cfg_n.dim
-        self._shift = cmap.level_shift
+        self.dim = cfg.dim
         self.j_min = cfg.j_min
-        t0 = {j: set() for j in range(cfg_n.j_min, 1)}
-        for leaf in cfg_n.leaves:
+        t0 = {j: set() for j in range(cfg.j_min, 1)}
+        for leaf in cfg.leaves:
             for j in range(leaf.level, 1):
                 t0[j].add(leaf.ancestor(j).index)
         self._t0 = {j: frozenset(v) for j, v in t0.items()}
         self._rings = {}
 
-    # Public accessors speak the original frame; index sets are kept in
-    # the normalized frame internally.
-
     def levels(self):
-        return list(range(self.j_min, self._shift + 1))
+        return list(range(self.j_min, 1))
 
     def slice_indices(self, j, k=0):
-        """Normalized index set of T_j^k (j in the original frame)."""
-        return self._slice_norm(j - self._shift, k)
-
-    def _slice_norm(self, jn, k=0):
-        if jn < self.cfg_normalized.j_min or jn > 0:
+        """Index set of T_j^k: the level-j tree cubes dilated k cells."""
+        if j < self.j_min or j > 0:
             return frozenset()
         if k == 0:
-            return self._t0[jn]
-        key = (jn, k)
+            return self._t0[j]
+        key = (j, k)
         if key not in self._rings:
-            base = np.array(sorted(self._t0[jn]), dtype=np.int64)
+            base = np.array(sorted(self._t0[j]), dtype=np.int64)
             offs = np.array(list(product(range(-k, k + 1), repeat=self.dim)), dtype=np.int64)
             dil = (base[:, None, :] + offs[None, :, :]).reshape(-1, self.dim)
             self._rings[key] = frozenset(map(tuple, np.unique(dil, axis=0).tolist()))
         return self._rings[key]
 
-    # -- cube accessors (original frame) -----------------------------------
-
-    def _to_original(self, j, indices):
-        jn = j - self._shift
-        return sorted(self.cube_map.backward(DyadicCube(jn, idx)) for idx in indices)
+    # -- cube accessors --------------------------------------------------------
 
     def cubes(self, j, k=0):
-        return self._to_original(j, self.slice_indices(j, k))
+        return sorted(DyadicCube(j, idx) for idx in self.slice_indices(j, k))
 
     def shell_cubes(self, j, k):
         """The cubes of the shell B_j^k = T_j^{k+1} minus T_j^k."""
-        return self._to_original(j, self.slice_indices(j, k + 1) - self.slice_indices(j, k))
+        return sorted(DyadicCube(j, idx)
+                      for idx in self.slice_indices(j, k + 1) - self.slice_indices(j, k))
 
-    # -- membership (original-frame cubes) ----------------------------------
+    # -- membership ------------------------------------------------------------
 
     def member(self, cube):
         """cube lies in the tree T = M_U."""
-        jn = cube.level - self._shift
-        if jn < self.cfg_normalized.j_min or jn > 0:
-            return False
-        return self.cube_map.forward(cube).index in self._t0[jn]
+        return cube.index in self.slice_indices(cube.level)
 
     def contains_tree_element(self, cube):
         """Some tree cube is a subset of `cube`."""
@@ -246,10 +191,10 @@ class TreeIndex:
         not inside E_j^1.  Verified to tile E_0^1 exactly.
         """
         out = []
-        for j in range(-1, self.cfg_normalized.j_min - 2, -1):
-            inner = self._slice_norm(j, 1)
+        for j in range(-1, self.j_min - 2, -1):
+            inner = self.slice_indices(j, 1)
             pieces = []
-            for idx in sorted(self._slice_norm(j + 1, 1)):
+            for idx in sorted(self.slice_indices(j + 1, 1)):
                 for child in DyadicCube(j + 1, idx).children():
                     if child.index not in inner:
                         pieces.append(child)
@@ -257,8 +202,7 @@ class TreeIndex:
             if not inner:
                 break
         self._verify_corona(out)
-        return [(j + self._shift, self.cube_map.backward(c)) for j, c in out]
-
+        return out
     def _verify_corona(self, members):
         if not members:
             raise InternalConsistencyError("corona family is empty")
@@ -273,7 +217,7 @@ class TreeIndex:
             by_level.setdefault(j, set()).add(c.index)
         lvls = sorted(by_level)
         for j, c in members:
-            if c.ancestor(0).index not in self._slice_norm(0, 1):
+            if c.ancestor(0).index not in self.slice_indices(0, 1):
                 raise InternalConsistencyError("corona cube escapes E_0^1")
             for j2 in lvls:
                 if j2 <= j:
@@ -287,11 +231,10 @@ class TreeIndex:
         """Maximal dyadic K inside 7U whose triple contains no tree cube.
 
         The full family is an infinite Whitney-type covering; enumeration
-        stops at `level_floor`.  Returned in the original frame.
+        stops at `level_floor`.
         """
-        level_floor -= self._shift
-        tree_cubes = [DyadicCube(jn, idx) for jn in range(self.cfg_normalized.j_min, 1)
-                      for idx in self._slice_norm(jn)]
+        tree_cubes = [DyadicCube(j, idx) for j in self.levels()
+                      for idx in self.slice_indices(j)]
         prev_family = None  # family mask at level j+1
         prev_lo = None
         out = []
@@ -343,7 +286,7 @@ class TreeIndex:
                     if not parent_in_family:
                         out.append(DyadicCube(j, idx))
             prev_family, prev_lo = family, lo
-        return sorted(self.cube_map.backward(c) for c in out)
+        return sorted(out)
 
 
 def expand_to_tree(cfg):
@@ -399,20 +342,13 @@ def tree_config_to_dict(cfg):
     }
 
 
-def tree_index_to_csv(tree, path, level_floor):
-    """Emit the expanded tree as rows (tag, level, index) for inspection."""
-    rows = []
+def tree_index_rows(tree, level_floor):
+    """The expanded tree as rows (tag, level, index "k1;k2;...") for
+    inspection, off-tree cubes down to `level_floor`."""
+    tagged = []
     for j in tree.levels():
-        for c in tree.cubes(j):
-            rows.append(("T", c.level, c.index))
-        for c in tree.shell_cubes(j, 1):
-            rows.append(("B1", c.level, c.index))
-    for j, c in tree.corona:
-        rows.append(("corona", c.level, c.index))
-    for c in tree.maximal_offtree(level_floor):
-        rows.append(("offtree", c.level, c.index))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["tag", "level", "index"])
-        for tag, level, index in rows:
-            w.writerow([tag, level, ";".join(str(k) for k in index)])
+        tagged += [("T", c) for c in tree.cubes(j)]
+        tagged += [("B1", c) for c in tree.shell_cubes(j, 1)]
+    tagged += [("corona", c) for _, c in tree.corona]
+    tagged += [("offtree", c) for c in tree.maximal_offtree(level_floor)]
+    return [(tag, c.level, ";".join(map(str, c.index))) for tag, c in tagged]

@@ -42,7 +42,6 @@ ancestry with integer shifts.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 import threading
@@ -59,20 +58,15 @@ from .errors import InternalConsistencyError, ResolutionError
 from .grid import (
     apply_multiplier,
     level_weights,
+    lp_norm,
     lp_norms,
     mollified_distance,
-    weighted_lp_norm,
 )
 from .kernels import DictionarySpec, build_dictionary
 
 
 def _inv(p):
     return 0.0 if p == inf else 1.0 / p
-
-
-def _conj_inv(p):
-    """1/p' for the conjugate exponent."""
-    return 1.0 - _inv(p)
 
 
 _POOL = None                 # (executor, worker count), made on first use
@@ -332,7 +326,7 @@ class EstimatorContext:
             for cube, best in self._level_maxima(fg, i, "phi", self.tree.cubes(i)):
                 for p in self.p_values:
                     terms[p][(i, cube.index)] = (
-                        2.0 ** (i * self.d * _conj_inv(p)) * best[p])
+                        2.0 ** (i * self.d * (1.0 - _inv(p))) * best[p])  # |I|^(1/p')
         return {p: dict(sorted(t.items())) for p, t in terms.items()}
 
     def carleson_sum(self, J, p):
@@ -430,7 +424,7 @@ class EstimatorContext:
     # -- norm side ----------------------------------------------------------------
 
     def norm_report(self, p):
-        lhs = weighted_lp_norm(self.output.g, None, p)
+        lhs = lp_norm(self.output.g, p)
         rhs = self.sizes[p].value
         context = {"m": self.m}
         if rhs == 0.0 and lhs > 0.0:
@@ -560,48 +554,3 @@ def bernstein_sweep(pin, alpha, dict_spec, m_range, draws):
                 inequality="bernstein", lhs=worst, rhs_without_constant=1.0,
                 ratio=worst, p=inf, context=dict(worst_ctx or {}, m=m_val)))
     return reports
-
-
-# ---------------------------------------------------------------------------
-# Sweeps and the constant table.
-
-@dataclass
-class ConstantTable:
-    """Headline ratios across a sweep, grouped for uniformity metrics."""
-
-    rows: list = dc_field(default_factory=list)
-
-    def add(self, inequality, p, seed, m, ratio):
-        self.rows.append({"inequality": inequality, "p": p, "seed": seed,
-                          "m": m, "ratio": ratio})
-
-    def uniformity(self):
-        """max/min of the ratio over m, per (inequality, p, seed)."""
-        groups = {}
-        for row in self.rows:
-            key = (row["inequality"], row["p"], row["seed"])
-            groups.setdefault(key, []).append(row["ratio"])
-        out = []
-        for key in sorted(groups):
-            ratios = [r for r in groups[key] if r > 0]
-            if not ratios:
-                continue
-            out.append({
-                "inequality": key[0], "p": key[1], "seed": key[2],
-                "max_ratio": max(ratios), "min_ratio": min(ratios),
-                "uniformity": max(ratios) / min(ratios),
-            })
-        return out
-
-    def max_ratio(self, inequality):
-        vals = [r["ratio"] for r in self.rows
-                if r["inequality"] == inequality and np.isfinite(r["ratio"])]
-        return max(vals) if vals else 0.0
-
-    def to_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.DictWriter(fh, fieldnames=["inequality", "p", "seed", "m", "ratio"])
-            w.writeheader()
-            for row in self.rows:
-                w.writerow({**row, "p": "inf" if row["p"] == inf else row["p"],
-                            "ratio": repr(row["ratio"])})

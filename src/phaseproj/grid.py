@@ -21,12 +21,19 @@ import numpy as np
 from .errors import ResolutionError, ValidationError
 
 _MAGIC = b"PPRJ"
+_HEADER = struct.Struct("<4sBBId?")   # magic, version, dim, N, B, complex
 
 
+@dataclass(frozen=True)
 class TorusGrid:
     """Uniform periodic grid on [-half_width, half_width)^d."""
 
-    def __init__(self, dim, half_width=8.0, samples=4096):
+    dim: int
+    half_width: float = 8.0
+    samples: int = 4096
+
+    def __post_init__(self):
+        samples, half_width = self.samples, self.half_width
         if (not isinstance(samples, numbers.Integral) or samples <= 0
                 or samples & (samples - 1) != 0):
             raise ValidationError(
@@ -35,9 +42,9 @@ class TorusGrid:
             # 7U plus a quarter-domain decay buffer on each side needs B >= 8
             raise ValidationError(
                 f"half_width must be >= 8 to hold 7U with buffer, not {half_width!r}")
-        self.dim = int(dim)
-        self.half_width = float(half_width)
-        self.samples = int(samples)
+        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "half_width", float(half_width))
+        object.__setattr__(self, "samples", int(samples))
 
     @property
     def spacing(self):
@@ -54,17 +61,6 @@ class TorusGrid:
     @property
     def nyquist(self):
         return self.samples / (4.0 * self.half_width)
-
-    def __eq__(self, other):
-        return (isinstance(other, TorusGrid)
-                and (self.dim, self.half_width, self.samples)
-                == (other.dim, other.half_width, other.samples))
-
-    def __hash__(self):
-        return hash((self.dim, self.half_width, self.samples))
-
-    def __repr__(self):
-        return f"TorusGrid(dim={self.dim}, half_width={self.half_width}, samples={self.samples})"
 
     @cached_property
     def axis_points(self):
@@ -85,19 +81,19 @@ class TorusGrid:
     def freq_component(self, axis):
         return self.on_axis(self.axis_freqs, axis)
 
-    @cached_property
-    def freq_radius(self):
+    def _radius(self, component):
         out = np.zeros(self.shape)
         for ax in range(self.dim):
-            out = out + self.freq_component(ax) ** 2
+            out = out + component(ax) ** 2
         return np.sqrt(out)
 
     @cached_property
+    def freq_radius(self):
+        return self._radius(self.freq_component)
+
+    @cached_property
     def space_radius(self):
-        out = np.zeros(self.shape)
-        for ax in range(self.dim):
-            out = out + self.point_component(ax) ** 2
-        return np.sqrt(out)
+        return self._radius(self.point_component)
 
     def index_of(self, position):
         """Exact grid index of a position that lies on the grid."""
@@ -115,8 +111,8 @@ class TorusGrid:
                 f"cube at level {cube.level} is below the grid spacing",
                 required_samples=int(2 * self.half_width / cube.side))
         out = []
-        for lo in cube.lower():
-            start = self.index_of(lo)
+        for k in cube.index:
+            start = self.index_of(k * cube.side)
             out.append(slice(start, start + int(round(cells))))
         return tuple(out)
 
@@ -141,8 +137,7 @@ class SampledField:
     def fft(self):
         """Raw forward DFT of the values (cached, fftfreq ordering)."""
         if self._fft is None:
-            self._fft = np.fft.fftn(self.values)
-            self._fft.flags.writeable = False
+            self.with_fft(np.fft.fftn(self.values))
         return self._fft
 
     def with_fft(self, fft_values):
@@ -376,9 +371,9 @@ def lp_norms(mag, h_d, p_values, weight=None, out=None):
     return {p: norms[p] for p in p_values}
 
 
-def weighted_lp_norm(a, weight=None, p=2.0):
-    """(h^d sum |w a|^p)^(1/p), or the grid max for p = inf."""
-    return lp_norms(np.abs(a.values), a.grid.spacing ** a.grid.dim, (p,), weight)[p]
+def lp_norm(a, p=2.0):
+    """(h^d sum |a|^p)^(1/p), or the grid max for p = inf."""
+    return lp_norms(np.abs(a.values), a.grid.spacing ** a.grid.dim, (p,))[p]
 
 
 # ---------------------------------------------------------------------------
@@ -429,16 +424,8 @@ def mollified_indicator(grid, e_cubes, j, m, kappa):
     """
     if not e_cubes:
         return zero_field(grid)
-    fine = j - m - 3
-    if grid.spacing > 2.0 ** fine + 1e-15:
-        need = int(2 * grid.half_width / 2.0 ** fine)
-        raise ResolutionError(
-            f"grid spacing {grid.spacing} cannot resolve level-{fine} collar cells; "
-            f"need at least N={need}", required_samples=need)
-    mask = collar_mask(grid, e_cubes, fine)
-    ind = SampledField(grid, mask.astype(np.complex128))
-    k_field = kappa.field if hasattr(kappa, "field") else kappa
-    return convolve(ind, k_field)
+    mask = collar_mask(grid, e_cubes, j - m - 3)
+    return convolve(SampledField(grid, mask.astype(np.complex128)), kappa.field)
 
 
 # ---------------------------------------------------------------------------
@@ -464,18 +451,16 @@ def cube_average(f, cube):
 # Serialization: flat binary fields.
 
 def save_field(a, path):
-    header = struct.pack("<4sBBId?", _MAGIC, 1, a.grid.dim, a.grid.samples,
-                         a.grid.half_width, True)
+    header = _HEADER.pack(_MAGIC, 1, a.grid.dim, a.grid.samples,
+                          a.grid.half_width, True)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(a.values, dtype="<c16").tobytes())
 
 
 def load_field(path):
-    head_size = struct.calcsize("<4sBBId?")
     with open(path, "rb") as fh:
-        magic, version, dim, samples, half_width, _ = struct.unpack(
-            "<4sBBId?", fh.read(head_size))
+        magic, version, dim, samples, half_width, _ = _HEADER.unpack(fh.read(_HEADER.size))
         if magic != _MAGIC or version != 1:
             raise ValidationError(f"not a phaseproj field file: {path}")
         grid = TorusGrid(dim, half_width, samples)

@@ -12,6 +12,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import os
 import time
 from dataclasses import asdict, dataclass, field as dc_field, fields, replace
@@ -25,7 +26,7 @@ from .cubes import (
     DyadicPartition,
     TreeConfig,
     tree_config_to_dict,
-    tree_index_to_csv,
+    tree_index_rows,
     unit_cube,
 )
 from .errors import PhaseprojError, ValidationError
@@ -37,11 +38,11 @@ from .grid import (
     cube_average,
     inner_product,
     load_field,
+    lp_norm,
     modulate,
     physical_spectrum,
     plane_wave,
     save_field,
-    weighted_lp_norm,
 )
 from .kernels import DictionarySpec
 from .projection import (
@@ -107,18 +108,15 @@ class RunConfig:
 
     @staticmethod
     def from_dict(data):
-        data = _known_fields(RunConfig, data)
-        if data.get("leaves"):
-            data["leaves"] = tuple(tuple(x) for x in data["leaves"])
-        if data.get("f_modes"):
-            data["f_modes"] = tuple(tuple(x) for x in data["f_modes"])
-        if data.get("f_annulus"):
-            data["f_annulus"] = tuple(data["f_annulus"])
+        data = _checked_fields(RunConfig, data)
+        for key in ("leaves", "f_modes", "f_annulus"):
+            if data.get(key):
+                data[key] = tuple(tuple(x) if isinstance(x, list) else x for x in data[key])
         if data.get("p_values"):
             data["p_values"] = tuple(parse_p(p) for p in data["p_values"])
         if data.get("dict_spec"):
-            data["dict_spec"] = DictionarySpec(**_known_fields(DictionarySpec,
-                                                               data["dict_spec"]))
+            data["dict_spec"] = DictionarySpec(**_checked_fields(DictionarySpec,
+                                                                 data["dict_spec"]))
         return RunConfig(**data)
 
     def config_hash(self):
@@ -126,11 +124,43 @@ class RunConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _known_fields(cls, data):
-    """A copy of `data`, whose keys must all be fields of `cls`."""
-    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+def _is_number(v, kind=numbers.Real):
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
+def _is_list(v, item=None, length=None):
+    return (isinstance(v, (list, tuple)) and length in (None, len(v))
+            and (item is None or all(map(item, v))))
+
+
+# The JSON values accepted for each field annotation, and for the
+# sequences of RunConfig
+_TYPES = {"int": lambda v: _is_number(v, numbers.Integral), "float": _is_number,
+          "bool": lambda v: isinstance(v, bool), "str": lambda v: isinstance(v, str),
+          "None": lambda v: v is None, "tuple": _is_list,
+          "DictionarySpec": lambda v: isinstance(v, dict)}
+_ITEMS = {
+    "leaves": lambda v: _is_list(v, lambda leaf: _is_list(leaf, _TYPES["int"]) and len(leaf) > 1),
+    "f_modes": lambda v: _is_list(v, lambda mode: _is_list(mode, length=3) and (
+        _is_number(mode[0]) or _is_list(mode[0], _is_number)) and _is_list(mode[1:], _is_number)),
+    "f_annulus": lambda v: _is_list(v, _is_number, 2),
+}
+
+
+def _checked_fields(cls, data):
+    """A copy of `data`, whose keys must all be fields of `cls` and whose
+    values must be JSON values of the field's type.  Nothing is coerced,
+    so an accepted config hashes as written."""
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = sorted(set(data) - set(types))
     if unknown:
         raise ValidationError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
+    for key, value in data.items():
+        items = _ITEMS.get(key) if value is not None else None
+        if (not any(_TYPES[t](value) for t in types[key].split(" | "))
+                or items and not items(value)):
+            raise ValidationError(
+                f"{cls.__name__} key {key!r} takes {types[key]}, not {value!r}")
     return dict(data)
 
 
@@ -176,8 +206,7 @@ def generate_tree(seed, depth, leaf_count, dim, gap_m=0, alpha=None):
         cells.extend(target.children())
     chosen = rng.choice(len(cells), size=leaf_count, replace=False)
     leaves = tuple(sorted(cells[int(i)] for i in chosen))
-    return TreeConfig(unit_cube(dim), leaves, gap_m,
-                      alpha if alpha is not None else dim + 1.0)
+    return TreeConfig(leaves, gap_m, alpha if alpha is not None else dim + 1.0)
 
 
 def random_bandpass_modes(grid, seed, annulus=(2.0, 16.0), n_modes=8):
@@ -254,7 +283,9 @@ def build_tree_config(config):
     if config.leaves:
         leaves = tuple(DyadicCube(int(leaf[0]), tuple(int(x) for x in leaf[1:]))
                        for leaf in config.leaves)
-        return TreeConfig(unit_cube(config.dim), leaves, config.gap_m, config.alpha)
+        if any(leaf.dim != config.dim for leaf in leaves):
+            raise ValidationError(f"every leaf needs dim = {config.dim} index entries")
+        return TreeConfig(leaves, config.gap_m, config.alpha)
     return generate_tree(config.tree_seed, config.tree_depth, config.leaf_count,
                          config.dim, config.gap_m, config.alpha)
 
@@ -305,23 +336,19 @@ def run(config, out_dir=None):
         record["report_summary"] = _summarize(reports)
         stage = "write"
         if out_dir:
-            _persist(record, timings, config, output, pin, out_dir)
+            _persist(record, timings, config, out_dir, ctx)
         return record
     except PhaseprojError as exc:
         record["error"] = {"stage": stage, "message": str(exc),
                            "type": type(exc).__name__}
         if out_dir:
-            _persist(record, timings, config, None, None, out_dir)
+            _persist(record, timings, config, out_dir)
         return record
 
 
 def _diagnostics_dict(diag):
-    out = {}
-    for key, value in diag.items():
-        if key == "levels":
-            out["levels"] = {f"n={n},j={j}": v for (n, j), v in sorted(value.items())}
-        else:
-            out[key] = value
+    out = dict(diag)
+    out["levels"] = {f"n={n},j={j}": v for (n, j), v in sorted(diag["levels"].items())}
     return out
 
 
@@ -342,52 +369,46 @@ def _summarize(reports):
     return {f"{ineq}:p={p}": val for (ineq, p), val in sorted(summary.items())}
 
 
-def headline_rows(record, seed, m):
-    """Sweep rows (inequality, p, seed, m, ratio) from a finished record."""
-    rows = []
-    for key, entry in record["report_summary"].items():
-        ineq, p_part = key.split(":p=")
-        rows.append({"inequality": ineq, "p": parse_p(p_part), "seed": seed,
-                     "m": m, "ratio": entry["max_ratio"] if entry["finite"] else inf})
-    return rows
+def write_csv(path, header, rows):
+    """A CSV file of a header and rows; floats are written as repr."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
-def _persist(record, timings, config, output, pin, out_dir):
+def _persist(record, timings, config, out_dir, ctx=None):
+    """Write a run's files; the fields and tree.csv only with the
+    estimator context `ctx` of a finished run."""
     os.makedirs(out_dir, exist_ok=True)
     fields_dir = os.path.join(out_dir, "fields")
     os.makedirs(fields_dir, exist_ok=True)
     manifest = []
-    if output is not None:
-        for name, field in (("g", output.g), ("chi", output.chi), ("f", pin.f)):
+    if ctx is not None:
+        for name, field in (("g", ctx.output.g), ("chi", ctx.output.chi), ("f", ctx.pin.f)):
             path = os.path.join(fields_dir, f"{name}.bin")
             save_field(field, path)
             with open(path, "rb") as fh:
                 digest = hashlib.sha256(fh.read()).hexdigest()
             manifest.append(f"{name}.bin sha256={digest}")
-        tree_index_to_csv(pin.tree, os.path.join(out_dir, "tree.csv"),
-                          level_floor=-(config.window_depth or config.tree_depth) - 2)
+        # off-tree cubes down to the floor of the evaluated window
+        write_csv(os.path.join(out_dir, "tree.csv"), ("tag", "level", "index"),
+                  tree_index_rows(ctx.tree, -(ctx.depth + 2)))
     for name, data in (("report.json", record), ("config.echo", config.to_dict())):
         with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
             json.dump(data, fh, sort_keys=True, indent=2)
             fh.write("\n")
-    _write_perscale(record, os.path.join(out_dir, "perscale.csv"))
+    write_csv(os.path.join(out_dir, "perscale.csv"),
+              ("inequality", "p", "J", "i", "term", "cumulative"),
+              ([rep["inequality"], rep["p"], rep["context"].get("J", ""), row["i"],
+                row["term"], row["cumulative"]]
+               for rep in record.get("reports", []) for row in rep.get("per_scale", [])))
     with open(os.path.join(out_dir, "manifest.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(manifest) + "\n")
     with open(os.path.join(out_dir, "timings.txt"), "w", encoding="utf-8") as fh:
         for key, value in timings.items():
             fh.write(f"{key} {value:.3f}s\n")
         fh.write(f"workers {norm_workers()}\n")
-
-
-def _write_perscale(record, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["inequality", "p", "J", "i", "term", "cumulative"])
-        for rep in record.get("reports", []):
-            for row in rep.get("per_scale", []):
-                w.writerow([rep["inequality"], rep["p"],
-                            rep["context"].get("J", ""), row["i"],
-                            repr(row["term"]), repr(row["cumulative"])])
 
 
 def spq_checks(config, p=2.0, q=inf, n_draws=100, seed=0):
@@ -461,12 +482,12 @@ def modulation_demo(config, separations=None, second_tree_seed=None):
         return modulate(out.g, [eta] + [0.0] * (config.dim - 1))
 
     base = project(separations[0], cfg)
-    base_norm = weighted_lp_norm(base, None, 2.0)
+    base_norm = lp_norm(base, 2.0)
     base_spec = np.abs(physical_spectrum(base))
     table = []
     for eta in separations:
         other = project(eta, second_cfg)
-        other_norm = weighted_lp_norm(other, None, 2.0)
+        other_norm = lp_norm(other, 2.0)
         pairing = abs(inner_product(base, other)) / (base_norm * other_norm)
         # magnitude overlap of the spectra: a rigorous phase-free upper
         # bound for the pairing, so small overlap certifies near-orthogonality
@@ -521,17 +542,13 @@ def baseline_demo(dim=1, seed=0, depth=3, grid_n=1 << 12, f_seed=7,
         "cells": len(partition.cells),
     }
     if smooth_compare and dim == 1:
-        cfg = TreeConfig(unit_cube(dim), partition.cells, 0, dim + 1.0)
+        cfg = TreeConfig(partition.cells, 0, dim + 1.0)
         pin = projection_input(f, cfg, grid, ProjectionSettings(strict=False))
         smooth = assemble(pin).g
         if csv_path:
-            with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-                w = csv.writer(fh)
-                w.writerow(["x", "f", "g_dyadic", "g_smooth"])
-                for x, fv, gd, gs in zip(grid.axis_points, f.values.real,
-                                         g.values.real, smooth.values.real):
-                    w.writerow([repr(float(x)), repr(float(fv)),
-                                repr(float(gd)), repr(float(gs))])
+            write_csv(csv_path, ("x", "f", "g_dyadic", "g_smooth"),
+                      zip(grid.axis_points, f.values.real, g.values.real,
+                          smooth.values.real))
         result["smooth_sup"] = smooth.max_abs()
     return result
 

@@ -11,7 +11,7 @@ levels and completed by a low-pass term, these pieces compose g.
 Exact discrete identities (checked on every build):
   * G_{n,j} = 1_{E_j^1} (theta*f) + sigma_{n,j} with
     sigma_{n,j} = (chi_j - 1_{E_j^1})(theta*f),
-  * g equals the telescoping route h + sum_n k_n,
+  * g equals the telescoping route h + correction sum,
   * f - g splits into low-pass, off-set annulus and correction parts.
 Smoothness-dependent diagnostics (enforced in strict mode): the Leibniz
 cross-check of each spectral derivative, the vanishing of g outside 5U,
@@ -147,10 +147,6 @@ def projection_input(f, cfg, grid=None, settings=None):
     grid = grid or f.grid
     if f.grid != grid:
         raise ValidationError("f does not live on the stated grid")
-    if not cfg.normalized:
-        raise ValidationError(
-            "projection requires the normalized frame (root = unit cube at 0); "
-            "use TreeConfig.normalize() and map f accordingly")
     settings = settings or ProjectionSettings()
     resolution_check(cfg, grid, settings)
     tree = expand_to_tree(cfg)
@@ -311,9 +307,7 @@ class ProjectionBuilder:
         return (fr.chi_s(j) - fr.e_indicator(j)) * self.theta_f(n, j)
 
     def big_g(self, n, j):
-        """Smooth product chi_j (theta*f); identical to the masked route."""
-        if j < self.j_min or j > 0:
-            return zero_field(self.grid)
+        """Smooth product chi_j (theta*f), checked against the masked route."""
         tf = self.theta_f(n, j)
         chi = self.frame.chi_s(j)
         smooth = chi * tf
@@ -386,6 +380,17 @@ class ProjectionBuilder:
                                                g_piece=piece)
         return piece
 
+    @_memo
+    def correction(self):
+        """Sum over (n, j) of g_piece - psi_cone*f 1_{E_j^1}: the last term
+        of the telescoping route and the correction part of f - g."""
+        corr = zero_field(self.grid)
+        for n in range(self.dim):
+            for j in range(self.j_min, 1):
+                corr = corr + (self.g_piece(n, j)
+                               - self.psi_cone_f(n, j) * self.frame.e_indicator(j))
+        return corr
+
     # -- assembly -------------------------------------------------------------
 
     def assemble(self):
@@ -400,16 +405,12 @@ class ProjectionBuilder:
                 g = g + piece
                 pieces[(n, j)] = self.bundles[(n, j)] if self.settings.keep_pieces else piece
 
-        # telescoping route: h = tau*f chi + sum_j psi_j*f 1_{E_j^1}, then
-        # each axis's k_n = sum_j (g_piece - psi_cone*f 1_{E_j^1})
+        # telescoping route: h = tau*f chi + sum_j psi_j*f 1_{E_j^1}, plus
+        # the correction sum
         two_route = tau_f * chi
         for j in range(self.j_min, 1):
             two_route = two_route + self.psi_f(j) * fr.e_indicator(j)
-        for n in range(self.dim):
-            k_n = zero_field(self.grid)
-            for j in range(self.j_min, 1):
-                k_n = k_n + (self.g_piece(n, j) - self.psi_cone_f(n, j) * fr.e_indicator(j))
-            two_route = two_route + k_n
+        two_route = two_route + self.correction()
         scale = max(g.max_abs(), 1e-300)
         route_err = float(np.max(np.abs(g.values - two_route.values)) / scale)
         if route_err > 1e-10:
@@ -447,12 +448,7 @@ class ProjectionBuilder:
             else:
                 comp_mid = comp_mid + apply_multiplier(
                     self.pin.f, psi_multiplier(self.grid, j - self.m), False)
-        comp_corr = zero_field(self.grid)
-        for n in range(self.dim):
-            for j in range(self.j_min, 1):
-                comp_corr = comp_corr + (
-                    self.g_piece(n, j) - self.psi_cone_f(n, j) * fr.e_indicator(j))
-        return comp_low, comp_mid, comp_corr
+        return comp_low, comp_mid, self.correction()
 
 
 # ---------------------------------------------------------------------------

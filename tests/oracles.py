@@ -79,10 +79,10 @@ def dilated_contains(cube, r, other):
 
 def tree_config_from_dict(data):
     """Inverse of cubes.tree_config_to_dict."""
-    root = DyadicCube(data["root"]["level"], tuple(data["root"]["index"]))
     leaves = tuple(DyadicCube(c["level"], tuple(c["index"])) for c in data["leaves"])
-    cfg = TreeConfig(root, leaves, int(data["m"]), float(data["alpha"]))
+    cfg = TreeConfig(leaves, int(data["m"]), float(data["alpha"]))
     assert cfg.dim == int(data["dimension"])
+    assert cfg.root == DyadicCube(data["root"]["level"], tuple(data["root"]["index"]))
     return cfg
 
 

@@ -52,6 +52,14 @@ def test_unknown_config_key(tmp_path, capsys):
     assert err.startswith("error:") and "grdi_n" in err
 
 
+def test_bad_config_value(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"alpha": "abc"}))
+    assert cli.main(["verify", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'alpha'" in err and "'abc'" in err
+
+
 def test_any_positive_exponent(capsys, monkeypatch):
     monkeypatch.setattr(cli, "run", lambda config, out_dir=None: {
         "config_hash": config.config_hash()})

@@ -16,7 +16,6 @@ from oracles import (
     tree_config_from_dict,
 )
 from phaseproj.cubes import (
-    CubeMap,
     DyadicCube,
     DyadicPartition,
     TreeConfig,
@@ -127,18 +126,10 @@ class TestBadCubeInput:
         with pytest.raises(ValidationError, match="ancestor level"):
             cube1(-1, 0).ancestor(-2)
 
-    def test_forward_coarser_than_root(self):
-        with pytest.raises(ValidationError, match="coarser than the root"):
-            CubeMap(-1, (3,)).forward(cube1(0, 0))
-
-    def test_backward_coarser_than_unit_root(self):
-        with pytest.raises(ValidationError, match="coarser than the unit root"):
-            CubeMap(-1, (3,)).backward(cube1(1, 0))
-
 
 class TestTreeExpansion:
     def test_two_leaf_tree(self):
-        cfg = TreeConfig(unit_cube(1), (cube1(-2, 0), cube1(-2, 2)), 0, 2.0)
+        cfg = TreeConfig((cube1(-2, 0), cube1(-2, 2)), 0, 2.0)
         tree = expand_to_tree(cfg)
         got = sorted(c for j in tree.levels() for c in tree.cubes(j))
         expected = sorted([
@@ -148,13 +139,13 @@ class TestTreeExpansion:
         assert len(got) == 5
 
     def test_ring_and_shell(self):
-        cfg = TreeConfig(unit_cube(1), (cube1(-2, 0),), 0, 2.0)
+        cfg = TreeConfig((cube1(-2, 0),), 0, 2.0)
         tree = expand_to_tree(cfg)
         assert tree.cubes(-2, 1) == [cube1(-2, -1), cube1(-2, 0), cube1(-2, 1)]
         assert tree.shell_cubes(-2, 1) == [cube1(-2, -2), cube1(-2, 2)]
 
     def test_single_node_tree(self):
-        cfg = TreeConfig(unit_cube(1), (unit_cube(1),), 0, 2.0)
+        cfg = TreeConfig((unit_cube(1),), 0, 2.0)
         tree = expand_to_tree(cfg)
         assert tree.cubes(0) == [unit_cube(1)]
         # E_0^1 = 3U
@@ -165,7 +156,7 @@ class TestTreeExpansion:
         rng = np.random.default_rng(3)
         for _ in range(5):
             leaves = sorted({cube1(-2, int(k)) for k in rng.choice(4, size=2, replace=False)})
-            cfg = TreeConfig(unit_cube(1), tuple(leaves), 0, 2.0)
+            cfg = TreeConfig(tuple(leaves), 0, 2.0)
             tree = expand_to_tree(cfg)
             for j in tree.levels():
                 base = tree.cubes(j)
@@ -178,7 +169,7 @@ class TestTreeExpansion:
                         assert (idx in got) == expect
 
     def test_nesting_invariants(self):
-        cfg = TreeConfig(unit_cube(2), (DyadicCube(-2, (0, 1)), DyadicCube(-1, (1, 1))), 1, 3.0)
+        cfg = TreeConfig((DyadicCube(-2, (0, 1)), DyadicCube(-1, (1, 1))), 1, 3.0)
         tree = expand_to_tree(cfg)
         for j in tree.levels():
             e1 = tree.slice_indices(j, 1)
@@ -190,7 +181,7 @@ class TestTreeExpansion:
                     assert DyadicCube(j, idx).ancestor(j + 1).index in up
 
     def test_shells_disjoint_across_levels(self):
-        cfg = TreeConfig(unit_cube(1), (cube1(-3, 1), cube1(-2, 2)), 0, 2.0)
+        cfg = TreeConfig((cube1(-3, 1), cube1(-2, 2)), 0, 2.0)
         tree = expand_to_tree(cfg)
         shells = [(j, c) for j in tree.levels() for c in tree.shell_cubes(j, 1)]
         for i, (j1, c1) in enumerate(shells):
@@ -203,32 +194,27 @@ class TestTreeExpansion:
                 assert dilated_contains(three_u, 3, c)
             assert dilated_contains(three_u, 5, c)
 
-    def test_equivariance_under_dilation_translation(self):
-        root = DyadicCube(2, (1,))  # [4, 8)
-        leaves = (DyadicCube(0, (5,)),)  # [5, 6)
-        cfg = TreeConfig(root, leaves, 0, 2.0)
-        tree = expand_to_tree(cfg)
-        ncfg, cmap = cfg.normalize()
-        ntree = expand_to_tree(ncfg)
-        for j_orig, j_norm in [(2, 0), (1, -1), (0, -2)]:
-            got = tree.cubes(j_orig, 1)
-            mapped = [cmap.backward(c) for c in ntree.cubes(j_norm, 1)]
-            assert got == sorted(mapped)
-
     def test_validation(self):
         with pytest.raises(ValidationError):
-            TreeConfig(unit_cube(1), (), 0, 2.0)
+            TreeConfig((), 0, 2.0)
         with pytest.raises(ValidationError):
-            TreeConfig(unit_cube(1), (cube1(0, 1),), 0, 2.0)  # outside root
+            TreeConfig((cube1(0, 1),), 0, 2.0)  # outside root
         with pytest.raises(ValidationError):
-            TreeConfig(unit_cube(1), (cube1(-1, 0), cube1(-2, 1)), 0, 2.0)  # overlap
+            TreeConfig((cube1(-1, 0), cube1(-2, 1)), 0, 2.0)  # overlap
         with pytest.raises(ValidationError):
-            TreeConfig(unit_cube(1), (cube1(-1, 0),), 0, 0.5)  # alpha <= d
+            TreeConfig((cube1(-1, 0),), 0, 0.5)  # alpha <= d
+        # the root is always the unit cube: a tree below another root fails
+        with pytest.raises(ValidationError, match="not contained in the root"):
+            TreeConfig((DyadicCube(0, (5,)),), 0, 2.0)  # [5, 6), under root [4, 8)
+        with pytest.raises(ValidationError, match="not contained in the root"):
+            TreeConfig((cube1(1, 0),), 0, 2.0)  # coarser than the unit root
+        with pytest.raises(ValidationError, match="differs from root dimension"):
+            TreeConfig((cube1(-1, 0), DyadicCube(-1, (1, 1))), 0, 2.0)
 
 
 class TestCorona:
     def test_single_leaf_example(self):
-        cfg = TreeConfig(unit_cube(1), (cube1(-2, 0),), 0, 2.0)
+        cfg = TreeConfig((cube1(-2, 0),), 0, 2.0)
         tree = expand_to_tree(cfg)
         by_level = {}
         for j, c in tree.corona:
@@ -242,7 +228,7 @@ class TestCorona:
         assert total == pytest.approx(3.0, abs=1e-12)
 
     def test_single_node_tree(self):
-        cfg = TreeConfig(unit_cube(1), (unit_cube(1),), 0, 2.0)
+        cfg = TreeConfig((unit_cube(1),), 0, 2.0)
         tree = expand_to_tree(cfg)
         got = tree.corona
         assert [(j, c) for j, c in got] == [(-1, cube1(-1, k)) for k in (-2, -1, 0, 1, 2, 3)]
@@ -251,13 +237,13 @@ class TestCorona:
     @given(st.sets(st.integers(min_value=0, max_value=7), min_size=1, max_size=4))
     def test_measure_is_3_to_d(self, leaf_ks):
         leaves = tuple(cube1(-3, k) for k in sorted(leaf_ks))
-        tree = expand_to_tree(TreeConfig(unit_cube(1), leaves, 0, 2.0))
+        tree = expand_to_tree(TreeConfig(leaves, 0, 2.0))
         total = sum(c.side for _, c in tree.corona)
         assert total == pytest.approx(3.0, abs=1e-12)
 
     def test_measure_2d(self):
         leaves = (DyadicCube(-2, (0, 3)), DyadicCube(-1, (1, 0)))
-        tree = expand_to_tree(TreeConfig(unit_cube(2), leaves, 0, 3.0))
+        tree = expand_to_tree(TreeConfig(leaves, 0, 3.0))
         total = sum(c.side ** 2 for _, c in tree.corona)
         assert total == pytest.approx(9.0, abs=1e-12)
 
@@ -287,7 +273,7 @@ class TestMaximalOfftree:
         return sorted(out)
 
     def test_single_node_tree_matches_oracle(self):
-        cfg = TreeConfig(unit_cube(1), (unit_cube(1),), 0, 2.0)
+        cfg = TreeConfig((unit_cube(1),), 0, 2.0)
         tree = expand_to_tree(cfg)
         got = tree.maximal_offtree(level_floor=-2)
         assert got == self.offtree_oracle(tree, -2)
@@ -298,19 +284,19 @@ class TestMaximalOfftree:
             assert rho_set(c, [unit_cube(1)]) >= 2.0
 
     def test_two_leaf_tree_matches_oracle(self):
-        cfg = TreeConfig(unit_cube(1), (cube1(-2, 0), cube1(-1, 1)), 0, 2.0)
+        cfg = TreeConfig((cube1(-2, 0), cube1(-1, 1)), 0, 2.0)
         tree = expand_to_tree(cfg)
         got = tree.maximal_offtree(level_floor=-3)
         assert got == self.offtree_oracle(tree, -3)
 
     def test_2d_matches_oracle(self):
-        cfg = TreeConfig(unit_cube(2), (DyadicCube(-1, (0, 0)),), 0, 3.0)
+        cfg = TreeConfig((DyadicCube(-1, (0, 0)),), 0, 3.0)
         tree = expand_to_tree(cfg)
         got = tree.maximal_offtree(level_floor=-2)
         assert got == self.offtree_oracle(tree, -2)
 
     def test_properties(self):
-        cfg = TreeConfig(unit_cube(1), (cube1(-3, 2),), 1, 2.0)
+        cfg = TreeConfig((cube1(-3, 2),), 1, 2.0)
         tree = expand_to_tree(cfg)
         fam = tree.maximal_offtree(level_floor=-4)
         tree_cubes = [DyadicCube(j, idx) for j in tree.levels()
@@ -344,5 +330,5 @@ class TestPartition:
 
 class TestSerialization:
     def test_round_trip(self):
-        cfg = TreeConfig(unit_cube(2), (DyadicCube(-2, (1, 2)),), 1, 3.5)
+        cfg = TreeConfig((DyadicCube(-2, (1, 2)),), 1, 3.5)
         assert tree_config_from_dict(tree_config_to_dict(cfg)) == cfg

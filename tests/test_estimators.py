@@ -12,11 +12,10 @@ import numpy as np
 import pytest
 
 from phaseproj import estimators
-from phaseproj.acceptance import REFERENCE_CONFIG
+from phaseproj.acceptance import REFERENCE_CONFIG, ConstantTable
 from phaseproj.cubes import DyadicCube, TreeConfig, unit_cube
 from phaseproj.errors import InternalConsistencyError, ValidationError
 from phaseproj.estimators import (
-    ConstantTable,
     EstimatorContext,
     bernstein_sweep,
     enumerate_window,
@@ -37,7 +36,7 @@ from phaseproj.grid import (
     rho_values,
     zero_field,
 )
-from phaseproj.harness import random_bandpass_field, run
+from phaseproj.harness import random_bandpass_field, run, write_csv
 from phaseproj.kernels import DictionarySpec, build_dictionary
 from phaseproj.projection import ProjectionSettings, assemble, projection_input
 
@@ -45,7 +44,7 @@ from phaseproj.projection import ProjectionSettings, assemble, projection_input
 @pytest.fixture(scope="module")
 def setup():
     grid = TorusGrid(1, 8.0, 1 << 13)
-    cfg = TreeConfig(unit_cube(1), (DyadicCube(-1, (0,)),), 0, 2.0)
+    cfg = TreeConfig((DyadicCube(-1, (0,)),), 0, 2.0)
     f = random_bandpass_field(grid, seed=21, annulus=(1.0, 3.0), n_modes=6)
     pin = projection_input(f, cfg, grid)
     out = assemble(pin)
@@ -101,8 +100,8 @@ class TestSize:
         from phaseproj.grid import (
             apply_multiplier,
             kernel_field_from_multiplier,
+            lp_norms,
             rho_values,
-            weighted_lp_norm,
         )
         from phaseproj.kernels import build_dictionary
         eta = 2.0
@@ -116,8 +115,9 @@ class TestSize:
                 kernel_field_from_multiplier(pin.grid, kernel.multiplier), eta)
             from phaseproj.grid import field_multiplier
             resp_mod = apply_multiplier(f_mod, field_multiplier(shifted))
-            a = weighted_lp_norm(resp, w, 2.0)
-            b = weighted_lp_norm(resp_mod, w, 2.0)
+            h = pin.grid.spacing
+            a = lp_norms(np.abs(resp.values), h, (2.0,), w)[2.0]
+            b = lp_norms(np.abs(resp_mod.values), h, (2.0,), w)[2.0]
             assert b == pytest.approx(a, rel=1e-10)
 
 
@@ -151,7 +151,7 @@ class TestCarleson:
             leaves = sorted({DyadicCube(-2, (int(k),))
                              for k in rng.choice(4, size=int(rng.integers(1, 3)),
                                                  replace=False)})
-            cfg = TreeConfig(unit_cube(1), tuple(leaves), 0, 2.0)
+            cfg = TreeConfig(tuple(leaves), 0, 2.0)
             f = random_bandpass_field(grid, seed=100 + trial, annulus=(1.0, 3.0),
                                       n_modes=5)
             pin = projection_input(f, cfg, grid, ProjectionSettings(strict=False))
@@ -259,15 +259,25 @@ class TestComparisons:
 
 class TestSweepTable:
     def test_uniformity_grouping(self):
-        table = ConstantTable()
-        table.add("norm", 2.0, 0, 0, 1.0)
-        table.add("norm", 2.0, 0, 1, 2.0)
-        table.add("norm", 2.0, 1, 0, 4.0)
-        table.add("norm", 2.0, 1, 1, 4.0)
+        table = ConstantTable([
+            {"inequality": "norm", "p": 2.0, "seed": seed, "m": m, "ratio": ratio}
+            for seed, m, ratio in ((0, 0, 1.0), (0, 1, 2.0), (1, 0, 4.0), (1, 1, 4.0))])
         rows = table.uniformity()
         by_seed = {r["seed"]: r["uniformity"] for r in rows}
         assert by_seed[0] == 2.0
         assert by_seed[1] == 1.0
+
+    def test_csv_bytes(self, tmp_path):
+        # the sweep.csv route of `phaseproj sweep`: exponent and ratio
+        # floats, with p = inf and an infinite ratio written "inf"
+        table = ConstantTable([
+            {"inequality": ineq, "p": p, "seed": seed, "m": m, "ratio": ratio}
+            for ineq, p, seed, m, ratio in (("norm", inf, 0, 0, 1.5),
+                                            ("carleson", 2.0, 1, 2, 0.1),
+                                            ("offtree", 1.0, 3, 1, inf))])
+        write_csv(tmp_path / "sweep.csv", table.COLUMNS, table.csv_rows())
+        assert hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest() == (
+            "ac03960bd27db863832766565e7efcb09848dddd3868adbc6412303624d7e37e")
 
     def test_determinism(self, setup):
         pin, out, _ = setup
@@ -285,12 +295,17 @@ class TestSweepTable:
 # SHA-256 of report.json for REFERENCE_CONFIG, frozen from the direct
 # full-grid evaluation; the table primitives must leave every float as it was.
 REFERENCE_REPORT_SHA256 = "a2d5b078892c0f381e1351712f9010966b547c74d205fcf741accf020cb3f83e"
+# SHA-256 of the CSV files written beside it by the same run
+REFERENCE_CSV_SHA256 = {
+    "tree.csv": "16bd0394428166521dd2c41c6f5d145fbb5d3eb6645705b8e1dc28ff54452f11",
+    "perscale.csv": "f6d29599e5590f938159d5a62fb282d78647ba81153508c8ee06722c4e96170d",
+}
 
 
 @pytest.fixture(scope="module")
 def deep():
     grid = TorusGrid(1, 8.0, 1 << 12)
-    cfg = TreeConfig(unit_cube(1), (DyadicCube(-2, (1,)), DyadicCube(-1, (1,))), 0, 2.0)
+    cfg = TreeConfig((DyadicCube(-2, (1,)), DyadicCube(-1, (1,))), 0, 2.0)
     f = random_bandpass_field(grid, seed=7, annulus=(1.0, 3.0), n_modes=5)
     pin = projection_input(f, cfg, grid, ProjectionSettings(strict=False))
     return EstimatorContext(pin, assemble(pin), window_depth=2)
@@ -354,6 +369,8 @@ class TestTableOracles:
         assert "error" not in record
         digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
         assert digest == REFERENCE_REPORT_SHA256
+        for name, expected in REFERENCE_CSV_SHA256.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == expected
 
     def test_reference_report_bytes_one_worker(self, tmp_path, pool):
         pool(1)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from oracles import is_real
 from phaseproj import estimators, harness, projection
+from phaseproj.acceptance import headline_rows
 from phaseproj.cubes import DyadicCube, unit_cube
 from phaseproj.errors import ValidationError
 from phaseproj.grid import TorusGrid
@@ -26,7 +27,6 @@ from phaseproj.harness import (
     field_from_modes,
     generate_partition,
     generate_tree,
-    headline_rows,
     load_baselines,
     modulation_demo,
     parse_p,
@@ -117,7 +117,7 @@ class TestRun:
         assert record["error"]["stage"] == "projection"
 
     def test_bad_grid_size_recorded_at_grid_stage(self):
-        record = run(RunConfig.from_dict({"grid_n": "abc"}))
+        record = run(RunConfig(grid_n="abc"))
         error = record["error"]
         assert error["stage"] == "grid" and error["type"] == "ValidationError"
         assert "'abc'" in error["message"]
@@ -192,6 +192,21 @@ class TestRun:
         timings = (out / "timings.txt").read_text().splitlines()
         assert f"workers {estimators.norm_workers()}" in timings
 
+    @pytest.mark.parametrize("window_depth", [None, 0])
+    def test_tree_csv_floor_is_the_window_floor(self, tmp_path, window_depth):
+        # leaves deeper than tree_depth, and window depth 0: tree.csv lists
+        # off-tree cubes down to the finest level of the evaluated window
+        config = RunConfig(dim=1, grid_n=1 << 14, leaves=((-2, 1),),
+                           window_depth=window_depth)
+        record = run(config, out_dir=str(tmp_path))
+        assert "error" not in record
+        window_floor = min(int(rep["context"]["J"].split(":")[0])
+                           for rep in record["reports"] if "J" in rep["context"])
+        assert window_floor == (-4 if window_depth is None else -2)
+        rows = (tmp_path / "tree.csv").read_text().splitlines()[1:]
+        assert min(int(row.split(",")[1]) for row in rows
+                   if row.startswith("offtree,")) == window_floor
+
     def test_headline_rows(self):
         config = RunConfig(dim=1, grid_n=1 << 13, tree_seed=5, tree_depth=1,
                            leaf_count=1, f_seed=2, gap_m=0, alpha=2.0,
@@ -234,6 +249,36 @@ class TestConfig:
         with pytest.raises(ValidationError, match="unknown RunConfig keys: grdi_n, zzz"):
             RunConfig.from_dict(data)
 
+    @pytest.mark.parametrize("data,key,value", [
+        ({"dim": "x"}, "dim", "x"),
+        ({"alpha": "abc"}, "alpha", "abc"),
+        ({"tree_seed": 1.5}, "tree_seed", 1.5),
+        ({"tree_depth": "2"}, "tree_depth", "2"),
+        ({"f_mode_count": "a"}, "f_mode_count", "a"),
+        ({"window_depth": "a"}, "window_depth", "a"),
+        ({"strict": "no"}, "strict", "no"),
+        ({"grid_n": "abc"}, "grid_n", "abc"),
+        ({"leaves": [[-1, "a"]]}, "leaves", [[-1, "a"]]),
+        ({"f_modes": [[3.0, 0.5]]}, "f_modes", [[3.0, 0.5]]),
+        ({"f_annulus": [1.0, 2.0, 3.0]}, "f_annulus", [1.0, 2.0, 3.0]),
+        ({"dict_spec": {"n_tau": "3"}}, "n_tau", "3"),
+    ])
+    def test_bad_value_named(self, data, key, value):
+        # values are checked against the field type, not coerced
+        with pytest.raises(ValidationError, match=re.escape(f"{key!r} takes")) as err:
+            RunConfig.from_dict(data)
+        assert repr(value) in str(err.value)
+
+    def test_json_numbers_kept_as_written(self):
+        config = RunConfig.from_dict({"alpha": 3, "grid_b": 8})
+        assert config.alpha == 3 and isinstance(config.alpha, int)
+        assert config.config_hash() == RunConfig(alpha=3, grid_b=8).config_hash()
+
+    def test_leaf_dimension_checked_against_dim(self):
+        record = run(RunConfig(dim=2, grid_n=1 << 8, leaves=((-1, 0),)))
+        assert record["error"]["stage"] == "tree"
+        assert record["error"]["type"] == "ValidationError"
+
     def test_explicit_leaves(self):
         config = RunConfig(dim=1, leaves=((-2, 1), (-1, 1)))
         cfg = build_tree_config(config)
@@ -270,6 +315,13 @@ class TestBaselineDemo:
                                csv_path=str(path), smooth_compare=True)
         assert path.exists()
         assert "smooth_sup" in result
+
+    def test_smooth_compare_csv_bytes(self, tmp_path):
+        path = tmp_path / "baseline.csv"
+        baseline_demo(dim=1, seed=0, depth=3, grid_n=1 << 12, csv_path=str(path),
+                      smooth_compare=True)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "39abcd175e44e8ec525b0c1351321962fa1d00195dd7dd04165b34a4b25a2b7c")
 
 
 class TestModulationDemo:

@@ -13,7 +13,7 @@ from phaseproj.grid import (
     SampledField,
     TorusGrid,
     apply_multiplier,
-    weighted_lp_norm,
+    lp_norm,
 )
 from phaseproj.kernels import (
     BumpProfile,
@@ -363,7 +363,7 @@ class TestDictionary:
         assert small_ids <= {k.kernel_id for k in big}
 
         def surrogate(dictionary):
-            return max(weighted_lp_norm(apply_multiplier(f, k.multiplier), None, 2.0)
+            return max(lp_norm(apply_multiplier(f, k.multiplier), 2.0)
                        for k in dictionary)
 
         assert surrogate(big) >= surrogate(small) - 1e-12

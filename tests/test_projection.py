@@ -11,7 +11,6 @@ from phaseproj.grid import (
     SampledField,
     TorusGrid,
     cube_mask,
-    weighted_lp_norm,
     zero_field,
 )
 from phaseproj import projection
@@ -51,7 +50,7 @@ def bandpass_field(grid, seed=0, n_modes=8, lo=2.0, hi=16.0):
 @pytest.fixture(scope="module")
 def setup_1d():
     grid = TorusGrid(1, 8.0, 1 << 14)
-    cfg = TreeConfig(unit_cube(1), (DyadicCube(-1, (0,)),), 0, 2.0)
+    cfg = TreeConfig((DyadicCube(-1, (0,)),), 0, 2.0)
     f = bandpass_field(grid, seed=1)
     pin = projection_input(f, cfg, grid)
     return pin
@@ -65,21 +64,21 @@ def output_1d(setup_1d):
 class TestResolutionPolicy:
     def test_refusal_below_strict_tier(self):
         grid = TorusGrid(1, 8.0, 1 << 10)
-        cfg = TreeConfig(unit_cube(1), (DyadicCube(-2, (0,)),), 2, 2.0)
+        cfg = TreeConfig((DyadicCube(-2, (0,)),), 2, 2.0)
         with pytest.raises(ResolutionError) as err:
             resolution_check(cfg, grid, ProjectionSettings())
         assert err.value.required_samples is not None
 
     def test_relaxed_tier_allows_more(self):
         grid = TorusGrid(1, 8.0, 1 << 10)
-        cfg = TreeConfig(unit_cube(1), (DyadicCube(-2, (0,)),), 0, 2.0)
+        cfg = TreeConfig((DyadicCube(-2, (0,)),), 0, 2.0)
         with pytest.raises(ResolutionError):
             resolution_check(cfg, grid, ProjectionSettings(strict=True))
         resolution_check(cfg, grid, ProjectionSettings(strict=False))
 
     def test_boundary_at_half_n(self):
         # refusal triggers exactly when the strict sample requirement fails
-        cfg = TreeConfig(unit_cube(1), (DyadicCube(-1, (0,)),), 0, 2.0)
+        cfg = TreeConfig((DyadicCube(-1, (0,)),), 0, 2.0)
         settings = ProjectionSettings()
         radius = 0.75 * 2.0 ** (-4)
         for n_exp in (10, 16):
@@ -90,12 +89,6 @@ class TestResolutionPolicy:
             else:
                 with pytest.raises(ResolutionError):
                     resolution_check(cfg, grid, settings)
-
-    def test_requires_normalized(self):
-        grid = TorusGrid(1, 8.0, 1 << 12)
-        cfg = TreeConfig(DyadicCube(1, (0,)), (DyadicCube(-1, (0,)),), 0, 2.0)
-        with pytest.raises(ValidationError):
-            projection_input(zero_field(grid), cfg, grid)
 
 
 class TestPieces:
@@ -200,6 +193,12 @@ class TestAssembly:
         n, j = next(iter(out.pieces))
         assert out._builder.g_piece(n, j) is out.pieces[(n, j)].g_piece
 
+    def test_one_correction_sum(self, setup_1d):
+        # the telescoping route of assemble and the residual split add up
+        # the correction once, in one field
+        builder = assemble(setup_1d)._builder
+        assert builder.residual_parts()[2] is builder.correction()
+
     def test_residual_zero_f(self, setup_1d):
         pin = projection_input(zero_field(setup_1d.grid), setup_1d.cfg, setup_1d.grid)
         out = assemble(pin)
@@ -211,7 +210,7 @@ class TestAssembly:
         # M = {U} with low-pass f: annulus terms vanish inside 3U, the
         # residual concentrates outside
         grid = TorusGrid(1, 8.0, 1 << 14)
-        cfg = TreeConfig(unit_cube(1), (unit_cube(1),), 0, 2.0)
+        cfg = TreeConfig((unit_cube(1),), 0, 2.0)
         x = grid.axis_points
         f = SampledField(grid, np.cos(2 * np.pi * x * (1.0 / 16.0)))
         pin = projection_input(f, cfg, grid)
@@ -293,7 +292,7 @@ class TestFrame:
     def test_mismatched_frame_refused(self, setup_1d):
         grid, cfg, f = setup_1d.grid, setup_1d.cfg, setup_1d.f
         frame = ProjectionFrame.for_input(setup_1d)
-        other_tree = TreeConfig(unit_cube(1), (DyadicCube(-1, (1,)),), 0, 2.0)
+        other_tree = TreeConfig((DyadicCube(-1, (1,)),), 0, 2.0)
         coarse = TorusGrid(1, 8.0, 1 << 13)
         others = [
             projection_input(f, other_tree, grid),
@@ -325,7 +324,7 @@ class TestFrame:
 class TestFdWitness:
     def test_fd_agreement_at_resolved_scale(self):
         grid = TorusGrid(1, 8.0, 1 << 16)
-        cfg = TreeConfig(unit_cube(1), (DyadicCube(-1, (0,)),), 0, 2.0)
+        cfg = TreeConfig((DyadicCube(-1, (0,)),), 0, 2.0)
         f = bandpass_field(grid, seed=3, lo=2.0, hi=8.0)
         pin = projection_input(f, cfg, grid)
         out = assemble(pin)
@@ -338,7 +337,7 @@ class TestFdWitness:
 class Test2D:
     def test_identities_2d(self):
         grid = TorusGrid(2, 8.0, 1 << 9)
-        cfg = TreeConfig(unit_cube(2), (DyadicCube(-1, (0, 1)),), 0, 3.0)
+        cfg = TreeConfig((DyadicCube(-1, (0, 1)),), 0, 3.0)
         f = bandpass_field(grid, seed=5, n_modes=6, lo=1.0, hi=8.0)
         pin = projection_input(f, cfg, grid, ProjectionSettings(strict=False))
         out = assemble(pin)
