@@ -63,7 +63,8 @@ class ConstantTable:
     rows: list = dc_field(default_factory=list)
 
     def uniformity(self):
-        """max/min of the ratio over m, per (inequality, p, seed)."""
+        """max/min of the ratio over m, per (inequality, p, seed); inf
+        for a group whose every ratio is infinite."""
         groups = {}
         for row in self.rows:
             key = (row["inequality"], row["p"], row["seed"])
@@ -76,7 +77,7 @@ class ConstantTable:
             out.append({
                 "inequality": key[0], "p": key[1], "seed": key[2],
                 "max_ratio": max(ratios), "min_ratio": min(ratios),
-                "uniformity": max(ratios) / min(ratios),
+                "uniformity": max(ratios) / min(ratios) if min(ratios) < inf else inf,
             })
         return out
 

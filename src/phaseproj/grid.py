@@ -176,14 +176,50 @@ def zero_field(grid):
 # ---------------------------------------------------------------------------
 # Spectral primitives.
 
+def _band_index(n, m):
+    """Lattice indices, in order, of a band of length m on an axis of n
+    points: the wrapped blocks [0, m - m//2) and [n - m//2, n).  An odd
+    m = 2e + 1 < n keeps the wrapped indices up to e, and m = n the axis."""
+    return np.r_[0:m - m // 2, n - m // 2:n]
+
+
+def frequency_band(multiplier):
+    """Read-only copy of a lattice multiplier on its band.
+
+    Per axis the band keeps the wrapped indices up to e, the largest one
+    that holds a nonzero value anywhere, or the whole axis where that
+    would cover it; every value outside the band is zero.  A kernel
+    band-limited to |xi| < r keeps about (4 B r)^d of the N^d values.
+    apply_multiplier takes the band in place of the multiplier.
+    """
+    nonzero = multiplier != 0
+    index = []
+    for ax, n in enumerate(multiplier.shape):
+        others = tuple(a for a in range(multiplier.ndim) if a != ax)
+        k = np.flatnonzero(nonzero.any(axis=others))
+        e = int(np.max(np.minimum(k, n - k), initial=0))
+        index.append(_band_index(n, min(2 * e + 1, n)))
+    band = multiplier[np.ix_(*index)]   # advanced indexing: a copy
+    band.flags.writeable = False
+    return band
+
+
 def apply_multiplier(a, multiplier, keep_spectrum=True):
     """Field whose spectrum is `multiplier` times the spectrum of `a`.
 
     Realizes the convolution a * k for the kernel with Fourier transform
-    `multiplier` sampled on the frequency lattice (fftfreq ordering).
-    The output caches that spectrum unless keep_spectrum is False.
+    `multiplier` sampled on the frequency lattice (fftfreq ordering),
+    given on the whole lattice or as its frequency_band; off the band
+    the product is zero.  The output caches that spectrum unless
+    keep_spectrum is False.
     """
-    raw = a.fft() * multiplier
+    spec = a.fft()
+    if multiplier.shape == spec.shape:
+        raw = spec * multiplier
+    else:
+        index = np.ix_(*map(_band_index, spec.shape, multiplier.shape))
+        raw = np.zeros_like(spec)
+        raw[index] = spec[index] * multiplier
     out = SampledField(a.grid, np.fft.ifftn(raw))
     return out.with_fft(raw) if keep_spectrum else out
 

@@ -190,6 +190,10 @@ def generate_partition(seed, depth, dim):
 def generate_tree(seed, depth, leaf_count, dim, gap_m=0, alpha=None):
     """Random tree config: disjoint dyadic leaves sampled from a random
     recursive partition of the unit cube.  Deterministic in the seed."""
+    if dim < 1:
+        raise ValidationError(f"dim must be >= 1, not {dim}")
+    if depth < 0:
+        raise ValidationError(f"tree_depth must be >= 0, not {depth}")
     if leaf_count < 1:
         raise ValidationError("leaf_count must be >= 1")
     if leaf_count > (1 << (dim * depth)):
@@ -485,8 +489,8 @@ def modulation_demo(config, separations=None, second_tree_seed=None):
     base_norm = lp_norm(base, 2.0)
     base_spec = np.abs(physical_spectrum(base))
     table = []
-    for eta in separations:
-        other = project(eta, second_cfg)
+    for i, eta in enumerate(separations):
+        other = base if i == 0 and second_cfg is cfg else project(eta, second_cfg)
         other_norm = lp_norm(other, 2.0)
         pairing = abs(inner_product(base, other)) / (base_norm * other_norm)
         # magnitude overlap of the spectra: a rigorous phase-free upper

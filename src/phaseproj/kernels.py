@@ -11,6 +11,10 @@ Class membership is certified empirically: `leak` is the largest
 multiplier value outside the admissible frequency set and `lambda_max`
 the largest scaling that keeps the kernel under the pointwise envelope
 2^{-dj} rho_{[0,2^j]^d}^{-beta}.
+
+A certified dictionary kernel is band-limited to |xi| < 2^-j, so the
+dictionary cache keeps each multiplier on its frequency band only
+(grid.frequency_band), and grid.apply_multiplier applies it from there.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .errors import ResolutionError, ValidationError
 from .grid import (
     SampledField,
     field_multiplier,
+    frequency_band,
     kernel_field_from_multiplier,
     plane_wave,
     rho_values,
@@ -88,7 +93,7 @@ class KernelHandle:
     kernel_id: str
     kind: str                    # 'phi' | 'psi' | 'mollifier'
     level: int
-    multiplier: np.ndarray
+    multiplier: np.ndarray       # in a dictionary, its grid.frequency_band
     field: SampledField
     certificate: dict = dc_field(default_factory=dict)
 
@@ -471,7 +476,10 @@ def _modulate_kernel(handle, grid, eta, new_id):
 
 
 _DICTIONARY_CACHE = OrderedDict()   # LRU of dictionaries, one per class
-_DICTIONARY_CACHE_SIZE = 16         # the reference sweep's 16 classes
+# The reference sweep's 16 classes.  The 15 that its first five configs
+# build hold 31 MB of band multipliers at N = 2^17 (341 MB on the full
+# lattice).
+_DICTIONARY_CACHE_SIZE = 16
 
 
 def _candidates(grid, j, beta, kind, spec):
@@ -558,8 +566,13 @@ def build_dictionary(grid, j, beta, kind, spec=None):
     frequencies in a Psi dictionary) are dropped.
 
     Each candidate is certified, scaled and released before the next is
-    built; only its scaled multiplier is kept, read-only, and the result
-    is cached per class (an LRU) and shared by every caller.  All of it
+    built; only its scaled multiplier is kept, as a read-only copy on its
+    frequency band (grid.frequency_band: the values off the band are all
+    zero), and the result is cached per class (an LRU) and shared by
+    every caller.  At N = 2^17 in d = 1 a phi class keeps 4.2 to 4.5 MB
+    instead of 28.3 MB on the full lattice, 4.19 MB of it the two
+    FFT-built modulations, which fill the lattice; a psi class keeps
+    4 KB to 0.5 MB instead of 17.8 MB.  All of it
     is exact: builders are deterministic and certification does not
     modify a handle, so a base may reuse its candidate; the envelope
     depends on (grid, j, beta) only, a sinc profile on (grid, a, K, c)
@@ -583,7 +596,7 @@ def build_dictionary(grid, j, beta, kind, spec=None):
         norm.certificate.update(class_membership(norm, j, beta, kind))
         norm.certificate["normalization"] = lam
         norm.field = None
-        norm.multiplier.flags.writeable = False
+        norm.multiplier = frequency_band(norm.multiplier)
         return norm
 
     # map() drops each candidate as soon as it is normalized

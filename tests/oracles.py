@@ -111,3 +111,18 @@ def is_real(field, tol=1e-12):
     """The imaginary parts of the samples are within tol of their peak."""
     scale = np.max(np.abs(field.values))
     return scale == 0 or np.max(np.abs(field.values.imag)) <= tol * scale
+
+
+def expand_band(grid, band):
+    """The full lattice multiplier of a grid.frequency_band, +0 off the
+    band: along an axis of N points a band of length m < N holds the
+    wrapped indices 0..e and -e..-1 (m = 2e + 1), in that order, and a
+    band of length N the whole axis."""
+    positions = []
+    for m in band.shape:
+        e = (m - 1) // 2
+        positions.append(np.arange(grid.samples) if m == grid.samples
+                         else np.concatenate((np.arange(e + 1), grid.samples - e + np.arange(e))))
+    dense = np.zeros(grid.shape, dtype=band.dtype)
+    dense[np.ix_(*positions)] = band
+    return dense

@@ -10,9 +10,10 @@ from math import inf
 
 import numpy as np
 import pytest
+from oracles import expand_band
 
 from phaseproj import estimators
-from phaseproj.acceptance import REFERENCE_CONFIG, ConstantTable
+from phaseproj.acceptance import REFERENCE_CONFIG, ConstantTable, uniformity_by_key
 from phaseproj.cubes import DyadicCube, TreeConfig, unit_cube
 from phaseproj.errors import InternalConsistencyError, ValidationError
 from phaseproj.estimators import (
@@ -111,8 +112,8 @@ class TestSize:
         w = rho_values(pin.grid, cube) ** -2.0
         for kernel in kernels[:3]:
             resp = apply_multiplier(pin.f, kernel.multiplier)
-            shifted = modulate(
-                kernel_field_from_multiplier(pin.grid, kernel.multiplier), eta)
+            shifted = modulate(kernel_field_from_multiplier(
+                pin.grid, expand_band(pin.grid, kernel.multiplier)), eta)
             from phaseproj.grid import field_multiplier
             resp_mod = apply_multiplier(f_mod, field_multiplier(shifted))
             h = pin.grid.spacing
@@ -266,6 +267,14 @@ class TestSweepTable:
         by_seed = {r["seed"]: r["uniformity"] for r in rows}
         assert by_seed[0] == 2.0
         assert by_seed[1] == 1.0
+
+    def test_uniformity_of_infinite_ratios(self):
+        # a group infinite at every m is as far from uniform as can be
+        table = ConstantTable([
+            {"inequality": "offtree", "p": 2.0, "seed": seed, "m": m, "ratio": ratio}
+            for seed, m, ratio in ((0, 0, inf), (0, 1, inf), (1, 0, 1.0), (1, 1, inf))])
+        assert [r["uniformity"] for r in table.uniformity()] == [inf, inf]
+        assert uniformity_by_key(table) == {("offtree", 2.0): inf}
 
     def test_csv_bytes(self, tmp_path):
         # the sweep.csv route of `phaseproj sweep`: exponent and ratio

@@ -274,6 +274,13 @@ class TestConfig:
         assert config.alpha == 3 and isinstance(config.alpha, int)
         assert config.config_hash() == RunConfig(alpha=3, grid_b=8).config_hash()
 
+    @pytest.mark.parametrize("field,value", [("dim", -1), ("tree_depth", -1)])
+    def test_negative_tree_size_recorded_at_tree_stage(self, field, value):
+        record = run(RunConfig(**{field: value}))
+        assert record["error"]["stage"] == "tree"
+        assert record["error"]["type"] == "ValidationError"
+        assert f"{field} must be" in record["error"]["message"]
+
     def test_leaf_dimension_checked_against_dim(self):
         record = run(RunConfig(dim=2, grid_n=1 << 8, leaves=((-1, 0),)))
         assert record["error"]["stage"] == "tree"
@@ -365,7 +372,9 @@ class TestModulationDemo:
                            f_annulus=(1.0, 3.0))
         modulation_demo(config, separations=[0.0, 4.0, 16.0],
                         second_tree_seed=second_tree_seed)
-        assert len(seen) == 4 and None not in seen
+        # one projection per separation, plus the base of a second tree
+        assert len(seen) == (3 if second_tree_seed is None else 4)
+        assert None not in seen
         assert len({id(frame) for frame in seen}) == frames
 
     def test_off_lattice_rejected(self):

@@ -6,13 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from oracles import cone_partition, is_real, kappa_kernel, psi_kernel
+from oracles import cone_partition, expand_band, is_real, kappa_kernel, psi_kernel
 from phaseproj import kernels
 from phaseproj.errors import ResolutionError, ValidationError
 from phaseproj.grid import (
     SampledField,
     TorusGrid,
     apply_multiplier,
+    frequency_band,
     lp_norm,
 )
 from phaseproj.kernels import (
@@ -369,11 +370,13 @@ class TestDictionary:
         assert surrogate(big) >= surrogate(small) - 1e-12
 
     def test_cached_multipliers_read_only(self, g1):
-        # dictionaries are shared through the cache, without fields
+        # dictionaries are shared through the cache, without fields; each
+        # multiplier is a band array that owns its data
         dicts = build_dictionary(g1, -3, 4 * ALPHA, "phi")
         assert dicts is build_dictionary(g1, -3, 4 * ALPHA, "phi")
         for handle in dicts:
             assert handle.field is None
+            assert handle.multiplier.base is None
             assert not handle.multiplier.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 handle.multiplier[0] = 0.0
@@ -385,35 +388,94 @@ class TestDictionary:
             assert handle.certificate["passed"]
 
 
-def dictionary_digest(dictionary):
-    """SHA-256 over each kernel's id, multiplier bytes and certificate
-    repr, in kernel_id order."""
+# The golden classes: d=1 phi and psi at level -3, and a smaller d=2 phi.
+GOLDEN_CLASSES = {
+    "d1": (TorusGrid(1, 8.0, 1 << 13), -3, 4 * ALPHA, DictionarySpec()),
+    "d2": (TorusGrid(2, 8.0, 1 << 8), -1, 4 * 3.0, DictionarySpec(2, 1, 1, 1)),
+}
+
+
+def golden_dictionary(dim, kind):
+    grid, level, beta, spec = GOLDEN_CLASSES[dim]
+    return grid, build_dictionary(grid, level, beta, kind, spec)
+
+
+def dictionary_digest(grid, dictionary):
+    """SHA-256 over each kernel's id, full lattice multiplier and
+    certificate repr, in kernel_id order.  The multiplier is expanded from
+    its band, and adding 0.0 makes every zero +0: stored densely, the
+    values off the band were zeros of either sign."""
     h = hashlib.sha256()
     for handle in sorted(dictionary, key=lambda k: k.kernel_id):
         h.update(handle.kernel_id.encode())
-        h.update(handle.multiplier.tobytes())
+        h.update((expand_band(grid, handle.multiplier) + 0.0).tobytes())
         h.update(repr(handle.certificate).encode())
     return h.hexdigest()
 
 
-# Frozen before the dictionary builder was restructured: any change to a
-# multiplier, a certificate or the candidate set shows here.  The third
-# key (False: no kernel fields kept) is part of the test ids the hashes
-# were frozen under.
+# Any change to a multiplier, a certificate or the candidate set shows
+# here.  The digests equal those of the dense multipliers the builder
+# kept before band storage.  The third key (False: no kernel fields kept)
+# is part of the test ids the hashes were first frozen under.
 GOLDEN_DICTIONARIES = {
-    ("d1", "phi", False): "c8c7c7e4e04ef38d58820871e42ba95012378c9c28cc1b48d58a7ede6835f88b",
-    ("d1", "psi", False): "37d5f128148f1497fc5fdff47b9b8a70fb1adaeb4dcdab8407e358933a6ddfcc",
-    ("d2", "phi", False): "73b32505ef678db6f3c7f67077f5d315595e6175bc3e4c9dc3cd81b882394480",
+    ("d1", "phi", False): "2e8f55fb9bfde25d3afd69b8d4ebc7f1125732cf92bb3079d573f341192d5618",
+    ("d1", "psi", False): "57d9d5f470c87685a3aa1fa5255482dddfb2043a2c8a556eeae1ccd2a74be30c",
+    ("d2", "phi", False): "911442d2312f5239cd7839f55a09fce0063451bc19adf3247984b55a8a7cb7b5",
 }
 
 
 @pytest.mark.parametrize("dim,kind,fields", sorted(GOLDEN_DICTIONARIES))
-def test_dictionary_golden_hash(dim, kind, fields, g1, g2):
-    if dim == "d1":
-        dictionary = build_dictionary(g1, -3, 4 * ALPHA, kind)
-    else:
-        dictionary = build_dictionary(g2, -1, 4 * 3.0, kind, DictionarySpec(2, 1, 1, 1))
-    assert dictionary_digest(dictionary) == GOLDEN_DICTIONARIES[(dim, kind, fields)]
+def test_dictionary_golden_hash(dim, kind, fields):
+    grid, dictionary = golden_dictionary(dim, kind)
+    assert dictionary_digest(grid, dictionary) == GOLDEN_DICTIONARIES[(dim, kind, fields)]
+
+
+class TestBandStorage:
+    """Each cached kernel keeps its multiplier on its frequency band only."""
+
+    @pytest.mark.parametrize("dim,kind", [("d1", "phi"), ("d1", "psi"), ("d2", "phi")])
+    def test_band_is_the_scaled_candidate(self, dim, kind):
+        grid, level, beta, spec = GOLDEN_CLASSES[dim]
+        dictionary = {k.kernel_id: k for k in golden_dictionary(dim, kind)[1]}
+        rng = np.random.default_rng(5)
+        f = SampledField(grid, rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape))
+        kept = 0
+        for cand in kernels._candidates(grid, level, beta, kind, spec):
+            handle = dictionary.get(cand.kernel_id)
+            if handle is None:
+                continue
+            kept += 1
+            band = handle.multiplier
+            assert band.base is None and not band.flags.writeable
+            dense = cand.multiplier * handle.certificate["normalization"]
+            assert np.array_equal(expand_band(grid, band), dense), cand.kernel_id
+            # no nonzero value lies off the band
+            off_band = np.ones(grid.shape, dtype=bool)
+            off_band[expand_band(grid, np.ones(band.shape)) != 0] = False
+            assert not np.any(dense[off_band]), cand.kernel_id
+            via_band = apply_multiplier(f, band).values
+            via_dense = apply_multiplier(f, dense).values
+            assert via_band.tobytes() == via_dense.tobytes(), cand.kernel_id
+        assert kept == len(dictionary)
+
+    def test_band_shapes(self):
+        grid = TorusGrid(2, 8.0, 16)
+        mult = np.zeros(grid.shape)
+        mult[2, 0] = mult[0, -1] = 1.0       # wrapped indices 2 and 1
+        assert frequency_band(mult).shape == (5, 3)
+        mult[8, 0] = 1.0                     # the Nyquist index fills the axis
+        assert frequency_band(mult).shape == (16, 3)
+        assert np.array_equal(expand_band(grid, frequency_band(mult)), mult)
+
+    def test_cached_band_bytes(self):
+        # the three golden classes keep 1,801,408 bytes of multipliers on
+        # their bands, 20,709,376 on the full lattice
+        for dim, kind, _ in GOLDEN_DICTIONARIES:
+            golden_dictionary(dim, kind)
+        cached = sum(handle.multiplier.nbytes
+                     for dictionary in kernels._DICTIONARY_CACHE.values()
+                     for handle in dictionary)
+        assert cached <= 2_000_000
 
 
 class TestCaches:
