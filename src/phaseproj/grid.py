@@ -33,7 +33,9 @@ class TorusGrid:
     samples: int = 4096
 
     def __post_init__(self):
-        samples, half_width = self.samples, self.half_width
+        dim, samples, half_width = self.dim, self.samples, self.half_width
+        if not isinstance(dim, numbers.Integral) or dim < 1:
+            raise ValidationError(f"dim must be an integer >= 1, not {dim!r}")
         if (not isinstance(samples, numbers.Integral) or samples <= 0
                 or samples & (samples - 1) != 0):
             raise ValidationError(

@@ -19,7 +19,6 @@ from dataclasses import asdict, dataclass, field as dc_field, fields, replace
 from math import inf
 
 import numpy as np
-from scipy import stats
 
 from .cubes import (
     DyadicCube,
@@ -453,26 +452,56 @@ def reference_sweep_configs(seeds=range(20), m_values=(0, 1, 2, 3),
 # ---------------------------------------------------------------------------
 # Modulation almost-orthogonality demo.
 
+def _average_ranks(values):
+    """1-based ranks of a 1-d array; each group of equal values gets the
+    mean of its positions, as scipy.stats.rankdata(method="average")."""
+    order = np.argsort(values)
+    ordered = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    counts = np.diff(starts, append=values.size)
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat(starts + (counts + 1) / 2, counts)
+    return ranks
+
+
+def rank_correlation(x, y):
+    """Spearman's rank correlation of two equal-length sequences: the
+    Pearson correlation of their average ranks.  NaN for fewer than two
+    observations, a constant input or a NaN in either input, as
+    scipy.stats.spearmanr gives; otherwise its value bit for bit (the same
+    ranks through np.corrcoef with the variables as rows)."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if (x.size < 2 or np.isnan(x).any() or np.isnan(y).any()
+            or np.all(x == x[0]) or np.all(y == y[0])):
+        return math.nan
+    return float(np.corrcoef(np.vstack((_average_ranks(x), _average_ranks(y))))[1, 0])
+
+
 def modulation_demo(config, separations=None, second_tree_seed=None):
     """Pairings of modulated projections across frequency separations.
 
     g_k is built from f modulated down by eta_k and re-modulated up; the
     normalized pairing against the unmodulated projection decays as the
     separation grows, and vanishes once the measured spectral supports
-    disjoin."""
+    disjoin.  "spearman" is the rank correlation (rank_correlation) of
+    the pairings against the separations past the first: -1 when every
+    step out lowers the pairing, NaN with fewer than two such separations
+    or when every pairing is equal."""
     grid = TorusGrid(config.dim, config.grid_b, config.grid_n)
+    lat = 1.0 / (2 * grid.half_width)
+    if separations is None:
+        separations = [0.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0]
+    if len(separations) == 0:
+        raise ValidationError("separations must hold at least one frequency")
+    for eta in separations:
+        if abs(round(eta / lat) * lat - eta) > 1e-9:
+            raise ValidationError(f"separation {eta} is off the frequency lattice")
     cfg = build_tree_config(config)
     second_cfg = cfg
     if second_tree_seed is not None:
         second_cfg = build_tree_config(replace(config, tree_seed=second_tree_seed,
                                                leaves=None))
     f = build_f(config, grid)
-    lat = 1.0 / (2 * grid.half_width)
-    if separations is None:
-        separations = [0.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0]
-    for eta in separations:
-        if abs(round(eta / lat) * lat - eta) > 1e-9:
-            raise ValidationError(f"separation {eta} is off the frequency lattice")
 
     settings = ProjectionSettings(strict=config.strict, keep_pieces=False)
     frames = {}     # one per tree config: its geometry does not depend on f
@@ -503,8 +532,7 @@ def modulation_demo(config, separations=None, second_tree_seed=None):
                       "spectra_disjoint": bool(overlap <= 1e-10)})
     seps = [row["separation"] for row in table[1:]]
     pairs = [row["pairing"] for row in table[1:]]
-    corr = float(stats.spearmanr(seps, pairs).statistic)
-    return {"table": table, "spearman": corr}
+    return {"table": table, "spearman": rank_correlation(seps, pairs)}
 
 
 # ---------------------------------------------------------------------------

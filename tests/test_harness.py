@@ -32,6 +32,7 @@ from phaseproj.harness import (
     parse_p,
     random_bandpass_field,
     random_bandpass_modes,
+    rank_correlation,
     run,
 )
 
@@ -274,12 +275,18 @@ class TestConfig:
         assert config.alpha == 3 and isinstance(config.alpha, int)
         assert config.config_hash() == RunConfig(alpha=3, grid_b=8).config_hash()
 
-    @pytest.mark.parametrize("field,value", [("dim", -1), ("tree_depth", -1)])
+    @pytest.mark.parametrize("field,value", [("tree_depth", -1)])
     def test_negative_tree_size_recorded_at_tree_stage(self, field, value):
         record = run(RunConfig(**{field: value}))
         assert record["error"]["stage"] == "tree"
         assert record["error"]["type"] == "ValidationError"
         assert f"{field} must be" in record["error"]["message"]
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_dim_below_one_recorded_at_grid_stage(self, dim):
+        record = run(RunConfig(dim=dim))
+        assert record["error"] == {"stage": "grid", "type": "ValidationError",
+                                   "message": f"dim must be an integer >= 1, not {dim}"}
 
     def test_leaf_dimension_checked_against_dim(self):
         record = run(RunConfig(dim=2, grid_n=1 << 8, leaves=((-1, 0),)))
@@ -381,6 +388,65 @@ class TestModulationDemo:
         config = RunConfig(dim=1, grid_n=1 << 13, tree_depth=1, leaf_count=1)
         with pytest.raises(ValidationError):
             modulation_demo(config, separations=[0.0, 0.03])
+
+    def test_no_separations_rejected(self):
+        config = RunConfig(dim=1, grid_n=1 << 13, tree_depth=1, leaf_count=1)
+        with pytest.raises(ValidationError, match="separations"):
+            modulation_demo(config, separations=[])
+
+
+class TestRankCorrelation:
+    """rank_correlation equals scipy.stats.spearmanr(x, y).statistic bit
+    for bit, NaN where it is NaN."""
+
+    @staticmethod
+    def assert_equals_scipy(x, y):
+        from scipy import stats
+        with warnings.catch_warnings():
+            # constant inputs and n = 2 warn in scipy; the value is compared
+            warnings.simplefilter("ignore")
+            expected = float(stats.spearmanr(x, y).statistic)
+        actual = rank_correlation(x, y)
+        if math.isnan(expected):
+            assert math.isnan(actual), (x, y)
+        else:
+            assert np.float64(actual).tobytes() == np.float64(expected).tobytes(), (x, y)
+
+    def test_random_floats(self):
+        rng = np.random.default_rng(0)
+        for _ in range(1000):
+            n = int(rng.integers(2, 40))
+            self.assert_equals_scipy(rng.standard_normal(n), rng.standard_normal(n) * 1e3)
+
+    def test_integers_with_ties(self):
+        rng = np.random.default_rng(1)
+        for _ in range(1000):
+            n = int(rng.integers(2, 40))
+            high = int(rng.integers(2, 6))
+            x = rng.integers(0, high, n)
+            y = rng.integers(0, high, n)
+            if x.min() == x.max() or y.min() == y.max():
+                continue
+            self.assert_equals_scipy(x.tolist(), y.tolist())
+
+    @pytest.mark.parametrize("x,y", [
+        ([], []), ([1.0], [2.0]), ([1.0, 2.0], [3.0, 4.0]), ([1.0, 2.0], [4.0, 3.0]),
+        ([2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0],
+         [0.9, 0.5, 0.51, 1e-3, 1e-12, 0.0, 0.0]),
+    ], ids=["n0", "n1", "n2-rising", "n2-falling", "demo-shape"])
+    def test_short_inputs(self, x, y):
+        self.assert_equals_scipy(x, y)
+
+    @pytest.mark.parametrize("x,y", [
+        ([3.0, 3.0, 3.0], [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], [0.0, 0.0, 0.0]),
+        ([1.0, math.nan, 3.0], [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], [math.nan, 2.0, 1.0]),
+        ([math.nan] * 3, [1.0, 2.0, 3.0]), ([math.nan, 1.0, 1.0], [1.0, 2.0, 3.0]),
+    ], ids=["constant-x", "constant-y", "nan-in-x", "nan-in-y", "all-nan", "nan-and-tie"])
+    def test_undefined_is_nan(self, x, y):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # no 0/0 inside np.corrcoef
+            assert math.isnan(rank_correlation(x, y))
+        self.assert_equals_scipy(x, y)
 
 
 class TestBaselinesFile:
