@@ -16,6 +16,7 @@ from .harness import (
     baseline_demo,
     modulation_demo,
     parse_p,
+    parse_p_values,
     reference_sweep_configs,
     run,
     save_baselines,
@@ -68,7 +69,7 @@ def _config_from_args(args):
     if getattr(args, "f_annulus", None):
         overrides["f_annulus"] = tuple(_numbers(args.f_annulus, "--f-annulus", 2))
     if getattr(args, "p", None):
-        overrides["p_values"] = tuple(parse_p(p) for p in args.p.split(","))
+        overrides["p_values"] = parse_p_values(args.p.split(","))
     if getattr(args, "no_strict", False):
         overrides["strict"] = False
     return dataclasses.replace(config, **overrides)

@@ -5,15 +5,20 @@ Fields live on a uniform grid over [-B, B)^d with N samples per axis
 pointwise spectral products, scaled so that discrete results approximate
 the corresponding integrals.  The frequency lattice is (1/(2B)) Z^d
 folded to Nyquist, which is exactly numpy's fftfreq(N, d=h).
+
+Equal grids share their coordinate arrays (axis points, frequencies and
+the two radii): each is built once, on the first equal grid still held
+by a small value-keyed cache, stored read-only, and read by every equal
+grid.  A run that builds a new, equal grid per config computes them once.
 """
 
 from __future__ import annotations
 
+import functools
 import numbers
 import struct
 import warnings
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
 from math import inf
 
 import numpy as np
@@ -22,6 +27,26 @@ from .errors import ResolutionError, ValidationError
 
 _MAGIC = b"PPRJ"
 _HEADER = struct.Struct("<4sBBId?")   # magic, version, dim, N, B, complex
+
+
+@functools.lru_cache(maxsize=4)
+def _first_equal(grid):
+    """The first grid equal to `grid` that the cache still holds."""
+    return grid
+
+
+def _shared_array(build):
+    """A cached, read-only grid array built once on the first equal grid
+    (_first_equal) and read by every grid equal to it."""
+    @functools.wraps(build)
+    def shared(grid):
+        first = _first_equal(grid)
+        if first is not grid:
+            return getattr(first, build.__name__)
+        array = build(grid)
+        array.flags.writeable = False
+        return array
+    return functools.cached_property(shared)
 
 
 @dataclass(frozen=True)
@@ -64,11 +89,11 @@ class TorusGrid:
     def nyquist(self):
         return self.samples / (4.0 * self.half_width)
 
-    @cached_property
+    @_shared_array
     def axis_points(self):
         return -self.half_width + self.spacing * np.arange(self.samples)
 
-    @cached_property
+    @_shared_array
     def axis_freqs(self):
         return np.fft.fftfreq(self.samples, d=self.spacing)
 
@@ -89,11 +114,11 @@ class TorusGrid:
             out = out + component(ax) ** 2
         return np.sqrt(out)
 
-    @cached_property
+    @_shared_array
     def freq_radius(self):
         return self._radius(self.freq_component)
 
-    @cached_property
+    @_shared_array
     def space_radius(self):
         return self._radius(self.point_component)
 
@@ -133,7 +158,8 @@ class SampledField:
             raise ValidationError(f"value shape {values.shape} != grid shape {self.grid.shape}")
         if not np.iscomplexobj(values):
             values = values.astype(np.complex128)
-        self.values = values
+        # a read-only view: the caller's own array stays writable
+        self.values = values.view()
         self.values.flags.writeable = False
 
     def fft(self):
@@ -277,7 +303,8 @@ def partial_derivative(a, axis, order=1):
     """Spectral partial derivative along `axis` of the given order.
 
     The Nyquist row is zeroed for odd orders, where the derivative
-    multiplier has no Hermitian-symmetric representative.
+    multiplier has no Hermitian-symmetric representative.  The output
+    keeps no spectrum: no derivative is transformed again.
     """
     if order < 1:
         raise ValidationError("derivative order must be >= 1")
@@ -287,7 +314,7 @@ def partial_derivative(a, axis, order=1):
     if order % 2 == 1:
         nyq = np.isclose(np.abs(xi), grid.nyquist)
         mult = np.where(nyq, 0.0, mult)
-    return apply_multiplier(a, np.broadcast_to(mult, grid.shape))
+    return apply_multiplier(a, np.broadcast_to(mult, grid.shape), False)
 
 
 def fd_derivative(a, axis, order=1):

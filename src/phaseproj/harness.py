@@ -66,6 +66,13 @@ def parse_p(value):
     return p
 
 
+def parse_p_values(values):
+    """A tuple of exponents (parse_p of each), refusing an empty sequence."""
+    if not values:
+        raise ValidationError("p_values must hold at least one exponent")
+    return tuple(parse_p(p) for p in values)
+
+
 def p_name(p):
     return "inf" if p == inf else ("1" if p == 1.0 else ("2" if p == 2.0 else str(p)))
 
@@ -111,8 +118,8 @@ class RunConfig:
         for key in ("leaves", "f_modes", "f_annulus"):
             if data.get(key):
                 data[key] = tuple(tuple(x) if isinstance(x, list) else x for x in data[key])
-        if data.get("p_values"):
-            data["p_values"] = tuple(parse_p(p) for p in data["p_values"])
+        if "p_values" in data:
+            data["p_values"] = parse_p_values(data["p_values"])
         if data.get("dict_spec"):
             data["dict_spec"] = DictionarySpec(**_checked_fields(DictionarySpec,
                                                                  data["dict_spec"]))
@@ -305,9 +312,11 @@ def run(config, out_dir=None):
     """
     record = {"config": config.to_dict(), "config_hash": config.config_hash()}
     timings = {}
-    stage = "grid"
+    stage = "config"
     try:
         t0 = time.perf_counter()
+        parse_p_values(config.p_values)
+        stage = "grid"
         grid = TorusGrid(config.dim, config.grid_b, config.grid_n)
         stage = "tree"
         cfg = build_tree_config(config)

@@ -22,12 +22,14 @@ E_j^k, the cutoffs chi_j with their derivative certificates, the Nyquist
 level and the multipliers of theta_{n,j-m}, psi_{n,j-m}, psi_{j-m} and
 tau_{-m} with their wrap flags -- depends on (grid, tree, m) only and
 lives in a ProjectionFrame: built lazily, once, stored read-only, holding
-no f.  A caller projecting many fields onto one tree (the modulation
-demo) passes one frame to every `assemble`; without one each call builds
-a private frame.  The ProjectionBuilder holds one f: its filtered copies
-and pieces, each built once, and every f-dependent check above, run once
-per projection.  It appends each kernel's wrap flag to its own
-diagnostics when it filters f through that kernel.
+no f.  Each multiplier is kept on its frequency band only
+(grid.frequency_band), which apply_multiplier reads.  A caller
+projecting many fields onto one tree (the modulation demo) passes one
+frame to every `assemble`; without one each call builds a private frame.
+The ProjectionBuilder holds one f: its pieces, each built once, the
+filtered copies that more than one step reads, and every f-dependent
+check above, run once per projection.  It appends each kernel's wrap
+flag to its own diagnostics when it filters f through that kernel.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .grid import (
     apply_multiplier,
     cube_mask,
     fd_derivative,
+    frequency_band,
     mollified_indicator,
     partial_derivative,
     zero_field,
@@ -174,7 +177,9 @@ class ProjectionFrame:
     """The f-independent half of a projection on one (grid, tree, strict):
     tree masks, cutoffs, kernel multipliers with their wrap flags, the
     Nyquist level and the chi derivative certificates, each built once
-    and stored read-only.  Holds no f and no spatial kernel field."""
+    and stored read-only.  The theta, tau, psi-cone and psi multipliers
+    are kept on their frequency bands (grid.frequency_band): every value
+    off the band is zero.  Holds no f and no spatial kernel field."""
 
     def __init__(self, grid, tree, strict=True):
         self.grid = grid
@@ -223,11 +228,11 @@ class ProjectionFrame:
 
     @_memo
     def psi_cone(self, n, j):
-        return _read_only(psi_cone_multiplier(self.grid, n, j - self.m))
+        return frequency_band(psi_cone_multiplier(self.grid, n, j - self.m))
 
     @_memo
     def psi(self, j):
-        return _read_only(psi_multiplier(self.grid, j - self.m))
+        return frequency_band(psi_multiplier(self.grid, j - self.m))
 
     @_memo
     def nyquist_level(self):
@@ -250,13 +255,19 @@ class ProjectionFrame:
 
 
 def _kernel_entry(handle):
-    return (_read_only(handle.multiplier), handle.kernel_id,
+    return (frequency_band(handle.multiplier), handle.kernel_id,
             handle.certificate["wrap_flag"])
 
 
 class ProjectionBuilder:
-    """Builds the filtered copies of one f and the pieces over a frame,
-    each once per instance, and runs every f-dependent check."""
+    """Builds the pieces of one f over a frame, each once per instance,
+    and runs every f-dependent check.
+
+    Of the filtered copies of f only psi_j*f is memoized, because assemble
+    and the residual split both read it.  theta*f is read only inside
+    g_piece, which hands it to big_g and sigma, and psi_cone*f only
+    inside correction; both are memoized methods, so each copy is still
+    built once, and it is freed when that method returns."""
 
     def __init__(self, pin, frame=None):
         self.frame = frame or ProjectionFrame.for_input(pin)
@@ -281,11 +292,9 @@ class ProjectionBuilder:
             self.diagnostics["wrap_flags"].append(kernel_id)
         return apply_multiplier(self.pin.f, mult, keep_spectrum)
 
-    @_memo
     def theta_f(self, n, j):
         return self._filtered(self.frame.theta(n, j), True)
 
-    @_memo
     def psi_cone_f(self, n, j):
         return apply_multiplier(self.pin.f, self.frame.psi_cone(n, j), False)
 
@@ -298,17 +307,17 @@ class ProjectionBuilder:
 
     # -- per-scale pieces ----------------------------------------------------
 
-    def sigma(self, n, j):
-        """Correction factor times theta*f: vanishes on E_j^1, supported
-        within the 2^(j-m-1)-collar (inside E_j^2)."""
+    def sigma(self, j, tf):
+        """Correction factor times tf = theta_f(n, j), for any n: vanishes
+        on E_j^1, supported within the 2^(j-m-1)-collar (inside E_j^2)."""
         if j < self.j_min or j > 0:
             return zero_field(self.grid)
         fr = self.frame
-        return (fr.chi_s(j) - fr.e_indicator(j)) * self.theta_f(n, j)
+        return (fr.chi_s(j) - fr.e_indicator(j)) * tf
 
-    def big_g(self, n, j):
-        """Smooth product chi_j (theta*f), checked against the masked route."""
-        tf = self.theta_f(n, j)
+    def big_g(self, n, j, tf):
+        """Smooth product chi_j tf of tf = theta_f(n, j), checked against
+        the masked route."""
         chi = self.frame.chi_s(j)
         smooth = chi * tf
         ind = self.frame.e_indicator(j)
@@ -328,12 +337,12 @@ class ProjectionBuilder:
         keep_pieces its cutoff, sigma and G go into `bundles`."""
         if j < self.j_min or j > 0:
             return zero_field(self.grid)
-        big_g = self.big_g(n, j)
+        tf = self.theta_f(n, j)
+        big_g = self.big_g(n, j, tf)
         piece = partial_derivative(big_g, n, self.dim + 1)
         diag = self.diagnostics["levels"].setdefault((n, j), {})
 
         chi = self.frame.chi_s(j)
-        tf = self.theta_f(n, j)
         leib = None
         for k in range(self.dim + 2):
             dchi = partial_derivative(chi, n, k) if k else chi
@@ -358,7 +367,7 @@ class ProjectionBuilder:
                     f"finite-difference witness failed at (n={n}, j={j}): "
                     f"{fd_err:.3e} > {FD_REL_TOL}")
 
-        sigma = self.sigma(n, j)
+        sigma = self.sigma(j, tf)
         smax = sigma.max_abs()
         tf_max = tf.max_abs()
         if smax > 0 and tf_max > 0:

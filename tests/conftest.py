@@ -2,10 +2,11 @@
 
 import pytest
 
-from phaseproj import kernels
+from phaseproj import grid, kernels
 
 
 def _clear_kernel_caches():
+    grid._first_equal.cache_clear()
     kernels._DICTIONARY_CACHE.clear()
     kernels._periodized_sinc_power.cache_clear()
     kernels.class_envelope.cache_clear()
@@ -14,8 +15,8 @@ def _clear_kernel_caches():
 
 @pytest.fixture(autouse=True)
 def fresh_kernel_caches():
-    """Every test starts and ends with empty kernel caches, so no test
-    depends on what an earlier one built."""
+    """Every test starts and ends with empty kernel and grid-array
+    caches, so no test depends on what an earlier one built."""
     _clear_kernel_caches()
     yield
     _clear_kernel_caches()

@@ -60,6 +60,27 @@ def smooth_bump(grid, width=1.0):
     return SampledField(grid, np.exp(-r2 / width**2))
 
 
+class TestSharedState:
+    def test_equal_grids_share_read_only_arrays(self):
+        first, equal = TorusGrid(2, 8.0, 1 << 5), TorusGrid(2, 8, 1 << 5)
+        other = TorusGrid(2, 8.0, 1 << 6)
+        assert first is not equal and first == equal
+        for name in ("axis_points", "axis_freqs", "freq_radius", "space_radius"):
+            shared = getattr(equal, name)
+            assert shared is getattr(first, name)
+            assert not shared.flags.writeable
+            assert getattr(other, name) is not shared
+
+    def test_caller_array_stays_writable(self, g1):
+        a = np.zeros(g1.shape, dtype=complex)
+        field = SampledField(g1, a)
+        a[0] = 1
+        assert np.shares_memory(field.values, a)
+        assert not field.values.flags.writeable
+        with pytest.raises(ValueError):
+            field.values[0] = 2
+
+
 class TestConvolution:
     def test_delta_is_identity(self, g1):
         vals = np.zeros(g1.shape)
@@ -117,15 +138,16 @@ class TestSpectrum:
     @pytest.mark.parametrize("grid_name", ["g1", "g2"])
     def test_cached_spectrum_matches_fresh_transform(self, grid_name, request):
         # the spectral ops hand their product spectrum to the output as its
-        # cached fft(); it must be the transform of the output's values
+        # cached fft(); it must be the transform of the output's values.  A
+        # derivative is never transformed again and keeps none.
         grid = request.getfixturevalue(grid_name)
         rng = np.random.default_rng(1)
         a = SampledField(grid, rng.normal(size=grid.shape)
                          + 1j * rng.normal(size=grid.shape))
+        assert partial_derivative(a, grid.dim - 1, 3)._fft is None
         outputs = [
             apply_multiplier(a, np.exp(-grid.freq_radius ** 2)),
             convolve(a, smooth_bump(grid)),
-            partial_derivative(a, grid.dim - 1, 3),
         ]
         for out in outputs:
             assert out._fft is not None

@@ -288,6 +288,17 @@ class TestConfig:
         assert record["error"] == {"stage": "grid", "type": "ValidationError",
                                    "message": f"dim must be an integer >= 1, not {dim}"}
 
+    def test_empty_p_values_recorded_at_config_stage(self):
+        record = run(RunConfig(p_values=()))
+        assert record["error"]["stage"] == "config"
+        assert record["error"]["type"] == "ValidationError"
+        assert "p_values" in record["error"]["message"]
+        assert "report_summary" not in record
+
+    def test_empty_p_values_refused_from_dict(self):
+        with pytest.raises(ValidationError, match="p_values"):
+            RunConfig.from_dict({"p_values": []})
+
     def test_leaf_dimension_checked_against_dim(self):
         record = run(RunConfig(dim=2, grid_n=1 << 8, leaves=((-1, 0),)))
         assert record["error"]["stage"] == "tree"

@@ -1,10 +1,13 @@
 """Projection engine: per-scale pieces, assembly identities, residuals."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracles import expand_band
+from phaseproj import acceptance, harness
 from phaseproj.cubes import DyadicCube, TreeConfig, unit_cube
 from phaseproj.errors import ResolutionError, ValidationError
 from phaseproj.grid import (
@@ -12,6 +15,12 @@ from phaseproj.grid import (
     TorusGrid,
     cube_mask,
     zero_field,
+)
+from phaseproj.kernels import (
+    build_theta,
+    psi_cone_multiplier,
+    psi_multiplier,
+    tau_multiplier,
 )
 from phaseproj import projection
 from phaseproj.projection import (
@@ -94,12 +103,13 @@ class TestResolutionPolicy:
 class TestPieces:
     def test_sigma_zero_below_leaves(self, setup_1d):
         b = ProjectionBuilder(setup_1d)
-        assert b.sigma(0, setup_1d.cfg.j_min - 1).max_abs() == 0.0
+        j = setup_1d.cfg.j_min - 1
+        assert b.sigma(j, b.theta_f(0, j)).max_abs() == 0.0
 
     def test_sigma_zero_for_zero_f(self, setup_1d):
         pin = projection_input(zero_field(setup_1d.grid), setup_1d.cfg, setup_1d.grid)
         b = ProjectionBuilder(pin)
-        assert b.sigma(0, 0).max_abs() == 0.0
+        assert b.sigma(0, b.theta_f(0, 0)).max_abs() == 0.0
 
     def test_sigma_vanishes_on_ring(self, output_1d, setup_1d):
         for (n, j), bundle in output_1d.pieces.items():
@@ -230,9 +240,9 @@ class TestPieceBundles:
         calls = []
         original = ProjectionBuilder.big_g
 
-        def counted(self, n, j):
+        def counted(self, n, j, tf):
             calls.append((n, j))
-            return original(self, n, j)
+            return original(self, n, j, tf)
 
         monkeypatch.setattr(ProjectionBuilder, "big_g", counted)
         out = assemble(setup_1d)
@@ -241,9 +251,9 @@ class TestPieceBundles:
         builder = out._builder
         for (n, j), bundle in out.pieces.items():
             assert bundle.chi_s is builder.frame.chi_s(j)
-            assert np.array_equal(bundle.big_g.values,
-                                  (bundle.chi_s * builder.theta_f(n, j)).values)
-            assert np.array_equal(bundle.sigma.values, builder.sigma(n, j).values)
+            tf = builder.theta_f(n, j)
+            assert np.array_equal(bundle.big_g.values, (bundle.chi_s * tf).values)
+            assert np.array_equal(bundle.sigma.values, builder.sigma(j, tf).values)
 
     def test_bundles_only_with_keep_pieces(self, setup_1d):
         pin = projection_input(setup_1d.f, setup_1d.cfg, setup_1d.grid,
@@ -319,6 +329,53 @@ class TestFrame:
         for value in frame._memo.values():
             for array in _arrays(value):
                 assert not np.shares_memory(array, f_values)
+
+
+class TestMemory:
+    def test_peak_full_fields_of_reference_projection(self):
+        # assemble plus residual_decomposition of REFERENCE_CONFIG, with
+        # the settings of harness.run and cold caches, holds at most 32
+        # complex fields above its inputs
+        config = acceptance.REFERENCE_CONFIG
+        grid = TorusGrid(config.dim, config.grid_b, config.grid_n)
+        f = harness.build_f(config, grid)
+        settings = ProjectionSettings(strict=config.strict, keep_pieces=config.keep_pieces)
+        pin = projection_input(f, harness.build_tree_config(config), grid, settings)
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            residual_decomposition(pin, assemble(pin))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if started:
+                tracemalloc.stop()
+        fields = (peak - base) / (grid.size * 16)
+        assert fields <= 32, fields
+
+    def test_filtered_copies_not_memoized(self, setup_1d):
+        # theta*f and psi_cone*f are freed once their one reader returns
+        builder = assemble(setup_1d)._builder
+        names = {name for name, _ in builder._memo}
+        assert {"g_piece", "correction", "psi_f"} <= names
+        assert not names & {"theta_f", "psi_cone_f"}
+
+    def test_frame_multipliers_on_bands(self, output_1d, setup_1d):
+        # each kept band expands to the full lattice multiplier exactly
+        frame, grid, m = output_1d._builder.frame, setup_1d.grid, setup_1d.cfg.gap_m
+        dense = {"theta": lambda n, j: build_theta(grid, n, j - m).multiplier,
+                 "tau": lambda: tau_multiplier(grid, -m),
+                 "psi_cone": lambda n, j: psi_cone_multiplier(grid, n, j - m),
+                 "psi": lambda j: psi_multiplier(grid, j - m)}
+        checked = set()
+        for (name, args), value in frame._memo.items():
+            if name in dense:
+                band = value[0] if isinstance(value, tuple) else value
+                assert band.size < grid.size
+                assert np.array_equal(expand_band(grid, band), dense[name](*args))
+                checked.add(name)
+        assert checked == set(dense)
 
 
 class TestFdWitness:
