@@ -13,7 +13,6 @@ from .acceptance import run_sweep_artifacts, uniformity_by_key
 from .errors import PhaseprojError, ValidationError
 from .harness import (
     RunConfig,
-    baseline_demo,
     modulation_demo,
     parse_p,
     parse_p_values,
@@ -43,16 +42,24 @@ def _add_run_flags(sub):
     sub.add_argument("--out", help="run directory for reports and fields")
 
 
-def _numbers(text, flag, count=None):
-    """The comma-separated numbers given to `flag`, `count` of them if set."""
+def _numbers(text, flag, count=None, kind=float):
+    """The comma-separated `kind` values given to `flag`, `count` of them if set."""
     try:
-        values = [float(v) for v in text.split(",")]
+        values = [kind(v) for v in text.split(",")]
         if count in (None, len(values)):
             return values
     except ValueError:
         pass
+    noun = "integers" if kind is int else "numbers"
     raise ValidationError(
-        f"{flag} takes {count or 'one or more'} comma-separated numbers, not {text!r}")
+        f"{flag} takes {count or 'one or more'} comma-separated {noun}, not {text!r}")
+
+
+def _count(value, flag):
+    """`value`, refused unless it is at least 1: a count of 0 checks nothing."""
+    if value < 1:
+        raise ValidationError(f"{flag} must be at least 1, not {value}")
+    return value
 
 
 def _config_from_args(args):
@@ -97,11 +104,10 @@ def _cmd_run(args):
 
 
 def _cmd_sweep(args):
-    seeds = range(args.seeds)
-    m_values = tuple(int(v) for v in args.m_list.split(","))
+    seeds = range(_count(args.seeds, "--seeds"))
+    m_values = tuple(_numbers(args.m_list, "--m-list", kind=int))
     configs = reference_sweep_configs(seeds=seeds, m_values=m_values,
-                                      grid_n=args.grid_n or (1 << 17),
-                                      depth=args.depth or 2)
+                                      grid_n=args.grid_n, depth=args.depth)
     art = run_sweep_artifacts(configs)
     for config, error in art["failures"]:
         print(f"FAILED seed={config.tree_seed} m={config.gap_m}: "
@@ -120,7 +126,8 @@ def _cmd_spq(args):
     config = _config_from_args(args)
     p = parse_p(args.p.split(",")[0]) if args.p else 2.0
     q = parse_p(args.q) if args.q else inf
-    reports = spq_checks(config, p, q, n_draws=args.draws, seed=args.draw_seed)
+    reports = spq_checks(config, p, q, n_draws=_count(args.draws, "--draws"),
+                         seed=args.draw_seed)
     worst = {}
     for rep in reports:
         if "skipped" in rep.context:
@@ -150,17 +157,6 @@ def _cmd_mod_demo(args):
     return 0
 
 
-def _cmd_baseline(args):
-    result = baseline_demo(dim=args.dim or 1, seed=args.tree_seed or 0,
-                           depth=args.tree_depth or 3, grid_n=args.grid_n or (1 << 12),
-                           f_seed=args.f_seed or 7,
-                           csv_path=os.path.join(args.out, "baseline.csv") if args.out else None,
-                           smooth_compare=args.smooth_compare)
-    for key, value in sorted(result.items()):
-        print(f"{key}: {value}")
-    return 0
-
-
 def _cmd_freeze(args):
     from .acceptance import compute_baselines
     values, notes = compute_baselines(verbose=True)
@@ -186,8 +182,8 @@ def main(argv=None):
     sub = subs.add_parser("sweep", help="reference m/seed sweep")
     sub.add_argument("--seeds", type=int, default=20)
     sub.add_argument("--m-list", default="0,1,2,3")
-    sub.add_argument("--grid-n", type=int)
-    sub.add_argument("--depth", type=int)
+    sub.add_argument("--grid-n", type=int, default=1 << 17)
+    sub.add_argument("--depth", type=int, default=2)
     sub.add_argument("--out")
     sub.set_defaults(func=_cmd_sweep)
 
@@ -203,11 +199,6 @@ def main(argv=None):
     sub.add_argument("--separations", help="comma list of lattice frequencies")
     sub.add_argument("--second-tree-seed", type=int)
     sub.set_defaults(func=_cmd_mod_demo)
-
-    sub = subs.add_parser("baseline", help="exact conditional-expectation demo")
-    _add_run_flags(sub)
-    sub.add_argument("--smooth-compare", action="store_true")
-    sub.set_defaults(func=_cmd_baseline)
 
     sub = subs.add_parser("freeze-baselines",
                           help="recompute and freeze regression baselines")

@@ -295,41 +295,6 @@ def expand_to_tree(cfg):
 
 
 # ---------------------------------------------------------------------------
-# Dyadic partitions of the root, for the conditional-expectation baseline.
-
-@dataclass(frozen=True)
-class DyadicPartition:
-    """Finite dyadic partition of a root cube into disjoint cells."""
-
-    root: DyadicCube
-    cells: tuple
-
-    def __post_init__(self):
-        cells = tuple(sorted(self.cells))
-        object.__setattr__(self, "cells", cells)
-        if not cells:
-            raise ValidationError("partition needs at least one cell")
-        fine = min(c.level for c in cells)
-        total = 0
-        for c in cells:
-            if not self.root.contains(c):
-                raise ValidationError(f"cell {c.label()} outside the root")
-            total += 1 << (self.root.dim * (c.level - fine))
-        if total != 1 << (self.root.dim * (self.root.level - fine)):
-            raise ValidationError("cells do not tile the root exactly")
-        for i, a in enumerate(cells):
-            for b in cells[i + 1:]:
-                if not a.disjoint(b):
-                    raise ValidationError("partition cells overlap")
-
-    def sigma_contains(self, cube):
-        """cube belongs to the sigma algebra generated by the cells."""
-        if not self.root.contains(cube):
-            return False
-        return not any(c != cube and c.contains(cube) for c in self.cells)
-
-
-# ---------------------------------------------------------------------------
 # Text interfaces.
 
 def tree_config_to_dict(cfg):

@@ -494,25 +494,6 @@ def mollified_indicator(grid, e_cubes, j, m, kappa):
 
 
 # ---------------------------------------------------------------------------
-# Conditional expectation onto a dyadic partition (exact grid means).
-
-def cond_expectation(f, partition):
-    """Projection of f onto functions constant on the partition cells,
-    zero outside the root; cell averages are exact grid means."""
-    out = np.zeros(f.grid.shape, dtype=np.complex128)
-    for cell in partition.cells:
-        sl = f.grid.cube_slices(cell)
-        out[sl] = np.mean(f.values[sl])
-    return SampledField(f.grid, out)
-
-
-def cube_average(f, cube):
-    """Exact grid mean of f over a dyadic cube."""
-    sl = f.grid.cube_slices(cube)
-    return complex(np.mean(f.values[sl]))
-
-
-# ---------------------------------------------------------------------------
 # Serialization: flat binary fields.
 
 def save_field(a, path):

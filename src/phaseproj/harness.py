@@ -22,7 +22,6 @@ import numpy as np
 
 from .cubes import (
     DyadicCube,
-    DyadicPartition,
     TreeConfig,
     tree_config_to_dict,
     tree_index_rows,
@@ -33,8 +32,6 @@ from .estimators import EstimatorContext, norm_workers, prop_spq_checks
 from .grid import (
     SampledField,
     TorusGrid,
-    cond_expectation,
-    cube_average,
     inner_product,
     load_field,
     lp_norm,
@@ -173,13 +170,14 @@ def _checked_fields(cls, data):
 # ---------------------------------------------------------------------------
 # Instance generators.
 
-def random_partition_cells(seed, depth, dim, split_probability=0.7):
-    """Random dyadic partition of the unit cube by recursive splitting."""
+def random_partition_cells(seed, depth, dim):
+    """Random dyadic partition of the unit cube by recursive splitting:
+    a cube above level -depth splits with probability 0.7."""
     rng = np.random.default_rng(seed)
     cells = []
 
     def descend(cube, budget):
-        if budget > 0 and rng.random() < split_probability:
+        if budget > 0 and rng.random() < 0.7:
             for child in cube.children():
                 descend(child, budget - 1)
         else:
@@ -187,10 +185,6 @@ def random_partition_cells(seed, depth, dim, split_probability=0.7):
 
     descend(unit_cube(dim), depth)
     return tuple(sorted(cells))
-
-
-def generate_partition(seed, depth, dim):
-    return DyadicPartition(unit_cube(dim), random_partition_cells(seed, depth, dim))
 
 
 def generate_tree(seed, depth, leaf_count, dim, gap_m=0, alpha=None):
@@ -542,56 +536,6 @@ def modulation_demo(config, separations=None, second_tree_seed=None):
     seps = [row["separation"] for row in table[1:]]
     pairs = [row["pairing"] for row in table[1:]]
     return {"table": table, "spearman": rank_correlation(seps, pairs)}
-
-
-# ---------------------------------------------------------------------------
-# Conditional-expectation baseline demo.
-
-def baseline_demo(dim=1, seed=0, depth=3, grid_n=1 << 12, f_seed=7,
-                  csv_path=None, smooth_compare=False):
-    """Exact projection identities for the dyadic baseline, optionally a
-    side-by-side sampled comparison with the smooth construction."""
-    grid = TorusGrid(dim, 8.0, grid_n)
-    partition = generate_partition(seed, depth, dim)
-    f = random_bandpass_field(grid, f_seed, (1.0, 8.0), 6)
-    g = cond_expectation(f, partition)
-
-    sigma_cubes, below = [], []
-    min_level = min(c.level for c in partition.cells)
-    level_floor = max(min_level - 2, int(math.ceil(math.log2(grid.spacing))))
-    for level in range(0, level_floor - 1, -1):
-        span = 1 << (-level)
-        for idx in np.ndindex(*([span] * dim)):
-            cube = DyadicCube(level, tuple(int(i) for i in idx))
-            (sigma_cubes if partition.sigma_contains(cube) else below).append(cube)
-
-    proj_in = max(abs(cube_average(f, c) - cube_average(g, c)) for c in sigma_cubes)
-    proj_out = 0.0
-    for cube in below:
-        sl = grid.cube_slices(cube)
-        block = g.values[sl]
-        proj_out = max(proj_out, float(np.max(np.abs(block - np.mean(block)))))
-    s_dyadic = max(abs(cube_average(f, c)) for c in sigma_cubes)
-    sup_g = float(np.max(np.abs(g.values)))
-
-    result = {
-        "proj_in_error": float(proj_in),
-        "proj_out_error": float(proj_out),
-        "sup_g": sup_g,
-        "s_dyadic": float(s_dyadic),
-        "sup_bound_holds": bool(sup_g <= s_dyadic),
-        "cells": len(partition.cells),
-    }
-    if smooth_compare and dim == 1:
-        cfg = TreeConfig(partition.cells, 0, dim + 1.0)
-        pin = projection_input(f, cfg, grid, ProjectionSettings(strict=False))
-        smooth = assemble(pin).g
-        if csv_path:
-            write_csv(csv_path, ("x", "f", "g_dyadic", "g_smooth"),
-                      zip(grid.axis_points, f.values.real, g.values.real,
-                          smooth.values.real))
-        result["smooth_sup"] = smooth.max_abs()
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@
 import json
 import math
 
+import pytest
+
 from phaseproj import cli
+from phaseproj.acceptance import ConstantTable
 from phaseproj.harness import RunConfig
 
 
@@ -94,6 +97,46 @@ def test_unknown_dict_spec_key(tmp_path, capsys):
     assert err.startswith("error:") and "unknown DictionarySpec keys: n_bogus, zzz" in err
 
 
-def test_baseline_command(capsys):
-    assert cli.main(["baseline", "--grid-n", "1024", "--depth", "2"]) == 0
-    assert "sup_bound_holds: True" in capsys.readouterr().out
+@pytest.mark.parametrize("text", ["x", "1.5", "0,,1"])
+def test_bad_m_list(capsys, text):
+    assert cli.main(["sweep", "--m-list", text]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--m-list" in err and repr(text) in err
+
+
+def test_sweep_passes_zero_values_on(monkeypatch):
+    # the given depth and grid size reach the configs; nothing runs
+    captured = []
+
+    def capture(configs):
+        captured.extend(configs)
+        return {"failures": [], "table": ConstantTable()}
+
+    monkeypatch.setattr(cli, "run_sweep_artifacts", capture)
+    assert cli.main(["sweep", "--seeds", "1", "--m-list", "0", "--depth", "0",
+                     "--grid-n", "0"]) == 0
+    (config,) = captured
+    assert (config.tree_depth, config.window_depth, config.grid_n) == (0, 0, 0)
+    assert cli.run(config)["error"]["stage"] == "grid"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["sweep", "--seeds", "0"], "--seeds"),
+    (["sweep", "--seeds", "-2"], "--seeds"),
+    (["spq", "--draws", "0"], "--draws"),
+])
+def test_count_below_one(capsys, argv, flag):
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag in err
+
+
+@pytest.mark.parametrize("argv, code", [
+    *(([name, "--help"], 0) for name in ("build", "verify", "sweep", "spq",
+                                         "mod-demo", "freeze-baselines")),
+    (["baseline"], 2),  # retired: refused as an unknown choice
+])
+def test_subcommand_wiring(argv, code):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == code

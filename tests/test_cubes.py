@@ -17,7 +17,6 @@ from oracles import (
 )
 from phaseproj.cubes import (
     DyadicCube,
-    DyadicPartition,
     TreeConfig,
     expand_to_tree,
     tree_config_to_dict,
@@ -312,20 +311,6 @@ class TestMaximalOfftree:
             assert not parent_in
             for c2 in fam[i + 1:]:
                 assert c.disjoint(c2)
-
-
-class TestPartition:
-    def test_valid_partition(self):
-        p = DyadicPartition(unit_cube(1), (cube1(-1, 0), cube1(-2, 2), cube1(-2, 3)))
-        assert p.sigma_contains(unit_cube(1))
-        assert p.sigma_contains(cube1(-1, 1))
-        assert not p.sigma_contains(cube1(-2, 0))  # strictly inside a cell
-
-    def test_invalid_partitions(self):
-        with pytest.raises(ValidationError):
-            DyadicPartition(unit_cube(1), (cube1(-1, 0),))  # gap
-        with pytest.raises(ValidationError):
-            DyadicPartition(unit_cube(1), (cube1(-1, 0), cube1(-1, 0), cube1(-1, 1)))
 
 
 class TestSerialization:

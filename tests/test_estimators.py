@@ -37,7 +37,7 @@ from phaseproj.grid import (
     rho_values,
     zero_field,
 )
-from phaseproj.harness import random_bandpass_field, run, write_csv
+from phaseproj.harness import RunConfig, random_bandpass_field, run, write_csv
 from phaseproj.kernels import DictionarySpec, build_dictionary
 from phaseproj.projection import ProjectionSettings, assemble, projection_input
 
@@ -309,6 +309,11 @@ REFERENCE_CSV_SHA256 = {
     "tree.csv": "16bd0394428166521dd2c41c6f5d145fbb5d3eb6645705b8e1dc28ff54452f11",
     "perscale.csv": "f6d29599e5590f938159d5a62fb282d78647ba81153508c8ee06722c4e96170d",
 }
+# A 2-d non-strict run (config hash 516008db5c4db577) and its report.json
+# SHA-256, so drift of 2-d report bytes shows in tier-1 too
+REFERENCE_2D_CONFIG = RunConfig(dim=2, grid_n=1 << 8, tree_depth=1, leaf_count=1,
+                                alpha=3.0, strict=False, window_depth=0)
+REFERENCE_2D_REPORT_SHA256 = "2fac24a17c113c4c75e5dcb227fe6cfef11d626a81fa71d4ddf1494870924738"
 
 
 @pytest.fixture(scope="module")
@@ -380,6 +385,13 @@ class TestTableOracles:
         assert digest == REFERENCE_REPORT_SHA256
         for name, expected in REFERENCE_CSV_SHA256.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == expected
+
+    def test_2d_report_bytes(self, tmp_path):
+        assert REFERENCE_2D_CONFIG.config_hash() == "516008db5c4db577"
+        record = run(REFERENCE_2D_CONFIG, out_dir=str(tmp_path))
+        assert "error" not in record
+        digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+        assert digest == REFERENCE_2D_REPORT_SHA256
 
     def test_reference_report_bytes_one_worker(self, tmp_path, pool):
         pool(1)

@@ -5,16 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from phaseproj.cubes import DyadicCube, DyadicPartition, unit_cube
+from phaseproj.cubes import DyadicCube, unit_cube
 from phaseproj.errors import ResolutionError, ValidationError
 from phaseproj.grid import (
     SampledField,
     TorusGrid,
     apply_multiplier,
     collar_mask,
-    cond_expectation,
     convolve,
-    cube_average,
     cube_mask,
     fd_derivative,
     inner_product,
@@ -281,41 +279,6 @@ class TestMollifiedIndicator:
         with pytest.raises(ResolutionError) as err:
             mollified_indicator(coarse, [DyadicCube(0, (0,))], 0, 4, kappa)
         assert err.value.required_samples is not None
-
-
-class TestCondExpectation:
-    def test_measurable_fixed_point(self, g1):
-        cells = (DyadicCube(-1, (0,)), DyadicCube(-1, (1,)))
-        part = DyadicPartition(unit_cube(1), cells)
-        f = SampledField(g1, cube_mask(g1, [DyadicCube(-1, (0,))]))
-        g = cond_expectation(f, part)
-        assert np.max(np.abs(g.values - f.values)) < 1e-14
-
-    def test_grid_mean(self, g1):
-        part = DyadicPartition(unit_cube(1), (unit_cube(1),))
-        x = np.where((g1.axis_points >= 0) & (g1.axis_points < 1), g1.axis_points, 0.0)
-        f = SampledField(g1, x)
-        g = cond_expectation(f, part)
-        inside = cube_mask(g1, [unit_cube(1)])
-        expected = np.mean(f.values[inside])
-        assert np.max(np.abs(g.values[inside] - expected)) < 1e-14
-        assert np.max(np.abs(g.values[~inside])) == 0.0
-
-    def test_projection_identities(self, g1):
-        rng = np.random.default_rng(5)
-        cells = (DyadicCube(-2, (0,)), DyadicCube(-2, (1,)), DyadicCube(-1, (1,)))
-        part = DyadicPartition(unit_cube(1), cells)
-        f = SampledField(g1, rng.normal(size=g1.shape))
-        g = cond_expectation(f, part)
-        for level in range(0, -4, -1):
-            for k in range(0, 2 ** (-level)):
-                cube = DyadicCube(level, (k,))
-                if part.sigma_contains(cube):
-                    assert abs(cube_average(f, cube) - cube_average(g, cube)) < 1e-12
-                else:
-                    sl = g1.cube_slices(cube)
-                    block = g.values[sl]
-                    assert np.max(np.abs(block - cube_average(g, cube))) < 1e-12
 
 
 class TestModulate:

@@ -21,11 +21,10 @@ from phaseproj.errors import ValidationError
 from phaseproj.grid import TorusGrid
 from phaseproj.harness import (
     RunConfig,
-    baseline_demo,
     build_f,
     build_tree_config,
     field_from_modes,
-    generate_partition,
+    random_partition_cells,
     generate_tree,
     load_baselines,
     modulation_demo,
@@ -70,9 +69,12 @@ class TestGenerateTree:
 
 class TestGenerators:
     def test_partition_valid(self):
+        # generate_tree draws its leaves from these cells, so they must
+        # tile the unit cube: volumes 2^level sum to 1, no two overlap
         for seed in range(5):
-            part = generate_partition(seed, 4, 1)
-            assert part.cells
+            cells = random_partition_cells(seed, 4, 1)
+            assert sum(2.0 ** c.level for c in cells) == 1.0
+            assert all(a.disjoint(b) for i, a in enumerate(cells) for b in cells[i + 1:])
 
     def test_bandpass_annulus(self):
         grid = TorusGrid(1, 8.0, 1 << 12)
@@ -313,40 +315,6 @@ class TestConfig:
         a = RunConfig(tree_seed=0)
         b = RunConfig(tree_seed=1)
         assert a.config_hash() != b.config_hash()
-
-
-class TestBaselineDemo:
-    def test_exactness(self):
-        result = baseline_demo(dim=1, seed=3, depth=3, grid_n=1 << 12)
-        assert result["proj_in_error"] <= 1e-12
-        assert result["proj_out_error"] <= 1e-12
-        assert result["sup_bound_holds"]
-
-    def test_trivial_partition(self):
-        result = baseline_demo(dim=1, seed=0, depth=0, grid_n=1 << 10)
-        assert result["cells"] == 1
-        assert result["proj_in_error"] <= 1e-12
-
-    def test_measurable_input_fixed(self):
-        # f already constant on the cells reproduces itself; covered by
-        # the grid-level test, here the demo contract end to end
-        result = baseline_demo(dim=2, seed=1, depth=2, grid_n=1 << 8)
-        assert result["proj_in_error"] <= 1e-12
-        assert result["sup_bound_holds"]
-
-    def test_smooth_compare_csv(self, tmp_path):
-        path = tmp_path / "side.csv"
-        result = baseline_demo(dim=1, seed=2, depth=2, grid_n=1 << 13,
-                               csv_path=str(path), smooth_compare=True)
-        assert path.exists()
-        assert "smooth_sup" in result
-
-    def test_smooth_compare_csv_bytes(self, tmp_path):
-        path = tmp_path / "baseline.csv"
-        baseline_demo(dim=1, seed=0, depth=3, grid_n=1 << 12, csv_path=str(path),
-                      smooth_compare=True)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "39abcd175e44e8ec525b0c1351321962fa1d00195dd7dd04165b34a4b25a2b7c")
 
 
 class TestModulationDemo:
