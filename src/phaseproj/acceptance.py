@@ -3,7 +3,8 @@
 The acceptance suite pins its regression quantities here so that the
 command-line `freeze-baselines` and the tests exercise identical code:
 one reference verification config, the reference m-sweep with its
-table of headline ratios, the size comparison draws and the modulation demo.
+table of headline ratios, the Bernstein sweep over the gap and the
+modulation demo.
 """
 
 from __future__ import annotations
@@ -144,13 +145,10 @@ def uniformity_by_key(table):
     return worst
 
 
-def bernstein_artifacts(n_draws=40, seed=3):
+def bernstein_artifacts():
     """Gap-parameter sweep of the sup-vs-mean comparison."""
-    reports = spq_checks(BERNSTEIN_CONFIG, p=2.0, q=inf, n_draws=n_draws, seed=seed)
-    ratios = {}
-    for rep in reports:
-        if rep.inequality == "bernstein" and "skipped" not in rep.context:
-            ratios[rep.context["m"]] = rep.ratio
+    ratios = {rep.context["m"]: rep.ratio for rep in spq_checks(BERNSTEIN_CONFIG)
+              if "skipped" not in rep.context}
     ms = sorted(ratios)
     increments = [math.log2(ratios[ms[k + 1]] / ratios[ms[k]])
                   for k in range(len(ms) - 1) if ratios[ms[k]] > 0]

@@ -450,87 +450,23 @@ class EstimatorContext:
 
 
 # ---------------------------------------------------------------------------
-# Comparison checks for the size across exponent pairs.
+# The Bernstein (sup-vs-mean) comparison across the frequency gap.
 
-def prop_spq_checks(pin, alpha, p=2.0, q=inf, n_draws=100, seed=0,
-                    dict_spec=None, m_range=(0, 1, 2, 3, 4)):
-    """Per-kernel comparison inequalities between sizes at different
-    exponents: a weighted Hoelder step (p <= q), log-convexity
-    interpolation (q <= p), and the locally band-limited sup-vs-mean
-    ratio tracked across the frequency gap."""
-    dict_spec = dict_spec or DictionarySpec()
-    grid, tree, m = pin.grid, pin.tree, pin.cfg.gap_m
-    d = grid.dim
-    rng = np.random.default_rng(seed)
-    levels = list(range(pin.cfg.j_min, 1))
-
-    draws = []
-    for _ in range(n_draws):
-        i = int(rng.choice(levels))
-        cubes = tree.cubes(i)
-        cube = cubes[int(rng.integers(len(cubes)))]
-        kernels = _dictionary(grid, i - m - 2, alpha, "phi", dict_spec)
-        kernel = kernels[int(rng.integers(len(kernels)))]
-        draws.append((i, cube, kernel))
-
-    gap = _inv(p) - _inv(q)
-    norms = _draw_norms(pin, draws, alpha, (p, q, inf))
-    if p < q:
-        heavy = _draw_norms(pin, draws, alpha * (1 + gap), (p,))
-    reports = []
-    for i, cube, kernel in draws:
-        key = (i, cube, kernel.kernel_id)
-        u = norms[key]
-        ctx = {"i": i, "I": cube.label(), "kernel": kernel.kernel_id, "m": m}
-        if p < q:
-            lhs = heavy[key][p]
-            weight = level_weights(grid, i, alpha * gap)(cube)
-            w_norm = lp_norms(weight, grid.spacing ** d, (1.0 / gap,))[1.0 / gap]
-            rhs = w_norm * u[q]
-            reports.append(InequalityReport(
-                inequality="holder", lhs=lhs, rhs_without_constant=rhs,
-                ratio=_ratio(lhs, rhs), p=p, context=dict(ctx, q=q)))
-        if q <= p:
-            share = 0.0 if p == inf else q / p
-            rhs = (u[q] ** share) * (u[inf] ** (1.0 - share))
-            reports.append(InequalityReport(
-                inequality="logconvex", lhs=u[p], rhs_without_constant=rhs,
-                ratio=_ratio(u[p], rhs), p=p, context=dict(ctx, q=q)))
-
-    bern = bernstein_sweep(pin, alpha, dict_spec, m_range, draws)
-    reports.extend(bern)
-    return reports
-
-
-def _draw_norms(pin, draws, weight_exp, p_values):
-    """{(level, cube, kernel id): {p: norm}} of the rho^{-weight_exp}
-    weighted responses of the drawn kernels on the drawn cubes, one
-    level_norms call per level."""
-    out = {}
-    for i in sorted({i for i, _, _ in draws}):
-        kernels = {k.kernel_id: k for ii, _, k in draws if ii == i}
-        cubes = sorted({c for ii, c, _ in draws if ii == i})
-        for cube, rows in level_norms(pin.f, list(kernels.values()), cubes, i,
-                                      weight_exp, p_values):
-            out.update(((i, cube, kernel_id), norms) for kernel_id, norms in rows)
-    return out
-
-
-def bernstein_sweep(pin, alpha, dict_spec, m_range, draws):
-    """Sup-vs-mean ratios of weighted kernel responses across the gap.
+def bernstein_sweep(pin, alpha, dict_spec=None, m_range=(0, 1, 2, 3, 4)):
+    """Sup-vs-mean ratios of weighted kernel responses across the gap,
+    the worst over every tree cube and phi kernel of each gap m.
 
     The tracked quantity divides out the expected 2^{d(m-i)} growth of
     the band radius, so its per-step log-increment stays well below
     d + 1/2.  A gap whose dictionary the grid cannot resolve ends the
     sweep with a skipped row."""
+    dict_spec = dict_spec or DictionarySpec()
     d = pin.grid.dim
     reports = []
-    levels = sorted({i for i, _, _ in draws})
-    cubes_by_level = {i: sorted({c for ii, c, _ in draws if ii == i}) for i in levels}
     for m_val in m_range:
         worst = 0.0
         worst_ctx = None
-        for i in levels:
+        for i in pin.tree.levels():
             try:
                 kernels = _dictionary(pin.grid, i - m_val - 2, alpha, "phi", dict_spec)
             except ResolutionError as exc:  # Nyquist refusal at large m
@@ -539,7 +475,7 @@ def bernstein_sweep(pin, alpha, dict_spec, m_range, draws):
                     ratio=0.0, p=inf,
                     context={"m": m_val, "skipped": str(exc)}))
                 break
-            for cube, rows in level_norms(pin.f, kernels, cubes_by_level[i], i, alpha,
+            for cube, rows in level_norms(pin.f, kernels, pin.tree.cubes(i), i, alpha,
                                           (1.0, inf)):
                 for kernel_id, norms in rows:
                     sup, mean = norms[inf], norms[1.0]

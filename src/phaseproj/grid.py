@@ -490,7 +490,7 @@ def mollified_indicator(grid, e_cubes, j, m, kappa):
     if not e_cubes:
         return zero_field(grid)
     mask = collar_mask(grid, e_cubes, j - m - 3)
-    return convolve(SampledField(grid, mask.astype(np.complex128)), kappa.field)
+    return convolve(SampledField(grid, mask.astype(np.complex128)), kappa)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .cubes import (
     unit_cube,
 )
 from .errors import PhaseprojError, ValidationError
-from .estimators import EstimatorContext, norm_workers, prop_spq_checks
+from .estimators import EstimatorContext, bernstein_sweep, norm_workers
 from .grid import (
     SampledField,
     TorusGrid,
@@ -417,14 +417,14 @@ def _persist(record, timings, config, out_dir, ctx=None):
         fh.write(f"workers {norm_workers()}\n")
 
 
-def spq_checks(config, p=2.0, q=inf, n_draws=100, seed=0):
-    """prop_spq_checks on a config's grid, tree and f, whose projection
+def spq_checks(config):
+    """bernstein_sweep on a config's grid, tree and f, whose projection
     input is checked at the non-strict resolution tier."""
     grid = TorusGrid(config.dim, config.grid_b, config.grid_n)
     cfg = build_tree_config(config)
     f = build_f(config, grid)
     pin = projection_input(f, cfg, grid, ProjectionSettings(strict=False))
-    return prop_spq_checks(pin, config.alpha, p, q, n_draws=n_draws, seed=seed)
+    return bernstein_sweep(pin, config.alpha, config.dict_spec)
 
 
 # ---------------------------------------------------------------------------

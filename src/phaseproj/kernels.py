@@ -91,7 +91,7 @@ class KernelHandle:
 
     grid: object
     kernel_id: str
-    kind: str                    # 'phi' | 'psi' | 'mollifier'
+    kind: str                    # 'phi' | 'psi'
     level: int
     multiplier: np.ndarray       # in a dictionary, its grid.frequency_band
     field: SampledField
@@ -210,20 +210,14 @@ def build_theta(grid, n, j):
 
 def build_mollifier(grid, radius):
     """Nonnegative smooth bump supported in the Euclidean ball of the
-    given radius, with exact unit grid mass."""
+    given radius, with exact unit grid mass, as a SampledField."""
     if radius < grid.spacing:
         raise ResolutionError.needing(
             f"mollifier radius {radius} below grid spacing {grid.spacing}",
             2 * grid.half_width / radius)
     raw = MOLLIFIER_PROFILE(grid.space_radius / radius)
     total = float(np.sum(raw)) * grid.spacing ** grid.dim
-    values = raw / total
-    field = SampledField(grid, values)
-    handle = KernelHandle(grid, f"mollifier[r={radius}]", "mollifier", 0,
-                          field_multiplier(field), field)
-    handle.certificate["grid_mass"] = float(np.sum(values) * grid.spacing ** grid.dim)
-    handle.certificate["radius"] = float(radius)
-    return handle
+    return SampledField(grid, raw / total)
 
 
 # ---------------------------------------------------------------------------

@@ -95,8 +95,8 @@ def psi_kernel(grid, j):
 
 
 def kappa_kernel(grid, scale):
-    """The cutoff mollifier kappa at dyadic scale `scale`: support radius
-    2^(scale - 9), grid mass one."""
+    """The cutoff mollifier kappa at dyadic scale `scale` as a SampledField:
+    support radius 2^(scale - 9), grid mass one."""
     return build_mollifier(grid, 2.0 ** (scale - 9))
 
 

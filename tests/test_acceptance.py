@@ -94,6 +94,16 @@ class TestFrozenBaselines:
         check_frozen({"bernstein_max_ratio": bern["max_ratio"],
                       "bernstein_max_log2_increment": bern["max_log2_increment"]})
 
+    def test_bernstein_values(self):
+        # every ratio to the bit, so a rewrite of the sweep cannot move them
+        # while staying under the frozen gate
+        assert bernstein_artifacts() == {
+            "ratios": {0: 1.0066381037889869, 1: 0.5033190518944933,
+                       2: 0.25165952594724655, 3: 0.13589852607183486,
+                       4: 0.07683726647684376},
+            "max_ratio": 1.0066381037889869,
+            "max_log2_increment": -0.8226517085583357}
+
     def test_modulation(self):
         check_anchor(MODULATION_CONFIG, MODULATION_ANCHOR)
         demo = modulation_demo(MODULATION_CONFIG, separations=MODULATION_SEPARATIONS)

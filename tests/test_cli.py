@@ -123,12 +123,39 @@ def test_sweep_passes_zero_values_on(monkeypatch):
 @pytest.mark.parametrize("argv, flag", [
     (["sweep", "--seeds", "0"], "--seeds"),
     (["sweep", "--seeds", "-2"], "--seeds"),
-    (["spq", "--draws", "0"], "--draws"),
 ])
 def test_count_below_one(capsys, argv, flag):
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and flag in err
+
+
+def test_spq_prints_one_line_per_gap(capsys):
+    argv = ["spq", "--grid-n", str(1 << 11), "--tree-seed", "5", "--depth", "1",
+            "--leaves", "1", "--f-seed", "2", "--f-annulus", "1,3"]
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        f"bernstein m={m}" for m in range(5)]
+    # gap 4 needs a finer grid than 2^11 points: skipped, with the reason
+    assert all(": ratio " in line for line in lines[:4])
+    assert "skipped (" in lines[4] and "need at least N=4096" in lines[4]
+
+
+@pytest.mark.parametrize("argv", [
+    ["spq", "--p", "2,3"],
+    ["spq", "--draws", "5"],
+    ["spq", "--out", "d"],
+    ["mod-demo", "--out", "d"],
+    ["mod-demo", "--p", "2"],
+    ["mod-demo", "--window-depth", "1"],
+])
+def test_ignored_flag_refused(capsys, argv):
+    # a flag the subcommand would not read is an argparse usage error
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, code", [

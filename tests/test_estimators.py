@@ -1,4 +1,4 @@
-"""Size surrogate, inequality reports, comparison checks, sweep table."""
+"""Size surrogate, inequality reports, the Bernstein sweep, sweep table."""
 
 import hashlib
 import math
@@ -23,7 +23,6 @@ from phaseproj.estimators import (
     estimate_S_multi,
     level_norms,
     offtree_eligible,
-    prop_spq_checks,
     root_peak_weight,
     verify_witness,
 )
@@ -215,47 +214,36 @@ class TestNormReport:
 
 
 class TestComparisons:
-    def test_holder_slack_nonnegative(self, setup):
-        pin, _, _ = setup
-        reports = prop_spq_checks(pin, 2.0, p=2.0, q=inf, n_draws=100, seed=1,
-                                  m_range=(0,))
-        holder = [r for r in reports if r.inequality == "holder"]
-        assert len(holder) == 100
-        for rep in holder:
-            scale = max(rep.rhs_without_constant, rep.lhs, 1e-300)
-            assert rep.rhs_without_constant - rep.lhs >= -1e-10 * scale
-
-    def test_logconvex_exact_at_equal_exponents(self, setup):
-        pin, _, _ = setup
-        reports = prop_spq_checks(pin, 2.0, p=2.0, q=2.0, n_draws=20, seed=2,
-                                  m_range=(0,))
-        log_reports = [r for r in reports if r.inequality == "logconvex"]
-        assert log_reports
-        for rep in log_reports:
-            assert rep.lhs == pytest.approx(rep.rhs_without_constant, rel=1e-12)
-
-    def test_logconvex_slack(self, setup):
-        pin, _, _ = setup
-        reports = prop_spq_checks(pin, 2.0, p=inf, q=2.0, n_draws=50, seed=3,
-                                  m_range=(0,))
-        for rep in reports:
-            if rep.inequality != "logconvex":
-                continue
-            scale = max(rep.rhs_without_constant, rep.lhs, 1e-300)
-            assert rep.rhs_without_constant - rep.lhs >= -1e-10 * scale
-
     def test_bernstein_increments(self, setup):
         pin, _, _ = setup
-        reports = prop_spq_checks(pin, 2.0, p=2.0, q=inf, n_draws=20, seed=4,
-                                  m_range=(0, 1, 2))
-        ratios = {r.context["m"]: r.ratio for r in reports
-                  if r.inequality == "bernstein" and "skipped" not in r.context}
+        reports = bernstein_sweep(pin, 2.0, m_range=(0, 1, 2))
+        ratios = {r.context["m"]: r.ratio for r in reports if "skipped" not in r.context}
         ms = sorted(ratios)
         assert len(ms) >= 2
         d = pin.grid.dim
         for a, b in zip(ms, ms[1:]):
             if ratios[a] > 0:
                 assert math.log2(ratios[b] / ratios[a]) <= d + 0.5
+
+    def test_bernstein_visits_every_tree_cube(self, setup, monkeypatch):
+        grid = setup[0].grid
+        cfg = TreeConfig((DyadicCube(-2, (0,)), DyadicCube(-2, (2,))), 0, 2.0)
+        f = random_bandpass_field(grid, seed=4, annulus=(1.0, 3.0), n_modes=4)
+        pin = projection_input(f, cfg, grid, ProjectionSettings(strict=False))
+        calls = []
+        real = estimators.level_norms
+
+        def recording(field, kernels, cubes, level, *args):
+            calls.append((level, list(cubes)))
+            return real(field, kernels, cubes, level, *args)
+
+        monkeypatch.setattr(estimators, "level_norms", recording)
+        reports = bernstein_sweep(pin, 2.0, m_range=(0, 1))
+        assert [r.context["m"] for r in reports if "skipped" not in r.context] == [0, 1]
+        tree = pin.tree
+        assert len(tree.levels()) >= 2
+        assert calls == 2 * [(i, tree.cubes(i)) for i in tree.levels()]
+        assert {len(cubes) for _, cubes in calls} == {1, 2}
 
 
 class TestSweepTable:
@@ -538,8 +526,7 @@ class TestBernsteinErrors:
     def test_nyquist_refusal_is_a_skipped_row(self, setup):
         pin, _, _ = setup
         # class level -1 - 9 - 2 = -12 needs N = 2^14 on this 2^13 grid
-        draws = [(-1, DyadicCube(-1, (0,)), None)]
-        reports = bernstein_sweep(pin, 2.0, DictionarySpec(), (0, 9), draws)
+        reports = bernstein_sweep(pin, 2.0, m_range=(0, 9))
         assert [r.context["m"] for r in reports] == [0, 9]
         assert "skipped" not in reports[0].context
         assert "Nyquist" in reports[1].context["skipped"]
@@ -552,5 +539,4 @@ class TestBernsteinErrors:
 
         monkeypatch.setattr(estimators, "build_dictionary", broken)
         with pytest.raises(TypeError, match="bug inside the sweep"):
-            bernstein_sweep(pin, 2.0, DictionarySpec(), (0,),
-                            [(-1, DyadicCube(-1, (0,)), None)])
+            bernstein_sweep(pin, 2.0, m_range=(0,))

@@ -89,7 +89,7 @@ class TestConvolution:
         assert np.max(np.abs(out.values - a.values)) < 1e-10
 
     def test_mean_preservation(self, g1):
-        kern = build_mollifier(g1, 0.5).field
+        kern = build_mollifier(g1, 0.5)
         const = SampledField(g1, np.ones(g1.shape))
         out = convolve(const, kern)
         assert np.max(np.abs(out.values - 1.0)) < 1e-10

@@ -19,6 +19,7 @@ from phaseproj.acceptance import headline_rows
 from phaseproj.cubes import DyadicCube, unit_cube
 from phaseproj.errors import ValidationError
 from phaseproj.grid import TorusGrid
+from phaseproj.kernels import DictionarySpec
 from phaseproj.harness import (
     RunConfig,
     build_f,
@@ -218,6 +219,21 @@ class TestRun:
         rows = headline_rows(record, seed=5, m=0)
         kinds = {row["inequality"] for row in rows}
         assert kinds == {"norm", "carleson", "offtree"}
+
+    def test_spq_reads_the_config_dictionary(self, monkeypatch):
+        specs = []
+        real = estimators._dictionary
+
+        def recording(grid, level, alpha, kind, dict_spec):
+            specs.append(dict_spec)
+            return real(grid, level, alpha, kind, dict_spec)
+
+        monkeypatch.setattr(estimators, "_dictionary", recording)
+        spec = DictionarySpec(1, 1, 0, 0, 1, 0)
+        config = RunConfig(dim=1, grid_n=1 << 12, tree_seed=5, f_seed=2,
+                           f_annulus=(1.0, 3.0), dict_spec=spec)
+        assert [rep.context["m"] for rep in harness.spq_checks(config)] == [0, 1, 2, 3, 4]
+        assert specs and all(s is spec for s in specs)
 
 
 class TestConfig:
