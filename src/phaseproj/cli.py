@@ -32,7 +32,6 @@ def _add_config_flags(sub):
     sub.add_argument("--leaves", type=int, dest="leaf_count")
     sub.add_argument("--f-seed", type=int)
     sub.add_argument("--f-annulus", help="lo,hi frequency annulus for f")
-    sub.add_argument("--m", type=int, dest="gap_m")
     sub.add_argument("--alpha", type=float)
 
 
@@ -160,6 +159,7 @@ def main(argv=None):
                        ("verify", "full inequality suite for one config")):
         sub = subs.add_parser(name, help=text)
         _add_config_flags(sub)
+        sub.add_argument("--m", type=int, dest="gap_m")
         sub.add_argument("--p", help="comma list of exponents: positive numbers or inf")
         sub.add_argument("--window-depth", type=int)
         sub.add_argument("--no-strict", action="store_true")
@@ -174,13 +174,18 @@ def main(argv=None):
     sub.add_argument("--out")
     sub.set_defaults(func=_cmd_sweep)
 
+    spq_text = "Bernstein sup-vs-mean ratios over every tree cube, per gap m"
     sub = subs.add_parser(
-        "spq", help="Bernstein sup-vs-mean ratios over every tree cube, per gap m")
+        "spq", help=spq_text,
+        description=f"{spq_text}. The sweep runs gaps 0 to 4 itself, non-strict: "
+                    "a --config file's gap_m sets only the tree's resolution "
+                    "check, and its p_values, window_depth and strict are not read.")
     _add_config_flags(sub)
     sub.set_defaults(func=_cmd_spq)
 
     sub = subs.add_parser("mod-demo", help="modulation almost-orthogonality demo")
     _add_config_flags(sub)
+    sub.add_argument("--m", type=int, dest="gap_m")
     sub.add_argument("--no-strict", action="store_true")
     sub.add_argument("--separations", help="comma list of lattice frequencies")
     sub.add_argument("--second-tree-seed", type=int)

@@ -8,22 +8,17 @@ shifts, never with floats.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
 
 import numpy as np
 
-from .errors import InternalConsistencyError, ValidationError
+from .errors import ValidationError
 
 
 def _as_index(index):
     if isinstance(index, (int, np.integer)):
         return (int(index),)
     return tuple(int(k) for k in index)
-
-
-def _ceil_div(a, b):
-    return -((-a) // b)
 
 
 @dataclass(frozen=True, order=True)
@@ -181,113 +176,6 @@ class TreeIndex:
                 return True
         return False
 
-    # -- corona -------------------------------------------------------------
-
-    @cached_property
-    def corona(self):
-        """Disjoint family partitioning E_0^1, as (level, cube) pairs.
-
-        Level-j members are the level-j cubes inside E_{j+1}^1 that are
-        not inside E_j^1.  Verified to tile E_0^1 exactly.
-        """
-        out = []
-        for j in range(-1, self.j_min - 2, -1):
-            inner = self.slice_indices(j, 1)
-            pieces = []
-            for idx in sorted(self.slice_indices(j + 1, 1)):
-                for child in DyadicCube(j + 1, idx).children():
-                    if child.index not in inner:
-                        pieces.append(child)
-            out.extend((j, c) for c in sorted(pieces))
-            if not inner:
-                break
-        self._verify_corona(out)
-        return out
-    def _verify_corona(self, members):
-        if not members:
-            raise InternalConsistencyError("corona family is empty")
-        j_fine = min(j for j, _ in members)
-        total = sum(1 << (self.dim * (j - j_fine)) for j, _ in members)
-        expected = (3 ** self.dim) * (1 << (self.dim * (-j_fine)))
-        if total != expected:
-            raise InternalConsistencyError(
-                f"corona measure {total} != 3^d in units 2^{j_fine} ({expected})")
-        by_level = {}
-        for j, c in members:
-            by_level.setdefault(j, set()).add(c.index)
-        lvls = sorted(by_level)
-        for j, c in members:
-            if c.ancestor(0).index not in self.slice_indices(0, 1):
-                raise InternalConsistencyError("corona cube escapes E_0^1")
-            for j2 in lvls:
-                if j2 <= j:
-                    continue
-                if c.ancestor(j2).index in by_level[j2]:
-                    raise InternalConsistencyError("corona cubes are not disjoint")
-
-    # -- maximal off-tree cubes ----------------------------------------------
-
-    def maximal_offtree(self, level_floor):
-        """Maximal dyadic K inside 7U whose triple contains no tree cube.
-
-        The full family is an infinite Whitney-type covering; enumeration
-        stops at `level_floor`.
-        """
-        tree_cubes = [DyadicCube(j, idx) for j in self.levels()
-                      for idx in self.slice_indices(j)]
-        prev_family = None  # family mask at level j+1
-        prev_lo = None
-        out = []
-        for j in range(2, level_floor - 1, -1):
-            if j <= 0:
-                u = 1 << (-j)
-                ax_lo, ax_hi = -3 * u, 4 * u - 1
-            else:
-                v = 1 << j
-                ax_lo, ax_hi = _ceil_div(-3, v), 4 // v - 1
-            lo = [ax_lo] * self.dim
-            hi = [ax_hi] * self.dim
-            shape = tuple(h - l + 1 for l, h in zip(lo, hi))
-            if any(s <= 0 for s in shape):
-                prev_family, prev_lo = None, None
-                continue
-            bad = np.zeros(shape, dtype=bool)
-            for cube in tree_cubes:
-                sl = []
-                feasible = True
-                for ax, a in enumerate(cube.index):
-                    t = j - cube.level
-                    if t >= 0:
-                        k_hi = (a >> t) + 1
-                        k_lo = _ceil_div(a + 1, 2 ** t) - 2
-                    else:
-                        k_hi = (a << (-t)) + 1
-                        k_lo = ((a + 1) << (-t)) - 2
-                    k_lo, k_hi = max(k_lo, lo[ax]), min(k_hi, hi[ax])
-                    if k_lo > k_hi:
-                        feasible = False
-                        break
-                    sl.append(slice(k_lo - lo[ax], k_hi - lo[ax] + 1))
-                if feasible:
-                    bad[tuple(sl)] = True
-            family = ~bad
-            if j <= 0:
-                it = np.ndindex(shape)
-                for pos in it:
-                    if not family[pos]:
-                        continue
-                    idx = tuple(p + l for p, l in zip(pos, lo))
-                    parent_idx = tuple(k >> 1 for k in idx)
-                    parent_in_family = False
-                    if prev_family is not None:
-                        ppos = tuple(pk - pl for pk, pl in zip(parent_idx, prev_lo))
-                        if all(0 <= q < s for q, s in zip(ppos, prev_family.shape)):
-                            parent_in_family = bool(prev_family[ppos])
-                    if not parent_in_family:
-                        out.append(DyadicCube(j, idx))
-            prev_family, prev_lo = family, lo
-        return sorted(out)
-
 
 def expand_to_tree(cfg):
     """Expand a TreeConfig into its level-sliced TreeIndex."""
@@ -307,13 +195,11 @@ def tree_config_to_dict(cfg):
     }
 
 
-def tree_index_rows(tree, level_floor):
+def tree_index_rows(tree):
     """The expanded tree as rows (tag, level, index "k1;k2;...") for
-    inspection, off-tree cubes down to `level_floor`."""
+    inspection: each level's tree cubes, then its first shell."""
     tagged = []
     for j in tree.levels():
         tagged += [("T", c) for c in tree.cubes(j)]
         tagged += [("B1", c) for c in tree.shell_cubes(j, 1)]
-    tagged += [("corona", c) for _, c in tree.corona]
-    tagged += [("offtree", c) for c in tree.maximal_offtree(level_floor)]
     return [(tag, c.level, ";".join(map(str, c.index))) for tag, c in tagged]

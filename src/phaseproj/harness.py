@@ -397,9 +397,8 @@ def _persist(record, timings, config, out_dir, ctx=None):
             with open(path, "rb") as fh:
                 digest = hashlib.sha256(fh.read()).hexdigest()
             manifest.append(f"{name}.bin sha256={digest}")
-        # off-tree cubes down to the floor of the evaluated window
         write_csv(os.path.join(out_dir, "tree.csv"), ("tag", "level", "index"),
-                  tree_index_rows(ctx.tree, -(ctx.depth + 2)))
+                  tree_index_rows(ctx.tree))
     for name, data in (("report.json", record), ("config.echo", config.to_dict())):
         with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
             json.dump(data, fh, sort_keys=True, indent=2)

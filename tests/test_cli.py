@@ -146,6 +146,7 @@ def test_spq_prints_one_line_per_gap(capsys):
     ["spq", "--p", "2,3"],
     ["spq", "--draws", "5"],
     ["spq", "--out", "d"],
+    ["spq", "--m", "3"],
     ["mod-demo", "--out", "d"],
     ["mod-demo", "--p", "2"],
     ["mod-demo", "--window-depth", "1"],

@@ -1,5 +1,4 @@
-"""Dyadic cube arithmetic, mollified distances, trees, coronas and
-off-tree coverings."""
+"""Dyadic cube arithmetic, mollified distances and trees."""
 
 import math
 
@@ -209,108 +208,6 @@ class TestTreeExpansion:
             TreeConfig((cube1(1, 0),), 0, 2.0)  # coarser than the unit root
         with pytest.raises(ValidationError, match="differs from root dimension"):
             TreeConfig((cube1(-1, 0), DyadicCube(-1, (1, 1))), 0, 2.0)
-
-
-class TestCorona:
-    def test_single_leaf_example(self):
-        cfg = TreeConfig((cube1(-2, 0),), 0, 2.0)
-        tree = expand_to_tree(cfg)
-        by_level = {}
-        for j, c in tree.corona:
-            by_level.setdefault(j, []).append(c)
-        assert by_level[-1] == [cube1(-1, -2), cube1(-1, 2), cube1(-1, 3)]
-        assert by_level[-2] == [cube1(-2, -2), cube1(-2, 2), cube1(-2, 3)]
-        assert by_level[-3] == [cube1(-3, k) for k in (-2, -1, 0, 1, 2, 3)]
-        assert set(by_level) == {-1, -2, -3}
-        # union is [-1, 2): total measure 3
-        total = sum(c.side for _, c in tree.corona)
-        assert total == pytest.approx(3.0, abs=1e-12)
-
-    def test_single_node_tree(self):
-        cfg = TreeConfig((unit_cube(1),), 0, 2.0)
-        tree = expand_to_tree(cfg)
-        got = tree.corona
-        assert [(j, c) for j, c in got] == [(-1, cube1(-1, k)) for k in (-2, -1, 0, 1, 2, 3)]
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.sets(st.integers(min_value=0, max_value=7), min_size=1, max_size=4))
-    def test_measure_is_3_to_d(self, leaf_ks):
-        leaves = tuple(cube1(-3, k) for k in sorted(leaf_ks))
-        tree = expand_to_tree(TreeConfig(leaves, 0, 2.0))
-        total = sum(c.side for _, c in tree.corona)
-        assert total == pytest.approx(3.0, abs=1e-12)
-
-    def test_measure_2d(self):
-        leaves = (DyadicCube(-2, (0, 3)), DyadicCube(-1, (1, 0)))
-        tree = expand_to_tree(TreeConfig(leaves, 0, 3.0))
-        total = sum(c.side ** 2 for _, c in tree.corona)
-        assert total == pytest.approx(9.0, abs=1e-12)
-
-
-class TestMaximalOfftree:
-    def offtree_oracle(self, tree, level_floor):
-        """Exhaustive level-by-level scan straight from the definition."""
-        tree_cubes = [DyadicCube(j, idx) for j in tree.levels()
-                      for idx in tree.slice_indices(j)]
-        seven_u = unit_cube(tree.dim)
-
-        def in_family(c):
-            if not dilated_contains(seven_u, 7, c):
-                return False
-            return not any(dilated_contains(c, 3, t) for t in tree_cubes)
-
-        out = []
-        for j in range(1, level_floor - 1, -1):
-            span = 2 ** (-j) if j <= 0 else 1
-            lo, hi = -3 * span, 4 * span
-            if j > 0:
-                lo, hi = -4, 4
-            for idx in np.ndindex(*([hi - lo] * tree.dim)):
-                c = DyadicCube(j, tuple(int(i) + lo for i in idx))
-                if in_family(c) and not in_family(c.ancestor(j + 1)):
-                    out.append(c)
-        return sorted(out)
-
-    def test_single_node_tree_matches_oracle(self):
-        cfg = TreeConfig((unit_cube(1),), 0, 2.0)
-        tree = expand_to_tree(cfg)
-        got = tree.maximal_offtree(level_floor=-2)
-        assert got == self.offtree_oracle(tree, -2)
-        level0 = [c for c in got if c.level == 0]
-        # level-0 members: triples miss U, parents fail the family test
-        assert level0 == [cube1(0, k) for k in (-3, -2, 2, 3)]
-        for c in level0:
-            assert rho_set(c, [unit_cube(1)]) >= 2.0
-
-    def test_two_leaf_tree_matches_oracle(self):
-        cfg = TreeConfig((cube1(-2, 0), cube1(-1, 1)), 0, 2.0)
-        tree = expand_to_tree(cfg)
-        got = tree.maximal_offtree(level_floor=-3)
-        assert got == self.offtree_oracle(tree, -3)
-
-    def test_2d_matches_oracle(self):
-        cfg = TreeConfig((DyadicCube(-1, (0, 0)),), 0, 3.0)
-        tree = expand_to_tree(cfg)
-        got = tree.maximal_offtree(level_floor=-2)
-        assert got == self.offtree_oracle(tree, -2)
-
-    def test_properties(self):
-        cfg = TreeConfig((cube1(-3, 2),), 1, 2.0)
-        tree = expand_to_tree(cfg)
-        fam = tree.maximal_offtree(level_floor=-4)
-        tree_cubes = [DyadicCube(j, idx) for j in tree.levels()
-                      for idx in tree.slice_indices(j)]
-        seven_u = unit_cube(1)
-        for i, c in enumerate(fam):
-            assert c.level <= 0
-            assert dilated_contains(seven_u, 7, c)
-            assert not any(dilated_contains(c, 3, t) for t in tree_cubes)
-            parent = c.ancestor(c.level + 1)
-            parent_in = dilated_contains(seven_u, 7, parent) and not any(
-                dilated_contains(parent, 3, t) for t in tree_cubes)
-            assert not parent_in
-            for c2 in fam[i + 1:]:
-                assert c.disjoint(c2)
 
 
 class TestSerialization:

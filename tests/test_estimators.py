@@ -294,7 +294,7 @@ class TestSweepTable:
 REFERENCE_REPORT_SHA256 = "a2d5b078892c0f381e1351712f9010966b547c74d205fcf741accf020cb3f83e"
 # SHA-256 of the CSV files written beside it by the same run
 REFERENCE_CSV_SHA256 = {
-    "tree.csv": "16bd0394428166521dd2c41c6f5d145fbb5d3eb6645705b8e1dc28ff54452f11",
+    "tree.csv": "5f2dfdc05698ce0c7e758d81b387ff9291911bf4bcb6c29a4a1a5950ab3f7168",
     "perscale.csv": "f6d29599e5590f938159d5a62fb282d78647ba81153508c8ee06722c4e96170d",
 }
 # A 2-d non-strict run (config hash 516008db5c4db577) and its report.json

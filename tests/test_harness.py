@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from oracles import is_real
 from phaseproj import estimators, harness, projection
 from phaseproj.acceptance import headline_rows
-from phaseproj.cubes import DyadicCube, unit_cube
+from phaseproj.cubes import DyadicCube, expand_to_tree, unit_cube
 from phaseproj.errors import ValidationError
 from phaseproj.grid import TorusGrid
 from phaseproj.kernels import DictionarySpec
@@ -197,9 +197,10 @@ class TestRun:
         assert f"workers {estimators.norm_workers()}" in timings
 
     @pytest.mark.parametrize("window_depth", [None, 0])
-    def test_tree_csv_floor_is_the_window_floor(self, tmp_path, window_depth):
-        # leaves deeper than tree_depth, and window depth 0: tree.csv lists
-        # off-tree cubes down to the finest level of the evaluated window
+    def test_tree_csv_lists_tree_cubes_and_first_shells(self, tmp_path, window_depth):
+        # leaves deeper than tree_depth: the window reaches two levels below
+        # the leaves by default, and tree.csv lists, level by level, the
+        # tree cubes and then the first shell, whatever the window depth
         config = RunConfig(dim=1, grid_n=1 << 14, leaves=((-2, 1),),
                            window_depth=window_depth)
         record = run(config, out_dir=str(tmp_path))
@@ -207,9 +208,15 @@ class TestRun:
         window_floor = min(int(rep["context"]["J"].split(":")[0])
                            for rep in record["reports"] if "J" in rep["context"])
         assert window_floor == (-4 if window_depth is None else -2)
-        rows = (tmp_path / "tree.csv").read_text().splitlines()[1:]
-        assert min(int(row.split(",")[1]) for row in rows
-                   if row.startswith("offtree,")) == window_floor
+        tree = expand_to_tree(build_tree_config(config))
+        expected = []
+        for j in tree.levels():
+            expected += [f"T,{j},{c.index[0]}" for c in tree.cubes(j)]
+            expected += [f"B1,{j},{c.index[0]}" for c in tree.shell_cubes(j, 1)]
+        rows = (tmp_path / "tree.csv").read_text().splitlines()
+        assert rows[0] == "tag,level,index"
+        assert rows[1:] == expected
+        assert {row.split(",")[0] for row in rows[1:]} == {"T", "B1"}
 
     def test_headline_rows(self):
         config = RunConfig(dim=1, grid_n=1 << 13, tree_seed=5, tree_depth=1,
