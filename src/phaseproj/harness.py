@@ -44,7 +44,6 @@ from .kernels import DictionarySpec
 from .projection import (
     ProjectionFrame,
     ProjectionOutput,
-    ProjectionSettings,
     assemble,
     projection_input,
     residual_decomposition,
@@ -97,6 +96,8 @@ class RunConfig:
     dict_spec: DictionarySpec = dc_field(default_factory=DictionarySpec)
     window_depth: int | None = None
     strict: bool = True
+    # Read by nothing.  It stays because config_hash hashes every field,
+    # and the benchmark compares stored config hashes.
     keep_pieces: bool = False
 
     def to_dict(self):
@@ -215,6 +216,8 @@ def generate_tree(seed, depth, leaf_count, dim, gap_m=0, alpha=None):
 
 def random_bandpass_modes(grid, seed, annulus=(2.0, 16.0), n_modes=8):
     """Random lattice frequencies inside an annulus, with amplitudes."""
+    if n_modes < 1:
+        raise ValidationError(f"f_mode_count must be >= 1, not {n_modes}")
     rng = np.random.default_rng(seed)
     lo, hi = annulus
     lat = 1.0 / (2 * grid.half_width)
@@ -309,7 +312,10 @@ def run(config, out_dir=None):
     stage = "config"
     try:
         t0 = time.perf_counter()
-        parse_p_values(config.p_values)
+        p_values = parse_p_values(config.p_values)
+        if config.window_depth is not None and config.window_depth < 0:
+            raise ValidationError(
+                f"window_depth must be >= 0, not {config.window_depth}")
         stage = "grid"
         grid = TorusGrid(config.dim, config.grid_b, config.grid_n)
         stage = "tree"
@@ -318,21 +324,19 @@ def run(config, out_dir=None):
         stage = "f"
         f = build_f(config, grid)
         stage = "projection"
-        settings = ProjectionSettings(strict=config.strict,
-                                      keep_pieces=config.keep_pieces)
-        pin = projection_input(f, cfg, grid, settings)
+        pin = projection_input(f, cfg, grid, config.strict)
         output = assemble(pin)
         residual_decomposition(pin, output)
-        # the split is verified: keep g and chi, release the builder, its
-        # frame and the pieces before the estimators run
-        output = ProjectionOutput(g=output.g, chi=output.chi, pieces={},
+        # the split is verified: keep g and chi, release the builder with
+        # its pieces and its frame before the estimators run
+        output = ProjectionOutput(g=output.g, chi=output.chi,
                                   diagnostics=output.diagnostics)
         timings["build"] = time.perf_counter() - t0
         record["diagnostics"] = _diagnostics_dict(output.diagnostics)
 
         stage = "estimators"
         t0 = time.perf_counter()
-        ctx = EstimatorContext(pin, output, config.dict_spec, config.p_values,
+        ctx = EstimatorContext(pin, output, config.dict_spec, p_values,
                                config.window_depth)
         reports = ctx.evaluate_window()
         timings["estimators"] = time.perf_counter() - t0
@@ -422,7 +426,7 @@ def spq_checks(config):
     grid = TorusGrid(config.dim, config.grid_b, config.grid_n)
     cfg = build_tree_config(config)
     f = build_f(config, grid)
-    pin = projection_input(f, cfg, grid, ProjectionSettings(strict=False))
+    pin = projection_input(f, cfg, grid, strict=False)
     return bernstein_sweep(pin, config.alpha, config.dict_spec)
 
 
@@ -505,12 +509,11 @@ def modulation_demo(config, separations=None, second_tree_seed=None):
                                                leaves=None))
     f = build_f(config, grid)
 
-    settings = ProjectionSettings(strict=config.strict, keep_pieces=False)
     frames = {}     # one per tree config: its geometry does not depend on f
 
     def project(eta, tree_cfg):
         shifted = modulate(f, [-eta] + [0.0] * (config.dim - 1))
-        pin = projection_input(shifted, tree_cfg, grid, settings)
+        pin = projection_input(shifted, tree_cfg, grid, config.strict)
         if tree_cfg not in frames:
             frames[tree_cfg] = ProjectionFrame.for_input(pin)
         out = assemble(pin, frames[tree_cfg])

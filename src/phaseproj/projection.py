@@ -26,8 +26,8 @@ no f.  Each multiplier is kept on its frequency band only
 (grid.frequency_band), which apply_multiplier reads.  A caller
 projecting many fields onto one tree (the modulation demo) passes one
 frame to every `assemble`; without one each call builds a private frame.
-The ProjectionBuilder holds one f: its pieces, each built once, the
-filtered copies that more than one step reads, and every f-dependent
+The ProjectionBuilder holds one f: its pieces, each built once and
+kept only in its memo, the filtered copies that more than one step reads, and every f-dependent
 check above, run once per projection.  It appends each kernel's wrap
 flag to its own diagnostics when it filters f through that kernel.
 """
@@ -78,38 +78,19 @@ FD_REL_TOL = 1e-4
 FD_MIN_SAMPLES_PER_RADIUS = 160
 
 
-@dataclass(frozen=True)
-class ProjectionSettings:
-    """Resolution policy of a projection build: strict mode enforces the
-    smoothness-dependent diagnostics; keep_pieces keeps each scale's
-    cutoff, sigma and G next to its piece."""
-
-    strict: bool = True
-    keep_pieces: bool = True
-
-
 @dataclass
 class ProjectionInput:
     f: SampledField
     cfg: TreeConfig
     tree: TreeIndex
     grid: TorusGrid
-    settings: ProjectionSettings
-
-
-@dataclass
-class PieceBundle:
-    chi_s: SampledField
-    sigma: SampledField
-    big_g: SampledField
-    g_piece: SampledField
+    strict: bool
 
 
 @dataclass
 class ProjectionOutput:
     g: SampledField
     chi: SampledField
-    pieces: dict
     diagnostics: dict
     _builder: ProjectionBuilder | None = dc_field(default=None, repr=False,
                                                   compare=False)
@@ -119,7 +100,7 @@ def mollifier_radius(j, m):
     return MOLLIFIER_CELL_FRACTION * 2.0 ** (j - m - 3)
 
 
-def resolution_check(cfg, grid, settings):
+def resolution_check(cfg, grid, strict):
     """Pre-flight refusal if the grid cannot carry the construction.
 
     Hard tier: kernel bands inside Nyquist, collar cells and mollifier
@@ -138,22 +119,22 @@ def resolution_check(cfg, grid, settings):
             f"collar cells at level {j_min - m - 3} are below the grid spacing",
             2 * grid.half_width / cell)
     radius = mollifier_radius(j_min, m)
-    min_samples = MIN_SAMPLES_PER_RADIUS if settings.strict else 1.0
+    min_samples = MIN_SAMPLES_PER_RADIUS if strict else 1.0
     if radius < min_samples * grid.spacing:
         raise ResolutionError.needing(
             f"finest mollifier radius {radius} has fewer than {min_samples} "
             f"grid samples", min_samples * 2 * grid.half_width / radius)
 
 
-def projection_input(f, cfg, grid=None, settings=None):
-    """Validate and bundle the inputs of a projection build."""
+def projection_input(f, cfg, grid=None, strict=True):
+    """Validate and bundle the inputs of a projection build; strict
+    mode enforces the smoothness-dependent diagnostics."""
     grid = grid or f.grid
     if f.grid != grid:
         raise ValidationError("f does not live on the stated grid")
-    settings = settings or ProjectionSettings()
-    resolution_check(cfg, grid, settings)
+    resolution_check(cfg, grid, strict)
     tree = expand_to_tree(cfg)
-    return ProjectionInput(f=f, cfg=cfg, tree=tree, grid=grid, settings=settings)
+    return ProjectionInput(f=f, cfg=cfg, tree=tree, grid=grid, strict=strict)
 
 
 def _memo(method):
@@ -190,11 +171,11 @@ class ProjectionFrame:
 
     @classmethod
     def for_input(cls, pin):
-        return cls(pin.grid, pin.tree, pin.settings.strict)
+        return cls(pin.grid, pin.tree, pin.strict)
 
     def check(self, pin):
         if (self.grid != pin.grid or self.tree.cfg != pin.cfg
-                or self.strict != pin.settings.strict):
+                or self.strict != pin.strict):
             raise ValidationError(
                 "projection frame was built for another grid, tree or strictness")
 
@@ -277,9 +258,8 @@ class ProjectionBuilder:
         self.m = pin.cfg.gap_m
         self.dim = pin.grid.dim
         self.j_min = pin.cfg.j_min
-        self.settings = pin.settings
+        self.strict = pin.strict
         self._memo = {}
-        self.bundles = {}
         self.diagnostics = {"levels": {}, "wrap_flags": []}
 
     # -- filtered copies of f -------------------------------------------------
@@ -309,9 +289,8 @@ class ProjectionBuilder:
 
     def sigma(self, j, tf):
         """Correction factor times tf = theta_f(n, j), for any n: vanishes
-        on E_j^1, supported within the 2^(j-m-1)-collar (inside E_j^2)."""
-        if j < self.j_min or j > 0:
-            return zero_field(self.grid)
+        on E_j^1, supported within the 2^(j-m-1)-collar (inside E_j^2);
+        zero for j outside j_min..0, where the tree has no ring E_j^1."""
         fr = self.frame
         return (fr.chi_s(j) - fr.e_indicator(j)) * tf
 
@@ -333,10 +312,7 @@ class ProjectionBuilder:
     @_memo
     def g_piece(self, n, j):
         """(d+1)-fold derivative of G along the cone axis, with a Leibniz
-        cross-check quantifying product-differentiation aliasing.  With
-        keep_pieces its cutoff, sigma and G go into `bundles`."""
-        if j < self.j_min or j > 0:
-            return zero_field(self.grid)
+        cross-check quantifying product-differentiation aliasing."""
         tf = self.theta_f(n, j)
         big_g = self.big_g(n, j, tf)
         piece = partial_derivative(big_g, n, self.dim + 1)
@@ -352,7 +328,7 @@ class ProjectionBuilder:
         scale = max(piece.max_abs(), 1e-300)
         leib_err = float(np.max(np.abs(piece.values - leib.values)) / scale)
         diag["leibniz_rel_err"] = leib_err
-        if self.settings.strict and leib_err > LEIBNIZ_REL_TOL:
+        if self.strict and leib_err > LEIBNIZ_REL_TOL:
             raise ResolutionError(
                 f"Leibniz cross-check failed at (n={n}, j={j}): {leib_err:.3e} "
                 f"> {LEIBNIZ_REL_TOL}; increase N")
@@ -362,7 +338,7 @@ class ProjectionBuilder:
             fd = fd_derivative(big_g, n, self.dim + 1)
             fd_err = float(np.max(np.abs(piece.values - fd.values)) / scale)
             diag["fd_rel_err"] = fd_err
-            if self.settings.strict and fd_err > FD_REL_TOL:
+            if self.strict and fd_err > FD_REL_TOL:
                 raise ResolutionError(
                     f"finite-difference witness failed at (n={n}, j={j}): "
                     f"{fd_err:.3e} > {FD_REL_TOL}")
@@ -384,9 +360,6 @@ class ProjectionBuilder:
             if out_abs > max(1e-12 * smax, 1e-13 * tf_max):
                 raise InternalConsistencyError(
                     f"sigma escapes E_{j}^2 (rel {out_abs / smax})")
-        if self.settings.keep_pieces:
-            self.bundles[(n, j)] = PieceBundle(chi_s=chi, sigma=sigma, big_g=big_g,
-                                               g_piece=piece)
         return piece
 
     @_memo
@@ -407,12 +380,9 @@ class ProjectionBuilder:
         tau_f = self.tau_f()
         chi = fr.chi_s(0)
         g = tau_f * chi
-        pieces = {}
         for n in range(self.dim):
             for j in range(self.j_min, 1):
-                piece = self.g_piece(n, j)
-                g = g + piece
-                pieces[(n, j)] = self.bundles[(n, j)] if self.settings.keep_pieces else piece
+                g = g + self.g_piece(n, j)
 
         # telescoping route: h = tau*f chi + sum_j psi_j*f 1_{E_j^1}, plus
         # the correction sum
@@ -428,7 +398,7 @@ class ProjectionBuilder:
 
         outside_5u = fr.outside_5u()
         support_err = float(np.max(np.abs(g.values[outside_5u])) / scale) if scale > 0 else 0.0
-        if self.settings.strict and support_err > SUPPORT_REL_TOL:
+        if self.strict and support_err > SUPPORT_REL_TOL:
             raise ResolutionError(
                 f"g does not vanish outside 5U (rel {support_err:.3e}); increase N")
 
@@ -437,8 +407,8 @@ class ProjectionBuilder:
         diag["support_5u_rel"] = support_err
         diag["chi_derivative_sup"] = dict(fr.chi_certificates())
         diag["nyquist_level"] = fr.nyquist_level()
-        diag["strict"] = self.settings.strict
-        return ProjectionOutput(g=g, chi=chi, pieces=pieces, diagnostics=diag,
+        diag["strict"] = self.strict
+        return ProjectionOutput(g=g, chi=chi, diagnostics=diag,
                                 _builder=self)
 
     def residual_parts(self):

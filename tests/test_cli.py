@@ -77,6 +77,12 @@ def test_bad_exponent(capsys):
     assert err.startswith("error:") and "'-1'" in err
 
 
+def test_negative_window_depth(capsys):
+    assert cli.main(["verify", "--window-depth", "-1"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAILED at stage config:") and "window_depth" in out
+
+
 def test_bad_annulus(capsys):
     assert cli.main(["verify", "--f-annulus", "1"]) == 1
     err = capsys.readouterr().err

@@ -38,7 +38,7 @@ from phaseproj.grid import (
 )
 from phaseproj.harness import RunConfig, random_bandpass_field, run, write_csv
 from phaseproj.kernels import DictionarySpec, build_dictionary
-from phaseproj.projection import ProjectionSettings, assemble, projection_input
+from phaseproj.projection import assemble, projection_input
 
 
 @pytest.fixture(scope="module")
@@ -154,7 +154,7 @@ class TestCarleson:
             cfg = TreeConfig(tuple(leaves), 0, 2.0)
             f = random_bandpass_field(grid, seed=100 + trial, annulus=(1.0, 3.0),
                                       n_modes=5)
-            pin = projection_input(f, cfg, grid, ProjectionSettings(strict=False))
+            pin = projection_input(f, cfg, grid, strict=False)
             out = assemble(pin)
             ctx = EstimatorContext(pin, out, window_depth=2, p_values=(2.0,))
             ratios = {}
@@ -229,7 +229,7 @@ class TestComparisons:
         grid = setup[0].grid
         cfg = TreeConfig((DyadicCube(-2, (0,)), DyadicCube(-2, (2,))), 0, 2.0)
         f = random_bandpass_field(grid, seed=4, annulus=(1.0, 3.0), n_modes=4)
-        pin = projection_input(f, cfg, grid, ProjectionSettings(strict=False))
+        pin = projection_input(f, cfg, grid, strict=False)
         calls = []
         real = estimators.level_norms
 
@@ -309,7 +309,7 @@ def deep():
     grid = TorusGrid(1, 8.0, 1 << 12)
     cfg = TreeConfig((DyadicCube(-2, (1,)), DyadicCube(-1, (1,))), 0, 2.0)
     f = random_bandpass_field(grid, seed=7, annulus=(1.0, 3.0), n_modes=5)
-    pin = projection_input(f, cfg, grid, ProjectionSettings(strict=False))
+    pin = projection_input(f, cfg, grid, strict=False)
     return EstimatorContext(pin, assemble(pin), window_depth=2)
 
 

@@ -7,6 +7,7 @@ import os
 import re
 import warnings
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from oracles import is_real
 from phaseproj import estimators, harness, projection
-from phaseproj.acceptance import headline_rows
+from phaseproj.acceptance import REFERENCE_CONFIG, headline_rows
 from phaseproj.cubes import DyadicCube, expand_to_tree, unit_cube
 from phaseproj.errors import ValidationError
 from phaseproj.grid import TorusGrid
@@ -101,6 +102,16 @@ class TestGenerators:
         f = random_bandpass_field(grid, 5, (1.0, 4.0), 6)
         assert is_real(f)
 
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_mode_count_below_one_refused(self, count):
+        # no modes would give f = 0 and every ratio 0.0
+        grid = TorusGrid(1, 8.0, 1 << 12)
+        with pytest.raises(ValidationError, match="f_mode_count"):
+            random_bandpass_modes(grid, 3, (2.0, 5.0), count)
+        record = run(RunConfig(grid_n=1 << 12, f_mode_count=count))
+        assert record["error"]["stage"] == "f"
+        assert record["error"]["type"] == "ValidationError"
+
 
 class TestRun:
     def test_zero_field_run(self, tmp_path):
@@ -162,7 +173,7 @@ class TestRun:
         monkeypatch.setattr(harness, "assemble", assemble)
         monkeypatch.setattr(harness, "EstimatorContext", Context)
         config = RunConfig(dim=1, grid_n=1 << 13, leaves=((-1, 0),), gap_m=0,
-                           alpha=2.0, window_depth=1, keep_pieces=True)
+                           alpha=2.0, window_depth=1)
         record = run(config)
         assert "error" not in record
         assert alive == [False, False]
@@ -319,6 +330,20 @@ class TestConfig:
         assert record["error"]["type"] == "ValidationError"
         assert "p_values" in record["error"]["message"]
         assert "report_summary" not in record
+
+    def test_exponent_names_run_as_numbers(self):
+        # the run reads the parsed exponents, not the names as given
+        named = run(replace(REFERENCE_CONFIG, p_values=("2",)))
+        assert "error" not in named
+        assert named == run(replace(REFERENCE_CONFIG, p_values=(2.0,)))
+
+    @pytest.mark.parametrize("depth", [-1, -3])
+    def test_negative_window_depth_recorded_at_config_stage(self, depth):
+        # a negative depth would evaluate no Carleson or off-tree cube
+        record = run(replace(REFERENCE_CONFIG, window_depth=depth))
+        assert record["error"] == {
+            "stage": "config", "type": "ValidationError",
+            "message": f"window_depth must be >= 0, not {depth}"}
 
     def test_empty_p_values_refused_from_dict(self):
         with pytest.raises(ValidationError, match="p_values"):

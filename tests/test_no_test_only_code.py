@@ -1,11 +1,14 @@
-"""Every function and class in src/phaseproj has a caller in src/, and
-every module-level import there is read by its module.
+"""Every function and class in src/phaseproj has a caller in src/, every
+dataclass field there is read in src/, and every module-level import
+there is read by its module.
 
 A definition that only tests reach is dead weight in the package: an
 oracle belongs in tests/oracles.py, anything else goes.  The one kept
 exception is harness.load_baselines, which shares its file format with
-save_baselines and feeds the frozen-baseline gates.  An import that its
-module never reads is left over from deleted code.
+save_baselines and feeds the frozen-baseline gates.  The one kept unread
+field is RunConfig.keep_pieces: config_hash hashes every field, and the
+benchmark compares stored config hashes.  An import that its module never
+reads is left over from deleted code.
 """
 
 import ast
@@ -15,6 +18,7 @@ import phaseproj
 
 SRC = pathlib.Path(phaseproj.__file__).parent
 ALLOWED = {("harness", "load_baselines")}
+ALLOWED_FIELDS = {("harness", "RunConfig", "keep_pieces")}
 
 
 def definitions_without_callers(src_dir):
@@ -33,6 +37,26 @@ def definitions_without_callers(src_dir):
             elif isinstance(node, ast.alias):
                 used.add(node.name)
     return sorted({d for d in defined if d[1] not in used})
+
+
+def _is_dataclass(node):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def unread_dataclass_fields(src_dir):
+    """(module, class, field) of each field of a @dataclass in src_dir/*.py
+    whose name no attribute read in those files uses."""
+    fields, read = [], set()
+    for path in sorted(src_dir.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields.extend((path.stem, node.name, item.target.id) for item in node.body
+                              if isinstance(item, ast.AnnAssign))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(f for f in fields if f[2] not in read)
 
 
 def unused_imports(src_dir):
@@ -68,6 +92,17 @@ def test_guard_sees_a_dead_helper(tmp_path):
     with open(copy / "grid.py", "a", encoding="utf-8") as fh:
         fh.write("\n\ndef _dead_helper():\n    return 0\n")
     assert ("grid", "_dead_helper") in definitions_without_callers(copy)
+
+
+def test_every_dataclass_field_is_read():
+    assert [f for f in unread_dataclass_fields(SRC) if f not in ALLOWED_FIELDS] == []
+
+
+def test_guard_sees_a_dead_field(tmp_path):
+    copy = _copy_of_src(tmp_path)
+    with open(copy / "grid.py", "a", encoding="utf-8") as fh:
+        fh.write("\n\n@dataclass\nclass _Holder:\n    never_read_anywhere: int = 0\n")
+    assert ("grid", "_Holder", "never_read_anywhere") in unread_dataclass_fields(copy)
 
 
 def test_every_module_level_import_is_read():

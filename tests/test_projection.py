@@ -27,7 +27,6 @@ from phaseproj.projection import (
     MIN_SAMPLES_PER_RADIUS,
     ProjectionBuilder,
     ProjectionFrame,
-    ProjectionSettings,
     assemble,
     projection_input,
     residual_decomposition,
@@ -75,29 +74,28 @@ class TestResolutionPolicy:
         grid = TorusGrid(1, 8.0, 1 << 10)
         cfg = TreeConfig((DyadicCube(-2, (0,)),), 2, 2.0)
         with pytest.raises(ResolutionError) as err:
-            resolution_check(cfg, grid, ProjectionSettings())
+            resolution_check(cfg, grid, True)
         assert err.value.required_samples is not None
 
     def test_relaxed_tier_allows_more(self):
         grid = TorusGrid(1, 8.0, 1 << 10)
         cfg = TreeConfig((DyadicCube(-2, (0,)),), 0, 2.0)
         with pytest.raises(ResolutionError):
-            resolution_check(cfg, grid, ProjectionSettings(strict=True))
-        resolution_check(cfg, grid, ProjectionSettings(strict=False))
+            resolution_check(cfg, grid, True)
+        resolution_check(cfg, grid, False)
 
     def test_boundary_at_half_n(self):
         # refusal triggers exactly when the strict sample requirement fails
         cfg = TreeConfig((DyadicCube(-1, (0,)),), 0, 2.0)
-        settings = ProjectionSettings()
         radius = 0.75 * 2.0 ** (-4)
         for n_exp in (10, 16):
             grid = TorusGrid(1, 8.0, 1 << n_exp)
             ok = radius >= MIN_SAMPLES_PER_RADIUS * grid.spacing
             if ok:
-                resolution_check(cfg, grid, settings)
+                resolution_check(cfg, grid, True)
             else:
                 with pytest.raises(ResolutionError):
-                    resolution_check(cfg, grid, settings)
+                    resolution_check(cfg, grid, True)
 
 
 class TestPieces:
@@ -112,24 +110,27 @@ class TestPieces:
         assert b.sigma(0, b.theta_f(0, 0)).max_abs() == 0.0
 
     def test_sigma_vanishes_on_ring(self, output_1d, setup_1d):
-        for (n, j), bundle in output_1d.pieces.items():
-            smax = bundle.sigma.max_abs()
+        b = output_1d._builder
+        for (n, j) in output_1d.diagnostics["levels"]:
+            sigma = b.sigma(j, b.theta_f(n, j))
+            smax = sigma.max_abs()
             if smax == 0:
                 continue
             mask = cube_mask(setup_1d.grid, setup_1d.tree.cubes(j, 1))
-            assert np.max(np.abs(bundle.sigma.values[mask])) <= 1e-9 * smax
+            assert np.max(np.abs(sigma.values[mask])) <= 1e-9 * smax
 
     def test_sigma_support_in_second_ring(self, output_1d, setup_1d):
-        for (n, j), bundle in output_1d.pieces.items():
-            smax = bundle.sigma.max_abs()
+        b = output_1d._builder
+        for (n, j) in output_1d.diagnostics["levels"]:
+            sigma = b.sigma(j, b.theta_f(n, j))
+            smax = sigma.max_abs()
             if smax == 0:
                 continue
             outside = ~cube_mask(setup_1d.grid, setup_1d.tree.cubes(j, 2))
-            assert np.max(np.abs(bundle.sigma.values[outside])) <= 1e-12 * smax
+            assert np.max(np.abs(sigma.values[outside])) <= 1e-12 * smax
 
     def test_big_g_two_routes(self, output_1d):
-        for (n, j), bundle in output_1d.pieces.items():
-            diag = output_1d.diagnostics["levels"][(n, j)]
+        for diag in output_1d.diagnostics["levels"].values():
             assert diag["big_g_route_err"] <= 1e-12
 
     def test_leibniz_cross_check(self, output_1d):
@@ -141,16 +142,17 @@ class TestPieces:
         from phaseproj.grid import fd_derivative
         b = output_1d._builder
         grid = setup_1d.grid
-        for (n, j), bundle in output_1d.pieces.items():
+        for (n, j) in output_1d.diagnostics["levels"]:
+            piece = b.g_piece(n, j)
             mask = cube_mask(grid, setup_1d.tree.cubes(j, 1))
             interior = mask & np.roll(mask, 1) & np.roll(mask, -1)
             interior &= np.roll(interior, 2) & np.roll(interior, -2)
             deep = interior & np.roll(interior, 4) & np.roll(interior, -4)
             if not deep.any():
                 continue
-            lhs = bundle.g_piece.values[deep]
+            lhs = piece.values[deep]
             rhs = (b.psi_cone_f(n, j) * b.frame.e_indicator(j)).values[deep]
-            scale = bundle.g_piece.max_abs()
+            scale = piece.max_abs()
             # deep inside E the sigma term vanishes identically
             assert np.max(np.abs(lhs - rhs)) <= 1e-3 * scale
 
@@ -200,8 +202,6 @@ class TestAssembly:
         monkeypatch.setattr(projection, "partial_derivative", counted)
         residual_decomposition(setup_1d, out)
         assert calls == []
-        n, j = next(iter(out.pieces))
-        assert out._builder.g_piece(n, j) is out.pieces[(n, j)].g_piece
 
     def test_one_correction_sum(self, setup_1d):
         # the telescoping route of assemble and the residual split add up
@@ -236,7 +236,7 @@ class TestAssembly:
 
 class TestPieceBundles:
     def test_one_two_route_check_per_piece(self, setup_1d, monkeypatch):
-        # the bundles take the G and sigma that g_piece built
+        # the projection and its residual split build and check each G once
         calls = []
         original = ProjectionBuilder.big_g
 
@@ -246,21 +246,8 @@ class TestPieceBundles:
 
         monkeypatch.setattr(ProjectionBuilder, "big_g", counted)
         out = assemble(setup_1d)
-        assert setup_1d.settings.keep_pieces
-        assert sorted(calls) == sorted(out.pieces)
-        builder = out._builder
-        for (n, j), bundle in out.pieces.items():
-            assert bundle.chi_s is builder.frame.chi_s(j)
-            tf = builder.theta_f(n, j)
-            assert np.array_equal(bundle.big_g.values, (bundle.chi_s * tf).values)
-            assert np.array_equal(bundle.sigma.values, builder.sigma(j, tf).values)
-
-    def test_bundles_only_with_keep_pieces(self, setup_1d):
-        pin = projection_input(setup_1d.f, setup_1d.cfg, setup_1d.grid,
-                               ProjectionSettings(keep_pieces=False))
-        out = assemble(pin)
-        assert out._builder.bundles == {}
-        assert all(isinstance(p, SampledField) for p in out.pieces.values())
+        residual_decomposition(setup_1d, out)
+        assert sorted(calls) == sorted(out.diagnostics["levels"])
 
 
 def _arrays(value):
@@ -307,8 +294,8 @@ class TestFrame:
         others = [
             projection_input(f, other_tree, grid),
             projection_input(SampledField(coarse, f.values[::2]), cfg, coarse,
-                             ProjectionSettings(strict=False)),
-            projection_input(f, cfg, grid, ProjectionSettings(strict=False)),
+                             strict=False),
+            projection_input(f, cfg, grid, strict=False),
         ]
         for pin in others:
             with pytest.raises(ValidationError, match="frame"):
@@ -339,8 +326,7 @@ class TestMemory:
         config = acceptance.REFERENCE_CONFIG
         grid = TorusGrid(config.dim, config.grid_b, config.grid_n)
         f = harness.build_f(config, grid)
-        settings = ProjectionSettings(strict=config.strict, keep_pieces=config.keep_pieces)
-        pin = projection_input(f, harness.build_tree_config(config), grid, settings)
+        pin = projection_input(f, harness.build_tree_config(config), grid, config.strict)
         started = not tracemalloc.is_tracing()
         tracemalloc.start()
         tracemalloc.reset_peak()
@@ -396,7 +382,7 @@ class Test2D:
         grid = TorusGrid(2, 8.0, 1 << 9)
         cfg = TreeConfig((DyadicCube(-1, (0, 1)),), 0, 3.0)
         f = bandpass_field(grid, seed=5, n_modes=6, lo=1.0, hi=8.0)
-        pin = projection_input(f, cfg, grid, ProjectionSettings(strict=False))
+        pin = projection_input(f, cfg, grid, strict=False)
         out = assemble(pin)
         assert out.diagnostics["g_two_route_rel_err"] <= 1e-10
         comp = residual_decomposition(pin, out)
