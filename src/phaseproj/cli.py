@@ -58,8 +58,12 @@ def _count(value, flag):
 def _config_from_args(args):
     config = RunConfig()
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = RunConfig.from_dict(json.load(fh))
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ValidationError(f"cannot read config file {args.config}: {exc}") from exc
+        config = RunConfig.from_dict(data)
     overrides = {}
     for key in ("dim", "grid_n", "grid_b", "tree_seed", "tree_depth",
                 "leaf_count", "f_seed", "gap_m", "alpha", "window_depth"):

@@ -452,9 +452,9 @@ class EstimatorContext:
 # ---------------------------------------------------------------------------
 # The Bernstein (sup-vs-mean) comparison across the frequency gap.
 
-def bernstein_sweep(pin, alpha, dict_spec=None, m_range=(0, 1, 2, 3, 4)):
-    """Sup-vs-mean ratios of weighted kernel responses across the gap,
-    the worst over every tree cube and phi kernel of each gap m.
+def bernstein_sweep(pin, alpha, dict_spec=None):
+    """Sup-vs-mean ratios of weighted kernel responses across the gaps
+    m = 0..4, the worst over every tree cube and phi kernel of each gap.
 
     The tracked quantity divides out the expected 2^{d(m-i)} growth of
     the band radius, so its per-step log-increment stays well below
@@ -463,7 +463,7 @@ def bernstein_sweep(pin, alpha, dict_spec=None, m_range=(0, 1, 2, 3, 4)):
     dict_spec = dict_spec or DictionarySpec()
     d = pin.grid.dim
     reports = []
-    for m_val in m_range:
+    for m_val in range(5):
         worst = 0.0
         worst_ctx = None
         for i in pin.tree.levels():

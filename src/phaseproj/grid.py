@@ -505,12 +505,15 @@ def save_field(a, path):
 
 
 def load_field(path):
-    with open(path, "rb") as fh:
-        magic, version, dim, samples, half_width, _ = _HEADER.unpack(fh.read(_HEADER.size))
-        if magic != _MAGIC or version != 1:
-            raise ValidationError(f"not a phaseproj field file: {path}")
-        grid = TorusGrid(dim, half_width, samples)
-        payload = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            header, payload = fh.read(_HEADER.size), fh.read()
+        magic, version, dim, samples, half_width, _ = _HEADER.unpack(header)
+    except (OSError, struct.error) as exc:
+        raise ValidationError(f"cannot read a field file header from {path}: {exc}") from exc
+    if magic != _MAGIC or version != 1:
+        raise ValidationError(f"not a phaseproj field file: {path}")
+    grid = TorusGrid(dim, half_width, samples)
     expected = grid.size * 16
     if len(payload) != expected:
         raise ValidationError(

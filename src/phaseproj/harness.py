@@ -63,10 +63,11 @@ def parse_p(value):
 
 
 def parse_p_values(values):
-    """A tuple of exponents (parse_p of each), refusing an empty sequence."""
-    if not values:
-        raise ValidationError("p_values must hold at least one exponent")
-    return tuple(parse_p(p) for p in values)
+    """A tuple of one or more distinct exponents, parse_p of each."""
+    p_values = tuple(map(parse_p, values or ()))
+    if not p_values or len(set(p_values)) < len(p_values):
+        raise ValidationError(f"p_values must hold one or more distinct exponents, not {values!r}")
+    return p_values
 
 
 def p_name(p):
@@ -118,7 +119,7 @@ class RunConfig:
                 data[key] = tuple(tuple(x) if isinstance(x, list) else x for x in data[key])
         if "p_values" in data:
             data["p_values"] = parse_p_values(data["p_values"])
-        if data.get("dict_spec"):
+        if "dict_spec" in data:
             data["dict_spec"] = DictionarySpec(**_checked_fields(DictionarySpec,
                                                                  data["dict_spec"]))
         return RunConfig(**data)
@@ -155,8 +156,10 @@ def _checked_fields(cls, data):
     """A copy of `data`, whose keys must all be fields of `cls` and whose
     values must be JSON values of the field's type.  Nothing is coerced,
     so an accepted config hashes as written."""
+    if not isinstance(data, dict):
+        raise ValidationError(f"a {cls.__name__} is a JSON object, not {data!r}")
     types = {f.name: f.type for f in fields(cls)}
-    unknown = sorted(set(data) - set(types))
+    unknown = sorted(map(str, set(data) - set(types)))
     if unknown:
         raise ValidationError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
     for key, value in data.items():

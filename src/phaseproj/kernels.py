@@ -12,9 +12,9 @@ multiplier value outside the admissible frequency set and `lambda_max`
 the largest scaling that keeps the kernel under the pointwise envelope
 2^{-dj} rho_{[0,2^j]^d}^{-beta}.
 
-A certified dictionary kernel is band-limited to |xi| < 2^-j, so the
-dictionary cache keeps each multiplier on its frequency band only
-(grid.frequency_band), and grid.apply_multiplier applies it from there.
+A dictionary certifies each candidate once and keeps it scaled by its
+lambda_max, band-limited to |xi| < 2^-j: on its frequency band only
+(grid.frequency_band, which grid.apply_multiplier reads), without a field.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -87,20 +87,12 @@ MOLLIFIER_PROFILE = BumpProfile(0.5, 1.0)   # kappa's radial shape
 
 @dataclass
 class KernelHandle:
-    """A kernel with its lattice multiplier, spatial samples and certificate."""
+    """A kernel with its lattice multiplier and spatial samples."""
 
     grid: object
     kernel_id: str
-    kind: str                    # 'phi' | 'psi'
-    level: int
-    multiplier: np.ndarray       # in a dictionary, its grid.frequency_band
-    field: SampledField
-    certificate: dict = dc_field(default_factory=dict)
-
-    def scaled(self, factor):
-        field = self.field * factor if self.field is not None else None
-        return replace(self, multiplier=self.multiplier * factor, field=field,
-                       certificate=dict(self.certificate))
+    multiplier: np.ndarray       # in a dictionary, scaled, its grid.frequency_band
+    field: SampledField | None   # None in a dictionary
 
 
 def _require_band_inside_nyquist(grid, radius, what):
@@ -110,29 +102,11 @@ def _require_band_inside_nyquist(grid, radius, what):
             f"frequency {grid.nyquist}", radius * 4 * grid.half_width)
 
 
-def _tail_fraction(field):
-    """Mass fraction beyond half the domain half-width (wrap-around proxy)."""
-    grid = field.grid
-    outer = np.zeros(grid.shape, dtype=bool)
-    for ax in range(grid.dim):
-        outer |= np.abs(grid.point_component(ax)) >= grid.half_width / 2
-    mag = np.abs(field.values)
-    total = float(np.sum(mag))
-    if total == 0:
-        return 0.0
-    return float(np.sum(mag[outer])) / total
-
-
-def _finish(grid, kernel_id, kind, level, mult, field=None):
-    """The handle of a kernel with its wrap-around certificate; the
-    spatial samples come from the multiplier unless given."""
+def _finish(grid, kernel_id, mult, field=None):
+    """The handle of a kernel, its spatial samples from the multiplier unless given."""
     if field is None:
         field = kernel_field_from_multiplier(grid, mult)
-    handle = KernelHandle(grid, kernel_id, kind, level, mult, field)
-    tail = _tail_fraction(field)
-    handle.certificate["tail_fraction"] = tail
-    handle.certificate["wrap_flag"] = bool(tail > 1e-6)
-    return handle
+    return KernelHandle(grid, kernel_id, mult, field)
 
 
 def tau_multiplier(grid, j):
@@ -142,7 +116,7 @@ def tau_multiplier(grid, j):
 def build_tau(grid, j):
     """Low-pass kernel tau_j: multiplier 1 on |xi| <= 2^-j, 0 beyond 2^(1-j)."""
     _require_band_inside_nyquist(grid, 2.0 ** (1 - j), f"tau_{j}")
-    return _finish(grid, f"tau[{j}]", "phi", j, tau_multiplier(grid, j))
+    return _finish(grid, f"tau[{j}]", tau_multiplier(grid, j))
 
 
 def psi_multiplier(grid, j):
@@ -189,7 +163,7 @@ def psi_cone_multiplier(grid, n, j):
 def build_psi_cone(grid, n, j):
     """Cone piece psi_{n,j}; the pieces sum to psi_j exactly on the lattice."""
     _require_band_inside_nyquist(grid, 2.0 ** (2 - j), f"psi_{n},{j}")
-    return _finish(grid, f"psi[n={n},{j}]", "psi", j, psi_cone_multiplier(grid, n, j))
+    return _finish(grid, f"psi[n={n},{j}]", psi_cone_multiplier(grid, n, j))
 
 
 def build_theta(grid, n, j):
@@ -205,7 +179,7 @@ def build_theta(grid, n, j):
     xi_n = np.broadcast_to(grid.freq_component(n), grid.shape)
     denom = (2j * np.pi * np.where(num != 0, xi_n, 1.0)) ** order
     mult = np.where(num != 0, num / denom, 0.0)
-    return _finish(grid, f"theta[n={n},{j}]", "psi", j, mult)
+    return _finish(grid, f"theta[n={n},{j}]", mult)
 
 
 def build_mollifier(grid, radius):
@@ -264,16 +238,12 @@ def class_membership(handle, j, beta, kind="phi"):
     scale = float(np.max(mag))
     if scale == 0:
         lam = math.inf
-        ratio_max = 0.0
     else:
         significant = mag > 1e-300
         lam = float(np.min(np.where(significant, env / np.where(significant, mag, 1.0), math.inf)))
-        ratio_max = 0.0 if lam == math.inf else 1.0 / lam
     return {
-        "class": f"{kind}_{j}^{beta}",
         "leak": leak_rel,
         "lambda_max": lam,
-        "ratio_max": ratio_max,
         # the lambda threshold carries float slack so that a kernel scaled
         # by its own lambda_max passes
         "passed": bool(leak_rel <= 1e-10 and lam >= 1.0 - 1e-12),
@@ -451,7 +421,7 @@ def build_sinc_power(grid, j, beta, kind="phi", eta=None):
     tag = f"sincpow[{kind},{j}"
     if np.any(np.asarray(eta) != 0):
         tag += ",eta=" + ",".join(f"{e:g}" for e in np.asarray(eta))
-    return _finish(grid, tag + "]", kind, j, mult, field)
+    return _finish(grid, tag + "]", mult, field)
 
 
 def _translate(handle, grid, offset, new_id):
@@ -460,13 +430,12 @@ def _translate(handle, grid, offset, new_id):
         phase = phase + grid.freq_component(ax) * t
     mult = handle.multiplier * np.exp(-2j * np.pi * phase)
     field = kernel_field_from_multiplier(grid, mult)
-    return KernelHandle(grid, new_id, handle.kind, handle.level, mult, field)
+    return KernelHandle(grid, new_id, mult, field)
 
 
 def _modulate_kernel(handle, grid, eta, new_id):
     out = SampledField(grid, handle.field.values * plane_wave(grid, eta))
-    return KernelHandle(grid, new_id, handle.kind, handle.level,
-                        field_multiplier(out), out)
+    return KernelHandle(grid, new_id, field_multiplier(out), out)
 
 
 _DICTIONARY_CACHE = OrderedDict()   # LRU of dictionaries, one per class
@@ -554,24 +523,24 @@ def build_dictionary(grid, j, beta, kind, spec=None):
     Candidates: tau_{j+1+s}, cone pieces psi_{n,j+2+s}, on-lattice
     modulations of tau_{j+2}, sub-scale translates, and a ladder of
     sinc-power boxes tiling the admissible frequency set.  Each
-    candidate is scaled by its lambda_max so it touches the class
-    envelope, making the dictionary supremum a certified lower bound for
-    the class supremum.  Candidates with frequency leak (e.g. low
-    frequencies in a Psi dictionary) are dropped.
+    candidate is certified once, then scaled by its lambda_max so it
+    touches the class envelope (lambda_max(c k) = lambda_max(k) / c), making
+    the dictionary supremum a certified lower bound for the class supremum.
+    Candidates with frequency leak (e.g. low frequencies in a Psi
+    dictionary) are dropped.
 
     Each candidate is certified, scaled and released before the next is
     built; only its scaled multiplier is kept, as a read-only copy on its
     frequency band (grid.frequency_band: the values off the band are all
-    zero), and the result is cached per class (an LRU) and shared by
-    every caller.  At N = 2^17 in d = 1 a phi class keeps 4.2 to 4.5 MB
-    instead of 28.3 MB on the full lattice, 4.19 MB of it the two
-    FFT-built modulations, which fill the lattice; a psi class keeps
-    4 KB to 0.5 MB instead of 17.8 MB.  All of it
-    is exact: builders are deterministic and certification does not
-    modify a handle, so a base may reuse its candidate; the envelope
-    depends on (grid, j, beta) only, a sinc profile on (grid, a, K, c)
-    only (eta enters as a separate phase, and every axis has the same
-    points).
+    zero) without a field, and the result is cached per class (an LRU)
+    and shared by every caller.  At N = 2^17 in d = 1 a phi class keeps
+    4.2 to 4.5 MB instead of 28.3 MB on the full lattice, 4.19 MB of it
+    the two FFT-built modulations, which fill the lattice; a psi class
+    keeps 4 KB to 0.5 MB instead of 17.8 MB.  All of it is exact:
+    builders are deterministic and certification does not modify a
+    handle, so a base may reuse its candidate; the envelope depends on
+    (grid, j, beta) only, a sinc profile on (grid, a, K, c) only (eta
+    enters as a separate phase, and every axis has the same points).
     """
     spec = spec or DictionarySpec()
     if kind not in ("phi", "psi"):
@@ -586,12 +555,7 @@ def build_dictionary(grid, j, beta, kind, spec=None):
         lam = cert["lambda_max"]
         if cert["leak"] > 1e-10 or not np.isfinite(lam) or lam <= 0:
             return None
-        norm = cand.scaled(lam)
-        norm.certificate.update(class_membership(norm, j, beta, kind))
-        norm.certificate["normalization"] = lam
-        norm.field = None
-        norm.multiplier = frequency_band(norm.multiplier)
-        return norm
+        return replace(cand, multiplier=frequency_band(cand.multiplier * lam), field=None)
 
     # map() drops each candidate as soon as it is normalized
     out = [h for h in map(normalized, _candidates(grid, j, beta, kind, spec)) if h is not None]

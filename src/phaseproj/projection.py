@@ -19,17 +19,17 @@ and a finite-difference witness of the smoothness of G.
 
 A build has two halves.  The stopping-time geometry -- the ring masks
 E_j^k, the cutoffs chi_j with their derivative certificates, the Nyquist
-level and the multipliers of theta_{n,j-m}, psi_{n,j-m}, psi_{j-m} and
-tau_{-m} with their wrap flags -- depends on (grid, tree, m) only and
-lives in a ProjectionFrame: built lazily, once, stored read-only, holding
-no f.  Each multiplier is kept on its frequency band only
-(grid.frequency_band), which apply_multiplier reads.  A caller
-projecting many fields onto one tree (the modulation demo) passes one
-frame to every `assemble`; without one each call builds a private frame.
-The ProjectionBuilder holds one f: its pieces, each built once and
-kept only in its memo, the filtered copies that more than one step reads, and every f-dependent
-check above, run once per projection.  It appends each kernel's wrap
-flag to its own diagnostics when it filters f through that kernel.
+level, the multipliers of theta_{n,j-m}, psi_{n,j-m}, psi_{j-m} and
+tau_{-m}, and the wrap flags of theta and tau, read off each kernel's
+spatial tail (_kernel_entry) -- depends on (grid, tree, m) only and lives
+in a ProjectionFrame: built lazily, once, stored read-only, holding no
+f.  Each multiplier is kept on its frequency band (grid.frequency_band),
+which apply_multiplier reads.  A caller projecting many fields onto one
+tree (the modulation demo) passes one frame to every `assemble`; without
+one each call builds a private frame.  The ProjectionBuilder holds one
+f: its pieces, each built once and kept only in its memo, the filtered
+copies that more than one step reads, and every f-dependent check above,
+run once per projection; it records the wrap flag of each kernel f meets.
 """
 
 from __future__ import annotations
@@ -235,9 +235,22 @@ class ProjectionFrame:
         return out
 
 
+def _tail_fraction(field):
+    """Mass fraction beyond half the domain half-width (wrap-around proxy)."""
+    grid = field.grid
+    outer = np.zeros(grid.shape, dtype=bool)
+    for ax in range(grid.dim):
+        outer |= np.abs(grid.point_component(ax)) >= grid.half_width / 2
+    mag = np.abs(field.values)
+    total = float(np.sum(mag))
+    if total == 0:
+        return 0.0
+    return float(np.sum(mag[outer])) / total
+
+
 def _kernel_entry(handle):
     return (frequency_band(handle.multiplier), handle.kernel_id,
-            handle.certificate["wrap_flag"])
+            _tail_fraction(handle.field) > 1e-6)
 
 
 class ProjectionBuilder:

@@ -90,8 +90,7 @@ def psi_kernel(grid, j):
     """The annulus kernel psi_j = tau_{j-1} - tau_j, supported on
     2^-j <= |xi| <= 2^(2-j): its multiplier and its spatial samples."""
     mult = psi_multiplier(grid, j)
-    return KernelHandle(grid, f"psi[{j}]", "psi", j, mult,
-                        kernel_field_from_multiplier(grid, mult))
+    return KernelHandle(grid, f"psi[{j}]", mult, kernel_field_from_multiplier(grid, mult))
 
 
 def kappa_kernel(grid, scale):

@@ -77,6 +77,40 @@ def test_bad_exponent(capsys):
     assert err.startswith("error:") and "'-1'" in err
 
 
+@pytest.mark.parametrize("text", ["2,2", "1,1.0", "inf,2,inf"])
+def test_repeated_exponent(capsys, text):
+    assert cli.main(["verify", "--p", text]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "distinct" in err
+
+
+@pytest.mark.parametrize("content", [None, '{"alpha": 2', "\xff"])
+def test_unreadable_config_file(tmp_path, capsys, content):
+    # a missing file, malformed JSON and bytes that are not UTF-8
+    path = tmp_path / "config.json"
+    if content is not None:
+        path.write_bytes(content.encode("latin-1"))
+    assert cli.main(["verify", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config file") and str(path) in err
+
+
+def test_config_file_not_an_object(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text("[1]")
+    assert cli.main(["verify", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "JSON object, not [1]" in err
+
+
+def test_unreadable_field_file(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"f_file": str(tmp_path / "missing.bin")}))
+    assert cli.main(["verify", "--config", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAILED at stage f:") and "missing.bin" in out
+
+
 def test_negative_window_depth(capsys):
     assert cli.main(["verify", "--window-depth", "-1"]) == 1
     out = capsys.readouterr().out

@@ -216,10 +216,10 @@ class TestNormReport:
 class TestComparisons:
     def test_bernstein_increments(self, setup):
         pin, _, _ = setup
-        reports = bernstein_sweep(pin, 2.0, m_range=(0, 1, 2))
+        reports = bernstein_sweep(pin, 2.0)
         ratios = {r.context["m"]: r.ratio for r in reports if "skipped" not in r.context}
         ms = sorted(ratios)
-        assert len(ms) >= 2
+        assert ms == [0, 1, 2, 3, 4]
         d = pin.grid.dim
         for a, b in zip(ms, ms[1:]):
             if ratios[a] > 0:
@@ -238,11 +238,11 @@ class TestComparisons:
             return real(field, kernels, cubes, level, *args)
 
         monkeypatch.setattr(estimators, "level_norms", recording)
-        reports = bernstein_sweep(pin, 2.0, m_range=(0, 1))
-        assert [r.context["m"] for r in reports if "skipped" not in r.context] == [0, 1]
+        reports = bernstein_sweep(pin, 2.0)
+        assert [r.context["m"] for r in reports if "skipped" not in r.context] == [0, 1, 2, 3, 4]
         tree = pin.tree
         assert len(tree.levels()) >= 2
-        assert calls == 2 * [(i, tree.cubes(i)) for i in tree.levels()]
+        assert calls == 5 * [(i, tree.cubes(i)) for i in tree.levels()]
         assert {len(cubes) for _, cubes in calls} == {1, 2}
 
 
@@ -525,11 +525,14 @@ class TestNormPool:
 class TestBernsteinErrors:
     def test_nyquist_refusal_is_a_skipped_row(self, setup):
         pin, _, _ = setup
-        # class level -1 - 9 - 2 = -12 needs N = 2^14 on this 2^13 grid
-        reports = bernstein_sweep(pin, 2.0, m_range=(0, 9))
-        assert [r.context["m"] for r in reports] == [0, 9]
-        assert "skipped" not in reports[0].context
-        assert "Nyquist" in reports[1].context["skipped"]
+        # class level -1 - 4 - 2 = -7 needs N = 2^12: on a 2^11 grid the
+        # last gap is skipped
+        coarse = TorusGrid(1, 8.0, 1 << 11)
+        f = random_bandpass_field(coarse, seed=21, annulus=(1.0, 3.0), n_modes=6)
+        reports = bernstein_sweep(projection_input(f, pin.cfg, coarse, strict=False), 2.0)
+        assert [r.context["m"] for r in reports] == [0, 1, 2, 3, 4]
+        assert all("skipped" not in r.context for r in reports[:4])
+        assert "Nyquist" in reports[4].context["skipped"]
 
     def test_other_errors_propagate(self, setup, monkeypatch):
         pin, _, _ = setup
@@ -539,4 +542,4 @@ class TestBernsteinErrors:
 
         monkeypatch.setattr(estimators, "build_dictionary", broken)
         with pytest.raises(TypeError, match="bug inside the sweep"):
-            bernstein_sweep(pin, 2.0, m_range=(0,))
+            bernstein_sweep(pin, 2.0)

@@ -131,6 +131,17 @@ class TestRun:
         record = run(config)
         assert record["error"]["stage"] == "projection"
 
+    @pytest.mark.parametrize("content", [None, b"PP"])
+    def test_unreadable_field_file_recorded_at_f_stage(self, tmp_path, content):
+        # a missing file, and one shorter than the field header
+        path = tmp_path / "f.bin"
+        if content is not None:
+            path.write_bytes(content)
+        record = run(replace(REFERENCE_CONFIG, f_file=str(path)))
+        error = record["error"]
+        assert error["stage"] == "f" and error["type"] == "ValidationError"
+        assert str(path) in error["message"]
+
     def test_bad_grid_size_recorded_at_grid_stage(self):
         record = run(RunConfig(grid_n="abc"))
         error = record["error"]
@@ -344,6 +355,26 @@ class TestConfig:
         assert record["error"] == {
             "stage": "config", "type": "ValidationError",
             "message": f"window_depth must be >= 0, not {depth}"}
+
+    @pytest.mark.parametrize("p_values", [(2.0, 2.0), ("1", 1.0), ("inf", 2.0, math.inf)])
+    def test_repeated_exponent_recorded_at_config_stage(self, p_values):
+        # a repeat would report every inequality twice at that exponent
+        with pytest.raises(ValidationError, match="distinct"):
+            harness.parse_p_values(p_values)
+        record = run(RunConfig(p_values=p_values))
+        assert record["error"]["stage"] == "config"
+        assert record["error"]["type"] == "ValidationError"
+        assert repr(p_values) in record["error"]["message"]
+
+    def test_empty_dict_spec_is_the_default(self):
+        config = RunConfig.from_dict({"dict_spec": {}})
+        assert type(config.dict_spec) is DictionarySpec
+        assert config.config_hash() == RunConfig().config_hash() == "ec3b3126440966ae"
+
+    @pytest.mark.parametrize("data", [[1], "abc", None])
+    def test_config_that_is_not_an_object_refused(self, data):
+        with pytest.raises(ValidationError, match=re.escape(repr(data))):
+            RunConfig.from_dict(data)
 
     def test_empty_p_values_refused_from_dict(self):
         with pytest.raises(ValidationError, match="p_values"):

@@ -19,6 +19,7 @@ from phaseproj.grid import (
 from phaseproj.kernels import (
     BumpProfile,
     DictionarySpec,
+    KernelHandle,
     build_dictionary,
     build_psi_cone,
     build_tau,
@@ -266,9 +267,8 @@ class TestTheta:
             if order % 2 == 1:
                 mult = np.where(np.isclose(np.abs(xi), g1.nyquist), 0.0, mult)
             from phaseproj.grid import kernel_field_from_multiplier
-            from phaseproj.kernels import KernelHandle
             scaled = 2.0 ** (-j * (d + 1 - order)) * mult
-            h = KernelHandle(g1, f"dtheta{order}", "psi", j, scaled,
+            h = KernelHandle(g1, f"dtheta{order}", scaled,
                              kernel_field_from_multiplier(g1, scaled))
             cert = class_membership(h, j - 2, 4 * ALPHA, "psi")
             assert cert["leak"] <= 1e-12
@@ -317,10 +317,29 @@ class TestKappa:
         assert mass == pytest.approx(1.0, abs=1e-10)
 
 
+def scaled_kernel(handle, factor):
+    """The kernel times `factor`: its multiplier and its spatial samples."""
+    return KernelHandle(handle.grid, handle.kernel_id, handle.multiplier * factor,
+                        handle.field * factor)
+
+
+def certified_members(grid, level, beta, kind, spec=None):
+    """Each candidate that build_dictionary keeps, scaled here by its own
+    lambda_max, with the certificate of the scaled kernel."""
+    kept = {k.kernel_id for k in build_dictionary(grid, level, beta, kind, spec)}
+    out = []
+    for cand in kernels._candidates(grid, level, beta, kind, spec or DictionarySpec()):
+        if cand.kernel_id in kept:
+            lam = class_membership(cand, level, beta, kind)["lambda_max"]
+            scaled = scaled_kernel(cand, lam)
+            out.append((scaled, class_membership(scaled, level, beta, kind)))
+    assert out and {k.kernel_id for k, _ in out} == kept
+    return out
+
+
 class TestClassMembership:
     def test_zero_kernel_passes(self, g1):
-        from phaseproj.kernels import KernelHandle
-        zero = KernelHandle(g1, "zero", "phi", 0, np.zeros(g1.shape),
+        zero = KernelHandle(g1, "zero", np.zeros(g1.shape),
                             SampledField(g1, np.zeros(g1.shape)))
         cert = class_membership(zero, 0, 4 * ALPHA, "phi")
         assert cert["passed"]
@@ -330,7 +349,7 @@ class TestClassMembership:
         tau = build_tau(g1, -1)
         cert = class_membership(tau, -2, 4 * ALPHA, "phi")
         lam = cert["lambda_max"]
-        scaled = tau.scaled(lam)
+        scaled = scaled_kernel(tau, lam)
         cert2 = class_membership(scaled, -2, 4 * ALPHA, "phi")
         assert cert2["lambda_max"] == pytest.approx(1.0, rel=1e-9)
         assert cert2["passed"]
@@ -339,11 +358,27 @@ class TestClassMembership:
 class TestDictionary:
     def test_all_members_normalized(self, g1):
         for kind in ("phi", "psi"):
-            dicts = build_dictionary(g1, -3, 4 * ALPHA, kind)
-            assert dicts
-            for handle in dicts:
-                assert handle.certificate["passed"], handle.kernel_id
-                assert handle.certificate["lambda_max"] >= 1.0 - 1e-9
+            for handle, cert in certified_members(g1, -3, 4 * ALPHA, kind):
+                assert cert["passed"], handle.kernel_id
+                assert cert["lambda_max"] == pytest.approx(1.0, rel=1e-9)
+
+    def test_one_certificate_per_candidate(self, g1, monkeypatch):
+        # each candidate is certified once, before it is scaled
+        certified = []
+        real = kernels.class_membership
+
+        def counting(handle, *args):
+            certified.append(handle.kernel_id)
+            return real(handle, *args)
+
+        monkeypatch.setattr(kernels, "class_membership", counting)
+        for kind in ("phi", "psi"):
+            certified.clear()
+            build_dictionary(g1, -3, 4 * ALPHA, kind)
+            build_dictionary(g1, -3, 4 * ALPHA, kind)   # a cache hit certifies nothing
+            ids = [c.kernel_id for c in kernels._candidates(
+                g1, -3, 4 * ALPHA, kind, DictionarySpec())]
+            assert certified == ids and len(set(ids)) == len(ids)
 
     def test_size_reported(self, g1):
         spec = DictionarySpec(n_tau=2, n_psi=1, n_mod=1, n_trans=1, n_sinc=0,
@@ -381,10 +416,10 @@ class TestDictionary:
                 handle.multiplier[0] = 0.0
 
     def test_2d_dictionary(self, g2):
-        dicts = build_dictionary(g2, -1, 4 * 3.0, "phi", DictionarySpec(2, 1, 1, 1))
-        assert len(dicts) >= 4
-        for handle in dicts:
-            assert handle.certificate["passed"]
+        members = certified_members(g2, -1, 4 * 3.0, "phi", DictionarySpec(2, 1, 1, 1))
+        assert len(members) >= 4
+        for handle, cert in members:
+            assert cert["passed"], handle.kernel_id
 
 
 # The golden classes: d=1 phi and psi at level -3, and a smaller d=2 phi.
@@ -400,26 +435,25 @@ def golden_dictionary(dim, kind):
 
 
 def dictionary_digest(grid, dictionary):
-    """SHA-256 over each kernel's id, full lattice multiplier and
-    certificate repr, in kernel_id order.  The multiplier is expanded from
-    its band, and adding 0.0 makes every zero +0: stored densely, the
-    values off the band were zeros of either sign."""
+    """SHA-256 over each kernel's id and full lattice multiplier, in
+    kernel_id order.  The multiplier is expanded from its band, and
+    adding 0.0 makes every zero +0: stored densely, the values off the
+    band were zeros of either sign."""
     h = hashlib.sha256()
     for handle in sorted(dictionary, key=lambda k: k.kernel_id):
         h.update(handle.kernel_id.encode())
         h.update((expand_band(grid, handle.multiplier) + 0.0).tobytes())
-        h.update(repr(handle.certificate).encode())
     return h.hexdigest()
 
 
-# Any change to a multiplier, a certificate or the candidate set shows
-# here.  The digests equal those of the dense multipliers the builder
-# kept before band storage.  The third key (False: no kernel fields kept)
-# is part of the test ids the hashes were first frozen under.
+# Any change to a multiplier or the candidate set shows here.  The
+# digests equal those of the multipliers the builder kept when it still
+# stored a certificate per kernel.  The third key (False: no kernel
+# fields kept) is part of the test ids the hashes were first frozen under.
 GOLDEN_DICTIONARIES = {
-    ("d1", "phi", False): "2e8f55fb9bfde25d3afd69b8d4ebc7f1125732cf92bb3079d573f341192d5618",
-    ("d1", "psi", False): "57d9d5f470c87685a3aa1fa5255482dddfb2043a2c8a556eeae1ccd2a74be30c",
-    ("d2", "phi", False): "911442d2312f5239cd7839f55a09fce0063451bc19adf3247984b55a8a7cb7b5",
+    ("d1", "phi", False): "fec6ed2ab1e2d8737421802de3324055739dffb8449efa6fa02dc908d7e7dd77",
+    ("d1", "psi", False): "1e969df2f07e44dd92987d46b8454120f7e80bc30cbf55a971fc8db3dfacb743",
+    ("d2", "phi", False): "ff80cfa8289a92885dfacca7e1e297a37305711a316e92841e51cb5ef921fe46",
 }
 
 
@@ -446,7 +480,7 @@ class TestBandStorage:
             kept += 1
             band = handle.multiplier
             assert band.base is None and not band.flags.writeable
-            dense = cand.multiplier * handle.certificate["normalization"]
+            dense = cand.multiplier * class_membership(cand, level, beta, kind)["lambda_max"]
             assert np.array_equal(expand_band(grid, band), dense), cand.kernel_id
             # no nonzero value lies off the band
             off_band = np.ones(grid.shape, dtype=bool)
