@@ -62,7 +62,7 @@ from .grid import (
     lp_norms,
     mollified_distance,
 )
-from .kernels import DictionarySpec, build_dictionary
+from .kernels import build_dictionary
 
 
 def _inv(p):
@@ -195,7 +195,7 @@ def _ratio(lhs, rhs):
 # ---------------------------------------------------------------------------
 # Size estimate.
 
-def estimate_S_multi(pin, alpha, p_values=(1.0, 2.0, inf), dict_spec=None):
+def estimate_S_multi(pin, alpha, p_values, dict_spec):
     """{p: surrogate size}: max over tree levels i, tree cubes I at level
     i and dictionary kernels of 2^{-id/p} || rho_I^{-alpha} (phi * f) ||_p.
 
@@ -203,7 +203,6 @@ def estimate_S_multi(pin, alpha, p_values=(1.0, 2.0, inf), dict_spec=None):
     i - m - 2), so the surrogate is a certified lower bound for the
     class supremum defining the size.
     """
-    dict_spec = dict_spec or DictionarySpec()
     grid, tree, m = pin.grid, pin.tree, pin.cfg.gap_m
     d = grid.dim
     best = {p: (0.0, None) for p in p_values}
@@ -226,13 +225,12 @@ def estimate_S_multi(pin, alpha, p_values=(1.0, 2.0, inf), dict_spec=None):
     }
 
 
-def verify_witness(pin, est, dict_spec=None):
+def verify_witness(pin, est, dict_spec):
     """Re-evaluate the witness term; must reproduce the estimate."""
     if est.witness is None:
         return 0.0
     i, cube, kernel_id = est.witness
-    kernels = _dictionary(pin.grid, i - est.m - 2, est.alpha, "phi",
-                          dict_spec or DictionarySpec())
+    kernels = _dictionary(pin.grid, i - est.m - 2, est.alpha, "phi", dict_spec)
     kernel = next(k for k in kernels if k.kernel_id == kernel_id)
     _, rows = next(level_norms(pin.f, [kernel], [cube], i, est.alpha, (est.p,)))
     return 2.0 ** (-i * pin.grid.dim * _inv(est.p)) * rows[0][1][est.p]
@@ -283,7 +281,7 @@ class EstimatorContext:
     inequalities so that every evaluation cube J reduces to index
     arithmetic over the tables."""
 
-    def __init__(self, pin, output, dict_spec=None, p_values=(1.0, 2.0, inf),
+    def __init__(self, pin, output, dict_spec, p_values=(1.0, 2.0, inf),
                  window_depth=None):
         self.pin = pin
         self.output = output
@@ -291,7 +289,7 @@ class EstimatorContext:
         self.tree = pin.tree
         self.m = pin.cfg.gap_m
         self.alpha = pin.cfg.alpha
-        self.dict_spec = dict_spec or DictionarySpec()
+        self.dict_spec = dict_spec
         self.p_values = tuple(p_values)
         self.depth = window_depth if window_depth is not None else -pin.cfg.j_min
         self.d = self.grid.dim
@@ -452,7 +450,7 @@ class EstimatorContext:
 # ---------------------------------------------------------------------------
 # The Bernstein (sup-vs-mean) comparison across the frequency gap.
 
-def bernstein_sweep(pin, alpha, dict_spec=None):
+def bernstein_sweep(pin, alpha, dict_spec):
     """Sup-vs-mean ratios of weighted kernel responses across the gaps
     m = 0..4, the worst over every tree cube and phi kernel of each gap.
 
@@ -460,7 +458,6 @@ def bernstein_sweep(pin, alpha, dict_spec=None):
     the band radius, so its per-step log-increment stays well below
     d + 1/2.  A gap whose dictionary the grid cannot resolve ends the
     sweep with a skipped row."""
-    dict_spec = dict_spec or DictionarySpec()
     d = pin.grid.dim
     reports = []
     for m_val in range(5):

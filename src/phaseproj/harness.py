@@ -310,7 +310,7 @@ def run(config, out_dir=None):
     computed before it is still persisted; any other exception is a bug
     and propagates.
     """
-    record = {"config": config.to_dict(), "config_hash": config.config_hash()}
+    record = {}
     timings = {}
     stage = "config"
     try:
@@ -319,6 +319,11 @@ def run(config, out_dir=None):
         if config.window_depth is not None and config.window_depth < 0:
             raise ValidationError(
                 f"window_depth must be >= 0, not {config.window_depth}")
+        if not isinstance(config.dict_spec, DictionarySpec):
+            raise ValidationError(
+                f"dict_spec must be a DictionarySpec, not {config.dict_spec!r}")
+        record["config"] = config.to_dict()
+        record["config_hash"] = config.config_hash()
         stage = "grid"
         grid = TorusGrid(config.dim, config.grid_b, config.grid_n)
         stage = "tree"
@@ -349,13 +354,13 @@ def run(config, out_dir=None):
         record["report_summary"] = _summarize(reports)
         stage = "write"
         if out_dir:
-            _persist(record, timings, config, out_dir, ctx)
+            _persist(record, timings, out_dir, ctx)
         return record
     except PhaseprojError as exc:
         record["error"] = {"stage": stage, "message": str(exc),
                            "type": type(exc).__name__}
         if out_dir:
-            _persist(record, timings, config, out_dir)
+            _persist(record, timings, out_dir)
         return record
 
 
@@ -390,9 +395,10 @@ def write_csv(path, header, rows):
         w.writerows(rows)
 
 
-def _persist(record, timings, config, out_dir, ctx=None):
+def _persist(record, timings, out_dir, ctx=None):
     """Write a run's files; the fields and tree.csv only with the
-    estimator context `ctx` of a finished run."""
+    estimator context `ctx` of a finished run, config.echo only for a
+    config that passed the config stage."""
     os.makedirs(out_dir, exist_ok=True)
     fields_dir = os.path.join(out_dir, "fields")
     os.makedirs(fields_dir, exist_ok=True)
@@ -406,7 +412,9 @@ def _persist(record, timings, config, out_dir, ctx=None):
             manifest.append(f"{name}.bin sha256={digest}")
         write_csv(os.path.join(out_dir, "tree.csv"), ("tag", "level", "index"),
                   tree_index_rows(ctx.tree))
-    for name, data in (("report.json", record), ("config.echo", config.to_dict())):
+    for name, data in (("report.json", record), ("config.echo", record.get("config"))):
+        if data is None:
+            continue
         with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
             json.dump(data, fh, sort_keys=True, indent=2)
             fh.write("\n")

@@ -517,7 +517,7 @@ def _candidates(grid, j, beta, kind, spec):
         yield _translate(trans_base, grid, offset, f"tr[{trans_base.kernel_id},t{i}]")
 
 
-def build_dictionary(grid, j, beta, kind, spec=None):
+def build_dictionary(grid, j, beta, kind, spec):
     """Normalized dictionary of class-(Phi|Psi)_j^beta kernels.
 
     Candidates: tau_{j+1+s}, cone pieces psi_{n,j+2+s}, on-lattice
@@ -542,7 +542,6 @@ def build_dictionary(grid, j, beta, kind, spec=None):
     (grid, j, beta) only, a sinc profile on (grid, a, K, c) only (eta
     enters as a separate phase, and every axis has the same points).
     """
-    spec = spec or DictionarySpec()
     if kind not in ("phi", "psi"):
         raise ValidationError("kind must be 'phi' or 'psi'")
     cache_key = (grid.dim, grid.half_width, grid.samples, j, float(beta), kind, spec)

@@ -18,24 +18,26 @@ cross-check of each spectral derivative, the vanishing of g outside 5U,
 and a finite-difference witness of the smoothness of G.
 
 A build has two halves.  The stopping-time geometry -- the ring masks
-E_j^k, the cutoffs chi_j with their derivative certificates, the Nyquist
-level, the multipliers of theta_{n,j-m}, psi_{n,j-m}, psi_{j-m} and
-tau_{-m}, and the wrap flags of theta and tau, read off each kernel's
-spatial tail (_kernel_entry) -- depends on (grid, tree, m) only and lives
-in a ProjectionFrame: built lazily, once, stored read-only, holding no
-f.  Each multiplier is kept on its frequency band (grid.frequency_band),
+E_j^k, the cutoffs chi_j with their derivative certificates, the
+multipliers of theta_{n,j-m}, psi_{n,j-m}, psi_{j-m} and tau_{-m}, and
+the wrap flags of theta and tau, read off each kernel's spatial tail
+(_kernel_entry) -- depends on (grid, tree, m) only and lives in a
+ProjectionFrame: built lazily, once, stored read-only, holding no f.
+Each multiplier is kept on its frequency band (grid.frequency_band),
 which apply_multiplier reads.  A caller projecting many fields onto one
 tree (the modulation demo) passes one frame to every `assemble`; without
 one each call builds a private frame.  The ProjectionBuilder holds one
 f: its pieces, each built once and kept only in its memo, the filtered
 copies that more than one step reads, and every f-dependent check above,
-run once per projection; it records the wrap flag of each kernel f meets.
+run once per projection.  Below j_min the annulus pieces of f - g
+telescope (psi_j = tau_{j-1} - tau_j): tau_{-m} + sum_{j_min..0}
+psi_{j-m} + (1 - tau_{j_min-1-m}) = 1 on the lattice, so the residual
+split filters f once through 1 - tau_{j_min-1-m}.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field as dc_field
 from itertools import product
 from math import comb
@@ -156,11 +158,11 @@ def _read_only(array):
 
 class ProjectionFrame:
     """The f-independent half of a projection on one (grid, tree, strict):
-    tree masks, cutoffs, kernel multipliers with their wrap flags, the
-    Nyquist level and the chi derivative certificates, each built once
-    and stored read-only.  The theta, tau, psi-cone and psi multipliers
-    are kept on their frequency bands (grid.frequency_band): every value
-    off the band is zero.  Holds no f and no spatial kernel field."""
+    tree masks, cutoffs, kernel multipliers with their wrap flags and the
+    chi derivative certificates, each built once and stored read-only.
+    The theta, tau, psi-cone and psi multipliers are kept on their
+    frequency bands (grid.frequency_band): every value off the band is
+    zero.  Holds no f and no spatial kernel field."""
 
     def __init__(self, grid, tree, strict=True):
         self.grid = grid
@@ -215,14 +217,17 @@ class ProjectionFrame:
     def psi(self, j):
         return frequency_band(psi_multiplier(self.grid, j - self.m))
 
-    @_memo
-    def nyquist_level(self):
-        """Coarsest j with tau-hat at scale j-m identically 1 on the lattice."""
-        xi_max = float(np.max(self.grid.freq_radius))
-        j = self.m - math.ceil(math.log2(xi_max))
-        while np.min(tau_multiplier(self.grid, j - self.m)) < 1.0:
-            j -= 1
-        return j
+    def wrap_flags(self):
+        """Ids of the tau and theta kernels (n-major, j = j_min..0) whose
+        spatial tail wraps around the torus."""
+        entries = [self.tau()] + [self.theta(n, j) for n in range(self.grid.dim)
+                                  for j in range(self.tree.cfg.j_min, 1)]
+        return [kernel_id for _, kernel_id, wrap_flag in entries if wrap_flag]
+
+    def low_pass_complement(self):
+        """1 - tau_{j_min-1-m}, the sum of psi_{j-m} over every j below
+        j_min, on the full lattice; not kept."""
+        return 1.0 - tau_multiplier(self.grid, self.tree.cfg.j_min - 1 - self.m)
 
     @_memo
     def chi_certificates(self):
@@ -273,20 +278,14 @@ class ProjectionBuilder:
         self.j_min = pin.cfg.j_min
         self.strict = pin.strict
         self._memo = {}
-        self.diagnostics = {"levels": {}, "wrap_flags": []}
+        self.diagnostics = {"levels": {}}
 
     # -- filtered copies of f -------------------------------------------------
     # Only theta*f is differentiated; the other copies are only multiplied,
     # so they keep no spectrum (a full field each).
 
-    def _filtered(self, entry, keep_spectrum):
-        mult, kernel_id, wrap_flag = entry
-        if wrap_flag:
-            self.diagnostics["wrap_flags"].append(kernel_id)
-        return apply_multiplier(self.pin.f, mult, keep_spectrum)
-
     def theta_f(self, n, j):
-        return self._filtered(self.frame.theta(n, j), True)
+        return apply_multiplier(self.pin.f, self.frame.theta(n, j)[0], True)
 
     def psi_cone_f(self, n, j):
         return apply_multiplier(self.pin.f, self.frame.psi_cone(n, j), False)
@@ -296,7 +295,7 @@ class ProjectionBuilder:
         return apply_multiplier(self.pin.f, self.frame.psi(j), False)
 
     def tau_f(self):
-        return self._filtered(self.frame.tau(), False)
+        return apply_multiplier(self.pin.f, self.frame.tau()[0], False)
 
     # -- per-scale pieces ----------------------------------------------------
 
@@ -416,10 +415,10 @@ class ProjectionBuilder:
                 f"g does not vanish outside 5U (rel {support_err:.3e}); increase N")
 
         diag = self.diagnostics
+        diag["wrap_flags"] = fr.wrap_flags()
         diag["g_two_route_rel_err"] = route_err
         diag["support_5u_rel"] = support_err
         diag["chi_derivative_sup"] = dict(fr.chi_certificates())
-        diag["nyquist_level"] = fr.nyquist_level()
         diag["strict"] = self.strict
         return ProjectionOutput(g=g, chi=chi, diagnostics=diag,
                                 _builder=self)
@@ -427,19 +426,14 @@ class ProjectionBuilder:
     def residual_parts(self):
         """The three components of f - g: low-pass off-cutoff, annulus
         pieces off the rings, and the correction derivatives.  The annulus
-        copies below j_min are read once and not kept."""
+        pieces below j_min are one high-pass copy of f, not kept."""
         fr = self.frame
-        tau_f = self.tau_f()
         chi = fr.chi_s(0)
         one = SampledField(self.grid, np.ones(self.grid.shape, dtype=np.complex128))
-        comp_low = tau_f * (one - chi)
-        comp_mid = zero_field(self.grid)
-        for j in range(fr.nyquist_level(), 1):
-            if j >= self.j_min:
-                comp_mid = comp_mid + self.psi_f(j) * (one - fr.e_indicator(j))
-            else:
-                comp_mid = comp_mid + apply_multiplier(
-                    self.pin.f, psi_multiplier(self.grid, j - self.m), False)
+        comp_low = self.tau_f() * (one - chi)
+        comp_mid = apply_multiplier(self.pin.f, fr.low_pass_complement(), False)
+        for j in range(self.j_min, 1):
+            comp_mid = comp_mid + self.psi_f(j) * (one - fr.e_indicator(j))
         return comp_low, comp_mid, self.correction()
 
 
@@ -464,8 +458,8 @@ def residual_decomposition(pin, output):
     err = float(np.max(np.abs(recon.values - target.values)) / scale)
     if err > 1e-8:
         raise InternalConsistencyError(
-            f"residual identity failed (rel {err}); telescoping depth "
-            f"misconfigured or spectrum truncated")
+            f"residual identity failed (rel {err}); the low-pass, annulus and "
+            f"correction parts do not add up to f - g")
     output.diagnostics["residual_rel_err"] = err
     return comp_low, comp_mid, comp_corr
 

@@ -16,6 +16,7 @@ from phaseproj.kernels import (
     build_mollifier,
     cone_multiplier_values,
     psi_multiplier,
+    tau_multiplier,
 )
 
 
@@ -91,6 +92,20 @@ def psi_kernel(grid, j):
     2^-j <= |xi| <= 2^(2-j): its multiplier and its spatial samples."""
     mult = psi_multiplier(grid, j)
     return KernelHandle(grid, f"psi[{j}]", mult, kernel_field_from_multiplier(grid, mult))
+
+
+def psi_ladder(grid, j_min, m):
+    """Sum of the psi_{j-m} multipliers over every j below j_min, one
+    level at a time from the Nyquist level: the coarsest j whose tau_{j-m}
+    is identically 1 on the lattice, so that the ladder reaches every
+    frequency."""
+    j = m - math.ceil(math.log2(float(np.max(grid.freq_radius))))
+    while np.min(tau_multiplier(grid, j - m)) < 1.0:
+        j -= 1
+    total = np.zeros(grid.shape)
+    for level in range(j, j_min):
+        total = total + psi_multiplier(grid, level - m)
+    return total
 
 
 def kappa_kernel(grid, scale):

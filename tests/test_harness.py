@@ -342,6 +342,23 @@ class TestConfig:
         assert "p_values" in record["error"]["message"]
         assert "report_summary" not in record
 
+    def test_p_values_none_recorded_at_config_stage(self, tmp_path):
+        # the config and its hash enter the record once its checks pass
+        record = run(RunConfig(p_values=None), out_dir=str(tmp_path))
+        assert record["error"]["stage"] == "config"
+        assert record["error"]["type"] == "ValidationError"
+        assert "config" not in record and "config_hash" not in record
+        assert json.loads((tmp_path / "report.json").read_text()) == record
+        assert not (tmp_path / "config.echo").exists()
+
+    @pytest.mark.parametrize("dict_spec", [None, {}, {"n_tau": 2}])
+    def test_dict_spec_not_a_spec_recorded_at_config_stage(self, dict_spec):
+        # no fallback runs another dictionary under another config hash
+        record = run(replace(REFERENCE_CONFIG, dict_spec=dict_spec))
+        assert record["error"] == {
+            "stage": "config", "type": "ValidationError",
+            "message": f"dict_spec must be a DictionarySpec, not {dict_spec!r}"}
+
     def test_exponent_names_run_as_numbers(self):
         # the run reads the parsed exponents, not the names as given
         named = run(replace(REFERENCE_CONFIG, p_values=("2",)))

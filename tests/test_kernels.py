@@ -323,12 +323,12 @@ def scaled_kernel(handle, factor):
                         handle.field * factor)
 
 
-def certified_members(grid, level, beta, kind, spec=None):
+def certified_members(grid, level, beta, kind, spec):
     """Each candidate that build_dictionary keeps, scaled here by its own
     lambda_max, with the certificate of the scaled kernel."""
     kept = {k.kernel_id for k in build_dictionary(grid, level, beta, kind, spec)}
     out = []
-    for cand in kernels._candidates(grid, level, beta, kind, spec or DictionarySpec()):
+    for cand in kernels._candidates(grid, level, beta, kind, spec):
         if cand.kernel_id in kept:
             lam = class_membership(cand, level, beta, kind)["lambda_max"]
             scaled = scaled_kernel(cand, lam)
@@ -358,7 +358,7 @@ class TestClassMembership:
 class TestDictionary:
     def test_all_members_normalized(self, g1):
         for kind in ("phi", "psi"):
-            for handle, cert in certified_members(g1, -3, 4 * ALPHA, kind):
+            for handle, cert in certified_members(g1, -3, 4 * ALPHA, kind, DictionarySpec()):
                 assert cert["passed"], handle.kernel_id
                 assert cert["lambda_max"] == pytest.approx(1.0, rel=1e-9)
 
@@ -374,10 +374,10 @@ class TestDictionary:
         monkeypatch.setattr(kernels, "class_membership", counting)
         for kind in ("phi", "psi"):
             certified.clear()
-            build_dictionary(g1, -3, 4 * ALPHA, kind)
-            build_dictionary(g1, -3, 4 * ALPHA, kind)   # a cache hit certifies nothing
-            ids = [c.kernel_id for c in kernels._candidates(
-                g1, -3, 4 * ALPHA, kind, DictionarySpec())]
+            spec = DictionarySpec()
+            build_dictionary(g1, -3, 4 * ALPHA, kind, spec)
+            build_dictionary(g1, -3, 4 * ALPHA, kind, spec)   # a cache hit certifies nothing
+            ids = [c.kernel_id for c in kernels._candidates(g1, -3, 4 * ALPHA, kind, spec)]
             assert certified == ids and len(set(ids)) == len(ids)
 
     def test_size_reported(self, g1):
@@ -406,8 +406,8 @@ class TestDictionary:
     def test_cached_multipliers_read_only(self, g1):
         # dictionaries are shared through the cache, without fields; each
         # multiplier is a band array that owns its data
-        dicts = build_dictionary(g1, -3, 4 * ALPHA, "phi")
-        assert dicts is build_dictionary(g1, -3, 4 * ALPHA, "phi")
+        dicts = build_dictionary(g1, -3, 4 * ALPHA, "phi", DictionarySpec())
+        assert dicts is build_dictionary(g1, -3, 4 * ALPHA, "phi", DictionarySpec())
         for handle in dicts:
             assert handle.field is None
             assert handle.multiplier.base is None

@@ -6,9 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import expand_band
+from oracles import expand_band, psi_ladder
 from phaseproj import acceptance, harness
-from phaseproj.cubes import DyadicCube, TreeConfig, unit_cube
+from phaseproj.cubes import DyadicCube, TreeConfig, expand_to_tree, unit_cube
 from phaseproj.errors import ResolutionError, ValidationError
 from phaseproj.grid import (
     SampledField,
@@ -203,6 +203,32 @@ class TestAssembly:
         residual_decomposition(setup_1d, out)
         assert calls == []
 
+    def test_residual_filters_f_twice(self, setup_1d, monkeypatch):
+        # after assemble the split filters f through tau_{-m} and the
+        # low-pass complement only: no copy per level below j_min
+        out = assemble(setup_1d)
+        calls = []
+        original = projection.apply_multiplier
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].shape)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(projection, "apply_multiplier", counted)
+        residual_decomposition(setup_1d, out)
+        assert len(calls) == 2, calls
+
+    @pytest.mark.parametrize("dim,samples", [(1, 1 << 14), (2, 1 << 9)])
+    @pytest.mark.parametrize("m", [0, 3])
+    def test_complement_is_the_psi_ladder(self, dim, samples, m):
+        # 1 - tau_{j_min-1-m} is the sum of psi_{j-m} over every level
+        # below j_min, from the Nyquist level up
+        grid = TorusGrid(dim, 8.0, samples)
+        cfg = TreeConfig((unit_cube(dim),), m, dim + 1.0)
+        complement = ProjectionFrame(grid, expand_to_tree(cfg)).low_pass_complement()
+        assert 0 < np.count_nonzero(complement) < grid.size
+        assert np.max(np.abs(complement - psi_ladder(grid, cfg.j_min, m))) <= 1e-15
+
     def test_one_correction_sum(self, setup_1d):
         # the telescoping route of assemble and the residual split add up
         # the correction once, in one field
@@ -280,11 +306,20 @@ class TestFrame:
             assert shared.diagnostics == fresh.diagnostics
 
     def test_wrap_flags_per_projection(self, two_fields):
-        # each builder records its own kernels' wrap flags, including the
-        # tau flag of every tau_f call
+        # the flags are the frame's: equal for every f on one frame
         frame = ProjectionFrame.for_input(two_fields[0])
         flags = [assemble(pin, frame).diagnostics["wrap_flags"] for pin in two_fields]
         assert flags[0] == flags[1] == assemble(two_fields[0]).diagnostics["wrap_flags"]
+
+    def test_each_wrap_flag_once(self, two_fields):
+        # the residual split filters f through tau_{-m} a second time and
+        # lists nothing
+        pin = two_fields[0]
+        out = assemble(pin)
+        flags = list(out.diagnostics["wrap_flags"])
+        residual_decomposition(pin, out)
+        assert out.diagnostics["wrap_flags"] == flags
+        assert flags and len(set(flags)) == len(flags)
 
     def test_mismatched_frame_refused(self, setup_1d):
         grid, cfg, f = setup_1d.grid, setup_1d.cfg, setup_1d.f
