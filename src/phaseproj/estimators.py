@@ -195,21 +195,21 @@ def _ratio(lhs, rhs):
 # ---------------------------------------------------------------------------
 # Size estimate.
 
-def estimate_S_multi(pin, alpha, p_values, dict_spec):
+def estimate_S_multi(tree, f, p_values, dict_spec):
     """{p: surrogate size}: max over tree levels i, tree cubes I at level
-    i and dictionary kernels of 2^{-id/p} || rho_I^{-alpha} (phi * f) ||_p.
+    i and dictionary kernels of 2^{-id/p} || rho_I^{-alpha} (phi * f) ||_p,
+    alpha and the gap m the tree's.
 
     Dictionaries are built two levels below the gap scale (class level
     i - m - 2), so the surrogate is a certified lower bound for the
     class supremum defining the size.
     """
-    grid, tree, m = pin.grid, pin.tree, pin.cfg.gap_m
-    d = grid.dim
+    m, alpha, d = tree.cfg.gap_m, tree.cfg.alpha, f.grid.dim
     best = {p: (0.0, None) for p in p_values}
     per_level = {p: {} for p in p_values}
-    for i in range(pin.cfg.j_min, 1):
-        kernels = _dictionary(grid, i - m - 2, alpha, "phi", dict_spec)
-        for cube, rows in level_norms(pin.f, kernels, tree.cubes(i), i, alpha, p_values):
+    for i in tree.levels():
+        kernels = _dictionary(f.grid, i - m - 2, alpha, "phi", dict_spec)
+        for cube, rows in level_norms(f, kernels, tree.cubes(i), i, alpha, p_values):
             for kernel_id, norms in rows:
                 for p in p_values:
                     term = 2.0 ** (-i * d * _inv(p)) * norms[p]
@@ -225,15 +225,15 @@ def estimate_S_multi(pin, alpha, p_values, dict_spec):
     }
 
 
-def verify_witness(pin, est, dict_spec):
-    """Re-evaluate the witness term; must reproduce the estimate."""
+def verify_witness(f, est, dict_spec):
+    """Re-evaluate the witness term of f; must reproduce the estimate."""
     if est.witness is None:
         return 0.0
     i, cube, kernel_id = est.witness
-    kernels = _dictionary(pin.grid, i - est.m - 2, est.alpha, "phi", dict_spec)
+    kernels = _dictionary(f.grid, i - est.m - 2, est.alpha, "phi", dict_spec)
     kernel = next(k for k in kernels if k.kernel_id == kernel_id)
-    _, rows = next(level_norms(pin.f, [kernel], [cube], i, est.alpha, (est.p,)))
-    return 2.0 ** (-i * pin.grid.dim * _inv(est.p)) * rows[0][1][est.p]
+    _, rows = next(level_norms(f, [kernel], [cube], i, est.alpha, (est.p,)))
+    return 2.0 ** (-i * f.grid.dim * _inv(est.p)) * rows[0][1][est.p]
 
 
 # ---------------------------------------------------------------------------
@@ -281,22 +281,21 @@ class EstimatorContext:
     inequalities so that every evaluation cube J reduces to index
     arithmetic over the tables."""
 
-    def __init__(self, pin, output, dict_spec, p_values=(1.0, 2.0, inf),
-                 window_depth=None):
-        self.pin = pin
-        self.output = output
-        self.grid = pin.grid
-        self.tree = pin.tree
-        self.m = pin.cfg.gap_m
-        self.alpha = pin.cfg.alpha
+    def __init__(self, tree, f, g, dict_spec, p_values, window_depth):
+        self.tree = tree
+        self.f = f
+        self.g = g
+        self.grid = f.grid
+        self.m = tree.cfg.gap_m
+        self.alpha = tree.cfg.alpha
         self.dict_spec = dict_spec
         self.p_values = tuple(p_values)
-        self.depth = window_depth if window_depth is not None else -pin.cfg.j_min
+        self.depth = window_depth if window_depth is not None else -tree.j_min
         self.d = self.grid.dim
 
-        self.sizes = estimate_S_multi(pin, self.alpha, self.p_values, self.dict_spec)
+        self.sizes = estimate_S_multi(tree, f, self.p_values, self.dict_spec)
         for p, est in self.sizes.items():
-            value = verify_witness(pin, est, self.dict_spec)
+            value = verify_witness(f, est, self.dict_spec)
             if value != est.value:
                 raise InternalConsistencyError(
                     f"size witness {est.witness} at p={p} re-evaluates to "
@@ -318,9 +317,9 @@ class EstimatorContext:
     def _build_carleson_terms(self):
         """{p: {(level, index): term}} over tree cubes, in sorted key order,
         which is the summation order of carleson_sum."""
-        fg = self.pin.f - self.output.g
+        fg = self.f - self.g
         terms = {p: {} for p in self.p_values}
-        for i in range(self.pin.cfg.j_min, 1):
+        for i in self.tree.levels():
             for cube, best in self._level_maxima(fg, i, "phi", self.tree.cubes(i)):
                 for p in self.p_values:
                     terms[p][(i, cube.index)] = (
@@ -369,7 +368,7 @@ class EstimatorContext:
             level_arrays = {p: np.zeros((9 * span,) * self.d) for p in self.p_values}
             tree_at_level = self.tree.slice_indices(i)
             cubes = [c for c in window_cubes(self.d, i) if c.index not in tree_at_level]
-            for cube, best in self._level_maxima(self.output.g, i, "psi", cubes):
+            for cube, best in self._level_maxima(self.g, i, "psi", cubes):
                 pos = tuple(k - window_lo for k in cube.index)
                 for p in self.p_values:
                     level_arrays[p][pos] = 2.0 ** (-i * self.d * _inv(p)) * best[p]
@@ -422,7 +421,7 @@ class EstimatorContext:
     # -- norm side ----------------------------------------------------------------
 
     def norm_report(self, p):
-        lhs = lp_norm(self.output.g, p)
+        lhs = lp_norm(self.g, p)
         rhs = self.sizes[p].value
         context = {"m": self.m}
         if rhs == 0.0 and lhs > 0.0:
@@ -450,30 +449,30 @@ class EstimatorContext:
 # ---------------------------------------------------------------------------
 # The Bernstein (sup-vs-mean) comparison across the frequency gap.
 
-def bernstein_sweep(pin, alpha, dict_spec):
-    """Sup-vs-mean ratios of weighted kernel responses across the gaps
-    m = 0..4, the worst over every tree cube and phi kernel of each gap.
+def bernstein_sweep(tree, f, dict_spec):
+    """Sup-vs-mean ratios of weighted kernel responses of f across the
+    gaps m = 0..4, the worst over every tree cube and phi kernel of each
+    gap, at the tree's alpha.
 
     The tracked quantity divides out the expected 2^{d(m-i)} growth of
     the band radius, so its per-step log-increment stays well below
     d + 1/2.  A gap whose dictionary the grid cannot resolve ends the
     sweep with a skipped row."""
-    d = pin.grid.dim
+    d, alpha = f.grid.dim, tree.cfg.alpha
     reports = []
     for m_val in range(5):
         worst = 0.0
         worst_ctx = None
-        for i in pin.tree.levels():
+        for i in tree.levels():
             try:
-                kernels = _dictionary(pin.grid, i - m_val - 2, alpha, "phi", dict_spec)
+                kernels = _dictionary(f.grid, i - m_val - 2, alpha, "phi", dict_spec)
             except ResolutionError as exc:  # Nyquist refusal at large m
                 reports.append(InequalityReport(
                     inequality="bernstein", lhs=0.0, rhs_without_constant=0.0,
                     ratio=0.0, p=inf,
                     context={"m": m_val, "skipped": str(exc)}))
                 break
-            for cube, rows in level_norms(pin.f, kernels, pin.tree.cubes(i), i, alpha,
-                                          (1.0, inf)):
+            for cube, rows in level_norms(f, kernels, tree.cubes(i), i, alpha, (1.0, inf)):
                 for kernel_id, norms in rows:
                     sup, mean = norms[inf], norms[1.0]
                     if mean == 0.0:

@@ -41,13 +41,7 @@ from .grid import (
     save_field,
 )
 from .kernels import DictionarySpec
-from .projection import (
-    ProjectionFrame,
-    ProjectionOutput,
-    assemble,
-    projection_input,
-    residual_decomposition,
-)
+from .projection import ProjectionFrame, assemble, residual_decomposition
 
 
 def parse_p(value):
@@ -315,6 +309,9 @@ def run(config, out_dir=None):
     stage = "config"
     try:
         t0 = time.perf_counter()
+        # the grid stage checks the grid's fields, and dict_spec is checked below
+        _checked_fields(RunConfig, {f.name: getattr(config, f.name) for f in fields(config)
+                                    if f.name not in ("dim", "grid_b", "grid_n", "dict_spec")})
         p_values = parse_p_values(config.p_values)
         if config.window_depth is not None and config.window_depth < 0:
             raise ValidationError(
@@ -332,20 +329,19 @@ def run(config, out_dir=None):
         stage = "f"
         f = build_f(config, grid)
         stage = "projection"
-        pin = projection_input(f, cfg, grid, config.strict)
-        output = assemble(pin)
-        residual_decomposition(pin, output)
-        # the split is verified: keep g and chi, release the builder with
-        # its pieces and its frame before the estimators run
-        output = ProjectionOutput(g=output.g, chi=output.chi,
-                                  diagnostics=output.diagnostics)
+        frame = ProjectionFrame(cfg, grid, config.strict)
+        builder = assemble(frame, f)
+        residual_decomposition(builder)
+        # the split is verified: keep g, chi and the tree, release the
+        # builder with its pieces and the frame before the estimators run
+        g, chi, tree, diagnostics = builder.g, frame.chi_s(0), frame.tree, builder.diagnostics
+        del builder, frame
         timings["build"] = time.perf_counter() - t0
-        record["diagnostics"] = _diagnostics_dict(output.diagnostics)
+        record["diagnostics"] = _diagnostics_dict(diagnostics)
 
         stage = "estimators"
         t0 = time.perf_counter()
-        ctx = EstimatorContext(pin, output, config.dict_spec, p_values,
-                               config.window_depth)
+        ctx = EstimatorContext(tree, f, g, config.dict_spec, p_values, config.window_depth)
         reports = ctx.evaluate_window()
         timings["estimators"] = time.perf_counter() - t0
         record["sizes"] = {p_name(p): est.to_dict() for p, est in ctx.sizes.items()}
@@ -354,7 +350,7 @@ def run(config, out_dir=None):
         record["report_summary"] = _summarize(reports)
         stage = "write"
         if out_dir:
-            _persist(record, timings, out_dir, ctx)
+            _persist(record, timings, out_dir, (("g", g), ("chi", chi), ("f", f)), tree)
         return record
     except PhaseprojError as exc:
         record["error"] = {"stage": stage, "message": str(exc),
@@ -395,23 +391,23 @@ def write_csv(path, header, rows):
         w.writerows(rows)
 
 
-def _persist(record, timings, out_dir, ctx=None):
-    """Write a run's files; the fields and tree.csv only with the
-    estimator context `ctx` of a finished run, config.echo only for a
-    config that passed the config stage."""
+def _persist(record, timings, out_dir, saved=(), tree=None):
+    """Write a run's files; the (name, field) pairs `saved` and tree.csv
+    only for a finished run, config.echo only for a config that passed
+    the config stage."""
     os.makedirs(out_dir, exist_ok=True)
     fields_dir = os.path.join(out_dir, "fields")
     os.makedirs(fields_dir, exist_ok=True)
     manifest = []
-    if ctx is not None:
-        for name, field in (("g", ctx.output.g), ("chi", ctx.output.chi), ("f", ctx.pin.f)):
-            path = os.path.join(fields_dir, f"{name}.bin")
-            save_field(field, path)
-            with open(path, "rb") as fh:
-                digest = hashlib.sha256(fh.read()).hexdigest()
-            manifest.append(f"{name}.bin sha256={digest}")
+    for name, field in saved:
+        path = os.path.join(fields_dir, f"{name}.bin")
+        save_field(field, path)
+        with open(path, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        manifest.append(f"{name}.bin sha256={digest}")
+    if tree is not None:
         write_csv(os.path.join(out_dir, "tree.csv"), ("tag", "level", "index"),
-                  tree_index_rows(ctx.tree))
+                  tree_index_rows(tree))
     for name, data in (("report.json", record), ("config.echo", record.get("config"))):
         if data is None:
             continue
@@ -432,13 +428,12 @@ def _persist(record, timings, out_dir, ctx=None):
 
 
 def spq_checks(config):
-    """bernstein_sweep on a config's grid, tree and f, whose projection
-    input is checked at the non-strict resolution tier."""
+    """bernstein_sweep on a config's f and tree, the tree taken from a
+    projection frame checked at the non-strict resolution tier."""
     grid = TorusGrid(config.dim, config.grid_b, config.grid_n)
     cfg = build_tree_config(config)
     f = build_f(config, grid)
-    pin = projection_input(f, cfg, grid, strict=False)
-    return bernstein_sweep(pin, config.alpha, config.dict_spec)
+    return bernstein_sweep(ProjectionFrame(cfg, grid, False).tree, f, config.dict_spec)
 
 
 # ---------------------------------------------------------------------------
@@ -519,23 +514,20 @@ def modulation_demo(config, separations=None, second_tree_seed=None):
         second_cfg = build_tree_config(replace(config, tree_seed=second_tree_seed,
                                                leaves=None))
     f = build_f(config, grid)
+    # one frame per tree config: its geometry does not depend on f
+    frame = ProjectionFrame(cfg, grid, config.strict)
+    second = frame if second_cfg == cfg else ProjectionFrame(second_cfg, grid, config.strict)
 
-    frames = {}     # one per tree config: its geometry does not depend on f
-
-    def project(eta, tree_cfg):
+    def project(eta, on):
         shifted = modulate(f, [-eta] + [0.0] * (config.dim - 1))
-        pin = projection_input(shifted, tree_cfg, grid, config.strict)
-        if tree_cfg not in frames:
-            frames[tree_cfg] = ProjectionFrame.for_input(pin)
-        out = assemble(pin, frames[tree_cfg])
-        return modulate(out.g, [eta] + [0.0] * (config.dim - 1))
+        return modulate(assemble(on, shifted).g, [eta] + [0.0] * (config.dim - 1))
 
-    base = project(separations[0], cfg)
+    base = project(separations[0], frame)
     base_norm = lp_norm(base, 2.0)
     base_spec = np.abs(physical_spectrum(base))
     table = []
     for i, eta in enumerate(separations):
-        other = base if i == 0 and second_cfg is cfg else project(eta, second_cfg)
+        other = base if i == 0 and second is frame else project(eta, second)
         other_norm = lp_norm(other, 2.0)
         pairing = abs(inner_product(base, other)) / (base_norm * other_norm)
         # magnitude overlap of the spectra: a rigorous phase-free upper

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -374,22 +373,17 @@ def _periodized_sinc_power(grid, a, k_pow, center):
     return per
 
 
-def build_sinc_power(grid, j, beta, kind="phi", eta=None):
+def build_sinc_power(grid, j, beta, kind, eta):
     """Tensor power of a sinc, in frequency a tensor B-spline box.
 
     The spatial kernel prod_n sinc(pi a (x - c)_n)^(2K) with 2K >= beta
     decays like the class envelope (polynomially, unlike the smooth-glue
     kernels), so its lambda-normalization is an O(1) factor, uniformly
     over scales.  It is translated to the envelope cube's center c and
-    its spectral box sits inside the admissible set, optionally shifted
-    by eta.
+    its spectral box sits inside the admissible set, shifted by eta.
     """
     k_pow = max(1, math.ceil(beta / 2.0))
     d = grid.dim
-    if eta is None:
-        eta = np.zeros(d)
-        if kind == "psi":
-            eta[0] = 5.0 * 2.0 ** (-j - 3)
     eta = np.asarray(eta, dtype=float)
     if kind == "psi":
         half_width = _psi_box_width(j, d, float(np.linalg.norm(eta)))
@@ -438,13 +432,6 @@ def _modulate_kernel(handle, grid, eta, new_id):
     return KernelHandle(grid, new_id, field_multiplier(out), out)
 
 
-_DICTIONARY_CACHE = OrderedDict()   # LRU of dictionaries, one per class
-# The reference sweep's 16 classes.  The 15 that its first five configs
-# build hold 31 MB of band multipliers at N = 2^17 (341 MB on the full
-# lattice).
-_DICTIONARY_CACHE_SIZE = 16
-
-
 def _candidates(grid, j, beta, kind, spec):
     """The candidates of build_dictionary, built one at a time.  The
     translation and modulation bases reuse the candidate handles."""
@@ -468,20 +455,18 @@ def _candidates(grid, j, beta, kind, spec):
     for s in range(spec.n_psi):
         for n in range(grid.dim):
             yield build(build_psi_cone, n, j + 2 + s)
-    if spec.n_sinc:
-        yield build_sinc_power(grid, j, beta, kind)
-        if kind == "psi":
-            # a ladder across the annulus so every admissible frequency
-            # sits near some box center, on each axis and sign
-            u = 2.0 ** (-j - 3)
-            for ax in range(grid.dim):
-                for radius_units in (3.0, 5.0, 7.0):
-                    for sign in (1.0, -1.0):
-                        eta = np.zeros(grid.dim)
-                        eta[ax] = sign * radius_units * u
-                        if sign > 0 and ax == 0 and radius_units == 5.0:
-                            continue  # the default kernel above
-                        yield build_sinc_power(grid, j, beta, kind, eta)
+    if spec.n_sinc and kind == "phi":
+        yield build_sinc_power(grid, j, beta, kind, np.zeros(grid.dim))
+    if spec.n_sinc and kind == "psi":
+        # a ladder across the annulus so every admissible frequency
+        # sits near some box center, on each axis and sign
+        u = 2.0 ** (-j - 3)
+        for ax in range(grid.dim):
+            for radius_units in (3.0, 5.0, 7.0):
+                for sign in (1.0, -1.0):
+                    eta = np.zeros(grid.dim)
+                    eta[ax] = sign * radius_units * u
+                    yield build_sinc_power(grid, j, beta, kind, eta)
     if kind == "phi":
         base_mod = build(build_tau, j + 2)
         for i in range(spec.n_mod):
@@ -517,6 +502,10 @@ def _candidates(grid, j, beta, kind, spec):
         yield _translate(trans_base, grid, offset, f"tr[{trans_base.kernel_id},t{i}]")
 
 
+# Room for the reference sweep's 16 classes.  The 15 that its first five
+# configs build hold 31 MB of band multipliers at N = 2^17 (341 MB on the
+# full lattice).
+@functools.lru_cache(maxsize=16)
 def build_dictionary(grid, j, beta, kind, spec):
     """Normalized dictionary of class-(Phi|Psi)_j^beta kernels.
 
@@ -532,11 +521,12 @@ def build_dictionary(grid, j, beta, kind, spec):
     Each candidate is certified, scaled and released before the next is
     built; only its scaled multiplier is kept, as a read-only copy on its
     frequency band (grid.frequency_band: the values off the band are all
-    zero) without a field, and the result is cached per class (an LRU)
-    and shared by every caller.  At N = 2^17 in d = 1 a phi class keeps
-    4.2 to 4.5 MB instead of 28.3 MB on the full lattice, 4.19 MB of it
-    the two FFT-built modulations, which fill the lattice; a psi class
-    keeps 4 KB to 0.5 MB instead of 17.8 MB.  All of it is exact:
+    zero) without a field, and the result is cached per class (an LRU,
+    under which equal grids hit alike) and shared by every caller.  At
+    N = 2^17 in d = 1 a phi class keeps 4.2 to 4.5 MB instead of 28.3 MB
+    on the full lattice, 4.19 MB of it the two FFT-built modulations,
+    which fill the lattice; a psi class keeps 4 KB to 0.5 MB instead of
+    17.8 MB.  All of it is exact:
     builders are deterministic and certification does not modify a
     handle, so a base may reuse its candidate; the envelope depends on
     (grid, j, beta) only, a sinc profile on (grid, a, K, c) only (eta
@@ -544,10 +534,6 @@ def build_dictionary(grid, j, beta, kind, spec):
     """
     if kind not in ("phi", "psi"):
         raise ValidationError("kind must be 'phi' or 'psi'")
-    cache_key = (grid.dim, grid.half_width, grid.samples, j, float(beta), kind, spec)
-    if cache_key in _DICTIONARY_CACHE:
-        _DICTIONARY_CACHE.move_to_end(cache_key)
-        return _DICTIONARY_CACHE[cache_key]
 
     def normalized(cand):
         cert = class_membership(cand, j, beta, kind)
@@ -562,7 +548,4 @@ def build_dictionary(grid, j, beta, kind, spec):
         raise ValidationError(
             f"empty {kind}-dictionary at level {j}: all candidates filtered")
     out.sort(key=lambda k: k.kernel_id)
-    if len(_DICTIONARY_CACHE) >= _DICTIONARY_CACHE_SIZE:
-        _DICTIONARY_CACHE.popitem(last=False)
-    _DICTIONARY_CACHE[cache_key] = out
     return out

@@ -24,21 +24,23 @@ the wrap flags of theta and tau, read off each kernel's spatial tail
 (_kernel_entry) -- depends on (grid, tree, m) only and lives in a
 ProjectionFrame: built lazily, once, stored read-only, holding no f.
 Each multiplier is kept on its frequency band (grid.frequency_band),
-which apply_multiplier reads.  A caller projecting many fields onto one
-tree (the modulation demo) passes one frame to every `assemble`; without
-one each call builds a private frame.  The ProjectionBuilder holds one
-f: its pieces, each built once and kept only in its memo, the filtered
-copies that more than one step reads, and every f-dependent check above,
-run once per projection.  Below j_min the annulus pieces of f - g
-telescope (psi_j = tau_{j-1} - tau_j): tau_{-m} + sum_{j_min..0}
-psi_{j-m} + (1 - tau_{j_min-1-m}) = 1 on the lattice, so the residual
-split filters f once through 1 - tau_{j_min-1-m}.
+which apply_multiplier reads.  The frame is the one validated object per
+(tree config, grid, strict): its constructor runs the resolution check
+and expands the tree, and a caller projecting many fields onto one tree
+(the modulation demo) builds it once and passes it to every `assemble`.
+The ProjectionBuilder holds one f on the frame's grid: its pieces, each
+built once and kept only in its memo, the filtered copies that more than
+one step reads, and every f-dependent check above, run once per
+projection; `assemble` returns it with g and the diagnostics set.
+Below j_min the annulus pieces of f - g telescope (psi_j = tau_{j-1} -
+tau_j): tau_{-m} + sum_{j_min..0} psi_{j-m} + (1 - tau_{j_min-1-m}) = 1
+on the lattice, so the residual split filters f once through
+1 - tau_{j_min-1-m} (low_pass_complement).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field as dc_field
 from itertools import product
 from math import comb
 
@@ -80,24 +82,6 @@ FD_REL_TOL = 1e-4
 FD_MIN_SAMPLES_PER_RADIUS = 160
 
 
-@dataclass
-class ProjectionInput:
-    f: SampledField
-    cfg: TreeConfig
-    tree: TreeIndex
-    grid: TorusGrid
-    strict: bool
-
-
-@dataclass
-class ProjectionOutput:
-    g: SampledField
-    chi: SampledField
-    diagnostics: dict
-    _builder: ProjectionBuilder | None = dc_field(default=None, repr=False,
-                                                  compare=False)
-
-
 def mollifier_radius(j, m):
     return MOLLIFIER_CELL_FRACTION * 2.0 ** (j - m - 3)
 
@@ -128,17 +112,6 @@ def resolution_check(cfg, grid, strict):
             f"grid samples", min_samples * 2 * grid.half_width / radius)
 
 
-def projection_input(f, cfg, grid=None, strict=True):
-    """Validate and bundle the inputs of a projection build; strict
-    mode enforces the smoothness-dependent diagnostics."""
-    grid = grid or f.grid
-    if f.grid != grid:
-        raise ValidationError("f does not live on the stated grid")
-    resolution_check(cfg, grid, strict)
-    tree = expand_to_tree(cfg)
-    return ProjectionInput(f=f, cfg=cfg, tree=tree, grid=grid, strict=strict)
-
-
 def _memo(method):
     """Cache a method's result on the instance, keyed by the method name
     and its arguments."""
@@ -157,29 +130,24 @@ def _read_only(array):
 
 
 class ProjectionFrame:
-    """The f-independent half of a projection on one (grid, tree, strict):
-    tree masks, cutoffs, kernel multipliers with their wrap flags and the
-    chi derivative certificates, each built once and stored read-only.
-    The theta, tau, psi-cone and psi multipliers are kept on their
-    frequency bands (grid.frequency_band): every value off the band is
-    zero.  Holds no f and no spatial kernel field."""
+    """The f-independent half of a projection on one (tree config, grid,
+    strict), refused by resolution_check if the grid cannot carry it;
+    strict mode enforces the smoothness-dependent diagnostics.  Holds the
+    expanded tree and, each built once and stored read-only, its masks,
+    cutoffs, kernel multipliers with their wrap flags and the chi
+    derivative certificates.  The theta, tau, psi-cone and psi
+    multipliers are kept on their frequency bands (grid.frequency_band):
+    every value off the band is zero.  Holds no f and no spatial kernel
+    field."""
 
-    def __init__(self, grid, tree, strict=True):
+    def __init__(self, cfg, grid, strict):
+        resolution_check(cfg, grid, strict)
+        self.tree = expand_to_tree(cfg)
         self.grid = grid
-        self.tree = tree
         self.strict = strict
-        self.m = tree.cfg.gap_m
+        self.m = cfg.gap_m
+        self.j_min = cfg.j_min
         self._memo = {}
-
-    @classmethod
-    def for_input(cls, pin):
-        return cls(pin.grid, pin.tree, pin.strict)
-
-    def check(self, pin):
-        if (self.grid != pin.grid or self.tree.cfg != pin.cfg
-                or self.strict != pin.strict):
-            raise ValidationError(
-                "projection frame was built for another grid, tree or strictness")
 
     @_memo
     def e_mask(self, j, k):
@@ -221,13 +189,8 @@ class ProjectionFrame:
         """Ids of the tau and theta kernels (n-major, j = j_min..0) whose
         spatial tail wraps around the torus."""
         entries = [self.tau()] + [self.theta(n, j) for n in range(self.grid.dim)
-                                  for j in range(self.tree.cfg.j_min, 1)]
+                                  for j in range(self.j_min, 1)]
         return [kernel_id for _, kernel_id, wrap_flag in entries if wrap_flag]
-
-    def low_pass_complement(self):
-        """1 - tau_{j_min-1-m}, the sum of psi_{j-m} over every j below
-        j_min, on the full lattice; not kept."""
-        return 1.0 - tau_multiplier(self.grid, self.tree.cfg.j_min - 1 - self.m)
 
     @_memo
     def chi_certificates(self):
@@ -258,9 +221,16 @@ def _kernel_entry(handle):
             _tail_fraction(handle.field) > 1e-6)
 
 
+def low_pass_complement(grid, j_min, m):
+    """1 - tau_{j_min-1-m}, the sum of psi_{j-m} over every j below
+    j_min, on the full lattice."""
+    return 1.0 - tau_multiplier(grid, j_min - 1 - m)
+
+
 class ProjectionBuilder:
     """Builds the pieces of one f over a frame, each once per instance,
-    and runs every f-dependent check.
+    and runs every f-dependent check.  f must live on the frame's grid;
+    grid, m, j_min and strictness are read from the frame.
 
     Of the filtered copies of f only psi_j*f is memoized, because assemble
     and the residual split both read it.  theta*f is read only inside
@@ -268,15 +238,11 @@ class ProjectionBuilder:
     inside correction; both are memoized methods, so each copy is still
     built once, and it is freed when that method returns."""
 
-    def __init__(self, pin, frame=None):
-        self.frame = frame or ProjectionFrame.for_input(pin)
-        self.frame.check(pin)
-        self.pin = pin
-        self.grid = pin.grid
-        self.m = pin.cfg.gap_m
-        self.dim = pin.grid.dim
-        self.j_min = pin.cfg.j_min
-        self.strict = pin.strict
+    def __init__(self, frame, f):
+        if f.grid != frame.grid:
+            raise ValidationError("f does not live on the projection frame's grid")
+        self.frame = frame
+        self.f = f
         self._memo = {}
         self.diagnostics = {"levels": {}}
 
@@ -285,17 +251,17 @@ class ProjectionBuilder:
     # so they keep no spectrum (a full field each).
 
     def theta_f(self, n, j):
-        return apply_multiplier(self.pin.f, self.frame.theta(n, j)[0], True)
+        return apply_multiplier(self.f, self.frame.theta(n, j)[0], True)
 
     def psi_cone_f(self, n, j):
-        return apply_multiplier(self.pin.f, self.frame.psi_cone(n, j), False)
+        return apply_multiplier(self.f, self.frame.psi_cone(n, j), False)
 
     @_memo
     def psi_f(self, j):
-        return apply_multiplier(self.pin.f, self.frame.psi(j), False)
+        return apply_multiplier(self.f, self.frame.psi(j), False)
 
     def tau_f(self):
-        return apply_multiplier(self.pin.f, self.frame.tau()[0], False)
+        return apply_multiplier(self.f, self.frame.tau()[0], False)
 
     # -- per-scale pieces ----------------------------------------------------
 
@@ -325,32 +291,33 @@ class ProjectionBuilder:
     def g_piece(self, n, j):
         """(d+1)-fold derivative of G along the cone axis, with a Leibniz
         cross-check quantifying product-differentiation aliasing."""
+        fr, d = self.frame, self.frame.grid.dim
         tf = self.theta_f(n, j)
         big_g = self.big_g(n, j, tf)
-        piece = partial_derivative(big_g, n, self.dim + 1)
+        piece = partial_derivative(big_g, n, d + 1)
         diag = self.diagnostics["levels"].setdefault((n, j), {})
 
-        chi = self.frame.chi_s(j)
+        chi = fr.chi_s(j)
         leib = None
-        for k in range(self.dim + 2):
+        for k in range(d + 2):
             dchi = partial_derivative(chi, n, k) if k else chi
-            dtf = partial_derivative(tf, n, self.dim + 1 - k) if k <= self.dim else tf
-            term = comb(self.dim + 1, k) * (dchi * dtf)
+            dtf = partial_derivative(tf, n, d + 1 - k) if k <= d else tf
+            term = comb(d + 1, k) * (dchi * dtf)
             leib = term if leib is None else leib + term
         scale = max(piece.max_abs(), 1e-300)
         leib_err = float(np.max(np.abs(piece.values - leib.values)) / scale)
         diag["leibniz_rel_err"] = leib_err
-        if self.strict and leib_err > LEIBNIZ_REL_TOL:
+        if fr.strict and leib_err > LEIBNIZ_REL_TOL:
             raise ResolutionError(
                 f"Leibniz cross-check failed at (n={n}, j={j}): {leib_err:.3e} "
                 f"> {LEIBNIZ_REL_TOL}; increase N")
 
-        radius = mollifier_radius(j, self.m)
-        if radius / self.grid.spacing >= FD_MIN_SAMPLES_PER_RADIUS:
-            fd = fd_derivative(big_g, n, self.dim + 1)
+        radius = mollifier_radius(j, fr.m)
+        if radius / fr.grid.spacing >= FD_MIN_SAMPLES_PER_RADIUS:
+            fd = fd_derivative(big_g, n, d + 1)
             fd_err = float(np.max(np.abs(piece.values - fd.values)) / scale)
             diag["fd_rel_err"] = fd_err
-            if self.strict and fd_err > FD_REL_TOL:
+            if fr.strict and fd_err > FD_REL_TOL:
                 raise ResolutionError(
                     f"finite-difference witness failed at (n={n}, j={j}): "
                     f"{fd_err:.3e} > {FD_REL_TOL}")
@@ -359,9 +326,9 @@ class ProjectionBuilder:
         smax = sigma.max_abs()
         tf_max = tf.max_abs()
         if smax > 0 and tf_max > 0:
-            on_e = self.frame.e_mask(j, 1)
+            on_e = fr.e_mask(j, 1)
             on_abs = float(np.max(np.abs(sigma.values[on_e]))) if on_e.any() else 0.0
-            out_abs = float(np.max(np.abs(sigma.values[~self.frame.e_mask(j, 2)])))
+            out_abs = float(np.max(np.abs(sigma.values[~fr.e_mask(j, 2)])))
             diag["sigma_on_e_rel"] = on_abs / smax
             diag["sigma_outside_e2_rel"] = out_abs / smax
             # floors guard against degenerate sigma much smaller than the
@@ -378,28 +345,29 @@ class ProjectionBuilder:
     def correction(self):
         """Sum over (n, j) of g_piece - psi_cone*f 1_{E_j^1}: the last term
         of the telescoping route and the correction part of f - g."""
-        corr = zero_field(self.grid)
-        for n in range(self.dim):
-            for j in range(self.j_min, 1):
-                corr = corr + (self.g_piece(n, j)
-                               - self.psi_cone_f(n, j) * self.frame.e_indicator(j))
+        fr = self.frame
+        corr = zero_field(fr.grid)
+        for n in range(fr.grid.dim):
+            for j in range(fr.j_min, 1):
+                corr = corr + (self.g_piece(n, j) - self.psi_cone_f(n, j) * fr.e_indicator(j))
         return corr
 
     # -- assembly -------------------------------------------------------------
 
     def assemble(self):
+        """Set g and the diagnostics; returns self."""
         fr = self.frame
         tau_f = self.tau_f()
         chi = fr.chi_s(0)
         g = tau_f * chi
-        for n in range(self.dim):
-            for j in range(self.j_min, 1):
+        for n in range(fr.grid.dim):
+            for j in range(fr.j_min, 1):
                 g = g + self.g_piece(n, j)
 
         # telescoping route: h = tau*f chi + sum_j psi_j*f 1_{E_j^1}, plus
         # the correction sum
         two_route = tau_f * chi
-        for j in range(self.j_min, 1):
+        for j in range(fr.j_min, 1):
             two_route = two_route + self.psi_f(j) * fr.e_indicator(j)
         two_route = two_route + self.correction()
         scale = max(g.max_abs(), 1e-300)
@@ -410,7 +378,7 @@ class ProjectionBuilder:
 
         outside_5u = fr.outside_5u()
         support_err = float(np.max(np.abs(g.values[outside_5u])) / scale) if scale > 0 else 0.0
-        if self.strict and support_err > SUPPORT_REL_TOL:
+        if fr.strict and support_err > SUPPORT_REL_TOL:
             raise ResolutionError(
                 f"g does not vanish outside 5U (rel {support_err:.3e}); increase N")
 
@@ -419,9 +387,9 @@ class ProjectionBuilder:
         diag["g_two_route_rel_err"] = route_err
         diag["support_5u_rel"] = support_err
         diag["chi_derivative_sup"] = dict(fr.chi_certificates())
-        diag["strict"] = self.strict
-        return ProjectionOutput(g=g, chi=chi, diagnostics=diag,
-                                _builder=self)
+        diag["strict"] = fr.strict
+        self.g = g
+        return self
 
     def residual_parts(self):
         """The three components of f - g: low-pass off-cutoff, annulus
@@ -429,10 +397,10 @@ class ProjectionBuilder:
         pieces below j_min are one high-pass copy of f, not kept."""
         fr = self.frame
         chi = fr.chi_s(0)
-        one = SampledField(self.grid, np.ones(self.grid.shape, dtype=np.complex128))
+        one = SampledField(fr.grid, np.ones(fr.grid.shape, dtype=np.complex128))
         comp_low = self.tau_f() * (one - chi)
-        comp_mid = apply_multiplier(self.pin.f, fr.low_pass_complement(), False)
-        for j in range(self.j_min, 1):
+        comp_mid = apply_multiplier(self.f, low_pass_complement(fr.grid, fr.j_min, fr.m), False)
+        for j in range(fr.j_min, 1):
             comp_mid = comp_mid + self.psi_f(j) * (one - fr.e_indicator(j))
         return comp_low, comp_mid, self.correction()
 
@@ -440,26 +408,24 @@ class ProjectionBuilder:
 # ---------------------------------------------------------------------------
 # Operation-style wrappers.
 
-def assemble(pin, frame=None):
-    """Build the projection and verify its internal identities.  A frame
-    built for pin's grid, tree and strictness may be shared across
-    calls; without one a private frame is built."""
-    return ProjectionBuilder(pin, frame).assemble()
+def assemble(frame, f):
+    """Build the projection of f over the frame and verify its internal
+    identities: the builder, with g and the diagnostics set."""
+    return ProjectionBuilder(frame, f).assemble()
 
 
-def residual_decomposition(pin, output):
-    """Split f - g into its three parts and verify the reconstruction."""
-    if output._builder is None:
-        raise ValidationError("the projection output no longer holds its builder")
-    comp_low, comp_mid, comp_corr = output._builder.residual_parts()
+def residual_decomposition(builder):
+    """Split f - g of an assembled builder into its three parts and
+    verify the reconstruction."""
+    comp_low, comp_mid, comp_corr = builder.residual_parts()
     recon = comp_low + comp_mid - comp_corr
-    target = pin.f - output.g
-    scale = max(pin.f.max_abs(), 1e-300)
+    target = builder.f - builder.g
+    scale = max(builder.f.max_abs(), 1e-300)
     err = float(np.max(np.abs(recon.values - target.values)) / scale)
     if err > 1e-8:
         raise InternalConsistencyError(
             f"residual identity failed (rel {err}); the low-pass, annulus and "
             f"correction parts do not add up to f - g")
-    output.diagnostics["residual_rel_err"] = err
+    builder.diagnostics["residual_rel_err"] = err
     return comp_low, comp_mid, comp_corr
 

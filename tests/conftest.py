@@ -7,7 +7,7 @@ from phaseproj import grid, kernels
 
 def _clear_kernel_caches():
     grid._first_equal.cache_clear()
-    kernels._DICTIONARY_CACHE.clear()
+    kernels.build_dictionary.cache_clear()
     kernels._periodized_sinc_power.cache_clear()
     kernels.class_envelope.cache_clear()
     kernels.forbidden_frequencies.cache_clear()

@@ -38,65 +38,66 @@ from phaseproj.grid import (
 )
 from phaseproj.harness import RunConfig, random_bandpass_field, run, write_csv
 from phaseproj.kernels import DictionarySpec, build_dictionary
-from phaseproj.projection import assemble, projection_input
+from phaseproj.projection import ProjectionFrame, assemble
+
+
+def context(frame, f, window_depth, p_values=(1.0, 2.0, inf)):
+    """The estimator context of f and its projection over the frame."""
+    return EstimatorContext(frame.tree, f, assemble(frame, f).g, DictionarySpec(),
+                            p_values, window_depth)
 
 
 @pytest.fixture(scope="module")
 def setup():
     grid = TorusGrid(1, 8.0, 1 << 13)
-    cfg = TreeConfig((DyadicCube(-1, (0,)),), 0, 2.0)
+    frame = ProjectionFrame(TreeConfig((DyadicCube(-1, (0,)),), 0, 2.0), grid, True)
     f = random_bandpass_field(grid, seed=21, annulus=(1.0, 3.0), n_modes=6)
-    pin = projection_input(f, cfg, grid)
-    out = assemble(pin)
-    ctx = EstimatorContext(pin, out, DictionarySpec(), window_depth=1)
-    return pin, out, ctx
+    return frame, f, context(frame, f, 1)
 
 
 class TestSize:
     def test_zero_input(self, setup):
-        pin, _, _ = setup
-        zpin = projection_input(zero_field(pin.grid), pin.cfg, pin.grid)
-        assert estimate_S_multi(zpin, 2.0, (2.0,), DictionarySpec())[2.0].value == 0.0
+        frame, _, _ = setup
+        zero = zero_field(frame.grid)
+        assert estimate_S_multi(frame.tree, zero, (2.0,), DictionarySpec())[2.0].value == 0.0
 
     def test_homogeneity(self, setup):
-        pin, _, ctx = setup
-        doubled = projection_input(2.0 * pin.f, pin.cfg, pin.grid)
-        est2 = estimate_S_multi(doubled, 2.0, (2.0,), DictionarySpec())[2.0]
+        frame, f, ctx = setup
+        est2 = estimate_S_multi(frame.tree, 2.0 * f, (2.0,), DictionarySpec())[2.0]
         assert est2.value == pytest.approx(2 * ctx.sizes[2.0].value, rel=1e-12)
 
     def test_mode_outside_every_band(self, setup):
-        pin, _, _ = setup
+        frame, _, _ = setup
         # dictionaries at class levels <= -2 vanish beyond |xi| = 8;
         # a mode at 100 sees none of them
-        x = pin.grid.axis_points
-        mode = SampledField(pin.grid, np.exp(2j * np.pi * 100.0 * x))
-        mpin = projection_input(mode, pin.cfg, pin.grid)
-        assert estimate_S_multi(mpin, 2.0, (2.0,), DictionarySpec())[2.0].value <= 1e-12
+        x = frame.grid.axis_points
+        mode = SampledField(frame.grid, np.exp(2j * np.pi * 100.0 * x))
+        assert estimate_S_multi(frame.tree, mode, (2.0,), DictionarySpec())[2.0].value <= 1e-12
 
     def test_witness_reproduces(self, setup):
-        pin, _, ctx = setup
+        _, f, ctx = setup
         for p in (1.0, 2.0, inf):
             est = ctx.sizes[p]
-            assert verify_witness(pin, est, DictionarySpec()) == est.value
+            assert verify_witness(f, est, DictionarySpec()) == est.value
 
     def test_unreproduced_witness_raises(self, setup, monkeypatch):
-        pin, out, _ = setup
+        frame, f, ctx = setup
         monkeypatch.setattr(estimators, "verify_witness",
-                            lambda pin, est, dict_spec: est.value * (1 + 2 ** -52))
+                            lambda f, est, dict_spec: est.value * (1 + 2 ** -52))
         with pytest.raises(InternalConsistencyError, match="re-evaluates"):
-            EstimatorContext(pin, out, DictionarySpec(), window_depth=1, p_values=(2.0,))
+            EstimatorContext(frame.tree, f, ctx.g, DictionarySpec(), (2.0,), 1)
 
     def test_monotone_in_dictionary(self, setup):
-        pin, _, _ = setup
-        small = estimate_S_multi(pin, 2.0, (2.0,), DictionarySpec(1, 1, 0, 0, 1, 0))[2.0]
-        big = estimate_S_multi(pin, 2.0, (2.0,), DictionarySpec(3, 2, 2, 2, 1, 2))[2.0]
+        frame, f, _ = setup
+        small = estimate_S_multi(frame.tree, f, (2.0,), DictionarySpec(1, 1, 0, 0, 1, 0))[2.0]
+        big = estimate_S_multi(frame.tree, f, (2.0,), DictionarySpec(3, 2, 2, 2, 1, 2))[2.0]
         assert big.value >= small.value - 1e-15
 
     def test_modulation_covariance(self, setup):
         # modulating f and every dictionary kernel together leaves the
         # weighted norms unchanged; with the kernel responses it means
         # |response| is invariant, checked through one explicit kernel
-        pin, _, _ = setup
+        frame, f, _ = setup
         from phaseproj.grid import (
             apply_multiplier,
             kernel_field_from_multiplier,
@@ -105,17 +106,18 @@ class TestSize:
         )
         from phaseproj.kernels import build_dictionary
         eta = 2.0
-        kernels = build_dictionary(pin.grid, -3, 8.0, "phi", DictionarySpec())
-        f_mod = modulate(pin.f, eta)
+        grid = frame.grid
+        kernels = build_dictionary(grid, -3, 8.0, "phi", DictionarySpec())
+        f_mod = modulate(f, eta)
         cube = DyadicCube(-1, (0,))
-        w = rho_values(pin.grid, cube) ** -2.0
+        w = rho_values(grid, cube) ** -2.0
         for kernel in kernels[:3]:
-            resp = apply_multiplier(pin.f, kernel.multiplier)
+            resp = apply_multiplier(f, kernel.multiplier)
             shifted = modulate(kernel_field_from_multiplier(
-                pin.grid, expand_band(pin.grid, kernel.multiplier)), eta)
+                grid, expand_band(grid, kernel.multiplier)), eta)
             from phaseproj.grid import field_multiplier
             resp_mod = apply_multiplier(f_mod, field_multiplier(shifted))
-            h = pin.grid.spacing
+            h = grid.spacing
             a = lp_norms(np.abs(resp.values), h, (2.0,), w)[2.0]
             b = lp_norms(np.abs(resp_mod.values), h, (2.0,), w)[2.0]
             assert b == pytest.approx(a, rel=1e-10)
@@ -154,23 +156,22 @@ class TestCarleson:
             cfg = TreeConfig(tuple(leaves), 0, 2.0)
             f = random_bandpass_field(grid, seed=100 + trial, annulus=(1.0, 3.0),
                                       n_modes=5)
-            pin = projection_input(f, cfg, grid, strict=False)
-            out = assemble(pin)
-            ctx = EstimatorContext(pin, out, DictionarySpec(), window_depth=2, p_values=(2.0,))
+            frame = ProjectionFrame(cfg, grid, False)
+            ctx = context(frame, f, 2, (2.0,))
             ratios = {}
             for J in enumerate_window(1, 2):
                 ratios[J] = ctx.carleson_sum(J, 2.0).ratio
             overall = max(ratios.values())
-            on_tree = max(r for J, r in ratios.items() if pin.tree.member(J))
+            on_tree = max(r for J, r in ratios.items() if frame.tree.member(J))
             assert overall <= on_tree * (1 + 1e-12) + 1e-15
 
 
 class TestOfftree:
     def test_eligibility(self, setup):
-        pin, _, _ = setup
-        ok, violator = offtree_eligible(pin.tree, DyadicCube(-2, (100,)))
+        frame, _, _ = setup
+        ok, violator = offtree_eligible(frame.tree, DyadicCube(-2, (100,)))
         assert ok and violator is None
-        bad, violator = offtree_eligible(pin.tree, DyadicCube(-1, (1,)))
+        bad, violator = offtree_eligible(frame.tree, DyadicCube(-1, (1,)))
         assert not bad
         assert violator is not None
 
@@ -187,40 +188,34 @@ class TestOfftree:
         assert rep.rhs_without_constant > 0
 
     def test_zero_f(self, setup):
-        pin, _, _ = setup
-        zpin = projection_input(zero_field(pin.grid), pin.cfg, pin.grid)
-        zout = assemble(zpin)
-        zctx = EstimatorContext(zpin, zout, DictionarySpec(), window_depth=1, p_values=(2.0,))
+        frame, _, _ = setup
+        zctx = context(frame, zero_field(frame.grid), 1, (2.0,))
         rep = zctx.offtree_sum(DyadicCube(-2, (14,)), 2.0)
         assert rep.lhs == 0.0
 
 
 class TestNormReport:
     def test_zero_ratio(self, setup):
-        pin, _, _ = setup
-        zpin = projection_input(zero_field(pin.grid), pin.cfg, pin.grid)
-        zout = assemble(zpin)
-        zctx = EstimatorContext(zpin, zout, DictionarySpec(), window_depth=1, p_values=(2.0,))
+        frame, _, _ = setup
+        zctx = context(frame, zero_field(frame.grid), 1, (2.0,))
         rep = zctx.norm_report(2.0)
         assert rep.ratio == 0.0
 
     def test_scaling_invariance(self, setup):
-        pin, _, ctx = setup
-        doubled = projection_input(2.0 * pin.f, pin.cfg, pin.grid)
-        dout = assemble(doubled)
-        dctx = EstimatorContext(doubled, dout, DictionarySpec(), window_depth=1, p_values=(2.0,))
+        frame, f, ctx = setup
+        dctx = context(frame, 2.0 * f, 1, (2.0,))
         assert dctx.norm_report(2.0).ratio == pytest.approx(
             ctx.norm_report(2.0).ratio, rel=1e-12)
 
 
 class TestComparisons:
     def test_bernstein_increments(self, setup):
-        pin, _, _ = setup
-        reports = bernstein_sweep(pin, 2.0, DictionarySpec())
+        frame, f, _ = setup
+        reports = bernstein_sweep(frame.tree, f, DictionarySpec())
         ratios = {r.context["m"]: r.ratio for r in reports if "skipped" not in r.context}
         ms = sorted(ratios)
         assert ms == [0, 1, 2, 3, 4]
-        d = pin.grid.dim
+        d = frame.grid.dim
         for a, b in zip(ms, ms[1:]):
             if ratios[a] > 0:
                 assert math.log2(ratios[b] / ratios[a]) <= d + 0.5
@@ -229,7 +224,7 @@ class TestComparisons:
         grid = setup[0].grid
         cfg = TreeConfig((DyadicCube(-2, (0,)), DyadicCube(-2, (2,))), 0, 2.0)
         f = random_bandpass_field(grid, seed=4, annulus=(1.0, 3.0), n_modes=4)
-        pin = projection_input(f, cfg, grid, strict=False)
+        tree = ProjectionFrame(cfg, grid, False).tree
         calls = []
         real = estimators.level_norms
 
@@ -238,9 +233,8 @@ class TestComparisons:
             return real(field, kernels, cubes, level, *args)
 
         monkeypatch.setattr(estimators, "level_norms", recording)
-        reports = bernstein_sweep(pin, 2.0, DictionarySpec())
+        reports = bernstein_sweep(tree, f, DictionarySpec())
         assert [r.context["m"] for r in reports if "skipped" not in r.context] == [0, 1, 2, 3, 4]
-        tree = pin.tree
         assert len(tree.levels()) >= 2
         assert calls == 5 * [(i, tree.cubes(i)) for i in tree.levels()]
         assert {len(cubes) for _, cubes in calls} == {1, 2}
@@ -277,9 +271,9 @@ class TestSweepTable:
             "ac03960bd27db863832766565e7efcb09848dddd3868adbc6412303624d7e37e")
 
     def test_determinism(self, setup):
-        pin, out, _ = setup
-        a = EstimatorContext(pin, out, DictionarySpec(), window_depth=1, p_values=(2.0,))
-        b = EstimatorContext(pin, out, DictionarySpec(), window_depth=1, p_values=(2.0,))
+        frame, f, ctx = setup
+        a = EstimatorContext(frame.tree, f, ctx.g, DictionarySpec(), (2.0,), 1)
+        b = EstimatorContext(frame.tree, f, ctx.g, DictionarySpec(), (2.0,), 1)
         assert a.sizes[2.0].value == b.sizes[2.0].value
         J = DyadicCube(-2, (14,))
         assert a.offtree_sum(J, 2.0).lhs == b.offtree_sum(J, 2.0).lhs
@@ -312,8 +306,7 @@ def deep():
     grid = TorusGrid(1, 8.0, 1 << 12)
     cfg = TreeConfig((DyadicCube(-2, (1,)), DyadicCube(-1, (1,))), 0, 2.0)
     f = random_bandpass_field(grid, seed=7, annulus=(1.0, 3.0), n_modes=5)
-    pin = projection_input(f, cfg, grid, strict=False)
-    return EstimatorContext(pin, assemble(pin), DictionarySpec(), window_depth=2)
+    return context(ProjectionFrame(cfg, grid, False), f, 2)
 
 
 class TestTableOracles:
@@ -527,23 +520,23 @@ class TestNormPool:
 
 class TestBernsteinErrors:
     def test_nyquist_refusal_is_a_skipped_row(self, setup):
-        pin, _, _ = setup
+        frame, _, _ = setup
         # class level -1 - 4 - 2 = -7 needs N = 2^12: on a 2^11 grid the
         # last gap is skipped
         coarse = TorusGrid(1, 8.0, 1 << 11)
         f = random_bandpass_field(coarse, seed=21, annulus=(1.0, 3.0), n_modes=6)
-        reports = bernstein_sweep(projection_input(f, pin.cfg, coarse, strict=False), 2.0,
-                                  DictionarySpec())
+        tree = ProjectionFrame(frame.tree.cfg, coarse, False).tree
+        reports = bernstein_sweep(tree, f, DictionarySpec())
         assert [r.context["m"] for r in reports] == [0, 1, 2, 3, 4]
         assert all("skipped" not in r.context for r in reports[:4])
         assert "Nyquist" in reports[4].context["skipped"]
 
     def test_other_errors_propagate(self, setup, monkeypatch):
-        pin, _, _ = setup
+        frame, f, _ = setup
 
         def broken(*args, **kwargs):
             raise TypeError("bug inside the sweep")
 
         monkeypatch.setattr(estimators, "build_dictionary", broken)
         with pytest.raises(TypeError, match="bug inside the sweep"):
-            bernstein_sweep(pin, 2.0, DictionarySpec())
+            bernstein_sweep(frame.tree, f, DictionarySpec())

@@ -171,10 +171,10 @@ class TestRun:
     def test_builder_released_before_estimators(self, monkeypatch):
         refs, alive = [], []
 
-        def assemble(pin, frame=None):
-            out = projection.assemble(pin, frame)
-            refs.extend([weakref.ref(out._builder), weakref.ref(out._builder.frame)])
-            return out
+        def assemble(frame, f):
+            builder = projection.assemble(frame, f)
+            refs.extend([weakref.ref(builder), weakref.ref(builder.frame)])
+            return builder
 
         class Context(harness.EstimatorContext):
             def __init__(self, *args, **kwargs):
@@ -335,6 +335,17 @@ class TestConfig:
         assert record["error"] == {"stage": "grid", "type": "ValidationError",
                                    "message": f"dim must be an integer >= 1, not {dim}"}
 
+    @pytest.mark.parametrize("field,value", [
+        ("leaves", ((-1, "a"),)), ("leaves", (5,)), ("f_annulus", 3), ("f_modes", (1,)),
+        ("tree_seed", 1.5)])
+    def test_bad_value_from_python_recorded_at_config_stage(self, field, value):
+        # checked as RunConfig.from_dict checks it, before to_dict reads it
+        record = run(RunConfig(**{field: value}))
+        assert record["error"]["stage"] == "config"
+        assert record["error"]["type"] == "ValidationError"
+        assert f"{field!r} takes" in record["error"]["message"]
+        assert repr(value) in record["error"]["message"]
+
     def test_empty_p_values_recorded_at_config_stage(self):
         record = run(RunConfig(p_values=()))
         assert record["error"]["stage"] == "config"
@@ -443,21 +454,28 @@ class TestModulationDemo:
 
     @pytest.mark.parametrize("second_tree_seed,frames", [(None, 1), (3, 2)])
     def test_one_frame_per_tree(self, monkeypatch, second_tree_seed, frames):
-        seen = []
+        seen, checked = [], []
 
-        def assemble(pin, frame=None):
+        def assemble(frame, f):
             seen.append(frame)
-            return projection.assemble(pin, frame)
+            return projection.assemble(frame, f)
 
+        def resolution_check(cfg, grid, strict):
+            checked.append(cfg)
+            return real_check(cfg, grid, strict)
+
+        real_check = projection.resolution_check
         monkeypatch.setattr(harness, "assemble", assemble)
+        monkeypatch.setattr(projection, "resolution_check", resolution_check)
         config = RunConfig(dim=1, grid_n=1 << 13, tree_depth=1, leaf_count=1,
                            f_annulus=(1.0, 3.0))
         modulation_demo(config, separations=[0.0, 4.0, 16.0],
                         second_tree_seed=second_tree_seed)
         # one projection per separation, plus the base of a second tree
         assert len(seen) == (3 if second_tree_seed is None else 4)
-        assert None not in seen
         assert len({id(frame) for frame in seen}) == frames
+        # the tree is checked against the grid once per frame, not per projection
+        assert len(checked) == len(set(checked)) == frames
 
     def test_off_lattice_rejected(self):
         config = RunConfig(dim=1, grid_n=1 << 13, tree_depth=1, leaf_count=1)

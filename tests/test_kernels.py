@@ -503,16 +503,16 @@ class TestBandStorage:
     def test_cached_band_bytes(self):
         # the three golden classes keep 1,801,408 bytes of multipliers on
         # their bands, 20,709,376 on the full lattice
-        for dim, kind, _ in GOLDEN_DICTIONARIES:
-            golden_dictionary(dim, kind)
+        dictionaries = [golden_dictionary(dim, kind)[1] for dim, kind, _ in GOLDEN_DICTIONARIES]
+        assert build_dictionary.cache_info().currsize == len(dictionaries)
         cached = sum(handle.multiplier.nbytes
-                     for dictionary in kernels._DICTIONARY_CACHE.values()
-                     for handle in dictionary)
+                     for dictionary in dictionaries for handle in dictionary)
         assert cached <= 2_000_000
 
 
 class TestCaches:
-    """The per-class dictionary LRU and the per-box and per-class arrays."""
+    """The per-class dictionary LRU (build_dictionary's lru_cache) and the
+    per-box and per-class arrays."""
 
     SPEC = DictionarySpec(n_tau=1, n_psi=1, n_mod=0, n_trans=0, n_sinc=0, n_sinc_mod=0)
 
@@ -524,31 +524,29 @@ class TestCaches:
         # one class per beta; beta is part of the cache key
         return build_dictionary(grid, -2, 4.0 + i, "phi", self.SPEC)
 
-    @staticmethod
-    def cached(dictionary):
-        return any(v is dictionary for v in kernels._DICTIONARY_CACHE.values())
-
     def test_sixteen_classes_stay_cached(self, small):
         built = [self.build(small, i) for i in range(16)]
-        assert len(kernels._DICTIONARY_CACHE) == 16
-        assert all(self.cached(d) for d in built)
-        assert all(self.build(small, i) is d for i, d in enumerate(built))
+        info = build_dictionary.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (16, 16, 0)
+        equal = TorusGrid(1, 8.0, 1 << 10)   # another grid object hits alike
+        assert all(self.build(equal, i) is d for i, d in enumerate(built))
+        assert build_dictionary.cache_info().hits == 16
 
     def test_seventeenth_class_evicts_least_recent(self, small):
         built = [self.build(small, i) for i in range(17)]
-        assert len(kernels._DICTIONARY_CACHE) == 16
-        assert not self.cached(built[0])
-        assert all(self.cached(d) for d in built[1:])
+        assert build_dictionary.cache_info().currsize == 16
+        assert all(self.build(small, i) is built[i] for i in range(1, 17))
         rebuilt = self.build(small, 0)
         assert rebuilt is not built[0]
         assert [k.kernel_id for k in rebuilt] == [k.kernel_id for k in built[0]]
+        assert build_dictionary.cache_info().misses == 18
 
     def test_hit_refreshes_recency(self, small):
         built = [self.build(small, i) for i in range(16)]
         assert self.build(small, 0) is built[0]
         self.build(small, 16)
-        assert self.cached(built[0])
-        assert not self.cached(built[1])
+        assert self.build(small, 0) is built[0]
+        assert self.build(small, 1) is not built[1]
 
     def test_profile_shared_across_signs_and_axes(self, g2):
         eta = 3 * 2.0 ** -3
