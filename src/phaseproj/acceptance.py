@@ -18,6 +18,7 @@ import numpy as np
 from .harness import (
     RunConfig,
     modulation_demo,
+    p_name,
     parse_p,
     reference_sweep_configs,
     run,
@@ -133,7 +134,7 @@ def run_sweep_artifacts(configs=None):
 
 def uniformity_key(inequality, p):
     """The baselines.txt key of the worst uniformity of (inequality, p)."""
-    return f"uniformity_{inequality}_p{'inf' if p == inf else int(p)}"
+    return f"uniformity_{inequality}_p{p_name(p)}"
 
 
 def uniformity_by_key(table):

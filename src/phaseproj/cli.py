@@ -26,7 +26,7 @@ def _add_config_flags(sub):
     sub.add_argument("--config", help="JSON file with a RunConfig; flags override")
     sub.add_argument("--dim", type=int)
     sub.add_argument("--grid-n", type=int)
-    sub.add_argument("--grid-b", type=float)
+    sub.add_argument("--grid-b", type=float, help="domain half-width B: a power of two >= 8")
     sub.add_argument("--tree-seed", type=int)
     sub.add_argument("--depth", type=int, dest="tree_depth")
     sub.add_argument("--leaves", type=int, dest="leaf_count")

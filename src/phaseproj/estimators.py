@@ -13,10 +13,11 @@ kernel) pair at one level.  Its speed rests on two exact arguments, so
 the tables equal, float for float, a direct evaluation with full-grid
 weights rho_I ** -e:
 
-- Dyadic translates.  Grid points -B + h n and cube centres (k + 1/2) 2^i
-  are dyadic rationals, so each difference x - c_I is computed exactly,
-  and within a level it recurs, shifted by a whole number of grid steps,
-  among the differences y - c_0 of one 2N-point base vector y = -2B + h m.
+- Dyadic translates.  B and h are powers of two (TorusGrid), so grid
+  points -B + h n and cube centres (k + 1/2) 2^i are dyadic rationals,
+  each difference x - c_I is exact, and a side 2^i >= h is whole grid
+  steps: within a level x - c_I recurs, shifted by whole steps, among
+  the differences y - c_0 of one 2N-point base vector y = -2B + h m.
   Applying max(1, 1/2 + |.| / s) ** -e to that vector once gives every
   cube's per-axis weights as slices of it (grid.level_weights).  rho_I is
   the max over axes, and max, +, / and ** -e are monotone, so rho_I ** -e

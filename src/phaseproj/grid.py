@@ -1,9 +1,11 @@
 """Periodic sampling grid, spectral operations and weighted norms.
 
-Fields live on a uniform grid over [-B, B)^d with N samples per axis
-(N a power of two).  Convolutions are circular and evaluated through
-pointwise spectral products, scaled so that discrete results approximate
-the corresponding integrals.  The frequency lattice is (1/(2B)) Z^d
+Fields live on a uniform grid over [-B, B)^d with N samples per axis.
+N and B are powers of two, so the spacing h = 2B/N is one too, and each
+dyadic cube of side at least h has its edges on grid points: its index
+range is integer arithmetic (TorusGrid.cube_slices).  Convolutions are
+circular and evaluated through pointwise spectral products, scaled so
+that discrete results approximate the corresponding integrals.  The frequency lattice is (1/(2B)) Z^d
 folded to Nyquist, which is exactly numpy's fftfreq(N, d=h).
 
 Equal grids share their coordinate arrays (axis points, frequencies and
@@ -15,6 +17,7 @@ grid.  A run that builds a new, equal grid per config computes them once.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 import struct
 import warnings
@@ -51,7 +54,8 @@ def _shared_array(build):
 
 @dataclass(frozen=True)
 class TorusGrid:
-    """Uniform periodic grid on [-half_width, half_width)^d."""
+    """Uniform periodic grid on [-half_width, half_width)^d; both
+    half_width and samples (points per axis) are powers of two."""
 
     dim: int
     half_width: float = 8.0
@@ -65,10 +69,12 @@ class TorusGrid:
                 or samples & (samples - 1) != 0):
             raise ValidationError(
                 f"samples per axis must be a power of two, not {samples!r}")
-        if not isinstance(half_width, numbers.Real) or not half_width >= 8.0:
-            # 7U plus a quarter-domain decay buffer on each side needs B >= 8
+        if (not isinstance(half_width, numbers.Real) or not half_width >= 8.0
+                or math.frexp(half_width)[0] != 0.5):
+            # 7U plus a quarter-domain decay buffer on each side needs B >= 8,
+            # and a power of two puts every dyadic cube edge on the grid
             raise ValidationError(
-                f"half_width must be >= 8 to hold 7U with buffer, not {half_width!r}")
+                f"half_width must be a power of two >= 8, not {half_width!r}")
         object.__setattr__(self, "dim", int(self.dim))
         object.__setattr__(self, "half_width", float(half_width))
         object.__setattr__(self, "samples", int(samples))
@@ -122,26 +128,20 @@ class TorusGrid:
     def space_radius(self):
         return self._radius(self.point_component)
 
-    def index_of(self, position):
-        """Exact grid index of a position that lies on the grid."""
-        idx = (position + self.half_width) / self.spacing
-        k = int(round(idx))
-        if abs(idx - k) > 1e-9:
-            raise ValidationError(f"position {position} is not on the grid")
-        return k % self.samples
+    def cells(self, level):
+        """Grid steps along the side of a level-`level` dyadic cube, a
+        whole power of two; a cube finer than the spacing is refused."""
+        side = 2.0 ** level
+        if side < self.spacing:
+            raise ResolutionError.needing(
+                f"level-{level} cubes are below the grid spacing", 2 * self.half_width / side)
+        return int(side / self.spacing)
 
     def cube_slices(self, cube):
-        """Index slices covering a dyadic cube; exact, refuses misalignment."""
-        cells = cube.side / self.spacing
-        if cells < 1.0 - 1e-12:
-            raise ResolutionError(
-                f"cube at level {cube.level} is below the grid spacing",
-                required_samples=int(2 * self.half_width / cube.side))
-        out = []
-        for k in cube.index:
-            start = self.index_of(k * cube.side)
-            out.append(slice(start, start + int(round(cells))))
-        return tuple(out)
+        """Index slices covering a dyadic cube inside the domain: cell k
+        at its level starts at index N/2 + k * cells."""
+        cells, mid = self.cells(cube.level), self.samples // 2
+        return tuple(slice(mid + k * cells, mid + (k + 1) * cells) for k in cube.index)
 
 
 @dataclass
@@ -373,27 +373,23 @@ def rho_values(grid, cube):
 
 
 def level_weights(grid, level, exponent):
-    """Function cube -> rho_values(grid, cube) ** -exponent, bit for bit.
+    """Function cube -> rho_values(grid, cube) ** -exponent, bit for bit,
+    for the cubes at `level` inside the domain.
 
-    For the cubes at `level` each axis is an N-long slice of one base
-    vector on the 2N points -2B + h m, and the weight is their min over
-    axes (the estimators module docstring gives the exactness argument);
-    other cubes, cubes finer than the grid or past its domain take
-    rho_values.
+    Each axis is an N-long slice of one base vector on the 2N points
+    -2B + h m, and the weight is their min over axes (the estimators
+    module docstring gives the exactness argument).  A level finer than
+    the grid spacing is refused.
     """
-    n, h, side = grid.samples, grid.spacing, 2.0 ** level
-    cells = side / h
-    y = -2.0 * grid.half_width + h * np.arange(2 * n)
+    n, cells, side = grid.samples, grid.cells(level), 2.0 ** level
+    y = -2.0 * grid.half_width + grid.spacing * np.arange(2 * n)
     base = mollified_distance(np.abs(y - 0.5 * side), side) ** (-exponent)
     base.flags.writeable = False
 
     def weight(cube):
-        starts = [n // 2 - k * int(cells) for k in cube.index]
-        if (cube.level != level or cells < 1.0 or not cells.is_integer()
-                or not all(0 <= m0 <= n for m0 in starts)):
-            return rho_values(grid, cube) ** (-exponent)
         out = None
-        for ax, m0 in enumerate(starts):
+        for ax, k in enumerate(cube.index):
+            m0 = n // 2 - k * cells
             piece = grid.on_axis(base[m0:m0 + n], ax)
             out = piece if out is None else np.minimum(out, piece)
         return out
@@ -456,26 +452,14 @@ def collar_mask(grid, e_cubes, fine_level):
     """Mask of the union of level-`fine_level` cells at mollified distance
     at most 2 from the union of `e_cubes` (cells two fine units out)."""
     mask = np.zeros(grid.shape, dtype=bool)
-    cells_per_fine = 2.0 ** fine_level / grid.spacing
-    if cells_per_fine < 1.0 - 1e-12:
-        raise ResolutionError(
-            f"fine level {fine_level} cells are below the grid spacing",
-            required_samples=int(2 * grid.half_width / 2.0 ** fine_level))
-    c = int(round(cells_per_fine))
-    n = grid.samples
+    pad = 2 * grid.cells(fine_level)
     for cube in e_cubes:
-        s = cube.level - fine_level
-        if s < 0:
+        if cube.level < fine_level:
             raise ValidationError("collar cells must be finer than the cube level")
-        sl = []
-        for k in cube.index:
-            lo_fine, hi_fine = (k << s) - 2, ((k + 1) << s) + 2
-            lo = lo_fine * c + n // 2
-            hi = hi_fine * c + n // 2
-            if not (0 <= lo and hi <= n):
-                raise ValidationError("collar escapes the grid domain")
-            sl.append(slice(lo, hi))
-        mask[tuple(sl)] = True
+        sl = tuple(slice(s.start - pad, s.stop + pad) for s in grid.cube_slices(cube))
+        if not all(0 <= s.start and s.stop <= grid.samples for s in sl):
+            raise ValidationError("collar escapes the grid domain")
+        mask[sl] = True
     return mask
 
 

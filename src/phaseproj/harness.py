@@ -124,7 +124,9 @@ class RunConfig:
 
 
 def _is_number(v, kind=numbers.Real):
-    return isinstance(v, kind) and not isinstance(v, bool)
+    """A finite number of `kind`, not a bool."""
+    return (isinstance(v, kind) and not isinstance(v, bool)
+            and (isinstance(v, numbers.Integral) or math.isfinite(v)))
 
 
 def _is_list(v, item=None, length=None):
@@ -345,9 +347,11 @@ def run(config, out_dir=None):
         reports = ctx.evaluate_window()
         timings["estimators"] = time.perf_counter() - t0
         record["sizes"] = {p_name(p): est.to_dict() for p, est in ctx.sizes.items()}
-        record["reports"] = [r.to_dict() for r in sorted(reports, key=lambda r: (
-            r.inequality, p_name(r.p), str(r.context.get("J", ""))))]
         record["report_summary"] = _summarize(reports)
+        reports.sort(key=lambda r: (r.inequality, p_name(r.p), str(r.context.get("J", ""))))
+        for k, rep in enumerate(reports):  # each report is released as it is copied
+            reports[k] = rep.to_dict()
+        record["reports"] = reports
         stage = "write"
         if out_dir:
             _persist(record, timings, out_dir, (("g", g), ("chi", chi), ("f", f)), tree)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -313,24 +312,6 @@ def _psi_box_width(j, dim, center_radius):
     return min(h_outer, r - inner)
 
 
-def _mirror_offset(grid, center):
-    """The integer q with y = (h/2)(2m - q) exactly at every image point
-    y = x_k - center + 2 B nu (m = k + N nu), or None.
-
-    It exists when h/2, B and the center are whole multiples of one
-    power of two and every image point stays exact at that unit, and
-    when 2 (B + center) / h is whole; then -y is an image point too.
-    """
-    h, b = Fraction(grid.spacing), Fraction(grid.half_width)
-    c = Fraction(center)
-    denominator = max(v.denominator for v in (h / 2, b, c))
-    q = 2 * (b + c) / h
-    if (h * grid.samples != 2 * b or q.denominator != 1
-            or (8 * b + abs(c)) * denominator >= 2 ** 53):
-        return None
-    return int(q)
-
-
 @functools.lru_cache(maxsize=4)
 def _periodized_sinc_power(grid, a, k_pow, center):
     """sum_nu sinc(a (x - center + 2 B nu))^(2 k_pow) over 7 images on
@@ -338,37 +319,35 @@ def _periodized_sinc_power(grid, a, k_pow, center):
     boxes of a class need one profile per |eta|, at most four, and a class
     is built in one go, so four are cached.
 
-    On a dyadic grid every image point y is the exact dyadic rational
-    h m - B - center, and -y is an image point as well (_mirror_offset).
+    B and h are powers of two (TorusGrid), so for a center on the lattice
+    (h/2) Z every image point y = h m - B - center is exactly (h/2)(2m - q),
+    q = 2 (B + center) / h whole, and -y is an image point as well.
     a (-y) is -(a y) exactly and np.sinc is even to the bit, so
     sinc(a y)^(2K) is evaluated once per distinct |y| = (h/2)(2t + q % 2)
-    into a table, and each image adds slices of that table, in the same
-    nu order and with the same floats as the direct loop.  Other grids
-    take the direct loop.
+    into a table, and each image adds slices of it: in nu order, the
+    floats of the direct image sum.  A center off (h/2) Z, the cube center
+    of a class finer than the grid, is refused.
     """
-    n = grid.samples
-    q = _mirror_offset(grid, center)
-    if q is None:
-        x_rel = grid.axis_points - center
-        per = np.zeros(n)
-        for nu in range(-3, 4):
-            per = per + np.sinc(a * (x_rel + 2 * grid.half_width * nu)) ** (2 * k_pow)
-    else:
-        # flat index i = m + 3N over the images: y < 0 below i = up, at
-        # table index down - i, and y >= 0 from there, at index i - up
-        odd = q % 2
-        down, up = (6 * n + q - odd) // 2, (6 * n + q + odd) // 2
-        table = np.empty(max(down, 7 * n - 1 - up) + 1)
-        for lo in range(0, table.size, 1 << 14):  # short chunks bound the temporaries
-            t = np.arange(lo, min(lo + (1 << 14), table.size), dtype=float)
-            abs_y = 0.5 * grid.spacing * (2 * t + odd)
-            table[lo:lo + t.size] = np.sinc(a * abs_y) ** (2 * k_pow)
-        per = np.zeros(n)
-        for lo in range(0, 7 * n, n):
-            mid = min(max(up, lo), lo + n)
-            if mid > lo:
-                per[:mid - lo] += table[down - mid + 1:down - lo + 1][::-1]
-            per[mid - lo:] += table[mid - up:lo + n - up]
+    n, h = grid.samples, grid.spacing
+    if center % (h / 2):
+        raise ResolutionError.needing(
+            f"sinc centre {center} is off the half-step lattice", grid.half_width / center)
+    q = int(2 * (grid.half_width + center) / h)
+    # flat index i = m + 3N over the images: y < 0 below i = up, at
+    # table index down - i, and y >= 0 from there, at index i - up
+    odd = q % 2
+    down, up = (6 * n + q - odd) // 2, (6 * n + q + odd) // 2
+    table = np.empty(max(down, 7 * n - 1 - up) + 1)
+    for lo in range(0, table.size, 1 << 14):  # short chunks bound the temporaries
+        t = np.arange(lo, min(lo + (1 << 14), table.size), dtype=float)
+        abs_y = 0.5 * h * (2 * t + odd)
+        table[lo:lo + t.size] = np.sinc(a * abs_y) ** (2 * k_pow)
+    per = np.zeros(n)
+    for lo in range(0, 7 * n, n):
+        mid = min(max(up, lo), lo + n)
+        if mid > lo:
+            per[:mid - lo] += table[down - mid + 1:down - lo + 1][::-1]
+        per[mid - lo:] += table[mid - up:lo + n - up]
     per.flags.writeable = False
     return per
 

@@ -59,6 +59,13 @@ class TestSweepArtifacts:
         assert {row["seed"] for row in art["table"].rows} == {5}
 
 
+def test_uniformity_keys_name_exponents_as_reports_do():
+    keys = {key for key in load_baselines() if key.startswith("uniformity_")}
+    assert keys == {uniformity_key(ineq, p) for ineq in ("norm", "carleson", "offtree")
+                    for p in (1.0, 2.0, math.inf)}
+    assert uniformity_key("norm", 1.5) == "uniformity_norm_p1.5"
+
+
 def check_anchor(config, anchor):
     got = config.config_hash()
     if got != anchor:

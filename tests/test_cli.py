@@ -123,6 +123,17 @@ def test_bad_annulus(capsys):
     assert err.startswith("error:") and "--f-annulus" in err and "'1'" in err
 
 
+@pytest.mark.parametrize("argv,stage", [
+    (["verify", "--alpha", "inf", "--no-strict"], "config"),
+    (["verify", "--f-annulus", "1,inf"], "config"),
+    (["build", "--grid-b", "10"], "grid"),
+])
+def test_value_refused_at_its_stage(capsys, argv, stage):
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith(f"FAILED at stage {stage}:") and not err
+
+
 def test_bad_separations(capsys):
     assert cli.main(["mod-demo", "--separations", "x"]) == 1
     err = capsys.readouterr().err

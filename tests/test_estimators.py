@@ -321,17 +321,6 @@ class TestTableOracles:
                     assert np.array_equal(weight(cube), rho_values(grid, cube) ** -e), (
                         e, cube)
 
-    @pytest.mark.parametrize("half_width,samples,level,cube", [
-        (8.0, 1 << 10, -2, DyadicCube(-1, (3,))),    # cube off the level
-        (10.0, 1 << 10, -1, DyadicCube(-1, (3,))),   # side not a whole step count
-        (8.0, 1 << 6, -3, DyadicCube(-3, (5,))),     # side below the spacing
-        (8.0, 1 << 10, -1, DyadicCube(-1, (40,))),   # cube past the domain
-    ])
-    def test_slice_weights_fallback(self, half_width, samples, level, cube):
-        grid = TorusGrid(1, half_width, samples)
-        got = level_weights(grid, level, 2.0)(cube)
-        assert np.array_equal(got, rho_values(grid, cube) ** -2.0)
-
     @pytest.mark.parametrize("dim,samples", [(1, 1 << 10), (2, 1 << 6)])
     def test_clamped_root_peak_equals_grid_max(self, dim, samples):
         grid = TorusGrid(dim, 8.0, samples)
@@ -443,20 +432,17 @@ def serial_level_norms(field, kernels, cubes, level, weight_exp, p_values):
 
 
 def norm_case(dim):
-    """A field, a dictionary, a level and cubes at it, plus cubes that
-    take the rho_values fallback (another level, past the domain)."""
+    """A field, a dictionary, a level and cubes at it."""
     if dim == 1:
         grid = TorusGrid(1, 8.0, 1 << 10)
         kernels = build_dictionary(grid, -3, 8.0, "phi", DictionarySpec())
         level = -1
         cubes = [DyadicCube(-1, (k,)) for k in range(-8, 9)]
-        cubes += [DyadicCube(-2, (3,)), DyadicCube(-1, (40,))]
     else:
         grid = TorusGrid(2, 8.0, 1 << 6)
         kernels = build_dictionary(grid, -1, 12.0, "phi", DictionarySpec(2, 1, 1, 1))
         level = 0
         cubes = [DyadicCube(0, (a, b)) for a in range(-3, 4) for b in (-1, 0, 2)]
-        cubes += [DyadicCube(-1, (1, 0)), DyadicCube(0, (20, 0))]
     field = random_bandpass_field(grid, seed=5, annulus=(1.0, 2.0), n_modes=4)
     return field, kernels, cubes, level
 
@@ -530,6 +516,19 @@ class TestBernsteinErrors:
         assert [r.context["m"] for r in reports] == [0, 1, 2, 3, 4]
         assert all("skipped" not in r.context for r in reports[:4])
         assert "Nyquist" in reports[4].context["skipped"]
+
+    def test_class_finer_than_the_grid_is_a_skipped_row(self, setup):
+        frame, _, _ = setup
+        # without tau and psi kernels the sinc box is the first candidate:
+        # its profile at class level -1 - 4 - 2 = -7, finer than the 2^-6
+        # spacing, is refused
+        coarse = TorusGrid(1, 8.0, 1 << 10)
+        f = random_bandpass_field(coarse, seed=21, annulus=(1.0, 3.0), n_modes=6)
+        tree = ProjectionFrame(frame.tree.cfg, coarse, False).tree
+        reports = bernstein_sweep(tree, f, DictionarySpec(0, 0, 0, 0))
+        assert [r.context["m"] for r in reports] == [0, 1, 2, 3, 4]
+        assert "skipped" not in reports[0].context
+        assert "half-step" in reports[4].context["skipped"]
 
     def test_other_errors_propagate(self, setup, monkeypatch):
         frame, f, _ = setup

@@ -58,6 +58,19 @@ def smooth_bump(grid, width=1.0):
     return SampledField(grid, np.exp(-r2 / width**2))
 
 
+class TestGridType:
+    @pytest.mark.parametrize("half_width", [10.0, 12, 8.5, math.inf, math.nan, 4.0])
+    def test_half_width_off_the_powers_of_two_refused(self, half_width):
+        with pytest.raises(ValidationError, match="power of two >= 8"):
+            TorusGrid(1, half_width, 1 << 6)
+
+    @pytest.mark.parametrize("half_width", [8, 16.0, 32.0])
+    def test_power_of_two_half_width_accepted(self, half_width):
+        grid = TorusGrid(1, half_width, 1 << 6)
+        assert grid.half_width == half_width and isinstance(grid.half_width, float)
+        assert math.frexp(grid.spacing)[0] == 0.5
+
+
 class TestSharedState:
     def test_equal_grids_share_read_only_arrays(self):
         first, equal = TorusGrid(2, 8.0, 1 << 5), TorusGrid(2, 8, 1 << 5)
@@ -82,7 +95,7 @@ class TestSharedState:
 class TestConvolution:
     def test_delta_is_identity(self, g1):
         vals = np.zeros(g1.shape)
-        vals[g1.index_of(0.0)] = 1.0 / g1.spacing
+        vals[g1.samples // 2] = 1.0 / g1.spacing   # the point x = 0
         delta = SampledField(g1, vals)
         a = smooth_bump(g1)
         out = convolve(a, delta)
@@ -252,6 +265,45 @@ class TestMasks:
         x = g1.axis_points
         dist = np.maximum(np.maximum(0.0 - x, x - 0.5), 0.0)
         assert not np.any(mask & (dist > 2 * 2.0**fine))
+
+
+def rasterized_boxes(grid, boxes):
+    """Mask of the grid points x with lo <= x < hi on every axis for some
+    (lo, hi) pair of corner tuples, tested point by point on axis_points."""
+    mask = np.zeros(grid.shape, dtype=bool)
+    for lo, hi in boxes:
+        inside = np.ones(grid.shape, dtype=bool)
+        for ax in range(grid.dim):
+            x = grid.point_component(ax)
+            inside = inside & (lo[ax] <= x) & (x < hi[ax])
+        mask |= inside
+    return mask
+
+
+class TestMasksOnWiderGrids:
+    @pytest.mark.parametrize("half_width", [16.0, 32.0])
+    @pytest.mark.parametrize("dim,samples", [(1, 1 << 9), (2, 1 << 7)])
+    def test_masks_equal_rasterized_boxes(self, half_width, dim, samples):
+        grid = TorusGrid(dim, half_width, samples)
+        cubes = [DyadicCube(1, (-4, 2)[:dim]), DyadicCube(0, (5, -9)[:dim]),
+                 DyadicCube(-1, (-17, 11)[:dim])]
+        boxes = [(tuple(k * c.side for k in c.index),
+                  tuple((k + 1) * c.side for k in c.index)) for c in cubes]
+        assert np.array_equal(cube_mask(grid, cubes), rasterized_boxes(grid, boxes))
+        fine = -1
+        pad = 2 * 2.0 ** fine
+        collars = [(tuple(x - pad for x in lo), tuple(x + pad for x in hi))
+                   for lo, hi in boxes]
+        assert np.array_equal(collar_mask(grid, cubes, fine),
+                              rasterized_boxes(grid, collars))
+
+    def test_collar_refusals(self):
+        grid = TorusGrid(1, 16.0, 1 << 8)
+        collar_mask(grid, [DyadicCube(0, (14,))], -2)
+        with pytest.raises(ValidationError, match="collar escapes"):
+            collar_mask(grid, [DyadicCube(0, (15,))], -2)
+        with pytest.raises(ValidationError, match="finer than the cube level"):
+            collar_mask(grid, [DyadicCube(-3, (0,))], -2)
 
 
 class TestMollifiedIndicator:

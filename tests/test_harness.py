@@ -329,6 +329,13 @@ class TestConfig:
         assert record["error"]["type"] == "ValidationError"
         assert f"{field} must be" in record["error"]["message"]
 
+    @pytest.mark.parametrize("grid_b", [10.0, math.inf])
+    def test_half_width_off_the_powers_of_two_recorded_at_grid_stage(self, grid_b):
+        record = run(RunConfig(grid_b=grid_b))
+        assert record["error"] == {
+            "stage": "grid", "type": "ValidationError",
+            "message": f"half_width must be a power of two >= 8, not {grid_b!r}"}
+
     @pytest.mark.parametrize("dim", [0, -1])
     def test_dim_below_one_recorded_at_grid_stage(self, dim):
         record = run(RunConfig(dim=dim))
@@ -337,7 +344,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("leaves", ((-1, "a"),)), ("leaves", (5,)), ("f_annulus", 3), ("f_modes", (1,)),
-        ("tree_seed", 1.5)])
+        ("tree_seed", 1.5), ("alpha", math.inf), ("f_annulus", (1.0, math.inf)),
+        ("f_modes", ((math.nan, 1, 0),))])
     def test_bad_value_from_python_recorded_at_config_stage(self, field, value):
         # checked as RunConfig.from_dict checks it, before to_dict reads it
         record = run(RunConfig(**{field: value}))

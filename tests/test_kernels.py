@@ -599,18 +599,16 @@ class TestSincProfileTable:
         grid = TorusGrid(1, 8.0, samples)
         for j in range(-6, 1):
             center = 2.0 ** (j - 1)
-            assert kernels._mirror_offset(grid, center) is not None
             for a, k_pow in ((2.0 ** -j / 3, 1), (0.37, 3), (2.0 ** -j / 8, 4)):
                 got = kernels._periodized_sinc_power(grid, a, k_pow, center)
                 assert np.array_equal(got, direct_sinc_power(grid, a, k_pow, center)), (
                     j, a, k_pow)
 
-    @pytest.mark.parametrize("half_width,samples,center", [
-        (10.0, 1 << 10, 0.25),        # spacing 5 * 2^-8: no mirrored lattice
-        (8.0, 1 << 10, 2.0 ** -9),    # center off the half-step lattice
-    ])
-    def test_other_grids_take_the_direct_sum(self, half_width, samples, center):
-        grid = TorusGrid(1, half_width, samples)
-        assert kernels._mirror_offset(grid, center) is None
-        got = kernels._periodized_sinc_power(grid, 0.3, 4, center)
-        assert np.array_equal(got, direct_sinc_power(grid, 0.3, 4, center))
+    def test_class_finer_than_the_grid_refused(self):
+        # a class of level j has its sinc profile centred at 2^(j-1), on the
+        # half-step lattice h/2 only while 2^j >= h
+        grid = TorusGrid(1, 8.0, 1 << 10)
+        kernels._periodized_sinc_power(grid, 0.3, 4, 2.0 ** -7)
+        with pytest.raises(ResolutionError, match="half-step") as err:
+            kernels._periodized_sinc_power(grid, 0.3, 4, 2.0 ** -8)
+        assert err.value.required_samples == 1 << 11
