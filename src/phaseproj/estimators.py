@@ -28,13 +28,29 @@ weights rho_I ** -e:
   points form a product of axis grids, so the peak sits at the distance
   max over axes of (min over U's axis points of |u - c|).  The same
   ufuncs applied to that one distance give the full-grid maximum's float.
-- Fan-out.  level_norms computes the kernel responses and each cube's
-  weight itself and hands the cube's norms to a thread pool.  A task runs
-  the same ufunc calls on the same inputs as a serial loop would (the
-  weighted magnitudes, their powers, the sums and maxima of grid.lp_norms),
-  writing only into a scratch array private to its worker, and the rows
-  are consumed in submission order; so each float and every tie-break is
-  the serial loop's, for any number of workers.
+- Fan-out.  level_norms runs over a plan of levels, and at each level it
+  first submits one task per cube to a thread pool; the calling thread
+  then computes the kernel responses |k * f| (one inverse FFT each) and
+  publishes them one at a time, each through its own Future.  A task
+  waits for kernel k's response only when its row reaches kernel k, so
+  the FFT of kernel k + 1 runs while the workers take the norms of
+  kernel k.  The calling thread allocates the responses and nothing per
+  cube: a task writes the weighted magnitudes, their powers and, in
+  d >= 2, the cube's weight (the min over axes) into scratch arrays
+  private to its worker.  With a level published, the calling thread
+  pulls the next level of the plan, which builds that level's dictionary
+  while the workers finish, and only then collects the rows in
+  submission order.  A level's responses are held by its tasks alone, so
+  they are freed with the last of them, and at the latest once its rows
+  are collected: before the next level's responses are computed, so at
+  most one level of them is alive.  A task runs the same ufunc calls on
+  the same inputs as a serial loop would (those of grid.lp_norms), so
+  each float and every tie-break is the serial loop's, for any number of
+  workers.  An error while a level is published cancels its unpublished
+  responses, and a task waiting on one ends with it; that error, one in
+  a task or in the plan, and closing the generator early cancel the
+  queued tasks and wait for the running ones, so no task is left blocked
+  or running.
 
 The Carleson terms are kept sorted by (level, index), which is the order
 in which carleson_sum adds them; it stops at J's level and tests
@@ -46,8 +62,8 @@ from __future__ import annotations
 import math
 import os
 import threading
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
+import weakref
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field as dc_field
 from itertools import product as iproduct
 from math import inf
@@ -71,7 +87,7 @@ def _inv(p):
 
 
 _POOL = None                 # (executor, worker count), made on first use
-_SCRATCH = threading.local()  # each worker's norm buffer
+_SCRATCH = threading.local()  # each worker's norm and weight buffers
 
 
 def _norm_pool():
@@ -91,47 +107,90 @@ def norm_workers():
     return _norm_pool()[1]
 
 
-def _cube_norms(weight, responses, shape, h_d, p_values):
-    """One cube's rows, computed in the calling worker's own scratch."""
-    scratch = getattr(_SCRATCH, "buffer", None)
-    if scratch is None or scratch.shape != shape:
-        scratch = _SCRATCH.buffer = np.empty(shape)
-    return [(kernel_id, lp_norms(resp_mag, h_d, p_values, weight, scratch))
-            for kernel_id, resp_mag in responses]
+def _scratch(name, shape):
+    """The calling worker's own float array `name` of the given shape."""
+    buffer = getattr(_SCRATCH, name, None)
+    if buffer is None or buffer.shape != shape:
+        buffer = np.empty(shape)
+        setattr(_SCRATCH, name, buffer)
+    return buffer
 
 
-def level_norms(field, kernels, cubes, level, weight_exp, p_values):
-    """Norms ||rho_I^{-weight_exp} |k * field| ||_p at one level.
+def _cube_norms(weight_of, cube, responses, shape, h_d, p_values):
+    """One cube's rows, computed in the calling worker's own scratch; the
+    response of each kernel is awaited when the row reaches it."""
+    weight = weight_of(cube, _scratch("weight", shape) if len(shape) > 1 else None)
+    scratch = _scratch("norms", shape)
+    return [(kernel_id, lp_norms(response.result(), h_d, p_values, weight, scratch))
+            for kernel_id, response in responses]
 
-    Yields (cube, [(kernel_id, {p: norm}) per kernel]) for each cube in
-    the given order, kernels in dictionary order, so that callers keep
-    their tie-breaking order.  The kernel responses and each cube's weight
-    are computed here; the norms run on the pool, at most two cubes per
-    worker ahead of the consumer.  Closing the generator early, or an
-    error in a task, cancels the queued cubes and waits for the running
-    ones.
-    """
+
+class _Responses(list):
+    """A level's (kernel_id, Future) pairs; a list that can be weakly
+    referenced, so that only the level's tasks keep it alive."""
+
+
+def _stop(tasks):
+    """Cancel a level's queued tasks and wait for its running ones."""
+    for _, task in tasks:
+        task.cancel()
+    wait([task for _, task in tasks])
+
+
+def _start_level(field, kernels, cubes, level, weight_exp, p_values):
+    """Submit one task per cube, then publish the kernel responses in
+    dictionary order.  Returns the (cube, task) pairs and a weak reference
+    to the responses: the tasks alone hold them, so they are freed when
+    the last task of the level ends."""
     grid = field.grid
     h_d = grid.spacing ** grid.dim
-    responses = [(k.kernel_id, np.abs(apply_multiplier(field, k.multiplier).values))
-                 for k in kernels]
     weight_of = level_weights(grid, level, weight_exp)
-    pool, workers = _norm_pool()
-    pending = deque()
+    pool = _norm_pool()[0]
+    tasks, responses = [], _Responses((k.kernel_id, Future()) for k in kernels)
     try:
         for cube in cubes:
-            pending.append((cube, pool.submit(_cube_norms, weight_of(cube), responses,
-                                              grid.shape, h_d, p_values)))
-            if len(pending) >= 2 * workers:
-                done, task = pending.popleft()
-                yield done, task.result()
-        while pending:
-            done, task = pending.popleft()
-            yield done, task.result()
+            tasks.append((cube, pool.submit(_cube_norms, weight_of, cube, responses,
+                                            grid.shape, h_d, p_values)))
+        for kernel, (_, response) in zip(kernels, responses):
+            response.set_result(np.abs(apply_multiplier(field, kernel.multiplier).values))
+    except BaseException:
+        for _, response in responses:
+            response.cancel()   # a task waiting on it ends
+        _stop(tasks)
+        raise
+    return tasks, weakref.ref(responses)
+
+
+def level_norms(field, plan, weight_exp, p_values):
+    """Norms ||rho_I^{-weight_exp} |k * field| ||_p over a plan of levels.
+
+    `plan` yields (level, kernels, cubes at that level); it is pulled
+    lazily, one level ahead (module docstring, Fan-out), so a plan that
+    builds each level's dictionary as it is pulled builds it while the
+    previous level's norms run.  Yields (cube, [(kernel_id, {p: norm}) per
+    kernel]) for each cube in plan order, kernels in dictionary order, so
+    that callers keep their tie-breaking order.
+    """
+    tasks, responses = [], None
+    try:
+        for level, kernels, cubes in plan:
+            yield from _collect(tasks, responses)
+            tasks, responses = _start_level(field, kernels, cubes, level, weight_exp,
+                                            p_values)
+        yield from _collect(tasks, responses)
     finally:
-        for _, task in pending:
-            task.cancel()
-        wait([task for _, task in pending])
+        _stop(tasks)
+
+
+def _collect(tasks, responses):
+    """A started level's rows in submission order.  Its responses are
+    freed with its last task; should a finished task's work item still
+    hold them, they are dropped here."""
+    for cube, task in tasks:
+        yield cube, task.result()
+    left = responses and responses()
+    if left:
+        left.clear()
 
 
 def _dictionary(grid, level, alpha, kind, dict_spec):
@@ -208,16 +267,17 @@ def estimate_S_multi(tree, f, p_values, dict_spec):
     m, alpha, d = tree.cfg.gap_m, tree.cfg.alpha, f.grid.dim
     best = {p: (0.0, None) for p in p_values}
     per_level = {p: {} for p in p_values}
-    for i in tree.levels():
-        kernels = _dictionary(f.grid, i - m - 2, alpha, "phi", dict_spec)
-        for cube, rows in level_norms(f, kernels, tree.cubes(i), i, alpha, p_values):
-            for kernel_id, norms in rows:
-                for p in p_values:
-                    term = 2.0 ** (-i * d * _inv(p)) * norms[p]
-                    lvl = per_level[p]
-                    lvl[i] = max(lvl.get(i, 0.0), term)
-                    if term > best[p][0]:
-                        best[p] = (term, (i, cube, kernel_id))
+    plan = ((i, _dictionary(f.grid, i - m - 2, alpha, "phi", dict_spec), tree.cubes(i))
+            for i in tree.levels())
+    for cube, rows in level_norms(f, plan, alpha, p_values):
+        i = cube.level
+        for kernel_id, norms in rows:
+            for p in p_values:
+                term = 2.0 ** (-i * d * _inv(p)) * norms[p]
+                lvl = per_level[p]
+                lvl[i] = max(lvl.get(i, 0.0), term)
+                if term > best[p][0]:
+                    best[p] = (term, (i, cube, kernel_id))
     return {
         p: SizeEstimate(value=best[p][0], witness=best[p][1], alpha=alpha, p=p,
                         m=m, dict_spec_id=dict_spec.spec_id,
@@ -233,7 +293,7 @@ def verify_witness(f, est, dict_spec):
     i, cube, kernel_id = est.witness
     kernels = _dictionary(f.grid, i - est.m - 2, est.alpha, "phi", dict_spec)
     kernel = next(k for k in kernels if k.kernel_id == kernel_id)
-    _, rows = next(level_norms(f, [kernel], [cube], i, est.alpha, (est.p,)))
+    _, rows = next(level_norms(f, [(i, [kernel], [cube])], est.alpha, (est.p,)))
     return 2.0 ** (-i * f.grid.dim * _inv(est.p)) * rows[0][1][est.p]
 
 
@@ -304,12 +364,13 @@ class EstimatorContext:
         self._carleson_terms = self._build_carleson_terms()
         self._offtree_terms, self.offtree_floor = self._build_offtree_terms()
 
-    def _level_maxima(self, field, level, kind, cubes):
-        """Per cube at `level`: {p: max over the level's dictionary of the
-        rho^{-3 alpha}-weighted norm}."""
-        kernels = _dictionary(self.grid, level - self.m, self.alpha, kind, self.dict_spec)
-        for cube, rows in level_norms(field, kernels, cubes, level, 3 * self.alpha,
-                                      self.p_values):
+    def _level_maxima(self, field, kind, levels):
+        """Per cube of `levels`, (level, cubes at it) pairs: {p: max over
+        the level's dictionary of the rho^{-3 alpha}-weighted norm}."""
+        plan = ((level, _dictionary(self.grid, level - self.m, self.alpha, kind,
+                                    self.dict_spec), cubes)
+                for level, cubes in levels)
+        for cube, rows in level_norms(field, plan, 3 * self.alpha, self.p_values):
             yield cube, {p: max([0.0] + [norms[p] for _, norms in rows])
                          for p in self.p_values}
 
@@ -320,11 +381,12 @@ class EstimatorContext:
         which is the summation order of carleson_sum."""
         fg = self.f - self.g
         terms = {p: {} for p in self.p_values}
-        for i in self.tree.levels():
-            for cube, best in self._level_maxima(fg, i, "phi", self.tree.cubes(i)):
-                for p in self.p_values:
-                    terms[p][(i, cube.index)] = (
-                        2.0 ** (i * self.d * (1.0 - _inv(p))) * best[p])  # |I|^(1/p')
+        levels = ((i, self.tree.cubes(i)) for i in self.tree.levels())
+        for cube, best in self._level_maxima(fg, "phi", levels):
+            i = cube.level
+            for p in self.p_values:
+                terms[p][(i, cube.index)] = (
+                    2.0 ** (i * self.d * (1.0 - _inv(p))) * best[p])  # |I|^(1/p')
         return {p: dict(sorted(t.items())) for p, t in terms.items()}
 
     def carleson_sum(self, J, p):
@@ -362,19 +424,20 @@ class EstimatorContext:
         """
         nyq_floor = 2 + self.m - int(math.floor(math.log2(self.grid.nyquist)))
         floor = max(-(self.depth + 2), nyq_floor)
-        tables = {p: {} for p in self.p_values}
-        for i in range(floor, 1):
-            span = 1 << (-i)
-            window_lo = -4 * span
-            level_arrays = {p: np.zeros((9 * span,) * self.d) for p in self.p_values}
-            tree_at_level = self.tree.slice_indices(i)
-            cubes = [c for c in window_cubes(self.d, i) if c.index not in tree_at_level]
-            for cube, best in self._level_maxima(self.g, i, "psi", cubes):
-                pos = tuple(k - window_lo for k in cube.index)
-                for p in self.p_values:
-                    level_arrays[p][pos] = 2.0 ** (-i * self.d * _inv(p)) * best[p]
+        levels = range(floor, 1)
+        # per level: the window's lowest index and one entry per window cube
+        tables = {p: {i: (-4 * (1 << -i), np.zeros((9 * (1 << -i),) * self.d))
+                      for i in levels}
+                  for p in self.p_values}
+        off_tree = ((i, [c for c in window_cubes(self.d, i)
+                         if c.index not in self.tree.slice_indices(i)])
+                    for i in levels)
+        for cube, best in self._level_maxima(self.g, "psi", off_tree):
+            i = cube.level
             for p in self.p_values:
-                tables[p][i] = (window_lo, level_arrays[p])
+                window_lo, table = tables[p][i]
+                table[tuple(k - window_lo for k in cube.index)] = (
+                    2.0 ** (-i * self.d * _inv(p)) * best[p])
         return tables, floor
 
     def offtree_geometry(self, J):
@@ -457,33 +520,46 @@ def bernstein_sweep(tree, f, dict_spec):
 
     The tracked quantity divides out the expected 2^{d(m-i)} growth of
     the band radius, so its per-step log-increment stays well below
-    d + 1/2.  A gap whose dictionary the grid cannot resolve ends the
-    sweep with a skipped row."""
+    d + 1/2.  A gap whose dictionary the grid cannot resolve gets a
+    skipped row."""
     d, alpha = f.grid.dim, tree.cfg.alpha
     reports = []
     for m_val in range(5):
+        refusals = []
         worst = 0.0
         worst_ctx = None
-        for i in tree.levels():
-            try:
-                kernels = _dictionary(f.grid, i - m_val - 2, alpha, "phi", dict_spec)
-            except ResolutionError as exc:  # Nyquist refusal at large m
-                reports.append(InequalityReport(
-                    inequality="bernstein", lhs=0.0, rhs_without_constant=0.0,
-                    ratio=0.0, p=inf,
-                    context={"m": m_val, "skipped": str(exc)}))
-                break
-            for cube, rows in level_norms(f, kernels, tree.cubes(i), i, alpha, (1.0, inf)):
-                for kernel_id, norms in rows:
-                    sup, mean = norms[inf], norms[1.0]
-                    if mean == 0.0:
-                        continue
-                    ratio = sup / (2.0 ** (d * (m_val - i)) * mean)
-                    if ratio > worst:
-                        worst = ratio
-                        worst_ctx = {"i": i, "I": cube.label(), "kernel": kernel_id}
+        for cube, rows in level_norms(f, _bernstein_plan(tree, f.grid, m_val, dict_spec,
+                                                         refusals),
+                                      alpha, (1.0, inf)):
+            i = cube.level
+            for kernel_id, norms in rows:
+                sup, mean = norms[inf], norms[1.0]
+                if mean == 0.0:
+                    continue
+                ratio = sup / (2.0 ** (d * (m_val - i)) * mean)
+                if ratio > worst:
+                    worst = ratio
+                    worst_ctx = {"i": i, "I": cube.label(), "kernel": kernel_id}
+        if refusals:
+            reports.append(InequalityReport(
+                inequality="bernstein", lhs=0.0, rhs_without_constant=0.0,
+                ratio=0.0, p=inf,
+                context={"m": m_val, "skipped": str(refusals[0])}))
         else:
             reports.append(InequalityReport(
                 inequality="bernstein", lhs=worst, rhs_without_constant=1.0,
                 ratio=worst, p=inf, context=dict(worst_ctx or {}, m=m_val)))
     return reports
+
+
+def _bernstein_plan(tree, grid, m_val, dict_spec, refusals):
+    """The level_norms plan of one gap: each tree level with its phi
+    dictionary, until the grid cannot resolve one; that refusal is
+    appended to `refusals` and ends the plan."""
+    for i in tree.levels():
+        try:
+            kernels = _dictionary(grid, i - m_val - 2, tree.cfg.alpha, "phi", dict_spec)
+        except ResolutionError as exc:  # Nyquist refusal at large m
+            refusals.append(exc)
+            return
+        yield i, kernels, tree.cubes(i)

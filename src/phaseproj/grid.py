@@ -20,6 +20,7 @@ import functools
 import math
 import numbers
 import struct
+import sys
 import warnings
 from dataclasses import dataclass, field as dc_field
 from math import inf
@@ -69,7 +70,8 @@ class TorusGrid:
                 or samples & (samples - 1) != 0):
             raise ValidationError(
                 f"samples per axis must be a power of two, not {samples!r}")
-        if (not isinstance(half_width, numbers.Real) or not half_width >= 8.0
+        if (not isinstance(half_width, numbers.Real)
+                or not 8.0 <= half_width <= sys.float_info.max
                 or math.frexp(half_width)[0] != 0.5):
             # 7U plus a quarter-domain decay buffer on each side needs B >= 8,
             # and a power of two puts every dyadic cube edge on the grid
@@ -104,8 +106,9 @@ class TorusGrid:
         return np.fft.fftfreq(self.samples, d=self.spacing)
 
     def on_axis(self, vector, axis):
-        """An N-vector laid along `axis`, broadcastable to the grid shape."""
-        return vector.reshape([self.samples if a == axis else 1 for a in range(self.dim)])
+        """A vector laid along `axis`: an N-vector broadcasts to the grid
+        shape, a band's to the band's."""
+        return vector.reshape([-1 if a == axis else 1 for a in range(self.dim)])
 
     def point_component(self, axis):
         """Spatial coordinate along `axis`, broadcastable to the grid shape."""
@@ -113,6 +116,12 @@ class TorusGrid:
 
     def freq_component(self, axis):
         return self.on_axis(self.axis_freqs, axis)
+
+    def band_freqs(self, shape):
+        """Per axis, the lattice frequencies of a frequency band of the
+        given shape (frequency_band), broadcastable to it."""
+        return [self.on_axis(self.axis_freqs[_band_index(self.samples, m)], ax)
+                for ax, m in enumerate(shape)]
 
     def _radius(self, component):
         out = np.zeros(self.shape)
@@ -232,6 +241,15 @@ def frequency_band(multiplier):
     return band
 
 
+def embed_band(band, shape):
+    """A frequency band laid on the full lattice, or on a wider band, of
+    the given shape: its values in place, +0 everywhere else.  Applied to
+    a band instead of a lattice, frequency_band finds the same band."""
+    out = np.zeros(shape, dtype=band.dtype)
+    out[np.ix_(*map(_band_index, shape, band.shape))] = band
+    return out
+
+
 def apply_multiplier(a, multiplier, keep_spectrum=True):
     """Field whose spectrum is `multiplier` times the spectrum of `a`.
 
@@ -302,19 +320,17 @@ def _lattice_sign(grid, spec):
 def partial_derivative(a, axis, order=1):
     """Spectral partial derivative along `axis` of the given order.
 
-    The Nyquist row is zeroed for odd orders, where the derivative
-    multiplier has no Hermitian-symmetric representative.  The output
-    keeps no spectrum: no derivative is transformed again.
+    The Nyquist row, lattice index N/2, is zeroed for odd orders, where
+    the derivative multiplier has no Hermitian-symmetric representative.
+    The output keeps no spectrum: no derivative is transformed again.
     """
     if order < 1:
         raise ValidationError("derivative order must be >= 1")
     grid = a.grid
-    xi = grid.freq_component(axis)
-    mult = (2j * np.pi * xi) ** order
+    mult = (2j * np.pi * grid.axis_freqs) ** order
     if order % 2 == 1:
-        nyq = np.isclose(np.abs(xi), grid.nyquist)
-        mult = np.where(nyq, 0.0, mult)
-    return apply_multiplier(a, np.broadcast_to(mult, grid.shape), False)
+        mult[grid.samples // 2] = 0.0
+    return apply_multiplier(a, np.broadcast_to(grid.on_axis(mult, axis), grid.shape), False)
 
 
 def fd_derivative(a, axis, order=1):
@@ -386,12 +402,16 @@ def level_weights(grid, level, exponent):
     base = mollified_distance(np.abs(y - 0.5 * side), side) ** (-exponent)
     base.flags.writeable = False
 
-    def weight(cube):
-        out = None
-        for ax, k in enumerate(cube.index):
-            m0 = n // 2 - k * cells
-            piece = grid.on_axis(base[m0:m0 + n], ax)
-            out = piece if out is None else np.minimum(out, piece)
+    def weight(cube, out):
+        """The cube's weight: in d = 1 a view of the base vector, in d >= 2
+        the min over axes, written into `out` unless it is None."""
+        starts = [n // 2 - k * cells for k in cube.index]
+        pieces = [grid.on_axis(base[m0:m0 + n], ax) for ax, m0 in enumerate(starts)]
+        if len(pieces) == 1:
+            return pieces[0]
+        out = np.minimum(pieces[0], pieces[1], out=out)
+        for piece in pieces[2:]:
+            np.minimum(out, piece, out=out)
         return out
 
     return weight

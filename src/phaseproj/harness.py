@@ -124,9 +124,14 @@ class RunConfig:
 
 
 def _is_number(v, kind=numbers.Real):
-    """A finite number of `kind`, not a bool."""
-    return (isinstance(v, kind) and not isinstance(v, bool)
-            and (isinstance(v, numbers.Integral) or math.isfinite(v)))
+    """A number of `kind`, not a bool, that a float holds finitely: an
+    integer beyond the float range is refused like inf."""
+    if not isinstance(v, kind) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _is_list(v, item=None, length=None):

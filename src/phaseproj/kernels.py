@@ -15,6 +15,15 @@ the largest scaling that keeps the kernel under the pointwise envelope
 A dictionary certifies each candidate once and keeps it scaled by its
 lambda_max, band-limited to |xi| < 2^-j: on its frequency band only
 (grid.frequency_band, which grid.apply_multiplier reads), without a field.
+
+The multipliers that depend on no f are evaluated once per (grid, j) and
+kept as read-only frequency bands in small LRU caches keyed by the grid's
+value: tau_multiplier, psi_cone_multiplier (its cone weights computed on
+psi_j's band only) and, as the difference of two tau bands,
+psi_multiplier.  Each band holds the floats of the evaluation on the
+whole lattice, which is zero off the band.  A builder that needs the
+whole lattice (the spatial samples, the certificate) expands the band
+with grid.embed_band; the projection frame reads the bands directly.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from .cubes import DyadicCube
 from .errors import ResolutionError, ValidationError
 from .grid import (
     SampledField,
+    embed_band,
     field_multiplier,
     frequency_band,
     kernel_field_from_multiplier,
@@ -107,18 +117,26 @@ def _finish(grid, kernel_id, mult, field=None):
     return KernelHandle(grid, kernel_id, mult, field)
 
 
+# Room for the 10 tau levels and 9 cone pieces that the first five
+# reference-sweep configs read; at N = 2^17 in d = 1 each band holds at
+# most 33 KB.
+@functools.lru_cache(maxsize=16)
 def tau_multiplier(grid, j):
-    return LOWPASS_PROFILE(2.0 ** j * grid.freq_radius)
+    """LOWPASS_PROFILE(2^j |xi|) on its frequency band, read-only: one per
+    (grid, j), shared by every kernel, class and frame that reads it."""
+    return frequency_band(LOWPASS_PROFILE(2.0 ** j * grid.freq_radius))
 
 
 def build_tau(grid, j):
     """Low-pass kernel tau_j: multiplier 1 on |xi| <= 2^-j, 0 beyond 2^(1-j)."""
     _require_band_inside_nyquist(grid, 2.0 ** (1 - j), f"tau_{j}")
-    return _finish(grid, f"tau[{j}]", tau_multiplier(grid, j))
+    return _finish(grid, f"tau[{j}]", embed_band(tau_multiplier(grid, j), grid.shape))
 
 
 def psi_multiplier(grid, j):
-    return tau_multiplier(grid, j - 1) - tau_multiplier(grid, j)
+    """tau_{j-1} - tau_j on its frequency band, read-only."""
+    outer = tau_multiplier(grid, j - 1)
+    return frequency_band(outer - embed_band(tau_multiplier(grid, j), outer.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -150,18 +168,20 @@ def cone_multiplier_values(dim, n, zeta_axes):
     return np.where(radial > 0, weights[n] / safe * radial, 0.0)
 
 
+@functools.lru_cache(maxsize=16)
 def psi_cone_multiplier(grid, n, j):
-    """Multiplier of psi_{n,j} = psi_j * chi_{n,j}."""
-    zeta = [2.0 ** j * grid.freq_component(ax) for ax in range(grid.dim)]
-    chi = cone_multiplier_values(grid.dim, n, zeta)
-    mult = psi_multiplier(grid, j) * chi
-    return np.broadcast_to(mult, grid.shape)
+    """Multiplier of psi_{n,j} = psi_j * chi_{n,j} on its frequency band,
+    read-only: chi is evaluated on psi_j's band only."""
+    psi = psi_multiplier(grid, j)
+    zeta = [2.0 ** j * xi for xi in grid.band_freqs(psi.shape)]
+    return frequency_band(psi * cone_multiplier_values(grid.dim, n, zeta))
 
 
 def build_psi_cone(grid, n, j):
     """Cone piece psi_{n,j}; the pieces sum to psi_j exactly on the lattice."""
     _require_band_inside_nyquist(grid, 2.0 ** (2 - j), f"psi_{n},{j}")
-    return _finish(grid, f"psi[n={n},{j}]", psi_cone_multiplier(grid, n, j))
+    return _finish(grid, f"psi[n={n},{j}]",
+                   embed_band(psi_cone_multiplier(grid, n, j), grid.shape))
 
 
 def build_theta(grid, n, j):
@@ -174,10 +194,10 @@ def build_theta(grid, n, j):
     _require_band_inside_nyquist(grid, 2.0 ** (2 - j), f"theta_{n},{j}")
     num = psi_cone_multiplier(grid, n, j)
     order = grid.dim + 1
-    xi_n = np.broadcast_to(grid.freq_component(n), grid.shape)
+    xi_n = np.broadcast_to(grid.band_freqs(num.shape)[n], num.shape)
     denom = (2j * np.pi * np.where(num != 0, xi_n, 1.0)) ** order
     mult = np.where(num != 0, num / denom, 0.0)
-    return _finish(grid, f"theta[n={n},{j}]", mult)
+    return _finish(grid, f"theta[n={n},{j}]", embed_band(mult, grid.shape))
 
 
 def build_mollifier(grid, radius):
@@ -361,6 +381,7 @@ def build_sinc_power(grid, j, beta, kind, eta):
     over scales.  It is translated to the envelope cube's center c and
     its spectral box sits inside the admissible set, shifted by eta.
     """
+    _require_band_inside_nyquist(grid, 2.0 ** (-j), f"sinc box at level {j}")
     k_pow = max(1, math.ceil(beta / 2.0))
     d = grid.dim
     eta = np.asarray(eta, dtype=float)
@@ -380,13 +401,16 @@ def build_sinc_power(grid, j, beta, kind, eta):
     phase = np.zeros(grid.shape)
     xi_1d = grid.axis_freqs
     for ax in range(d):
-        # per-axis 1-d evaluation, B-spline only inside its support box
+        # per-axis 1-d evaluation, B-spline and centre phase only inside
+        # its support box; the product order is fixed, (mult * spline) * phase
         mult_1d = np.zeros(grid.samples)
+        phase_1d = np.zeros(grid.samples, dtype=np.complex128)
         inside = np.abs(xi_1d - eta[ax]) < k_pow * a
         mult_1d[inside] = bspline_central((xi_1d[inside] - eta[ax]) / a,
                                           2 * k_pow) / a
+        phase_1d[inside] = np.exp(-2j * np.pi * xi_1d[inside] * cube_center)
         mult = mult * grid.on_axis(mult_1d, ax)
-        mult = mult * grid.on_axis(np.exp(-2j * np.pi * xi_1d * cube_center), ax)
+        mult = mult * grid.on_axis(phase_1d, ax)
         values = values * grid.on_axis(per, ax)
         phase = phase + eta[ax] * (grid.point_component(ax) - cube_center)
     values = values * np.exp(2j * np.pi * phase)
@@ -413,9 +437,12 @@ def _modulate_kernel(handle, grid, eta, new_id):
 
 def _candidates(grid, j, beta, kind, spec):
     """The candidates of build_dictionary, built one at a time.  The
-    translation and modulation bases reuse the candidate handles."""
-    reused = ({(build_tau, j + 1), (build_tau, j + 2)} if kind == "phi"
-              else {(build_psi_cone, 0, j + 2)})
+    translation and modulation bases, each built only when its family is
+    requested, reuse the candidate handles."""
+    mod_key = (build_tau, j + 2) if kind == "phi" and spec.n_mod else None
+    trans_key = (((build_tau, j + 1) if kind == "phi" else (build_psi_cone, 0, j + 2))
+                 if spec.n_trans else None)
+    reused = {mod_key, trans_key} - {None}
     kept = {}
 
     def build(builder, *args):
@@ -446,8 +473,8 @@ def _candidates(grid, j, beta, kind, spec):
                     eta = np.zeros(grid.dim)
                     eta[ax] = sign * radius_units * u
                     yield build_sinc_power(grid, j, beta, kind, eta)
-    if kind == "phi":
-        base_mod = build(build_tau, j + 2)
+    if mod_key:
+        base_mod = build(*mod_key)
         for i in range(spec.n_mod):
             mag = 2.0 ** (-j - 1) / (i + 1)
             eta = np.zeros(grid.dim)
@@ -459,26 +486,27 @@ def _candidates(grid, j, beta, kind, spec):
             yield _modulate_kernel(
                 base_mod, grid, eta, f"mod[{base_mod.kernel_id},eta{i}]")
         del base_mod
-        if spec.n_sinc_mod:
-            # modulation ladder tiling the ball: centers at quarter-band
-            # steps, boxes shrinking toward the edge
-            for ax in range(grid.dim):
-                for k in range(1, 2 * spec.n_sinc_mod):
-                    for sign in (1.0, -1.0):
-                        eta = np.zeros(grid.dim)
-                        eta[ax] = sign * k * 2.0 ** (-j - 2)
-                        if k * 2.0 ** (-j - 2) >= 2.0 ** (-j):
-                            continue
-                        yield build_sinc_power(grid, j, beta, kind, eta)
-    trans_base = build(build_tau, j + 1) if kind == "phi" else build(build_psi_cone, 0, j + 2)
-    h = grid.spacing
-    for i in range(spec.n_trans):
-        mag = 2.0 ** j / (i + 1)
-        offset = np.zeros(grid.dim)
-        offset[i % grid.dim] = max(round(mag / h), 1) * h
-        if np.max(np.abs(offset)) > 2.0 ** j + 1e-12:
-            continue
-        yield _translate(trans_base, grid, offset, f"tr[{trans_base.kernel_id},t{i}]")
+    if kind == "phi" and spec.n_sinc_mod:
+        # modulation ladder tiling the ball: centers at quarter-band
+        # steps, boxes shrinking toward the edge
+        for ax in range(grid.dim):
+            for k in range(1, 2 * spec.n_sinc_mod):
+                for sign in (1.0, -1.0):
+                    eta = np.zeros(grid.dim)
+                    eta[ax] = sign * k * 2.0 ** (-j - 2)
+                    if k * 2.0 ** (-j - 2) >= 2.0 ** (-j):
+                        continue
+                    yield build_sinc_power(grid, j, beta, kind, eta)
+    if trans_key:
+        base_trans = build(*trans_key)
+        h = grid.spacing
+        for i in range(spec.n_trans):
+            mag = 2.0 ** j / (i + 1)
+            offset = np.zeros(grid.dim)
+            offset[i % grid.dim] = max(round(mag / h), 1) * h
+            if np.max(np.abs(offset)) > 2.0 ** j + 1e-12:
+                continue
+            yield _translate(base_trans, grid, offset, f"tr[{base_trans.kernel_id},t{i}]")
 
 
 # Room for the reference sweep's 16 classes.  The 15 that its first five
@@ -496,6 +524,12 @@ def build_dictionary(grid, j, beta, kind, spec):
     the dictionary supremum a certified lower bound for the class supremum.
     Candidates with frequency leak (e.g. low frequencies in a Psi
     dictionary) are dropped.
+
+    The tau and cone candidates and their bases expand the memoized bands
+    of tau_multiplier and psi_cone_multiplier (module docstring), so
+    neighbouring classes, which share all but one of their tau levels,
+    evaluate each low-pass profile once; a sinc box evaluates its centre
+    phase only on its B-spline support, where the product is nonzero.
 
     Each candidate is certified, scaled and released before the next is
     built; only its scaled multiplier is kept, as a read-only copy on its

@@ -52,6 +52,7 @@ from .grid import (
     SampledField,
     apply_multiplier,
     cube_mask,
+    embed_band,
     fd_derivative,
     frequency_band,
     mollified_indicator,
@@ -179,11 +180,11 @@ class ProjectionFrame:
 
     @_memo
     def psi_cone(self, n, j):
-        return frequency_band(psi_cone_multiplier(self.grid, n, j - self.m))
+        return psi_cone_multiplier(self.grid, n, j - self.m)
 
     @_memo
     def psi(self, j):
-        return frequency_band(psi_multiplier(self.grid, j - self.m))
+        return psi_multiplier(self.grid, j - self.m)
 
     def wrap_flags(self):
         """Ids of the tau and theta kernels (n-major, j = j_min..0) whose
@@ -224,7 +225,7 @@ def _kernel_entry(handle):
 def low_pass_complement(grid, j_min, m):
     """1 - tau_{j_min-1-m}, the sum of psi_{j-m} over every j below
     j_min, on the full lattice."""
-    return 1.0 - tau_multiplier(grid, j_min - 1 - m)
+    return 1.0 - embed_band(tau_multiplier(grid, j_min - 1 - m), grid.shape)
 
 
 class ProjectionBuilder:

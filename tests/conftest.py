@@ -11,6 +11,8 @@ def _clear_kernel_caches():
     kernels._periodized_sinc_power.cache_clear()
     kernels.class_envelope.cache_clear()
     kernels.forbidden_frequencies.cache_clear()
+    kernels.tau_multiplier.cache_clear()
+    kernels.psi_cone_multiplier.cache_clear()
 
 
 @pytest.fixture(autouse=True)

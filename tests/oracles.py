@@ -12,6 +12,7 @@ import numpy as np
 from phaseproj.cubes import DyadicCube, TreeConfig
 from phaseproj.grid import kernel_field_from_multiplier
 from phaseproj.kernels import (
+    LOWPASS_PROFILE,
     KernelHandle,
     build_mollifier,
     cone_multiplier_values,
@@ -90,7 +91,7 @@ def tree_config_from_dict(data):
 def psi_kernel(grid, j):
     """The annulus kernel psi_j = tau_{j-1} - tau_j, supported on
     2^-j <= |xi| <= 2^(2-j): its multiplier and its spatial samples."""
-    mult = psi_multiplier(grid, j)
+    mult = expand_band(grid, psi_multiplier(grid, j))
     return KernelHandle(grid, f"psi[{j}]", mult, kernel_field_from_multiplier(grid, mult))
 
 
@@ -100,12 +101,29 @@ def psi_ladder(grid, j_min, m):
     is identically 1 on the lattice, so that the ladder reaches every
     frequency."""
     j = m - math.ceil(math.log2(float(np.max(grid.freq_radius))))
-    while np.min(tau_multiplier(grid, j - m)) < 1.0:
+    while np.min(expand_band(grid, tau_multiplier(grid, j - m))) < 1.0:
         j -= 1
     total = np.zeros(grid.shape)
     for level in range(j, j_min):
-        total = total + psi_multiplier(grid, level - m)
+        total = total + expand_band(grid, psi_multiplier(grid, level - m))
     return total
+
+
+def tau_lattice(grid, j):
+    """The multiplier of tau_j evaluated on the whole lattice."""
+    return LOWPASS_PROFILE(2.0 ** j * grid.freq_radius)
+
+
+def psi_lattice(grid, j):
+    """The multiplier of psi_j = tau_{j-1} - tau_j on the whole lattice."""
+    return tau_lattice(grid, j - 1) - tau_lattice(grid, j)
+
+
+def psi_cone_lattice(grid, n, j):
+    """The multiplier of the cone piece psi_{n,j} on the whole lattice."""
+    zeta = [2.0 ** j * grid.freq_component(ax) for ax in range(grid.dim)]
+    mult = psi_lattice(grid, j) * cone_multiplier_values(grid.dim, n, zeta)
+    return np.broadcast_to(mult, grid.shape)
 
 
 def kappa_kernel(grid, scale):

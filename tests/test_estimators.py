@@ -5,7 +5,8 @@ import math
 import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import weakref
+from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from math import inf
 
 import numpy as np
@@ -228,9 +229,12 @@ class TestComparisons:
         calls = []
         real = estimators.level_norms
 
-        def recording(field, kernels, cubes, level, *args):
-            calls.append((level, list(cubes)))
-            return real(field, kernels, cubes, level, *args)
+        def recording(field, plan, *args):
+            def seen():
+                for level, kernels, cubes in plan:
+                    calls.append((level, list(cubes)))
+                    yield level, kernels, cubes
+            return real(field, seen(), *args)
 
         monkeypatch.setattr(estimators, "level_norms", recording)
         reports = bernstein_sweep(tree, f, DictionarySpec())
@@ -317,9 +321,13 @@ class TestTableOracles:
         for e in (2.0, 3.0, 6.0, 9.0):
             for level in range(0, -(depth + 3), -1):
                 weight = level_weights(grid, level, e)
+                scratch = np.empty(grid.shape)
                 for cube in (c for c in window if c.level == level):
-                    assert np.array_equal(weight(cube), rho_values(grid, cube) ** -e), (
-                        e, cube)
+                    want = rho_values(grid, cube) ** -e
+                    assert np.array_equal(weight(cube, None), want), (e, cube)
+                    # in d >= 2 the weight is written into the scratch
+                    assert np.array_equal(weight(cube, scratch), want), (e, cube)
+                    assert (weight(cube, scratch) is scratch) == (dim > 1)
 
     @pytest.mark.parametrize("dim,samples", [(1, 1 << 10), (2, 1 << 6)])
     def test_clamped_root_peak_equals_grid_max(self, dim, samples):
@@ -405,46 +413,61 @@ def pool(monkeypatch):
         executor.shutdown()
 
 
-def serial_level_norms(field, kernels, cubes, level, weight_exp, p_values):
+def serial_level_norms(field, plan, weight_exp, p_values):
     """The per-cube loop without the pool, norms written out in full."""
     grid = field.grid
     h_d = grid.spacing ** grid.dim
-    responses = [(k.kernel_id, np.abs(apply_multiplier(field, k.multiplier).values))
-                 for k in kernels]
-    weight_of = level_weights(grid, level, weight_exp)
-    for cube in cubes:
-        weight = weight_of(cube)
-        rows = []
-        for kernel_id, resp_mag in responses:
-            mag = weight * resp_mag
-            norms = {}
-            for p in p_values:
-                if p == inf:
-                    norms[p] = float(np.max(mag))
-                elif p == 1.0:
-                    norms[p] = float(np.sum(mag) * h_d)
-                elif p == 2.0:
-                    norms[p] = float(np.sqrt(np.sum(mag * mag) * h_d))
-                else:
-                    norms[p] = float((np.sum(mag ** p) * h_d) ** (1.0 / p))
-            rows.append((kernel_id, norms))
-        yield cube, rows
+    for level, kernels, cubes in plan:
+        responses = [(k.kernel_id, np.abs(apply_multiplier(field, k.multiplier).values))
+                     for k in kernels]
+        weight_of = level_weights(grid, level, weight_exp)
+        for cube in cubes:
+            weight = weight_of(cube, None)
+            rows = []
+            for kernel_id, resp_mag in responses:
+                mag = weight * resp_mag
+                norms = {}
+                for p in p_values:
+                    if p == inf:
+                        norms[p] = float(np.max(mag))
+                    elif p == 1.0:
+                        norms[p] = float(np.sum(mag) * h_d)
+                    elif p == 2.0:
+                        norms[p] = float(np.sqrt(np.sum(mag * mag) * h_d))
+                    else:
+                        norms[p] = float((np.sum(mag ** p) * h_d) ** (1.0 / p))
+                rows.append((kernel_id, norms))
+            yield cube, rows
 
 
 def norm_case(dim):
-    """A field, a dictionary, a level and cubes at it."""
+    """A field and a plan of two levels: each level with a dictionary and
+    cubes at it."""
     if dim == 1:
         grid = TorusGrid(1, 8.0, 1 << 10)
-        kernels = build_dictionary(grid, -3, 8.0, "phi", DictionarySpec())
-        level = -1
-        cubes = [DyadicCube(-1, (k,)) for k in range(-8, 9)]
+        plan = [(-1, build_dictionary(grid, -3, 8.0, "phi", DictionarySpec()),
+                 [DyadicCube(-1, (k,)) for k in range(-8, 9)]),
+                (0, build_dictionary(grid, -2, 8.0, "psi", DictionarySpec()),
+                 [DyadicCube(0, (k,)) for k in range(-4, 5)])]
     else:
         grid = TorusGrid(2, 8.0, 1 << 6)
-        kernels = build_dictionary(grid, -1, 12.0, "phi", DictionarySpec(2, 1, 1, 1))
-        level = 0
-        cubes = [DyadicCube(0, (a, b)) for a in range(-3, 4) for b in (-1, 0, 2)]
+        spec = DictionarySpec(2, 1, 1, 1)
+        plan = [(0, build_dictionary(grid, -1, 12.0, "phi", spec),
+                 [DyadicCube(0, (a, b)) for a in range(-3, 4) for b in (-1, 0, 2)]),
+                (1, build_dictionary(grid, 0, 12.0, "phi", spec),
+                 [DyadicCube(1, (a, b)) for a in (-2, 0, 1) for b in (-1, 2)])]
     field = random_bandpass_field(grid, seed=5, annulus=(1.0, 2.0), n_modes=4)
-    return field, kernels, cubes, level
+    return field, plan
+
+
+class TrackedFuture(Future):
+    """A Future that keeps a weak reference to each result set on it."""
+
+    results = []
+
+    def set_result(self, result):
+        TrackedFuture.results.append(weakref.ref(result))
+        super().set_result(result)
 
 
 class TestNormPool:
@@ -455,15 +478,13 @@ class TestNormPool:
     def test_rows_equal_serial_loop(self, dim, workers, pool):
         if workers is not None:
             pool(workers)
-        field, kernels, cubes, level = norm_case(dim)
+        field, plan = norm_case(dim)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # more thread switches inside each task
         try:
             for exponent in (2.0, 6.0):
-                got = list(level_norms(field, kernels, cubes, level, exponent,
-                                       self.P_VALUES))
-                want = list(serial_level_norms(field, kernels, cubes, level, exponent,
-                                               self.P_VALUES))
+                got = list(level_norms(field, iter(plan), exponent, self.P_VALUES))
+                want = list(serial_level_norms(field, plan, exponent, self.P_VALUES))
                 assert got == want
         finally:
             sys.setswitchinterval(interval)
@@ -471,34 +492,90 @@ class TestNormPool:
     @pytest.mark.parametrize("workers", [1, 3])
     def test_task_error_reaches_caller(self, workers, pool):
         executor = pool(workers)
-        field, kernels, cubes, level = norm_case(1)
+        field, plan = norm_case(1)
         with pytest.raises(ValidationError, match="p must be positive"):
-            list(level_norms(field, kernels, cubes, level, 2.0, (1.0, 0.0)))
+            list(level_norms(field, plan, 2.0, (1.0, 0.0)))
         assert executor.tasks and all(task.done() for task in executor.tasks)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_publish_error_reaches_caller(self, workers, pool, monkeypatch):
+        # the third response fails while every task of the level waits on it
+        executor = pool(workers)
+        field, plan = norm_case(1)
+        published = []
+        real = estimators.apply_multiplier
+
+        def failing(a, multiplier):
+            if len(published) == 2:
+                raise MemoryError("no room for a response")
+            published.append(multiplier)
+            return real(a, multiplier)
+
+        monkeypatch.setattr(estimators, "apply_multiplier", failing)
+        with pytest.raises(MemoryError, match="no room"):
+            list(level_norms(field, plan, 2.0, self.P_VALUES))
+        assert len(executor.tasks) == len(plan[0][2])
+        assert all(task.done() for task in executor.tasks)
+        assert all(isinstance(task.exception(), CancelledError)
+                   for task in executor.tasks if not task.cancelled())
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_plan_error_reaches_caller(self, workers, pool):
+        executor = pool(workers)
+        field, plan = norm_case(1)
+
+        def broken_plan():
+            yield plan[0]
+            raise LookupError("no second dictionary")
+
+        with pytest.raises(LookupError, match="no second dictionary"):
+            list(level_norms(field, broken_plan(), 2.0, self.P_VALUES))
+        assert executor.tasks and all(task.done() for task in executor.tasks)
+
+    def test_one_level_of_responses_alive(self, pool, monkeypatch):
+        # the plan is pulled one level ahead, while the previous level's
+        # responses may still be read; those of the level before are gone
+        pool(2)
+        monkeypatch.setattr(estimators, "Future", TrackedFuture)
+        monkeypatch.setattr(TrackedFuture, "results", [])
+        field, plan = norm_case(1)
+        plan = plan + [(level, kernels, cubes[:3]) for level, kernels, cubes in plan]
+        published_before_pull = []
+
+        def watched():
+            for entry in plan:
+                published_before_pull.append(len(TrackedFuture.results))
+                if len(published_before_pull) > 2:
+                    older = TrackedFuture.results[:published_before_pull[-2]]
+                    assert all(ref() is None for ref in older)
+                yield entry
+
+        rows = list(level_norms(field, watched(), 2.0, self.P_VALUES))
+        assert len(rows) == sum(len(cubes) for _, _, cubes in plan)
+        assert published_before_pull == list(
+            np.cumsum([0] + [len(kernels) for _, kernels, _ in plan[:-1]]))
+        assert all(ref() is None for ref in TrackedFuture.results)
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_abandoned_generator(self, workers, pool):
         executor = pool(workers)
-        field, kernels, cubes, level = norm_case(1)
+        field, plan = norm_case(1)
         first = []
 
         def take_one_row():
             # as verify_witness does: one row, then the generator is dropped
-            first.append(next(level_norms(field, kernels, cubes, level, 2.0,
-                                          self.P_VALUES)))
+            first.append(next(level_norms(field, plan, 2.0, self.P_VALUES)))
 
         caller = threading.Thread(target=take_one_row)
         caller.start()
         caller.join(timeout=60)
         assert not caller.is_alive()
         assert all(task.done() for task in executor.tasks)
-        assert first == [next(serial_level_norms(field, kernels, cubes, level, 2.0,
-                                                 self.P_VALUES))]
+        assert first == [next(serial_level_norms(field, plan, 2.0, self.P_VALUES))]
         for dim in (2, 1):  # the scratch follows the grid shape
-            field, kernels, cubes, level = norm_case(dim)
-            got = list(level_norms(field, kernels, cubes, level, 2.0, self.P_VALUES))
-            assert got == list(serial_level_norms(field, kernels, cubes, level, 2.0,
-                                                  self.P_VALUES))
+            field, plan = norm_case(dim)
+            got = list(level_norms(field, plan, 2.0, self.P_VALUES))
+            assert got == list(serial_level_norms(field, plan, 2.0, self.P_VALUES))
 
     def test_pool_sized_from_affinity(self):
         assert estimators.norm_workers() == len(os.sched_getaffinity(0))
@@ -519,16 +596,20 @@ class TestBernsteinErrors:
 
     def test_class_finer_than_the_grid_is_a_skipped_row(self, setup):
         frame, _, _ = setup
-        # without tau and psi kernels the sinc box is the first candidate:
-        # its profile at class level -1 - 4 - 2 = -7, finer than the 2^-6
-        # spacing, is refused
+        # without tau, psi, modulation and translation kernels only sinc
+        # boxes are built: the Nyquist frequency 32 of a 2^10 grid refuses
+        # their bands at class levels -6 and -7 (gaps 3 and 4), the levels
+        # at which tau_{j+1} refuses the default spec
         coarse = TorusGrid(1, 8.0, 1 << 10)
         f = random_bandpass_field(coarse, seed=21, annulus=(1.0, 3.0), n_modes=6)
         tree = ProjectionFrame(frame.tree.cfg, coarse, False).tree
         reports = bernstein_sweep(tree, f, DictionarySpec(0, 0, 0, 0))
         assert [r.context["m"] for r in reports] == [0, 1, 2, 3, 4]
-        assert "skipped" not in reports[0].context
-        assert "half-step" in reports[4].context["skipped"]
+        assert ["skipped" in r.context for r in reports] == [False] * 3 + [True] * 2
+        assert "sinc box at level -6" in reports[3].context["skipped"]
+        assert "Nyquist" in reports[4].context["skipped"]
+        default = bernstein_sweep(tree, f, DictionarySpec())
+        assert ["skipped" in r.context for r in default] == [False] * 3 + [True] * 2
 
     def test_other_errors_propagate(self, setup, monkeypatch):
         frame, f, _ = setup

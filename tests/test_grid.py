@@ -59,7 +59,8 @@ def smooth_bump(grid, width=1.0):
 
 
 class TestGridType:
-    @pytest.mark.parametrize("half_width", [10.0, 12, 8.5, math.inf, math.nan, 4.0])
+    @pytest.mark.parametrize("half_width",
+                             [10.0, 12, 8.5, math.inf, math.nan, 4.0, 10 ** 400, 2 ** 1100])
     def test_half_width_off_the_powers_of_two_refused(self, half_width):
         with pytest.raises(ValidationError, match="power of two >= 8"):
             TorusGrid(1, half_width, 1 << 6)
@@ -219,6 +220,18 @@ class TestDerivative:
         expected = (2j * np.pi * 0.5) ** 2 * a.values
         assert np.max(np.abs(out.values - expected)) < 1e-8
 
+    def test_odd_order_zeroes_the_nyquist_row_alone(self):
+        # at N = 2^18 and B = 16 a relative tolerance around the Nyquist
+        # frequency 4096 would also catch its neighbours 4096 - 1/32 ...
+        grid = TorusGrid(1, 16.0, 1 << 18)
+        xi0 = grid.axis_freqs[grid.samples // 2 - 1]
+        out = partial_derivative(mode(grid, xi0), 0, 1)
+        expected = 2 * np.pi * xi0
+        assert np.max(np.abs(out.values)) == pytest.approx(expected, rel=1e-9)
+        # ... while the Nyquist row itself is zeroed, up to roundoff
+        nyquist = partial_derivative(mode(grid, grid.nyquist), 0, 1)
+        assert np.max(np.abs(nyquist.values)) < 1e-9 * 2 * np.pi * grid.nyquist
+
 
 class TestNorms:
     def test_indicator_l1(self, g1):
@@ -233,7 +246,7 @@ class TestNorms:
             1.0, abs=1e-12)
 
     def test_weight_range(self, g2):
-        w = level_weights(g2, -1, 3.0)(DyadicCube(-1, (0, 1)))
+        w = level_weights(g2, -1, 3.0)(DyadicCube(-1, (0, 1)), None)
         assert np.all(w > 0)
         assert np.all(w <= 1.0)
         rho = rho_values(g2, DyadicCube(-1, (0, 1)))

@@ -329,7 +329,7 @@ class TestConfig:
         assert record["error"]["type"] == "ValidationError"
         assert f"{field} must be" in record["error"]["message"]
 
-    @pytest.mark.parametrize("grid_b", [10.0, math.inf])
+    @pytest.mark.parametrize("grid_b", [10.0, math.inf, 10 ** 400])
     def test_half_width_off_the_powers_of_two_recorded_at_grid_stage(self, grid_b):
         record = run(RunConfig(grid_b=grid_b))
         assert record["error"] == {
@@ -345,7 +345,7 @@ class TestConfig:
     @pytest.mark.parametrize("field,value", [
         ("leaves", ((-1, "a"),)), ("leaves", (5,)), ("f_annulus", 3), ("f_modes", (1,)),
         ("tree_seed", 1.5), ("alpha", math.inf), ("f_annulus", (1.0, math.inf)),
-        ("f_modes", ((math.nan, 1, 0),))])
+        ("f_modes", ((math.nan, 1, 0),)), ("f_annulus", (1, 10 ** 400))])
     def test_bad_value_from_python_recorded_at_config_stage(self, field, value):
         # checked as RunConfig.from_dict checks it, before to_dict reads it
         record = run(RunConfig(**{field: value}))

@@ -6,7 +6,16 @@ import math
 import numpy as np
 import pytest
 
-from oracles import cone_partition, expand_band, is_real, kappa_kernel, psi_kernel
+from oracles import (
+    cone_partition,
+    expand_band,
+    is_real,
+    kappa_kernel,
+    psi_cone_lattice,
+    psi_kernel,
+    psi_lattice,
+    tau_lattice,
+)
 from phaseproj import kernels
 from phaseproj.errors import ResolutionError, ValidationError
 from phaseproj.grid import (
@@ -28,6 +37,8 @@ from phaseproj.kernels import (
     class_envelope,
     class_membership,
     cone_multiplier_values,
+    psi_cone_multiplier,
+    psi_multiplier,
     smooth_step,
     tau_multiplier,
 )
@@ -139,8 +150,8 @@ class TestPsi:
         total = np.zeros(g1.shape)
         for j in range(-3, 1):
             total = total + psi_kernel(g1, j).multiplier
-        total = total + tau_multiplier(g1, 0)
-        expected = tau_multiplier(g1, -4)
+        total = total + expand_band(g1, tau_multiplier(g1, 0))
+        expected = expand_band(g1, tau_multiplier(g1, -4))
         assert np.max(np.abs(total - expected)) == 0.0
 
     def test_class_certificate(self, g1):
@@ -508,6 +519,71 @@ class TestBandStorage:
         cached = sum(handle.multiplier.nbytes
                      for dictionary in dictionaries for handle in dictionary)
         assert cached <= 2_000_000
+
+
+class TestMemoizedBands:
+    """tau_multiplier and psi_cone_multiplier keep one read-only band per
+    (grid, j); psi_multiplier is computed from two tau bands."""
+
+    @pytest.mark.parametrize("grid", [TorusGrid(1, 8.0, 1 << 12), TorusGrid(2, 8.0, 1 << 7)],
+                             ids=["d1", "d2"])
+    def test_bands_equal_the_lattice_evaluation(self, grid):
+        for j in range(-5, 2):
+            tau = tau_multiplier(grid, j)
+            assert tau_multiplier(grid, j) is tau and not tau.flags.writeable
+            assert np.array_equal(tau, frequency_band(tau_lattice(grid, j)))
+            assert np.array_equal(expand_band(grid, tau), tau_lattice(grid, j))
+            psi = psi_multiplier(grid, j)
+            assert not psi.flags.writeable
+            assert np.array_equal(psi, frequency_band(psi_lattice(grid, j)))
+            for n in range(grid.dim):
+                cone = psi_cone_multiplier(grid, n, j)
+                assert psi_cone_multiplier(grid, n, j) is cone and not cone.flags.writeable
+                assert np.array_equal(cone, frequency_band(psi_cone_lattice(grid, n, j)))
+                with pytest.raises(ValueError, match="read-only"):
+                    cone[(0,) * grid.dim] = 1.0
+
+    def test_neighbouring_classes_evaluate_each_profile_once(self, g1, monkeypatch):
+        scales = []
+        profile = kernels.LOWPASS_PROFILE
+
+        def counted(t):
+            scales.append(float(np.max(t)))   # 2^j times the largest |xi|
+            return profile(t)
+
+        monkeypatch.setattr(kernels, "LOWPASS_PROFILE", counted)
+        for j in (-4, -3):
+            for kind in ("phi", "psi"):
+                build_dictionary(g1, j, 4 * ALPHA, kind, DictionarySpec())
+        # the tau candidates tau_{j+1..j+3} and the psi pieces psi_{0,j+2},
+        # psi_{0,j+3} of both classes read tau_{-3..0}, each evaluated once
+        assert sorted(scales) == [2.0 ** j * g1.nyquist for j in range(-3, 1)]
+
+    @pytest.mark.parametrize("kind,n_mod,n_trans,bases", [
+        ("phi", 0, 0, []), ("phi", 1, 0, [("tau", (-1,))]),
+        ("phi", 0, 1, []), ("psi", 0, 0, []), ("psi", 0, 1, [])])
+    def test_bases_built_only_for_their_families(self, g1, monkeypatch, kind, n_mod,
+                                                 n_trans, bases):
+        # tau_{j+1} and psi_{0,j+2} are candidates, and the translation
+        # base reuses them; tau_{j+2} is built for the modulations alone
+        built = []
+        for name in ("build_tau", "build_psi_cone"):
+            def spy(grid, *args, real=getattr(kernels, name), name=name):
+                built.append((name[6:], args))
+                return real(grid, *args)
+            monkeypatch.setattr(kernels, name, spy)
+        spec = DictionarySpec(n_tau=1, n_psi=1, n_mod=n_mod, n_trans=n_trans,
+                              n_sinc=0, n_sinc_mod=0)
+        ids = [c.kernel_id for c in kernels._candidates(g1, -3, 4 * ALPHA, kind, spec)]
+        candidates = ([("tau", (-2,))] if kind == "phi" else []) + [("psi_cone", (0, -1))]
+        assert built == candidates + bases
+        assert len(ids) == len(candidates) + n_mod + n_trans
+
+    def test_sinc_box_refused_beyond_nyquist(self, g1):
+        # N = 2^13, B = 8: Nyquist 256 admits class level -8, not -9
+        build_sinc_power(g1, -8, 4 * ALPHA, "phi", np.zeros(1))
+        with pytest.raises(ResolutionError, match="sinc box at level -9"):
+            build_sinc_power(g1, -9, 4 * ALPHA, "phi", np.zeros(1))
 
 
 class TestCaches:

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import expand_band, psi_ladder
+from oracles import expand_band, psi_cone_lattice, psi_ladder, psi_lattice, tau_lattice
 from phaseproj import acceptance, harness
 from phaseproj.cubes import DyadicCube, TreeConfig, unit_cube
 from phaseproj.errors import ResolutionError, ValidationError
@@ -16,12 +16,7 @@ from phaseproj.grid import (
     cube_mask,
     zero_field,
 )
-from phaseproj.kernels import (
-    build_theta,
-    psi_cone_multiplier,
-    psi_multiplier,
-    tau_multiplier,
-)
+from phaseproj.kernels import build_theta
 from phaseproj import projection
 from phaseproj.projection import (
     MIN_SAMPLES_PER_RADIUS,
@@ -382,9 +377,9 @@ class TestMemory:
         frame = output_1d.frame
         grid, m = frame.grid, frame.m
         dense = {"theta": lambda n, j: build_theta(grid, n, j - m).multiplier,
-                 "tau": lambda: tau_multiplier(grid, -m),
-                 "psi_cone": lambda n, j: psi_cone_multiplier(grid, n, j - m),
-                 "psi": lambda j: psi_multiplier(grid, j - m)}
+                 "tau": lambda: tau_lattice(grid, -m),
+                 "psi_cone": lambda n, j: psi_cone_lattice(grid, n, j - m),
+                 "psi": lambda j: psi_lattice(grid, j - m)}
         checked = set()
         for (name, args), value in frame._memo.items():
             if name in dense:
