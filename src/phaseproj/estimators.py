@@ -19,38 +19,37 @@ weights rho_I ** -e:
   steps: within a level x - c_I recurs, shifted by whole steps, among
   the differences y - c_0 of one 2N-point base vector y = -2B + h m.
   Applying max(1, 1/2 + |.| / s) ** -e to that vector once gives every
-  cube's per-axis weights as slices of it (grid.level_weights).  rho_I is
-  the max over axes, and max, +, / and ** -e are monotone, so rho_I ** -e
-  is the min over axes of the slices; in d = 1 it is the slice itself.
+  cube's per-axis weights as slices of it.  rho_I is the max over axes,
+  and max, +, / and ** -e are monotone, so rho_I ** -e is the min over
+  axes of the slices.  min is exact, so grid.level_weights takes it once
+  per level, at every d-tuple of base points, into a read-only table of
+  (2N)^d floats (in d = 1 the base vector itself), and each cube's
+  weight is a view of an N^d block of it.
 - Clamping.  The off-tree right-hand side needs the peak of
   rho_J ** -alpha over the grid points of the root U.  That is a
   monotone function of the l-infinity distance to J's centre, and U's
   points form a product of axis grids, so the peak sits at the distance
   max over axes of (min over U's axis points of |u - c|).  The same
   ufuncs applied to that one distance give the full-grid maximum's float.
-- Fan-out.  level_norms runs over a plan of levels, and at each level it
-  first submits one task per cube to a thread pool; the calling thread
-  then computes the kernel responses |k * f| (one inverse FFT each) and
-  publishes them one at a time, each through its own Future.  A task
-  waits for kernel k's response only when its row reaches kernel k, so
-  the FFT of kernel k + 1 runs while the workers take the norms of
-  kernel k.  The calling thread allocates the responses and nothing per
-  cube: a task writes the weighted magnitudes, their powers and, in
-  d >= 2, the cube's weight (the min over axes) into scratch arrays
-  private to its worker.  With a level published, the calling thread
-  pulls the next level of the plan, which builds that level's dictionary
-  while the workers finish, and only then collects the rows in
-  submission order.  A level's responses are held by its tasks alone, so
-  they are freed with the last of them, and at the latest once its rows
-  are collected: before the next level's responses are computed, so at
+- Fan-out.  level_norms runs over a plan of levels.  At each level the
+  calling thread computes the kernel responses |k * f| in dictionary
+  order, one inverse FFT each, and hands each response to one task per
+  block of the level's cubes, which are split into as many contiguous
+  blocks as the thread pool has workers.  A task takes that one
+  response's norms on its block over the weight views, in a scratch
+  array private to its worker, so the workers take the norms of kernel k
+  while the FFT of kernel k + 1 runs, and no task waits on another.
+  With a level handed out, the calling thread pulls the next level of
+  the plan, which builds that level's dictionary while the workers
+  finish, and only then collects the rows, each cube's in dictionary
+  order.  A response is held by its tasks alone, so it is freed when its
+  last block ends: before the next level's responses are computed, so at
   most one level of them is alive.  A task runs the same ufunc calls on
   the same inputs as a serial loop would (those of grid.lp_norms), so
   each float and every tie-break is the serial loop's, for any number of
-  workers.  An error while a level is published cancels its unpublished
-  responses, and a task waiting on one ends with it; that error, one in
-  a task or in the plan, and closing the generator early cancel the
-  queued tasks and wait for the running ones, so no task is left blocked
-  or running.
+  workers.  An error in a response, in a task or in the plan, and closing
+  the generator early, cancel the queued tasks and wait for the running
+  ones, so no task is left running.
 
 The Carleson terms are kept sorted by (level, index), which is the order
 in which carleson_sum adds them; it stops at J's level and tests
@@ -60,10 +59,8 @@ ancestry with integer shifts.
 from __future__ import annotations
 
 import math
-import os
 import threading
-import weakref
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import wait
 from dataclasses import dataclass, field as dc_field
 from itertools import product as iproduct
 from math import inf
@@ -78,6 +75,8 @@ from .grid import (
     lp_norm,
     lp_norms,
     mollified_distance,
+    norm_pool,
+    norm_workers,
 )
 from .kernels import build_dictionary
 
@@ -86,79 +85,42 @@ def _inv(p):
     return 0.0 if p == inf else 1.0 / p
 
 
-_POOL = None                 # (executor, worker count), made on first use
-_SCRATCH = threading.local()  # each worker's norm and weight buffers
+_SCRATCH = threading.local()  # each worker's norm buffer
 
 
-def _norm_pool():
-    """The thread pool of the per-cube norms, one worker per CPU that the
-    process may run on."""
-    global _POOL
-    if _POOL is None:
-        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                   else os.cpu_count() or 1)
-        _POOL = (ThreadPoolExecutor(workers, thread_name_prefix="phaseproj-norms"),
-                 workers)
-    return _POOL
+def _block_norms(response, weights, h_d, p_values):
+    """The norms of one kernel response on a block of cubes, given by their
+    weights, computed in a float array private to the calling worker."""
+    scratch = getattr(_SCRATCH, "norms", None)
+    if scratch is None or scratch.shape != response.shape:
+        scratch = _SCRATCH.norms = np.empty(response.shape)
+    return [lp_norms(response, h_d, p_values, weight, scratch) for weight in weights]
 
 
-def norm_workers():
-    """Number of threads that evaluate the per-cube norms."""
-    return _norm_pool()[1]
-
-
-def _scratch(name, shape):
-    """The calling worker's own float array `name` of the given shape."""
-    buffer = getattr(_SCRATCH, name, None)
-    if buffer is None or buffer.shape != shape:
-        buffer = np.empty(shape)
-        setattr(_SCRATCH, name, buffer)
-    return buffer
-
-
-def _cube_norms(weight_of, cube, responses, shape, h_d, p_values):
-    """One cube's rows, computed in the calling worker's own scratch; the
-    response of each kernel is awaited when the row reaches it."""
-    weight = weight_of(cube, _scratch("weight", shape) if len(shape) > 1 else None)
-    scratch = _scratch("norms", shape)
-    return [(kernel_id, lp_norms(response.result(), h_d, p_values, weight, scratch))
-            for kernel_id, response in responses]
-
-
-class _Responses(list):
-    """A level's (kernel_id, Future) pairs; a list that can be weakly
-    referenced, so that only the level's tasks keep it alive."""
-
-
-def _stop(tasks):
-    """Cancel a level's queued tasks and wait for its running ones."""
-    for _, task in tasks:
-        task.cancel()
-    wait([task for _, task in tasks])
-
-
-def _start_level(field, kernels, cubes, level, weight_exp, p_values):
-    """Submit one task per cube, then publish the kernel responses in
-    dictionary order.  Returns the (cube, task) pairs and a weak reference
-    to the responses: the tasks alone hold them, so they are freed when
-    the last task of the level ends."""
+def _start_level(field, kernels, cubes, level, weight_exp, p_values, tasks):
+    """Compute each kernel response in turn and hand it to one task per
+    block of the cubes; the tasks of kernel k go into tasks[k], and they
+    alone hold its response.  Returns the generator of the level's rows."""
     grid = field.grid
     h_d = grid.spacing ** grid.dim
     weight_of = level_weights(grid, level, weight_exp)
-    pool = _norm_pool()[0]
-    tasks, responses = [], _Responses((k.kernel_id, Future()) for k in kernels)
-    try:
-        for cube in cubes:
-            tasks.append((cube, pool.submit(_cube_norms, weight_of, cube, responses,
-                                            grid.shape, h_d, p_values)))
-        for kernel, (_, response) in zip(kernels, responses):
-            response.set_result(np.abs(apply_multiplier(field, kernel.multiplier).values))
-    except BaseException:
-        for _, response in responses:
-            response.cancel()   # a task waiting on it ends
-        _stop(tasks)
-        raise
-    return tasks, weakref.ref(responses)
+    weights = [weight_of(cube) for cube in cubes]
+    pool, workers = norm_pool()[0], norm_workers()
+    blocks = [weights[len(cubes) * b // workers:len(cubes) * (b + 1) // workers]
+              for b in range(workers)]
+    for kernel, column in zip(kernels, tasks):
+        response = np.abs(apply_multiplier(field, kernel.multiplier).values)
+        column.extend(pool.submit(_block_norms, response, block, h_d, p_values)
+                      for block in blocks if block)
+    return _rows(kernels, cubes, tasks)
+
+
+def _rows(kernels, cubes, tasks):
+    """Each cube's row, kernels in dictionary order, once the level's
+    tasks have ended."""
+    columns = [[norms for task in column for norms in task.result()] for column in tasks]
+    for i, cube in enumerate(cubes):
+        yield cube, [(kernel.kernel_id, column[i]) for kernel, column in zip(kernels, columns)]
 
 
 def level_norms(field, plan, weight_exp, p_values):
@@ -171,26 +133,18 @@ def level_norms(field, plan, weight_exp, p_values):
     kernel]) for each cube in plan order, kernels in dictionary order, so
     that callers keep their tie-breaking order.
     """
-    tasks, responses = [], None
+    tasks, rows = [], iter(())
     try:
         for level, kernels, cubes in plan:
-            yield from _collect(tasks, responses)
-            tasks, responses = _start_level(field, kernels, cubes, level, weight_exp,
-                                            p_values)
-        yield from _collect(tasks, responses)
-    finally:
-        _stop(tasks)
-
-
-def _collect(tasks, responses):
-    """A started level's rows in submission order.  Its responses are
-    freed with its last task; should a finished task's work item still
-    hold them, they are dropped here."""
-    for cube, task in tasks:
-        yield cube, task.result()
-    left = responses and responses()
-    if left:
-        left.clear()
+            yield from rows
+            tasks = [[] for _ in kernels]
+            rows = _start_level(field, kernels, cubes, level, weight_exp, p_values, tasks)
+        yield from rows
+    finally:   # after an error or an early close too
+        left = [task for column in tasks for task in column]
+        for task in left:
+            task.cancel()
+        wait(left)
 
 
 def _dictionary(grid, level, alpha, kind, dict_spec):

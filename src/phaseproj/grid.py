@@ -19,9 +19,11 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import os
 import struct
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from math import inf
 
@@ -390,31 +392,41 @@ def rho_values(grid, cube):
 
 def level_weights(grid, level, exponent):
     """Function cube -> rho_values(grid, cube) ** -exponent, bit for bit,
-    for the cubes at `level` inside the domain.
+    as a read-only view, for the cubes at `level` inside the domain.
 
     Each axis is an N-long slice of one base vector on the 2N points
-    -2B + h m, and the weight is their min over axes (the estimators
+    -2B + h m, and the weight is their min over axes, taken once into a
+    table of (2N)^d floats, the base vector in d = 1 (the estimators
     module docstring gives the exactness argument).  A level finer than
     the grid spacing is refused.
     """
     n, cells, side = grid.samples, grid.cells(level), 2.0 ** level
     y = -2.0 * grid.half_width + grid.spacing * np.arange(2 * n)
     base = mollified_distance(np.abs(y - 0.5 * side), side) ** (-exponent)
-    base.flags.writeable = False
+    table = functools.reduce(np.minimum, (grid.on_axis(base, ax) for ax in range(grid.dim)))
+    table.flags.writeable = False
+    return lambda cube: table[tuple(slice(n // 2 - k * cells, n // 2 - k * cells + n)
+                                    for k in cube.index)]
 
-    def weight(cube, out):
-        """The cube's weight: in d = 1 a view of the base vector, in d >= 2
-        the min over axes, written into `out` unless it is None."""
-        starts = [n // 2 - k * cells for k in cube.index]
-        pieces = [grid.on_axis(base[m0:m0 + n], ax) for ax, m0 in enumerate(starts)]
-        if len(pieces) == 1:
-            return pieces[0]
-        out = np.minimum(pieces[0], pieces[1], out=out)
-        for piece in pieces[2:]:
-            np.minimum(out, piece, out=out)
-        return out
 
-    return weight
+_POOL = None   # (executor, worker count), made on first use
+
+
+def norm_pool():
+    """(executor, workers): the thread pool of the per-cube norms and the
+    sinc-profile tables, one worker per CPU that the process may run on."""
+    global _POOL
+    if _POOL is None:
+        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+        _POOL = (ThreadPoolExecutor(workers, thread_name_prefix="phaseproj-norms"),
+                 workers)
+    return _POOL
+
+
+def norm_workers():
+    """Number of threads of the norm pool."""
+    return norm_pool()[1]
 
 
 def lp_norms(mag, h_d, p_values, weight=None, out=None):

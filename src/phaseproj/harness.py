@@ -149,7 +149,7 @@ _ITEMS = {
     "leaves": lambda v: _is_list(v, lambda leaf: _is_list(leaf, _TYPES["int"]) and len(leaf) > 1),
     "f_modes": lambda v: _is_list(v, lambda mode: _is_list(mode, length=3) and (
         _is_number(mode[0]) or _is_list(mode[0], _is_number)) and _is_list(mode[1:], _is_number)),
-    "f_annulus": lambda v: _is_list(v, _is_number, 2),
+    "f_annulus": lambda v: _is_list(v, _is_number, 2) and 0 <= v[0] <= v[1],
 }
 
 
@@ -225,6 +225,8 @@ def random_bandpass_modes(grid, seed, annulus=(2.0, 16.0), n_modes=8):
     rng = np.random.default_rng(seed)
     lo, hi = annulus
     lat = 1.0 / (2 * grid.half_width)
+    if hi / lat >= np.iinfo(np.int64).max:
+        raise ValidationError(f"annulus bound {hi!r} is past every drawable lattice index")
     modes = []
     guard = 0
     while len(modes) < n_modes and guard < 10000:
@@ -264,10 +266,17 @@ def random_bandpass_field(grid, seed, annulus=(2.0, 16.0), n_modes=8, scale=1):
 
 
 def mode_field(grid, modes):
-    """Sum of on-lattice modes given as (freq vector or scalar, re, im)."""
+    """Sum of on-lattice modes given as (freq vector or scalar, re, im).
+    A frequency off the lattice or at or past Nyquist would alias, so it
+    is refused."""
     vals = np.zeros(grid.shape, dtype=np.complex128)
     for freq, re, im in modes:
         freq = np.atleast_1d(np.asarray(freq, dtype=float))
+        k = np.rint(freq * 2 * grid.half_width)
+        if (freq.shape != (grid.dim,) or np.max(np.abs(k / (2 * grid.half_width) - freq)) > 1e-9
+                or np.max(np.abs(k)) >= grid.samples // 2):
+            raise ValidationError(f"mode frequency {freq.tolist()} is not a {grid.dim}-d "
+                                  "lattice frequency below Nyquist")
         vals = vals + (re + 1j * im) * plane_wave(grid, freq)
     return SampledField(grid, vals)
 

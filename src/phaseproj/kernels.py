@@ -24,6 +24,9 @@ psi_multiplier.  Each band holds the floats of the evaluation on the
 whole lattice, which is zero off the band.  A builder that needs the
 whole lattice (the spatial samples, the certificate) expands the band
 with grid.embed_band; the projection frame reads the bands directly.
+Likewise a translate evaluates its phase on its base's band only, and a
+sinc box its B-spline and centre phase on 1-d supports.  Besides the
+per-cube norms, the norm pool fills only the sinc-profile tables.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .grid import (
     field_multiplier,
     frequency_band,
     kernel_field_from_multiplier,
+    norm_pool,
     plane_wave,
     rho_values,
 )
@@ -347,6 +351,12 @@ def _periodized_sinc_power(grid, a, k_pow, center):
     into a table, and each image adds slices of it: in nu order, the
     floats of the direct image sum.  A center off (h/2) Z, the cube center
     of a class finer than the grid, is refused.
+
+    The power takes numpy's slow path on negative bases, so the caller
+    and one helper task per worker of grid.norm_pool fill the table (3.5 N
+    points), each taking the next 2^14-point chunk until none is left;
+    queued helpers are cancelled, not waited for.  Each chunk runs the
+    calls of a serial loop, so the floats do not depend on who fills it.
     """
     n, h = grid.samples, grid.spacing
     if center % (h / 2):
@@ -358,10 +368,19 @@ def _periodized_sinc_power(grid, a, k_pow, center):
     odd = q % 2
     down, up = (6 * n + q - odd) // 2, (6 * n + q + odd) // 2
     table = np.empty(max(down, 7 * n - 1 - up) + 1)
-    for lo in range(0, table.size, 1 << 14):  # short chunks bound the temporaries
-        t = np.arange(lo, min(lo + (1 << 14), table.size), dtype=float)
-        abs_y = 0.5 * h * (2 * t + odd)
-        table[lo:lo + t.size] = np.sinc(a * abs_y) ** (2 * k_pow)
+    chunks = iter(range(0, table.size, 1 << 14))   # shared: next() holds the GIL
+
+    def fill():
+        for lo in chunks:
+            t = np.arange(lo, min(lo + (1 << 14), table.size), dtype=float)
+            table[lo:lo + t.size] = np.sinc(a * (0.5 * h * (2 * t + odd))) ** (2 * k_pow)
+
+    pool, workers = norm_pool()
+    helpers = [pool.submit(fill) for _ in range(workers)]
+    fill()
+    for helper in helpers:   # cancel the queued helpers, wait for the running ones
+        if not helper.cancel():
+            helper.result()
     per = np.zeros(n)
     for lo in range(0, 7 * n, n):
         mid = min(max(up, lo), lo + n)
@@ -396,9 +415,7 @@ def build_sinc_power(grid, j, beta, kind, eta):
     # spatial samples in closed form: the FFT route would bury the
     # polynomial tail under its roundoff floor and wreck lambda
     per = _periodized_sinc_power(grid, a, k_pow, cube_center)
-    mult = np.ones(grid.shape, dtype=np.complex128)
-    values = np.ones(grid.shape, dtype=np.complex128)
-    phase = np.zeros(grid.shape)
+    factors = []
     xi_1d = grid.axis_freqs
     for ax in range(d):
         # per-axis 1-d evaluation, B-spline and centre phase only inside
@@ -409,10 +426,13 @@ def build_sinc_power(grid, j, beta, kind, eta):
         mult_1d[inside] = bspline_central((xi_1d[inside] - eta[ax]) / a,
                                           2 * k_pow) / a
         phase_1d[inside] = np.exp(-2j * np.pi * xi_1d[inside] * cube_center)
-        mult = mult * grid.on_axis(mult_1d, ax)
-        mult = mult * grid.on_axis(phase_1d, ax)
-        values = values * grid.on_axis(per, ax)
-        phase = phase + eta[ax] * (grid.point_component(ax) - cube_center)
+        factors += [grid.on_axis(mult_1d, ax), grid.on_axis(phase_1d, ax)]
+    # each product starts from its first factor and the phase sum from 0,
+    # as exact as full-grid complex ones and zeros: 1 * x and numpy's
+    # promotion to complex give the same floats
+    mult = functools.reduce(np.multiply, factors)
+    values = functools.reduce(np.multiply, (grid.on_axis(per, ax) for ax in range(d)))
+    phase = sum(eta[ax] * (grid.point_component(ax) - cube_center) for ax in range(d))
     values = values * np.exp(2j * np.pi * phase)
     field = SampledField(grid, np.ascontiguousarray(values))
     tag = f"sincpow[{kind},{j}"
@@ -422,12 +442,15 @@ def build_sinc_power(grid, j, beta, kind, eta):
 
 
 def _translate(handle, grid, offset, new_id):
-    phase = np.zeros(grid.shape, dtype=np.complex128)
-    for ax, t in enumerate(offset):
-        phase = phase + grid.freq_component(ax) * t
-    mult = handle.multiplier * np.exp(-2j * np.pi * phase)
-    field = kernel_field_from_multiplier(grid, mult)
-    return KernelHandle(grid, new_id, mult, field)
+    """The kernel of `handle` translated by `offset`: its multiplier times
+    exp(-2 pi i xi . offset), the phase evaluated on the multiplier's
+    frequency band only, where the product is nonzero."""
+    band = frequency_band(handle.multiplier)
+    phase = np.zeros(band.shape, dtype=np.complex128)
+    for xi, t in zip(grid.band_freqs(band.shape), offset):
+        phase = phase + xi * t
+    mult = embed_band(band * np.exp(-2j * np.pi * phase), grid.shape)
+    return KernelHandle(grid, new_id, mult, kernel_field_from_multiplier(grid, mult))
 
 
 def _modulate_kernel(handle, grid, eta, new_id):
@@ -529,7 +552,8 @@ def build_dictionary(grid, j, beta, kind, spec):
     of tau_multiplier and psi_cone_multiplier (module docstring), so
     neighbouring classes, which share all but one of their tau levels,
     evaluate each low-pass profile once; a sinc box evaluates its centre
-    phase only on its B-spline support, where the product is nonzero.
+    phase only on its B-spline support, and a translate its phase only on
+    its base's band, where the product is nonzero.
 
     Each candidate is certified, scaled and released before the next is
     built; only its scaled multiplier is kept, as a read-only copy on its

@@ -1,5 +1,7 @@
 """Shared fixtures."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from phaseproj import grid, kernels
@@ -22,3 +24,31 @@ def fresh_kernel_caches():
     _clear_kernel_caches()
     yield
     _clear_kernel_caches()
+
+
+class RecordingPool(ThreadPoolExecutor):
+    """A thread pool that keeps every task it was given."""
+
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.tasks = []
+
+    def submit(self, fn, *args, **kwargs):
+        task = super().submit(fn, *args, **kwargs)
+        self.tasks.append(task)
+        return task
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    """pool(k) puts a k-worker RecordingPool in place of the norm pool."""
+    made = []
+
+    def install(workers):
+        made.append(RecordingPool(workers))
+        monkeypatch.setattr(grid, "_POOL", (made[-1], workers))
+        return made[-1]
+
+    yield install
+    for executor in made:
+        executor.shutdown()

@@ -9,11 +9,13 @@ import math
 
 import numpy as np
 
+from phaseproj import kernels
 from phaseproj.cubes import DyadicCube, TreeConfig
-from phaseproj.grid import kernel_field_from_multiplier
+from phaseproj.grid import SampledField, kernel_field_from_multiplier
 from phaseproj.kernels import (
     LOWPASS_PROFILE,
     KernelHandle,
+    bspline_central,
     build_mollifier,
     cone_multiplier_values,
     psi_multiplier,
@@ -158,3 +160,65 @@ def expand_band(grid, band):
     dense = np.zeros(grid.shape, dtype=band.dtype)
     dense[np.ix_(*positions)] = band
     return dense
+
+
+def translate_lattice(handle, grid, offset, new_id):
+    """The translate of kernels._translate with its phase evaluated on the
+    whole lattice."""
+    phase = np.zeros(grid.shape, dtype=np.complex128)
+    for ax, t in enumerate(offset):
+        phase = phase + grid.freq_component(ax) * t
+    mult = handle.multiplier * np.exp(-2j * np.pi * phase)
+    return KernelHandle(grid, new_id, mult, kernel_field_from_multiplier(grid, mult))
+
+
+def sinc_power_lattice(grid, j, beta, kind, eta):
+    """(multiplier, spatial samples) of kernels.build_sinc_power with each
+    product, and the phase sum, started from a full-grid array of ones or
+    zeros."""
+    k_pow = max(1, math.ceil(beta / 2.0))
+    d = grid.dim
+    eta = np.asarray(eta, dtype=float)
+    if kind == "psi":
+        half_width = kernels._psi_box_width(j, d, float(np.linalg.norm(eta)))
+    else:
+        half_width = (2.0 ** (-j) - float(np.linalg.norm(eta))) / math.sqrt(d)
+    a = half_width / k_pow
+    cube_center = 2.0 ** (j - 1)
+    per = kernels._periodized_sinc_power(grid, a, k_pow, cube_center)
+    mult = np.ones(grid.shape, dtype=np.complex128)
+    values = np.ones(grid.shape, dtype=np.complex128)
+    phase = np.zeros(grid.shape)
+    xi_1d = grid.axis_freqs
+    for ax in range(d):
+        mult_1d = np.zeros(grid.samples)
+        phase_1d = np.zeros(grid.samples, dtype=np.complex128)
+        inside = np.abs(xi_1d - eta[ax]) < k_pow * a
+        mult_1d[inside] = bspline_central((xi_1d[inside] - eta[ax]) / a, 2 * k_pow) / a
+        phase_1d[inside] = np.exp(-2j * np.pi * xi_1d[inside] * cube_center)
+        mult = mult * grid.on_axis(mult_1d, ax)
+        mult = mult * grid.on_axis(phase_1d, ax)
+        values = values * grid.on_axis(per, ax)
+        phase = phase + eta[ax] * (grid.point_component(ax) - cube_center)
+    return mult, SampledField(grid, values * np.exp(2j * np.pi * phase))
+
+
+def sinc_profile_serial(grid, a, k_pow, center):
+    """kernels._periodized_sinc_power with its table filled by one serial
+    loop over the same 2^14-point chunks."""
+    n, h = grid.samples, grid.spacing
+    q = int(2 * (grid.half_width + center) / h)
+    odd = q % 2
+    down, up = (6 * n + q - odd) // 2, (6 * n + q + odd) // 2
+    table = np.empty(max(down, 7 * n - 1 - up) + 1)
+    for lo in range(0, table.size, 1 << 14):
+        t = np.arange(lo, min(lo + (1 << 14), table.size), dtype=float)
+        abs_y = 0.5 * h * (2 * t + odd)
+        table[lo:lo + t.size] = np.sinc(a * abs_y) ** (2 * k_pow)
+    per = np.zeros(n)
+    for lo in range(0, 7 * n, n):
+        mid = min(max(up, lo), lo + n)
+        if mid > lo:
+            per[:mid - lo] += table[down - mid + 1:down - lo + 1][::-1]
+        per[mid - lo:] += table[mid - up:lo + n - up]
+    return per

@@ -6,14 +6,15 @@ import os
 import sys
 import threading
 import weakref
-from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from math import inf
 
 import numpy as np
 import pytest
+from conftest import RecordingPool
 from oracles import expand_band
 
 from phaseproj import estimators
+from phaseproj import grid as grid_module
 from phaseproj.acceptance import REFERENCE_CONFIG, ConstantTable, uniformity_by_key
 from phaseproj.cubes import DyadicCube, TreeConfig, unit_cube
 from phaseproj.errors import InternalConsistencyError, ValidationError
@@ -26,6 +27,7 @@ from phaseproj.estimators import (
     offtree_eligible,
     root_peak_weight,
     verify_witness,
+    window_cubes,
 )
 from phaseproj.grid import (
     SampledField,
@@ -314,20 +316,18 @@ def deep():
 
 
 class TestTableOracles:
-    @pytest.mark.parametrize("dim,samples,depth", [(1, 1 << 10, 2), (2, 1 << 6, 0)])
+    @pytest.mark.parametrize("dim,samples,depth", [(1, 1 << 10, 2), (2, 1 << 6, 0),
+                                                   (3, 1 << 5, -1)])
     def test_slice_weights_equal_rho_powers(self, dim, samples, depth):
         grid = TorusGrid(dim, 8.0, samples)
-        window = enumerate_window(dim, depth)
         for e in (2.0, 3.0, 6.0, 9.0):
             for level in range(0, -(depth + 3), -1):
                 weight = level_weights(grid, level, e)
-                scratch = np.empty(grid.shape)
-                for cube in (c for c in window if c.level == level):
-                    want = rho_values(grid, cube) ** -e
-                    assert np.array_equal(weight(cube, None), want), (e, cube)
-                    # in d >= 2 the weight is written into the scratch
-                    assert np.array_equal(weight(cube, scratch), want), (e, cube)
-                    assert (weight(cube, scratch) is scratch) == (dim > 1)
+                # in d = 3 every 37th cube of the window
+                for cube in window_cubes(dim, level)[::37 if dim == 3 else 1]:
+                    got = weight(cube)
+                    assert np.array_equal(got, rho_values(grid, cube) ** -e), (e, cube)
+                    assert got.shape == grid.shape and not got.flags.writeable
 
     @pytest.mark.parametrize("dim,samples", [(1, 1 << 10), (2, 1 << 6)])
     def test_clamped_root_peak_equals_grid_max(self, dim, samples):
@@ -385,34 +385,6 @@ class TestTableOracles:
 # ---------------------------------------------------------------------------
 # The per-cube norms on the thread pool.
 
-class RecordingPool(ThreadPoolExecutor):
-    """A thread pool that keeps every task it was given."""
-
-    def __init__(self, workers):
-        super().__init__(workers)
-        self.tasks = []
-
-    def submit(self, fn, *args, **kwargs):
-        task = super().submit(fn, *args, **kwargs)
-        self.tasks.append(task)
-        return task
-
-
-@pytest.fixture
-def pool(monkeypatch):
-    """pool(k) puts a k-worker RecordingPool in place of the norm pool."""
-    made = []
-
-    def install(workers):
-        made.append(RecordingPool(workers))
-        monkeypatch.setattr(estimators, "_POOL", (made[-1], workers))
-        return made[-1]
-
-    yield install
-    for executor in made:
-        executor.shutdown()
-
-
 def serial_level_norms(field, plan, weight_exp, p_values):
     """The per-cube loop without the pool, norms written out in full."""
     grid = field.grid
@@ -422,7 +394,7 @@ def serial_level_norms(field, plan, weight_exp, p_values):
                      for k in kernels]
         weight_of = level_weights(grid, level, weight_exp)
         for cube in cubes:
-            weight = weight_of(cube, None)
+            weight = weight_of(cube)
             rows = []
             for kernel_id, resp_mag in responses:
                 mag = weight * resp_mag
@@ -449,32 +421,45 @@ def norm_case(dim):
                  [DyadicCube(-1, (k,)) for k in range(-8, 9)]),
                 (0, build_dictionary(grid, -2, 8.0, "psi", DictionarySpec()),
                  [DyadicCube(0, (k,)) for k in range(-4, 5)])]
-    else:
+    elif dim == 2:
         grid = TorusGrid(2, 8.0, 1 << 6)
         spec = DictionarySpec(2, 1, 1, 1)
         plan = [(0, build_dictionary(grid, -1, 12.0, "phi", spec),
                  [DyadicCube(0, (a, b)) for a in range(-3, 4) for b in (-1, 0, 2)]),
                 (1, build_dictionary(grid, 0, 12.0, "phi", spec),
                  [DyadicCube(1, (a, b)) for a in (-2, 0, 1) for b in (-1, 2)])]
+    else:
+        grid = TorusGrid(3, 8.0, 1 << 5)
+        spec = DictionarySpec(1, 1, 1, 1, 1, 1)
+        plan = [(0, build_dictionary(grid, 0, 16.0, "phi", spec),
+                 [DyadicCube(0, (a, b, c)) for a in (-2, 0, 1) for b in (-1, 1) for c in (0, 3)]),
+                (1, build_dictionary(grid, 1, 16.0, "psi", spec),
+                 [DyadicCube(1, (a, -1, b)) for a in (-1, 0) for b in (-2, 1)])]
+        field = random_bandpass_field(grid, seed=5, annulus=(0.25, 0.75), n_modes=4)
+        return field, plan
     field = random_bandpass_field(grid, seed=5, annulus=(1.0, 2.0), n_modes=4)
     return field, plan
 
 
-class TrackedFuture(Future):
-    """A Future that keeps a weak reference to each result set on it."""
+class ResponsePool(RecordingPool):
+    """A RecordingPool that keeps a weak reference to the kernel response
+    of each norm task."""
 
-    results = []
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.responses = []
 
-    def set_result(self, result):
-        TrackedFuture.results.append(weakref.ref(result))
-        super().set_result(result)
+    def submit(self, fn, *args, **kwargs):
+        if fn is estimators._block_norms:
+            self.responses.append(weakref.ref(args[0]))
+        return super().submit(fn, *args, **kwargs)
 
 
 class TestNormPool:
     P_VALUES = (1.0, 2.0, inf, 3.0)
 
     @pytest.mark.parametrize("workers", [None, 1, 3])
-    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_rows_equal_serial_loop(self, dim, workers, pool):
         if workers is not None:
             pool(workers)
@@ -498,26 +483,26 @@ class TestNormPool:
         assert executor.tasks and all(task.done() for task in executor.tasks)
 
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_publish_error_reaches_caller(self, workers, pool, monkeypatch):
-        # the third response fails while every task of the level waits on it
+    def test_response_error_reaches_caller(self, workers, pool, monkeypatch):
+        # the third response's FFT fails while the pool takes the first two
         executor = pool(workers)
         field, plan = norm_case(1)
-        published = []
+        built = len(executor.tasks)   # the sinc-profile tables of the plan
+        computed = []
         real = estimators.apply_multiplier
 
         def failing(a, multiplier):
-            if len(published) == 2:
+            if len(computed) == 2:
                 raise MemoryError("no room for a response")
-            published.append(multiplier)
+            computed.append(multiplier)
             return real(a, multiplier)
 
         monkeypatch.setattr(estimators, "apply_multiplier", failing)
         with pytest.raises(MemoryError, match="no room"):
             list(level_norms(field, plan, 2.0, self.P_VALUES))
-        assert len(executor.tasks) == len(plan[0][2])
+        # one task per block of cubes and kernel, none queued or running
+        assert len(executor.tasks) - built == 2 * workers
         assert all(task.done() for task in executor.tasks)
-        assert all(isinstance(task.exception(), CancelledError)
-                   for task in executor.tasks if not task.cancelled())
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_plan_error_reaches_caller(self, workers, pool):
@@ -532,29 +517,37 @@ class TestNormPool:
             list(level_norms(field, broken_plan(), 2.0, self.P_VALUES))
         assert executor.tasks and all(task.done() for task in executor.tasks)
 
-    def test_one_level_of_responses_alive(self, pool, monkeypatch):
-        # the plan is pulled one level ahead, while the previous level's
-        # responses may still be read; those of the level before are gone
-        pool(2)
-        monkeypatch.setattr(estimators, "Future", TrackedFuture)
-        monkeypatch.setattr(TrackedFuture, "results", [])
+    def test_one_level_of_responses_alive(self, monkeypatch):
+        # the responses of a level are freed before the next level's are
+        # computed: only its tasks held them
+        executor = ResponsePool(2)
+        monkeypatch.setattr(grid_module, "_POOL", (executor, 2))
         field, plan = norm_case(1)
         plan = plan + [(level, kernels, cubes[:3]) for level, kernels, cubes in plan]
-        published_before_pull = []
+        pulled, checked = [], []   # responses handed out at each pull of the plan
+        real = estimators.apply_multiplier
 
         def watched():
             for entry in plan:
-                published_before_pull.append(len(TrackedFuture.results))
-                if len(published_before_pull) > 2:
-                    older = TrackedFuture.results[:published_before_pull[-2]]
-                    assert all(ref() is None for ref in older)
+                pulled.append(len(executor.responses))
                 yield entry
 
-        rows = list(level_norms(field, watched(), 2.0, self.P_VALUES))
+        def computing(a, multiplier):
+            earlier = executor.responses[:pulled[-1]]
+            assert all(ref() is None for ref in earlier)
+            checked.append(len(earlier))
+            return real(a, multiplier)
+
+        monkeypatch.setattr(estimators, "apply_multiplier", computing)
+        try:
+            rows = list(level_norms(field, watched(), 2.0, self.P_VALUES))
+        finally:
+            executor.shutdown()
         assert len(rows) == sum(len(cubes) for _, _, cubes in plan)
-        assert published_before_pull == list(
-            np.cumsum([0] + [len(kernels) for _, kernels, _ in plan[:-1]]))
-        assert all(ref() is None for ref in TrackedFuture.results)
+        # two blocks per kernel, one for each worker
+        assert pulled == list(np.cumsum([0] + [2 * len(kernels) for _, kernels, _ in plan[:-1]]))
+        assert sorted(set(checked)) == pulled
+        assert all(ref() is None for ref in executor.responses)
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_abandoned_generator(self, workers, pool):

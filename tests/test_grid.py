@@ -246,7 +246,7 @@ class TestNorms:
             1.0, abs=1e-12)
 
     def test_weight_range(self, g2):
-        w = level_weights(g2, -1, 3.0)(DyadicCube(-1, (0, 1)), None)
+        w = level_weights(g2, -1, 3.0)(DyadicCube(-1, (0, 1)))
         assert np.all(w > 0)
         assert np.all(w <= 1.0)
         rho = rho_values(g2, DyadicCube(-1, (0, 1)))

@@ -19,7 +19,7 @@ from phaseproj import estimators, harness, projection
 from phaseproj.acceptance import REFERENCE_CONFIG, headline_rows
 from phaseproj.cubes import DyadicCube, expand_to_tree, unit_cube
 from phaseproj.errors import ValidationError
-from phaseproj.grid import TorusGrid
+from phaseproj.grid import TorusGrid, plane_wave
 from phaseproj.kernels import DictionarySpec
 from phaseproj.harness import (
     RunConfig,
@@ -29,6 +29,7 @@ from phaseproj.harness import (
     random_partition_cells,
     generate_tree,
     load_baselines,
+    mode_field,
     modulation_demo,
     parse_p,
     random_bandpass_field,
@@ -111,6 +112,31 @@ class TestGenerators:
         record = run(RunConfig(grid_n=1 << 12, f_mode_count=count))
         assert record["error"]["stage"] == "f"
         assert record["error"]["type"] == "ValidationError"
+
+
+class TestModeField:
+    # on N = 2^14, B = 8 the lattice step is 1/16 and Nyquist 512
+    @pytest.mark.parametrize("modes", [
+        ((1000.0, 1.0, 0.0),), ((512.0, 1.0, 0.0),), ((-512.0, 1.0, 0.0),),
+        ((0.51, 1.0, 0.0),), ((3.0, 1.0, 0.0), (3.0 + 1e-6, 1.0, 0.0)),
+        (((3.0, 1.0), 1.0, 0.0),)])
+    def test_aliasing_mode_recorded_at_f_stage(self, modes):
+        record = run(replace(REFERENCE_CONFIG, f_modes=modes))
+        assert record["error"]["stage"] == "f"
+        assert record["error"]["type"] == "ValidationError"
+        assert "lattice frequency below Nyquist" in record["error"]["message"]
+
+    def test_modes_on_the_lattice_kept(self):
+        grid = TorusGrid(2, 8.0, 1 << 6)
+        f = mode_field(grid, (((1.5, -31 / 16), 1.0, 0.5),))
+        assert np.array_equal(f.values, (1.0 + 0.5j) * plane_wave(grid, (1.5, -31 / 16)))
+
+    def test_undrawable_annulus_bound_recorded_at_f_stage(self):
+        # 1e30 * 2B is past the int64 lattice indices the generator draws from
+        record = run(RunConfig(grid_n=1 << 12, f_annulus=(1.0, 1e30)))
+        assert record["error"] == {
+            "stage": "f", "type": "ValidationError",
+            "message": "annulus bound 1e+30 is past every drawable lattice index"}
 
 
 class TestRun:
@@ -345,7 +371,8 @@ class TestConfig:
     @pytest.mark.parametrize("field,value", [
         ("leaves", ((-1, "a"),)), ("leaves", (5,)), ("f_annulus", 3), ("f_modes", (1,)),
         ("tree_seed", 1.5), ("alpha", math.inf), ("f_annulus", (1.0, math.inf)),
-        ("f_modes", ((math.nan, 1, 0),)), ("f_annulus", (1, 10 ** 400))])
+        ("f_modes", ((math.nan, 1, 0),)), ("f_annulus", (1, 10 ** 400)),
+        ("f_annulus", (-5.0, -1.0)), ("f_annulus", (3.0, 1.0))])
     def test_bad_value_from_python_recorded_at_config_stage(self, field, value):
         # checked as RunConfig.from_dict checks it, before to_dict reads it
         record = run(RunConfig(**{field: value}))

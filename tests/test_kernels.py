@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -14,7 +15,10 @@ from oracles import (
     psi_cone_lattice,
     psi_kernel,
     psi_lattice,
+    sinc_power_lattice,
+    sinc_profile_serial,
     tau_lattice,
+    translate_lattice,
 )
 from phaseproj import kernels
 from phaseproj.errors import ResolutionError, ValidationError
@@ -586,6 +590,36 @@ class TestMemoizedBands:
             build_sinc_power(g1, -9, 4 * ALPHA, "phi", np.zeros(1))
 
 
+class TestBandOnlyEvaluation:
+    """The translates and sinc boxes equal their evaluation on the whole
+    lattice (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("dim,samples", [(1, 1 << 12), (2, 1 << 7)])
+    def test_translate_equals_lattice_phase(self, dim, samples):
+        grid = TorusGrid(dim, 8.0, samples)
+        for base in (build_tau(grid, -1), build_psi_cone(grid, dim - 1, 0)):
+            for t in (grid.spacing, 0.5, 3.0 - grid.spacing):
+                offset = np.zeros(dim)
+                offset[-1] = t
+                got = kernels._translate(base, grid, offset, "tr")
+                want = translate_lattice(base, grid, offset, "tr")
+                assert np.array_equal(got.multiplier, want.multiplier)
+                assert np.array_equal(got.field.values, want.field.values)
+
+    @pytest.mark.parametrize("dim,samples", [(1, 1 << 12), (2, 1 << 7)])
+    def test_sinc_power_equals_products_from_ones(self, dim, samples):
+        grid = TorusGrid(dim, 8.0, samples)
+        u = 2.0 ** -2
+        for kind, eta in (("phi", 0.0), ("phi", -2 * u), ("psi", 3 * u), ("psi", -7 * u)):
+            for ax in range(dim):
+                vector = np.zeros(dim)
+                vector[ax] = eta
+                got = build_sinc_power(grid, -1, 12.0, kind, vector)
+                mult, field = sinc_power_lattice(grid, -1, 12.0, kind, vector)
+                assert np.array_equal(got.multiplier, mult)
+                assert np.array_equal(got.field.values, field.values)
+
+
 class TestCaches:
     """The per-class dictionary LRU (build_dictionary's lru_cache) and the
     per-box and per-class arrays."""
@@ -679,6 +713,32 @@ class TestSincProfileTable:
                 got = kernels._periodized_sinc_power(grid, a, k_pow, center)
                 assert np.array_equal(got, direct_sinc_power(grid, a, k_pow, center)), (
                     j, a, k_pow)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_pool_filled_table_equals_serial_chunks(self, workers, pool):
+        executor = pool(workers)
+        grid = TorusGrid(1, 8.0, 1 << 17)
+        for j, a, k_pow in ((-3, 2.0 ** 3 / 3, 4), (-5, 0.37, 3), (0, 1.0, 6)):
+            center = 2.0 ** (j - 1)
+            got = kernels._periodized_sinc_power(grid, a, k_pow, center)
+            assert np.array_equal(got, sinc_profile_serial(grid, a, k_pow, center))
+        assert len(executor.tasks) == 3 * workers   # one helper per worker
+
+    def test_caller_fills_the_table_past_busy_workers(self, pool):
+        # with every worker held by an earlier task, the caller fills the
+        # whole table itself and its queued helpers are cancelled
+        executor = pool(2)
+        release = threading.Event()
+        for _ in range(2):
+            executor.submit(release.wait, 30)
+        grid = TorusGrid(1, 8.0, 1 << 15)
+        try:
+            got = kernels._periodized_sinc_power(grid, 0.37, 3, 2.0 ** -6)
+            assert all(helper.cancelled() for helper in executor.tasks[2:])
+        finally:
+            release.set()
+        assert len(executor.tasks) == 4
+        assert np.array_equal(got, sinc_profile_serial(grid, 0.37, 3, 2.0 ** -6))
 
     def test_class_finer_than_the_grid_refused(self):
         # a class of level j has its sinc profile centred at 2^(j-1), on the
