@@ -8,7 +8,7 @@ import json
 import os
 import sys
 
-from .acceptance import run_sweep_artifacts, uniformity_by_key
+from .acceptance import compute_baselines, run_sweep_artifacts, uniformity_by_key
 from .errors import PhaseprojError, ValidationError
 from .harness import (
     RunConfig,
@@ -144,7 +144,6 @@ def _cmd_mod_demo(args):
 
 
 def _cmd_freeze(args):
-    from .acceptance import compute_baselines
     values, notes = compute_baselines(verbose=True)
     save_baselines(values, notes)
     print("baselines frozen:")

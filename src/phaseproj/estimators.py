@@ -76,7 +76,6 @@ from .grid import (
     lp_norms,
     mollified_distance,
     norm_pool,
-    norm_workers,
 )
 from .kernels import build_dictionary
 
@@ -105,7 +104,7 @@ def _start_level(field, kernels, cubes, level, weight_exp, p_values, tasks):
     h_d = grid.spacing ** grid.dim
     weight_of = level_weights(grid, level, weight_exp)
     weights = [weight_of(cube) for cube in cubes]
-    pool, workers = norm_pool()[0], norm_workers()
+    pool, workers = norm_pool()
     blocks = [weights[len(cubes) * b // workers:len(cubes) * (b + 1) // workers]
               for b in range(workers)]
     for kernel, column in zip(kernels, tasks):

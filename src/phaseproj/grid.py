@@ -229,7 +229,7 @@ def frequency_band(multiplier):
     that holds a nonzero value anywhere, or the whole axis where that
     would cover it; every value outside the band is zero.  A kernel
     band-limited to |xi| < r keeps about (4 B r)^d of the N^d values.
-    apply_multiplier takes the band in place of the multiplier.
+    A band is its own band, and a multiplier that fills the lattice is one.
     """
     nonzero = multiplier != 0
     index = []
@@ -245,8 +245,7 @@ def frequency_band(multiplier):
 
 def embed_band(band, shape):
     """A frequency band laid on the full lattice, or on a wider band, of
-    the given shape: its values in place, +0 everywhere else.  Applied to
-    a band instead of a lattice, frequency_band finds the same band."""
+    the given shape: its values in place, +0 everywhere else."""
     out = np.zeros(shape, dtype=band.dtype)
     out[np.ix_(*map(_band_index, shape, band.shape))] = band
     return out
@@ -255,11 +254,11 @@ def embed_band(band, shape):
 def apply_multiplier(a, multiplier, keep_spectrum=True):
     """Field whose spectrum is `multiplier` times the spectrum of `a`.
 
-    Realizes the convolution a * k for the kernel with Fourier transform
-    `multiplier` sampled on the frequency lattice (fftfreq ordering),
-    given on the whole lattice or as its frequency_band; off the band
-    the product is zero.  The output caches that spectrum unless
-    keep_spectrum is False.
+    Realizes the convolution a * k for the kernel whose Fourier transform
+    sampled on the frequency lattice (fftfreq ordering) is the frequency
+    band `multiplier`; off the band the product is zero, and a band that
+    fills the lattice takes one product.  The output caches that spectrum
+    unless keep_spectrum is False.
     """
     spec = a.fft()
     if multiplier.shape == spec.shape:
@@ -290,14 +289,16 @@ def field_multiplier(k):
     return np.fft.fftn(np.fft.ifftshift(k.values)) * h_d
 
 
-def kernel_field_from_multiplier(grid, multiplier):
-    """Spatial samples of the kernel defined by a lattice multiplier.
+def kernel_field_from_multiplier(grid, band):
+    """Spatial samples of the kernel whose multiplier is the frequency
+    band `band`: the one place where a kernel's band is laid on the
+    lattice (embed_band).
 
     Equals the 2B-periodization of the continuous kernel whose Fourier
     transform the multiplier samples (Poisson summation), evaluated on
     the grid.
     """
-    spec = _lattice_sign(grid, np.array(multiplier, dtype=np.complex128))
+    spec = _lattice_sign(grid, embed_band(band.astype(np.complex128), grid.shape))
     values = np.fft.ifftn(spec) * (grid.samples / (2.0 * grid.half_width)) ** grid.dim
     return SampledField(grid, values)
 

@@ -28,7 +28,7 @@ from .cubes import (
     unit_cube,
 )
 from .errors import PhaseprojError, ValidationError
-from .estimators import EstimatorContext, bernstein_sweep, norm_workers
+from .estimators import EstimatorContext, bernstein_sweep
 from .grid import (
     SampledField,
     TorusGrid,
@@ -36,6 +36,7 @@ from .grid import (
     load_field,
     lp_norm,
     modulate,
+    norm_workers,
     physical_spectrum,
     plane_wave,
     save_field,

@@ -7,33 +7,37 @@ into pieces where one frequency coordinate dominates, and one-variable
 antiderivatives (theta).  The mollifier kappa is the one kernel built in
 space, so its compact support is exact on the grid.
 
+Each of these multipliers is supported in a ball or an annulus, so a
+kernel's multiplier is its frequency band (grid.frequency_band; every
+value off it is zero).  Every builder returns its handle through
+_finish, which takes the band; grid.kernel_field_from_multiplier lays a
+band on the lattice for the spatial samples, and grid.apply_multiplier
+reads it.
+
 Class membership is certified empirically: `leak` is the largest
 multiplier value outside the admissible frequency set and `lambda_max`
 the largest scaling that keeps the kernel under the pointwise envelope
 2^{-dj} rho_{[0,2^j]^d}^{-beta}.
 
 A dictionary certifies each candidate once and keeps it scaled by its
-lambda_max, band-limited to |xi| < 2^-j: on its frequency band only
-(grid.frequency_band, which grid.apply_multiplier reads), without a field.
+lambda_max, band-limited to |xi| < 2^-j, without a field.
 
 The multipliers that depend on no f are evaluated once per (grid, j) and
-kept as read-only frequency bands in small LRU caches keyed by the grid's
-value: tau_multiplier, psi_cone_multiplier (its cone weights computed on
-psi_j's band only) and, as the difference of two tau bands,
-psi_multiplier.  Each band holds the floats of the evaluation on the
-whole lattice, which is zero off the band.  A builder that needs the
-whole lattice (the spatial samples, the certificate) expands the band
-with grid.embed_band; the projection frame reads the bands directly.
-Likewise a translate evaluates its phase on its base's band only, and a
-sinc box its B-spline and centre phase on 1-d supports.  Besides the
-per-cube norms, the norm pool fills only the sinc-profile tables.
+kept as read-only bands in small LRU caches keyed by the grid's value:
+tau_multiplier, psi_cone_multiplier (its cone weights computed on psi_j's
+band only) and, as the difference of two tau bands, psi_multiplier.
+Each band holds the floats of the evaluation on the whole lattice, which
+is zero off the band.  Likewise a translate evaluates its phase on its
+base's band, and a sinc box its B-spline and centre phase on 1-d
+supports.  Besides the per-cube norms, the norm pool fills only the
+sinc-profile tables.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -99,11 +103,12 @@ MOLLIFIER_PROFILE = BumpProfile(0.5, 1.0)   # kappa's radial shape
 
 @dataclass
 class KernelHandle:
-    """A kernel with its lattice multiplier and spatial samples."""
+    """A kernel with its multiplier, as its grid.frequency_band, and its
+    spatial samples."""
 
     grid: object
     kernel_id: str
-    multiplier: np.ndarray       # in a dictionary, scaled, its grid.frequency_band
+    multiplier: np.ndarray       # a band; in a dictionary, scaled
     field: SampledField | None   # None in a dictionary
 
 
@@ -115,10 +120,13 @@ def _require_band_inside_nyquist(grid, radius, what):
 
 
 def _finish(grid, kernel_id, mult, field=None):
-    """The handle of a kernel, its spatial samples from the multiplier unless given."""
+    """The handle of the kernel of multiplier `mult`, on the lattice or a
+    band: it keeps the band of `mult` and, unless given, the spatial
+    samples laid from that band.  Every builder returns through here."""
+    band = frequency_band(mult)
     if field is None:
-        field = kernel_field_from_multiplier(grid, mult)
-    return KernelHandle(grid, kernel_id, mult, field)
+        field = kernel_field_from_multiplier(grid, band)
+    return KernelHandle(grid, kernel_id, band, field)
 
 
 # Room for the 10 tau levels and 9 cone pieces that the first five
@@ -134,7 +142,7 @@ def tau_multiplier(grid, j):
 def build_tau(grid, j):
     """Low-pass kernel tau_j: multiplier 1 on |xi| <= 2^-j, 0 beyond 2^(1-j)."""
     _require_band_inside_nyquist(grid, 2.0 ** (1 - j), f"tau_{j}")
-    return _finish(grid, f"tau[{j}]", embed_band(tau_multiplier(grid, j), grid.shape))
+    return _finish(grid, f"tau[{j}]", tau_multiplier(grid, j))
 
 
 def psi_multiplier(grid, j):
@@ -184,8 +192,7 @@ def psi_cone_multiplier(grid, n, j):
 def build_psi_cone(grid, n, j):
     """Cone piece psi_{n,j}; the pieces sum to psi_j exactly on the lattice."""
     _require_band_inside_nyquist(grid, 2.0 ** (2 - j), f"psi_{n},{j}")
-    return _finish(grid, f"psi[n={n},{j}]",
-                   embed_band(psi_cone_multiplier(grid, n, j), grid.shape))
+    return _finish(grid, f"psi[n={n},{j}]", psi_cone_multiplier(grid, n, j))
 
 
 def build_theta(grid, n, j):
@@ -201,7 +208,7 @@ def build_theta(grid, n, j):
     xi_n = np.broadcast_to(grid.band_freqs(num.shape)[n], num.shape)
     denom = (2j * np.pi * np.where(num != 0, xi_n, 1.0)) ** order
     mult = np.where(num != 0, num / denom, 0.0)
-    return _finish(grid, f"theta[n={n},{j}]", embed_band(mult, grid.shape))
+    return _finish(grid, f"theta[n={n},{j}]", mult)
 
 
 def build_mollifier(grid, radius):
@@ -229,30 +236,24 @@ def class_envelope(grid, j, beta):
     return env
 
 
-@functools.lru_cache(maxsize=4)
-def forbidden_frequencies(grid, j, kind):
-    """Lattice frequencies outside the admissible set of the class; one
-    read-only mask shared by every certificate of the class."""
-    forbidden = grid.freq_radius >= 2.0 ** (-j) * (1 - 1e-12)
-    if kind == "psi":
-        forbidden |= grid.freq_radius <= 2.0 ** (-j - 2) * (1 + 1e-12)
-    forbidden.flags.writeable = False
-    return forbidden
-
-
 def class_membership(handle, j, beta, kind="phi"):
     """Certificate for membership in Phi_j^beta (kind='phi') or Psi_j^beta.
 
     leak: largest |multiplier| outside the admissible frequency set
-    (the ball |xi| < 2^-j; for Psi additionally |xi| > 2^{-j-2}).
+    (the ball |xi| < 2^-j; for Psi additionally |xi| > 2^{-j-2}), read
+    on the band, off which every value is zero.
     lambda_max: largest scaling that keeps |kernel| under the envelope;
     passing means leak <= 1e-10 and lambda_max >= 1.
     """
     grid = handle.grid
-    forbidden = forbidden_frequencies(grid, j, kind)
     mag_mult = np.abs(handle.multiplier)
+    # the band's |xi| in the operation order of TorusGrid._radius
+    radius = np.sqrt(sum(xi ** 2 for xi in grid.band_freqs(mag_mult.shape)))
+    forbidden = radius >= 2.0 ** (-j) * (1 - 1e-12)
+    if kind == "psi":
+        forbidden |= radius <= 2.0 ** (-j - 2) * (1 + 1e-12)
     peak = float(np.max(mag_mult))
-    leak = float(np.max(mag_mult[forbidden])) if np.any(forbidden) else 0.0
+    leak = float(np.max(mag_mult[forbidden], initial=0.0))
     leak_rel = leak / peak if peak > 0 else 0.0
 
     env = class_envelope(grid, j, beta)
@@ -293,6 +294,12 @@ class DictionarySpec:
     n_trans: int = 2
     n_sinc: int = 1
     n_sinc_mod: int = 2
+
+    def __post_init__(self):
+        for field in fields(self):
+            count = getattr(self, field.name)
+            if count < 0:
+                raise ValidationError(f"DictionarySpec {field.name} must be >= 0, not {count!r}")
 
     @property
     def spec_id(self):
@@ -441,49 +448,37 @@ def build_sinc_power(grid, j, beta, kind, eta):
     return _finish(grid, tag + "]", mult, field)
 
 
-def _translate(handle, grid, offset, new_id):
-    """The kernel of `handle` translated by `offset`: its multiplier times
-    exp(-2 pi i xi . offset), the phase evaluated on the multiplier's
-    frequency band only, where the product is nonzero."""
-    band = frequency_band(handle.multiplier)
+def _translate(band, grid, offset, new_id):
+    """The kernel of multiplier `band`, a frequency band, translated by
+    `offset`: the band times exp(-2 pi i xi . offset), the phase evaluated
+    on the band only."""
     phase = np.zeros(band.shape, dtype=np.complex128)
     for xi, t in zip(grid.band_freqs(band.shape), offset):
         phase = phase + xi * t
-    mult = embed_band(band * np.exp(-2j * np.pi * phase), grid.shape)
-    return KernelHandle(grid, new_id, mult, kernel_field_from_multiplier(grid, mult))
+    return _finish(grid, new_id, band * np.exp(-2j * np.pi * phase))
 
 
 def _modulate_kernel(handle, grid, eta, new_id):
     out = SampledField(grid, handle.field.values * plane_wave(grid, eta))
-    return KernelHandle(grid, new_id, field_multiplier(out), out)
+    return _finish(grid, new_id, field_multiplier(out), out)
 
 
 def _candidates(grid, j, beta, kind, spec):
     """The candidates of build_dictionary, built one at a time.  The
-    translation and modulation bases, each built only when its family is
-    requested, reuse the candidate handles."""
-    mod_key = (build_tau, j + 2) if kind == "phi" and spec.n_mod else None
-    trans_key = (((build_tau, j + 1) if kind == "phi" else (build_psi_cone, 0, j + 2))
-                 if spec.n_trans else None)
-    reused = {mod_key, trans_key} - {None}
-    kept = {}
-
-    def build(builder, *args):
-        key = (builder, *args)
-        if key in kept:
-            return kept.pop(key)
-        handle = builder(grid, *args)
-        if key in reused:
-            kept[key] = handle
-        return handle
-
+    modulations reuse the tau_{j+2} candidate, built for them when there
+    is none, and the translates read their base's cached band."""
     lat = 1.0 / (2 * grid.half_width)
+    base_mod = None
     if kind == "phi":
         for s in range(spec.n_tau):
-            yield build(build_tau, j + 1 + s)
+            tau = build_tau(grid, j + 1 + s)
+            if s == 1 and spec.n_mod:
+                base_mod = tau
+            yield tau
+            del tau   # not held while the next candidate is built
     for s in range(spec.n_psi):
         for n in range(grid.dim):
-            yield build(build_psi_cone, n, j + 2 + s)
+            yield build_psi_cone(grid, n, j + 2 + s)
     if spec.n_sinc and kind == "phi":
         yield build_sinc_power(grid, j, beta, kind, np.zeros(grid.dim))
     if spec.n_sinc and kind == "psi":
@@ -496,8 +491,9 @@ def _candidates(grid, j, beta, kind, spec):
                     eta = np.zeros(grid.dim)
                     eta[ax] = sign * radius_units * u
                     yield build_sinc_power(grid, j, beta, kind, eta)
-    if mod_key:
-        base_mod = build(*mod_key)
+    if kind == "phi" and spec.n_mod:
+        if base_mod is None:
+            base_mod = build_tau(grid, j + 2)
         for i in range(spec.n_mod):
             mag = 2.0 ** (-j - 1) / (i + 1)
             eta = np.zeros(grid.dim)
@@ -520,8 +516,13 @@ def _candidates(grid, j, beta, kind, spec):
                     if k * 2.0 ** (-j - 2) >= 2.0 ** (-j):
                         continue
                     yield build_sinc_power(grid, j, beta, kind, eta)
-    if trans_key:
-        base_trans = build(*trans_key)
+    if spec.n_trans:
+        # the base is tau_{j+1} or psi_{0,j+2}, whose band reaches 2^-j
+        _require_band_inside_nyquist(grid, 2.0 ** (-j), f"translates at level {j}")
+        if kind == "phi":
+            base, base_id = tau_multiplier(grid, j + 1), f"tau[{j + 1}]"
+        else:
+            base, base_id = psi_cone_multiplier(grid, 0, j + 2), f"psi[n=0,{j + 2}]"
         h = grid.spacing
         for i in range(spec.n_trans):
             mag = 2.0 ** j / (i + 1)
@@ -529,7 +530,7 @@ def _candidates(grid, j, beta, kind, spec):
             offset[i % grid.dim] = max(round(mag / h), 1) * h
             if np.max(np.abs(offset)) > 2.0 ** j + 1e-12:
                 continue
-            yield _translate(base_trans, grid, offset, f"tr[{base_trans.kernel_id},t{i}]")
+            yield _translate(base, grid, offset, f"tr[{base_id},t{i}]")
 
 
 # Room for the reference sweep's 16 classes.  The 15 that its first five
@@ -548,18 +549,18 @@ def build_dictionary(grid, j, beta, kind, spec):
     Candidates with frequency leak (e.g. low frequencies in a Psi
     dictionary) are dropped.
 
-    The tau and cone candidates and their bases expand the memoized bands
-    of tau_multiplier and psi_cone_multiplier (module docstring), so
-    neighbouring classes, which share all but one of their tau levels,
-    evaluate each low-pass profile once; a sinc box evaluates its centre
-    phase only on its B-spline support, and a translate its phase only on
-    its base's band, where the product is nonzero.
+    The tau and cone candidates and the translation bases read the
+    memoized bands of tau_multiplier and psi_cone_multiplier (module
+    docstring), so neighbouring classes, which share all but one of their
+    tau levels, evaluate each low-pass profile once; a sinc box evaluates
+    its centre phase only on its B-spline support, and a translate its
+    phase only on its base's band.
 
     Each candidate is certified, scaled and released before the next is
-    built; only its scaled multiplier is kept, as a read-only copy on its
-    frequency band (grid.frequency_band: the values off the band are all
-    zero) without a field, and the result is cached per class (an LRU,
-    under which equal grids hit alike) and shared by every caller.  At
+    built; only its scaled band is kept, read-only and without a field,
+    and taken anew (grid.frequency_band), since the scaling may underflow
+    an edge value.  The result is cached per class (an LRU, under which
+    equal grids hit alike) and shared by every caller.  At
     N = 2^17 in d = 1 a phi class keeps 4.2 to 4.5 MB instead of 28.3 MB
     on the full lattice, 4.19 MB of it the two FFT-built modulations,
     which fill the lattice; a psi class keeps 4 KB to 0.5 MB instead of

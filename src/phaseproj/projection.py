@@ -23,8 +23,8 @@ multipliers of theta_{n,j-m}, psi_{n,j-m}, psi_{j-m} and tau_{-m}, and
 the wrap flags of theta and tau, read off each kernel's spatial tail
 (_kernel_entry) -- depends on (grid, tree, m) only and lives in a
 ProjectionFrame: built lazily, once, stored read-only, holding no f.
-Each multiplier is kept on its frequency band (grid.frequency_band),
-which apply_multiplier reads.  The frame is the one validated object per
+Each multiplier is its kernel's frequency band (grid.frequency_band), as
+the kernels module makes it, and apply_multiplier reads it.  The frame is the one validated object per
 (tree config, grid, strict): its constructor runs the resolution check
 and expands the tree, and a caller projecting many fields onto one tree
 (the modulation demo) builds it once and passes it to every `assemble`.
@@ -54,7 +54,6 @@ from .grid import (
     cube_mask,
     embed_band,
     fd_derivative,
-    frequency_band,
     mollified_indicator,
     partial_derivative,
     zero_field,
@@ -137,9 +136,9 @@ class ProjectionFrame:
     expanded tree and, each built once and stored read-only, its masks,
     cutoffs, kernel multipliers with their wrap flags and the chi
     derivative certificates.  The theta, tau, psi-cone and psi
-    multipliers are kept on their frequency bands (grid.frequency_band):
-    every value off the band is zero.  Holds no f and no spatial kernel
-    field."""
+    multipliers are frequency bands (grid.frequency_band), the psi-cone
+    ones held by psi_cone_multiplier's cache.  Holds no f and no spatial
+    kernel field."""
 
     def __init__(self, cfg, grid, strict):
         resolution_check(cfg, grid, strict)
@@ -178,7 +177,6 @@ class ProjectionFrame:
         """(multiplier, kernel id, wrap flag) of tau_{-m}."""
         return _kernel_entry(build_tau(self.grid, -self.m))
 
-    @_memo
     def psi_cone(self, n, j):
         return psi_cone_multiplier(self.grid, n, j - self.m)
 
@@ -218,8 +216,7 @@ def _tail_fraction(field):
 
 
 def _kernel_entry(handle):
-    return (frequency_band(handle.multiplier), handle.kernel_id,
-            _tail_fraction(handle.field) > 1e-6)
+    return handle.multiplier, handle.kernel_id, _tail_fraction(handle.field) > 1e-6
 
 
 def low_pass_complement(grid, j_min, m):

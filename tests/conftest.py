@@ -1,29 +1,41 @@
 """Shared fixtures."""
 
+import importlib
+import pkgutil
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from phaseproj import grid, kernels
+import phaseproj
+from phaseproj import grid
 
 
-def _clear_kernel_caches():
-    grid._first_equal.cache_clear()
-    kernels.build_dictionary.cache_clear()
-    kernels._periodized_sinc_power.cache_clear()
-    kernels.class_envelope.cache_clear()
-    kernels.forbidden_frequencies.cache_clear()
-    kernels.tau_multiplier.cache_clear()
-    kernels.psi_cone_multiplier.cache_clear()
+def _package_caches():
+    """Every functools.lru_cache of the package: each attribute of a
+    phaseproj module that has cache_clear, found rather than listed, so
+    that a cache added or deleted needs no edit here."""
+    caches = set()
+    for info in pkgutil.iter_modules(phaseproj.__path__):
+        module = importlib.import_module(f"phaseproj.{info.name}")
+        caches.update(value for value in vars(module).values() if hasattr(value, "cache_clear"))
+    return caches
+
+
+PACKAGE_CACHES = _package_caches()
+
+
+def _clear_package_caches():
+    for cache in PACKAGE_CACHES:
+        cache.cache_clear()
 
 
 @pytest.fixture(autouse=True)
 def fresh_kernel_caches():
     """Every test starts and ends with empty kernel and grid-array
     caches, so no test depends on what an earlier one built."""
-    _clear_kernel_caches()
+    _clear_package_caches()
     yield
-    _clear_kernel_caches()
+    _clear_package_caches()
 
 
 class RecordingPool(ThreadPoolExecutor):

@@ -162,14 +162,36 @@ def expand_band(grid, band):
     return dense
 
 
-def translate_lattice(handle, grid, offset, new_id):
-    """The translate of kernels._translate with its phase evaluated on the
-    whole lattice."""
+def translate_lattice(band, grid, offset, new_id):
+    """The translate of kernels._translate with the base band laid on the
+    whole lattice and its phase evaluated there."""
     phase = np.zeros(grid.shape, dtype=np.complex128)
     for ax, t in enumerate(offset):
         phase = phase + grid.freq_component(ax) * t
-    mult = handle.multiplier * np.exp(-2j * np.pi * phase)
+    mult = expand_band(grid, band) * np.exp(-2j * np.pi * phase)
     return KernelHandle(grid, new_id, mult, kernel_field_from_multiplier(grid, mult))
+
+
+def class_membership_lattice(handle, j, beta, kind):
+    """kernels.class_membership with the multiplier laid on the whole
+    lattice and the admissible set a mask of grid.freq_radius."""
+    grid = handle.grid
+    forbidden = grid.freq_radius >= 2.0 ** (-j) * (1 - 1e-12)
+    if kind == "psi":
+        forbidden |= grid.freq_radius <= 2.0 ** (-j - 2) * (1 + 1e-12)
+    mag_mult = np.abs(expand_band(grid, handle.multiplier))
+    peak = float(np.max(mag_mult))
+    leak = float(np.max(mag_mult[forbidden])) if np.any(forbidden) else 0.0
+    leak_rel = leak / peak if peak > 0 else 0.0
+    env = kernels.class_envelope(grid, j, beta)
+    mag = np.abs(handle.field.values)
+    if float(np.max(mag)) == 0:
+        lam = math.inf
+    else:
+        significant = mag > 1e-300
+        lam = float(np.min(np.where(significant, env / np.where(significant, mag, 1.0), math.inf)))
+    return {"leak": leak_rel, "lambda_max": lam,
+            "passed": bool(leak_rel <= 1e-10 and lam >= 1.0 - 1e-12)}
 
 
 def sinc_power_lattice(grid, j, beta, kind, eta):

@@ -148,6 +148,14 @@ def test_unknown_dict_spec_key(tmp_path, capsys):
     assert err.startswith("error:") and "unknown DictionarySpec keys: n_bogus, zzz" in err
 
 
+def test_negative_dict_spec_count(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"dict_spec": {"n_tau": -1, "n_sinc": -1}}))
+    assert cli.main(["verify", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "DictionarySpec n_tau must be >= 0, not -1" in err
+
+
 @pytest.mark.parametrize("text", ["x", "1.5", "0,,1"])
 def test_bad_m_list(capsys, text):
     assert cli.main(["sweep", "--m-list", text]) == 1

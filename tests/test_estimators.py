@@ -571,7 +571,7 @@ class TestNormPool:
             assert got == list(serial_level_norms(field, plan, 2.0, self.P_VALUES))
 
     def test_pool_sized_from_affinity(self):
-        assert estimators.norm_workers() == len(os.sched_getaffinity(0))
+        assert grid_module.norm_workers() == len(os.sched_getaffinity(0))
 
 
 class TestBernsteinErrors:

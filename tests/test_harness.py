@@ -19,7 +19,7 @@ from phaseproj import estimators, harness, projection
 from phaseproj.acceptance import REFERENCE_CONFIG, headline_rows
 from phaseproj.cubes import DyadicCube, expand_to_tree, unit_cube
 from phaseproj.errors import ValidationError
-from phaseproj.grid import TorusGrid, plane_wave
+from phaseproj.grid import TorusGrid, norm_workers, plane_wave
 from phaseproj.kernels import DictionarySpec
 from phaseproj.harness import (
     RunConfig,
@@ -242,7 +242,7 @@ class TestRun:
         assert data["config_hash"] == config.config_hash()
         assert "_runtime" not in data
         timings = (out / "timings.txt").read_text().splitlines()
-        assert f"workers {estimators.norm_workers()}" in timings
+        assert f"workers {norm_workers()}" in timings
 
     @pytest.mark.parametrize("window_depth", [None, 0])
     def test_tree_csv_lists_tree_cubes_and_first_shells(self, tmp_path, window_depth):
@@ -433,6 +433,15 @@ class TestConfig:
         config = RunConfig.from_dict({"dict_spec": {}})
         assert type(config.dict_spec) is DictionarySpec
         assert config.config_hash() == RunConfig().config_hash() == "ec3b3126440966ae"
+
+    @pytest.mark.parametrize("key", ["n_tau", "n_sinc_mod"])
+    def test_negative_family_count_refused(self, key):
+        # unchecked, -1 would act as 0 in range(-1) and as 1 in `if spec.n_sinc`
+        with pytest.raises(ValidationError, match=f"DictionarySpec {key} must be >= 0, not -1"):
+            RunConfig.from_dict({"dict_spec": {key: -1}})
+        with pytest.raises(ValidationError, match=f"DictionarySpec {key} must be >= 0"):
+            DictionarySpec(**{key: -1})
+        assert getattr(DictionarySpec(**{key: 0}), key) == 0
 
     @pytest.mark.parametrize("data", [[1], "abc", None])
     def test_config_that_is_not_an_object_refused(self, data):

@@ -7,7 +7,9 @@ import threading
 import numpy as np
 import pytest
 
+from conftest import PACKAGE_CACHES
 from oracles import (
+    class_membership_lattice,
     cone_partition,
     expand_band,
     is_real,
@@ -20,6 +22,7 @@ from oracles import (
     tau_lattice,
     translate_lattice,
 )
+from phaseproj import grid as grid_module
 from phaseproj import kernels
 from phaseproj.errors import ResolutionError, ValidationError
 from phaseproj.grid import (
@@ -27,6 +30,7 @@ from phaseproj.grid import (
     TorusGrid,
     apply_multiplier,
     frequency_band,
+    kernel_field_from_multiplier,
     lp_norm,
 )
 from phaseproj.kernels import (
@@ -112,7 +116,7 @@ class TestTau:
         tau = build_tau(g1, j)
         r = g1.freq_radius
         outside = r >= 2.0 ** (1 - j)
-        assert np.max(np.abs(tau.multiplier[outside])) == 0.0
+        assert np.max(np.abs(expand_band(g1, tau.multiplier)[outside])) == 0.0
         # the multiplier profile vanishes at |xi| = 2^(1.5-j) > 2^(1-j)
         from phaseproj.kernels import LOWPASS_PROFILE
         assert LOWPASS_PROFILE(np.array([2.0 ** j * 2.0 ** (1.5 - j)]))[0] == 0.0
@@ -120,7 +124,7 @@ class TestTau:
     def test_low_band_is_one(self, g1):
         tau = build_tau(g1, -2)
         inside = g1.freq_radius <= 2.0 ** 2
-        assert np.min(tau.multiplier[inside]) == 1.0
+        assert np.min(expand_band(g1, tau.multiplier)[inside]) == 1.0
 
     def test_class_certificate(self, g1):
         j = -2
@@ -233,7 +237,7 @@ class TestCones:
         j = -1
         total = np.zeros(g2.shape)
         for n in range(2):
-            total = total + build_psi_cone(g2, n, j).multiplier
+            total = total + expand_band(g2, build_psi_cone(g2, n, j).multiplier)
         psi = psi_kernel(g2, j).multiplier
         assert np.max(np.abs(total - psi)) < 1e-15
 
@@ -247,41 +251,39 @@ class TestCones:
 class TestTheta:
     def test_support_annulus(self, g1):
         j = -2
-        theta = build_theta(g1, 0, j)
+        theta = expand_band(g1, build_theta(g1, 0, j).multiplier)
         r = g1.freq_radius
         dead = (r >= 2.0 ** (2 - j)) | (r <= 2.0 ** (-j))
-        assert np.max(np.abs(theta.multiplier[dead])) == 0.0
+        assert np.max(np.abs(theta[dead])) == 0.0
 
     def test_antiderivative_identity(self, g1):
         j = -2
-        theta = build_theta(g1, 0, j)
-        psi = build_psi_cone(g1, 0, j)
+        theta = expand_band(g1, build_theta(g1, 0, j).multiplier)
+        psi = expand_band(g1, build_psi_cone(g1, 0, j).multiplier)
         xi = g1.freq_component(0)
-        product = theta.multiplier * (2j * np.pi * xi) ** (g1.dim + 1)
-        assert np.max(np.abs(product - psi.multiplier)) < 1e-12 * np.max(np.abs(psi.multiplier))
+        product = theta * (2j * np.pi * xi) ** (g1.dim + 1)
+        assert np.max(np.abs(product - psi)) < 1e-12 * np.max(np.abs(psi))
 
     def test_antiderivative_identity_2d(self, g2):
         j = 0
         for n in range(2):
-            theta = build_theta(g2, n, j)
-            psi = build_psi_cone(g2, n, j)
+            theta = expand_band(g2, build_theta(g2, n, j).multiplier)
+            psi = expand_band(g2, build_psi_cone(g2, n, j).multiplier)
             xi = np.broadcast_to(g2.freq_component(n), g2.shape)
-            product = theta.multiplier * (2j * np.pi * xi) ** 3
-            assert np.max(np.abs(product - psi.multiplier)) < 1e-12 * np.max(
-                np.abs(psi.multiplier))
+            product = theta * (2j * np.pi * xi) ** 3
+            assert np.max(np.abs(product - psi)) < 1e-12 * np.max(np.abs(psi))
 
     def test_derivative_class_certificates(self, g1):
         # derivatives of theta stay in (scaled) annulus classes with
         # finite empirical constants
         j = -2
-        theta = build_theta(g1, 0, j)
+        theta = expand_band(g1, build_theta(g1, 0, j).multiplier)
         d = g1.dim
         for order in (0, 1, d + 1, 3 * d + 3):
             xi = g1.freq_component(0)
-            mult = theta.multiplier * (2j * np.pi * xi) ** order
+            mult = theta * (2j * np.pi * xi) ** order
             if order % 2 == 1:
                 mult = np.where(np.isclose(np.abs(xi), g1.nyquist), 0.0, mult)
-            from phaseproj.grid import kernel_field_from_multiplier
             scaled = 2.0 ** (-j * (d + 1 - order)) * mult
             h = KernelHandle(g1, f"dtheta{order}", scaled,
                              kernel_field_from_multiplier(g1, scaled))
@@ -368,6 +370,14 @@ class TestClassMembership:
         cert2 = class_membership(scaled, -2, 4 * ALPHA, "phi")
         assert cert2["lambda_max"] == pytest.approx(1.0, rel=1e-9)
         assert cert2["passed"]
+
+    @pytest.mark.parametrize("dim,kind", [("d1", "phi"), ("d1", "psi"), ("d2", "phi")])
+    def test_band_certificate_equals_lattice_oracle(self, dim, kind):
+        # the leak read on the band equals the leak over the lattice mask
+        grid, level, beta, spec = GOLDEN_CLASSES[dim]
+        for cand in kernels._candidates(grid, level, beta, kind, spec):
+            assert (class_membership(cand, level, beta, kind)
+                    == class_membership_lattice(cand, level, beta, kind)), cand.kernel_id
 
 
 class TestDictionary:
@@ -495,7 +505,8 @@ class TestBandStorage:
             kept += 1
             band = handle.multiplier
             assert band.base is None and not band.flags.writeable
-            dense = cand.multiplier * class_membership(cand, level, beta, kind)["lambda_max"]
+            lam = class_membership(cand, level, beta, kind)["lambda_max"]
+            dense = expand_band(grid, cand.multiplier) * lam
             assert np.array_equal(expand_band(grid, band), dense), cand.kernel_id
             # no nonzero value lies off the band
             off_band = np.ones(grid.shape, dtype=bool)
@@ -568,8 +579,8 @@ class TestMemoizedBands:
         ("phi", 0, 1, []), ("psi", 0, 0, []), ("psi", 0, 1, [])])
     def test_bases_built_only_for_their_families(self, g1, monkeypatch, kind, n_mod,
                                                  n_trans, bases):
-        # tau_{j+1} and psi_{0,j+2} are candidates, and the translation
-        # base reuses them; tau_{j+2} is built for the modulations alone
+        # the translation base is the cached band of the candidate tau_{j+1}
+        # or psi_{0,j+2}; tau_{j+2} is built for the modulations alone
         built = []
         for name in ("build_tau", "build_psi_cone"):
             def spy(grid, *args, real=getattr(kernels, name), name=name):
@@ -590,6 +601,47 @@ class TestMemoizedBands:
             build_sinc_power(g1, -9, 4 * ALPHA, "phi", np.zeros(1))
 
 
+def one_handle_per_builder(grid):
+    """{name: handle} from every kernel builder, around class level -1."""
+    d, j = grid.dim, -1
+    eta = np.zeros(d)
+    eta[-1] = 3 * 2.0 ** (-j - 3)   # on the frequency lattice
+    offset = np.zeros(d)
+    offset[-1] = 0.5
+    return {
+        "tau": build_tau(grid, j + 1),
+        "psi_cone": build_psi_cone(grid, d - 1, j + 2),
+        "theta": build_theta(grid, d - 1, j + 2),
+        "sinc_phi": build_sinc_power(grid, j, 12.0, "phi", np.zeros(d)),
+        "sinc_phi_eta": build_sinc_power(grid, j, 12.0, "phi", -eta),
+        "sinc_psi_eta": build_sinc_power(grid, j, 12.0, "psi", eta),
+        "translate_tau": kernels._translate(tau_multiplier(grid, j + 1), grid, offset, "tr"),
+        "translate_psi_cone": kernels._translate(psi_cone_multiplier(grid, 0, j + 2), grid,
+                                                 offset, "tr"),
+        "modulate": kernels._modulate_kernel(build_tau(grid, j + 2), grid, eta, "mod"),
+    }
+
+
+class TestOneFormat:
+    """Every builder keeps its multiplier as its own frequency band and
+    lays that band on the lattice for the spatial samples it derives."""
+
+    FROM_MULTIPLIER = {"tau", "psi_cone", "theta", "translate_tau", "translate_psi_cone"}
+
+    @pytest.mark.parametrize("grid", [TorusGrid(1, 8.0, 1 << 12), TorusGrid(2, 8.0, 1 << 7)],
+                             ids=["d1", "d2"])
+    def test_multiplier_is_its_band(self, grid):
+        handles = one_handle_per_builder(grid)
+        for name, handle in handles.items():
+            band = frequency_band(handle.multiplier)
+            assert band.shape == handle.multiplier.shape, name
+            assert band.tobytes() == handle.multiplier.tobytes(), name
+            if name in self.FROM_MULTIPLIER:
+                laid = kernel_field_from_multiplier(grid, expand_band(grid, handle.multiplier))
+                assert handle.field.values.tobytes() == laid.values.tobytes(), name
+        assert handles["tau"].multiplier.size < grid.size
+
+
 class TestBandOnlyEvaluation:
     """The translates and sinc boxes equal their evaluation on the whole
     lattice (tests/oracles.py)."""
@@ -597,13 +649,13 @@ class TestBandOnlyEvaluation:
     @pytest.mark.parametrize("dim,samples", [(1, 1 << 12), (2, 1 << 7)])
     def test_translate_equals_lattice_phase(self, dim, samples):
         grid = TorusGrid(dim, 8.0, samples)
-        for base in (build_tau(grid, -1), build_psi_cone(grid, dim - 1, 0)):
+        for base in (tau_multiplier(grid, -1), psi_cone_multiplier(grid, dim - 1, 0)):
             for t in (grid.spacing, 0.5, 3.0 - grid.spacing):
                 offset = np.zeros(dim)
                 offset[-1] = t
                 got = kernels._translate(base, grid, offset, "tr")
                 want = translate_lattice(base, grid, offset, "tr")
-                assert np.array_equal(got.multiplier, want.multiplier)
+                assert np.array_equal(expand_band(grid, got.multiplier), want.multiplier)
                 assert np.array_equal(got.field.values, want.field.values)
 
     @pytest.mark.parametrize("dim,samples", [(1, 1 << 12), (2, 1 << 7)])
@@ -616,7 +668,7 @@ class TestBandOnlyEvaluation:
                 vector[ax] = eta
                 got = build_sinc_power(grid, -1, 12.0, kind, vector)
                 mult, field = sinc_power_lattice(grid, -1, 12.0, kind, vector)
-                assert np.array_equal(got.multiplier, mult)
+                assert np.array_equal(expand_band(grid, got.multiplier), mult)
                 assert np.array_equal(got.field.values, field.values)
 
 
@@ -679,16 +731,11 @@ class TestCaches:
         with pytest.raises(ValueError, match="read-only"):
             env[0] = 0.0
 
-    @pytest.mark.parametrize("kind", ["phi", "psi"])
-    def test_forbidden_mask_read_only_and_exact(self, g1, kind):
-        mask = kernels.forbidden_frequencies(g1, -3, kind)
-        assert kernels.forbidden_frequencies(g1, -3, kind) is mask
-        with pytest.raises(ValueError, match="read-only"):
-            mask[0] = False
-        expected = g1.freq_radius >= 2.0 ** 3 * (1 - 1e-12)
-        if kind == "psi":
-            expected |= g1.freq_radius <= 2.0 ** 1 * (1 + 1e-12)
-        assert np.array_equal(mask, expected)
+    def test_fixture_finds_every_package_cache(self):
+        # conftest clears the caches it finds; these must be among them
+        named = {kernels.build_dictionary, kernels.tau_multiplier, kernels.psi_cone_multiplier,
+                 kernels.class_envelope, kernels._periodized_sinc_power, grid_module._first_equal}
+        assert named <= PACKAGE_CACHES
 
 
 def direct_sinc_power(grid, a, k_pow, center):

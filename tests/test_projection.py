@@ -373,15 +373,18 @@ class TestMemory:
         assert not names & {"theta_f", "psi_cone_f"}
 
     def test_frame_multipliers_on_bands(self, output_1d):
-        # each kept band expands to the full lattice multiplier exactly
+        # each kept band, and each psi-cone band the frame reads from its
+        # cache, expands to the full lattice multiplier exactly
         frame = output_1d.frame
         grid, m = frame.grid, frame.m
-        dense = {"theta": lambda n, j: build_theta(grid, n, j - m).multiplier,
+        dense = {"theta": lambda n, j: expand_band(grid, build_theta(grid, n, j - m).multiplier),
                  "tau": lambda: tau_lattice(grid, -m),
                  "psi_cone": lambda n, j: psi_cone_lattice(grid, n, j - m),
                  "psi": lambda j: psi_lattice(grid, j - m)}
+        read = [(("psi_cone", (n, j)), frame.psi_cone(n, j))
+                for n in range(grid.dim) for j in range(frame.j_min, 1)]
         checked = set()
-        for (name, args), value in frame._memo.items():
+        for (name, args), value in list(frame._memo.items()) + read:
             if name in dense:
                 band = value[0] if isinstance(value, tuple) else value
                 assert band.size < grid.size
