@@ -326,9 +326,7 @@ def run(config, out_dir=None):
     stage = "config"
     try:
         t0 = time.perf_counter()
-        # the grid stage checks the grid's fields, and dict_spec is checked below
-        _checked_fields(RunConfig, {f.name: getattr(config, f.name) for f in fields(config)
-                                    if f.name not in ("dim", "grid_b", "grid_n", "dict_spec")})
+        _check_config_values(config)
         p_values = parse_p_values(config.p_values)
         if config.window_depth is not None and config.window_depth < 0:
             raise ValidationError(
@@ -377,6 +375,13 @@ def run(config, out_dir=None):
         if out_dir:
             _persist(record, timings, out_dir)
         return record
+
+
+def _check_config_values(config):
+    """_checked_fields of a RunConfig's values but the grid's, which
+    TorusGrid checks, and dict_spec, which run checks for its own type."""
+    _checked_fields(RunConfig, {f.name: getattr(config, f.name) for f in fields(config)
+                                if f.name not in ("dim", "grid_b", "grid_n", "dict_spec")})
 
 
 def _diagnostics_dict(diag):
@@ -517,7 +522,10 @@ def modulation_demo(config, separations=None, second_tree_seed=None):
     disjoin.  "spearman" is the rank correlation (rank_correlation) of
     the pairings against the separations past the first: -1 when every
     step out lowers the pairing, NaN with fewer than two such separations
-    or when every pairing is equal."""
+    or when every pairing is equal.  The config values are checked as
+    run checks them, and a projection of L2 norm 0, whose pairing is
+    undefined, is refused."""
+    _check_config_values(config)
     grid = TorusGrid(config.dim, config.grid_b, config.grid_n)
     lat = 1.0 / (2 * grid.half_width)
     if separations is None:
@@ -538,16 +546,21 @@ def modulation_demo(config, separations=None, second_tree_seed=None):
     second = frame if second_cfg == cfg else ProjectionFrame(second_cfg, grid, config.strict)
 
     def project(eta, on):
+        """The projection at separation eta and its L2 norm."""
         shifted = modulate(f, [-eta] + [0.0] * (config.dim - 1))
-        return modulate(assemble(on, shifted).g, [eta] + [0.0] * (config.dim - 1))
+        g = modulate(assemble(on, shifted).g, [eta] + [0.0] * (config.dim - 1))
+        norm = lp_norm(g, 2.0)
+        if norm == 0:
+            raise ValidationError(f"the projection at separation {eta} has L2 norm 0, "
+                                  "so its pairing is undefined")
+        return g, norm
 
-    base = project(separations[0], frame)
-    base_norm = lp_norm(base, 2.0)
+    base, base_norm = project(separations[0], frame)
     base_spec = np.abs(physical_spectrum(base))
     table = []
     for i, eta in enumerate(separations):
-        other = base if i == 0 and second is frame else project(eta, second)
-        other_norm = lp_norm(other, 2.0)
+        other, other_norm = ((base, base_norm) if i == 0 and second is frame
+                             else project(eta, second))
         pairing = abs(inner_product(base, other)) / (base_norm * other_norm)
         # magnitude overlap of the spectra: a rigorous phase-free upper
         # bound for the pairing, so small overlap certifies near-orthogonality

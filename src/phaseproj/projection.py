@@ -18,16 +18,21 @@ cross-check of each spectral derivative, the vanishing of g outside 5U,
 and a finite-difference witness of the smoothness of G.
 
 A build has two halves.  The stopping-time geometry -- the ring masks
-E_j^k, the cutoffs chi_j with their derivative certificates, the
-multipliers of theta_{n,j-m}, psi_{n,j-m}, psi_{j-m} and tau_{-m}, and
-the wrap flags of theta and tau, read off each kernel's spatial tail
-(_kernel_entry) -- depends on (grid, tree, m) only and lives in a
-ProjectionFrame: built lazily, once, stored read-only, holding no f.
-Each multiplier is its kernel's frequency band (grid.frequency_band), as
-the kernels module makes it, and apply_multiplier reads it.  The frame is the one validated object per
-(tree config, grid, strict): its constructor runs the resolution check
-and expands the tree, and a caller projecting many fields onto one tree
-(the modulation demo) builds it once and passes it to every `assemble`.
+E_j^k, the cutoffs chi_j with every derivative d_n^k chi_j that the
+Leibniz check and the certificates read, the multipliers of
+theta_{n,j-m}, psi_{n,j-m}, psi_{j-m} and tau_{-m}, and the wrap flags
+of theta and tau, read off each kernel's spatial tail (_kernel_entry) --
+depends on (grid, tree, m) only and lives in a ProjectionFrame: built
+lazily, once, stored read-only, holding no f.  A ring E_j^1 has one
+format, its bool mask: numpy casts it to 1+0j or 0+0j in each complex
+product, so no complex indicator field is kept.  chi_j is kept without
+its spectrum, which only its derivatives read.  Each multiplier is its
+kernel's frequency band (grid.frequency_band), as the kernels module
+makes it, and apply_multiplier reads it.  The frame is the one
+validated object per (tree config, grid, strict): its constructor runs
+the resolution check and expands the tree, and a caller projecting many
+fields onto one tree (the modulation demo) builds it once and passes it
+to every `assemble`.
 The ProjectionBuilder holds one f on the frame's grid: its pieces, each
 built once and kept only in its memo, the filtered copies that more than
 one step reads, and every f-dependent check above, run once per
@@ -133,9 +138,13 @@ class ProjectionFrame:
     """The f-independent half of a projection on one (tree config, grid,
     strict), refused by resolution_check if the grid cannot carry it;
     strict mode enforces the smoothness-dependent diagnostics.  Holds the
-    expanded tree and, each built once and stored read-only, its masks,
-    cutoffs, kernel multipliers with their wrap flags and the chi
-    derivative certificates.  The theta, tau, psi-cone and psi
+    expanded tree and, each built once and stored read-only, its bool
+    ring masks, the cutoffs chi_j with their derivatives d_n^k chi_j
+    (n < d, 1 <= k <= d+1: d(d+1) full fields per level), the chi
+    derivative certificates and the kernel multipliers with their wrap
+    flags.  chi_j keeps no spectrum: a fresh transform of its values
+    would give other floats than convolve's, so every derivative of chi_j
+    is read from chi_derivative.  The theta, tau, psi-cone and psi
     multipliers are frequency bands (grid.frequency_band), the psi-cone
     ones held by psi_cone_multiplier's cache.  Holds no f and no spatial
     kernel field."""
@@ -154,13 +163,25 @@ class ProjectionFrame:
         return _read_only(cube_mask(self.grid, self.tree.cubes(j, k)))
 
     @_memo
-    def e_indicator(self, j):
-        return SampledField(self.grid, self.e_mask(j, 1).astype(np.complex128))
-
-    @_memo
-    def chi_s(self, j):
+    def _chi_level(self, j):
+        """(chi_j, {(n, k): d_n^k chi_j for n < d, 1 <= k <= d+1}, sup of
+        d_0^(3d+3) chi_j at j = 0, else None).  Every derivative is taken
+        once, from the spectrum that convolve leaves on chi_j, which is
+        then dropped: chi_j is kept as a view of the same values."""
+        d = self.grid.dim
         kappa = build_mollifier(self.grid, mollifier_radius(j, self.m))
-        return mollified_indicator(self.grid, self.tree.cubes(j, 1), j, self.m, kappa)
+        chi = mollified_indicator(self.grid, self.tree.cubes(j, 1), j, self.m, kappa)
+        derivatives = {(n, k): partial_derivative(chi, n, k)
+                       for n in range(d) for k in range(1, d + 2)}
+        top = partial_derivative(chi, 0, 3 * d + 3).max_abs() if j == 0 else None
+        return SampledField(self.grid, chi.values), derivatives, top
+
+    def chi_s(self, j):
+        return self._chi_level(j)[0]
+
+    def chi_derivative(self, j, n, k):
+        """d_n^k chi_j for 1 <= k <= d+1."""
+        return self._chi_level(j)[1][n, k]
 
     @_memo
     def outside_5u(self):
@@ -194,12 +215,12 @@ class ProjectionFrame:
     @_memo
     def chi_certificates(self):
         """Sup norms of derivatives of chi_0 against the 2^(m|l|) scaling."""
-        out = {}
-        for order in (1, self.grid.dim + 1, 3 * self.grid.dim + 3):
-            d_chi = partial_derivative(self.chi_s(0), 0, order)
-            out[f"order_{order}"] = float(
-                d_chi.max_abs() / 2.0 ** (self.m * order))
-        return out
+        d = self.grid.dim
+        sups = {1: self.chi_derivative(0, 0, 1).max_abs(),
+                d + 1: self.chi_derivative(0, 0, d + 1).max_abs(),
+                3 * d + 3: self._chi_level(0)[2]}
+        return {f"order_{order}": float(sup / 2.0 ** (self.m * order))
+                for order, sup in sups.items()}
 
 
 def _tail_fraction(field):
@@ -268,15 +289,13 @@ class ProjectionBuilder:
         on E_j^1, supported within the 2^(j-m-1)-collar (inside E_j^2);
         zero for j outside j_min..0, where the tree has no ring E_j^1."""
         fr = self.frame
-        return (fr.chi_s(j) - fr.e_indicator(j)) * tf
+        return SampledField(fr.grid, fr.chi_s(j).values - fr.e_mask(j, 1)) * tf
 
     def big_g(self, n, j, tf):
         """Smooth product chi_j tf of tf = theta_f(n, j), checked against
         the masked route."""
-        chi = self.frame.chi_s(j)
-        smooth = chi * tf
-        ind = self.frame.e_indicator(j)
-        masked_route = ind * tf + (chi - ind) * tf
+        smooth = self.frame.chi_s(j) * tf
+        masked_route = tf * self.frame.e_mask(j, 1) + self.sigma(j, tf)
         scale = max(smooth.max_abs(), 1e-300)
         err = np.max(np.abs(smooth.values - masked_route.values)) / scale
         if err > 1e-12:
@@ -295,10 +314,9 @@ class ProjectionBuilder:
         piece = partial_derivative(big_g, n, d + 1)
         diag = self.diagnostics["levels"].setdefault((n, j), {})
 
-        chi = fr.chi_s(j)
         leib = None
         for k in range(d + 2):
-            dchi = partial_derivative(chi, n, k) if k else chi
+            dchi = fr.chi_derivative(j, n, k) if k else fr.chi_s(j)
             dtf = partial_derivative(tf, n, d + 1 - k) if k <= d else tf
             term = comb(d + 1, k) * (dchi * dtf)
             leib = term if leib is None else leib + term
@@ -347,7 +365,7 @@ class ProjectionBuilder:
         corr = zero_field(fr.grid)
         for n in range(fr.grid.dim):
             for j in range(fr.j_min, 1):
-                corr = corr + (self.g_piece(n, j) - self.psi_cone_f(n, j) * fr.e_indicator(j))
+                corr = corr + (self.g_piece(n, j) - self.psi_cone_f(n, j) * fr.e_mask(j, 1))
         return corr
 
     # -- assembly -------------------------------------------------------------
@@ -366,7 +384,7 @@ class ProjectionBuilder:
         # the correction sum
         two_route = tau_f * chi
         for j in range(fr.j_min, 1):
-            two_route = two_route + self.psi_f(j) * fr.e_indicator(j)
+            two_route = two_route + self.psi_f(j) * fr.e_mask(j, 1)
         two_route = two_route + self.correction()
         scale = max(g.max_abs(), 1e-300)
         route_err = float(np.max(np.abs(g.values - two_route.values)) / scale)
@@ -394,12 +412,10 @@ class ProjectionBuilder:
         pieces off the rings, and the correction derivatives.  The annulus
         pieces below j_min are one high-pass copy of f, not kept."""
         fr = self.frame
-        chi = fr.chi_s(0)
-        one = SampledField(fr.grid, np.ones(fr.grid.shape, dtype=np.complex128))
-        comp_low = self.tau_f() * (one - chi)
+        comp_low = self.tau_f() * (1.0 - fr.chi_s(0).values)
         comp_mid = apply_multiplier(self.f, low_pass_complement(fr.grid, fr.j_min, fr.m), False)
         for j in range(fr.j_min, 1):
-            comp_mid = comp_mid + self.psi_f(j) * (one - fr.e_indicator(j))
+            comp_mid = comp_mid + self.psi_f(j) * ~fr.e_mask(j, 1)
         return comp_low, comp_mid, self.correction()
 
 

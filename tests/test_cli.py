@@ -140,6 +140,18 @@ def test_bad_separations(capsys):
     assert err.startswith("error:") and "--separations" in err and "'x'" in err
 
 
+@pytest.mark.parametrize("f_modes,message", [
+    ([[math.nan, 1.0, 0.0]], "f_modes"),
+    ([[2.0, 0.0, 0.0]], "separation 0.0 has L2 norm 0"),
+], ids=["nan", "zero"])
+def test_mod_demo_refuses_bad_field(tmp_path, capsys, f_modes, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"grid_n": 1 << 13, "f_modes": f_modes}))
+    assert cli.main(["mod-demo", "--config", str(path), "--separations", "0,4"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
 def test_unknown_dict_spec_key(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"dict_spec": {"n_tau": 2, "n_bogus": 1, "zzz": 0}}))

@@ -19,7 +19,7 @@ from phaseproj import estimators, harness, projection
 from phaseproj.acceptance import REFERENCE_CONFIG, headline_rows
 from phaseproj.cubes import DyadicCube, expand_to_tree, unit_cube
 from phaseproj.errors import ValidationError
-from phaseproj.grid import TorusGrid, norm_workers, plane_wave
+from phaseproj.grid import TorusGrid, norm_workers, plane_wave, save_field, zero_field
 from phaseproj.kernels import DictionarySpec
 from phaseproj.harness import (
     RunConfig,
@@ -530,6 +530,25 @@ class TestModulationDemo:
         config = RunConfig(dim=1, grid_n=1 << 13, tree_depth=1, leaf_count=1)
         with pytest.raises(ValidationError, match="separations"):
             modulation_demo(config, separations=[])
+
+    def test_non_finite_mode_refused(self):
+        # refused as run refuses it, not projected into a table of NaN pairings
+        config = RunConfig(dim=1, grid_n=1 << 13, tree_depth=1, leaf_count=1,
+                           f_modes=((math.nan, 1.0, 0.0),))
+        assert run(config)["error"]["stage"] == "config"
+        with pytest.raises(ValidationError, match="f_modes"):
+            modulation_demo(config, separations=[0.0, 4.0])
+
+    @pytest.mark.parametrize("source", ["modes", "file"])
+    def test_zero_projection_refused(self, tmp_path, source):
+        config = RunConfig(dim=1, grid_n=1 << 13, tree_depth=1, leaf_count=1,
+                           f_modes=((2.0, 0.0, 0.0),))
+        if source == "file":
+            path = tmp_path / "zero.bin"
+            save_field(zero_field(TorusGrid(1, config.grid_b, config.grid_n)), path)
+            config = replace(config, f_modes=None, f_file=str(path))
+        with pytest.raises(ValidationError, match="separation 0.0 has L2 norm 0"):
+            modulation_demo(config, separations=[0.0, 4.0])
 
 
 class TestRankCorrelation:

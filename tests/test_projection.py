@@ -14,9 +14,11 @@ from phaseproj.grid import (
     SampledField,
     TorusGrid,
     cube_mask,
+    mollified_indicator,
+    partial_derivative,
     zero_field,
 )
-from phaseproj.kernels import build_theta
+from phaseproj.kernels import build_mollifier, build_theta
 from phaseproj import projection
 from phaseproj.projection import (
     MIN_SAMPLES_PER_RADIUS,
@@ -154,7 +156,7 @@ class TestPieces:
             if not deep.any():
                 continue
             lhs = piece.values[deep]
-            rhs = (b.psi_cone_f(n, j) * b.frame.e_indicator(j)).values[deep]
+            rhs = (b.psi_cone_f(n, j) * b.frame.e_mask(j, 1)).values[deep]
             scale = piece.max_abs()
             # deep inside E the sigma term vanishes identically
             assert np.max(np.abs(lhs - rhs)) <= 1e-3 * scale
@@ -274,14 +276,27 @@ class TestPieceBundles:
 
 
 def _arrays(value):
-    """Every ndarray reachable from a frame memo entry."""
+    """Every ndarray reachable from a frame memo entry, through fields,
+    tuples, lists and dict values at any depth."""
     if isinstance(value, np.ndarray):
         return [value]
     if isinstance(value, SampledField):
         return [a for a in (value.values, value._fft) if a is not None]
-    if isinstance(value, tuple):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (tuple, list)):
         return [a for item in value for a in _arrays(item)]
     return []
+
+
+def test_arrays_descends_into_containers():
+    grid = TorusGrid(1, 8.0, 1 << 4)
+    field, array = zero_field(grid), np.zeros(3)
+    nested = ({"a": [field, (array,)]}, [{"b": {"c": field}}], 1.0, None)
+    found = _arrays(nested)
+    assert len(found) == 3
+    assert sum(a is array for a in found) == 1
+    assert sum(a is field.values for a in found) == 2
 
 
 class TestFrame:
@@ -318,6 +333,80 @@ class TestFrame:
         assert out.diagnostics["wrap_flags"] == flags
         assert flags and len(set(flags)) == len(flags)
 
+    # (dim, samples, alpha, strict) of a frame with the rings of one
+    # level -1 leaf, E_{-1}^1 and E_0^1: two levels
+    WARM = [(1, 1 << 14, 2.0, True), (2, 1 << 8, 3.0, False)]
+
+    @staticmethod
+    def leaf_frame(dim, samples, alpha, strict):
+        cfg = TreeConfig((DyadicCube(-1, (0,) * dim),), 0, alpha)
+        return ProjectionFrame(cfg, TorusGrid(dim, 8.0, samples), strict)
+
+    @pytest.mark.parametrize("dim,samples,alpha,strict", WARM, ids=["d1", "d2"])
+    def test_warm_frame_takes_no_chi_derivative(self, monkeypatch, dim, samples, alpha, strict):
+        frame = self.leaf_frame(dim, samples, alpha, strict)
+        grid, levels = frame.grid, range(frame.j_min, 1)
+        first, second = (bandpass_field(grid, seed=s, n_modes=6, lo=1.0, hi=4.0) for s in (1, 2))
+        assemble(frame, first)
+        chi_values = [frame.chi_s(j).values for j in levels]
+        # each level's derivatives exist, and chi_j keeps no spectrum
+        assert all(frame.chi_s(j)._fft is None for j in levels)
+
+        differentiated, transforms = [], []
+
+        def counted(a, axis, order=1):
+            differentiated.append(a)
+            return partial_derivative(a, axis, order)
+
+        def counting(name, transform):
+            def call(*args, **kwargs):
+                transforms.append(name)
+                return transform(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(projection, "partial_derivative", counted)
+        for name in ("fftn", "ifftn"):
+            monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+        out = assemble(frame, second)
+
+        pieces = len(out.diagnostics["levels"])
+        assert pieces == dim * len(levels)
+        # per piece: d^{d+1} G, and theta*f at orders 1..d+1
+        assert len(differentiated) == (dim + 2) * pieces
+        assert not any(np.shares_memory(a.values, chi)
+                       for a in differentiated for chi in chi_values)
+        # f's spectrum (1 fftn), tau*f (1), psi_j*f per level (1), and per
+        # piece d + 5: theta*f (1), d^{d+1} G (fftn + ifftn), theta*f at
+        # orders 1..d+1 (d + 1), psi_cone*f (1); no level is fine enough
+        # for the fd witness.  Measured: 16 in d = 1, 32 in d = 2.
+        assert len(transforms) == 2 + len(levels) + (dim + 5) * pieces == {1: 16, 2: 32}[dim]
+
+    @pytest.mark.parametrize("dim,samples,alpha,strict", WARM, ids=["d1", "d2"])
+    def test_certificates_read_the_cached_derivatives(self, monkeypatch, dim, samples, alpha, strict):
+        frame = self.leaf_frame(dim, samples, alpha, strict)
+        frame.chi_s(0)
+        read = []
+        max_abs = SampledField.max_abs
+
+        def recording(field):
+            read.append(field)
+            return max_abs(field)
+
+        monkeypatch.setattr(SampledField, "max_abs", recording)
+        certificates = frame.chi_certificates()
+        monkeypatch.undo()
+        # orders 1 and d+1 are the Leibniz fields; order 3d+3 was read
+        # off chi_0's spectrum before it was dropped
+        assert len(read) == 2
+        assert read[0] is frame.chi_derivative(0, 0, 1)
+        assert read[1] is frame.chi_derivative(0, 0, dim + 1)
+        grid, m = frame.grid, frame.m
+        chi = mollified_indicator(grid, frame.tree.cubes(0, 1), 0, m,
+                                  build_mollifier(grid, projection.mollifier_radius(0, m)))
+        assert certificates == {
+            f"order_{k}": partial_derivative(chi, 0, k).max_abs() / 2.0 ** (m * k)
+            for k in (1, dim + 1, 3 * dim + 3)}
+
     def test_mismatched_frame_refused(self, frame_1d, f_1d):
         # a frame is its tree and strictness: only f's grid can differ
         coarse = SampledField(TorusGrid(1, 8.0, 1 << 13), f_1d.values[::2])
@@ -343,27 +432,40 @@ class TestFrame:
                 assert not np.shares_memory(array, f_values)
 
 
+def _peak_full_fields(config):
+    """Peak complex fields above its inputs held by assemble plus
+    residual_decomposition of `config`, with the settings of harness.run,
+    cold caches and a cold frame."""
+    grid = TorusGrid(config.dim, config.grid_b, config.grid_n)
+    f = harness.build_f(config, grid)
+    frame = ProjectionFrame(harness.build_tree_config(config), grid, config.strict)
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        residual_decomposition(assemble(frame, f))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if started:
+            tracemalloc.stop()
+    return (peak - base) / (grid.size * 16)
+
+
 class TestMemory:
     def test_peak_full_fields_of_reference_projection(self):
-        # assemble plus residual_decomposition of REFERENCE_CONFIG, with
-        # the settings of harness.run and cold caches, holds at most 32
-        # complex fields above its inputs
-        config = acceptance.REFERENCE_CONFIG
-        grid = TorusGrid(config.dim, config.grid_b, config.grid_n)
-        f = harness.build_f(config, grid)
-        frame = ProjectionFrame(harness.build_tree_config(config), grid, config.strict)
-        started = not tracemalloc.is_tracing()
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        try:
-            residual_decomposition(assemble(frame, f))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            if started:
-                tracemalloc.stop()
-        fields = (peak - base) / (grid.size * 16)
+        # measured 26.5
+        fields = _peak_full_fields(acceptance.REFERENCE_CONFIG)
         assert fields <= 32, fields
+
+    def test_peak_full_fields_of_2d_projection(self):
+        # the config of the benchmark's 2-d run: the frame holds d(d+1) = 6
+        # chi derivative fields on each of its two levels, so the bound
+        # counts them; measured 36.2
+        config = harness.RunConfig(dim=2, grid_n=1 << 8, tree_depth=1, leaf_count=1,
+                                   alpha=3.0, strict=False)
+        fields = _peak_full_fields(config)
+        assert fields <= 36.5, fields
 
     def test_filtered_copies_not_memoized(self, frame_1d, f_1d):
         # theta*f and psi_cone*f are freed once their one reader returns
