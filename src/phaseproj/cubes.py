@@ -134,7 +134,6 @@ class TreeIndex:
             for j in range(leaf.level, 1):
                 t0[j].add(leaf.ancestor(j).index)
         self._t0 = {j: frozenset(v) for j, v in t0.items()}
-        self._rings = {}
 
     def levels(self):
         return list(range(self.j_min, 1))
@@ -145,13 +144,10 @@ class TreeIndex:
             return frozenset()
         if k == 0:
             return self._t0[j]
-        key = (j, k)
-        if key not in self._rings:
-            base = np.array(sorted(self._t0[j]), dtype=np.int64)
-            offs = np.array(list(product(range(-k, k + 1), repeat=self.dim)), dtype=np.int64)
-            dil = (base[:, None, :] + offs[None, :, :]).reshape(-1, self.dim)
-            self._rings[key] = frozenset(map(tuple, np.unique(dil, axis=0).tolist()))
-        return self._rings[key]
+        base = np.array(sorted(self._t0[j]), dtype=np.int64)
+        offs = np.array(list(product(range(-k, k + 1), repeat=self.dim)), dtype=np.int64)
+        dil = (base[:, None, :] + offs[None, :, :]).reshape(-1, self.dim)
+        return frozenset(map(tuple, np.unique(dil, axis=0).tolist()))
 
     # -- cube accessors --------------------------------------------------------
 

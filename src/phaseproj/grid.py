@@ -282,13 +282,6 @@ def convolve(a, k):
     return out.with_fft(raw)
 
 
-def field_multiplier(k):
-    """The multiplier through which `k` acts in convolve():
-    the DFT of its ifftshifted samples times h^d."""
-    h_d = k.grid.spacing ** k.grid.dim
-    return np.fft.fftn(np.fft.ifftshift(k.values)) * h_d
-
-
 def kernel_field_from_multiplier(grid, band):
     """Spatial samples of the kernel whose multiplier is the frequency
     band `band`: the one place where a kernel's band is laid on the

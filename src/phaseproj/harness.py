@@ -331,9 +331,6 @@ def run(config, out_dir=None):
         if config.window_depth is not None and config.window_depth < 0:
             raise ValidationError(
                 f"window_depth must be >= 0, not {config.window_depth}")
-        if not isinstance(config.dict_spec, DictionarySpec):
-            raise ValidationError(
-                f"dict_spec must be a DictionarySpec, not {config.dict_spec!r}")
         record["config"] = config.to_dict()
         record["config_hash"] = config.config_hash()
         stage = "grid"
@@ -379,9 +376,11 @@ def run(config, out_dir=None):
 
 def _check_config_values(config):
     """_checked_fields of a RunConfig's values but the grid's, which
-    TorusGrid checks, and dict_spec, which run checks for its own type."""
+    TorusGrid checks, and the type of its dict_spec."""
     _checked_fields(RunConfig, {f.name: getattr(config, f.name) for f in fields(config)
                                 if f.name not in ("dim", "grid_b", "grid_n", "dict_spec")})
+    if not isinstance(config.dict_spec, DictionarySpec):
+        raise ValidationError(f"dict_spec must be a DictionarySpec, not {config.dict_spec!r}")
 
 
 def _diagnostics_dict(diag):
@@ -453,7 +452,9 @@ def _persist(record, timings, out_dir, saved=(), tree=None):
 
 def spq_checks(config):
     """bernstein_sweep on a config's f and tree, the tree taken from a
-    projection frame checked at the non-strict resolution tier."""
+    projection frame checked at the non-strict resolution tier.  The
+    config values are checked as run checks them."""
+    _check_config_values(config)
     grid = TorusGrid(config.dim, config.grid_b, config.grid_n)
     cfg = build_tree_config(config)
     f = build_f(config, grid)

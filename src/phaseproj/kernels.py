@@ -4,8 +4,10 @@ Every kernel of the construction is defined through an explicit
 multiplier on the frequency lattice: a radial low-pass profile (tau),
 telescoping differences (psi), a cone decomposition splitting an annulus
 into pieces where one frequency coordinate dominates, and one-variable
-antiderivatives (theta).  The mollifier kappa is the one kernel built in
-space, so its compact support is exact on the grid.
+antiderivatives (theta).  Two take closed-form spatial samples instead:
+the mollifier kappa, built in space so that its compact support is exact
+on the grid, and the sinc boxes of the dictionaries, whose polynomial
+tails an inverse FFT would bury under its roundoff floor.
 
 Each of these multipliers is supported in a ball or an annulus, so a
 kernel's multiplier is its frequency band (grid.frequency_band; every
@@ -28,8 +30,9 @@ tau_multiplier, psi_cone_multiplier (its cone weights computed on psi_j's
 band only) and, as the difference of two tau bands, psi_multiplier.
 Each band holds the floats of the evaluation on the whole lattice, which
 is zero off the band.  Likewise a translate evaluates its phase on its
-base's band, and a sinc box its B-spline and centre phase on 1-d
-supports.  Besides the per-cube norms, the norm pool fills only the
+base's band, a modulation shifts its base's band by its frequency's
+lattice index, and a sinc box evaluates its B-spline and centre phase on
+1-d supports.  Besides the per-cube norms, the norm pool fills only the
 sinc-profile tables.
 """
 
@@ -46,11 +49,9 @@ from .errors import ResolutionError, ValidationError
 from .grid import (
     SampledField,
     embed_band,
-    field_multiplier,
     frequency_band,
     kernel_field_from_multiplier,
     norm_pool,
-    plane_wave,
     rho_values,
 )
 
@@ -458,24 +459,24 @@ def _translate(band, grid, offset, new_id):
     return _finish(grid, new_id, band * np.exp(-2j * np.pi * phase))
 
 
-def _modulate_kernel(handle, grid, eta, new_id):
-    out = SampledField(grid, handle.field.values * plane_wave(grid, eta))
-    return _finish(grid, new_id, field_multiplier(out), out)
+def _modulate(band, grid, eta, new_id):
+    """The kernel of multiplier `band`, a frequency band, modulated by the
+    lattice frequency `eta`: the band shifted by eta's lattice index,
+    widened first by the shift on each axis so that nothing wraps; on a
+    whole axis the roll is the torus's cyclic shift."""
+    shift = [int(np.rint(e * 2 * grid.half_width)) for e in eta]
+    shape = [min(m + 2 * abs(s), grid.samples) for m, s in zip(band.shape, shift)]
+    return _finish(grid, new_id, np.roll(embed_band(band, shape), shift, range(grid.dim)))
 
 
 def _candidates(grid, j, beta, kind, spec):
     """The candidates of build_dictionary, built one at a time.  The
-    modulations reuse the tau_{j+2} candidate, built for them when there
-    is none, and the translates read their base's cached band."""
+    modulations shift, and the translates rephase, their base's cached
+    band."""
     lat = 1.0 / (2 * grid.half_width)
-    base_mod = None
     if kind == "phi":
         for s in range(spec.n_tau):
-            tau = build_tau(grid, j + 1 + s)
-            if s == 1 and spec.n_mod:
-                base_mod = tau
-            yield tau
-            del tau   # not held while the next candidate is built
+            yield build_tau(grid, j + 1 + s)
     for s in range(spec.n_psi):
         for n in range(grid.dim):
             yield build_psi_cone(grid, n, j + 2 + s)
@@ -492,8 +493,7 @@ def _candidates(grid, j, beta, kind, spec):
                     eta[ax] = sign * radius_units * u
                     yield build_sinc_power(grid, j, beta, kind, eta)
     if kind == "phi" and spec.n_mod:
-        if base_mod is None:
-            base_mod = build_tau(grid, j + 2)
+        _require_band_inside_nyquist(grid, 2.0 ** (-j - 1), f"tau_{j + 2}")
         for i in range(spec.n_mod):
             mag = 2.0 ** (-j - 1) / (i + 1)
             eta = np.zeros(grid.dim)
@@ -502,9 +502,7 @@ def _candidates(grid, j, beta, kind, spec):
                 continue
             if np.max(np.abs(eta)) == 0:
                 continue
-            yield _modulate_kernel(
-                base_mod, grid, eta, f"mod[{base_mod.kernel_id},eta{i}]")
-        del base_mod
+            yield _modulate(tau_multiplier(grid, j + 2), grid, eta, f"mod[tau[{j + 2}],eta{i}]")
     if kind == "phi" and spec.n_sinc_mod:
         # modulation ladder tiling the ball: centers at quarter-band
         # steps, boxes shrinking toward the edge
@@ -534,7 +532,7 @@ def _candidates(grid, j, beta, kind, spec):
 
 
 # Room for the reference sweep's 16 classes.  The 15 that its first five
-# configs build hold 31 MB of band multipliers at N = 2^17 (341 MB on the
+# configs build hold 1.7 MB of band multipliers at N = 2^17 (326 MB on the
 # full lattice).
 @functools.lru_cache(maxsize=16)
 def build_dictionary(grid, j, beta, kind, spec):
@@ -549,26 +547,25 @@ def build_dictionary(grid, j, beta, kind, spec):
     Candidates with frequency leak (e.g. low frequencies in a Psi
     dictionary) are dropped.
 
-    The tau and cone candidates and the translation bases read the
-    memoized bands of tau_multiplier and psi_cone_multiplier (module
-    docstring), so neighbouring classes, which share all but one of their
-    tau levels, evaluate each low-pass profile once; a sinc box evaluates
-    its centre phase only on its B-spline support, and a translate its
-    phase only on its base's band.
+    The tau and cone candidates and the translation and modulation bases
+    read the memoized bands of tau_multiplier and psi_cone_multiplier
+    (module docstring), so neighbouring classes, which share all but one
+    of their tau levels, evaluate each low-pass profile once; a sinc box
+    evaluates its centre phase only on its B-spline support, a translate
+    its phase only on its base's band, and a modulation is its base's
+    band shifted.
 
     Each candidate is certified, scaled and released before the next is
     built; only its scaled band is kept, read-only and without a field,
     and taken anew (grid.frequency_band), since the scaling may underflow
     an edge value.  The result is cached per class (an LRU, under which
     equal grids hit alike) and shared by every caller.  At
-    N = 2^17 in d = 1 a phi class keeps 4.2 to 4.5 MB instead of 28.3 MB
-    on the full lattice, 4.19 MB of it the two FFT-built modulations,
-    which fill the lattice; a psi class keeps 4 KB to 0.5 MB instead of
-    17.8 MB.  All of it is exact:
-    builders are deterministic and certification does not modify a
-    handle, so a base may reuse its candidate; the envelope depends on
-    (grid, j, beta) only, a sinc profile on (grid, a, K, c) only (eta
-    enters as a separate phase, and every axis has the same points).
+    N = 2^17 in d = 1 a phi class keeps 6 KB to 0.4 MB instead of 26.2 MB
+    on the full lattice, and a psi class 4 KB to 0.5 MB instead of
+    17.8 MB.  All of it is exact: builders are deterministic, the
+    envelope depends on (grid, j, beta) only, a sinc profile on
+    (grid, a, K, c) only (eta enters as a separate phase, and every axis
+    has the same points).
     """
     if kind not in ("phi", "psi"):
         raise ValidationError("kind must be 'phi' or 'psi'")

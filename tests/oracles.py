@@ -11,7 +11,7 @@ import numpy as np
 
 from phaseproj import kernels
 from phaseproj.cubes import DyadicCube, TreeConfig
-from phaseproj.grid import SampledField, kernel_field_from_multiplier
+from phaseproj.grid import SampledField, kernel_field_from_multiplier, plane_wave
 from phaseproj.kernels import (
     LOWPASS_PROFILE,
     KernelHandle,
@@ -170,6 +170,23 @@ def translate_lattice(band, grid, offset, new_id):
         phase = phase + grid.freq_component(ax) * t
     mult = expand_band(grid, band) * np.exp(-2j * np.pi * phase)
     return KernelHandle(grid, new_id, mult, kernel_field_from_multiplier(grid, mult))
+
+
+def field_multiplier(k):
+    """The multiplier through which `k` acts in grid.convolve():
+    the DFT of its ifftshifted samples times h^d."""
+    h_d = k.grid.spacing ** k.grid.dim
+    return np.fft.fftn(np.fft.ifftshift(k.values)) * h_d
+
+
+def modulate_lattice(band, grid, eta, new_id):
+    """The modulation of kernels._modulate in space: the base's samples,
+    laid from its band, times the plane wave of frequency eta, and the
+    multiplier taken back from that product (field_multiplier), so it
+    fills the lattice with roundoff."""
+    base = kernel_field_from_multiplier(grid, band)
+    field = SampledField(grid, base.values * plane_wave(grid, eta))
+    return KernelHandle(grid, new_id, field_multiplier(field), field)
 
 
 def class_membership_lattice(handle, j, beta, kind):

@@ -11,7 +11,7 @@ from math import inf
 import numpy as np
 import pytest
 from conftest import RecordingPool
-from oracles import expand_band
+from oracles import expand_band, field_multiplier
 
 from phaseproj import estimators
 from phaseproj import grid as grid_module
@@ -118,7 +118,6 @@ class TestSize:
             resp = apply_multiplier(f, kernel.multiplier)
             shifted = modulate(kernel_field_from_multiplier(
                 grid, expand_band(grid, kernel.multiplier)), eta)
-            from phaseproj.grid import field_multiplier
             resp_mod = apply_multiplier(f_mod, field_multiplier(shifted))
             h = grid.spacing
             a = lp_norms(np.abs(resp.values), h, (2.0,), w)[2.0]

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import field_multiplier
 
 from phaseproj.cubes import DyadicCube, unit_cube
 from phaseproj.errors import ResolutionError, ValidationError
@@ -124,7 +125,6 @@ class TestConvolution:
             convolve(smooth_bump(g1), zero_field(other))
 
     def test_multiplier_route_matches_field_route(self, g1):
-        from phaseproj.grid import field_multiplier
         a = smooth_bump(g1)
         kern = smooth_bump(g1, width=0.3)
         via_field = convolve(a, kern)

@@ -290,6 +290,18 @@ class TestRun:
         assert [rep.context["m"] for rep in harness.spq_checks(config)] == [0, 1, 2, 3, 4]
         assert specs and all(s is spec for s in specs)
 
+    @pytest.mark.parametrize("change,message", [
+        ({"alpha": "x"}, "RunConfig key 'alpha' takes float, not 'x'"),
+        ({"dict_spec": {}}, "dict_spec must be a DictionarySpec, not {}"),
+        ({"leaves": ((-1, "a"),)}, "RunConfig key 'leaves' takes tuple | None"),
+    ])
+    def test_spq_refuses_config_values_as_run_does(self, change, message):
+        config = replace(REFERENCE_CONFIG, **change)
+        assert run(config)["error"]["message"].startswith(message)
+        with pytest.raises(ValidationError) as refused:
+            harness.spq_checks(config)
+        assert str(refused.value).startswith(message)
+
 
 class TestConfig:
     def test_round_trip(self):

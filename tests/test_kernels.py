@@ -14,6 +14,7 @@ from oracles import (
     expand_band,
     is_real,
     kappa_kernel,
+    modulate_lattice,
     psi_cone_lattice,
     psi_kernel,
     psi_lattice,
@@ -471,14 +472,20 @@ def dictionary_digest(grid, dictionary):
     return h.hexdigest()
 
 
-# Any change to a multiplier or the candidate set shows here.  The
-# digests equal those of the multipliers the builder kept when it still
-# stored a certificate per kernel.  The third key (False: no kernel
-# fields kept) is part of the test ids the hashes were first frozen under.
+# Any change to a multiplier or the candidate set shows here.  The third
+# key (False: no kernel fields kept) is part of the test ids the hashes
+# were first frozen under.  The phi digests moved when the modulations
+# became exact shifts of their base band; the digests over every other
+# kernel (GOLDEN_WITHOUT_MODULATIONS) did not.
 GOLDEN_DICTIONARIES = {
-    ("d1", "phi", False): "fec6ed2ab1e2d8737421802de3324055739dffb8449efa6fa02dc908d7e7dd77",
+    ("d1", "phi", False): "cdbfa3cf59f0ead0a90516ec2ce1f231ef0715711be97fe3a769a9d92273aa2b",
     ("d1", "psi", False): "1e969df2f07e44dd92987d46b8454120f7e80bc30cbf55a971fc8db3dfacb743",
-    ("d2", "phi", False): "ff80cfa8289a92885dfacca7e1e297a37305711a316e92841e51cb5ef921fe46",
+    ("d2", "phi", False): "971cd5e681df9a59410a4b14836f9fe498dbc68bc205b0da131108ad267ff053",
+}
+GOLDEN_WITHOUT_MODULATIONS = {
+    ("d1", "phi"): "17e23de59d89fc03ee3ab2345127b55dc8e41bc07d77aa49e6fc2bfeaa039ead",
+    ("d1", "psi"): "1e969df2f07e44dd92987d46b8454120f7e80bc30cbf55a971fc8db3dfacb743",
+    ("d2", "phi"): "ade054df27622edda40bb5a24832f1eca9f574129373d21c47ed0f0ddf828e2f",
 }
 
 
@@ -486,6 +493,8 @@ GOLDEN_DICTIONARIES = {
 def test_dictionary_golden_hash(dim, kind, fields):
     grid, dictionary = golden_dictionary(dim, kind)
     assert dictionary_digest(grid, dictionary) == GOLDEN_DICTIONARIES[(dim, kind, fields)]
+    others = [k for k in dictionary if not k.kernel_id.startswith("mod[")]
+    assert dictionary_digest(grid, others) == GOLDEN_WITHOUT_MODULATIONS[(dim, kind)]
 
 
 class TestBandStorage:
@@ -527,13 +536,16 @@ class TestBandStorage:
         assert np.array_equal(expand_band(grid, frequency_band(mult)), mult)
 
     def test_cached_band_bytes(self):
-        # the three golden classes keep 1,801,408 bytes of multipliers on
-        # their bands, 20,709,376 on the full lattice
+        # the three golden classes keep 509,880 bytes of multipliers on
+        # their bands, 20,709,376 on the full lattice, and no kernel fills
+        # the lattice (3 did while the modulations were built by an FFT)
         dictionaries = [golden_dictionary(dim, kind)[1] for dim, kind, _ in GOLDEN_DICTIONARIES]
         assert build_dictionary.cache_info().currsize == len(dictionaries)
-        cached = sum(handle.multiplier.nbytes
-                     for dictionary in dictionaries for handle in dictionary)
-        assert cached <= 2_000_000
+        handles = [handle for dictionary in dictionaries for handle in dictionary]
+        full = [handle.kernel_id for handle in handles
+                if handle.multiplier.size == handle.grid.size]
+        assert full == []
+        assert sum(handle.multiplier.nbytes for handle in handles) <= 600_000
 
 
 class TestMemoizedBands:
@@ -575,12 +587,13 @@ class TestMemoizedBands:
         assert sorted(scales) == [2.0 ** j * g1.nyquist for j in range(-3, 1)]
 
     @pytest.mark.parametrize("kind,n_mod,n_trans,bases", [
-        ("phi", 0, 0, []), ("phi", 1, 0, [("tau", (-1,))]),
+        ("phi", 0, 0, []), ("phi", 1, 0, []),
         ("phi", 0, 1, []), ("psi", 0, 0, []), ("psi", 0, 1, [])])
     def test_bases_built_only_for_their_families(self, g1, monkeypatch, kind, n_mod,
                                                  n_trans, bases):
         # the translation base is the cached band of the candidate tau_{j+1}
-        # or psi_{0,j+2}; tau_{j+2} is built for the modulations alone
+        # or psi_{0,j+2}, the modulation base that of tau_{j+2}: no family
+        # builds its base as a kernel
         built = []
         for name in ("build_tau", "build_psi_cone"):
             def spy(grid, *args, real=getattr(kernels, name), name=name):
@@ -593,6 +606,15 @@ class TestMemoizedBands:
         candidates = ([("tau", (-2,))] if kind == "phi" else []) + [("psi_cone", (0, -1))]
         assert built == candidates + bases
         assert len(ids) == len(candidates) + n_mod + n_trans
+
+    def test_modulation_base_refused_beyond_nyquist(self, g1):
+        # the modulations shift tau_{j+2}'s band, which reaches 2^(-j-1):
+        # Nyquist 256 admits class level -9, not -10
+        spec = DictionarySpec(n_tau=0, n_psi=0, n_mod=1, n_trans=0, n_sinc=0, n_sinc_mod=0)
+        assert [c.kernel_id for c in kernels._candidates(g1, -9, 4 * ALPHA, "phi", spec)] == [
+            "mod[tau[-7],eta0]"]
+        with pytest.raises(ResolutionError, match="tau_-8: frequency support radius 512.0"):
+            list(kernels._candidates(g1, -10, 4 * ALPHA, "phi", spec))
 
     def test_sinc_box_refused_beyond_nyquist(self, g1):
         # N = 2^13, B = 8: Nyquist 256 admits class level -8, not -9
@@ -618,7 +640,7 @@ def one_handle_per_builder(grid):
         "translate_tau": kernels._translate(tau_multiplier(grid, j + 1), grid, offset, "tr"),
         "translate_psi_cone": kernels._translate(psi_cone_multiplier(grid, 0, j + 2), grid,
                                                  offset, "tr"),
-        "modulate": kernels._modulate_kernel(build_tau(grid, j + 2), grid, eta, "mod"),
+        "modulate": kernels._modulate(tau_multiplier(grid, j + 2), grid, eta, "mod"),
     }
 
 
@@ -626,7 +648,8 @@ class TestOneFormat:
     """Every builder keeps its multiplier as its own frequency band and
     lays that band on the lattice for the spatial samples it derives."""
 
-    FROM_MULTIPLIER = {"tau", "psi_cone", "theta", "translate_tau", "translate_psi_cone"}
+    FROM_MULTIPLIER = {"tau", "psi_cone", "theta", "translate_tau", "translate_psi_cone",
+                       "modulate"}
 
     @pytest.mark.parametrize("grid", [TorusGrid(1, 8.0, 1 << 12), TorusGrid(2, 8.0, 1 << 7)],
                              ids=["d1", "d2"])
@@ -643,8 +666,26 @@ class TestOneFormat:
 
 
 class TestBandOnlyEvaluation:
-    """The translates and sinc boxes equal their evaluation on the whole
-    lattice (tests/oracles.py)."""
+    """The translates, modulations and sinc boxes equal their evaluation
+    on the whole lattice (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("dim", ["d1", "d2"])
+    def test_modulation_equals_spatial_product(self, dim):
+        grid, level, beta, spec = GOLDEN_CLASSES[dim]
+        lat = 1.0 / (2 * grid.half_width)
+        mods = [c for c in kernels._candidates(grid, level, beta, "phi", spec)
+                if c.kernel_id.startswith("mod[")]
+        assert [c.kernel_id for c in mods] == [
+            f"mod[tau[{level + 2}],eta{i}]" for i in range(spec.n_mod)]
+        for i, cand in enumerate(mods):
+            eta = np.zeros(grid.dim)
+            eta[i % grid.dim] = round(2.0 ** (-level - 1) / (i + 1) / lat) * lat
+            want = modulate_lattice(tau_multiplier(grid, level + 2), grid, eta, "mod").multiplier
+            got = expand_band(grid, cand.multiplier)
+            peak = np.max(np.abs(want))
+            inside = got != 0
+            assert np.max(np.abs(got - want)[inside]) <= 1e-15 * peak, cand.kernel_id
+            assert np.max(np.abs(want[~inside])) <= 1e-15 * peak, cand.kernel_id
 
     @pytest.mark.parametrize("dim,samples", [(1, 1 << 12), (2, 1 << 7)])
     def test_translate_equals_lattice_phase(self, dim, samples):
