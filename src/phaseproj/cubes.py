@@ -165,13 +165,6 @@ class TreeIndex:
         """cube lies in the tree T = M_U."""
         return cube.index in self.slice_indices(cube.level)
 
-    def contains_tree_element(self, cube):
-        """Some tree cube is a subset of `cube`."""
-        for leaf in self.cfg.leaves:
-            if cube.level >= leaf.level and cube.contains(leaf):
-                return True
-        return False
-
 
 def expand_to_tree(cfg):
     """Expand a TreeConfig into its level-sliced TreeIndex."""

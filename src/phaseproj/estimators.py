@@ -51,9 +51,18 @@ weights rho_I ** -e:
   the generator early, cancel the queued tasks and wait for the running
   ones, so no task is left running.
 
-The Carleson terms are kept sorted by (level, index), which is the order
-in which carleson_sum adds them; it stops at J's level and tests
-ancestry with integer shifts.
+Each per-J answer reads tables that the context builds once per (p,
+level) on first use, so evaluating the window rescans no term:
+
+- carleson_sum reads the tree terms bucketed by their ancestor at J's
+  level, each bucket in sorted (level, index) order, the summation order.
+- offtree_sum reads, per table level, the maxima of the off-tree table
+  over the cubes of J's level (np.maximum.reduceat over each axis), and
+  max is exact.
+- offtree_geometry looks J up among the level's cubes next to one that
+  holds a leaf, each with its first such neighbour in scan order, and
+  reads root_distance once per centre coordinate and root_peak_weight
+  once per (level, distance).
 """
 
 from __future__ import annotations
@@ -253,26 +262,20 @@ def verify_witness(f, est, dict_spec):
 # ---------------------------------------------------------------------------
 # Eligibility and enumeration of evaluation cubes.
 
-def offtree_eligible(tree, J):
-    """A cube J qualifies for the off-tree inequality when no same-level
-    neighbor (mollified distance <= 1) contains a tree cube.  Returns
-    (eligible, violating neighbor or None)."""
-    if J.level < tree.j_min:
-        return True, None   # a neighbor finer than every leaf contains none
-    for off in iproduct((-1, 0, 1), repeat=J.dim):
-        neighbor = DyadicCube(J.level, tuple(k + o for k, o in zip(J.index, off)))
-        if tree.contains_tree_element(neighbor):
-            return False, neighbor
-    return True, None
+def root_distance(grid, c):
+    """min over the root U's grid points u on one axis of |u - c|; the
+    clamped distance from a point to U is its max over the axes (module
+    docstring, Clamping)."""
+    root_axis = grid.axis_points[grid.cube_slices(DyadicCube(0, (0,)))[0]]
+    return np.min(np.abs(root_axis - c))
 
 
-def root_peak_weight(grid, J, alpha):
-    """max of rho_J ** -alpha over the grid points of the root U, equal
-    to the full-grid maximum bit for bit: grid.mollified_distance runs on
-    the one clamped distance (module docstring)."""
-    root_axis = grid.axis_points[grid.cube_slices(DyadicCube(0, (0,) * J.dim))[0]]
-    dist = max(np.min(np.abs(root_axis - c)) for c in J.center)
-    peak = mollified_distance(np.array([dist]), J.side) ** (-alpha)
+def root_peak_weight(dist, side, alpha):
+    """max of rho_J ** -alpha over the grid points of the root U for a
+    cube J of the given side whose centre lies at the clamped distance
+    `dist` from U, equal to the full-grid maximum bit for bit:
+    grid.mollified_distance runs on the one clamped distance."""
+    peak = mollified_distance(np.array([dist]), side) ** (-alpha)
     return float(np.max(peak))
 
 
@@ -306,6 +309,7 @@ class EstimatorContext:
         self.p_values = tuple(p_values)
         self.depth = window_depth if window_depth is not None else -tree.j_min
         self.d = self.grid.dim
+        self.grid.cells(-(self.depth + 2))   # the window's finest cubes
 
         self.sizes = estimate_S_multi(tree, f, self.p_values, self.dict_spec)
         for p, est in self.sizes.items():
@@ -316,6 +320,15 @@ class EstimatorContext:
                     f"{value!r}, not {est.value!r}")
         self._carleson_terms = self._build_carleson_terms()
         self._offtree_terms, self.offtree_floor = self._build_offtree_terms()
+        # the per-J answers' tables, each built on first use: per (p, level)
+        # the Carleson buckets and the off-tree block maxima, per level the
+        # violators, per centre coordinate root_distance and per (level,
+        # distance) root_peak_weight
+        self._carleson_buckets = {}
+        self._block_maxima = {}
+        self._violators = {}
+        self._root_distances = {}
+        self._root_peaks = {}
 
     def _level_maxima(self, field, kind, levels):
         """Per cube of `levels`, (level, cubes at it) pairs: {p: max over
@@ -342,18 +355,28 @@ class EstimatorContext:
                     2.0 ** (i * self.d * (1.0 - _inv(p))) * best[p])  # |I|^(1/p')
         return {p: dict(sorted(t.items())) for p, t in terms.items()}
 
+    def _carleson_bucket(self, p, level, index):
+        """(level, term) of the tree cubes inside the level-`level` cube of
+        the given index, in summation order: the terms bucketed by their
+        ancestor at that level, once per (p, level)."""
+        buckets = self._carleson_buckets.get((p, level))
+        if buckets is None:
+            buckets = self._carleson_buckets[p, level] = {}
+            for (i, idx), value in self._carleson_terms[p].items():
+                if i > level:
+                    break
+                shift = level - i
+                buckets.setdefault(tuple(k >> shift for k in idx), []).append((i, value))
+        return buckets.get(index, ())
+
     def carleson_sum(self, J, p):
         """Sum of the per-cube terms over tree cubes inside J against
         the size times |J|."""
         by_level = {}
         lhs = 0.0
-        for (i, idx), value in self._carleson_terms[p].items():
-            if i > J.level:
-                break
-            shift = J.level - i
-            if all(k >> shift == kj for k, kj in zip(idx, J.index)):
-                lhs += value
-                by_level[i] = by_level.get(i, 0.0) + value
+        for i, value in self._carleson_bucket(p, J.level, J.index):
+            lhs += value
+            by_level[i] = by_level.get(i, 0.0) + value
         rhs = self.sizes[p].value * 2.0 ** (J.level * self.d)
         per_scale = []
         cumulative = 0.0
@@ -393,13 +416,58 @@ class EstimatorContext:
                     2.0 ** (-i * self.d * _inv(p)) * best[p])
         return tables, floor
 
+    def _level_violators(self, level):
+        """{index: violator} of the level's cubes that have a same-level
+        neighbor (mollified distance <= 1) holding a leaf, so containing a
+        tree cube; the violator is the first such neighbor in scan order.
+        Built once per level from the cubes that hold a leaf."""
+        violators = self._violators.get(level)
+        if violators is None:
+            violators = self._violators[level] = {}
+            holders = {leaf.ancestor(level).index for leaf in self.tree.cfg.leaves
+                       if leaf.level <= level}
+            offsets = list(iproduct((-1, 0, 1), repeat=self.d))
+            for index in {tuple(h - o for h, o in zip(holder, off))
+                          for holder in holders for off in offsets}:
+                neighbors = (tuple(k + o for k, o in zip(index, off)) for off in offsets)
+                violators[index] = DyadicCube(level, next(n for n in neighbors if n in holders))
+        return violators
+
     def offtree_geometry(self, J):
         """(violating neighbor or None, peak of rho_J^{-alpha} over U);
         the peak is None for an ineligible J."""
-        eligible, violator = offtree_eligible(self.tree, J)
-        if not eligible:
+        violator = self._level_violators(J.level).get(J.index)
+        if violator is not None:
             return violator, None
-        return None, root_peak_weight(self.grid, J, self.alpha)
+        for c in J.center:
+            if c not in self._root_distances:
+                self._root_distances[c] = root_distance(self.grid, c)
+        key = (J.level, max(self._root_distances[c] for c in J.center))
+        if key not in self._root_peaks:
+            self._root_peaks[key] = root_peak_weight(key[1], J.side, self.alpha)
+        return None, self._root_peaks[key]
+
+    def _offtree_block_maxima(self, p, level):
+        """(i, k0, maxima) per table level i <= level, coarsest first,
+        built once per (p, level): maxima[k - k0] is the max of the
+        level-i table over the cells inside the level-`level` cube of index
+        k, for each cube that meets the window.  np.maximum.reduceat takes
+        it over each axis's runs of cells, so a cube at the window's edge
+        takes its clipped block, as J's block is clipped; max is exact."""
+        maxima = self._block_maxima.get((p, level))
+        if maxima is None:
+            maxima = self._block_maxima[p, level] = []
+            for i in sorted(self._offtree_terms[p], reverse=True):
+                if i > level:
+                    continue
+                window_lo, table = self._offtree_terms[p][i]
+                cube_of = [(window_lo + c) >> (level - i) for c in range(table.shape[0])]
+                starts = [c for c in range(table.shape[0])
+                          if c == 0 or cube_of[c] != cube_of[c - 1]]
+                for ax in range(self.d):
+                    table = np.maximum.reduceat(table, starts, axis=ax)
+                maxima.append((i, cube_of[0], table))
+        return maxima
 
     def offtree_sum(self, J, p, geometry=None):
         """Scale sum of suprema over off-tree cubes inside J against the
@@ -414,17 +482,10 @@ class EstimatorContext:
                          f"ineligible: neighbor {violator.label()} meets the tree"})
         lhs = 0.0
         per_scale = []
-        for i in sorted(self._offtree_terms[p], reverse=True):
-            if i > J.level:
-                continue
-            window_lo, table = self._offtree_terms[p][i]
-            shift = J.level - i
-            sl = tuple(
-                slice(max((k << shift) - window_lo, 0),
-                      max(((k + 1) << shift) - window_lo, 0))
-                for k in J.index)
-            block = table[sl]
-            sup_i = float(np.max(block)) if block.size else 0.0
+        for i, first, maxima in self._offtree_block_maxima(p, J.level):
+            at = tuple(k - first for k in J.index)
+            # a cube that misses the window holds no cell: sup 0
+            sup_i = float(maxima[at]) if all(0 <= a < len(maxima) for a in at) else 0.0
             lhs += sup_i
             per_scale.append({"i": i, "term": sup_i, "cumulative": lhs})
         rhs = self.sizes[p].value * rhs_weight

@@ -399,7 +399,7 @@ def _summarize(reports):
         entry = summary.setdefault(key, {"max_ratio": 0.0, "count": 0,
                                          "finite": True})
         entry["count"] += 1
-        if not np.isfinite(rep.ratio):
+        if not math.isfinite(rep.ratio):
             entry["finite"] = False
         else:
             entry["max_ratio"] = max(entry["max_ratio"], rep.ratio)

@@ -31,9 +31,10 @@ band only) and, as the difference of two tau bands, psi_multiplier.
 Each band holds the floats of the evaluation on the whole lattice, which
 is zero off the band.  Likewise a translate evaluates its phase on its
 base's band, a modulation shifts its base's band by its frequency's
-lattice index, and a sinc box evaluates its B-spline and centre phase on
-1-d supports.  Besides the per-cube norms, the norm pool fills only the
-sinc-profile tables.
+lattice index, and a sinc box builds its multiplier on its band from
+factors evaluated on each axis's band, and its spatial samples from a
+cached 1-d profile with eta's phase on eta's nonzero axes only.  Besides
+the per-cube norms, the norm pool fills only the sinc-profile tables.
 """
 
 from __future__ import annotations
@@ -315,20 +316,22 @@ def bspline_central(t, order):
     Evaluated bottom-up with the stable two-term recursion at
     half-integer offsets; the alternating-sum formula loses ~1e-12
     absolute to cancellation, which would bury the kernel's genuine
-    polynomial tail under a flat noise floor.
+    polynomial tail under a flat noise floor.  Row k of one array holds
+    the B-spline of the current order at t + k/2, for every knot offset
+    |k| < order at once, and each order is one array pass over the rows
+    it still needs; each float is that of the recursion taken one offset
+    at a time.
     """
     t = np.asarray(t, dtype=float)
+    offsets = 0.5 * np.arange(-(order - 1), order).reshape((-1,) + (1,) * t.ndim)
+    shifted = t + offsets
     # half-open convention at order 1 makes the recursion exact at knots
-    vals = {k: np.where((t + 0.5 * k >= -0.5) & (t + 0.5 * k < 0.5), 1.0, 0.0)
-            for k in range(-(order - 1), order)}
+    vals = np.where((shifted >= -0.5) & (shifted < 0.5), 1.0, 0.0)
     for n in range(2, order + 1):
         half = n / 2.0
-        new = {}
-        for k in range(-(order - n), order - n + 1):
-            tt = t + 0.5 * k
-            val = ((tt + half) * vals[k + 1] + (half - tt) * vals[k - 1]) / (n - 1)
-            new[k] = np.where(np.abs(tt) < half, val, 0.0)
-        vals = new
+        tt = shifted[n - 1:2 * order - n]   # offsets |k| <= order - n
+        val = ((tt + half) * vals[2:] + (half - tt) * vals[:-2]) / (n - 1)
+        vals = np.where(np.abs(tt) < half, val, 0.0)
     return np.clip(vals[0], 0.0, None)
 
 
@@ -407,6 +410,14 @@ def build_sinc_power(grid, j, beta, kind, eta):
     kernels), so its lambda-normalization is an O(1) factor, uniformly
     over scales.  It is translated to the envelope cube's center c and
     its spectral box sits inside the admissible set, shifted by eta.
+
+    Only the spatial samples fill the lattice: the product of the
+    periodized 1-d profiles, times exp(2 pi i eta . (x - c)) with the
+    phase summed and exponentiated over eta's nonzero axes alone, so a
+    ladder box takes one 1-d exp and eta = 0 none.  The multiplier is
+    built on its band: per axis, the band of the lattice points inside
+    the box, with the B-spline and centre-phase factors evaluated there.
+    Each float is that of the evaluation on the whole lattice.
     """
     _require_band_inside_nyquist(grid, 2.0 ** (-j), f"sinc box at level {j}")
     k_pow = max(1, math.ceil(beta / 2.0))
@@ -423,29 +434,38 @@ def build_sinc_power(grid, j, beta, kind, eta):
     # spatial samples in closed form: the FFT route would bury the
     # polynomial tail under its roundoff floor and wreck lambda
     per = _periodized_sinc_power(grid, a, k_pow, cube_center)
-    factors = []
-    xi_1d = grid.axis_freqs
-    for ax in range(d):
-        # per-axis 1-d evaluation, B-spline and centre phase only inside
-        # its support box; the product order is fixed, (mult * spline) * phase
-        mult_1d = np.zeros(grid.samples)
-        phase_1d = np.zeros(grid.samples, dtype=np.complex128)
-        inside = np.abs(xi_1d - eta[ax]) < k_pow * a
-        mult_1d[inside] = bspline_central((xi_1d[inside] - eta[ax]) / a,
-                                          2 * k_pow) / a
-        phase_1d[inside] = np.exp(-2j * np.pi * xi_1d[inside] * cube_center)
-        factors += [grid.on_axis(mult_1d, ax), grid.on_axis(phase_1d, ax)]
-    # each product starts from its first factor and the phase sum from 0,
-    # as exact as full-grid complex ones and zeros: 1 * x and numpy's
-    # promotion to complex give the same floats
-    mult = functools.reduce(np.multiply, factors)
     values = functools.reduce(np.multiply, (grid.on_axis(per, ax) for ax in range(d)))
-    phase = sum(eta[ax] * (grid.point_component(ax) - cube_center) for ax in range(d))
-    values = values * np.exp(2j * np.pi * phase)
-    field = SampledField(grid, np.ascontiguousarray(values))
+    # eta's phase on its nonzero axes only: a term 0 * (x - c) leaves the
+    # sum's floats as they are, and for eta = 0 the factor exp(2 pi i 0) = 1
+    # leaves the product's floats those of the complex cast
+    axes = np.flatnonzero(eta)
+    if axes.size:
+        values = values * np.exp(2j * np.pi * sum(
+            eta[ax] * (grid.point_component(ax) - cube_center) for ax in axes))
+    field = SampledField(grid, values.astype(np.complex128, copy=False))
+    # per axis the band of the lattice points inside the box, which holds
+    # every nonzero of the product; the B-spline and the centre phase are
+    # evaluated there, in the product order (mult * spline) * phase
+    n = grid.samples
+    widths = []
+    for ax in range(d):
+        k = np.flatnonzero(np.abs(grid.axis_freqs - eta[ax]) < k_pow * a)
+        widths.append(min(2 * int(np.max(np.minimum(k, n - k), initial=0)) + 1, n))
+    factors = []
+    for ax, xi in enumerate(grid.band_freqs(widths)):
+        xi = xi.reshape(-1)
+        mult_1d = np.zeros(xi.size)
+        phase_1d = np.zeros(xi.size, dtype=np.complex128)
+        inside = np.abs(xi - eta[ax]) < k_pow * a
+        mult_1d[inside] = bspline_central((xi[inside] - eta[ax]) / a, 2 * k_pow) / a
+        phase_1d[inside] = np.exp(-2j * np.pi * xi[inside] * cube_center)
+        factors += [grid.on_axis(mult_1d, ax), grid.on_axis(phase_1d, ax)]
+    # each product starts from its first factor, as exact as from complex
+    # ones: 1 * x and numpy's promotion to complex give the same floats
+    mult = functools.reduce(np.multiply, factors)
     tag = f"sincpow[{kind},{j}"
-    if np.any(np.asarray(eta) != 0):
-        tag += ",eta=" + ",".join(f"{e:g}" for e in np.asarray(eta))
+    if axes.size:
+        tag += ",eta=" + ",".join(f"{e:g}" for e in eta)
     return _finish(grid, tag + "]", mult, field)
 
 
@@ -551,9 +571,9 @@ def build_dictionary(grid, j, beta, kind, spec):
     read the memoized bands of tau_multiplier and psi_cone_multiplier
     (module docstring), so neighbouring classes, which share all but one
     of their tau levels, evaluate each low-pass profile once; a sinc box
-    evaluates its centre phase only on its B-spline support, a translate
-    its phase only on its base's band, and a modulation is its base's
-    band shifted.
+    builds its multiplier on its band (build_sinc_power), a translate
+    evaluates its phase only on its base's band, and a modulation is its
+    base's band shifted.
 
     Each candidate is certified, scaled and released before the next is
     built; only its scaled band is kept, read-only and without a field,

@@ -6,16 +6,21 @@ indirect route the package takes can be checked against it.
 """
 
 import math
+from itertools import product
 
 import numpy as np
 
-from phaseproj import kernels
+from phaseproj import estimators, kernels
 from phaseproj.cubes import DyadicCube, TreeConfig
-from phaseproj.grid import SampledField, kernel_field_from_multiplier, plane_wave
+from phaseproj.grid import (
+    SampledField,
+    kernel_field_from_multiplier,
+    mollified_distance,
+    plane_wave,
+)
 from phaseproj.kernels import (
     LOWPASS_PROFILE,
     KernelHandle,
-    bspline_central,
     build_mollifier,
     cone_multiplier_values,
     psi_multiplier,
@@ -211,10 +216,28 @@ def class_membership_lattice(handle, j, beta, kind):
             "passed": bool(leak_rel <= 1e-10 and lam >= 1.0 - 1e-12)}
 
 
+def bspline_central_offsets(t, order):
+    """kernels.bspline_central by its two-term recursion taken one knot
+    offset at a time, each offset's values kept under its own key."""
+    t = np.asarray(t, dtype=float)
+    vals = {k: np.where((t + 0.5 * k >= -0.5) & (t + 0.5 * k < 0.5), 1.0, 0.0)
+            for k in range(-(order - 1), order)}
+    for n in range(2, order + 1):
+        half = n / 2.0
+        new = {}
+        for k in range(-(order - n), order - n + 1):
+            tt = t + 0.5 * k
+            val = ((tt + half) * vals[k + 1] + (half - tt) * vals[k - 1]) / (n - 1)
+            new[k] = np.where(np.abs(tt) < half, val, 0.0)
+        vals = new
+    return np.clip(vals[0], 0.0, None)
+
+
 def sinc_power_lattice(grid, j, beta, kind, eta):
-    """(multiplier, spatial samples) of kernels.build_sinc_power with each
-    product, and the phase sum, started from a full-grid array of ones or
-    zeros."""
+    """(multiplier, spatial samples) of kernels.build_sinc_power on the
+    whole lattice: each axis factor laid on every lattice point, each
+    product and the phase sum started from a full-grid array of ones or
+    zeros, and the centre phase of every axis evaluated on the full grid."""
     k_pow = max(1, math.ceil(beta / 2.0))
     d = grid.dim
     eta = np.asarray(eta, dtype=float)
@@ -233,7 +256,7 @@ def sinc_power_lattice(grid, j, beta, kind, eta):
         mult_1d = np.zeros(grid.samples)
         phase_1d = np.zeros(grid.samples, dtype=np.complex128)
         inside = np.abs(xi_1d - eta[ax]) < k_pow * a
-        mult_1d[inside] = bspline_central((xi_1d[inside] - eta[ax]) / a, 2 * k_pow) / a
+        mult_1d[inside] = bspline_central_offsets((xi_1d[inside] - eta[ax]) / a, 2 * k_pow) / a
         phase_1d[inside] = np.exp(-2j * np.pi * xi_1d[inside] * cube_center)
         mult = mult * grid.on_axis(mult_1d, ax)
         mult = mult * grid.on_axis(phase_1d, ax)
@@ -261,3 +284,90 @@ def sinc_profile_serial(grid, a, k_pow, center):
             per[:mid - lo] += table[down - mid + 1:down - lo + 1][::-1]
         per[mid - lo:] += table[mid - up:lo + n - up]
     return per
+
+
+def contains_tree_element(tree, cube):
+    """Some tree cube is a subset of `cube`: some leaf at or below its
+    level lies inside it, by DyadicCube.contains."""
+    return any(cube.level >= leaf.level and cube.contains(leaf) for leaf in tree.cfg.leaves)
+
+
+def offtree_eligible(tree, J):
+    """(eligible, violating neighbor or None) of the off-tree inequality
+    for J: the first same-level neighbor in scan order that contains a
+    tree cube, by a contains test per neighbor and leaf."""
+    if J.level < tree.j_min:
+        return True, None
+    for off in product((-1, 0, 1), repeat=J.dim):
+        neighbor = DyadicCube(J.level, tuple(k + o for k, o in zip(J.index, off)))
+        if contains_tree_element(tree, neighbor):
+            return False, neighbor
+    return True, None
+
+
+def offtree_geometry_scan(ctx, J):
+    """EstimatorContext.offtree_geometry with eligibility by
+    offtree_eligible and the clamped distance computed per axis of J."""
+    eligible, violator = offtree_eligible(ctx.tree, J)
+    if not eligible:
+        return violator, None
+    root_axis = ctx.grid.axis_points[ctx.grid.cube_slices(DyadicCube(0, (0,)))[0]]
+    dist = max(np.min(np.abs(root_axis - c)) for c in J.center)
+    return None, float(np.max(mollified_distance(np.array([dist]), J.side) ** (-ctx.alpha)))
+
+
+def carleson_sum_scan(ctx, J, p):
+    """EstimatorContext.carleson_sum by a scan of every tree term up to
+    J's level, with ancestry tested by integer shifts."""
+    by_level = {}
+    lhs = 0.0
+    for (i, idx), value in ctx._carleson_terms[p].items():
+        if i > J.level:
+            break
+        shift = J.level - i
+        if all(k >> shift == kj for k, kj in zip(idx, J.index)):
+            lhs += value
+            by_level[i] = by_level.get(i, 0.0) + value
+    rhs = ctx.sizes[p].value * 2.0 ** (J.level * ctx.d)
+    per_scale = []
+    cumulative = 0.0
+    for i in sorted(by_level, reverse=True):
+        cumulative += by_level[i]
+        per_scale.append({"i": i, "term": by_level[i], "cumulative": cumulative})
+    return estimators.InequalityReport(
+        inequality="carleson", lhs=lhs, rhs_without_constant=rhs,
+        ratio=estimators._ratio(lhs, rhs), p=p,
+        context={"J": J.label(), "m": ctx.m, "in_tree": ctx.tree.member(J)},
+        per_scale=per_scale)
+
+
+def offtree_sum_scan(ctx, J, p):
+    """EstimatorContext.offtree_sum with the geometry of
+    offtree_geometry_scan and each level's sup the np.max of J's clipped
+    block of the level's table."""
+    violator, rhs_weight = offtree_geometry_scan(ctx, J)
+    if violator is not None:
+        return estimators.InequalityReport(
+            inequality="offtree", lhs=0.0, rhs_without_constant=0.0,
+            ratio=0.0, p=p,
+            context={"J": J.label(), "m": ctx.m, "skipped":
+                     f"ineligible: neighbor {violator.label()} meets the tree"})
+    lhs = 0.0
+    per_scale = []
+    for i in sorted(ctx._offtree_terms[p], reverse=True):
+        if i > J.level:
+            continue
+        window_lo, table = ctx._offtree_terms[p][i]
+        shift = J.level - i
+        block = table[tuple(slice(max((k << shift) - window_lo, 0),
+                                  max(((k + 1) << shift) - window_lo, 0))
+                            for k in J.index)]
+        sup_i = float(np.max(block)) if block.size else 0.0
+        lhs += sup_i
+        per_scale.append({"i": i, "term": sup_i, "cumulative": lhs})
+    rhs = ctx.sizes[p].value * rhs_weight
+    return estimators.InequalityReport(
+        inequality="offtree", lhs=lhs, rhs_without_constant=rhs,
+        ratio=estimators._ratio(lhs, rhs), p=p,
+        context={"J": J.label(), "m": ctx.m, "truncation_floor": ctx.offtree_floor},
+        per_scale=per_scale)

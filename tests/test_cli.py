@@ -117,6 +117,14 @@ def test_negative_window_depth(capsys):
     assert out.startswith("FAILED at stage config:") and "window_depth" in out
 
 
+def test_window_finer_than_grid(capsys):
+    argv = ["verify", "--dim", "1", "--grid-n", "1024", "--depth", "1", "--leaves", "1",
+            "--no-strict", "--window-depth", "9"]
+    assert cli.main(argv) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAILED at stage estimators:") and "need at least N=32768" in out
+
+
 def test_bad_annulus(capsys):
     assert cli.main(["verify", "--f-annulus", "1"]) == 1
     err = capsys.readouterr().err

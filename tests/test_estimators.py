@@ -11,7 +11,13 @@ from math import inf
 import numpy as np
 import pytest
 from conftest import RecordingPool
-from oracles import expand_band, field_multiplier
+from oracles import (
+    carleson_sum_scan,
+    expand_band,
+    field_multiplier,
+    offtree_geometry_scan,
+    offtree_sum_scan,
+)
 
 from phaseproj import estimators
 from phaseproj import grid as grid_module
@@ -24,7 +30,7 @@ from phaseproj.estimators import (
     enumerate_window,
     estimate_S_multi,
     level_norms,
-    offtree_eligible,
+    root_distance,
     root_peak_weight,
     verify_witness,
     window_cubes,
@@ -170,12 +176,11 @@ class TestCarleson:
 
 class TestOfftree:
     def test_eligibility(self, setup):
-        frame, _, _ = setup
-        ok, violator = offtree_eligible(frame.tree, DyadicCube(-2, (100,)))
-        assert ok and violator is None
-        bad, violator = offtree_eligible(frame.tree, DyadicCube(-1, (1,)))
-        assert not bad
-        assert violator is not None
+        _, _, ctx = setup
+        violator, peak = ctx.offtree_geometry(DyadicCube(-2, (100,)))
+        assert violator is None and peak > 0
+        violator, peak = ctx.offtree_geometry(DyadicCube(-1, (1,)))
+        assert violator == DyadicCube(-1, (0,)) and peak is None
 
     def test_rejected_report(self, setup):
         _, _, ctx = setup
@@ -333,9 +338,10 @@ class TestTableOracles:
         grid = TorusGrid(dim, 8.0, samples)
         u_mask = cube_mask(grid, [unit_cube(dim)])
         for J in enumerate_window(dim, 1):
+            dist = max(root_distance(grid, c) for c in J.center)
             for alpha in (2.0, 3.0):
                 full = float(np.max(rho_values(grid, J)[u_mask] ** (-alpha)))
-                assert root_peak_weight(grid, J, alpha) == full, (J, alpha)
+                assert root_peak_weight(dist, J.side, alpha) == full, (J, alpha)
 
     def test_carleson_sum_equals_contains_scan(self, setup, deep):
         for ctx in (setup[2], deep):
@@ -350,6 +356,36 @@ class TestTableOracles:
                     assert rep.lhs == lhs
                     assert [row["term"] for row in rep.per_scale] == [
                         by_level[i] for i in sorted(by_level, reverse=True)]
+
+    @pytest.fixture(scope="class")
+    def plane(self):
+        # d = 2 with two leaves, so that some neighbours hold a leaf
+        grid = TorusGrid(2, 8.0, 1 << 8)
+        cfg = TreeConfig((DyadicCube(-1, (1, 0)), DyadicCube(-1, (0, 1))), 0, 3.0)
+        f = random_bandpass_field(grid, seed=5, annulus=(1.0, 3.0), n_modes=5)
+        return context(ProjectionFrame(cfg, grid, False), f, 0)
+
+    @pytest.mark.parametrize("which", ["deep", "plane"])
+    def test_per_cube_answers_equal_scans(self, which, request):
+        # the table-backed answers against the scans of every term, bit
+        # for bit (repr tells -0.0 from 0.0), for each window cube and
+        # for cubes above, below and far outside the window
+        ctx = request.getfixturevalue(which)
+        d = ctx.d
+        outside = [DyadicCube(1, (0,) * d), DyadicCube(1, (2,) * d), DyadicCube(1, (-3,) * d),
+                   DyadicCube(-5, (3,) * d), DyadicCube(-5, (40,) * d),
+                   DyadicCube(-1, (1000,) * d), DyadicCube(-2, (-17,) * d)]
+        violators = 0
+        for J in enumerate_window(d, ctx.depth) + outside:
+            geometry = ctx.offtree_geometry(J)
+            assert repr(geometry) == repr(offtree_geometry_scan(ctx, J)), J
+            violators += geometry[0] is not None
+            for p in ctx.p_values:
+                assert (repr(ctx.carleson_sum(J, p).to_dict())
+                        == repr(carleson_sum_scan(ctx, J, p).to_dict())), (J, p)
+                assert (repr(ctx.offtree_sum(J, p).to_dict())
+                        == repr(offtree_sum_scan(ctx, J, p).to_dict())), (J, p)
+        assert violators > 0
 
     def test_offtree_geometry_shared_across_p(self, deep):
         for J in enumerate_window(1, 1):

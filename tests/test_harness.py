@@ -157,6 +157,15 @@ class TestRun:
         record = run(config)
         assert record["error"]["stage"] == "projection"
 
+    def test_window_finer_than_grid_recorded_at_estimators_stage(self):
+        # the window reaches level -(9 + 2), side 2^-11, below the spacing
+        # 2^-6; it is refused before any table is built
+        config = RunConfig(dim=1, grid_n=1 << 10, tree_depth=1, leaf_count=1,
+                           strict=False, window_depth=9)
+        error = run(config)["error"]
+        assert error["stage"] == "estimators" and error["type"] == "ResolutionError"
+        assert error["message"].endswith("need at least N=32768")
+
     @pytest.mark.parametrize("content", [None, b"PP"])
     def test_unreadable_field_file_recorded_at_f_stage(self, tmp_path, content):
         # a missing file, and one shorter than the field header

@@ -3,12 +3,14 @@
 import hashlib
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import PACKAGE_CACHES
 from oracles import (
+    bspline_central_offsets,
     class_membership_lattice,
     cone_partition,
     expand_band,
@@ -38,6 +40,7 @@ from phaseproj.kernels import (
     BumpProfile,
     DictionarySpec,
     KernelHandle,
+    bspline_central,
     build_dictionary,
     build_psi_cone,
     build_tau,
@@ -53,6 +56,11 @@ from phaseproj.kernels import (
 )
 
 ALPHA = 2.0
+
+
+def same_bits(a, b):
+    """Equal dtype, shape and bytes: -0.0 and 0.0 differ."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -701,16 +709,23 @@ class TestBandOnlyEvaluation:
 
     @pytest.mark.parametrize("dim,samples", [(1, 1 << 12), (2, 1 << 7)])
     def test_sinc_power_equals_products_from_ones(self, dim, samples):
+        # bit for bit: eta = 0, one nonzero axis of either sign, two axes
         grid = TorusGrid(dim, 8.0, samples)
         u = 2.0 ** -2
-        for kind, eta in (("phi", 0.0), ("phi", -2 * u), ("psi", 3 * u), ("psi", -7 * u)):
+        boxes = []
+        for kind, eta in (("phi", 0.0), ("phi", 2 * u), ("phi", -2 * u), ("psi", 3 * u),
+                          ("psi", -3 * u), ("psi", 7 * u), ("psi", -7 * u)):
             for ax in range(dim):
                 vector = np.zeros(dim)
                 vector[ax] = eta
-                got = build_sinc_power(grid, -1, 12.0, kind, vector)
-                mult, field = sinc_power_lattice(grid, -1, 12.0, kind, vector)
-                assert np.array_equal(expand_band(grid, got.multiplier), mult)
-                assert np.array_equal(got.field.values, field.values)
+                boxes.append((kind, vector))
+        if dim == 2:
+            boxes += [("phi", np.array([2 * u, -u])), ("psi", np.array([-3 * u, 3 * u]))]
+        for kind, vector in boxes:
+            got = build_sinc_power(grid, -1, 12.0, kind, vector)
+            mult, field = sinc_power_lattice(grid, -1, 12.0, kind, vector)
+            assert same_bits(got.multiplier, frequency_band(mult)), (kind, vector)
+            assert same_bits(got.field.values, field.values), (kind, vector)
 
 
 class TestCaches:
@@ -836,3 +851,40 @@ class TestSincProfileTable:
         with pytest.raises(ResolutionError, match="half-step") as err:
             kernels._periodized_sinc_power(grid, 0.3, 4, 2.0 ** -8)
         assert err.value.required_samples == 1 << 11
+
+
+class TestSincBoxOnItsBand:
+    """bspline_central against the one-offset recursion, bit for bit, and
+    the memory of one sinc box."""
+
+    @pytest.mark.parametrize("order", range(1, 17))
+    def test_bspline_equals_one_offset_recursion(self, order):
+        # every knot and half-knot, the floats next to them, and points
+        # between and beyond them
+        knots = 0.5 * np.arange(-order - 2, order + 3)
+        t = np.concatenate([knots, np.nextafter(knots, np.inf), np.nextafter(knots, -np.inf),
+                            np.linspace(-order / 2 - 1, order / 2 + 1, 1001)])
+        assert same_bits(bspline_central(t, order), bspline_central_offsets(t, order))
+
+    @pytest.mark.parametrize("dim,samples,j,bound", [(2, 1 << 8, -2, 2.0),
+                                                     (1, 1 << 17, -5, 3.0)])
+    def test_ladder_box_peak_memory(self, dim, samples, j, bound):
+        # a psi ladder box with its sinc profile cached, in complex lattice
+        # fields, its own field included; the whole-lattice products took
+        # 4.0 (d = 2) and 5.1 (d = 1)
+        grid = TorusGrid(dim, 8.0, samples)
+        eta = np.zeros(dim)
+        eta[0] = 3 * 2.0 ** (-j - 3)
+        build_sinc_power(grid, j, 12.0, "psi", eta)
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            build_sinc_power(grid, j, 12.0, "psi", eta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if started:
+                tracemalloc.stop()
+        fields = (peak - base) / (grid.size * 16)
+        assert fields <= bound, fields
