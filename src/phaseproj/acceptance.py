@@ -15,10 +15,10 @@ from math import inf
 
 import numpy as np
 
+from .estimators import p_name
 from .harness import (
     RunConfig,
     modulation_demo,
-    p_name,
     parse_p,
     reference_sweep_configs,
     run,
@@ -104,7 +104,7 @@ def headline_rows(record, seed, m):
 
 def run_sweep_artifacts(configs=None):
     """Execute the reference sweep, collecting headline rows, finiteness
-    flags and per-scale decay scores."""
+    flags (from each run's report_summary) and per-scale decay scores."""
     configs = configs if configs is not None else reference_sweep_configs()
     table = ConstantTable()
     failures = []
@@ -116,13 +116,11 @@ def run_sweep_artifacts(configs=None):
             failures.append((config, record["error"]))
             continue
         table.rows.extend(headline_rows(record, config.tree_seed, config.gap_m))
-        for rep in record["reports"]:
-            if "skipped" in rep["context"]:
-                continue
-            if not np.isfinite(rep["ratio"]):
-                all_finite = False
-            if rep["inequality"] == "carleson":
-                decay_max = max(decay_max, carleson_decay_score(rep))
+        if not all(entry["finite"] for entry in record["report_summary"].values()):
+            all_finite = False
+        for row in record["reports"]:
+            if row["inequality"] == "carleson":
+                decay_max = max(decay_max, carleson_decay_score(row))
     return {
         "table": table,
         "failures": failures,
@@ -148,8 +146,8 @@ def uniformity_by_key(table):
 
 def bernstein_artifacts():
     """Gap-parameter sweep of the sup-vs-mean comparison."""
-    ratios = {rep.context["m"]: rep.ratio for rep in spq_checks(BERNSTEIN_CONFIG)
-              if "skipped" not in rep.context}
+    ratios = {int(row["context"]["m"]): row["ratio"] for row in spq_checks(BERNSTEIN_CONFIG)
+              if "skipped" not in row["context"]}
     ms = sorted(ratios)
     increments = [math.log2(ratios[ms[k + 1]] / ratios[ms[k]])
                   for k in range(len(ms) - 1) if ratios[ms[k]] > 0]

@@ -120,12 +120,12 @@ def _cmd_sweep(args):
 
 
 def _cmd_spq(args):
-    for rep in spq_checks(_config_from_args(args)):
-        m = rep.context["m"]
-        if "skipped" in rep.context:
-            print(f"bernstein m={m}: skipped ({rep.context['skipped']})")
+    for row in spq_checks(_config_from_args(args)):
+        context = row["context"]
+        if "skipped" in context:
+            print(f"bernstein m={context['m']}: skipped ({context['skipped']})")
         else:
-            print(f"bernstein m={m}: ratio {rep.ratio:.6g}")
+            print(f"bernstein m={context['m']}: ratio {row['ratio']:.6g}")
     return 0
 
 

@@ -7,6 +7,13 @@ checks report the ratio lhs / rhs-without-constant; the proven constant
 is existential, so ratios are tracked against frozen regression
 baselines rather than asserted against an invented numeric bound.
 
+An inequality report has one format, its report.json row (_report): a
+dict of inequality, lhs, rhs_without_constant, ratio, p ("inf" or the
+float), context (sorted keys, each value a string) and per_scale.
+carleson_sum, offtree_sum, norm_report and bernstein_sweep return rows,
+and evaluate_window builds the window's rows in the order report.json
+holds them: by inequality, then by p by p_name, then by J by label.
+
 Every per-cube table (size, Carleson, off-tree, Bernstein) is a reduction
 over one primitive, `level_norms`: the weighted norms of each (cube,
 kernel) pair at one level.  Its speed rests on two exact arguments, so
@@ -186,32 +193,29 @@ class SizeEstimate:
         }
 
 
-@dataclass
-class InequalityReport:
-    inequality: str
-    lhs: float
-    rhs_without_constant: float
-    ratio: float
-    p: float
-    context: dict = dc_field(default_factory=dict)
-    per_scale: list = dc_field(default_factory=list)
-
-    def to_dict(self):
-        return {
-            "inequality": self.inequality,
-            "lhs": self.lhs,
-            "rhs_without_constant": self.rhs_without_constant,
-            "ratio": self.ratio,
-            "p": "inf" if self.p == inf else self.p,
-            "context": {k: str(v) for k, v in sorted(self.context.items())},
-            "per_scale": self.per_scale,
-        }
-
-
 def _ratio(lhs, rhs):
     if rhs > 0:
         return lhs / rhs
     return 0.0 if lhs == 0 else inf
+
+
+def p_name(p):
+    return "inf" if p == inf else ("1" if p == 1.0 else ("2" if p == 2.0 else str(p)))
+
+
+def _report(inequality, lhs, rhs, p, context, per_scale=()):
+    """An inequality report as its report.json row: the ratio lhs / rhs
+    (_ratio), p as "inf" or the float, and the context with sorted keys,
+    each value as a string."""
+    return {
+        "inequality": inequality,
+        "lhs": lhs,
+        "rhs_without_constant": rhs,
+        "ratio": _ratio(lhs, rhs),
+        "p": "inf" if p == inf else p,
+        "context": {k: str(v) for k, v in sorted(context.items())},
+        "per_scale": per_scale,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +290,16 @@ def window_cubes(dim, level):
 
 
 def enumerate_window(dim, depth):
-    """All dyadic cubes intersecting 9U with level >= -(depth + 2)."""
-    return [c for level in range(0, -(depth + 3), -1) for c in window_cubes(dim, level)]
+    """All dyadic cubes intersecting 9U with level >= -(depth + 2), made one
+    at a time in label order.  A label is "level:k_1,...,k_d", and ':' sorts
+    after every digit while ',' sorts before every digit and '-', so label
+    order is the order of the strings f"{level}:", then of each index's
+    string in turn."""
+    for level in sorted(range(0, -(depth + 3), -1), key=lambda level: f"{level}:"):
+        span = 1 << (-level)
+        axis = sorted(range(-4 * span, 5 * span), key=str)
+        for index in iproduct(axis, repeat=dim):
+            yield DyadicCube(level, index)
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +395,9 @@ class EstimatorContext:
         for i in sorted(by_level, reverse=True):
             cumulative += by_level[i]
             per_scale.append({"i": i, "term": by_level[i], "cumulative": cumulative})
-        return InequalityReport(
-            inequality="carleson", lhs=lhs, rhs_without_constant=rhs,
-            ratio=_ratio(lhs, rhs), p=p,
-            context={"J": J.label(), "m": self.m, "in_tree": self.tree.member(J)},
-            per_scale=per_scale)
+        return _report("carleson", lhs, rhs, p,
+                       {"J": J.label(), "m": self.m, "in_tree": self.tree.member(J)},
+                       per_scale)
 
     # -- off-tree side ---------------------------------------------------------
 
@@ -439,10 +449,11 @@ class EstimatorContext:
         violator = self._level_violators(J.level).get(J.index)
         if violator is not None:
             return violator, None
-        for c in J.center:
+        center = J.center
+        for c in center:
             if c not in self._root_distances:
                 self._root_distances[c] = root_distance(self.grid, c)
-        key = (J.level, max(self._root_distances[c] for c in J.center))
+        key = (J.level, max(self._root_distances[c] for c in center))
         if key not in self._root_peaks:
             self._root_peaks[key] = root_peak_weight(key[1], J.side, self.alpha)
         return None, self._root_peaks[key]
@@ -469,17 +480,10 @@ class EstimatorContext:
                 maxima.append((i, cube_of[0], table))
         return maxima
 
-    def offtree_sum(self, J, p, geometry=None):
-        """Scale sum of suprema over off-tree cubes inside J against the
-        size times the peak of rho_J^{-alpha} over the root.  `geometry`
-        is offtree_geometry(J), computed here when not given."""
-        violator, rhs_weight = geometry or self.offtree_geometry(J)
-        if violator is not None:
-            return InequalityReport(
-                inequality="offtree", lhs=0.0, rhs_without_constant=0.0,
-                ratio=0.0, p=p,
-                context={"J": J.label(), "m": self.m, "skipped":
-                         f"ineligible: neighbor {violator.label()} meets the tree"})
+    def offtree_sum(self, J, p, rhs_weight):
+        """Scale sum of suprema over off-tree cubes inside an eligible J
+        against the size times rhs_weight, the peak of rho_J^{-alpha} over
+        the root that offtree_geometry(J) gives."""
         lhs = 0.0
         per_scale = []
         for i, first, maxima in self._offtree_block_maxima(p, J.level):
@@ -489,12 +493,9 @@ class EstimatorContext:
             lhs += sup_i
             per_scale.append({"i": i, "term": sup_i, "cumulative": lhs})
         rhs = self.sizes[p].value * rhs_weight
-        return InequalityReport(
-            inequality="offtree", lhs=lhs, rhs_without_constant=rhs,
-            ratio=_ratio(lhs, rhs), p=p,
-            context={"J": J.label(), "m": self.m,
-                     "truncation_floor": self.offtree_floor},
-            per_scale=per_scale)
+        return _report("offtree", lhs, rhs, p,
+                       {"J": J.label(), "m": self.m, "truncation_floor": self.offtree_floor},
+                       per_scale)
 
     # -- norm side ----------------------------------------------------------------
 
@@ -504,24 +505,27 @@ class EstimatorContext:
         context = {"m": self.m}
         if rhs == 0.0 and lhs > 0.0:
             context["anomaly"] = "size surrogate vanished for nonzero g"
-        return InequalityReport(
-            inequality="norm", lhs=lhs, rhs_without_constant=rhs,
-            ratio=_ratio(lhs, rhs), p=p, context=context)
+        return _report("norm", lhs, rhs, p, context)
 
     # -- full evaluation -------------------------------------------------------------
 
     def evaluate_window(self):
-        """Reports for every window cube: carleson for all, off-tree for
-        the eligible ones, plus the norm bound."""
-        reports = [self.norm_report(p) for p in self.p_values]
-        for J in enumerate_window(self.d, self.depth):
-            geometry = self.offtree_geometry(J)
-            for p in self.p_values:
-                reports.append(self.carleson_sum(J, p))
-                rep = self.offtree_sum(J, p, geometry)
-                if "skipped" not in rep.context:
-                    reports.append(rep)
-        return reports
+        """The window's report.json rows in report order (module
+        docstring): the carleson rows of every window cube, the norm rows,
+        then the off-tree rows of the cubes for which offtree_geometry
+        finds no violator.  The rows go into one list as they are made and
+        the cubes are made one at a time for each p, so at its peak the
+        call holds little more than its rows."""
+        p_values = sorted(self.p_values, key=p_name)
+        rows = [self.carleson_sum(J, p) for p in p_values
+                for J in enumerate_window(self.d, self.depth)]
+        rows.extend(self.norm_report(p) for p in p_values)
+        for p in p_values:
+            for J in enumerate_window(self.d, self.depth):
+                violator, rhs_weight = self.offtree_geometry(J)
+                if violator is None:
+                    rows.append(self.offtree_sum(J, p, rhs_weight))
+        return rows
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +538,9 @@ def bernstein_sweep(tree, f, dict_spec):
 
     The tracked quantity divides out the expected 2^{d(m-i)} growth of
     the band radius, so its per-step log-increment stays well below
-    d + 1/2.  A gap whose dictionary the grid cannot resolve gets a
-    skipped row."""
+    d + 1/2.  One report.json row (_report) per gap; a gap whose
+    dictionary the grid cannot resolve gets a row with a "skipped"
+    context."""
     d, alpha = f.grid.dim, tree.cfg.alpha
     reports = []
     for m_val in range(5):
@@ -555,14 +560,11 @@ def bernstein_sweep(tree, f, dict_spec):
                     worst = ratio
                     worst_ctx = {"i": i, "I": cube.label(), "kernel": kernel_id}
         if refusals:
-            reports.append(InequalityReport(
-                inequality="bernstein", lhs=0.0, rhs_without_constant=0.0,
-                ratio=0.0, p=inf,
-                context={"m": m_val, "skipped": str(refusals[0])}))
+            reports.append(_report("bernstein", 0.0, 0.0, inf,
+                                   {"m": m_val, "skipped": str(refusals[0])}))
         else:
-            reports.append(InequalityReport(
-                inequality="bernstein", lhs=worst, rhs_without_constant=1.0,
-                ratio=worst, p=inf, context=dict(worst_ctx or {}, m=m_val)))
+            reports.append(_report("bernstein", worst, 1.0, inf,
+                                   dict(worst_ctx or {}, m=m_val)))
     return reports
 
 

@@ -28,7 +28,7 @@ from .cubes import (
     unit_cube,
 )
 from .errors import PhaseprojError, ValidationError
-from .estimators import EstimatorContext, bernstein_sweep
+from .estimators import EstimatorContext, bernstein_sweep, p_name
 from .grid import (
     SampledField,
     TorusGrid,
@@ -63,10 +63,6 @@ def parse_p_values(values):
     if not p_values or len(set(p_values)) < len(p_values):
         raise ValidationError(f"p_values must hold one or more distinct exponents, not {values!r}")
     return p_values
-
-
-def p_name(p):
-    return "inf" if p == inf else ("1" if p == 1.0 else ("2" if p == 2.0 else str(p)))
 
 
 @dataclass
@@ -358,9 +354,6 @@ def run(config, out_dir=None):
         timings["estimators"] = time.perf_counter() - t0
         record["sizes"] = {p_name(p): est.to_dict() for p, est in ctx.sizes.items()}
         record["report_summary"] = _summarize(reports)
-        reports.sort(key=lambda r: (r.inequality, p_name(r.p), str(r.context.get("J", ""))))
-        for k, rep in enumerate(reports):  # each report is released as it is copied
-            reports[k] = rep.to_dict()
         record["reports"] = reports
         stage = "write"
         if out_dir:
@@ -389,20 +382,20 @@ def _diagnostics_dict(diag):
     return out
 
 
-def _summarize(reports):
-    """Headline ratios per (inequality, p): max over evaluated cubes."""
+def _summarize(rows):
+    """Headline ratios per (inequality, p) of report.json rows: max over
+    evaluated cubes.  A row's p is "inf" or the float, and p_name names
+    either."""
     summary = {}
-    for rep in reports:
-        if "skipped" in rep.context:
-            continue
-        key = (rep.inequality, p_name(rep.p))
+    for row in rows:
+        key = (row["inequality"], p_name(row["p"]))
         entry = summary.setdefault(key, {"max_ratio": 0.0, "count": 0,
                                          "finite": True})
         entry["count"] += 1
-        if not math.isfinite(rep.ratio):
+        if not math.isfinite(row["ratio"]):
             entry["finite"] = False
         else:
-            entry["max_ratio"] = max(entry["max_ratio"], rep.ratio)
+            entry["max_ratio"] = max(entry["max_ratio"], row["ratio"])
     return {f"{ineq}:p={p}": val for (ineq, p), val in sorted(summary.items())}
 
 
@@ -534,6 +527,8 @@ def modulation_demo(config, separations=None, second_tree_seed=None):
     if len(separations) == 0:
         raise ValidationError("separations must hold at least one frequency")
     for eta in separations:
+        if not _is_number(eta):
+            raise ValidationError(f"separation {eta!r} is not a finite real number")
         if abs(round(eta / lat) * lat - eta) > 1e-9:
             raise ValidationError(f"separation {eta} is off the frequency lattice")
     cfg = build_tree_config(config)

@@ -334,24 +334,17 @@ def carleson_sum_scan(ctx, J, p):
     for i in sorted(by_level, reverse=True):
         cumulative += by_level[i]
         per_scale.append({"i": i, "term": by_level[i], "cumulative": cumulative})
-    return estimators.InequalityReport(
-        inequality="carleson", lhs=lhs, rhs_without_constant=rhs,
-        ratio=estimators._ratio(lhs, rhs), p=p,
-        context={"J": J.label(), "m": ctx.m, "in_tree": ctx.tree.member(J)},
-        per_scale=per_scale)
+    return estimators._report("carleson", lhs, rhs, p,
+                              {"J": J.label(), "m": ctx.m, "in_tree": ctx.tree.member(J)},
+                              per_scale)
 
 
 def offtree_sum_scan(ctx, J, p):
-    """EstimatorContext.offtree_sum with the geometry of
+    """EstimatorContext.offtree_sum of an eligible J with the peak weight of
     offtree_geometry_scan and each level's sup the np.max of J's clipped
     block of the level's table."""
     violator, rhs_weight = offtree_geometry_scan(ctx, J)
-    if violator is not None:
-        return estimators.InequalityReport(
-            inequality="offtree", lhs=0.0, rhs_without_constant=0.0,
-            ratio=0.0, p=p,
-            context={"J": J.label(), "m": ctx.m, "skipped":
-                     f"ineligible: neighbor {violator.label()} meets the tree"})
+    assert violator is None, f"{J.label()} is ineligible"
     lhs = 0.0
     per_scale = []
     for i in sorted(ctx._offtree_terms[p], reverse=True):
@@ -366,8 +359,7 @@ def offtree_sum_scan(ctx, J, p):
         lhs += sup_i
         per_scale.append({"i": i, "term": sup_i, "cumulative": lhs})
     rhs = ctx.sizes[p].value * rhs_weight
-    return estimators.InequalityReport(
-        inequality="offtree", lhs=lhs, rhs_without_constant=rhs,
-        ratio=estimators._ratio(lhs, rhs), p=p,
-        context={"J": J.label(), "m": ctx.m, "truncation_floor": ctx.offtree_floor},
-        per_scale=per_scale)
+    return estimators._report("offtree", lhs, rhs, p,
+                              {"J": J.label(), "m": ctx.m,
+                               "truncation_floor": ctx.offtree_floor},
+                              per_scale)

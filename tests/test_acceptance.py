@@ -12,6 +12,7 @@ import math
 
 import pytest
 
+from phaseproj import acceptance
 from phaseproj.acceptance import (
     BERNSTEIN_CONFIG,
     MODULATION_CONFIG,
@@ -57,6 +58,26 @@ class TestSweepArtifacts:
         assert {row["inequality"] for row in art["table"].rows} == {
             "norm", "carleson", "offtree"}
         assert {row["seed"] for row in art["table"].rows} == {5}
+
+    def test_finiteness_read_from_the_summary(self, monkeypatch):
+        # all_finite comes from each run's report_summary flags, and the
+        # rows are read for the carleson decay score only
+        carleson = {"inequality": "carleson", "ratio": 1.0,
+                    "per_scale": [{"i": -1, "term": 1.0}, {"i": -3, "term": 1.0}]}
+        records = [
+            {"report_summary": {"carleson:p=2": {"max_ratio": 1.0, "count": 1,
+                                                 "finite": True}},
+             "reports": [carleson]},
+            {"report_summary": {"offtree:p=2": {"max_ratio": 0.0, "count": 1,
+                                                "finite": False}},
+             "reports": []},
+        ]
+        for count, finite in ((1, True), (2, False)):
+            given = iter(records)
+            monkeypatch.setattr(acceptance, "run", lambda config: next(given))
+            art = run_sweep_artifacts([RunConfig()] * count)
+            assert art["all_finite"] is finite
+            assert art["decay_max"] == 2.0   # 1 / 2^{0.5 (-3 - (-1))}
 
 
 def test_uniformity_keys_name_exponents_as_reports_do():

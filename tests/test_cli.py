@@ -148,6 +148,14 @@ def test_bad_separations(capsys):
     assert err.startswith("error:") and "--separations" in err and "'x'" in err
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "1e400"])
+def test_non_finite_separation(capsys, text):
+    # refused with its value named, not a traceback from the lattice check
+    assert cli.main(["mod-demo", "--separations", f"0,{text}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: separation ") and "is not a finite real number" in err
+
+
 @pytest.mark.parametrize("f_modes,message", [
     ([[math.nan, 1.0, 0.0]], "f_modes"),
     ([[2.0, 0.0, 0.0]], "separation 0.0 has L2 norm 0"),

@@ -296,7 +296,8 @@ class TestRun:
         spec = DictionarySpec(1, 1, 0, 0, 1, 0)
         config = RunConfig(dim=1, grid_n=1 << 12, tree_seed=5, f_seed=2,
                            f_annulus=(1.0, 3.0), dict_spec=spec)
-        assert [rep.context["m"] for rep in harness.spq_checks(config)] == [0, 1, 2, 3, 4]
+        assert [row["context"]["m"] for row in harness.spq_checks(config)] == [
+            "0", "1", "2", "3", "4"]
         assert specs and all(s is spec for s in specs)
 
     @pytest.mark.parametrize("change,message", [
@@ -546,6 +547,14 @@ class TestModulationDemo:
         config = RunConfig(dim=1, grid_n=1 << 13, tree_depth=1, leaf_count=1)
         with pytest.raises(ValidationError):
             modulation_demo(config, separations=[0.0, 0.03])
+
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, float("1e400"), -math.inf, 10 ** 400],
+                             ids=["nan", "inf", "1e400", "-inf", "10**400"])
+    def test_non_finite_separation_rejected(self, eta):
+        config = RunConfig(dim=1, grid_n=1 << 13, tree_depth=1, leaf_count=1)
+        with pytest.raises(ValidationError,
+                           match=f"separation {eta!r} is not a finite real number"):
+            modulation_demo(config, separations=[0.0, eta])
 
     def test_no_separations_rejected(self):
         config = RunConfig(dim=1, grid_n=1 << 13, tree_depth=1, leaf_count=1)

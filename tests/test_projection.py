@@ -518,3 +518,85 @@ class Test2D:
         recon = comp[0] + comp[1] - comp[2]
         target = f - out.g
         assert np.max(np.abs(recon.values - target.values)) <= 1e-8 * f.max_abs()
+
+
+# ---------------------------------------------------------------------------
+# Exact symmetries: g of the transformed f and tree equals the transformed
+# g.  The cubes are half-open on the lattice, so the reflection that maps
+# them onto each other is the one about the half-sample point,
+# k -> (N/(2B) - 1 - k) mod N on an axis, with a level-i cube index
+# k -> 2^{-i} - 1 - k.  The d = 1 bound is looser: at N = 2^12 every
+# symmetry, conjugation included, reads about 5e-13, and at N = 2^14 about
+# 8e-12, which is roundoff amplified by the derivatives of the pieces, not
+# a broken symmetry.
+
+def _projection(grid, leaves, alpha, values):
+    frame = ProjectionFrame(TreeConfig(tuple(leaves), 0, alpha), grid, False)
+    return assemble(frame, SampledField(grid, values)).g.values
+
+
+def _reflect(grid, values, axis, offset=-1):
+    """values[(N/(2B) + offset - k) mod N] along `axis`: the half-sample
+    reflection for offset -1."""
+    index = (round(1 / grid.spacing) + offset - np.arange(grid.samples)) % grid.samples
+    return np.take(values, index, axis=axis)
+
+
+def _reflect_cube(cube, axis):
+    index = list(cube.index)
+    index[axis] = (1 << -cube.level) - 1 - index[axis]
+    return DyadicCube(cube.level, tuple(index))
+
+
+def _rel(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+_SYMMETRY_CASES = {
+    "2d": (2, 1 << 8, (DyadicCube(-1, (1, 0)), DyadicCube(-1, (0, 1))), 3.0, 1e-13),
+    "1d": (1, 1 << 12, (DyadicCube(-1, (0,)),), 2.0, 1e-11),
+}
+
+
+def _symmetry_case(name):
+    """(grid, leaves, alpha, bound, the real and imaginary parts of f, f, g)."""
+    dim, samples, leaves, alpha, bound = _SYMMETRY_CASES[name]
+    grid = TorusGrid(dim, 8.0, samples)
+    parts = [harness.random_bandpass_field(grid, seed, (1.0, 3.0), 5).values
+             for seed in (5, 6)]
+    f = parts[0] + 1j * parts[1]     # complex, so that conjugation moves it
+    return grid, leaves, alpha, bound, parts, f, _projection(grid, leaves, alpha, f)
+
+
+class TestSymmetries:
+    @pytest.fixture(scope="class", params=sorted(_SYMMETRY_CASES))
+    def case(self, request):
+        return _symmetry_case(request.param)
+
+    def test_axis_swap(self):
+        grid, leaves, alpha, bound, _, f, g = _symmetry_case("2d")
+        swapped = [DyadicCube(c.level, c.index[::-1]) for c in leaves]
+        assert _rel(_projection(grid, swapped, alpha, f.T), g.T) <= bound
+
+    def test_half_sample_reflection(self, case):
+        grid, leaves, alpha, bound, _, f, g = case
+        for axis in range(grid.dim):
+            reflected = [_reflect_cube(c, axis) for c in leaves]
+            got = _projection(grid, reflected, alpha, _reflect(grid, f, axis))
+            assert _rel(got, _reflect(grid, g, axis)) <= bound, axis
+        # about a whole sample the half-open cubes do not map onto each
+        # other, and g moves by far more than roundoff
+        got = _projection(grid, [_reflect_cube(c, 0) for c in leaves], alpha,
+                          _reflect(grid, f, 0, offset=0))
+        assert _rel(got, _reflect(grid, g, 0, offset=0)) > 1e-3
+
+    def test_conjugation(self, case):
+        grid, leaves, alpha, bound, _, f, g = case
+        assert _rel(_projection(grid, leaves, alpha, np.conj(f)), np.conj(g)) <= bound
+
+    def test_linearity(self, case):
+        grid, leaves, alpha, bound, parts, _, _ = case
+        a, b = 0.7 - 1.3j, -2.1 + 0.4j
+        want = sum(c * _projection(grid, leaves, alpha, part) for c, part in zip((a, b), parts))
+        got = _projection(grid, leaves, alpha, a * parts[0] + b * parts[1])
+        assert _rel(got, want) <= bound
