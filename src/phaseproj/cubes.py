@@ -15,6 +15,9 @@ import numpy as np
 from .errors import ValidationError
 
 
+_INT = {int}
+
+
 def _as_index(index):
     if isinstance(index, (int, np.integer)):
         return (int(index),)
@@ -28,8 +31,15 @@ class DyadicCube:
     level: int
     index: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "index", _as_index(self.index))
+    def __init__(self, level, index):
+        # an index that is already a tuple of ints is kept as it is; the
+        # fields go straight into the instance dict, as the frozen class
+        # refuses attribute assignment
+        if type(index) is not tuple or not _INT.issuperset(map(type, index)):
+            index = _as_index(index)
+        fields = self.__dict__
+        fields["level"] = level
+        fields["index"] = index
 
     @property
     def dim(self):

@@ -14,11 +14,13 @@ carleson_sum, offtree_sum, norm_report and bernstein_sweep return rows,
 and evaluate_window builds the window's rows in the order report.json
 holds them: by inequality, then by p by p_name, then by J by label.
 
-Every per-cube table (size, Carleson, off-tree, Bernstein) is a reduction
-over one primitive, `level_norms`: the weighted norms of each (cube,
-kernel) pair at one level.  Its speed rests on two exact arguments, so
-the tables equal, float for float, a direct evaluation with full-grid
-weights rho_I ** -e:
+Every per-cube table rests on the weighted norms of (cube, kernel) pairs
+at one level.  The size table, its witness and the Bernstein sweep need
+each pair's norms and take them from `level_norms`; the Carleson and
+off-tree tables keep only each cube's largest norm per p and take it from
+`level_maxima`, which prunes the norms that cannot be that largest.  The
+speed of both rests on exact arguments, so the tables equal, float for
+float, a direct evaluation of every norm with full-grid weights rho_I ** -e:
 
 - Dyadic translates.  B and h are powers of two (TorusGrid), so grid
   points -B + h n and cube centres (k + 1/2) 2^i are dyadic rationals,
@@ -28,35 +30,67 @@ weights rho_I ** -e:
   Applying max(1, 1/2 + |.| / s) ** -e to that vector once gives every
   cube's per-axis weights as slices of it.  rho_I is the max over axes,
   and max, +, / and ** -e are monotone, so rho_I ** -e is the min over
-  axes of the slices.  min is exact, so grid.level_weights takes it once
+  axes of the slices.  min is exact, so grid.weight_table takes it once
   per level, at every d-tuple of base points, into a read-only table of
   (2N)^d floats (in d = 1 the base vector itself), and each cube's
-  weight is a view of an N^d block of it.
+  weight is a view of an N^d block of it, starting at a whole number of
+  cells (grid.weight_origin).
 - Clamping.  The off-tree right-hand side needs the peak of
   rho_J ** -alpha over the grid points of the root U.  That is a
   monotone function of the l-infinity distance to J's centre, and U's
   points form a product of axis grids, so the peak sits at the distance
   max over axes of (min over U's axis points of |u - c|).  The same
   ufuncs applied to that one distance give the full-grid maximum's float.
-- Fan-out.  level_norms runs over a plan of levels.  At each level the
+- Pruning.  level_maxima answers p = inf with one product per cube: the
+  pointwise max M of the level's responses m_k, weighted.  Rounding w m
+  is monotone in m for w >= 0, so max_k fl(w m_k) = fl(w max_k m_k), and
+  the max over the grid of fl(w M) is the largest p = inf norm, bit for
+  bit.  For finite p >= 1 each response's max M_kb over aligned blocks b
+  of BOUND_BLOCK^d grid points is taken, and per level the sums of w^p
+  over every block of that size whose start is a whole number of cells,
+  so every cube's weight view splits into such blocks.  Since
+  w m_k <= w M_kb on b, the norm of kernel k is at most
+  (h^d sum_b M_kb^p sum_{x in b} w(x)^p)^(1/p).  A cube takes the exact
+  norms (grid.lp_norms, as level_norms) of its kernels largest bound
+  first, and stops at the first kernel whose bound, widened by the
+  relative margin BOUND_MARGIN = 1e-9, is below the largest norm taken:
+  no kernel left can reach that norm.  The margin covers the rounding of
+  both sides: each is a sum of at most N^d non-negative terms rounded a
+  few times, which even in a naive order is off by less than
+  N^d 2^-53 < 1.2e-10 of itself for the 2^20 points of the largest
+  grids the suite runs, and the root (1/p <= 1) does not magnify it.
+  Nothing is pruned for p < 1, nor while the largest norm taken is below
+  2^(-1000/p), so that the p-th powers near the subnormal range, where
+  rounding is absolute.  Kernels go in chunks of KERNEL_CHUNK, in
+  dictionary order, and a cube's running max carries over from chunk to
+  chunk, so a chunk prunes against the norms of every earlier one.  A
+  chunk whose block maxima are not all finite takes every norm of its
+  kernels at every p, p = inf included, and stays out of M.  Only a
+  larger norm replaces the running max, so it keeps the first of equal
+  norms and skips a nan, as max([0.0, ...]) does.
+- Fan-out.  Both run over a plan of levels (_fan_out).  At each level the
   calling thread computes the kernel responses |k * f| in dictionary
-  order, one inverse FFT each, and hands each response to one task per
-  block of the level's cubes, which are split into as many contiguous
-  blocks as the thread pool has workers.  A task takes that one
-  response's norms on its block over the weight views, in a scratch
-  array private to its worker, so the workers take the norms of kernel k
-  while the FFT of kernel k + 1 runs, and no task waits on another.
-  With a level handed out, the calling thread pulls the next level of
-  the plan, which builds that level's dictionary while the workers
-  finish, and only then collects the rows, each cube's in dictionary
-  order.  A response is held by its tasks alone, so it is freed when its
-  last block ends: before the next level's responses are computed, so at
-  most one level of them is alive.  A task runs the same ufunc calls on
-  the same inputs as a serial loop would (those of grid.lp_norms), so
-  each float and every tie-break is the serial loop's, for any number of
-  workers.  An error in a response, in a task or in the plan, and closing
-  the generator early, cancel the queued tasks and wait for the running
-  ones, so no task is left running.
+  order, one inverse FFT each.  The level's cubes are split into as many
+  contiguous blocks as the thread pool has workers.  level_norms hands
+  each response to one task per block of cubes as soon as it is
+  computed, so the workers take the norms of kernel k while the FFT of
+  kernel k + 1 runs, and no task waits on another.  level_maxima hands
+  each chunk of responses to one task per block of cubes once the
+  previous chunk's tasks have ended, as they raise the same running
+  maxima, and computes the next chunk meanwhile; so at most two chunks
+  of responses are alive, besides M, which goes to the last chunk's
+  tasks.  A task works in a scratch array private to its worker.  With
+  a level handed out, the calling thread pulls the next level of the
+  plan, which builds that level's dictionary while the workers finish,
+  and only then collects the rows, each cube's in dictionary order.  A
+  response is held by its tasks alone, so it is freed when its last
+  task ends: before the next level's responses are computed, so at most
+  one level of them is alive.  A task runs the same ufunc calls on the
+  same inputs as a serial loop would (those of grid.lp_norms), so each
+  float and every tie-break is the serial loop's, for any number of
+  workers.  An error in a response, in a task or in the plan, and
+  closing the generator early, cancel the queued tasks and wait for the
+  running ones, so no task is left running.
 
 Each per-J answer reads tables that the context builds once per (p,
 level) on first use, so evaluating the window rescans no term:
@@ -74,6 +108,7 @@ level) on first use, so evaluating the window rescans no term:
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from concurrent.futures import wait
@@ -84,7 +119,7 @@ from math import inf
 import numpy as np
 
 from .cubes import DyadicCube
-from .errors import InternalConsistencyError, ResolutionError
+from .errors import InternalConsistencyError, ResolutionError, ValidationError
 from .grid import (
     apply_multiplier,
     level_weights,
@@ -92,6 +127,8 @@ from .grid import (
     lp_norms,
     mollified_distance,
     norm_pool,
+    weight_origin,
+    weight_table,
 )
 from .kernels import build_dictionary
 
@@ -103,37 +140,71 @@ def _inv(p):
 _SCRATCH = threading.local()  # each worker's norm buffer
 
 
+def _scratch(shape):
+    """A float array of the given shape private to the calling worker."""
+    scratch = getattr(_SCRATCH, "norms", None)
+    if scratch is None or scratch.shape != shape:
+        scratch = _SCRATCH.norms = np.empty(shape)
+    return scratch
+
+
+def _fan_out(plan, start):
+    """Run start(level, kernels, cubes, tasks) for each level of the plan,
+    pulled one level ahead (module docstring, Fan-out): it computes the
+    level's responses, appends its pool tasks to `tasks` and returns the
+    generator of the level's rows.  An error, or closing the generator
+    early, cancels the queued tasks and waits for the running ones."""
+    tasks, rows = [], iter(())
+    try:
+        for level, kernels, cubes in plan:
+            yield from rows
+            tasks = []
+            rows = start(level, kernels, cubes, tasks)
+        yield from rows
+    finally:   # after an error or an early close too
+        for task in tasks:
+            task.cancel()
+        wait(tasks)
+
+
+def _cube_blocks(items):
+    """`items` in as many contiguous blocks as the norm pool has workers,
+    empty blocks left out."""
+    workers = norm_pool()[1]
+    blocks = (items[len(items) * b // workers:len(items) * (b + 1) // workers]
+              for b in range(workers))
+    return [block for block in blocks if block]
+
+
 def _block_norms(response, weights, h_d, p_values):
     """The norms of one kernel response on a block of cubes, given by their
     weights, computed in a float array private to the calling worker."""
-    scratch = getattr(_SCRATCH, "norms", None)
-    if scratch is None or scratch.shape != response.shape:
-        scratch = _SCRATCH.norms = np.empty(response.shape)
+    scratch = _scratch(response.shape)
     return [lp_norms(response, h_d, p_values, weight, scratch) for weight in weights]
 
 
-def _start_level(field, kernels, cubes, level, weight_exp, p_values, tasks):
+def _start_level(field, weight_exp, p_values, level, kernels, cubes, tasks):
     """Compute each kernel response in turn and hand it to one task per
-    block of the cubes; the tasks of kernel k go into tasks[k], and they
-    alone hold its response.  Returns the generator of the level's rows."""
+    block of the cubes; those tasks alone hold it.  Returns the generator
+    of the level's rows."""
     grid = field.grid
     h_d = grid.spacing ** grid.dim
     weight_of = level_weights(grid, level, weight_exp)
-    weights = [weight_of(cube) for cube in cubes]
-    pool, workers = norm_pool()
-    blocks = [weights[len(cubes) * b // workers:len(cubes) * (b + 1) // workers]
-              for b in range(workers)]
-    for kernel, column in zip(kernels, tasks):
+    blocks = _cube_blocks([weight_of(cube) for cube in cubes])
+    pool = norm_pool()[0]
+    columns = []
+    for kernel in kernels:
         response = np.abs(apply_multiplier(field, kernel.multiplier).values)
-        column.extend(pool.submit(_block_norms, response, block, h_d, p_values)
-                      for block in blocks if block)
-    return _rows(kernels, cubes, tasks)
+        columns.append([pool.submit(_block_norms, response, block, h_d, p_values)
+                        for block in blocks])
+        tasks.extend(columns[-1])
+    return _rows(kernels, cubes, columns)
 
 
-def _rows(kernels, cubes, tasks):
+def _rows(kernels, cubes, columns):
     """Each cube's row, kernels in dictionary order, once the level's
     tasks have ended."""
-    columns = [[norms for task in column for norms in task.result()] for column in tasks]
+    columns = [[norms for task in column for norms in task.result()] for column in columns]
     for i, cube in enumerate(cubes):
         yield cube, [(kernel.kernel_id, column[i]) for kernel, column in zip(kernels, columns)]
 
@@ -148,18 +219,179 @@ def level_norms(field, plan, weight_exp, p_values):
     kernel]) for each cube in plan order, kernels in dictionary order, so
     that callers keep their tie-breaking order.
     """
-    tasks, rows = [], iter(())
-    try:
-        for level, kernels, cubes in plan:
-            yield from rows
-            tasks = [[] for _ in kernels]
-            rows = _start_level(field, kernels, cubes, level, weight_exp, p_values, tasks)
-        yield from rows
-    finally:   # after an error or an early close too
-        left = [task for column in tasks for task in column]
-        for task in left:
-            task.cancel()
-        wait(left)
+    return _fan_out(plan, functools.partial(_start_level, field, weight_exp, p_values))
+
+
+# The pruned maxima (module docstring, Pruning): bounds over blocks of
+# BOUND_BLOCK^d grid points, widened by the relative margin BOUND_MARGIN
+# that covers the rounding of a bound and of a norm; the kernels of a level
+# in chunks of KERNEL_CHUNK, so that at most two chunks of responses live.
+BOUND_BLOCK = 16
+BOUND_MARGIN = 1e-9
+KERNEL_CHUNK = 4
+
+
+def _block_reduce(array, size, ufunc):
+    """ufunc over each aligned block of size^d entries of `array`."""
+    shape = [s for n in array.shape for s in (n // size, size)]
+    return ufunc.reduce(array.reshape(shape), axis=tuple(range(1, 2 * array.ndim, 2)))
+
+
+def _window_sums(sums, run):
+    """Per axis, the sums of `run` consecutive entries of `sums`, from each
+    entry on."""
+    for ax in range(sums.ndim):
+        count = sums.shape[ax] - run + 1
+        sums = functools.reduce(np.add, (np.take(sums, range(j, j + count), axis=ax)
+                                         for j in range(run)))
+    return sums
+
+
+def _power_sums(table, grain, p):
+    """The sums of table ** p over its aligned blocks of grain^d entries,
+    taken a slab of about 2^14 entries at a time, so that no power of the
+    whole table is held."""
+    rows = max(grain, (1 << 14) // (table.size // len(table)) // grain * grain)
+    return np.concatenate([_block_reduce(table[i:i + rows] ** p, grain, np.add)
+                           for i in range(0, len(table), rows)])
+
+
+def _bounded(p_values):
+    """The p that get bounds: below p = 1 the root would magnify the
+    rounding past the margin."""
+    return [p for p in p_values if 1.0 <= p < inf]
+
+
+def _block_sums(grid, level, table, origins, p_values):
+    """Per cube of the given weight origins, {p: the sums of the weight
+    table to the p over the cube's aligned blocks of BOUND_BLOCK^d
+    points}, for each bounded p."""
+    n, cells = grid.samples, grid.cells(level)
+    size = min(BOUND_BLOCK, n)
+    # each cube's weight starts a whole number of cells into the table:
+    # sums over blocks of min(cells, size) points, then over runs of them
+    grain, run = min(cells, size), max(size // cells, 1)
+    windows = {p: _window_sums(_power_sums(table, grain, p), run) for p in _bounded(p_values)}
+    return [{p: window[tuple(slice(s // grain, s // grain + (n // size) * run, run)
+                             for s in origin)]
+             for p, window in windows.items()} for origin in origins]
+
+
+def _block_powers(responses, p_values):
+    """{p: powers[k, b] = M_kb^p} of the responses' maxima M_kb over their
+    aligned blocks of BOUND_BLOCK^d points, for each bounded p; None if a
+    block maximum is not finite."""
+    n = responses[0].shape[0]
+    size = min(BOUND_BLOCK, n)
+    peaks = np.array([_block_reduce(response, size, np.maximum).ravel()
+                      for response in responses])
+    if not np.isfinite(peaks).all():
+        return None
+    return {p: peaks ** p for p in _bounded(p_values)}
+
+
+def _bounds(powers, cube_sums, h_d):
+    """{p: per kernel, the bound (h^d sum_b M_kb^p sum_{x in b} w^p)^(1/p)
+    on its norm} of one cube, from powers[p][k, b] = M_kb^p and the sums
+    of w^p over the cube's blocks; +inf where inf * 0 leaves no bound."""
+    bounds = {}
+    for p, power in powers.items():
+        bound = (h_d * (power @ cube_sums[p].ravel())) ** (1.0 / p)
+        bound[np.isnan(bound)] = inf
+        bounds[p] = bound
+    return bounds
+
+
+def _raise_maxima(best, responses, peak, bounds, weight, h_d, scratch):
+    """Raise the running maxima {p: largest norm so far} of one cube by
+    the kernels of one chunk (module docstring, Pruning).  Each p that
+    `bounds` holds takes the norms of the kernels whose bound reaches the
+    running max, largest bound first; every other finite p takes every
+    kernel's norm, and so does p = inf where `bounds` is None, for a chunk
+    whose block maxima are not all finite.  Otherwise p = inf takes one
+    product with `peak`, the pointwise max of every response of the level
+    in a chunk with bounds, given to the level's last chunk alone.  Only
+    a larger norm replaces the max, so a nan never does."""
+    if peak is not None and inf in best:
+        norm = lp_norms(peak, h_d, (inf,), weight, scratch)[inf]
+        if norm > best[inf]:
+            best[inf] = norm
+    taken = [p for p in best if bounds is None or p != inf]
+    norms = {}   # kernel index -> its norms at every p taken
+    for p in taken:
+        bound = (bounds or {}).get(p)
+        order = range(len(responses)) if bound is None else np.argsort(-bound, kind="stable")
+        top = best[p]
+        for k in order:
+            if (bound is not None and bound[k] * (1.0 + BOUND_MARGIN) < top
+                    and top >= 2.0 ** (-1000.0 / p)):
+                break
+            if k not in norms:
+                norms[k] = lp_norms(responses[k], h_d, taken, weight, scratch)
+            if norms[k][p] > top:
+                top = norms[k][p]
+        best[p] = top
+
+
+def _maxima_block(responses, peak, powers, weights, sums, maxima, h_d):
+    """_raise_maxima of a block of cubes, given by their weights, the sums
+    of weight ** p over their blocks and their running maxima, in a float
+    array private to the calling worker; `powers` is None for a chunk
+    without bounds."""
+    scratch = _scratch(responses[0].shape)
+    for weight, cube_sums, best in zip(weights, sums, maxima):
+        bounds = None if powers is None else _bounds(powers, cube_sums, h_d)
+        _raise_maxima(best, responses, peak, bounds, weight, h_d, scratch)
+
+
+def _start_maxima(field, weight_exp, p_values, level, kernels, cubes, tasks):
+    """Compute the kernel responses chunk by chunk, and hand each chunk
+    with its block maxima to one task per block of the cubes; those tasks
+    alone hold its responses.  A chunk's tasks start when the previous
+    chunk's have ended, as they raise the same running maxima, and the
+    next chunk's responses are computed meanwhile.  The pointwise max of
+    the responses goes to the last chunk's tasks.  Returns the generator
+    of the level's maxima."""
+    grid = field.grid
+    h_d = grid.spacing ** grid.dim
+    table = weight_table(grid, level, weight_exp)
+    origins = [weight_origin(grid, level, cube) for cube in cubes]
+    sums = _block_sums(grid, level, table, origins, p_values)
+    weights = [table[tuple(slice(s, s + grid.samples) for s in origin)] for origin in origins]
+    maxima = [dict.fromkeys(p_values, 0.0) for _ in cubes]
+    blocks = _cube_blocks(list(zip(weights, sums, maxima)))
+    pool, running, peak = norm_pool()[0], [], np.zeros(grid.shape)
+    for start in range(0, len(kernels), KERNEL_CHUNK):
+        responses = [np.abs(apply_multiplier(field, kernel.multiplier).values)
+                     for kernel in kernels[start:start + KERNEL_CHUNK]]
+        powers = _block_powers(responses, p_values)
+        if powers is not None:
+            for response in responses:
+                np.maximum(peak, response, out=peak)
+        for task in running:
+            task.result()
+        last = peak if start + KERNEL_CHUNK >= len(kernels) else None
+        running = [pool.submit(_maxima_block, responses, last, powers, *zip(*block), h_d)
+                   for block in blocks]
+        tasks.extend(running)
+    return _maxima_rows(cubes, maxima, running)
+
+
+def _maxima_rows(cubes, maxima, tasks):
+    """(cube, maxima) for each cube, once the level's tasks have ended."""
+    for task in tasks:
+        task.result()
+    yield from zip(cubes, maxima)
+
+
+def level_maxima(field, plan, weight_exp, p_values):
+    """Per cube of a level_norms plan, (cube, {p: max over the level's
+    kernels of ||rho_I^{-weight_exp} |k * field| ||_p}), 0.0 for a level
+    without kernels: the max of the cube's level_norms row, float for
+    float, with most of its norms pruned (module docstring, Pruning)."""
+    if any(p <= 0 for p in p_values):
+        raise ValidationError("p must be positive or inf")
+    return _fan_out(plan, functools.partial(_start_maxima, field, weight_exp, tuple(p_values)))
 
 
 def _dictionary(grid, level, alpha, kind, dict_spec):
@@ -203,17 +435,23 @@ def p_name(p):
     return "inf" if p == inf else ("1" if p == 1.0 else ("2" if p == 2.0 else str(p)))
 
 
+def _context(values):
+    """A report's context as its row holds it: sorted keys, each value as a
+    string."""
+    return {k: str(v) for k, v in sorted(values.items())}
+
+
 def _report(inequality, lhs, rhs, p, context, per_scale=()):
     """An inequality report as its report.json row: the ratio lhs / rhs
-    (_ratio), p as "inf" or the float, and the context with sorted keys,
-    each value as a string."""
+    (_ratio), p as "inf" or the float, and the context as _context made
+    it, which the rows of one cube at every p may share."""
     return {
         "inequality": inequality,
         "lhs": lhs,
         "rhs_without_constant": rhs,
         "ratio": _ratio(lhs, rhs),
         "p": "inf" if p == inf else p,
-        "context": {k: str(v) for k, v in sorted(context.items())},
+        "context": context,
         "per_scale": per_scale,
     }
 
@@ -348,9 +586,7 @@ class EstimatorContext:
         plan = ((level, _dictionary(self.grid, level - self.m, self.alpha, kind,
                                     self.dict_spec), cubes)
                 for level, cubes in levels)
-        for cube, rows in level_norms(field, plan, 3 * self.alpha, self.p_values):
-            yield cube, {p: max([0.0] + [norms[p] for _, norms in rows])
-                         for p in self.p_values}
+        return level_maxima(field, plan, 3 * self.alpha, self.p_values)
 
     # -- carleson side -------------------------------------------------------
 
@@ -381,9 +617,10 @@ class EstimatorContext:
                 buckets.setdefault(tuple(k >> shift for k in idx), []).append((i, value))
         return buckets.get(index, ())
 
-    def carleson_sum(self, J, p):
+    def carleson_sum(self, J, p, context=None):
         """Sum of the per-cube terms over tree cubes inside J against
-        the size times |J|."""
+        the size times |J|; `context`, if given, is the row's context
+        (_carleson_context)."""
         by_level = {}
         lhs = 0.0
         for i, value in self._carleson_bucket(p, J.level, J.index):
@@ -395,9 +632,10 @@ class EstimatorContext:
         for i in sorted(by_level, reverse=True):
             cumulative += by_level[i]
             per_scale.append({"i": i, "term": by_level[i], "cumulative": cumulative})
-        return _report("carleson", lhs, rhs, p,
-                       {"J": J.label(), "m": self.m, "in_tree": self.tree.member(J)},
-                       per_scale)
+        return _report("carleson", lhs, rhs, p, context or self._carleson_context(J), per_scale)
+
+    def _carleson_context(self, J):
+        return _context({"J": J.label(), "m": self.m, "in_tree": self.tree.member(J)})
 
     # -- off-tree side ---------------------------------------------------------
 
@@ -480,10 +718,11 @@ class EstimatorContext:
                 maxima.append((i, cube_of[0], table))
         return maxima
 
-    def offtree_sum(self, J, p, rhs_weight):
+    def offtree_sum(self, J, p, rhs_weight, context=None):
         """Scale sum of suprema over off-tree cubes inside an eligible J
         against the size times rhs_weight, the peak of rho_J^{-alpha} over
-        the root that offtree_geometry(J) gives."""
+        the root that offtree_geometry(J) gives; `context`, if given, is the
+        row's context (_offtree_context)."""
         lhs = 0.0
         per_scale = []
         for i, first, maxima in self._offtree_block_maxima(p, J.level):
@@ -493,9 +732,10 @@ class EstimatorContext:
             lhs += sup_i
             per_scale.append({"i": i, "term": sup_i, "cumulative": lhs})
         rhs = self.sizes[p].value * rhs_weight
-        return _report("offtree", lhs, rhs, p,
-                       {"J": J.label(), "m": self.m, "truncation_floor": self.offtree_floor},
-                       per_scale)
+        return _report("offtree", lhs, rhs, p, context or self._offtree_context(J), per_scale)
+
+    def _offtree_context(self, J):
+        return _context({"J": J.label(), "m": self.m, "truncation_floor": self.offtree_floor})
 
     # -- norm side ----------------------------------------------------------------
 
@@ -505,7 +745,7 @@ class EstimatorContext:
         context = {"m": self.m}
         if rhs == 0.0 and lhs > 0.0:
             context["anomaly"] = "size surrogate vanished for nonzero g"
-        return _report("norm", lhs, rhs, p, context)
+        return _report("norm", lhs, rhs, p, _context(context))
 
     # -- full evaluation -------------------------------------------------------------
 
@@ -513,18 +753,27 @@ class EstimatorContext:
         """The window's report.json rows in report order (module
         docstring): the carleson rows of every window cube, the norm rows,
         then the off-tree rows of the cubes for which offtree_geometry
-        finds no violator.  The rows go into one list as they are made and
-        the cubes are made one at a time for each p, so at its peak the
+        finds no violator.  The cubes are made once, one at a time, and
+        each one's rows at every p share one context; the rows go into
+        one list per (inequality, p) as they are made, so at its peak the
         call holds little more than its rows."""
         p_values = sorted(self.p_values, key=p_name)
-        rows = [self.carleson_sum(J, p) for p in p_values
-                for J in enumerate_window(self.d, self.depth)]
-        rows.extend(self.norm_report(p) for p in p_values)
-        for p in p_values:
-            for J in enumerate_window(self.d, self.depth):
-                violator, rhs_weight = self.offtree_geometry(J)
-                if violator is None:
-                    rows.append(self.offtree_sum(J, p, rhs_weight))
+        # the norm rows first, while their full-grid temporaries are the
+        # only large arrays alive
+        norms = [self.norm_report(p) for p in p_values]
+        carleson, offtree = ({p: [] for p in p_values} for _ in range(2))
+        for J in enumerate_window(self.d, self.depth):
+            context = self._carleson_context(J)
+            for p in p_values:
+                carleson[p].append(self.carleson_sum(J, p, context))
+            violator, rhs_weight = self.offtree_geometry(J)
+            if violator is None:
+                context = self._offtree_context(J)
+                for p in p_values:
+                    offtree[p].append(self.offtree_sum(J, p, rhs_weight, context))
+        rows = [row for p in p_values for row in carleson.pop(p)]
+        rows += norms
+        rows.extend(row for p in p_values for row in offtree.pop(p))
         return rows
 
 
@@ -561,10 +810,10 @@ def bernstein_sweep(tree, f, dict_spec):
                     worst_ctx = {"i": i, "I": cube.label(), "kernel": kernel_id}
         if refusals:
             reports.append(_report("bernstein", 0.0, 0.0, inf,
-                                   {"m": m_val, "skipped": str(refusals[0])}))
+                                   _context({"m": m_val, "skipped": refusals[0]})))
         else:
             reports.append(_report("bernstein", worst, 1.0, inf,
-                                   dict(worst_ctx or {}, m=m_val)))
+                                   _context(dict(worst_ctx or {}, m=m_val))))
     return reports
 
 

@@ -384,23 +384,38 @@ def rho_values(grid, cube):
     return mollified_distance(dist, cube.side)
 
 
-def level_weights(grid, level, exponent):
-    """Function cube -> rho_values(grid, cube) ** -exponent, bit for bit,
-    as a read-only view, for the cubes at `level` inside the domain.
+def weight_table(grid, level, exponent):
+    """The read-only table of (2N)^d floats whose N^d blocks are the
+    weights rho_I ** -exponent of the cubes I at `level` (level_weights).
 
     Each axis is an N-long slice of one base vector on the 2N points
-    -2B + h m, and the weight is their min over axes, taken once into a
-    table of (2N)^d floats, the base vector in d = 1 (the estimators
-    module docstring gives the exactness argument).  A level finer than
-    the grid spacing is refused.
+    -2B + h m, and the weight is their min over axes, taken once into the
+    table, the base vector in d = 1 (the estimators module docstring
+    gives the exactness argument).  A level finer than the grid spacing
+    is refused.
     """
-    n, cells, side = grid.samples, grid.cells(level), 2.0 ** level
-    y = -2.0 * grid.half_width + grid.spacing * np.arange(2 * n)
+    side = 2.0 ** level
+    grid.cells(level)   # refuses a level finer than the spacing
+    y = -2.0 * grid.half_width + grid.spacing * np.arange(2 * grid.samples)
     base = mollified_distance(np.abs(y - 0.5 * side), side) ** (-exponent)
     table = functools.reduce(np.minimum, (grid.on_axis(base, ax) for ax in range(grid.dim)))
     table.flags.writeable = False
-    return lambda cube: table[tuple(slice(n // 2 - k * cells, n // 2 - k * cells + n)
-                                    for k in cube.index)]
+    return table
+
+
+def weight_origin(grid, level, cube):
+    """Per axis, the table index (weight_table) at which the weight of a
+    cube at `level` starts: N/2 - k * cells, a whole number of cells."""
+    cells = grid.cells(level)
+    return tuple(grid.samples // 2 - k * cells for k in cube.index)
+
+
+def level_weights(grid, level, exponent):
+    """Function cube -> rho_values(grid, cube) ** -exponent, bit for bit,
+    as a read-only view of weight_table, for the cubes at `level` inside
+    the domain."""
+    n, table = grid.samples, weight_table(grid, level, exponent)
+    return lambda cube: table[tuple(slice(s, s + n) for s in weight_origin(grid, level, cube))]
 
 
 _POOL = None   # (executor, worker count), made on first use
@@ -530,5 +545,7 @@ def load_field(path):
             f"field file {path}: payload of {len(payload)} bytes, expected "
             f"{expected} ({grid.size} complex128 samples of 16 bytes)")
     data = np.frombuffer(payload, dtype="<c16").reshape(grid.shape)
+    if not np.isfinite(data).all():
+        raise ValidationError(f"field file {path} holds non-finite samples")
     return SampledField(grid, data.copy())
 

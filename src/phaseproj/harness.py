@@ -341,9 +341,13 @@ def run(config, out_dir=None):
         builder = assemble(frame, f)
         residual_decomposition(builder)
         # the split is verified: keep g, chi and the tree, release the
-        # builder with its pieces and the frame before the estimators run
+        # builder with its pieces and the frame before the estimators run.
+        # g and chi are made last, near the top of the heap; copied once the
+        # pieces are freed, they leave the top free, so the allocator can
+        # give the projection's memory back to the system
         g, chi, tree, diagnostics = builder.g, frame.chi_s(0), frame.tree, builder.diagnostics
         del builder, frame
+        g, chi = (SampledField(grid, field.values.copy()) for field in (g, chi))
         timings["build"] = time.perf_counter() - t0
         record["diagnostics"] = _diagnostics_dict(diagnostics)
 

@@ -298,7 +298,7 @@ class ProjectionBuilder:
         masked_route = tf * self.frame.e_mask(j, 1) + self.sigma(j, tf)
         scale = max(smooth.max_abs(), 1e-300)
         err = np.max(np.abs(smooth.values - masked_route.values)) / scale
-        if err > 1e-12:
+        if not err <= 1e-12:   # a nan fails too
             raise InternalConsistencyError(
                 f"two routes to G differ by {err} at (n={n}, j={j})")
         self.diagnostics["levels"].setdefault((n, j), {})["big_g_route_err"] = float(err)
@@ -323,7 +323,7 @@ class ProjectionBuilder:
         scale = max(piece.max_abs(), 1e-300)
         leib_err = float(np.max(np.abs(piece.values - leib.values)) / scale)
         diag["leibniz_rel_err"] = leib_err
-        if fr.strict and leib_err > LEIBNIZ_REL_TOL:
+        if fr.strict and not leib_err <= LEIBNIZ_REL_TOL:
             raise ResolutionError(
                 f"Leibniz cross-check failed at (n={n}, j={j}): {leib_err:.3e} "
                 f"> {LEIBNIZ_REL_TOL}; increase N")
@@ -333,7 +333,7 @@ class ProjectionBuilder:
             fd = fd_derivative(big_g, n, d + 1)
             fd_err = float(np.max(np.abs(piece.values - fd.values)) / scale)
             diag["fd_rel_err"] = fd_err
-            if fr.strict and fd_err > FD_REL_TOL:
+            if fr.strict and not fd_err <= FD_REL_TOL:
                 raise ResolutionError(
                     f"finite-difference witness failed at (n={n}, j={j}): "
                     f"{fd_err:.3e} > {FD_REL_TOL}")
@@ -349,10 +349,10 @@ class ProjectionBuilder:
             diag["sigma_outside_e2_rel"] = out_abs / smax
             # floors guard against degenerate sigma much smaller than the
             # FFT-roundoff scale |theta*f|
-            if on_abs > max(1e-9 * smax, 1e-12 * tf_max):
+            if not on_abs <= max(1e-9 * smax, 1e-12 * tf_max):
                 raise InternalConsistencyError(
                     f"sigma does not vanish on E_{j}^1 (rel {on_abs / smax})")
-            if out_abs > max(1e-12 * smax, 1e-13 * tf_max):
+            if not out_abs <= max(1e-12 * smax, 1e-13 * tf_max):
                 raise InternalConsistencyError(
                     f"sigma escapes E_{j}^2 (rel {out_abs / smax})")
         return piece
@@ -386,17 +386,18 @@ class ProjectionBuilder:
         for j in range(fr.j_min, 1):
             two_route = two_route + self.psi_f(j) * fr.e_mask(j, 1)
         two_route = two_route + self.correction()
+        # written `not err <= tol`, each check fails on a nan error too; the
+        # support check comes first, so that it is the one to see a nan in g
+        # outside 5U
         scale = max(g.max_abs(), 1e-300)
-        route_err = float(np.max(np.abs(g.values - two_route.values)) / scale)
-        if route_err > 1e-10:
-            raise InternalConsistencyError(
-                f"direct and telescoping assemblies differ by {route_err}")
-
-        outside_5u = fr.outside_5u()
-        support_err = float(np.max(np.abs(g.values[outside_5u])) / scale) if scale > 0 else 0.0
-        if fr.strict and support_err > SUPPORT_REL_TOL:
+        support_err = float(np.max(np.abs(g.values[fr.outside_5u()])) / scale)
+        if fr.strict and not support_err <= SUPPORT_REL_TOL:
             raise ResolutionError(
                 f"g does not vanish outside 5U (rel {support_err:.3e}); increase N")
+        route_err = float(np.max(np.abs(g.values - two_route.values)) / scale)
+        if not route_err <= 1e-10:
+            raise InternalConsistencyError(
+                f"direct and telescoping assemblies differ by {route_err}")
 
         diag = self.diagnostics
         diag["wrap_flags"] = fr.wrap_flags()
@@ -436,7 +437,7 @@ def residual_decomposition(builder):
     target = builder.f - builder.g
     scale = max(builder.f.max_abs(), 1e-300)
     err = float(np.max(np.abs(recon.values - target.values)) / scale)
-    if err > 1e-8:
+    if not err <= 1e-8:   # a nan fails too
         raise InternalConsistencyError(
             f"residual identity failed (rel {err}); the low-pass, annulus and "
             f"correction parts do not add up to f - g")

@@ -335,7 +335,8 @@ def carleson_sum_scan(ctx, J, p):
         cumulative += by_level[i]
         per_scale.append({"i": i, "term": by_level[i], "cumulative": cumulative})
     return estimators._report("carleson", lhs, rhs, p,
-                              {"J": J.label(), "m": ctx.m, "in_tree": ctx.tree.member(J)},
+                              estimators._context({"J": J.label(), "m": ctx.m,
+                                                   "in_tree": ctx.tree.member(J)}),
                               per_scale)
 
 
@@ -360,6 +361,14 @@ def offtree_sum_scan(ctx, J, p):
         per_scale.append({"i": i, "term": sup_i, "cumulative": lhs})
     rhs = ctx.sizes[p].value * rhs_weight
     return estimators._report("offtree", lhs, rhs, p,
-                              {"J": J.label(), "m": ctx.m,
-                               "truncation_floor": ctx.offtree_floor},
+                              estimators._context({"J": J.label(), "m": ctx.m,
+                                                   "truncation_floor": ctx.offtree_floor}),
                               per_scale)
+
+
+def row_maxima(rows, p_values):
+    """{p: the largest norm of a level_norms row at p, 0.0 for an empty
+    row}: the reduction that estimators.level_maxima takes without
+    evaluating most of the row.  Python's max keeps the first of equal
+    values and never takes a nan."""
+    return {p: max([0.0] + [norms[p] for _, norms in rows]) for p in p_values}

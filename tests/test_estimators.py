@@ -18,6 +18,7 @@ from oracles import (
     field_multiplier,
     offtree_geometry_scan,
     offtree_sum_scan,
+    row_maxima,
 )
 
 from phaseproj import estimators
@@ -30,6 +31,7 @@ from phaseproj.estimators import (
     bernstein_sweep,
     enumerate_window,
     estimate_S_multi,
+    level_maxima,
     level_norms,
     p_name,
     root_distance,
@@ -45,8 +47,11 @@ from phaseproj.grid import (
     level_weights,
     modulate,
     rho_values,
+    weight_origin,
+    weight_table,
     zero_field,
 )
+from phaseproj.harness import _summarize as harness_summary
 from phaseproj.harness import (
     RunConfig,
     build_f,
@@ -55,7 +60,7 @@ from phaseproj.harness import (
     run,
     write_csv,
 )
-from phaseproj.kernels import DictionarySpec, build_dictionary
+from phaseproj.kernels import DictionarySpec, KernelHandle, build_dictionary
 from phaseproj.projection import ProjectionFrame, assemble
 
 
@@ -404,8 +409,9 @@ class TestTableOracles:
         # then by J by label; carleson rows for every window cube, off-tree
         # rows for the eligible ones
         ctx = request.getfixturevalue(which)
+        rows = ctx.evaluate_window()
         keys = [(row["inequality"], p_name(row["p"]), row["context"].get("J", ""))
-                for row in ctx.evaluate_window()]
+                for row in rows]
         assert keys == sorted(set(keys))
         window = list(enumerate_window(ctx.d, ctx.depth))
         labels = sorted(J.label() for J in window)
@@ -415,6 +421,9 @@ class TestTableOracles:
         assert keys == ([("carleson", p, J) for p in names for J in labels]
                         + [("norm", p, "") for p in names]
                         + [("offtree", p, J) for p in names for J in eligible])
+        # the rows of one inequality and cube share one context at every p
+        shared = {id(row["context"]) for row in rows if row["inequality"] != "norm"}
+        assert len(shared) == len(labels) + len(eligible)
 
     @pytest.mark.parametrize("dim,depth", [(1, 8), (2, 1)])
     def test_window_in_label_order(self, dim, depth):
@@ -426,9 +435,10 @@ class TestTableOracles:
 
     def test_window_rows_set_the_peak(self):
         # the rows of a 2-d window set the peak RSS of its run.  Built into
-        # one list as they are made, from cubes made one at a time, they are
-        # all the call holds at its peak; a sort over the finished rows
-        # reads about 1.10, and keeping a list of the window's cubes 1.04
+        # lists as they are made, from cubes made one at a time, they are
+        # all the call holds at its peak (1.004); a sort over the finished
+        # rows reads about 1.14, and keeping a list of the window's cubes
+        # 1.07
         config = RunConfig(dim=2, grid_n=1 << 8, tree_depth=1, leaf_count=1, alpha=3.0,
                            strict=False)
         grid = TorusGrid(2, config.grid_b, config.grid_n)
@@ -464,6 +474,42 @@ class TestTableOracles:
         assert "error" not in record
         digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
         assert digest == REFERENCE_REPORT_SHA256
+
+
+class TestAxisSwap:
+    @pytest.mark.parametrize("leaves", [None, ((-1, 1, 0),)])
+    def test_sizes_and_headlines_keep_their_values(self, leaves):
+        # swapping the axes of f and of the tree maps the dictionaries, the
+        # window and the tables onto themselves: S at each p and every
+        # headline ratio of the 2-d N = 2^8 config stay equal to roundoff.
+        # Its own tree, one leaf at (1, 1), is its own swap; the leaf at
+        # (1, 0) is not.  S, the norm and the off-tree headlines agree to
+        # 1e-14.  The Carleson terms are responses of f - g in the bands
+        # where f - g nearly cancels (ratios near 1e-5), so the FFT
+        # roundoff of the transposed field reads 5e-12 to 6e-11 there, even
+        # with g itself transposed
+        config = RunConfig(dim=2, grid_n=1 << 8, tree_depth=1, leaf_count=1, alpha=3.0,
+                           strict=False, leaves=leaves)
+        grid = TorusGrid(2, config.grid_b, config.grid_n)
+        cfg = build_tree_config(config)
+        f = build_f(config, grid)
+        swapped = TreeConfig(tuple(DyadicCube(c.level, c.index[::-1]) for c in cfg.leaves),
+                             cfg.gap_m, cfg.alpha)
+        assert (swapped == cfg) == (leaves is None)
+        assert not np.array_equal(f.values, f.values.T)
+        sizes, summaries = [], []
+        for tree_cfg, field in ((cfg, f), (swapped, SampledField(grid, f.values.T))):
+            ctx = context(ProjectionFrame(tree_cfg, grid, False), field, None)
+            sizes.append({p: est.value for p, est in ctx.sizes.items()})
+            summaries.append(harness_summary(ctx.evaluate_window()))
+        for p, value in sizes[0].items():
+            assert value > 0 and abs(sizes[1][p] - value) <= 1e-13 * value, p
+        assert summaries[0].keys() == summaries[1].keys()
+        for key, entry in summaries[0].items():
+            other = summaries[1][key]
+            assert (entry["count"], entry["finite"]) == (other["count"], other["finite"]), key
+            tol = 1e-9 if key.startswith("carleson") else 1e-13
+            assert abs(other["max_ratio"] - entry["max_ratio"]) <= tol * entry["max_ratio"], key
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +582,9 @@ class ResponsePool(RecordingPool):
     def submit(self, fn, *args, **kwargs):
         if fn is estimators._block_norms:
             self.responses.append(weakref.ref(args[0]))
+        elif fn is estimators._maxima_block:   # the chunk's responses, then any peak
+            self.responses.extend(weakref.ref(a) for a in (*args[0], args[1])
+                                  if a is not None)
         return super().submit(fn, *args, **kwargs)
 
 
@@ -656,6 +705,283 @@ class TestNormPool:
 
     def test_pool_sized_from_affinity(self):
         assert grid_module.norm_workers() == len(os.sched_getaffinity(0))
+
+
+def serial_maxima(field, plan, weight_exp, p_values):
+    """(cube, row_maxima) of each serial_level_norms row."""
+    return [(cube, row_maxima(rows, p_values))
+            for cube, rows in serial_level_norms(field, plan, weight_exp, p_values)]
+
+
+def counting_norms(monkeypatch):
+    """The p_values of each grid.lp_norms call that the estimators make,
+    in a list that the calls append to from any thread."""
+    calls, real = [], estimators.lp_norms
+
+    def counting(mag, h_d, p_values, weight=None, out=None):
+        calls.append(tuple(p_values))
+        return real(mag, h_d, p_values, weight, out)
+
+    monkeypatch.setattr(estimators, "lp_norms", counting)
+    return calls
+
+
+class TestLevelMaxima:
+    P_VALUES = (1.0, 2.0, inf, 3.0)
+
+    @pytest.mark.parametrize("workers", [None, 1, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_maxima_equal_max_of_serial_rows(self, dim, workers, pool):
+        if workers is not None:
+            pool(workers)
+        field, plan = norm_case(dim)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more thread switches inside each task
+        try:
+            for f in (field, zero_field(field.grid)):
+                for exponent in (2.0, 6.0):
+                    got = list(level_maxima(f, iter(plan), exponent, self.P_VALUES))
+                    assert got == serial_maxima(f, plan, exponent, self.P_VALUES)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_unbounded_p_and_empty_level(self, monkeypatch):
+        # p below 1 gets no bound and takes every kernel's norm, p = inf
+        # still one product per cube; a level without kernels reads 0.0
+        field, plan = norm_case(2)
+        plan = plan + [(0, [], plan[0][2][:2])]
+        want = serial_maxima(field, plan, 6.0, (0.5, inf))
+        calls = counting_norms(monkeypatch)
+        assert list(level_maxima(field, plan, 6.0, (0.5, inf))) == want
+        assert want[-1][1] == {0.5: 0.0, inf: 0.0}
+        assert calls.count((inf,)) == sum(len(c) for _, k, c in plan if k)
+        assert calls.count((0.5,)) == sum(len(k) * len(c) for _, k, c in plan)
+
+    @pytest.mark.parametrize("bad", [math.nan, inf])
+    def test_nonfinite_chunk_takes_every_norm(self, bad, monkeypatch):
+        # one kernel of the first level answers with non-finite values
+        # everywhere: its chunk takes each of its kernels' norms at every p,
+        # and the max skips a nan as the rows' max does; the other chunks
+        # prune, and p = inf takes one product with their pointwise max
+        field, plan = norm_case(1)
+        (level, kernels, cubes), rest = plan[0], plan[1:]
+        assert len(kernels) > estimators.KERNEL_CHUNK
+        multiplier = kernels[1].multiplier.copy()
+        multiplier[0] = bad
+        kernels = [kernels[0], KernelHandle(field.grid, "bad", multiplier, None), *kernels[2:]]
+        plan = [(level, kernels, cubes), *rest]
+        want = serial_maxima(field, plan, 2.0, self.P_VALUES)
+        calls = counting_norms(monkeypatch)
+        assert list(level_maxima(field, plan, 2.0, self.P_VALUES)) == want
+        assert calls.count(self.P_VALUES) == len(cubes) * estimators.KERNEL_CHUNK
+        assert calls.count((inf,)) == sum(len(c) for _, _, c in plan)
+        finite = (1.0, 2.0, 3.0)
+        assert calls.count(finite) < sum(len(k) * len(c) for _, k, c in plan) / 2
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_bounds_hold(self, dim):
+        # the block sums of w^p equal direct sums over the cube's weight,
+        # and each kernel's bound, widened by the margin, is at least its
+        # norm, for every cube, kernel and finite p (in d = 3 a weight that
+        # falls by 2^-18 per cell meets its bound to an ulp)
+        field, plan = norm_case(dim)
+        grid = field.grid
+        h_d = grid.spacing ** dim
+        size = estimators.BOUND_BLOCK
+        for exponent in (2.0, 6.0):
+            for level, kernels, cubes in plan:
+                responses = [np.abs(apply_multiplier(field, k.multiplier).values)
+                             for k in kernels]
+                table = weight_table(grid, level, exponent)
+                origins = [weight_origin(grid, level, cube) for cube in cubes]
+                powers = estimators._block_powers(responses, self.P_VALUES)
+                sums = estimators._block_sums(grid, level, table, origins, self.P_VALUES)
+                assert sorted(powers) == [1.0, 2.0, 3.0]
+                rows = dict(serial_level_norms(field, [(level, kernels, cubes)], exponent,
+                                               self.P_VALUES))
+                weight_of = level_weights(grid, level, exponent)
+                for cube, cube_sums in zip(cubes, sums):
+                    for p in powers:
+                        blocks = weight_of(cube) ** p
+                        for ax in range(dim):
+                            blocks = np.add.reduceat(blocks, np.arange(0, grid.samples, size),
+                                                     axis=ax)
+                        np.testing.assert_allclose(cube_sums[p], blocks, rtol=1e-12)
+                    for p, bound in estimators._bounds(powers, cube_sums, h_d).items():
+                        norms = [row[p] for _, row in rows[cube]]
+                        assert all(b * (1.0 + estimators.BOUND_MARGIN) >= norm
+                                   for b, norm in zip(bound, norms)), (cube, p)
+
+    def test_offtree_table_prunes_most_norms(self, monkeypatch):
+        # on the 2-d N = 2^8 config: one p = inf product per cube, and the
+        # exact finite-p norms of at most a quarter of the (cube, kernel)
+        # pairs; the table is the one built with every norm
+        config = RunConfig(dim=2, grid_n=1 << 8, tree_depth=1, leaf_count=1, alpha=3.0,
+                           strict=False)
+        grid = TorusGrid(2, config.grid_b, config.grid_n)
+        frame = ProjectionFrame(build_tree_config(config), grid, False)
+        ctx = context(frame, build_f(config, grid), None)
+        levels = range(ctx.offtree_floor, 1)
+        cubes = {i: [c for c in window_cubes(2, i)
+                     if c.index not in ctx.tree.slice_indices(i)] for i in levels}
+        kernels = {i: _dictionary_of(ctx, i) for i in levels}
+        want = {p: {i: rows_of_level(ctx, i, p, cubes[i], kernels[i]) for i in levels}
+                for p in ctx.p_values}
+        calls = counting_norms(monkeypatch)
+        tables, _ = ctx._build_offtree_terms()
+        pairs = sum(len(cubes[i]) * len(kernels[i]) for i in levels)
+        products = calls.count((inf,))
+        assert products == sum(len(c) for c in cubes.values())
+        assert len(calls) - products <= 0.25 * pairs, (len(calls) - products, pairs)
+        for p in ctx.p_values:
+            for i in levels:
+                window_lo, table = tables[p][i]
+                assert np.array_equal(table, ctx._offtree_terms[p][i][1])
+                for cube, best in want[p][i]:
+                    assert table[tuple(k - window_lo for k in cube.index)] == best
+
+
+def _dictionary_of(ctx, level):
+    return estimators._dictionary(ctx.grid, level - ctx.m, ctx.alpha, "psi", ctx.dict_spec)
+
+
+def rows_of_level(ctx, level, p, cubes, kernels):
+    """(cube, off-tree term at p) of the given cubes, from the max of
+    their serial_level_norms rows."""
+    rows = serial_level_norms(ctx.g, [(level, kernels, cubes)], 3 * ctx.alpha, (p,))
+    return [(cube, 2.0 ** (-level * ctx.d * estimators._inv(p)) * row_maxima(row, (p,))[p])
+            for cube, row in rows]
+
+
+class TestMaximaPool:
+    P_VALUES = (1.0, 2.0, inf, 3.0)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_task_error_reaches_caller(self, workers, pool, monkeypatch):
+        executor = pool(workers)
+        field, plan = norm_case(1)
+
+        def failing(*args):
+            raise FloatingPointError("no norm")
+
+        monkeypatch.setattr(estimators, "lp_norms", failing)
+        with pytest.raises(FloatingPointError, match="no norm"):
+            list(level_maxima(field, plan, 2.0, self.P_VALUES))
+        assert executor.tasks and all(task.done() for task in executor.tasks)
+
+    def test_nonpositive_p_refused(self):
+        field, plan = norm_case(1)
+        with pytest.raises(ValidationError, match="p must be positive"):
+            level_maxima(field, plan, 2.0, (1.0, 0.0))
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_response_error_reaches_caller(self, workers, pool, monkeypatch):
+        # the third response's FFT fails: no task of the level was handed out
+        executor = pool(workers)
+        field, plan = norm_case(1)
+        built = len(executor.tasks)   # the sinc-profile tables of the plan
+        computed = []
+        real = estimators.apply_multiplier
+
+        def failing(a, multiplier):
+            if len(computed) == 2:
+                raise MemoryError("no room for a response")
+            computed.append(multiplier)
+            return real(a, multiplier)
+
+        monkeypatch.setattr(estimators, "apply_multiplier", failing)
+        with pytest.raises(MemoryError, match="no room"):
+            list(level_maxima(field, plan, 2.0, self.P_VALUES))
+        assert len(executor.tasks) == built
+        assert all(task.done() for task in executor.tasks)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_plan_error_reaches_caller(self, workers, pool):
+        executor = pool(workers)
+        field, plan = norm_case(1)
+
+        def broken_plan():
+            yield plan[0]
+            raise LookupError("no second dictionary")
+
+        with pytest.raises(LookupError, match="no second dictionary"):
+            list(level_maxima(field, broken_plan(), 2.0, self.P_VALUES))
+        assert executor.tasks and all(task.done() for task in executor.tasks)
+
+    def test_one_level_of_responses_alive(self, monkeypatch):
+        # the responses and the peak of a level are freed before the next
+        # level's responses are computed: only its tasks held them
+        executor = ResponsePool(2)
+        monkeypatch.setattr(grid_module, "_POOL", (executor, 2))
+        field, plan = norm_case(1)
+        plan = plan + [(level, kernels, cubes[:3]) for level, kernels, cubes in plan]
+        pulled, checked = [], []   # responses handed out at each pull of the plan
+        real = estimators.apply_multiplier
+
+        def watched():
+            for entry in plan:
+                pulled.append(len(executor.responses))
+                yield entry
+
+        def computing(a, multiplier):
+            earlier = executor.responses[:pulled[-1]]
+            assert all(ref() is None for ref in earlier)
+            checked.append(len(earlier))
+            return real(a, multiplier)
+
+        monkeypatch.setattr(estimators, "apply_multiplier", computing)
+        try:
+            rows = list(level_maxima(field, watched(), 2.0, self.P_VALUES))
+        finally:
+            executor.shutdown()
+        assert len(rows) == sum(len(cubes) for _, _, cubes in plan)
+        # two tasks per chunk, one for each worker, each with the chunk's
+        # responses, and the last chunk's with the peak too
+        assert pulled == list(np.cumsum([0] + [2 * (len(kernels) + 1)
+                                               for _, kernels, _ in plan[:-1]]))
+        assert sorted(set(checked)) == pulled
+        assert all(ref() is None for ref in executor.responses)
+
+    def test_two_chunks_of_responses_alive(self):
+        # a level of 48 kernels holds the responses of at most two chunks,
+        # the one being computed and the one whose tasks run, besides a
+        # few grid arrays: about 23 responses' worth at the peak, against
+        # 64 with every response of the level alive
+        field, plan = norm_case(1)
+        level, kernels, cubes = plan[0]
+        plan = [(level, kernels * 3, cubes)]
+        want = serial_maxima(field, plan, 2.0, self.P_VALUES)
+        # an untraced call first: the spectrum of f and each worker's
+        # scratch array are made once
+        list(level_maxima(field, plan, 2.0, self.P_VALUES))
+        tracemalloc.start()
+        try:
+            rows = list(level_maxima(field, plan, 2.0, self.P_VALUES))
+            peak = tracemalloc.get_traced_memory()[1] / (field.grid.size * 8)
+        finally:
+            tracemalloc.stop()
+        assert rows == want
+        assert peak <= 2 * estimators.KERNEL_CHUNK + 18, peak
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_abandoned_generator(self, workers, pool):
+        executor = pool(workers)
+        field, plan = norm_case(1)
+        first = []
+
+        def take_one_row():
+            first.append(next(level_maxima(field, plan, 2.0, self.P_VALUES)))
+
+        caller = threading.Thread(target=take_one_row)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert all(task.done() for task in executor.tasks)
+        assert first == serial_maxima(field, plan, 2.0, self.P_VALUES)[:1]
+        for dim in (2, 1):  # the scratch follows the grid shape
+            field, plan = norm_case(dim)
+            got = list(level_maxima(field, plan, 2.0, self.P_VALUES))
+            assert got == serial_maxima(field, plan, 2.0, self.P_VALUES)
 
 
 class TestBernsteinErrors:

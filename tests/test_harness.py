@@ -19,7 +19,14 @@ from phaseproj import estimators, harness, projection
 from phaseproj.acceptance import REFERENCE_CONFIG, headline_rows
 from phaseproj.cubes import DyadicCube, expand_to_tree, unit_cube
 from phaseproj.errors import ValidationError
-from phaseproj.grid import TorusGrid, norm_workers, plane_wave, save_field, zero_field
+from phaseproj.grid import (
+    SampledField,
+    TorusGrid,
+    norm_workers,
+    plane_wave,
+    save_field,
+    zero_field,
+)
 from phaseproj.kernels import DictionarySpec
 from phaseproj.harness import (
     RunConfig,
@@ -176,6 +183,21 @@ class TestRun:
         error = record["error"]
         assert error["stage"] == "f" and error["type"] == "ValidationError"
         assert str(path) in error["message"]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_nonfinite_field_file_recorded_at_f_stage(self, tmp_path, bad):
+        # one non-finite sample in a saved field: without the refusal the
+        # run finished, and every Carleson and off-tree max_ratio read 0.0
+        config = RunConfig(dim=1, grid_n=1 << 12, strict=False)
+        grid = TorusGrid(1, config.grid_b, config.grid_n)
+        values = build_f(config, grid).values.copy()
+        values[100] = bad
+        path = tmp_path / "f.bin"
+        save_field(SampledField(grid, values), path)
+        record = run(replace(config, f_file=str(path)))
+        assert record["error"] == {"stage": "f", "type": "ValidationError",
+                                   "message": f"field file {path} holds non-finite samples"}
+        assert "reports" not in record
 
     def test_bad_grid_size_recorded_at_grid_stage(self):
         record = run(RunConfig(grid_n="abc"))

@@ -9,7 +9,7 @@ import pytest
 from oracles import expand_band, psi_cone_lattice, psi_ladder, psi_lattice, tau_lattice
 from phaseproj import acceptance, harness
 from phaseproj.cubes import DyadicCube, TreeConfig, unit_cube
-from phaseproj.errors import ResolutionError, ValidationError
+from phaseproj.errors import InternalConsistencyError, ResolutionError, ValidationError
 from phaseproj.grid import (
     SampledField,
     TorusGrid,
@@ -600,3 +600,58 @@ class TestSymmetries:
         want = sum(c * _projection(grid, leaves, alpha, part) for c, part in zip((a, b), parts))
         got = _projection(grid, leaves, alpha, a * parts[0] + b * parts[1])
         assert _rel(got, want) <= bound
+
+
+def _with_nan(field):
+    """The field with its first sample, at x = -B outside 5U, set to nan."""
+    values = field.values.copy()
+    values.flat[0] = math.nan
+    return SampledField(field.grid, values)
+
+
+class TestChecksFailOnNan:
+    """Each identity check is written `not err <= tol`, so an error that
+    is nan fails it as an error above the tolerance does."""
+
+    def test_two_route_big_g(self, frame_1d, f_1d, monkeypatch):
+        real = ProjectionBuilder.sigma
+        monkeypatch.setattr(ProjectionBuilder, "sigma",
+                            lambda self, j, tf: _with_nan(real(self, j, tf)))
+        with pytest.raises(InternalConsistencyError, match="two routes to G differ by nan"):
+            assemble(frame_1d, f_1d)
+
+    def test_two_route_g(self, frame_1d, f_1d, monkeypatch):
+        # psi_f enters the telescoping route alone
+        real = ProjectionBuilder.psi_f
+        monkeypatch.setattr(ProjectionBuilder, "psi_f", lambda self, j: _with_nan(real(self, j)))
+        with pytest.raises(InternalConsistencyError, match="assemblies differ by nan"):
+            assemble(frame_1d, f_1d)
+
+    def test_residual_split(self, frame_1d, f_1d, monkeypatch):
+        builder = assemble(frame_1d, f_1d)
+        low, mid, corr = builder.residual_parts()
+        monkeypatch.setattr(builder, "residual_parts", lambda: (_with_nan(low), mid, corr))
+        with pytest.raises(InternalConsistencyError, match=r"residual identity failed \(rel nan\)"):
+            residual_decomposition(builder)
+
+    def test_support_5u(self, frame_1d, f_1d, monkeypatch):
+        real = ProjectionBuilder.g_piece
+        monkeypatch.setattr(ProjectionBuilder, "g_piece",
+                            lambda self, n, j: _with_nan(real(self, n, j)))
+        with pytest.raises(ResolutionError, match=r"outside 5U \(rel nan\)"):
+            assemble(frame_1d, f_1d)
+
+    def test_leibniz(self, frame_1d, f_1d, monkeypatch):
+        real = ProjectionFrame.chi_derivative
+        monkeypatch.setattr(ProjectionFrame, "chi_derivative",
+                            lambda self, j, n, k: _with_nan(real(self, j, n, k)))
+        with pytest.raises(ResolutionError, match="Leibniz cross-check failed .*: nan"):
+            assemble(frame_1d, f_1d)
+
+    def test_finite_difference(self, frame_1d, f_1d, monkeypatch):
+        real = projection.fd_derivative
+        monkeypatch.setattr(projection, "FD_MIN_SAMPLES_PER_RADIUS", 0)
+        monkeypatch.setattr(projection, "fd_derivative",
+                            lambda a, axis, order: _with_nan(real(a, axis, order)))
+        with pytest.raises(ResolutionError, match="finite-difference witness failed .*: nan"):
+            assemble(frame_1d, f_1d)
