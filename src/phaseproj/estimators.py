@@ -83,9 +83,15 @@ float, a direct evaluation of every norm with full-grid weights rho_I ** -e:
   a level handed out, the calling thread pulls the next level of the
   plan, which builds that level's dictionary while the workers finish,
   and only then collects the rows, each cube's in dictionary order.  A
-  response is held by its tasks alone, so it is freed when its last
-  task ends: before the next level's responses are computed, so at most
-  one level of them is alive.  A task runs the same ufunc calls on the
+  call writes its responses with one grid.response_writer into float
+  buffers of a free list of its own (_Responses): a response takes the
+  first buffer whose tasks have all ended, and a new one only when none
+  has, so a response allocates no array of the grid's size once the
+  list holds enough, and the list is freed with the call.  Every task of
+  a level ends before the next level's responses are computed, so
+  level_norms keeps at most one buffer per kernel of a level, and
+  level_maxima two chunks of them: a chunk takes the buffers of the
+  chunk before the previous one.  A task runs the same ufunc calls on the
   same inputs as a serial loop would (those of grid.lp_norms), so each
   float and every tie-break is the serial loop's, for any number of
   workers.  An error in a response, in a task or in the plan, and
@@ -121,12 +127,12 @@ import numpy as np
 from .cubes import DyadicCube
 from .errors import InternalConsistencyError, ResolutionError, ValidationError
 from .grid import (
-    apply_multiplier,
     level_weights,
     lp_norm,
     lp_norms,
     mollified_distance,
     norm_pool,
+    response_writer,
     weight_origin,
     weight_table,
 )
@@ -183,20 +189,52 @@ def _block_norms(response, weights, h_d, p_values):
     return [lp_norms(response, h_d, p_values, weight, scratch) for weight in weights]
 
 
-def _start_level(field, weight_exp, p_values, level, kernels, cubes, tasks):
+class _Responses:
+    """The kernel responses |k * field| of one level_norms or level_maxima
+    call, each written by grid.response_writer into a float buffer of the
+    call's free list (module docstring, Fan-out)."""
+
+    def __init__(self, field):
+        self.grid = field.grid
+        self._field = field
+        self._write = None   # made with the first response
+        self._buffers = []   # [buffer, the tasks that hold it, or None while the caller does]
+
+    def compute(self, kernel):
+        """|k * field| in the first buffer whose tasks have all ended, or
+        in a new one if none has; the caller holds it until hand_over."""
+        if self._write is None:
+            self._write = response_writer(self._field)
+        entry = next((entry for entry in self._buffers
+                      if entry[1] is not None and all(task.done() for task in entry[1])),
+                     None)
+        if entry is None:
+            entry = [np.empty(self.grid.shape), None]
+            self._buffers.append(entry)
+        entry[1] = None
+        return self._write(kernel.multiplier, entry[0])
+
+    def hand_over(self, tasks):
+        """Every buffer the caller holds goes to `tasks` until they end."""
+        for entry in self._buffers:
+            if entry[1] is None:
+                entry[1] = tasks
+
+
+def _start_level(responses, weight_exp, p_values, level, kernels, cubes, tasks):
     """Compute each kernel response in turn and hand it to one task per
-    block of the cubes; those tasks alone hold it.  Returns the generator
-    of the level's rows."""
-    grid = field.grid
+    block of the cubes.  Returns the generator of the level's rows."""
+    grid = responses.grid
     h_d = grid.spacing ** grid.dim
     weight_of = level_weights(grid, level, weight_exp)
     blocks = _cube_blocks([weight_of(cube) for cube in cubes])
     pool = norm_pool()[0]
     columns = []
     for kernel in kernels:
-        response = np.abs(apply_multiplier(field, kernel.multiplier).values)
+        response = responses.compute(kernel)
         columns.append([pool.submit(_block_norms, response, block, h_d, p_values)
                         for block in blocks])
+        responses.hand_over(columns[-1])
         tasks.extend(columns[-1])
     return _rows(kernels, cubes, columns)
 
@@ -219,7 +257,8 @@ def level_norms(field, plan, weight_exp, p_values):
     kernel]) for each cube in plan order, kernels in dictionary order, so
     that callers keep their tie-breaking order.
     """
-    return _fan_out(plan, functools.partial(_start_level, field, weight_exp, p_values))
+    return _fan_out(plan, functools.partial(_start_level, _Responses(field), weight_exp,
+                                            p_values))
 
 
 # The pruned maxima (module docstring, Pruning): bounds over blocks of
@@ -344,15 +383,14 @@ def _maxima_block(responses, peak, powers, weights, sums, maxima, h_d):
         _raise_maxima(best, responses, peak, bounds, weight, h_d, scratch)
 
 
-def _start_maxima(field, weight_exp, p_values, level, kernels, cubes, tasks):
+def _start_maxima(responses, weight_exp, p_values, level, kernels, cubes, tasks):
     """Compute the kernel responses chunk by chunk, and hand each chunk
-    with its block maxima to one task per block of the cubes; those tasks
-    alone hold its responses.  A chunk's tasks start when the previous
-    chunk's have ended, as they raise the same running maxima, and the
-    next chunk's responses are computed meanwhile.  The pointwise max of
-    the responses goes to the last chunk's tasks.  Returns the generator
-    of the level's maxima."""
-    grid = field.grid
+    with its block maxima to one task per block of the cubes.  A chunk's
+    tasks start when the previous chunk's have ended, as they raise the
+    same running maxima, and the next chunk's responses are computed
+    meanwhile.  The pointwise max of the responses goes to the last
+    chunk's tasks.  Returns the generator of the level's maxima."""
+    grid = responses.grid
     h_d = grid.spacing ** grid.dim
     table = weight_table(grid, level, weight_exp)
     origins = [weight_origin(grid, level, cube) for cube in cubes]
@@ -362,17 +400,17 @@ def _start_maxima(field, weight_exp, p_values, level, kernels, cubes, tasks):
     blocks = _cube_blocks(list(zip(weights, sums, maxima)))
     pool, running, peak = norm_pool()[0], [], np.zeros(grid.shape)
     for start in range(0, len(kernels), KERNEL_CHUNK):
-        responses = [np.abs(apply_multiplier(field, kernel.multiplier).values)
-                     for kernel in kernels[start:start + KERNEL_CHUNK]]
-        powers = _block_powers(responses, p_values)
+        chunk = [responses.compute(kernel) for kernel in kernels[start:start + KERNEL_CHUNK]]
+        powers = _block_powers(chunk, p_values)
         if powers is not None:
-            for response in responses:
+            for response in chunk:
                 np.maximum(peak, response, out=peak)
         for task in running:
             task.result()
         last = peak if start + KERNEL_CHUNK >= len(kernels) else None
-        running = [pool.submit(_maxima_block, responses, last, powers, *zip(*block), h_d)
+        running = [pool.submit(_maxima_block, chunk, last, powers, *zip(*block), h_d)
                    for block in blocks]
+        responses.hand_over(running)
         tasks.extend(running)
     return _maxima_rows(cubes, maxima, running)
 
@@ -389,9 +427,10 @@ def level_maxima(field, plan, weight_exp, p_values):
     kernels of ||rho_I^{-weight_exp} |k * field| ||_p}), 0.0 for a level
     without kernels: the max of the cube's level_norms row, float for
     float, with most of its norms pruned (module docstring, Pruning)."""
-    if any(p <= 0 for p in p_values):
+    if not all(p > 0 for p in p_values):   # nan too
         raise ValidationError("p must be positive or inf")
-    return _fan_out(plan, functools.partial(_start_maxima, field, weight_exp, tuple(p_values)))
+    return _fan_out(plan, functools.partial(_start_maxima, _Responses(field), weight_exp,
+                                            tuple(p_values)))
 
 
 def _dictionary(grid, level, alpha, kind, dict_spec):

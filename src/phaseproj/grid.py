@@ -247,8 +247,14 @@ def embed_band(band, shape):
     """A frequency band laid on the full lattice, or on a wider band, of
     the given shape: its values in place, +0 everywhere else."""
     out = np.zeros(shape, dtype=band.dtype)
-    out[np.ix_(*map(_band_index, shape, band.shape))] = band
+    out[_band_block(shape, band.shape)] = band
     return out
+
+
+def _band_block(shape, band_shape):
+    """The index block (np.ix_) of a band of shape `band_shape` on a
+    lattice, or a wider band, of the given shape."""
+    return np.ix_(*map(_band_index, shape, band_shape))
 
 
 def apply_multiplier(a, multiplier, keep_spectrum=True):
@@ -258,17 +264,45 @@ def apply_multiplier(a, multiplier, keep_spectrum=True):
     sampled on the frequency lattice (fftfreq ordering) is the frequency
     band `multiplier`; off the band the product is zero, and a band that
     fills the lattice takes one product.  The output caches that spectrum
-    unless keep_spectrum is False.
+    unless keep_spectrum is False.  response_writer gives |a * k| alone,
+    float for float, into a caller's buffer, without the three
+    grid-sized arrays a call here makes.
     """
     spec = a.fft()
     if multiplier.shape == spec.shape:
         raw = spec * multiplier
     else:
-        index = np.ix_(*map(_band_index, spec.shape, multiplier.shape))
+        index = _band_block(spec.shape, multiplier.shape)
         raw = np.zeros_like(spec)
         raw[index] = spec[index] * multiplier
     out = SampledField(a.grid, np.fft.ifftn(raw))
     return out.with_fft(raw) if keep_spectrum else out
+
+
+def response_writer(a):
+    """Function write(band, out) that puts |a * k| into the float array
+    `out` of the grid shape and returns it, k the kernel of the frequency
+    band `band`: np.abs(apply_multiplier(a, band).values), float for
+    float, with no grid-sized array allocated per call.
+
+    The function keeps one complex array of the grid shape, made with it,
+    and takes each product and its inverse FFT in place there: a band
+    that fills the lattice takes the one full product, as
+    apply_multiplier does, and any other band's product is written into
+    its index block of the array, set to zero first.
+    """
+    spec = a.fft()
+    wave = np.empty_like(spec)
+
+    def write(band, out):
+        if band.shape == spec.shape:
+            np.multiply(spec, band, out=wave)
+        else:
+            index = _band_block(spec.shape, band.shape)
+            wave.fill(0)
+            wave[index] = spec[index] * band
+        return np.abs(np.fft.ifftn(wave, out=wave), out=out)
+    return write
 
 
 def convolve(a, k):
@@ -453,7 +487,7 @@ def lp_norms(mag, h_d, p_values, weight=None, out=None):
     for p in p_values:
         if p == inf:
             norms[p] = float(np.max(weighted))
-        elif p <= 0:
+        elif not p > 0:   # nan too
             raise ValidationError("p must be positive or inf")
         elif p == 1.0:
             norms[p] = float(np.sum(weighted) * h_d)

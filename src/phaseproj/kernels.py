@@ -263,9 +263,9 @@ def class_membership(handle, j, beta, kind="phi"):
     scale = float(np.max(mag))
     if scale == 0:
         lam = math.inf
-    else:
-        significant = mag > 1e-300
-        lam = float(np.min(np.where(significant, env / np.where(significant, mag, 1.0), math.inf)))
+    else:   # env / mag where |kernel| is significant, +inf elsewhere
+        ratio = np.full(mag.shape, math.inf)
+        lam = float(np.min(np.divide(env, mag, out=ratio, where=mag > 1e-300)))
     return {
         "leak": leak_rel,
         "lambda_max": lam,

@@ -205,15 +205,21 @@ def class_membership_lattice(handle, j, beta, kind):
     peak = float(np.max(mag_mult))
     leak = float(np.max(mag_mult[forbidden])) if np.any(forbidden) else 0.0
     leak_rel = leak / peak if peak > 0 else 0.0
-    env = kernels.class_envelope(grid, j, beta)
-    mag = np.abs(handle.field.values)
-    if float(np.max(mag)) == 0:
-        lam = math.inf
-    else:
-        significant = mag > 1e-300
-        lam = float(np.min(np.where(significant, env / np.where(significant, mag, 1.0), math.inf)))
+    lam = lambda_max_masked(handle, j, beta)
     return {"leak": leak_rel, "lambda_max": lam,
             "passed": bool(leak_rel <= 1e-10 and lam >= 1.0 - 1e-12)}
+
+
+def lambda_max_masked(handle, j, beta):
+    """kernels.class_membership's lambda_max, the min of the class envelope
+    over |kernel|, by nested np.where: every sample at most 1e-300 is
+    divided by 1.0 instead and then replaced by +inf."""
+    env = kernels.class_envelope(handle.grid, j, beta)
+    mag = np.abs(handle.field.values)
+    if float(np.max(mag)) == 0:
+        return math.inf
+    significant = mag > 1e-300
+    return float(np.min(np.where(significant, env / np.where(significant, mag, 1.0), math.inf)))
 
 
 def bspline_central_offsets(t, order):

@@ -7,6 +7,7 @@ import sys
 import threading
 import tracemalloc
 import weakref
+from concurrent.futures import Future
 from math import inf
 
 import numpy as np
@@ -571,21 +572,102 @@ def norm_case(dim):
     return field, plan
 
 
-class ResponsePool(RecordingPool):
-    """A RecordingPool that keeps a weak reference to the kernel response
-    of each norm task."""
+def watched_writes(monkeypatch, before):
+    """Make estimators.response_writer call before(out) ahead of each
+    response it writes into the buffer `out`.  Returns the list that each
+    write appends (id(out), a weak reference to out) to."""
+    written, real = [], estimators.response_writer
 
-    def __init__(self, workers):
-        super().__init__(workers)
-        self.responses = []
+    def writer(field):
+        write = real(field)
+
+        def watched(band, out):
+            before(out)
+            written.append((id(out), weakref.ref(out)))
+            return write(band, out)
+        return watched
+
+    monkeypatch.setattr(estimators, "response_writer", writer)
+    return written
+
+
+def array_refs(args):
+    """Weak references to the arrays among a task's arguments: a
+    response, those in a chunk's list of them, the peak, the weights."""
+    return [weakref.ref(a) for arg in args
+            for a in (arg if isinstance(arg, (list, tuple)) else (arg,))
+            if isinstance(a, np.ndarray)]
+
+
+def holders(tasks, out):
+    """The tasks that have not ended and hold an array sharing memory
+    with `out`."""
+    return [task for task in tasks if not task.done()
+            and any(ref() is not None and np.may_share_memory(ref(), out)
+                    for ref in task.arrays)]
+
+
+class ArgsPool(RecordingPool):
+    """A RecordingPool whose tasks keep weak references to their array
+    arguments (task.arrays) and to the peak a Carleson or off-tree task
+    is given (task.peak, or None)."""
 
     def submit(self, fn, *args, **kwargs):
-        if fn is estimators._block_norms:
-            self.responses.append(weakref.ref(args[0]))
-        elif fn is estimators._maxima_block:   # the chunk's responses, then any peak
-            self.responses.extend(weakref.ref(a) for a in (*args[0], args[1])
-                                  if a is not None)
-        return super().submit(fn, *args, **kwargs)
+        task = super().submit(fn, *args, **kwargs)
+        task.arrays = array_refs(args)
+        task.peak = (weakref.ref(args[1])
+                     if fn is estimators._maxima_block and args[1] is not None else None)
+        return task
+
+
+class HeldTask(Future):
+    """A task held blocked, holding its arguments, until its result is
+    asked for; it then runs in the asking thread."""
+
+    def __init__(self, fn, args):
+        super().__init__()
+        self.fn, self.args, self.arrays = fn, args, array_refs(args)
+
+    def result(self, timeout=None):
+        if not self.done() and self.set_running_or_notify_cancel():
+            try:
+                self.set_result(self.fn(*self.args))
+            except BaseException as exc:
+                self.set_exception(exc)
+        return super().result(timeout)
+
+
+class HeldPool:
+    """A norm pool whose tasks are HeldTasks: each runs only once the
+    caller waits for it, the latest the pool order allows."""
+
+    def __init__(self):
+        self.tasks = []
+
+    def submit(self, fn, *args):
+        self.tasks.append(HeldTask(fn, args))
+        return self.tasks[-1]
+
+
+def held_pool(monkeypatch):
+    """A HeldPool of two blocks of cubes in place of the norm pool."""
+    executor = HeldPool()
+    monkeypatch.setattr(grid_module, "_POOL", (executor, 2))
+    return executor
+
+
+def response_peak(call, field, plan, p_values):
+    """tracemalloc's peak of one call, consumed, in float arrays of the
+    grid shape, after an untraced call has made the spectrum of the field
+    and the scratch array."""
+    list(call(field, plan, 2.0, p_values))
+    tracemalloc.start()
+    try:
+        rows = list(call(field, plan, 2.0, p_values))
+        peak = tracemalloc.get_traced_memory()[1] / (field.grid.size * 8)
+    finally:
+        tracemalloc.stop()
+    return rows, peak
 
 
 class TestNormPool:
@@ -621,16 +703,7 @@ class TestNormPool:
         executor = pool(workers)
         field, plan = norm_case(1)
         built = len(executor.tasks)   # the sinc-profile tables of the plan
-        computed = []
-        real = estimators.apply_multiplier
-
-        def failing(a, multiplier):
-            if len(computed) == 2:
-                raise MemoryError("no room for a response")
-            computed.append(multiplier)
-            return real(a, multiplier)
-
-        monkeypatch.setattr(estimators, "apply_multiplier", failing)
+        failing_third_response(monkeypatch)
         with pytest.raises(MemoryError, match="no room"):
             list(level_norms(field, plan, 2.0, self.P_VALUES))
         # one task per block of cubes and kernel, none queued or running
@@ -651,27 +724,28 @@ class TestNormPool:
         assert executor.tasks and all(task.done() for task in executor.tasks)
 
     def test_one_level_of_responses_alive(self, monkeypatch):
-        # the responses of a level are freed before the next level's are
-        # computed: only its tasks held them
-        executor = ResponsePool(2)
-        monkeypatch.setattr(grid_module, "_POOL", (executor, 2))
+        # the buffers of a level's responses are free before the next
+        # level's responses are computed: every task that held them has
+        # ended.  The call keeps at most one buffer per kernel of a level
+        # and frees them all when it ends
         field, plan = norm_case(1)
         plan = plan + [(level, kernels, cubes[:3]) for level, kernels, cubes in plan]
-        pulled, checked = [], []   # responses handed out at each pull of the plan
-        real = estimators.apply_multiplier
+        executor = ArgsPool(2)
+        monkeypatch.setattr(grid_module, "_POOL", (executor, 2))
+        pulled, checked = [], []   # tasks handed out at each pull of the plan
 
         def watched():
             for entry in plan:
-                pulled.append(len(executor.responses))
+                pulled.append(len(executor.tasks))
                 yield entry
 
-        def computing(a, multiplier):
-            earlier = executor.responses[:pulled[-1]]
-            assert all(ref() is None for ref in earlier)
+        def before(out):
+            earlier = executor.tasks[:pulled[-1]]
+            assert all(task.done() for task in earlier)
+            assert holders(executor.tasks, out) == []
             checked.append(len(earlier))
-            return real(a, multiplier)
 
-        monkeypatch.setattr(estimators, "apply_multiplier", computing)
+        written = watched_writes(monkeypatch, before)
         try:
             rows = list(level_norms(field, watched(), 2.0, self.P_VALUES))
         finally:
@@ -680,7 +754,39 @@ class TestNormPool:
         # two blocks per kernel, one for each worker
         assert pulled == list(np.cumsum([0] + [2 * len(kernels) for _, kernels, _ in plan[:-1]]))
         assert sorted(set(checked)) == pulled
-        assert all(ref() is None for ref in executor.responses)
+        assert len(written) == sum(len(kernels) for _, kernels, _ in plan)
+        assert len({key for key, _ in written}) <= max(len(kernels) for _, kernels, _ in plan)
+        assert all(ref() is None for _, ref in written)
+
+    def test_no_buffer_written_while_held(self, monkeypatch):
+        # with every task held blocked until its rows are collected, no
+        # response is written into a buffer that a task still holds: each
+        # kernel of a level takes a buffer of its own, and the next level
+        # takes the same ones again
+        field, plan = norm_case(1)
+        executor = held_pool(monkeypatch)
+        written = watched_writes(monkeypatch,
+                                 lambda out: assert_not_held(executor.tasks, out))
+        rows = list(level_norms(field, plan, 2.0, self.P_VALUES))
+        assert rows == list(serial_level_norms(field, plan, 2.0, self.P_VALUES))
+        keys = [key for key, _ in written]
+        sizes = [len(kernels) for _, kernels, _ in plan]
+        assert len(set(keys)) == max(sizes)
+        assert keys[sizes[0]:] == keys[:sizes[1]]
+        assert all(task.done() for task in executor.tasks)
+
+    @pytest.mark.parametrize("dim,parent_peak", [(1, 56.3), (2, 59.6)])
+    def test_peak_within_parents(self, dim, parent_peak, monkeypatch):
+        # with every task held, each response of a level lives until its
+        # rows are collected: the worst case for memory.  Allocating each
+        # response and its two complex temporaries afresh, the call peaked
+        # at parent_peak grid floats (traced); the reused buffers keep the
+        # call below it (49.1 and 39.9)
+        field, plan = norm_case(dim)
+        held_pool(monkeypatch)
+        rows, peak = response_peak(level_norms, field, plan, self.P_VALUES)
+        assert rows == list(serial_level_norms(field, plan, 2.0, self.P_VALUES))
+        assert peak <= parent_peak, peak
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_abandoned_generator(self, workers, pool):
@@ -705,6 +811,28 @@ class TestNormPool:
 
     def test_pool_sized_from_affinity(self):
         assert grid_module.norm_workers() == len(os.sched_getaffinity(0))
+
+
+def failing_third_response(monkeypatch):
+    """Make the third response that estimators.response_writer writes
+    fail with a MemoryError."""
+    computed, real = [], estimators.response_writer
+
+    def writer(field):
+        write = real(field)
+
+        def failing(band, out):
+            if len(computed) == 2:
+                raise MemoryError("no room for a response")
+            computed.append(band)
+            return write(band, out)
+        return failing
+
+    monkeypatch.setattr(estimators, "response_writer", writer)
+
+
+def assert_not_held(tasks, out):
+    assert holders(tasks, out) == [], "a response written into a buffer a task holds"
 
 
 def serial_maxima(field, plan, weight_exp, p_values):
@@ -874,22 +1002,18 @@ class TestMaximaPool:
         with pytest.raises(ValidationError, match="p must be positive"):
             level_maxima(field, plan, 2.0, (1.0, 0.0))
 
+    def test_nan_p_refused(self):
+        field, plan = norm_case(1)
+        with pytest.raises(ValidationError, match="p must be positive"):
+            level_maxima(field, plan, 2.0, (1.0, math.nan))
+
     @pytest.mark.parametrize("workers", [1, 3])
     def test_response_error_reaches_caller(self, workers, pool, monkeypatch):
         # the third response's FFT fails: no task of the level was handed out
         executor = pool(workers)
         field, plan = norm_case(1)
         built = len(executor.tasks)   # the sinc-profile tables of the plan
-        computed = []
-        real = estimators.apply_multiplier
-
-        def failing(a, multiplier):
-            if len(computed) == 2:
-                raise MemoryError("no room for a response")
-            computed.append(multiplier)
-            return real(a, multiplier)
-
-        monkeypatch.setattr(estimators, "apply_multiplier", failing)
+        failing_third_response(monkeypatch)
         with pytest.raises(MemoryError, match="no room"):
             list(level_maxima(field, plan, 2.0, self.P_VALUES))
         assert len(executor.tasks) == built
@@ -909,38 +1033,74 @@ class TestMaximaPool:
         assert executor.tasks and all(task.done() for task in executor.tasks)
 
     def test_one_level_of_responses_alive(self, monkeypatch):
-        # the responses and the peak of a level are freed before the next
-        # level's responses are computed: only its tasks held them
-        executor = ResponsePool(2)
-        monkeypatch.setattr(grid_module, "_POOL", (executor, 2))
+        # the buffers of a level's responses, and its peak, are free before
+        # the next level's responses are computed: every task that held
+        # them has ended.  The call keeps at most two chunks of buffers and
+        # frees them all when it ends
         field, plan = norm_case(1)
         plan = plan + [(level, kernels, cubes[:3]) for level, kernels, cubes in plan]
-        pulled, checked = [], []   # responses handed out at each pull of the plan
-        real = estimators.apply_multiplier
+        executor = ArgsPool(2)
+        monkeypatch.setattr(grid_module, "_POOL", (executor, 2))
+        pulled, checked = [], []   # tasks handed out at each pull of the plan
 
         def watched():
             for entry in plan:
-                pulled.append(len(executor.responses))
+                pulled.append(len(executor.tasks))
                 yield entry
 
-        def computing(a, multiplier):
-            earlier = executor.responses[:pulled[-1]]
-            assert all(ref() is None for ref in earlier)
+        def before(out):
+            earlier = executor.tasks[:pulled[-1]]
+            assert all(task.done() for task in earlier)
+            assert holders(executor.tasks, out) == []
+            assert all(task.peak() is None for task in earlier if task.peak is not None)
             checked.append(len(earlier))
-            return real(a, multiplier)
 
-        monkeypatch.setattr(estimators, "apply_multiplier", computing)
+        written = watched_writes(monkeypatch, before)
         try:
             rows = list(level_maxima(field, watched(), 2.0, self.P_VALUES))
         finally:
             executor.shutdown()
         assert len(rows) == sum(len(cubes) for _, _, cubes in plan)
-        # two tasks per chunk, one for each worker, each with the chunk's
-        # responses, and the last chunk's with the peak too
-        assert pulled == list(np.cumsum([0] + [2 * (len(kernels) + 1)
-                                               for _, kernels, _ in plan[:-1]]))
+        # two tasks per chunk, one for each worker
+        chunks = [-(-len(kernels) // estimators.KERNEL_CHUNK) for _, kernels, _ in plan]
+        assert pulled == list(np.cumsum([0] + [2 * c for c in chunks[:-1]]))
         assert sorted(set(checked)) == pulled
-        assert all(ref() is None for ref in executor.responses)
+        assert len(written) == sum(len(kernels) for _, kernels, _ in plan)
+        assert len({key for key, _ in written}) <= 2 * estimators.KERNEL_CHUNK
+        assert any(task.peak is not None for task in executor.tasks[:pulled[-1]])
+        assert all(ref() is None for _, ref in written)
+
+    def test_no_buffer_written_while_held(self, monkeypatch):
+        # with every task held blocked until the caller waits for it, no
+        # response is written into a buffer that a task still holds: a
+        # chunk's responses take the buffers of the chunk before the
+        # previous one, whose tasks have ended, so two chunks of buffers
+        # serve the call
+        field, plan = norm_case(1)
+        executor = held_pool(monkeypatch)
+        written = watched_writes(monkeypatch,
+                                 lambda out: assert_not_held(executor.tasks, out))
+        rows = list(level_maxima(field, plan, 2.0, self.P_VALUES))
+        assert rows == serial_maxima(field, plan, 2.0, self.P_VALUES)
+        keys = [key for key, _ in written]
+        chunk = estimators.KERNEL_CHUNK
+        assert len(plan[0][1]) > 2 * chunk
+        assert len(set(keys)) == 2 * chunk
+        assert keys[2 * chunk:3 * chunk] == keys[:chunk]
+        assert all(task.done() for task in executor.tasks)
+
+    @pytest.mark.parametrize("dim,parent_peak", [(1, 48.2), (2, 57.1)])
+    def test_peak_within_parents(self, dim, parent_peak, monkeypatch):
+        # with every task held until the caller waits for it, two chunks of
+        # responses live.  Allocating each response and its two complex
+        # temporaries afresh, the call peaked at parent_peak grid floats
+        # (traced); the reused buffers keep the call below it (30.7 and
+        # 25.9)
+        field, plan = norm_case(dim)
+        held_pool(monkeypatch)
+        rows, peak = response_peak(level_maxima, field, plan, self.P_VALUES)
+        assert rows == serial_maxima(field, plan, 2.0, self.P_VALUES)
+        assert peak <= parent_peak, peak
 
     def test_two_chunks_of_responses_alive(self):
         # a level of 48 kernels holds the responses of at most two chunks,

@@ -26,6 +26,7 @@ from phaseproj.grid import (
     mollified_indicator,
     partial_derivative,
     physical_spectrum,
+    response_writer,
     rho_values,
     save_field,
     zero_field,
@@ -167,6 +168,29 @@ class TestSpectrum:
             scale = np.max(np.abs(fresh))
             assert np.max(np.abs(out.fft() - fresh)) <= 1e-10 * scale
 
+    @pytest.mark.parametrize("grid_name,shapes", [
+        # d = 1: the lattice, a band to just below Nyquist, then a wide band
+        # followed by narrow ones, each read where the wider one left values
+        ("g1", [(4096,), (4095,), (2049,), (17,), (4096,), (1,)]),
+        # d = 2: the lattice, a band whose first axis reaches Nyquist, a
+        # wide then a narrow band, and the lattice between two bands
+        ("g2", [(128, 128), (128, 9), (65, 97), (5, 3), (128, 128), (1, 33)]),
+    ])
+    def test_response_writer_equals_apply_multiplier(self, grid_name, shapes, request):
+        # |a * k| written into one buffer, band after band, equals the
+        # magnitude of apply_multiplier's field bit for bit: the spectrum
+        # buffer is zero off each band again after a wider one
+        grid = request.getfixturevalue(grid_name)
+        rng = np.random.default_rng(2)
+        a = SampledField(grid, rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape))
+        write, out = response_writer(a), np.empty(grid.shape)
+        for k, shape in enumerate(shapes):
+            band = rng.normal(size=shape)
+            if k % 2:
+                band = band + 1j * rng.normal(size=shape)
+            assert write(band, out) is out
+            assert np.array_equal(out, np.abs(apply_multiplier(a, band).values)), shape
+
     def test_modulation_shifts_spectrum(self, g2):
         a = smooth_bump(g2)
         eta = (2.0 / 16.0, -3.0 / 16.0)
@@ -251,6 +275,11 @@ class TestNorms:
         assert np.all(w <= 1.0)
         rho = rho_values(g2, DyadicCube(-1, (0, 1)))
         assert np.all((w == 1.0) == (rho == 1.0))
+
+    @pytest.mark.parametrize("p", [0.0, -1.0, math.nan, -math.inf])
+    def test_p_not_positive_refused(self, p):
+        with pytest.raises(ValidationError, match="p must be positive"):
+            lp_norms(np.ones(8), 1.0, (p,))
 
     def test_scaling_homogeneity(self, g1):
         a = smooth_bump(g1)

@@ -16,6 +16,7 @@ from oracles import (
     expand_band,
     is_real,
     kappa_kernel,
+    lambda_max_masked,
     modulate_lattice,
     psi_cone_lattice,
     psi_kernel,
@@ -387,6 +388,16 @@ class TestClassMembership:
         for cand in kernels._candidates(grid, level, beta, kind, spec):
             assert (class_membership(cand, level, beta, kind)
                     == class_membership_lattice(cand, level, beta, kind)), cand.kernel_id
+
+
+    @pytest.mark.parametrize("dim,kind", [("d1", "phi"), ("d1", "psi"), ("d2", "phi")])
+    def test_lambda_equals_masked_oracle(self, dim, kind):
+        # np.divide into an inf-filled buffer where |kernel| is significant
+        # gives the nested-np.where lambda bit for bit
+        grid, level, beta, spec = GOLDEN_CLASSES[dim]
+        for cand in kernels._candidates(grid, level, beta, kind, spec):
+            lam = class_membership(cand, level, beta, kind)["lambda_max"]
+            assert lam.hex() == lambda_max_masked(cand, level, beta).hex(), cand.kernel_id
 
 
 class TestDictionary:
