@@ -68,35 +68,32 @@ float, a direct evaluation of every norm with full-grid weights rho_I ** -e:
   kernels at every p, p = inf included, and stays out of M.  Only a
   larger norm replaces the running max, so it keeps the first of equal
   norms and skips a nan, as max([0.0, ...]) does.
-- Fan-out.  Both run over a plan of levels (_fan_out).  At each level the
-  calling thread computes the kernel responses |k * f| in dictionary
-  order, one inverse FFT each.  The level's cubes are split into as many
-  contiguous blocks as the thread pool has workers.  level_norms hands
-  each response to one task per block of cubes as soon as it is
-  computed, so the workers take the norms of kernel k while the FFT of
-  kernel k + 1 runs, and no task waits on another.  level_maxima hands
-  each chunk of responses to one task per block of cubes once the
-  previous chunk's tasks have ended, as they raise the same running
-  maxima, and computes the next chunk meanwhile; so at most two chunks
-  of responses are alive, besides M, which goes to the last chunk's
-  tasks.  A task works in a scratch array private to its worker.  With
+- Fan-out.  level_norms runs on the calling thread: level by level it
+  computes each kernel response |k * f|, in dictionary order, one inverse
+  FFT each, into one float buffer (grid.response_writer) and takes every
+  cube's norms of it in one scratch array (grid.lp_norms).  Its callers,
+  the size table, its witness and the Bernstein sweep, see few cubes per
+  level and spend their time in the FFTs, which a pool would not share.
+  level_maxima runs over a plan of levels on the norm pool (_fan_out).
+  At each level the calling thread computes the responses chunk by chunk,
+  and the level's cubes are split into as many contiguous blocks as the
+  pool has workers.  Each chunk goes to one task per block of cubes once
+  the previous chunk's tasks have ended, as they raise the same running
+  maxima, while the next chunk is computed; M goes to the last chunk's
+  tasks.  A task works in a scratch array private to its worker.  The
+  responses go into two sets of at most KERNEL_CHUNK float buffers, used
+  in turn, so chunk c writes into the buffers of chunk c - 2.  Those are
+  free: chunk c - 1 was handed out only after chunk c - 2's tasks had
+  ended, and every task of a level ends before the next level's first
+  chunk.  So at most two chunks of responses are alive, besides M.  With
   a level handed out, the calling thread pulls the next level of the
   plan, which builds that level's dictionary while the workers finish,
-  and only then collects the rows, each cube's in dictionary order.  A
-  call writes its responses with one grid.response_writer into float
-  buffers of a free list of its own (_Responses): a response takes the
-  first buffer whose tasks have all ended, and a new one only when none
-  has, so a response allocates no array of the grid's size once the
-  list holds enough, and the list is freed with the call.  Every task of
-  a level ends before the next level's responses are computed, so
-  level_norms keeps at most one buffer per kernel of a level, and
-  level_maxima two chunks of them: a chunk takes the buffers of the
-  chunk before the previous one.  A task runs the same ufunc calls on the
-  same inputs as a serial loop would (those of grid.lp_norms), so each
-  float and every tie-break is the serial loop's, for any number of
-  workers.  An error in a response, in a task or in the plan, and
-  closing the generator early, cancel the queued tasks and wait for the
-  running ones, so no task is left running.
+  and only then collects the maxima.  A task runs the same ufunc calls on
+  the same inputs as a serial loop would (those of grid.lp_norms), so
+  each float and every tie-break is the serial loop's, for any number of
+  workers.  An error in a response, in a task or in the plan, and closing
+  the generator early, cancel the queued tasks and wait for the running
+  ones, so no task is left running.
 
 Each per-J answer reads tables that the context builds once per (p,
 level) on first use, so evaluating the window rescans no term:
@@ -127,7 +124,6 @@ import numpy as np
 from .cubes import DyadicCube
 from .errors import InternalConsistencyError, ResolutionError, ValidationError
 from .grid import (
-    level_weights,
     lp_norm,
     lp_norms,
     mollified_distance,
@@ -182,83 +178,31 @@ def _cube_blocks(items):
     return [block for block in blocks if block]
 
 
-def _block_norms(response, weights, h_d, p_values):
-    """The norms of one kernel response on a block of cubes, given by their
-    weights, computed in a float array private to the calling worker."""
-    scratch = _scratch(response.shape)
-    return [lp_norms(response, h_d, p_values, weight, scratch) for weight in weights]
-
-
-class _Responses:
-    """The kernel responses |k * field| of one level_norms or level_maxima
-    call, each written by grid.response_writer into a float buffer of the
-    call's free list (module docstring, Fan-out)."""
-
-    def __init__(self, field):
-        self.grid = field.grid
-        self._field = field
-        self._write = None   # made with the first response
-        self._buffers = []   # [buffer, the tasks that hold it, or None while the caller does]
-
-    def compute(self, kernel):
-        """|k * field| in the first buffer whose tasks have all ended, or
-        in a new one if none has; the caller holds it until hand_over."""
-        if self._write is None:
-            self._write = response_writer(self._field)
-        entry = next((entry for entry in self._buffers
-                      if entry[1] is not None and all(task.done() for task in entry[1])),
-                     None)
-        if entry is None:
-            entry = [np.empty(self.grid.shape), None]
-            self._buffers.append(entry)
-        entry[1] = None
-        return self._write(kernel.multiplier, entry[0])
-
-    def hand_over(self, tasks):
-        """Every buffer the caller holds goes to `tasks` until they end."""
-        for entry in self._buffers:
-            if entry[1] is None:
-                entry[1] = tasks
-
-
-def _start_level(responses, weight_exp, p_values, level, kernels, cubes, tasks):
-    """Compute each kernel response in turn and hand it to one task per
-    block of the cubes.  Returns the generator of the level's rows."""
-    grid = responses.grid
-    h_d = grid.spacing ** grid.dim
-    weight_of = level_weights(grid, level, weight_exp)
-    blocks = _cube_blocks([weight_of(cube) for cube in cubes])
-    pool = norm_pool()[0]
-    columns = []
-    for kernel in kernels:
-        response = responses.compute(kernel)
-        columns.append([pool.submit(_block_norms, response, block, h_d, p_values)
-                        for block in blocks])
-        responses.hand_over(columns[-1])
-        tasks.extend(columns[-1])
-    return _rows(kernels, cubes, columns)
-
-
-def _rows(kernels, cubes, columns):
-    """Each cube's row, kernels in dictionary order, once the level's
-    tasks have ended."""
-    columns = [[norms for task in column for norms in task.result()] for column in columns]
-    for i, cube in enumerate(cubes):
-        yield cube, [(kernel.kernel_id, column[i]) for kernel, column in zip(kernels, columns)]
-
-
 def level_norms(field, plan, weight_exp, p_values):
-    """Norms ||rho_I^{-weight_exp} |k * field| ||_p over a plan of levels.
+    """Norms ||rho_I^{-weight_exp} |k * field| ||_p over a plan of levels,
+    on the calling thread (module docstring, Fan-out).
 
-    `plan` yields (level, kernels, cubes at that level); it is pulled
-    lazily, one level ahead (module docstring, Fan-out), so a plan that
-    builds each level's dictionary as it is pulled builds it while the
-    previous level's norms run.  Yields (cube, [(kernel_id, {p: norm}) per
-    kernel]) for each cube in plan order, kernels in dictionary order, so
-    that callers keep their tie-breaking order.
+    `plan` yields (level, kernels, cubes at that level).  Yields (cube,
+    [(kernel_id, {p: norm}) per kernel]) for each cube in plan order,
+    kernels in dictionary order, so that callers keep their tie-breaking
+    order.
     """
-    return _fan_out(plan, functools.partial(_start_level, _Responses(field), weight_exp,
-                                            p_values))
+    grid = field.grid
+    h_d = grid.spacing ** grid.dim
+    response, scratch = np.empty(grid.shape), np.empty(grid.shape)
+    write = None   # made with the first response
+    for level, kernels, cubes in plan:
+        table = weight_table(grid, level, weight_exp)
+        origins = (weight_origin(grid, level, cube) for cube in cubes)
+        weights = [table[tuple(slice(s, s + grid.samples) for s in origin)] for origin in origins]
+        rows = [[] for _ in cubes]
+        for kernel in kernels:
+            if write is None:
+                write = response_writer(field)
+            write(kernel.multiplier, response)
+            for row, weight in zip(rows, weights):
+                row.append((kernel.kernel_id, lp_norms(response, h_d, p_values, weight, scratch)))
+        yield from zip(cubes, rows)
 
 
 # The pruned maxima (module docstring, Pruning): bounds over blocks of
@@ -274,6 +218,17 @@ def _block_reduce(array, size, ufunc):
     """ufunc over each aligned block of size^d entries of `array`."""
     shape = [s for n in array.shape for s in (n // size, size)]
     return ufunc.reduce(array.reshape(shape), axis=tuple(range(1, 2 * array.ndim, 2)))
+
+
+def _block_maxima(array, size):
+    """The max over each aligned block of size^d entries of `array`, per
+    axis the max of its `size` strided views; max is exact, so this is
+    _block_reduce with np.maximum, float for float, without its reduce
+    over a short contiguous axis."""
+    for ax in range(array.ndim):
+        array = functools.reduce(np.maximum, (array[(slice(None),) * ax + (slice(j, None, size),)]
+                                              for j in range(size)))
+    return array
 
 
 def _window_sums(sums, run):
@@ -322,8 +277,7 @@ def _block_powers(responses, p_values):
     block maximum is not finite."""
     n = responses[0].shape[0]
     size = min(BOUND_BLOCK, n)
-    peaks = np.array([_block_reduce(response, size, np.maximum).ravel()
-                      for response in responses])
+    peaks = np.array([_block_maxima(response, size).ravel() for response in responses])
     if not np.isfinite(peaks).all():
         return None
     return {p: peaks ** p for p in _bounded(p_values)}
@@ -383,14 +337,15 @@ def _maxima_block(responses, peak, powers, weights, sums, maxima, h_d):
         _raise_maxima(best, responses, peak, bounds, weight, h_d, scratch)
 
 
-def _start_maxima(responses, weight_exp, p_values, level, kernels, cubes, tasks):
+def _start_maxima(field, writer, buffers, weight_exp, p_values, level, kernels, cubes, tasks):
     """Compute the kernel responses chunk by chunk, and hand each chunk
     with its block maxima to one task per block of the cubes.  A chunk's
     tasks start when the previous chunk's have ended, as they raise the
     same running maxima, and the next chunk's responses are computed
-    meanwhile.  The pointwise max of the responses goes to the last
-    chunk's tasks.  Returns the generator of the level's maxima."""
-    grid = responses.grid
+    meanwhile, with writer(), into the two sets of `buffers` in turn.
+    The pointwise max of the responses goes to the last chunk's tasks.
+    Returns the generator of the level's maxima."""
+    grid = field.grid
     h_d = grid.spacing ** grid.dim
     table = weight_table(grid, level, weight_exp)
     origins = [weight_origin(grid, level, cube) for cube in cubes]
@@ -399,8 +354,10 @@ def _start_maxima(responses, weight_exp, p_values, level, kernels, cubes, tasks)
     maxima = [dict.fromkeys(p_values, 0.0) for _ in cubes]
     blocks = _cube_blocks(list(zip(weights, sums, maxima)))
     pool, running, peak = norm_pool()[0], [], np.zeros(grid.shape)
-    for start in range(0, len(kernels), KERNEL_CHUNK):
-        chunk = [responses.compute(kernel) for kernel in kernels[start:start + KERNEL_CHUNK]]
+    for c, start in enumerate(range(0, len(kernels), KERNEL_CHUNK)):
+        group, spare = kernels[start:start + KERNEL_CHUNK], buffers[c % 2]
+        spare.extend(np.empty(grid.shape) for _ in range(len(group) - len(spare)))
+        chunk = [writer()(kernel.multiplier, out) for kernel, out in zip(group, spare)]
         powers = _block_powers(chunk, p_values)
         if powers is not None:
             for response in chunk:
@@ -410,7 +367,6 @@ def _start_maxima(responses, weight_exp, p_values, level, kernels, cubes, tasks)
         last = peak if start + KERNEL_CHUNK >= len(kernels) else None
         running = [pool.submit(_maxima_block, chunk, last, powers, *zip(*block), h_d)
                    for block in blocks]
-        responses.hand_over(running)
         tasks.extend(running)
     return _maxima_rows(cubes, maxima, running)
 
@@ -429,7 +385,8 @@ def level_maxima(field, plan, weight_exp, p_values):
     float, with most of its norms pruned (module docstring, Pruning)."""
     if not all(p > 0 for p in p_values):   # nan too
         raise ValidationError("p must be positive or inf")
-    return _fan_out(plan, functools.partial(_start_maxima, _Responses(field), weight_exp,
+    writer = functools.cache(lambda: response_writer(field))   # made with the first response
+    return _fan_out(plan, functools.partial(_start_maxima, field, writer, ([], []), weight_exp,
                                             tuple(p_values)))
 
 

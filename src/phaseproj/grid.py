@@ -419,8 +419,9 @@ def rho_values(grid, cube):
 
 
 def weight_table(grid, level, exponent):
-    """The read-only table of (2N)^d floats whose N^d blocks are the
-    weights rho_I ** -exponent of the cubes I at `level` (level_weights).
+    """The read-only table of (2N)^d floats whose N^d blocks, starting at
+    weight_origin, are the weights rho_I ** -exponent of the cubes I at
+    `level` inside the domain, bit for bit rho_values(grid, I) ** -exponent.
 
     Each axis is an N-long slice of one base vector on the 2N points
     -2B + h m, and the weight is their min over axes, taken once into the
@@ -444,20 +445,13 @@ def weight_origin(grid, level, cube):
     return tuple(grid.samples // 2 - k * cells for k in cube.index)
 
 
-def level_weights(grid, level, exponent):
-    """Function cube -> rho_values(grid, cube) ** -exponent, bit for bit,
-    as a read-only view of weight_table, for the cubes at `level` inside
-    the domain."""
-    n, table = grid.samples, weight_table(grid, level, exponent)
-    return lambda cube: table[tuple(slice(s, s + n) for s in weight_origin(grid, level, cube))]
-
-
 _POOL = None   # (executor, worker count), made on first use
 
 
 def norm_pool():
-    """(executor, workers): the thread pool of the per-cube norms and the
-    sinc-profile tables, one worker per CPU that the process may run on."""
+    """(executor, workers): the thread pool of the pruned per-cube maxima
+    (estimators.level_maxima) and the sinc-profile tables, one worker per
+    CPU that the process may run on."""
     global _POOL
     if _POOL is None:
         workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")

@@ -34,7 +34,8 @@ base's band, a modulation shifts its base's band by its frequency's
 lattice index, and a sinc box builds its multiplier on its band from
 factors evaluated on each axis's band, and its spatial samples from a
 cached 1-d profile with eta's phase on eta's nonzero axes only.  Besides
-the per-cube norms, the norm pool fills only the sinc-profile tables.
+the pruned per-cube maxima (estimators.level_maxima), the norm pool fills
+only the sinc-profile tables.
 """
 
 from __future__ import annotations

@@ -17,6 +17,8 @@ from phaseproj.grid import (
     kernel_field_from_multiplier,
     mollified_distance,
     plane_wave,
+    weight_origin,
+    weight_table,
 )
 from phaseproj.kernels import (
     LOWPASS_PROFILE,
@@ -378,3 +380,12 @@ def row_maxima(rows, p_values):
     evaluating most of the row.  Python's max keeps the first of equal
     values and never takes a nan."""
     return {p: max([0.0] + [norms[p] for _, norms in rows]) for p in p_values}
+
+
+def level_weights(grid, level, exponent):
+    """Function cube -> rho_values(grid, cube) ** -exponent, bit for bit,
+    as a read-only view of grid.weight_table, for the cubes at `level`
+    inside the domain: the per-cube weights that the estimators take from
+    the table."""
+    n, table = grid.samples, weight_table(grid, level, exponent)
+    return lambda cube: table[tuple(slice(s, s + n) for s in weight_origin(grid, level, cube))]

@@ -17,6 +17,7 @@ from oracles import (
     carleson_sum_scan,
     expand_band,
     field_multiplier,
+    level_weights,
     offtree_geometry_scan,
     offtree_sum_scan,
     row_maxima,
@@ -45,7 +46,6 @@ from phaseproj.grid import (
     TorusGrid,
     apply_multiplier,
     cube_mask,
-    level_weights,
     modulate,
     rho_values,
     weight_origin,
@@ -676,43 +676,34 @@ class TestNormPool:
     @pytest.mark.parametrize("workers", [None, 1, 3])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_rows_equal_serial_loop(self, dim, workers, pool):
+        # level_norms runs on the calling thread: the size of the norm pool
+        # (None: the process's own) does not reach its rows
         if workers is not None:
             pool(workers)
         field, plan = norm_case(dim)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # more thread switches inside each task
-        try:
-            for exponent in (2.0, 6.0):
-                got = list(level_norms(field, iter(plan), exponent, self.P_VALUES))
-                want = list(serial_level_norms(field, plan, exponent, self.P_VALUES))
-                assert got == want
-        finally:
-            sys.setswitchinterval(interval)
+        for exponent in (2.0, 6.0):
+            got = list(level_norms(field, iter(plan), exponent, self.P_VALUES))
+            assert got == list(serial_level_norms(field, plan, exponent, self.P_VALUES))
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_task_error_reaches_caller(self, workers, pool):
-        executor = pool(workers)
+        pool(workers)
         field, plan = norm_case(1)
         with pytest.raises(ValidationError, match="p must be positive"):
             list(level_norms(field, plan, 2.0, (1.0, 0.0)))
-        assert executor.tasks and all(task.done() for task in executor.tasks)
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_response_error_reaches_caller(self, workers, pool, monkeypatch):
-        # the third response's FFT fails while the pool takes the first two
-        executor = pool(workers)
+        # the third response's FFT fails
+        pool(workers)
         field, plan = norm_case(1)
-        built = len(executor.tasks)   # the sinc-profile tables of the plan
         failing_third_response(monkeypatch)
         with pytest.raises(MemoryError, match="no room"):
             list(level_norms(field, plan, 2.0, self.P_VALUES))
-        # one task per block of cubes and kernel, none queued or running
-        assert len(executor.tasks) - built == 2 * workers
-        assert all(task.done() for task in executor.tasks)
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_plan_error_reaches_caller(self, workers, pool):
-        executor = pool(workers)
+        pool(workers)
         field, plan = norm_case(1)
 
         def broken_plan():
@@ -721,72 +712,31 @@ class TestNormPool:
 
         with pytest.raises(LookupError, match="no second dictionary"):
             list(level_norms(field, broken_plan(), 2.0, self.P_VALUES))
-        assert executor.tasks and all(task.done() for task in executor.tasks)
 
-    def test_one_level_of_responses_alive(self, monkeypatch):
-        # the buffers of a level's responses are free before the next
-        # level's responses are computed: every task that held them has
-        # ended.  The call keeps at most one buffer per kernel of a level
-        # and frees them all when it ends
+    def test_no_task_and_one_buffer(self, pool, monkeypatch):
+        # the pool gets no task, and every response of the call is written
+        # into the same float buffer, freed with the call
+        executor = pool(2)
         field, plan = norm_case(1)
-        plan = plan + [(level, kernels, cubes[:3]) for level, kernels, cubes in plan]
-        executor = ArgsPool(2)
-        monkeypatch.setattr(grid_module, "_POOL", (executor, 2))
-        pulled, checked = [], []   # tasks handed out at each pull of the plan
-
-        def watched():
-            for entry in plan:
-                pulled.append(len(executor.tasks))
-                yield entry
-
-        def before(out):
-            earlier = executor.tasks[:pulled[-1]]
-            assert all(task.done() for task in earlier)
-            assert holders(executor.tasks, out) == []
-            checked.append(len(earlier))
-
-        written = watched_writes(monkeypatch, before)
-        try:
-            rows = list(level_norms(field, watched(), 2.0, self.P_VALUES))
-        finally:
-            executor.shutdown()
-        assert len(rows) == sum(len(cubes) for _, _, cubes in plan)
-        # two blocks per kernel, one for each worker
-        assert pulled == list(np.cumsum([0] + [2 * len(kernels) for _, kernels, _ in plan[:-1]]))
-        assert sorted(set(checked)) == pulled
-        assert len(written) == sum(len(kernels) for _, kernels, _ in plan)
-        assert len({key for key, _ in written}) <= max(len(kernels) for _, kernels, _ in plan)
-        assert all(ref() is None for _, ref in written)
-
-    def test_no_buffer_written_while_held(self, monkeypatch):
-        # with every task held blocked until its rows are collected, no
-        # response is written into a buffer that a task still holds: each
-        # kernel of a level takes a buffer of its own, and the next level
-        # takes the same ones again
-        field, plan = norm_case(1)
-        executor = held_pool(monkeypatch)
-        written = watched_writes(monkeypatch,
-                                 lambda out: assert_not_held(executor.tasks, out))
+        built = len(executor.tasks)   # the sinc-profile tables of the plan
+        written = watched_writes(monkeypatch, lambda out: None)
         rows = list(level_norms(field, plan, 2.0, self.P_VALUES))
         assert rows == list(serial_level_norms(field, plan, 2.0, self.P_VALUES))
-        keys = [key for key, _ in written]
-        sizes = [len(kernels) for _, kernels, _ in plan]
-        assert len(set(keys)) == max(sizes)
-        assert keys[sizes[0]:] == keys[:sizes[1]]
-        assert all(task.done() for task in executor.tasks)
+        assert len(executor.tasks) == built
+        assert len(written) == sum(len(kernels) for _, kernels, _ in plan)
+        assert len({key for key, _ in written}) == 1
+        assert all(ref() is None for _, ref in written)
 
-    @pytest.mark.parametrize("dim,parent_peak", [(1, 56.3), (2, 59.6)])
-    def test_peak_within_parents(self, dim, parent_peak, monkeypatch):
-        # with every task held, each response of a level lives until its
-        # rows are collected: the worst case for memory.  Allocating each
-        # response and its two complex temporaries afresh, the call peaked
-        # at parent_peak grid floats (traced); the reused buffers keep the
-        # call below it (49.1 and 39.9)
+    @pytest.mark.parametrize("dim,peak_bound", [(1, 26.0), (2, 21.2)])
+    def test_peak_within_parents(self, dim, peak_bound):
+        # besides the rows it returns, the call holds one response, one
+        # scratch array, the writer's complex array and a level's weight
+        # table: it peaked at 25.0 and 20.2 grid floats (traced), and the
+        # bound allows one grid float more
         field, plan = norm_case(dim)
-        held_pool(monkeypatch)
         rows, peak = response_peak(level_norms, field, plan, self.P_VALUES)
         assert rows == list(serial_level_norms(field, plan, 2.0, self.P_VALUES))
-        assert peak <= parent_peak, peak
+        assert peak <= peak_bound, peak
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_abandoned_generator(self, workers, pool):
@@ -1122,6 +1072,26 @@ class TestMaximaPool:
             tracemalloc.stop()
         assert rows == want
         assert peak <= 2 * estimators.KERNEL_CHUNK + 18, peak
+
+    def test_two_sets_of_buffers(self, monkeypatch):
+        # chunk c of a level writes into the buffers of chunk c - 2, in
+        # order, and none of chunk c - 1's, so that one call writes into at
+        # most two chunks of buffers
+        field, plan = norm_case(1)
+        level, kernels, cubes = plan[0]
+        plan = [(level, kernels * 3, cubes[:3]), *plan]
+        written = watched_writes(monkeypatch, lambda out: None)
+        rows = list(level_maxima(field, plan, 2.0, self.P_VALUES))
+        assert rows == serial_maxima(field, plan, 2.0, self.P_VALUES)
+        size, keys = estimators.KERNEL_CHUNK, iter([key for key, _ in written])
+        for _, kernels, _ in plan:
+            level_keys = [next(keys) for _ in kernels]
+            chunks = [level_keys[start:start + size] for start in range(0, len(kernels), size)]
+            for c in range(2, len(chunks)):
+                assert chunks[c] == chunks[c - 2][:len(chunks[c])]
+                assert not set(chunks[c]) & set(chunks[c - 1])
+        assert next(keys, None) is None
+        assert len({key for key, _ in written}) <= 2 * size
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_abandoned_generator(self, workers, pool):

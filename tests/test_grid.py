@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import field_multiplier
+from oracles import field_multiplier, level_weights
 
 from phaseproj.cubes import DyadicCube, unit_cube
 from phaseproj.errors import ResolutionError, ValidationError
@@ -18,7 +18,6 @@ from phaseproj.grid import (
     fd_derivative,
     inner_product,
     kernel_field_from_multiplier,
-    level_weights,
     load_field,
     lp_norm,
     lp_norms,
