@@ -68,10 +68,18 @@ float, a direct evaluation of every norm with full-grid weights rho_I ** -e:
   kernels at every p, p = inf included, and stays out of M.  Only a
   larger norm replaces the running max, so it keeps the first of equal
   norms and skips a nan, as max([0.0, ...]) does.
+- Mirrors.  A real field's response to a complex sinc box equals, in
+  exact arithmetic, its response to the box's mirror (kernels module
+  docstring), the conjugate kernel.  So on a real field level_norms gives
+  a kernel whose mirror comes before it in its level the mirror's norms,
+  and level_maxima leaves such a kernel out: a duplicate cannot raise a
+  max.  Both tables thus read one response per mirror pair, the first
+  member's, which verify_witness re-evaluates with the pair.
 - Fan-out.  level_norms runs on the calling thread: level by level it
   computes each kernel response |k * f|, in dictionary order, one inverse
-  FFT each, into one float buffer (grid.response_writer) and takes every
-  cube's norms of it in one scratch array (grid.lp_norms).  Its callers,
+  FFT each (irfftn for a real kernel on a real field, ifftn otherwise),
+  into one float buffer (grid.response_writer) and takes every cube's
+  norms of it in one scratch array (grid.lp_norms).  Its callers,
   the size table, its witness and the Bernstein sweep, see few cubes per
   level and spend their time in the FFTs, which a pool would not share.
   level_maxima runs over a plan of levels on the norm pool (_fan_out).
@@ -122,8 +130,9 @@ from math import inf
 import numpy as np
 
 from .cubes import DyadicCube
-from .errors import InternalConsistencyError, ResolutionError, ValidationError
+from .errors import InternalConsistencyError, ResolutionError
 from .grid import (
+    check_exponent,
     lp_norm,
     lp_norms,
     mollified_distance,
@@ -185,7 +194,8 @@ def level_norms(field, plan, weight_exp, p_values):
     `plan` yields (level, kernels, cubes at that level).  Yields (cube,
     [(kernel_id, {p: norm}) per kernel]) for each cube in plan order,
     kernels in dictionary order, so that callers keep their tie-breaking
-    order.
+    order.  On a real field a kernel whose mirror comes before it in its
+    level takes the mirror's norms (module docstring, Mirrors).
     """
     grid = field.grid
     h_d = grid.spacing ** grid.dim
@@ -195,14 +205,18 @@ def level_norms(field, plan, weight_exp, p_values):
         table = weight_table(grid, level, weight_exp)
         origins = (weight_origin(grid, level, cube) for cube in cubes)
         weights = [table[tuple(slice(s, s + grid.samples) for s in origin)] for origin in origins]
-        rows = [[] for _ in cubes]
+        taken, rows = {}, []   # kernel id -> its norms per cube; (id, norms) per kernel
         for kernel in kernels:
-            if write is None:
-                write = response_writer(field)
-            write(kernel.multiplier, response)
-            for row, weight in zip(rows, weights):
-                row.append((kernel.kernel_id, lp_norms(response, h_d, p_values, weight, scratch)))
-        yield from zip(cubes, rows)
+            norms = taken.get(kernel.mirror) if field.is_real else None
+            if norms is None:
+                if write is None:
+                    write = response_writer(field)
+                write(kernel.multiplier, response, kernel.real)
+                norms = [lp_norms(response, h_d, p_values, weight, scratch) for weight in weights]
+            taken[kernel.kernel_id] = norms
+            rows.append((kernel.kernel_id, norms))
+        yield from ((cube, [(kernel_id, norms[c]) for kernel_id, norms in rows])
+                    for c, cube in enumerate(cubes))
 
 
 # The pruned maxima (module docstring, Pruning): bounds over blocks of
@@ -357,7 +371,7 @@ def _start_maxima(field, writer, buffers, weight_exp, p_values, level, kernels, 
     for c, start in enumerate(range(0, len(kernels), KERNEL_CHUNK)):
         group, spare = kernels[start:start + KERNEL_CHUNK], buffers[c % 2]
         spare.extend(np.empty(grid.shape) for _ in range(len(group) - len(spare)))
-        chunk = [writer()(kernel.multiplier, out) for kernel, out in zip(group, spare)]
+        chunk = [writer()(kernel.multiplier, out, kernel.real) for kernel, out in zip(group, spare)]
         powers = _block_powers(chunk, p_values)
         if powers is not None:
             for response in chunk:
@@ -382,12 +396,25 @@ def level_maxima(field, plan, weight_exp, p_values):
     """Per cube of a level_norms plan, (cube, {p: max over the level's
     kernels of ||rho_I^{-weight_exp} |k * field| ||_p}), 0.0 for a level
     without kernels: the max of the cube's level_norms row, float for
-    float, with most of its norms pruned (module docstring, Pruning)."""
-    if not all(p > 0 for p in p_values):   # nan too
-        raise ValidationError("p must be positive or inf")
+    float, with most of its norms pruned (module docstring, Pruning), and
+    on a real field no kernel whose mirror comes before it (Mirrors)."""
+    for p in p_values:
+        check_exponent(p)
+    if field.is_real:
+        plan = ((level, _without_mirrors(kernels), cubes) for level, kernels, cubes in plan)
     writer = functools.cache(lambda: response_writer(field))   # made with the first response
     return _fan_out(plan, functools.partial(_start_maxima, field, writer, ([], []), weight_exp,
                                             tuple(p_values)))
+
+
+def _without_mirrors(kernels):
+    """The kernels, in order, without each one whose mirror comes before it."""
+    seen, kept = set(), []
+    for kernel in kernels:
+        if kernel.mirror not in seen:
+            kept.append(kernel)
+        seen.add(kernel.kernel_id)
+    return kept
 
 
 def _dictionary(grid, level, alpha, kind, dict_spec):
@@ -492,9 +519,11 @@ def verify_witness(f, est, dict_spec):
         return 0.0
     i, cube, kernel_id = est.witness
     kernels = _dictionary(f.grid, i - est.m - 2, est.alpha, "phi", dict_spec)
-    kernel = next(k for k in kernels if k.kernel_id == kernel_id)
-    _, rows = next(level_norms(f, [(i, [kernel], [cube])], est.alpha, (est.p,)))
-    return 2.0 ** (-i * f.grid.dim * _inv(est.p)) * rows[0][1][est.p]
+    mirror = next(k for k in kernels if k.kernel_id == kernel_id).mirror
+    # with its mirror, so that the witness takes its norms from the same response
+    pair = [k for k in kernels if k.kernel_id in (kernel_id, mirror)]
+    _, rows = next(level_norms(f, [(i, pair, [cube])], est.alpha, (est.p,)))
+    return 2.0 ** (-i * f.grid.dim * _inv(est.p)) * dict(rows)[kernel_id][est.p]
 
 
 # ---------------------------------------------------------------------------

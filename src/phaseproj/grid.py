@@ -8,10 +8,22 @@ circular and evaluated through pointwise spectral products, scaled so
 that discrete results approximate the corresponding integrals.  The frequency lattice is (1/(2B)) Z^d
 folded to Nyquist, which is exactly numpy's fftfreq(N, d=h).
 
-Equal grids share their coordinate arrays (axis points, frequencies and
-the two radii): each is built once, on the first equal grid still held
-by a small value-keyed cache, stored read-only, and read by every equal
-grid.  A run that builds a new, equal grid per config computes them once.
+Real fields take real transforms.  A field whose samples are real keeps
+them as float64, and its spectrum is rfftn's half spectrum: on the last
+axis only the lattice indices 0..N/2, the rest following from
+F(-k) = conj F(k).  A real kernel, one whose multiplier is Hermitian (the
+kernels module says which are), acts on a real field through that half:
+its band read on the half lattice (_half_block) times the half spectrum,
+then irfftn, and the output is real.  Complex samples, and a complex
+kernel on any field, take the full spectrum and ifftn; a real field's
+full spectrum is its half read by that symmetry (_spectrum_on),
+never an fftn of real samples.
+
+Equal grids share their coordinate arrays (axis points, frequencies, the
+lattice sign and the two radii): each is built once, on the first equal
+grid still held by a small value-keyed cache, stored read-only, and read
+by every equal grid.  A run that builds a new, equal grid per config
+computes them once.
 """
 
 from __future__ import annotations
@@ -99,6 +111,10 @@ class TorusGrid:
     def nyquist(self):
         return self.samples / (4.0 * self.half_width)
 
+    @property
+    def axes(self):
+        return tuple(range(self.dim))
+
     @_shared_array
     def axis_points(self):
         return -self.half_width + self.spacing * np.arange(self.samples)
@@ -106,6 +122,12 @@ class TorusGrid:
     @_shared_array
     def axis_freqs(self):
         return np.fft.fftfreq(self.samples, d=self.spacing)
+
+    @_shared_array
+    def lattice_sign(self):
+        """(-1)^k of each lattice index k on one axis (_lattice_sign)."""
+        kappa = np.rint(self.axis_freqs * 2 * self.half_width).astype(np.int64)
+        return 1.0 - 2.0 * (np.abs(kappa) % 2)
 
     def on_axis(self, vector, axis):
         """A vector laid along `axis`: an N-vector broadcasts to the grid
@@ -157,7 +179,8 @@ class TorusGrid:
 
 @dataclass
 class SampledField:
-    """Values of a function sampled on a TorusGrid, with a spectrum cache."""
+    """Values of a function sampled on a TorusGrid, with a spectrum cache:
+    float64 samples for real data, complex ones otherwise."""
 
     grid: TorusGrid
     values: np.ndarray
@@ -168,15 +191,22 @@ class SampledField:
         if values.shape != self.grid.shape:
             raise ValidationError(f"value shape {values.shape} != grid shape {self.grid.shape}")
         if not np.iscomplexobj(values):
-            values = values.astype(np.complex128)
+            values = values.astype(np.float64, copy=False)
         # a read-only view: the caller's own array stays writable
         self.values = values.view()
         self.values.flags.writeable = False
 
+    @property
+    def is_real(self):
+        return not np.iscomplexobj(self.values)
+
     def fft(self):
-        """Raw forward DFT of the values (cached, fftfreq ordering)."""
+        """Raw forward DFT of the values (cached, fftfreq ordering): for
+        real values rfftn's half spectrum, whose last axis holds the
+        lattice indices 0..N/2, else the full spectrum."""
         if self._fft is None:
-            self.with_fft(np.fft.fftn(self.values))
+            self.with_fft(np.fft.rfftn(self.values, axes=self.grid.axes) if self.is_real
+                          else np.fft.fftn(self.values))
         return self._fft
 
     def with_fft(self, fft_values):
@@ -209,7 +239,7 @@ class SampledField:
 
 
 def zero_field(grid):
-    return SampledField(grid, np.zeros(grid.shape, dtype=np.complex128))
+    return SampledField(grid, np.zeros(grid.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -257,98 +287,168 @@ def _band_block(shape, band_shape):
     return np.ix_(*map(_band_index, shape, band_shape))
 
 
-def apply_multiplier(a, multiplier, keep_spectrum=True):
+def _half_block(shape, band):
+    """(index block, values) of a band on the half lattice of a grid of
+    the given shape (SampledField.fft): the band's block on every axis but
+    the last, and there its lattice indices 0..N/2 of the whole axis, or
+    0..e of a band of 2e + 1 (a view of the band's first entries)."""
+    n, m = shape[-1], band.shape[-1]
+    kept = n // 2 + 1 if m == n else m - m // 2
+    return np.ix_(*map(_band_index, shape[:-1], band.shape[:-1]), np.arange(kept)), band[..., :kept]
+
+
+def _band_product(spec, index, band, out):
+    """`spec` times the band on its index block and zero elsewhere, into
+    `out`; a band of the spectrum's shape takes one full product."""
+    if band.shape == spec.shape:
+        return np.multiply(spec, band, out=out)
+    out.fill(0)
+    out[index] = spec[index] * band
+    return out
+
+
+def _spectrum_on(a, index):
+    """The spectrum of the real field `a` on an index block (np.ix_) of
+    the whole lattice, gathered from its half: at a last-axis index k past
+    N/2 it reads conj F(-k), every index negated modulo N."""
+    spec, n = a.fft(), a.grid.samples
+    lead, last = index[:-1], index[-1]
+    upper = last.ravel() > n // 2
+    block = np.empty(np.broadcast_shapes(*(i.shape for i in index)), dtype=spec.dtype)
+    block[..., ~upper] = spec[lead + (last[..., ~upper],)]
+    block[..., upper] = np.conj(spec[tuple(-i % n for i in lead) + (-last[..., upper] % n,)])
+    return block
+
+
+def _full_spectrum(a):
+    """The DFT of a's values on the whole lattice: fft() itself for
+    complex values, for real ones their half spectrum gathered onto it."""
+    if not a.is_real:
+        return a.fft()
+    return _spectrum_on(a, np.ix_(*[np.arange(a.grid.samples)] * a.grid.dim))
+
+
+def _half_product(a, band, out):
+    """The half spectrum of the real field `a` times a real kernel's band
+    read on the half lattice, into `out`."""
+    return _band_product(a.fft(), *_half_block(a.grid.shape, band), out)
+
+
+def _full_product(a, band, out):
+    """The full spectrum of `a` times `band` on its block, zero elsewhere,
+    into `out`, a complex array of the grid shape; a real field's spectrum
+    is gathered on the block alone (_spectrum_on)."""
+    index = _band_block(a.grid.shape, band.shape)
+    if not a.is_real:
+        return _band_product(a.fft(), index, band, out)
+    out.fill(0)
+    out[index] = _spectrum_on(a, index) * band
+    return out
+
+
+def apply_multiplier(a, multiplier, keep_spectrum=True, real=False):
     """Field whose spectrum is `multiplier` times the spectrum of `a`.
 
     Realizes the convolution a * k for the kernel whose Fourier transform
     sampled on the frequency lattice (fftfreq ordering) is the frequency
     band `multiplier`; off the band the product is zero, and a band that
-    fills the lattice takes one product.  The output caches that spectrum
-    unless keep_spectrum is False.  response_writer gives |a * k| alone,
-    float for float, into a caller's buffer, without the three
-    grid-sized arrays a call here makes.
+    fills the lattice takes one product.  A real kernel (`real`: the
+    multiplier is Hermitian) acting on a real field takes the half
+    spectrum and irfftn, and the output is real; any other pair takes the
+    full spectrum and ifftn.  The output caches that spectrum unless
+    keep_spectrum is False.  response_writer gives |a * k| alone, float
+    for float, into a caller's buffer, without the grid-sized arrays a
+    call here makes.
     """
-    spec = a.fft()
-    if multiplier.shape == spec.shape:
-        raw = spec * multiplier
+    grid = a.grid
+    if real and a.is_real:
+        raw = _half_product(a, multiplier, np.empty_like(a.fft()))
+        values = np.fft.irfftn(raw, s=grid.shape, axes=grid.axes)
     else:
-        index = _band_block(spec.shape, multiplier.shape)
-        raw = np.zeros_like(spec)
-        raw[index] = spec[index] * multiplier
-    out = SampledField(a.grid, np.fft.ifftn(raw))
+        raw = _full_product(a, multiplier, np.empty(grid.shape, dtype=np.complex128))
+        values = np.fft.ifftn(raw)
+    out = SampledField(grid, values)
     return out.with_fft(raw) if keep_spectrum else out
 
 
 def response_writer(a):
-    """Function write(band, out) that puts |a * k| into the float array
-    `out` of the grid shape and returns it, k the kernel of the frequency
-    band `band`: np.abs(apply_multiplier(a, band).values), float for
-    float, with no grid-sized array allocated per call.
+    """Function write(band, out, real) that puts |a * k| into the float
+    array `out` of the grid shape and returns it, k the kernel of the
+    frequency band `band`, real if `real`:
+    np.abs(apply_multiplier(a, band, True, real).values), float for float.
 
     The function keeps one complex array of the grid shape, made with it,
-    and takes each product and its inverse FFT in place there: a band
-    that fills the lattice takes the one full product, as
-    apply_multiplier does, and any other band's product is written into
-    its index block of the array, set to zero first.
+    and takes each product there.  A real kernel on a real field takes
+    its half-spectrum product in the array's first entries, and irfftn
+    writes into `out` itself; any other pair takes its full product in
+    the whole array, inverted in place.  A band that fills the lattice
+    takes the one full product, as apply_multiplier does, and any other
+    band's product is written into its index block, set to zero first.
     """
-    spec = a.fft()
-    wave = np.empty_like(spec)
+    grid, spec = a.grid, a.fft()
+    wave = np.empty(grid.shape, dtype=np.complex128)
+    half = wave.reshape(-1)[:spec.size].reshape(spec.shape)
 
-    def write(band, out):
-        if band.shape == spec.shape:
-            np.multiply(spec, band, out=wave)
-        else:
-            index = _band_block(spec.shape, band.shape)
-            wave.fill(0)
-            wave[index] = spec[index] * band
-        return np.abs(np.fft.ifftn(wave, out=wave), out=out)
+    def write(band, out, real):
+        if real and a.is_real:
+            np.fft.irfftn(_half_product(a, band, half), s=grid.shape, axes=grid.axes, out=out)
+            return np.abs(out, out=out)
+        return np.abs(np.fft.ifftn(_full_product(a, band, wave), out=wave), out=out)
     return write
 
 
 def convolve(a, k):
     """Circular convolution of two fields, scaled to approximate
-    integral convolution: h^d * sum_y a(y) k(x - y)."""
+    integral convolution: h^d * sum_y a(y) k(x - y).  Two real fields
+    take their half spectra and irfftn."""
     a._check_same_grid(k)
-    h_d = a.grid.spacing ** a.grid.dim
-    kern = np.fft.ifftshift(k.values)
-    raw = a.fft() * np.fft.fftn(kern) * h_d
-    out = SampledField(a.grid, np.fft.ifftn(raw))
-    return out.with_fft(raw)
+    grid = a.grid
+    h_d = grid.spacing ** grid.dim
+    kern = SampledField(grid, np.fft.ifftshift(k.values))
+    if a.is_real and kern.is_real:
+        raw = a.fft() * kern.fft() * h_d
+        values = np.fft.irfftn(raw, s=grid.shape, axes=grid.axes)
+    else:
+        raw = _full_spectrum(a) * _full_spectrum(kern) * h_d
+        values = np.fft.ifftn(raw)
+    return SampledField(grid, values).with_fft(raw)
 
 
 def kernel_field_from_multiplier(grid, band):
     """Spatial samples of the kernel whose multiplier is the frequency
     band `band`: the one place where a kernel's band is laid on the
-    lattice (embed_band).
+    lattice (embed_band).  The samples are complex, real kernels' too:
+    a kernel's certificate reads its tail at the torus edge, at the FFT's
+    roundoff, and keeps the floats of the complex inverse.
 
     Equals the 2B-periodization of the continuous kernel whose Fourier
     transform the multiplier samples (Poisson summation), evaluated on
     the grid.
     """
     spec = _lattice_sign(grid, embed_band(band.astype(np.complex128), grid.shape))
-    values = np.fft.ifftn(spec) * (grid.samples / (2.0 * grid.half_width)) ** grid.dim
+    values = np.fft.ifftn(spec)
+    values *= (grid.samples / (2.0 * grid.half_width)) ** grid.dim
     return SampledField(grid, values)
 
 
 def physical_spectrum(a):
     """Samples of the continuous-convention Fourier transform
     h^d sum_x a(x) e^{-2 pi i x xi} on the frequency lattice."""
-    return _lattice_sign(a.grid, a.fft() * a.grid.spacing ** a.grid.dim)
+    return _lattice_sign(a.grid, _full_spectrum(a) * a.grid.spacing ** a.grid.dim)
 
 
 def _lattice_sign(grid, spec):
     """Multiply `spec` in place by (-1)^(k_1 + ... + k_d), k the lattice
     index of each frequency: the phase e^{2 pi i B . xi} between the
     first sample -B and the origin.  Returns `spec`."""
-    kappa = np.rint(grid.axis_freqs * 2 * grid.half_width).astype(np.int64)
-    sign = 1.0 - 2.0 * (np.abs(kappa) % 2)
     for ax in range(grid.dim):
-        spec *= grid.on_axis(sign, ax)
+        spec *= grid.on_axis(grid.lattice_sign, ax)
     return spec
 
 
 def partial_derivative(a, axis, order=1):
-    """Spectral partial derivative along `axis` of the given order.
+    """Spectral partial derivative along `axis` of the given order, a
+    real kernel.
 
     The Nyquist row, lattice index N/2, is zeroed for odd orders, where
     the derivative multiplier has no Hermitian-symmetric representative.
@@ -360,7 +460,7 @@ def partial_derivative(a, axis, order=1):
     mult = (2j * np.pi * grid.axis_freqs) ** order
     if order % 2 == 1:
         mult[grid.samples // 2] = 0.0
-    return apply_multiplier(a, np.broadcast_to(grid.on_axis(mult, axis), grid.shape), False)
+    return apply_multiplier(a, np.broadcast_to(grid.on_axis(mult, axis), grid.shape), False, True)
 
 
 def fd_derivative(a, axis, order=1):
@@ -466,6 +566,13 @@ def norm_workers():
     return norm_pool()[1]
 
 
+def check_exponent(p):
+    """Refuse an exponent p that is not a positive real number or inf:
+    nan, or a value of another type."""
+    if not (isinstance(p, numbers.Real) and p > 0):
+        raise ValidationError("p must be positive or inf")
+
+
 def lp_norms(mag, h_d, p_values, weight=None, out=None):
     """{p: (h^d sum (w mag)^p)^(1/p)} for magnitudes `mag` times an
     optional broadcastable weight w, the max for p = inf.
@@ -479,10 +586,9 @@ def lp_norms(mag, h_d, p_values, weight=None, out=None):
     weighted = mag if weight is None else np.multiply(weight, mag, out=out)
     norms = {}
     for p in p_values:
+        check_exponent(p)
         if p == inf:
             norms[p] = float(np.max(weighted))
-        elif not p > 0:   # nan too
-            raise ValidationError("p must be positive or inf")
         elif p == 1.0:
             norms[p] = float(np.sum(weighted) * h_d)
     overwritten = False
@@ -543,7 +649,7 @@ def mollified_indicator(grid, e_cubes, j, m, kappa):
     if not e_cubes:
         return zero_field(grid)
     mask = collar_mask(grid, e_cubes, j - m - 3)
-    return convolve(SampledField(grid, mask.astype(np.complex128)), kappa)
+    return convolve(SampledField(grid, mask), kappa)
 
 
 # ---------------------------------------------------------------------------

@@ -240,7 +240,9 @@ def random_bandpass_modes(grid, seed, annulus=(2.0, 16.0), n_modes=8):
 
 def field_from_modes(grid, modes, scale=1):
     """Real field from (lattice index, amplitude) pairs, frequencies
-    dilated by the integer scale factor (exact on the lattice)."""
+    dilated by the integer scale factor (exact on the lattice): float64
+    samples, the real parts of the inverse of the Hermitian spectrum,
+    whose imaginary parts are roundoff."""
     spec = np.zeros(grid.shape, dtype=np.complex128)
     nyq = grid.samples // 2
     for k, amp in modes:
@@ -251,7 +253,7 @@ def field_from_modes(grid, modes, scale=1):
         idx_conj = tuple((-kk) % grid.samples for kk in k_scaled)
         spec[idx] += amp
         spec[idx_conj] += np.conj(amp)
-    vals = np.fft.ifftn(spec) * grid.size
+    vals = np.fft.ifftn(spec).real * grid.size
     return SampledField(grid, vals)
 
 

@@ -16,6 +16,14 @@ _finish, which takes the band; grid.kernel_field_from_multiplier lays a
 band on the lattice for the spatial samples, and grid.apply_multiplier
 reads it.
 
+Each builder also says, by construction and not from its floats, whether
+its kernel is real (its multiplier Hermitian): tau, psi, the psi cones,
+theta, the translates of real bases and the sinc box with eta = 0 are;
+the sinc boxes with eta != 0 and the modulations are complex.  Such a
+box names its mirror, the box at -eta, whose kernel is its conjugate:
+on a real field the two have one response |k * f| in exact arithmetic,
+which the estimators take from one transform.
+
 Class membership is certified empirically: `leak` is the largest
 multiplier value outside the admissible frequency set and `lambda_max`
 the largest scaling that keeps the kernel under the pointwise envelope
@@ -42,6 +50,8 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
+import sys
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -107,12 +117,15 @@ MOLLIFIER_PROFILE = BumpProfile(0.5, 1.0)   # kappa's radial shape
 @dataclass
 class KernelHandle:
     """A kernel with its multiplier, as its grid.frequency_band, and its
-    spatial samples."""
+    spatial samples; whether the kernel is real, and the id of its
+    mirror, the kernel of the conjugate samples, if a builder makes one."""
 
     grid: object
     kernel_id: str
     multiplier: np.ndarray       # a band; in a dictionary, scaled
     field: SampledField | None   # None in a dictionary
+    real: bool                   # the multiplier is Hermitian
+    mirror: str | None = None
 
 
 def _require_band_inside_nyquist(grid, radius, what):
@@ -122,14 +135,14 @@ def _require_band_inside_nyquist(grid, radius, what):
             f"frequency {grid.nyquist}", radius * 4 * grid.half_width)
 
 
-def _finish(grid, kernel_id, mult, field=None):
+def _finish(grid, kernel_id, mult, real, field=None, mirror=None):
     """The handle of the kernel of multiplier `mult`, on the lattice or a
     band: it keeps the band of `mult` and, unless given, the spatial
     samples laid from that band.  Every builder returns through here."""
     band = frequency_band(mult)
     if field is None:
         field = kernel_field_from_multiplier(grid, band)
-    return KernelHandle(grid, kernel_id, band, field)
+    return KernelHandle(grid, kernel_id, band, field, real, mirror)
 
 
 # Room for the 10 tau levels and 9 cone pieces that the first five
@@ -145,7 +158,7 @@ def tau_multiplier(grid, j):
 def build_tau(grid, j):
     """Low-pass kernel tau_j: multiplier 1 on |xi| <= 2^-j, 0 beyond 2^(1-j)."""
     _require_band_inside_nyquist(grid, 2.0 ** (1 - j), f"tau_{j}")
-    return _finish(grid, f"tau[{j}]", tau_multiplier(grid, j))
+    return _finish(grid, f"tau[{j}]", tau_multiplier(grid, j), True)
 
 
 def psi_multiplier(grid, j):
@@ -195,7 +208,7 @@ def psi_cone_multiplier(grid, n, j):
 def build_psi_cone(grid, n, j):
     """Cone piece psi_{n,j}; the pieces sum to psi_j exactly on the lattice."""
     _require_band_inside_nyquist(grid, 2.0 ** (2 - j), f"psi_{n},{j}")
-    return _finish(grid, f"psi[n={n},{j}]", psi_cone_multiplier(grid, n, j))
+    return _finish(grid, f"psi[n={n},{j}]", psi_cone_multiplier(grid, n, j), True)
 
 
 def build_theta(grid, n, j):
@@ -211,7 +224,7 @@ def build_theta(grid, n, j):
     xi_n = np.broadcast_to(grid.band_freqs(num.shape)[n], num.shape)
     denom = (2j * np.pi * np.where(num != 0, xi_n, 1.0)) ** order
     mult = np.where(num != 0, num / denom, 0.0)
-    return _finish(grid, f"theta[n={n},{j}]", mult)
+    return _finish(grid, f"theta[n={n},{j}]", mult, True)
 
 
 def build_mollifier(grid, radius):
@@ -301,6 +314,9 @@ class DictionarySpec:
     def __post_init__(self):
         for field in fields(self):
             count = getattr(self, field.name)
+            if not isinstance(count, numbers.Integral):
+                raise ValidationError(
+                    f"DictionarySpec {field.name} must be an integer, not {count!r}")
             if count < 0:
                 raise ValidationError(f"DictionarySpec {field.name} must be >= 0, not {count!r}")
 
@@ -464,20 +480,29 @@ def build_sinc_power(grid, j, beta, kind, eta):
     # each product starts from its first factor, as exact as from complex
     # ones: 1 * x and numpy's promotion to complex give the same floats
     mult = functools.reduce(np.multiply, factors)
+    if not axes.size:
+        return _finish(grid, _sinc_id(kind, j, eta), mult, True, field)
+    # the box at -eta (0.0 - eta: no zero turns -0) has the conjugate samples
+    return _finish(grid, _sinc_id(kind, j, eta), mult, False, field, _sinc_id(kind, j, 0.0 - eta))
+
+
+def _sinc_id(kind, j, eta):
+    """The kernel id of the sinc box at level j centred on eta, which
+    names eta unless it is zero."""
     tag = f"sincpow[{kind},{j}"
-    if axes.size:
+    if np.any(eta):
         tag += ",eta=" + ",".join(f"{e:g}" for e in eta)
-    return _finish(grid, tag + "]", mult, field)
+    return tag + "]"
 
 
 def _translate(band, grid, offset, new_id):
-    """The kernel of multiplier `band`, a frequency band, translated by
-    `offset`: the band times exp(-2 pi i xi . offset), the phase evaluated
-    on the band only."""
+    """The kernel of multiplier `band`, the frequency band of a real
+    kernel, translated by `offset`: the band times exp(-2 pi i xi . offset),
+    the phase evaluated on the band only; real as its base."""
     phase = np.zeros(band.shape, dtype=np.complex128)
     for xi, t in zip(grid.band_freqs(band.shape), offset):
         phase = phase + xi * t
-    return _finish(grid, new_id, band * np.exp(-2j * np.pi * phase))
+    return _finish(grid, new_id, band * np.exp(-2j * np.pi * phase), True)
 
 
 def _modulate(band, grid, eta, new_id):
@@ -487,7 +512,7 @@ def _modulate(band, grid, eta, new_id):
     whole axis the roll is the torus's cyclic shift."""
     shift = [int(np.rint(e * 2 * grid.half_width)) for e in eta]
     shape = [min(m + 2 * abs(s), grid.samples) for m, s in zip(band.shape, shift)]
-    return _finish(grid, new_id, np.roll(embed_band(band, shape), shift, range(grid.dim)))
+    return _finish(grid, new_id, np.roll(embed_band(band, shape), shift, range(grid.dim)), False)
 
 
 def _candidates(grid, j, beta, kind, spec):
@@ -590,6 +615,16 @@ def build_dictionary(grid, j, beta, kind, spec):
     """
     if kind not in ("phi", "psi"):
         raise ValidationError("kind must be 'phi' or 'psi'")
+    # the coarsest candidates, tau_{j+n_tau} and psi_{n,j+1+n_psi}, scale
+    # frequencies by 2^level, which a float holds up to level 1023
+    coarsest = {"n_psi": j + 1 + spec.n_psi if spec.n_psi else None,
+                "n_tau": j + spec.n_tau if spec.n_tau and kind == "phi" else None}
+    for name, level in coarsest.items():
+        if level is not None and level >= sys.float_info.max_exp:
+            raise ValidationError(
+                f"DictionarySpec {name} = {getattr(spec, name)} takes the level-{j} "
+                f"{kind} dictionary to kernels at level {level}, whose scale 2^{level} "
+                "is past the float range")
 
     def normalized(cand):
         cert = class_membership(cand, j, beta, kind)

@@ -24,11 +24,16 @@ theta_{n,j-m}, psi_{n,j-m}, psi_{j-m} and tau_{-m}, and the wrap flags
 of theta and tau, read off each kernel's spatial tail (_kernel_entry) --
 depends on (grid, tree, m) only and lives in a ProjectionFrame: built
 lazily, once, stored read-only, holding no f.  A ring E_j^1 has one
-format, its bool mask: numpy casts it to 1+0j or 0+0j in each complex
-product, so no complex indicator field is kept.  chi_j is kept without
-its spectrum, which only its derivatives read.  Each multiplier is its
-kernel's frequency band (grid.frequency_band), as the kernels module
-makes it, and apply_multiplier reads it.  The frame is the one
+format, its bool mask: numpy casts it to 1.0 or 0.0 in each product, so
+no indicator field is kept.  chi_j is kept without its spectrum, which
+only its derivatives read.  Each multiplier is its kernel's frequency
+band (grid.frequency_band), as the kernels module makes it, and
+apply_multiplier reads it.  Every kernel of the projection is real (tau,
+psi, the psi cones, theta, low_pass_complement and the spectral
+derivatives), so a real f keeps real samples throughout: chi_j, its
+derivatives, every piece, g and f - g are real fields and every
+transform takes half spectra (grid module docstring); a complex f takes
+the complex path.  The frame is the one
 validated object per (tree config, grid, strict): its constructor runs
 the resolution check and expands the tree, and a caller projecting many
 fields onto one tree (the modulation demo) builds it once and passes it
@@ -270,17 +275,17 @@ class ProjectionBuilder:
     # so they keep no spectrum (a full field each).
 
     def theta_f(self, n, j):
-        return apply_multiplier(self.f, self.frame.theta(n, j)[0], True)
+        return apply_multiplier(self.f, self.frame.theta(n, j)[0], True, True)
 
     def psi_cone_f(self, n, j):
-        return apply_multiplier(self.f, self.frame.psi_cone(n, j), False)
+        return apply_multiplier(self.f, self.frame.psi_cone(n, j), False, True)
 
     @_memo
     def psi_f(self, j):
-        return apply_multiplier(self.f, self.frame.psi(j), False)
+        return apply_multiplier(self.f, self.frame.psi(j), False, True)
 
     def tau_f(self):
-        return apply_multiplier(self.f, self.frame.tau()[0], False)
+        return apply_multiplier(self.f, self.frame.tau()[0], False, True)
 
     # -- per-scale pieces ----------------------------------------------------
 
@@ -414,7 +419,8 @@ class ProjectionBuilder:
         pieces below j_min are one high-pass copy of f, not kept."""
         fr = self.frame
         comp_low = self.tau_f() * (1.0 - fr.chi_s(0).values)
-        comp_mid = apply_multiplier(self.f, low_pass_complement(fr.grid, fr.j_min, fr.m), False)
+        comp_mid = apply_multiplier(self.f, low_pass_complement(fr.grid, fr.j_min, fr.m),
+                                    False, True)
         for j in range(fr.j_min, 1):
             comp_mid = comp_mid + self.psi_f(j) * ~fr.e_mask(j, 1)
         return comp_low, comp_mid, self.correction()

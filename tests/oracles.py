@@ -5,13 +5,17 @@ None of these runs in the package: each restates a definition directly
 indirect route the package takes can be checked against it.
 """
 
+import contextlib
 import math
 from itertools import product
 
 import numpy as np
+import pytest
 
-from phaseproj import estimators, kernels
+from phaseproj import estimators, harness, kernels
+from phaseproj import grid as grid_module
 from phaseproj.cubes import DyadicCube, TreeConfig
+from phaseproj.errors import ValidationError
 from phaseproj.grid import (
     SampledField,
     kernel_field_from_multiplier,
@@ -101,7 +105,7 @@ def psi_kernel(grid, j):
     """The annulus kernel psi_j = tau_{j-1} - tau_j, supported on
     2^-j <= |xi| <= 2^(2-j): its multiplier and its spatial samples."""
     mult = expand_band(grid, psi_multiplier(grid, j))
-    return KernelHandle(grid, f"psi[{j}]", mult, kernel_field_from_multiplier(grid, mult))
+    return KernelHandle(grid, f"psi[{j}]", mult, kernel_field_from_multiplier(grid, mult), True)
 
 
 def psi_ladder(grid, j_min, m):
@@ -176,7 +180,7 @@ def translate_lattice(band, grid, offset, new_id):
     for ax, t in enumerate(offset):
         phase = phase + grid.freq_component(ax) * t
     mult = expand_band(grid, band) * np.exp(-2j * np.pi * phase)
-    return KernelHandle(grid, new_id, mult, kernel_field_from_multiplier(grid, mult))
+    return KernelHandle(grid, new_id, mult, kernel_field_from_multiplier(grid, mult), True)
 
 
 def field_multiplier(k):
@@ -193,7 +197,7 @@ def modulate_lattice(band, grid, eta, new_id):
     fills the lattice with roundoff."""
     base = kernel_field_from_multiplier(grid, band)
     field = SampledField(grid, base.values * plane_wave(grid, eta))
-    return KernelHandle(grid, new_id, field_multiplier(field), field)
+    return KernelHandle(grid, new_id, field_multiplier(field), field, False)
 
 
 def class_membership_lattice(handle, j, beta, kind):
@@ -389,3 +393,56 @@ def level_weights(grid, level, exponent):
     the table."""
     n, table = grid.samples, weight_table(grid, level, exponent)
     return lambda cube: table[tuple(slice(s, s + n) for s in weight_origin(grid, level, cube))]
+
+
+def field_from_modes_complex(grid, modes, scale=1):
+    """harness.field_from_modes as complex samples: the inverse of the
+    whole Hermitian spectrum, its roundoff imaginary parts kept."""
+    spec = np.zeros(grid.shape, dtype=np.complex128)
+    for k, amp in modes:
+        k_scaled = tuple(int(kk) * scale for kk in k)
+        if any(abs(kk) >= grid.samples // 2 for kk in k_scaled):
+            raise ValidationError("scaled mode exceeds the Nyquist frequency")
+        spec[tuple(kk % grid.samples for kk in k_scaled)] += amp
+        spec[tuple((-kk) % grid.samples for kk in k_scaled)] += np.conj(amp)
+    return SampledField(grid, np.fft.ifftn(spec) * grid.size)
+
+
+def convolve_complex(a, k):
+    """grid.convolve of two complex fields as one expression, the kernel's
+    FFT a temporary of it: numpy may then write the product into that
+    temporary, whose floats can differ in the last bit from a product
+    into a new array."""
+    h_d = a.grid.spacing ** a.grid.dim
+    raw = a.fft() * np.fft.fftn(np.fft.ifftshift(k.values)) * h_d
+    return SampledField(a.grid, np.fft.ifftn(raw)).with_fft(raw)
+
+
+@contextlib.contextmanager
+def complex_route():
+    """Run the package as it ran when every field held complex samples:
+    each real input is cast to complex128, field_from_modes keeps the
+    imaginary parts of its inverse and convolve takes its product as one
+    expression (convolve_complex), so every transform is a full fftn or
+    ifftn, every response its own ifftn, no mirror pair shares one, and
+    every float is the one of that route."""
+    post_init = grid_module.SampledField.__post_init__
+
+    def complex_post_init(self):
+        values = np.asarray(self.values)
+        if not np.iscomplexobj(values):
+            self.values = values.astype(np.complex128)
+        post_init(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(grid_module.SampledField, "__post_init__", complex_post_init)
+        patch.setattr(harness, "field_from_modes", field_from_modes_complex)
+        patch.setattr(grid_module, "convolve", convolve_complex)
+        yield
+
+
+def mirror_free(kernels):
+    """The kernels without each one whose mirror comes earlier in the
+    list: those that take a response of their own on a real field."""
+    ids = [k.kernel_id for k in kernels]
+    return [k for i, k in enumerate(kernels) if k.mirror not in ids[:i]]

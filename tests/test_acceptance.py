@@ -124,13 +124,15 @@ class TestFrozenBaselines:
 
     def test_bernstein_values(self):
         # every ratio to the bit, so a rewrite of the sweep cannot move them
-        # while staying under the frozen gate
+        # while staying under the frozen gate.  Re-frozen when real fields
+        # took real transforms: the ratios at m >= 1 are those of cone
+        # kernels whose band misses f's spectrum, so they read FFT roundoff
         assert bernstein_artifacts() == {
-            "ratios": {0: 1.0066381037889869, 1: 0.5033190518944933,
-                       2: 0.25165952594724655, 3: 0.13589852607183486,
-                       4: 0.07683726647684376},
+            "ratios": {0: 1.0066381037889869, 1: 0.5785427910836601,
+                       2: 0.3303867963578115, 3: 0.16519339817890583,
+                       4: 0.08271355971342567},
             "max_ratio": 1.0066381037889869,
-            "max_log2_increment": -0.8226517085583357}
+            "max_log2_increment": -0.7990495383728892}
 
     def test_modulation(self):
         check_anchor(MODULATION_CONFIG, MODULATION_ANCHOR)

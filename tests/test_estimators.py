@@ -8,6 +8,7 @@ import threading
 import tracemalloc
 import weakref
 from concurrent.futures import Future
+from dataclasses import replace
 from math import inf
 
 import numpy as np
@@ -18,6 +19,7 @@ from oracles import (
     expand_band,
     field_multiplier,
     level_weights,
+    mirror_free,
     offtree_geometry_scan,
     offtree_sum_scan,
     row_maxima,
@@ -61,7 +63,7 @@ from phaseproj.harness import (
     run,
     write_csv,
 )
-from phaseproj.kernels import DictionarySpec, KernelHandle, build_dictionary
+from phaseproj.kernels import DictionarySpec, build_dictionary
 from phaseproj.projection import ProjectionFrame, assemble
 
 
@@ -313,18 +315,21 @@ class TestSweepTable:
 # full-grid evaluation; the table primitives must leave every float as it
 # was.  Re-frozen when the residual split telescoped: the diagnostics lost
 # nyquist_level and the repeated tau[0] wrap flag, and nothing else moved.
-REFERENCE_REPORT_SHA256 = "22a611267340aeda2e0061d4a2d3f27ef491091494432993dba1103750c125cf"
+# Re-frozen again when real fields took real transforms, which moved the
+# last bits of the floats (test_real_route holds them to the complex route)
+REFERENCE_REPORT_SHA256 = "d93acacd6a327a23fa166292b61be520927bc319ef570ed78e2a66028450920a"
 # SHA-256 of the CSV files written beside it by the same run
 REFERENCE_CSV_SHA256 = {
     "tree.csv": "5f2dfdc05698ce0c7e758d81b387ff9291911bf4bcb6c29a4a1a5950ab3f7168",
-    "perscale.csv": "f6d29599e5590f938159d5a62fb282d78647ba81153508c8ee06722c4e96170d",
+    "perscale.csv": "c994a2090ec73b25ed42b2326ad9b80ee194ecea6cd83442c74c7b9e9963ee41",
 }
 # A 2-d non-strict run (config hash 516008db5c4db577) and its report.json
 # SHA-256, so drift of 2-d report bytes shows in tier-1 too; re-frozen with
-# the one above, when also the last bits of residual_rel_err moved
+# the one above, when also the last bits of residual_rel_err moved, and
+# with it again for real transforms
 REFERENCE_2D_CONFIG = RunConfig(dim=2, grid_n=1 << 8, tree_depth=1, leaf_count=1,
                                 alpha=3.0, strict=False, window_depth=0)
-REFERENCE_2D_REPORT_SHA256 = "de0e4a1d25e224d27b9a3a283ea6712cb7edcbbb9ca6abf82d3a0188843a65b4"
+REFERENCE_2D_REPORT_SHA256 = "621c97f423b3a50d1707b572125df99dd9d4ea9e58be4796bba89d9fb70f30aa"
 
 
 @pytest.fixture(scope="module")
@@ -517,12 +522,18 @@ class TestAxisSwap:
 # The per-cube norms on the thread pool.
 
 def serial_level_norms(field, plan, weight_exp, p_values):
-    """The per-cube loop without the pool, norms written out in full."""
+    """The per-cube loop without the pool, norms written out in full; on a
+    real field a kernel whose mirror comes before it takes its response."""
     grid = field.grid
     h_d = grid.spacing ** grid.dim
     for level, kernels, cubes in plan:
-        responses = [(k.kernel_id, np.abs(apply_multiplier(field, k.multiplier).values))
-                     for k in kernels]
+        taken, responses = {}, []
+        for k in kernels:
+            resp = taken.get(k.mirror) if field.is_real else None
+            if resp is None:
+                resp = np.abs(apply_multiplier(field, k.multiplier, True, k.real).values)
+            taken[k.kernel_id] = resp
+            responses.append((k.kernel_id, resp))
         weight_of = level_weights(grid, level, weight_exp)
         for cube in cubes:
             weight = weight_of(cube)
@@ -581,10 +592,10 @@ def watched_writes(monkeypatch, before):
     def writer(field):
         write = real(field)
 
-        def watched(band, out):
+        def watched(band, out, real):
             before(out)
             written.append((id(out), weakref.ref(out)))
-            return write(band, out)
+            return write(band, out, real)
         return watched
 
     monkeypatch.setattr(estimators, "response_writer", writer)
@@ -723,7 +734,8 @@ class TestNormPool:
         rows = list(level_norms(field, plan, 2.0, self.P_VALUES))
         assert rows == list(serial_level_norms(field, plan, 2.0, self.P_VALUES))
         assert len(executor.tasks) == built
-        assert len(written) == sum(len(kernels) for _, kernels, _ in plan)
+        # a mirror takes the response of the kernel before it
+        assert len(written) == sum(len(mirror_free(kernels)) for _, kernels, _ in plan)
         assert len({key for key, _ in written}) == 1
         assert all(ref() is None for _, ref in written)
 
@@ -771,11 +783,11 @@ def failing_third_response(monkeypatch):
     def writer(field):
         write = real(field)
 
-        def failing(band, out):
+        def failing(band, out, real):
             if len(computed) == 2:
                 raise MemoryError("no room for a response")
             computed.append(band)
-            return write(band, out)
+            return write(band, out, real)
         return failing
 
     monkeypatch.setattr(estimators, "response_writer", writer)
@@ -833,7 +845,7 @@ class TestLevelMaxima:
         assert list(level_maxima(field, plan, 6.0, (0.5, inf))) == want
         assert want[-1][1] == {0.5: 0.0, inf: 0.0}
         assert calls.count((inf,)) == sum(len(c) for _, k, c in plan if k)
-        assert calls.count((0.5,)) == sum(len(k) * len(c) for _, k, c in plan)
+        assert calls.count((0.5,)) == sum(len(mirror_free(k)) * len(c) for _, k, c in plan)
 
     @pytest.mark.parametrize("bad", [math.nan, inf])
     def test_nonfinite_chunk_takes_every_norm(self, bad, monkeypatch):
@@ -846,7 +858,8 @@ class TestLevelMaxima:
         assert len(kernels) > estimators.KERNEL_CHUNK
         multiplier = kernels[1].multiplier.copy()
         multiplier[0] = bad
-        kernels = [kernels[0], KernelHandle(field.grid, "bad", multiplier, None), *kernels[2:]]
+        bad = replace(kernels[1], kernel_id="bad", multiplier=multiplier, mirror=None)
+        kernels = [kernels[0], bad, *kernels[2:]]
         plan = [(level, kernels, cubes), *rest]
         want = serial_maxima(field, plan, 2.0, self.P_VALUES)
         calls = counting_norms(monkeypatch)
@@ -1011,11 +1024,12 @@ class TestMaximaPool:
         finally:
             executor.shutdown()
         assert len(rows) == sum(len(cubes) for _, _, cubes in plan)
-        # two tasks per chunk, one for each worker
-        chunks = [-(-len(kernels) // estimators.KERNEL_CHUNK) for _, kernels, _ in plan]
+        # two tasks per chunk, one for each worker, the mirrors left out
+        chunks = [-(-len(mirror_free(kernels)) // estimators.KERNEL_CHUNK)
+                  for _, kernels, _ in plan]
         assert pulled == list(np.cumsum([0] + [2 * c for c in chunks[:-1]]))
         assert sorted(set(checked)) == pulled
-        assert len(written) == sum(len(kernels) for _, kernels, _ in plan)
+        assert len(written) == sum(len(mirror_free(kernels)) for _, kernels, _ in plan)
         assert len({key for key, _ in written}) <= 2 * estimators.KERNEL_CHUNK
         assert any(task.peak is not None for task in executor.tasks[:pulled[-1]])
         assert all(ref() is None for _, ref in written)
@@ -1085,7 +1099,7 @@ class TestMaximaPool:
         assert rows == serial_maxima(field, plan, 2.0, self.P_VALUES)
         size, keys = estimators.KERNEL_CHUNK, iter([key for key, _ in written])
         for _, kernels, _ in plan:
-            level_keys = [next(keys) for _ in kernels]
+            level_keys = [next(keys) for _ in mirror_free(kernels)]
             chunks = [level_keys[start:start + size] for start in range(0, len(kernels), size)]
             for c in range(2, len(chunks)):
                 assert chunks[c] == chunks[c - 2][:len(chunks[c])]

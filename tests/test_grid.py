@@ -178,17 +178,24 @@ class TestSpectrum:
     def test_response_writer_equals_apply_multiplier(self, grid_name, shapes, request):
         # |a * k| written into one buffer, band after band, equals the
         # magnitude of apply_multiplier's field bit for bit: the spectrum
-        # buffer is zero off each band again after a wider one
+        # buffer is zero off each band again after a wider one.  Complex
+        # and real fields, each band taken as a real kernel's and as a
+        # complex one's in turn, so that a real field's half-spectrum
+        # products and its full ones share the buffer
         grid = request.getfixturevalue(grid_name)
         rng = np.random.default_rng(2)
-        a = SampledField(grid, rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape))
-        write, out = response_writer(a), np.empty(grid.shape)
-        for k, shape in enumerate(shapes):
-            band = rng.normal(size=shape)
-            if k % 2:
-                band = band + 1j * rng.normal(size=shape)
-            assert write(band, out) is out
-            assert np.array_equal(out, np.abs(apply_multiplier(a, band).values)), shape
+        for a in (SampledField(grid, rng.normal(size=grid.shape)
+                               + 1j * rng.normal(size=grid.shape)),
+                  SampledField(grid, rng.normal(size=grid.shape))):
+            write, out = response_writer(a), np.empty(grid.shape)
+            for k, shape in enumerate(shapes):
+                band = rng.normal(size=shape)
+                if k % 2:
+                    band = band + 1j * rng.normal(size=shape)
+                for real in (k % 2 == 0, k % 2 == 1):
+                    assert write(band, out, real) is out
+                    want = np.abs(apply_multiplier(a, band, True, real).values)
+                    assert np.array_equal(out, want), (shape, real)
 
     def test_modulation_shifts_spectrum(self, g2):
         a = smooth_bump(g2)
@@ -277,6 +284,12 @@ class TestNorms:
 
     @pytest.mark.parametrize("p", [0.0, -1.0, math.nan, -math.inf])
     def test_p_not_positive_refused(self, p):
+        with pytest.raises(ValidationError, match="p must be positive"):
+            lp_norms(np.ones(8), 1.0, (p,))
+
+    @pytest.mark.parametrize("p", ["a", None, 2j])
+    def test_p_not_a_number_refused(self, p):
+        # a string or None compared with 0 raised a bare TypeError
         with pytest.raises(ValidationError, match="p must be positive"):
             lp_norms(np.ones(8), 1.0, (p,))
 

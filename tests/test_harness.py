@@ -27,7 +27,7 @@ from phaseproj.grid import (
     save_field,
     zero_field,
 )
-from phaseproj.kernels import DictionarySpec
+from phaseproj.kernels import DictionarySpec, build_dictionary
 from phaseproj.harness import (
     RunConfig,
     build_f,
@@ -190,7 +190,7 @@ class TestRun:
         # run finished, and every Carleson and off-tree max_ratio read 0.0
         config = RunConfig(dim=1, grid_n=1 << 12, strict=False)
         grid = TorusGrid(1, config.grid_b, config.grid_n)
-        values = build_f(config, grid).values.copy()
+        values = build_f(config, grid).values.astype(np.complex128)
         values[100] = bad
         path = tmp_path / "f.bin"
         save_field(SampledField(grid, values), path)
@@ -487,6 +487,33 @@ class TestConfig:
             DictionarySpec(**{key: -1})
         assert getattr(DictionarySpec(**{key: 0}), key) == 0
 
+    @pytest.mark.parametrize("count", [1.5, math.nan, "a"])
+    def test_family_count_not_an_integer_refused(self, count):
+        # 1.5 and nan were accepted and failed in range() with a bare
+        # TypeError out of harness.run; "a" failed in `count < 0`
+        message = f"DictionarySpec n_tau must be an integer, not {count!r}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            run(RunConfig(dict_spec=DictionarySpec(n_tau=count)))
+
+    def test_family_count_past_the_float_range_refused(self):
+        # accepted, and its run raised a bare OverflowError from the 2.0 ** j
+        # of tau_multiplier
+        config = RunConfig.from_dict({"dict_spec": {"n_psi": 10 ** 6}})
+        error = run(config)["error"]
+        assert error["stage"] == "estimators" and error["type"] == "ValidationError"
+        assert error["message"].startswith("DictionarySpec n_psi = 1000000 ")
+
+    def test_family_count_at_the_float_range_kept(self):
+        # the coarsest class level is 0; there tau_{n_tau} is the coarsest
+        # tau kernel, and 2.0 ** 1023 is the largest power of two a float
+        # holds, though its products with the frequencies overflow to inf
+        grid = TorusGrid(1, 8.0, 1 << 6)
+        spec = DictionarySpec(n_tau=1023, n_psi=0, n_mod=0, n_trans=0, n_sinc=0, n_sinc_mod=0)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert len(build_dictionary(grid, 0, 8.0, "phi", spec)) > 0
+        with pytest.raises(ValidationError, match="DictionarySpec n_tau = 1024 .* level 1024"):
+            build_dictionary(grid, 0, 8.0, "phi", replace(spec, n_tau=1024))
+
     @pytest.mark.parametrize("data", [[1], "abc", None])
     def test_config_that_is_not_an_object_refused(self, data):
         with pytest.raises(ValidationError, match=re.escape(repr(data))):
@@ -525,10 +552,11 @@ class TestModulationDemo:
 
     # SHA-256 of the whole result (table floats, flags, spearman) on the
     # default separations, keyed by second_tree_seed; frozen before the
-    # projections shared one frame per tree.
+    # projections shared one frame per tree, and re-frozen when chi_j and
+    # its derivatives took real transforms.
     GOLDEN = {
-        None: "5a725266e14f536436c9857499c107954e8b441a2806eb58df92782f429e8234",
-        3: "75ee2efae683f4952eee55fec5a4131c633e4443b5c1246d6c75fd0c23eb58ec",
+        None: "254827f33f9a399693ca06b3211e8a23b2781d0e04db032b240bf4c2fe460f8a",
+        3: "7e7a8a10b5ab28ec514bd0d89b6c05fafbf3155c2f19fa05f9b1222359eb100b",
     }
 
     @pytest.mark.parametrize("second_tree_seed", [None, 3])

@@ -4,6 +4,7 @@ import hashlib
 import math
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -296,7 +297,7 @@ class TestTheta:
                 mult = np.where(np.isclose(np.abs(xi), g1.nyquist), 0.0, mult)
             scaled = 2.0 ** (-j * (d + 1 - order)) * mult
             h = KernelHandle(g1, f"dtheta{order}", scaled,
-                             kernel_field_from_multiplier(g1, scaled))
+                             kernel_field_from_multiplier(g1, scaled), True)
             cert = class_membership(h, j - 2, 4 * ALPHA, "psi")
             assert cert["leak"] <= 1e-12
             assert np.isfinite(cert["lambda_max"]) and cert["lambda_max"] > 0
@@ -346,8 +347,7 @@ class TestKappa:
 
 def scaled_kernel(handle, factor):
     """The kernel times `factor`: its multiplier and its spatial samples."""
-    return KernelHandle(handle.grid, handle.kernel_id, handle.multiplier * factor,
-                        handle.field * factor)
+    return replace(handle, multiplier=handle.multiplier * factor, field=handle.field * factor)
 
 
 def certified_members(grid, level, beta, kind, spec):
@@ -367,7 +367,7 @@ def certified_members(grid, level, beta, kind, spec):
 class TestClassMembership:
     def test_zero_kernel_passes(self, g1):
         zero = KernelHandle(g1, "zero", np.zeros(g1.shape),
-                            SampledField(g1, np.zeros(g1.shape)))
+                            SampledField(g1, np.zeros(g1.shape)), True)
         cert = class_membership(zero, 0, 4 * ALPHA, "phi")
         assert cert["passed"]
         assert cert["lambda_max"] == math.inf
