@@ -75,33 +75,16 @@ float, a direct evaluation of every norm with full-grid weights rho_I ** -e:
   and level_maxima leaves such a kernel out: a duplicate cannot raise a
   max.  Both tables thus read one response per mirror pair, the first
   member's, which verify_witness re-evaluates with the pair.
-- Fan-out.  level_norms runs on the calling thread: level by level it
-  computes each kernel response |k * f|, in dictionary order, one inverse
-  FFT each (irfftn for a real kernel on a real field, ifftn otherwise),
-  into one float buffer (grid.response_writer) and takes every cube's
-  norms of it in one scratch array (grid.lp_norms).  Its callers,
-  the size table, its witness and the Bernstein sweep, see few cubes per
-  level and spend their time in the FFTs, which a pool would not share.
-  level_maxima runs over a plan of levels on the norm pool (_fan_out).
-  At each level the calling thread computes the responses chunk by chunk,
-  and the level's cubes are split into as many contiguous blocks as the
-  pool has workers.  Each chunk goes to one task per block of cubes once
-  the previous chunk's tasks have ended, as they raise the same running
-  maxima, while the next chunk is computed; M goes to the last chunk's
-  tasks.  A task works in a scratch array private to its worker.  The
-  responses go into two sets of at most KERNEL_CHUNK float buffers, used
-  in turn, so chunk c writes into the buffers of chunk c - 2.  Those are
-  free: chunk c - 1 was handed out only after chunk c - 2's tasks had
-  ended, and every task of a level ends before the next level's first
-  chunk.  So at most two chunks of responses are alive, besides M.  With
-  a level handed out, the calling thread pulls the next level of the
-  plan, which builds that level's dictionary while the workers finish,
-  and only then collects the maxima.  A task runs the same ufunc calls on
-  the same inputs as a serial loop would (those of grid.lp_norms), so
-  each float and every tie-break is the serial loop's, for any number of
-  workers.  An error in a response, in a task or in the plan, and closing
-  the generator early, cancel the queued tasks and wait for the running
-  ones, so no task is left running.
+- Order.  Both run on the calling thread, level by level, the kernels in
+  dictionary order.  Each kernel response |k * f| is one inverse FFT
+  (irfftn for a real kernel on a real field, ifftn otherwise), written
+  into a float buffer that the call reuses (grid.response_writer), and
+  the norms of it are taken in one scratch array (grid.lp_norms).
+  level_norms keeps one buffer; level_maxima writes a chunk of
+  KERNEL_CHUNK responses into one set of buffers and raises every cube's
+  running maxima by the chunk before it writes the next.  A level's
+  arrays (buffers, scratch, M, weight table and views) die before the plan
+  is pulled again, since the pull builds the next level's dictionary.
 
 Each per-J answer reads tables that the context builds once per (p,
 level) on first use, so evaluating the window rescans no term:
@@ -121,8 +104,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
-from concurrent.futures import wait
 from dataclasses import dataclass, field as dc_field
 from itertools import product as iproduct
 from math import inf
@@ -136,7 +117,6 @@ from .grid import (
     lp_norm,
     lp_norms,
     mollified_distance,
-    norm_pool,
     response_writer,
     weight_origin,
     weight_table,
@@ -148,48 +128,19 @@ def _inv(p):
     return 0.0 if p == inf else 1.0 / p
 
 
-_SCRATCH = threading.local()  # each worker's norm buffer
-
-
-def _scratch(shape):
-    """A float array of the given shape private to the calling worker."""
-    scratch = getattr(_SCRATCH, "norms", None)
-    if scratch is None or scratch.shape != shape:
-        scratch = _SCRATCH.norms = np.empty(shape)
-    return scratch
-
-
-def _fan_out(plan, start):
-    """Run start(level, kernels, cubes, tasks) for each level of the plan,
-    pulled one level ahead (module docstring, Fan-out): it computes the
-    level's responses, appends its pool tasks to `tasks` and returns the
-    generator of the level's rows.  An error, or closing the generator
-    early, cancels the queued tasks and waits for the running ones."""
-    tasks, rows = [], iter(())
-    try:
-        for level, kernels, cubes in plan:
-            yield from rows
-            tasks = []
-            rows = start(level, kernels, cubes, tasks)
-        yield from rows
-    finally:   # after an error or an early close too
-        for task in tasks:
-            task.cancel()
-        wait(tasks)
-
-
-def _cube_blocks(items):
-    """`items` in as many contiguous blocks as the norm pool has workers,
-    empty blocks left out."""
-    workers = norm_pool()[1]
-    blocks = (items[len(items) * b // workers:len(items) * (b + 1) // workers]
-              for b in range(workers))
-    return [block for block in blocks if block]
+def _cube_weights(grid, level, weight_exp, cubes):
+    """The level's weight table (grid.weight_table), each cube's origin in
+    it (grid.weight_origin) and each cube's weight, the N^d view of the
+    table at its origin (module docstring, Dyadic translates)."""
+    table = weight_table(grid, level, weight_exp)
+    origins = [weight_origin(grid, level, cube) for cube in cubes]
+    return table, origins, [table[tuple(slice(s, s + grid.samples) for s in origin)]
+                            for origin in origins]
 
 
 def level_norms(field, plan, weight_exp, p_values):
-    """Norms ||rho_I^{-weight_exp} |k * field| ||_p over a plan of levels,
-    on the calling thread (module docstring, Fan-out).
+    """Norms ||rho_I^{-weight_exp} |k * field| ||_p over a plan of levels
+    (module docstring, Order).
 
     `plan` yields (level, kernels, cubes at that level).  Yields (cube,
     [(kernel_id, {p: norm}) per kernel]) for each cube in plan order,
@@ -200,11 +151,9 @@ def level_norms(field, plan, weight_exp, p_values):
     grid = field.grid
     h_d = grid.spacing ** grid.dim
     response, scratch = np.empty(grid.shape), np.empty(grid.shape)
-    write = None   # made with the first response
+    write = None
     for level, kernels, cubes in plan:
-        table = weight_table(grid, level, weight_exp)
-        origins = (weight_origin(grid, level, cube) for cube in cubes)
-        weights = [table[tuple(slice(s, s + grid.samples) for s in origin)] for origin in origins]
+        weights = _cube_weights(grid, level, weight_exp, cubes)[2]
         taken, rows = {}, []   # kernel id -> its norms per cube; (id, norms) per kernel
         for kernel in kernels:
             norms = taken.get(kernel.mirror) if field.is_real else None
@@ -222,7 +171,7 @@ def level_norms(field, plan, weight_exp, p_values):
 # The pruned maxima (module docstring, Pruning): bounds over blocks of
 # BOUND_BLOCK^d grid points, widened by the relative margin BOUND_MARGIN
 # that covers the rounding of a bound and of a norm; the kernels of a level
-# in chunks of KERNEL_CHUNK, so that at most two chunks of responses live.
+# in chunks of KERNEL_CHUNK, so that at most one chunk of responses lives.
 BOUND_BLOCK = 16
 BOUND_MARGIN = 1e-9
 KERNEL_CHUNK = 4
@@ -340,56 +289,32 @@ def _raise_maxima(best, responses, peak, bounds, weight, h_d, scratch):
         best[p] = top
 
 
-def _maxima_block(responses, peak, powers, weights, sums, maxima, h_d):
-    """_raise_maxima of a block of cubes, given by their weights, the sums
-    of weight ** p over their blocks and their running maxima, in a float
-    array private to the calling worker; `powers` is None for a chunk
-    without bounds."""
-    scratch = _scratch(responses[0].shape)
-    for weight, cube_sums, best in zip(weights, sums, maxima):
-        bounds = None if powers is None else _bounds(powers, cube_sums, h_d)
-        _raise_maxima(best, responses, peak, bounds, weight, h_d, scratch)
-
-
-def _start_maxima(field, writer, buffers, weight_exp, p_values, level, kernels, cubes, tasks):
-    """Compute the kernel responses chunk by chunk, and hand each chunk
-    with its block maxima to one task per block of the cubes.  A chunk's
-    tasks start when the previous chunk's have ended, as they raise the
-    same running maxima, and the next chunk's responses are computed
-    meanwhile, with writer(), into the two sets of `buffers` in turn.
-    The pointwise max of the responses goes to the last chunk's tasks.
-    Returns the generator of the level's maxima."""
+def _cube_maxima(field, writer, level, kernels, cubes, weight_exp, p_values):
+    """{p: the max over `kernels` of the cube's norm} of each cube of one
+    level (module docstring, Pruning): the kernels' responses chunk by
+    chunk, with writer(), into one set of buffers, and each chunk raises
+    every cube's running maxima in one scratch array.  The pointwise max
+    of the responses goes to the last chunk.  Every array of the level
+    dies with the call."""
     grid = field.grid
     h_d = grid.spacing ** grid.dim
-    table = weight_table(grid, level, weight_exp)
-    origins = [weight_origin(grid, level, cube) for cube in cubes]
+    table, origins, weights = _cube_weights(grid, level, weight_exp, cubes)
     sums = _block_sums(grid, level, table, origins, p_values)
-    weights = [table[tuple(slice(s, s + grid.samples) for s in origin)] for origin in origins]
     maxima = [dict.fromkeys(p_values, 0.0) for _ in cubes]
-    blocks = _cube_blocks(list(zip(weights, sums, maxima)))
-    pool, running, peak = norm_pool()[0], [], np.zeros(grid.shape)
-    for c, start in enumerate(range(0, len(kernels), KERNEL_CHUNK)):
-        group, spare = kernels[start:start + KERNEL_CHUNK], buffers[c % 2]
-        spare.extend(np.empty(grid.shape) for _ in range(len(group) - len(spare)))
-        chunk = [writer()(kernel.multiplier, out, kernel.real) for kernel, out in zip(group, spare)]
+    buffers, scratch, peak = [], np.empty(grid.shape), np.zeros(grid.shape)
+    for start in range(0, len(kernels), KERNEL_CHUNK):
+        group = kernels[start:start + KERNEL_CHUNK]
+        buffers.extend(np.empty(grid.shape) for _ in range(len(group) - len(buffers)))
+        chunk = [writer()(kernel.multiplier, out, kernel.real) for kernel, out in zip(group, buffers)]
         powers = _block_powers(chunk, p_values)
         if powers is not None:
             for response in chunk:
                 np.maximum(peak, response, out=peak)
-        for task in running:
-            task.result()
         last = peak if start + KERNEL_CHUNK >= len(kernels) else None
-        running = [pool.submit(_maxima_block, chunk, last, powers, *zip(*block), h_d)
-                   for block in blocks]
-        tasks.extend(running)
-    return _maxima_rows(cubes, maxima, running)
-
-
-def _maxima_rows(cubes, maxima, tasks):
-    """(cube, maxima) for each cube, once the level's tasks have ended."""
-    for task in tasks:
-        task.result()
-    yield from zip(cubes, maxima)
+        for weight, cube_sums, best in zip(weights, sums, maxima):
+            bounds = None if powers is None else _bounds(powers, cube_sums, h_d)
+            _raise_maxima(best, chunk, last, bounds, weight, h_d, scratch)
+    return maxima
 
 
 def level_maxima(field, plan, weight_exp, p_values):
@@ -402,9 +327,11 @@ def level_maxima(field, plan, weight_exp, p_values):
         check_exponent(p)
     if field.is_real:
         plan = ((level, _without_mirrors(kernels), cubes) for level, kernels, cubes in plan)
+    p_values = tuple(p_values)
     writer = functools.cache(lambda: response_writer(field))   # made with the first response
-    return _fan_out(plan, functools.partial(_start_maxima, field, writer, ([], []), weight_exp,
-                                            tuple(p_values)))
+    return ((cube, best) for level, kernels, cubes in plan
+            for cube, best in zip(cubes, _cube_maxima(field, writer, level, kernels, cubes,
+                                                      weight_exp, p_values)))
 
 
 def _without_mirrors(kernels):

@@ -549,9 +549,9 @@ _POOL = None   # (executor, worker count), made on first use
 
 
 def norm_pool():
-    """(executor, workers): the thread pool of the pruned per-cube maxima
-    (estimators.level_maxima) and the sinc-profile tables, one worker per
-    CPU that the process may run on."""
+    """(executor, workers): the thread pool that fills the sinc-profile
+    tables (kernels._periodized_sinc_power), and nothing else, one worker
+    per CPU that the process may run on."""
     global _POOL
     if _POOL is None:
         workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")

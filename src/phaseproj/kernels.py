@@ -41,9 +41,8 @@ is zero off the band.  Likewise a translate evaluates its phase on its
 base's band, a modulation shifts its base's band by its frequency's
 lattice index, and a sinc box builds its multiplier on its band from
 factors evaluated on each axis's band, and its spatial samples from a
-cached 1-d profile with eta's phase on eta's nonzero axes only.  Besides
-the pruned per-cube maxima (estimators.level_maxima), the norm pool fills
-only the sinc-profile tables.
+cached 1-d profile with eta's phase on eta's nonzero axes only.  The
+norm pool (grid.norm_pool) fills only the sinc-profile tables.
 """
 
 from __future__ import annotations

@@ -3,17 +3,14 @@
 import hashlib
 import math
 import os
-import sys
 import threading
 import tracemalloc
 import weakref
-from concurrent.futures import Future
 from dataclasses import replace
 from math import inf
 
 import numpy as np
 import pytest
-from conftest import RecordingPool
 from oracles import (
     carleson_sum_scan,
     expand_band,
@@ -519,11 +516,12 @@ class TestAxisSwap:
 
 
 # ---------------------------------------------------------------------------
-# The per-cube norms on the thread pool.
+# The per-cube norms and maxima.
 
 def serial_level_norms(field, plan, weight_exp, p_values):
-    """The per-cube loop without the pool, norms written out in full; on a
-    real field a kernel whose mirror comes before it takes its response."""
+    """The per-cube loop with every array made afresh, norms written out
+    in full; on a real field a kernel whose mirror comes before it takes
+    its response."""
     grid = field.grid
     h_d = grid.spacing ** grid.dim
     for level, kernels, cubes in plan:
@@ -600,71 +598,6 @@ def watched_writes(monkeypatch, before):
 
     monkeypatch.setattr(estimators, "response_writer", writer)
     return written
-
-
-def array_refs(args):
-    """Weak references to the arrays among a task's arguments: a
-    response, those in a chunk's list of them, the peak, the weights."""
-    return [weakref.ref(a) for arg in args
-            for a in (arg if isinstance(arg, (list, tuple)) else (arg,))
-            if isinstance(a, np.ndarray)]
-
-
-def holders(tasks, out):
-    """The tasks that have not ended and hold an array sharing memory
-    with `out`."""
-    return [task for task in tasks if not task.done()
-            and any(ref() is not None and np.may_share_memory(ref(), out)
-                    for ref in task.arrays)]
-
-
-class ArgsPool(RecordingPool):
-    """A RecordingPool whose tasks keep weak references to their array
-    arguments (task.arrays) and to the peak a Carleson or off-tree task
-    is given (task.peak, or None)."""
-
-    def submit(self, fn, *args, **kwargs):
-        task = super().submit(fn, *args, **kwargs)
-        task.arrays = array_refs(args)
-        task.peak = (weakref.ref(args[1])
-                     if fn is estimators._maxima_block and args[1] is not None else None)
-        return task
-
-
-class HeldTask(Future):
-    """A task held blocked, holding its arguments, until its result is
-    asked for; it then runs in the asking thread."""
-
-    def __init__(self, fn, args):
-        super().__init__()
-        self.fn, self.args, self.arrays = fn, args, array_refs(args)
-
-    def result(self, timeout=None):
-        if not self.done() and self.set_running_or_notify_cancel():
-            try:
-                self.set_result(self.fn(*self.args))
-            except BaseException as exc:
-                self.set_exception(exc)
-        return super().result(timeout)
-
-
-class HeldPool:
-    """A norm pool whose tasks are HeldTasks: each runs only once the
-    caller waits for it, the latest the pool order allows."""
-
-    def __init__(self):
-        self.tasks = []
-
-    def submit(self, fn, *args):
-        self.tasks.append(HeldTask(fn, args))
-        return self.tasks[-1]
-
-
-def held_pool(monkeypatch):
-    """A HeldPool of two blocks of cubes in place of the norm pool."""
-    executor = HeldPool()
-    monkeypatch.setattr(grid_module, "_POOL", (executor, 2))
-    return executor
 
 
 def response_peak(call, field, plan, p_values):
@@ -793,10 +726,6 @@ def failing_third_response(monkeypatch):
     monkeypatch.setattr(estimators, "response_writer", writer)
 
 
-def assert_not_held(tasks, out):
-    assert holders(tasks, out) == [], "a response written into a buffer a task holds"
-
-
 def serial_maxima(field, plan, weight_exp, p_values):
     """(cube, row_maxima) of each serial_level_norms row."""
     return [(cube, row_maxima(rows, p_values))
@@ -822,18 +751,15 @@ class TestLevelMaxima:
     @pytest.mark.parametrize("workers", [None, 1, 3])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_maxima_equal_max_of_serial_rows(self, dim, workers, pool):
+        # level_maxima runs on the calling thread: the size of the norm pool
+        # (None: the process's own) does not reach its maxima
         if workers is not None:
             pool(workers)
         field, plan = norm_case(dim)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # more thread switches inside each task
-        try:
-            for f in (field, zero_field(field.grid)):
-                for exponent in (2.0, 6.0):
-                    got = list(level_maxima(f, iter(plan), exponent, self.P_VALUES))
-                    assert got == serial_maxima(f, plan, exponent, self.P_VALUES)
-        finally:
-            sys.setswitchinterval(interval)
+        for f in (field, zero_field(field.grid)):
+            for exponent in (2.0, 6.0):
+                got = list(level_maxima(f, iter(plan), exponent, self.P_VALUES))
+                assert got == serial_maxima(f, plan, exponent, self.P_VALUES)
 
     def test_unbounded_p_and_empty_level(self, monkeypatch):
         # p below 1 gets no bound and takes every kernel's norm, p = inf
@@ -949,7 +875,7 @@ class TestMaximaPool:
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_task_error_reaches_caller(self, workers, pool, monkeypatch):
-        executor = pool(workers)
+        pool(workers)
         field, plan = norm_case(1)
 
         def failing(*args):
@@ -958,7 +884,6 @@ class TestMaximaPool:
         monkeypatch.setattr(estimators, "lp_norms", failing)
         with pytest.raises(FloatingPointError, match="no norm"):
             list(level_maxima(field, plan, 2.0, self.P_VALUES))
-        assert executor.tasks and all(task.done() for task in executor.tasks)
 
     def test_nonpositive_p_refused(self):
         field, plan = norm_case(1)
@@ -972,19 +897,16 @@ class TestMaximaPool:
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_response_error_reaches_caller(self, workers, pool, monkeypatch):
-        # the third response's FFT fails: no task of the level was handed out
-        executor = pool(workers)
+        # the third response's FFT fails
+        pool(workers)
         field, plan = norm_case(1)
-        built = len(executor.tasks)   # the sinc-profile tables of the plan
         failing_third_response(monkeypatch)
         with pytest.raises(MemoryError, match="no room"):
             list(level_maxima(field, plan, 2.0, self.P_VALUES))
-        assert len(executor.tasks) == built
-        assert all(task.done() for task in executor.tasks)
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_plan_error_reaches_caller(self, workers, pool):
-        executor = pool(workers)
+        pool(workers)
         field, plan = norm_case(1)
 
         def broken_plan():
@@ -993,90 +915,58 @@ class TestMaximaPool:
 
         with pytest.raises(LookupError, match="no second dictionary"):
             list(level_maxima(field, broken_plan(), 2.0, self.P_VALUES))
-        assert executor.tasks and all(task.done() for task in executor.tasks)
 
     def test_one_level_of_responses_alive(self, monkeypatch):
-        # the buffers of a level's responses, and its peak, are free before
-        # the next level's responses are computed: every task that held
-        # them has ended.  The call keeps at most two chunks of buffers and
-        # frees them all when it ends
+        # at each pull of the plan, which builds the next level's
+        # dictionary, every response buffer and weight table of the levels
+        # before is dead
         field, plan = norm_case(1)
         plan = plan + [(level, kernels, cubes[:3]) for level, kernels, cubes in plan]
-        executor = ArgsPool(2)
-        monkeypatch.setattr(grid_module, "_POOL", (executor, 2))
-        pulled, checked = [], []   # tasks handed out at each pull of the plan
+        written = watched_writes(monkeypatch, lambda out: None)
+        tables, weight_table_of = [], estimators.weight_table
+
+        def watched_table(*args):
+            table = weight_table_of(*args)
+            tables.append(weakref.ref(table))
+            return table
+
+        monkeypatch.setattr(estimators, "weight_table", watched_table)
+        pulled = []   # responses written at each pull of the plan
 
         def watched():
             for entry in plan:
-                pulled.append(len(executor.tasks))
+                assert all(ref() is None for _, ref in written)
+                assert all(ref() is None for ref in tables)
+                pulled.append(len(written))
                 yield entry
 
-        def before(out):
-            earlier = executor.tasks[:pulled[-1]]
-            assert all(task.done() for task in earlier)
-            assert holders(executor.tasks, out) == []
-            assert all(task.peak() is None for task in earlier if task.peak is not None)
-            checked.append(len(earlier))
-
-        written = watched_writes(monkeypatch, before)
-        try:
-            rows = list(level_maxima(field, watched(), 2.0, self.P_VALUES))
-        finally:
-            executor.shutdown()
-        assert len(rows) == sum(len(cubes) for _, _, cubes in plan)
-        # two tasks per chunk, one for each worker, the mirrors left out
-        chunks = [-(-len(mirror_free(kernels)) // estimators.KERNEL_CHUNK)
-                  for _, kernels, _ in plan]
-        assert pulled == list(np.cumsum([0] + [2 * c for c in chunks[:-1]]))
-        assert sorted(set(checked)) == pulled
-        assert len(written) == sum(len(mirror_free(kernels)) for _, kernels, _ in plan)
-        assert len({key for key, _ in written}) <= 2 * estimators.KERNEL_CHUNK
-        assert any(task.peak is not None for task in executor.tasks[:pulled[-1]])
-        assert all(ref() is None for _, ref in written)
-
-    def test_no_buffer_written_while_held(self, monkeypatch):
-        # with every task held blocked until the caller waits for it, no
-        # response is written into a buffer that a task still holds: a
-        # chunk's responses take the buffers of the chunk before the
-        # previous one, whose tasks have ended, so two chunks of buffers
-        # serve the call
-        field, plan = norm_case(1)
-        executor = held_pool(monkeypatch)
-        written = watched_writes(monkeypatch,
-                                 lambda out: assert_not_held(executor.tasks, out))
-        rows = list(level_maxima(field, plan, 2.0, self.P_VALUES))
+        rows = list(level_maxima(field, watched(), 2.0, self.P_VALUES))
         assert rows == serial_maxima(field, plan, 2.0, self.P_VALUES)
-        keys = [key for key, _ in written]
-        chunk = estimators.KERNEL_CHUNK
-        assert len(plan[0][1]) > 2 * chunk
-        assert len(set(keys)) == 2 * chunk
-        assert keys[2 * chunk:3 * chunk] == keys[:chunk]
-        assert all(task.done() for task in executor.tasks)
+        assert pulled == list(np.cumsum([0] + [len(mirror_free(kernels))
+                                               for _, kernels, _ in plan[:-1]]))
+        assert len(tables) == len(plan)
 
-    @pytest.mark.parametrize("dim,parent_peak", [(1, 48.2), (2, 57.1)])
-    def test_peak_within_parents(self, dim, parent_peak, monkeypatch):
-        # with every task held until the caller waits for it, two chunks of
-        # responses live.  Allocating each response and its two complex
-        # temporaries afresh, the call peaked at parent_peak grid floats
-        # (traced); the reused buffers keep the call below it (30.7 and
-        # 25.9)
+    @pytest.mark.parametrize("dim,peak_bound", [(1, 17.0), (2, 17.7)])
+    def test_peak_within_parents(self, dim, peak_bound):
+        # besides the rows it returns, the call holds one chunk of
+        # responses, one scratch array, the pointwise max, the writer's
+        # complex array and a level's weight table: it peaked at 16.0 and
+        # 16.7 grid floats (traced), and the bound allows one grid float more
         field, plan = norm_case(dim)
-        held_pool(monkeypatch)
         rows, peak = response_peak(level_maxima, field, plan, self.P_VALUES)
         assert rows == serial_maxima(field, plan, 2.0, self.P_VALUES)
-        assert peak <= parent_peak, peak
+        assert peak <= peak_bound, peak
 
     def test_two_chunks_of_responses_alive(self):
-        # a level of 48 kernels holds the responses of at most two chunks,
-        # the one being computed and the one whose tasks run, besides a
-        # few grid arrays: about 23 responses' worth at the peak, against
-        # 64 with every response of the level alive
+        # a level of 48 kernels holds the responses of one chunk at a time,
+        # besides a few grid arrays: about 16 responses' worth at the peak,
+        # against 22 with two chunks alive and 64 with every response of
+        # the level alive
         field, plan = norm_case(1)
         level, kernels, cubes = plan[0]
         plan = [(level, kernels * 3, cubes)]
         want = serial_maxima(field, plan, 2.0, self.P_VALUES)
-        # an untraced call first: the spectrum of f and each worker's
-        # scratch array are made once
+        # an untraced call first: the spectrum of f is made once
         list(level_maxima(field, plan, 2.0, self.P_VALUES))
         tracemalloc.start()
         try:
@@ -1085,12 +975,12 @@ class TestMaximaPool:
         finally:
             tracemalloc.stop()
         assert rows == want
-        assert peak <= 2 * estimators.KERNEL_CHUNK + 18, peak
+        assert peak <= estimators.KERNEL_CHUNK + 14, peak
 
-    def test_two_sets_of_buffers(self, monkeypatch):
-        # chunk c of a level writes into the buffers of chunk c - 2, in
-        # order, and none of chunk c - 1's, so that one call writes into at
-        # most two chunks of buffers
+    def test_one_set_of_buffers(self, monkeypatch):
+        # every chunk of a level writes into the buffers of its first
+        # chunk, in order: one set of at most KERNEL_CHUNK buffers, all
+        # freed when the call ends
         field, plan = norm_case(1)
         level, kernels, cubes = plan[0]
         plan = [(level, kernels * 3, cubes[:3]), *plan]
@@ -1100,29 +990,27 @@ class TestMaximaPool:
         size, keys = estimators.KERNEL_CHUNK, iter([key for key, _ in written])
         for _, kernels, _ in plan:
             level_keys = [next(keys) for _ in mirror_free(kernels)]
-            chunks = [level_keys[start:start + size] for start in range(0, len(kernels), size)]
-            for c in range(2, len(chunks)):
-                assert chunks[c] == chunks[c - 2][:len(chunks[c])]
-                assert not set(chunks[c]) & set(chunks[c - 1])
+            assert len(level_keys) > size
+            assert len(set(level_keys)) == size
+            for start in range(0, len(level_keys), size):
+                chunk = level_keys[start:start + size]
+                assert chunk == level_keys[:len(chunk)]
         assert next(keys, None) is None
-        assert len({key for key, _ in written}) <= 2 * size
+        assert all(ref() is None for _, ref in written)
 
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_abandoned_generator(self, workers, pool):
-        executor = pool(workers)
+    def test_abandoned_generator(self, workers, pool, monkeypatch):
+        # as verify_witness does with level_norms: one row, then the
+        # generator is dropped.  The first level's buffers are dead from its
+        # first row on
+        pool(workers)
         field, plan = norm_case(1)
-        first = []
-
-        def take_one_row():
-            first.append(next(level_maxima(field, plan, 2.0, self.P_VALUES)))
-
-        caller = threading.Thread(target=take_one_row)
-        caller.start()
-        caller.join(timeout=60)
-        assert not caller.is_alive()
-        assert all(task.done() for task in executor.tasks)
-        assert first == serial_maxima(field, plan, 2.0, self.P_VALUES)[:1]
-        for dim in (2, 1):  # the scratch follows the grid shape
+        written = watched_writes(monkeypatch, lambda out: None)
+        rows = level_maxima(field, plan, 2.0, self.P_VALUES)
+        assert next(rows) == serial_maxima(field, plan, 2.0, self.P_VALUES)[0]
+        assert written and all(ref() is None for _, ref in written)
+        del rows
+        for dim in (2, 1):
             field, plan = norm_case(dim)
             got = list(level_maxima(field, plan, 2.0, self.P_VALUES))
             assert got == serial_maxima(field, plan, 2.0, self.P_VALUES)

@@ -17,8 +17,10 @@ Per workload and end-to-end metric it writes the median and quartiles of
 each side (numpy.percentile, linear), the relative change of the
 medians, the pairs in which the change is better or worse, and whether
 the change's median stays within the metric's BENCHMARK.json bound.  A
-claim (workload:metric) holds when the change is better in at least 9 of
-10 pairs and its median gap exceeds the parent's interquartile range.
+claim (workload:metric) holds when every run of both sides is correct,
+the change fails no more operations than the parent, the change is
+better in at least 9 of 10 pairs and its median gap exceeds the
+parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -102,21 +104,27 @@ def summarize(pairs, bounds):
     return summary
 
 
-def claim_result(summary, pairs, lower_is_better):
-    """The claim's line and whether it holds: better in >= 9 of 10 pairs,
-    median gap, in the better direction, above the parent's interquartile
-    range."""
-    gap = summary["parent_median"] - summary["change_median"]
+def claim_result(summary, metric, pairs, lower_is_better):
+    """The claim's line and whether it holds, from a workload's summary:
+    every run correct, no more failed operations on the change's side
+    than on the parent's, better in >= 9 of 10 pairs and a median gap, in
+    the better direction, above the parent's interquartile range."""
+    stats = summary[metric]
+    gap = stats["parent_median"] - stats["change_median"]
     if not lower_is_better:
         gap = -gap
-    iqr = summary["parent_q3"] - summary["parent_q1"]
-    better = summary["change_better_pairs"]
-    holds = 10 * better >= 9 * len(pairs) and gap > iqr
-    line = (f"{summary['parent_median']:.3f} [{summary['parent_q1']:.3f}, "
-            f"{summary['parent_q3']:.3f}] -> {summary['change_median']:.3f} "
-            f"[{summary['change_q1']:.3f}, {summary['change_q3']:.3f}], "
-            f"{100 * summary['rel_change']:+.1f}%, change better in {better} of "
-            f"{len(pairs)} pairs, median gap {gap:.3f} against a parent IQR of {iqr:.3f}")
+    iqr = stats["parent_q3"] - stats["parent_q1"]
+    better = stats["change_better_pairs"]
+    failed = summary["failed_ops"]
+    sound = summary["all_correct"] and failed["change"] <= failed["parent"]
+    holds = sound and 10 * better >= 9 * len(pairs) and gap > iqr
+    line = (f"{stats['parent_median']:.3f} [{stats['parent_q1']:.3f}, "
+            f"{stats['parent_q3']:.3f}] -> {stats['change_median']:.3f} "
+            f"[{stats['change_q1']:.3f}, {stats['change_q3']:.3f}], "
+            f"{100 * stats['rel_change']:+.1f}%, change better in {better} of "
+            f"{len(pairs)} pairs, median gap {gap:.3f} against a parent IQR of {iqr:.3f}; "
+            f"all correct: {summary['all_correct']}, failed operations "
+            f"{failed['parent']} -> {failed['change']}")
     return line, bool(holds)
 
 
@@ -159,7 +167,7 @@ def main(argv=None):
         report["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs, bounds)}
     if args.claim:
         workload, metric = args.claim.split(":")
-        line, holds = claim_result(report["workloads"][workload]["summary"][metric],
+        line, holds = claim_result(report["workloads"][workload]["summary"], metric,
                                    report["workloads"][workload]["pairs"],
                                    bounds[metric][0] == "lower")
         report["claim"] = {"workload": workload, "metric": metric, "result": line,
