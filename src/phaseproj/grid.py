@@ -31,11 +31,9 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import os
 import struct
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from math import inf
 
@@ -545,27 +543,6 @@ def weight_origin(grid, level, cube):
     return tuple(grid.samples // 2 - k * cells for k in cube.index)
 
 
-_POOL = None   # (executor, worker count), made on first use
-
-
-def norm_pool():
-    """(executor, workers): the thread pool that fills the sinc-profile
-    tables (kernels._periodized_sinc_power), and nothing else, one worker
-    per CPU that the process may run on."""
-    global _POOL
-    if _POOL is None:
-        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                   else os.cpu_count() or 1)
-        _POOL = (ThreadPoolExecutor(workers, thread_name_prefix="phaseproj-norms"),
-                 workers)
-    return _POOL
-
-
-def norm_workers():
-    """Number of threads of the norm pool."""
-    return norm_pool()[1]
-
-
 def check_exponent(p):
     """Refuse an exponent p that is not a positive real number or inf:
     nan, or a value of another type."""
@@ -656,29 +633,32 @@ def mollified_indicator(grid, e_cubes, j, m, kappa):
 # Serialization: flat binary fields.
 
 def save_field(a, path):
+    """Write a field: the header, then its samples, little-endian float64
+    for a real field and complex128 otherwise (the header's flag)."""
     header = _HEADER.pack(_MAGIC, 1, a.grid.dim, a.grid.samples,
-                          a.grid.half_width, True)
+                          a.grid.half_width, not a.is_real)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(a.values, dtype="<c16").tobytes())
+        fh.write(np.ascontiguousarray(a.values, dtype="<f8" if a.is_real else "<c16").tobytes())
 
 
 def load_field(path):
     try:
         with open(path, "rb") as fh:
             header, payload = fh.read(_HEADER.size), fh.read()
-        magic, version, dim, samples, half_width, _ = _HEADER.unpack(header)
+        magic, version, dim, samples, half_width, is_complex = _HEADER.unpack(header)
     except (OSError, struct.error) as exc:
         raise ValidationError(f"cannot read a field file header from {path}: {exc}") from exc
     if magic != _MAGIC or version != 1:
         raise ValidationError(f"not a phaseproj field file: {path}")
     grid = TorusGrid(dim, half_width, samples)
-    expected = grid.size * 16
+    dtype = np.dtype("<c16" if is_complex else "<f8")
+    expected = grid.size * dtype.itemsize
     if len(payload) != expected:
         raise ValidationError(
             f"field file {path}: payload of {len(payload)} bytes, expected "
-            f"{expected} ({grid.size} complex128 samples of 16 bytes)")
-    data = np.frombuffer(payload, dtype="<c16").reshape(grid.shape)
+            f"{expected} ({grid.size} {dtype.name} samples of {dtype.itemsize} bytes)")
+    data = np.frombuffer(payload, dtype=dtype).reshape(grid.shape)
     if not np.isfinite(data).all():
         raise ValidationError(f"field file {path} holds non-finite samples")
     return SampledField(grid, data.copy())

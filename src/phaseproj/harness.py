@@ -36,7 +36,6 @@ from .grid import (
     load_field,
     lp_norm,
     modulate,
-    norm_workers,
     physical_spectrum,
     plane_wave,
     save_field,
@@ -446,7 +445,6 @@ def _persist(record, timings, out_dir, saved=(), tree=None):
     with open(os.path.join(out_dir, "timings.txt"), "w", encoding="utf-8") as fh:
         for key, value in timings.items():
             fh.write(f"{key} {value:.3f}s\n")
-        fh.write(f"workers {norm_workers()}\n")
 
 
 def spq_checks(config):

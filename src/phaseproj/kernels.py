@@ -42,7 +42,8 @@ base's band, a modulation shifts its base's band by its frequency's
 lattice index, and a sinc box builds its multiplier on its band from
 factors evaluated on each axis's band, and its spatial samples from a
 cached 1-d profile with eta's phase on eta's nonzero axes only.  The
-norm pool (grid.norm_pool) fills only the sinc-profile tables.
+module's thread pool, one worker per CPU, fills the sinc-profile tables
+and nothing else.
 """
 
 from __future__ import annotations
@@ -50,7 +51,9 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -62,9 +65,12 @@ from .grid import (
     embed_band,
     frequency_band,
     kernel_field_from_multiplier,
-    norm_pool,
     rho_values,
 )
+
+_POOL = ThreadPoolExecutor(
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
+    thread_name_prefix="phaseproj-sinc")
 
 
 def _glue(u):
@@ -379,11 +385,10 @@ def _periodized_sinc_power(grid, a, k_pow, center):
     floats of the direct image sum.  A center off (h/2) Z, the cube center
     of a class finer than the grid, is refused.
 
-    The power takes numpy's slow path on negative bases, so the caller
-    and one helper task per worker of grid.norm_pool fill the table (3.5 N
-    points), each taking the next 2^14-point chunk until none is left;
-    queued helpers are cancelled, not waited for.  Each chunk runs the
-    calls of a serial loop, so the floats do not depend on who fills it.
+    The power takes numpy's slow path on negative bases, so the module's
+    thread pool fills the table (3.5 N points), one task per 2^14-point
+    chunk.  Each task runs the calls of a serial loop over its chunk, so
+    the floats do not depend on the number of workers.
     """
     n, h = grid.samples, grid.spacing
     if center % (h / 2):
@@ -395,19 +400,12 @@ def _periodized_sinc_power(grid, a, k_pow, center):
     odd = q % 2
     down, up = (6 * n + q - odd) // 2, (6 * n + q + odd) // 2
     table = np.empty(max(down, 7 * n - 1 - up) + 1)
-    chunks = iter(range(0, table.size, 1 << 14))   # shared: next() holds the GIL
 
-    def fill():
-        for lo in chunks:
-            t = np.arange(lo, min(lo + (1 << 14), table.size), dtype=float)
-            table[lo:lo + t.size] = np.sinc(a * (0.5 * h * (2 * t + odd))) ** (2 * k_pow)
+    def fill(lo):
+        t = np.arange(lo, min(lo + (1 << 14), table.size), dtype=float)
+        table[lo:lo + t.size] = np.sinc(a * (0.5 * h * (2 * t + odd))) ** (2 * k_pow)
 
-    pool, workers = norm_pool()
-    helpers = [pool.submit(fill) for _ in range(workers)]
-    fill()
-    for helper in helpers:   # cancel the queued helpers, wait for the running ones
-        if not helper.cancel():
-            helper.result()
+    list(_POOL.map(fill, range(0, table.size, 1 << 14)))
     per = np.zeros(n)
     for lo in range(0, 7 * n, n):
         mid = min(max(up, lo), lo + n)

@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 import phaseproj
-from phaseproj import grid
+from phaseproj import kernels
 
 
 def _package_caches():
@@ -53,12 +53,13 @@ class RecordingPool(ThreadPoolExecutor):
 
 @pytest.fixture
 def pool(monkeypatch):
-    """pool(k) puts a k-worker RecordingPool in place of the norm pool."""
+    """pool(k) puts a k-worker RecordingPool in place of the executor that
+    fills the sinc-profile tables."""
     made = []
 
     def install(workers):
         made.append(RecordingPool(workers))
-        monkeypatch.setattr(grid, "_POOL", (made[-1], workers))
+        monkeypatch.setattr(kernels, "_POOL", made[-1])
         return made[-1]
 
     yield install

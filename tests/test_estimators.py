@@ -2,8 +2,6 @@
 
 import hashlib
 import math
-import os
-import threading
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -23,7 +21,6 @@ from oracles import (
 )
 
 from phaseproj import estimators
-from phaseproj import grid as grid_module
 from phaseproj.acceptance import REFERENCE_CONFIG, ConstantTable, uniformity_by_key
 from phaseproj.cubes import DyadicCube, TreeConfig, unit_cube
 from phaseproj.errors import InternalConsistencyError, ValidationError
@@ -472,6 +469,8 @@ class TestTableOracles:
         assert digest == REFERENCE_2D_REPORT_SHA256
 
     def test_reference_report_bytes_one_worker(self, tmp_path, pool):
+        # the run's one pool fills the sinc-profile tables: with one worker
+        # it gives the same bytes
         pool(1)
         record = run(REFERENCE_CONFIG, out_dir=str(tmp_path))
         assert "error" not in record
@@ -614,40 +613,29 @@ def response_peak(call, field, plan, p_values):
     return rows, peak
 
 
-class TestNormPool:
+class TestLevelNorms:
     P_VALUES = (1.0, 2.0, inf, 3.0)
 
-    @pytest.mark.parametrize("workers", [None, 1, 3])
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_rows_equal_serial_loop(self, dim, workers, pool):
-        # level_norms runs on the calling thread: the size of the norm pool
-        # (None: the process's own) does not reach its rows
-        if workers is not None:
-            pool(workers)
+    def test_rows_equal_serial_loop(self, dim):
         field, plan = norm_case(dim)
         for exponent in (2.0, 6.0):
             got = list(level_norms(field, iter(plan), exponent, self.P_VALUES))
             assert got == list(serial_level_norms(field, plan, exponent, self.P_VALUES))
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_task_error_reaches_caller(self, workers, pool):
-        pool(workers)
+    def test_task_error_reaches_caller(self):
         field, plan = norm_case(1)
         with pytest.raises(ValidationError, match="p must be positive"):
             list(level_norms(field, plan, 2.0, (1.0, 0.0)))
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_response_error_reaches_caller(self, workers, pool, monkeypatch):
+    def test_response_error_reaches_caller(self, monkeypatch):
         # the third response's FFT fails
-        pool(workers)
         field, plan = norm_case(1)
         failing_third_response(monkeypatch)
         with pytest.raises(MemoryError, match="no room"):
             list(level_norms(field, plan, 2.0, self.P_VALUES))
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_plan_error_reaches_caller(self, workers, pool):
-        pool(workers)
+    def test_plan_error_reaches_caller(self):
         field, plan = norm_case(1)
 
         def broken_plan():
@@ -657,16 +645,14 @@ class TestNormPool:
         with pytest.raises(LookupError, match="no second dictionary"):
             list(level_norms(field, broken_plan(), 2.0, self.P_VALUES))
 
-    def test_no_task_and_one_buffer(self, pool, monkeypatch):
-        # the pool gets no task, and every response of the call is written
-        # into the same float buffer, freed with the call
-        executor = pool(2)
+    def test_no_task_and_one_buffer(self, monkeypatch):
+        # no task (estimators may import no executor: test_imports.py), and
+        # every response of the call is written into the same float buffer,
+        # freed with the call
         field, plan = norm_case(1)
-        built = len(executor.tasks)   # the sinc-profile tables of the plan
         written = watched_writes(monkeypatch, lambda out: None)
         rows = list(level_norms(field, plan, 2.0, self.P_VALUES))
         assert rows == list(serial_level_norms(field, plan, 2.0, self.P_VALUES))
-        assert len(executor.tasks) == built
         # a mirror takes the response of the kernel before it
         assert len(written) == sum(len(mirror_free(kernels)) for _, kernels, _ in plan)
         assert len({key for key, _ in written}) == 1
@@ -683,29 +669,16 @@ class TestNormPool:
         assert rows == list(serial_level_norms(field, plan, 2.0, self.P_VALUES))
         assert peak <= peak_bound, peak
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_abandoned_generator(self, workers, pool):
-        executor = pool(workers)
+    def test_abandoned_generator(self):
+        # as verify_witness does: one row, then the generator is dropped
         field, plan = norm_case(1)
-        first = []
-
-        def take_one_row():
-            # as verify_witness does: one row, then the generator is dropped
-            first.append(next(level_norms(field, plan, 2.0, self.P_VALUES)))
-
-        caller = threading.Thread(target=take_one_row)
-        caller.start()
-        caller.join(timeout=60)
-        assert not caller.is_alive()
-        assert all(task.done() for task in executor.tasks)
-        assert first == [next(serial_level_norms(field, plan, 2.0, self.P_VALUES))]
+        rows = level_norms(field, plan, 2.0, self.P_VALUES)
+        assert next(rows) == next(serial_level_norms(field, plan, 2.0, self.P_VALUES))
+        del rows
         for dim in (2, 1):  # the scratch follows the grid shape
             field, plan = norm_case(dim)
             got = list(level_norms(field, plan, 2.0, self.P_VALUES))
             assert got == list(serial_level_norms(field, plan, 2.0, self.P_VALUES))
-
-    def test_pool_sized_from_affinity(self):
-        assert grid_module.norm_workers() == len(os.sched_getaffinity(0))
 
 
 def failing_third_response(monkeypatch):
@@ -734,7 +707,7 @@ def serial_maxima(field, plan, weight_exp, p_values):
 
 def counting_norms(monkeypatch):
     """The p_values of each grid.lp_norms call that the estimators make,
-    in a list that the calls append to from any thread."""
+    in a list that the calls append to."""
     calls, real = [], estimators.lp_norms
 
     def counting(mag, h_d, p_values, weight=None, out=None):
@@ -748,13 +721,8 @@ def counting_norms(monkeypatch):
 class TestLevelMaxima:
     P_VALUES = (1.0, 2.0, inf, 3.0)
 
-    @pytest.mark.parametrize("workers", [None, 1, 3])
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_maxima_equal_max_of_serial_rows(self, dim, workers, pool):
-        # level_maxima runs on the calling thread: the size of the norm pool
-        # (None: the process's own) does not reach its maxima
-        if workers is not None:
-            pool(workers)
+    def test_maxima_equal_max_of_serial_rows(self, dim):
         field, plan = norm_case(dim)
         for f in (field, zero_field(field.grid)):
             for exponent in (2.0, 6.0):
@@ -870,12 +838,10 @@ def rows_of_level(ctx, level, p, cubes, kernels):
             for cube, row in rows]
 
 
-class TestMaximaPool:
+class TestMaximaOrder:
     P_VALUES = (1.0, 2.0, inf, 3.0)
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_task_error_reaches_caller(self, workers, pool, monkeypatch):
-        pool(workers)
+    def test_task_error_reaches_caller(self, monkeypatch):
         field, plan = norm_case(1)
 
         def failing(*args):
@@ -895,18 +861,14 @@ class TestMaximaPool:
         with pytest.raises(ValidationError, match="p must be positive"):
             level_maxima(field, plan, 2.0, (1.0, math.nan))
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_response_error_reaches_caller(self, workers, pool, monkeypatch):
+    def test_response_error_reaches_caller(self, monkeypatch):
         # the third response's FFT fails
-        pool(workers)
         field, plan = norm_case(1)
         failing_third_response(monkeypatch)
         with pytest.raises(MemoryError, match="no room"):
             list(level_maxima(field, plan, 2.0, self.P_VALUES))
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_plan_error_reaches_caller(self, workers, pool):
-        pool(workers)
+    def test_plan_error_reaches_caller(self):
         field, plan = norm_case(1)
 
         def broken_plan():
@@ -998,12 +960,10 @@ class TestMaximaPool:
         assert next(keys, None) is None
         assert all(ref() is None for _, ref in written)
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_abandoned_generator(self, workers, pool, monkeypatch):
+    def test_abandoned_generator(self, monkeypatch):
         # as verify_witness does with level_norms: one row, then the
         # generator is dropped.  The first level's buffers are dead from its
         # first row on
-        pool(workers)
         field, plan = norm_case(1)
         written = watched_writes(monkeypatch, lambda out: None)
         rows = level_maxima(field, plan, 2.0, self.P_VALUES)

@@ -414,12 +414,24 @@ class TestIO:
         assert b.grid == g2
         assert np.array_equal(a.values, b.values)
 
-    def test_truncated_file(self, tmp_path, g1):
+    def test_real_round_trip(self, tmp_path, g2):
+        # float64 samples behind a header whose complex flag is False
+        a = SampledField(g2, np.random.default_rng(2).normal(size=g2.shape))
         path = tmp_path / "f.bin"
-        save_field(zero_field(g1), path)
+        save_field(a, path)
+        b = load_field(path)
+        assert b.grid == g2 and b.is_real
+        assert np.array_equal(a.values, b.values)
+        assert path.stat().st_size == 19 + 8 * g2.size   # the header is 19 bytes
+
+    @pytest.mark.parametrize("dtype,expected", [(np.float64, 32768), (np.complex128, 65536)],
+                             ids=["real", "complex"])
+    def test_truncated_file(self, tmp_path, g1, dtype, expected):
+        path = tmp_path / "f.bin"
+        save_field(SampledField(g1, np.zeros(g1.shape, dtype=dtype)), path)
         data = path.read_bytes()
         path.write_bytes(data[:-16])
-        with pytest.raises(ValidationError, match=r"65520 bytes, expected 65536"):
+        with pytest.raises(ValidationError, match=rf"{expected - 16} bytes, expected {expected}"):
             load_field(path)
 
     def test_inner_product_self(self, g1):

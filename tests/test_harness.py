@@ -22,7 +22,6 @@ from phaseproj.errors import ValidationError
 from phaseproj.grid import (
     SampledField,
     TorusGrid,
-    norm_workers,
     plane_wave,
     save_field,
     zero_field,
@@ -273,7 +272,19 @@ class TestRun:
         assert data["config_hash"] == config.config_hash()
         assert "_runtime" not in data
         timings = (out / "timings.txt").read_text().splitlines()
-        assert f"workers {norm_workers()}" in timings
+        assert [line.split()[0] for line in timings] == ["build", "estimators"]
+
+    def test_rerun_from_saved_field(self, tmp_path):
+        # a real f is saved as float64 and reloads real: a re-run from the
+        # run's own fields/f.bin takes the real route again, and every
+        # report float is the original's (the complex route moved them by
+        # up to 3e-12 relative)
+        config = RunConfig(dim=1, grid_n=1 << 14, tree_depth=1, leaf_count=1, strict=False)
+        first = run(config, out_dir=str(tmp_path))
+        again = run(replace(config, f_file=str(tmp_path / "fields" / "f.bin")))
+        assert "error" not in first and "error" not in again
+        assert again["reports"] == first["reports"]
+        assert again["sizes"] == first["sizes"]
 
     @pytest.mark.parametrize("window_depth", [None, 0])
     def test_tree_csv_lists_tree_cubes_and_first_shells(self, tmp_path, window_depth):

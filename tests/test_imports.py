@@ -1,7 +1,15 @@
-"""phaseproj does not import scipy, at import time or later.
+"""phaseproj does not import scipy, at import time or later, and keeps
+its one thread pool in kernels.
 
 Every command-line run is a fresh process; scipy.stats alone takes about
 a second and 70 MB to import, and the package needs numpy only.
+
+The only pool is the executor that fills the sinc-profile tables
+(kernels._periodized_sinc_power): only kernels may import
+concurrent.futures, and no module threading or multiprocessing.  Every
+other job runs on the calling thread.  A pool comes back elsewhere only
+with a measured gain: each one brings threads, shared buffers and error
+paths that the tests must cover.
 """
 
 import ast
@@ -41,16 +49,25 @@ def test_fresh_interpreter_imports_no_scipy():
     assert result["scipy"] == []
 
 
-def test_no_source_file_imports_scipy():
-    # a lazy import inside a function escapes the fresh-interpreter probe
+def imported_modules():
+    """(file name, module) of every import statement in the package,
+    lazy ones inside functions too."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
+                found += [(path.name, alias.name) for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
-                modules = [node.module or ""]
-            else:
-                continue
-            found += [(path.name, m) for m in modules if m.split(".")[0] == "scipy"]
-    assert found == []
+                found.append((path.name, node.module or ""))
+    return found
+
+
+def test_no_source_file_imports_scipy():
+    # a lazy import inside a function escapes the fresh-interpreter probe
+    assert [(name, m) for name, m in imported_modules() if m.split(".")[0] == "scipy"] == []
+
+
+def test_only_kernels_imports_a_pool():
+    found = [(name, m) for name, m in imported_modules()
+             if m.split(".")[0] in ("concurrent", "threading", "multiprocessing")]
+    assert found == [("kernels.py", "concurrent.futures")]

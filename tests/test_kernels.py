@@ -2,7 +2,7 @@
 
 import hashlib
 import math
-import threading
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -836,23 +836,12 @@ class TestSincProfileTable:
             center = 2.0 ** (j - 1)
             got = kernels._periodized_sinc_power(grid, a, k_pow, center)
             assert np.array_equal(got, sinc_profile_serial(grid, a, k_pow, center))
-        assert len(executor.tasks) == 3 * workers   # one helper per worker
+        # one task per 2^14-point chunk: each table holds about 3.5 N
+        # points, 29 chunks at N = 2^17
+        assert len(executor.tasks) == 3 * 29
 
-    def test_caller_fills_the_table_past_busy_workers(self, pool):
-        # with every worker held by an earlier task, the caller fills the
-        # whole table itself and its queued helpers are cancelled
-        executor = pool(2)
-        release = threading.Event()
-        for _ in range(2):
-            executor.submit(release.wait, 30)
-        grid = TorusGrid(1, 8.0, 1 << 15)
-        try:
-            got = kernels._periodized_sinc_power(grid, 0.37, 3, 2.0 ** -6)
-            assert all(helper.cancelled() for helper in executor.tasks[2:])
-        finally:
-            release.set()
-        assert len(executor.tasks) == 4
-        assert np.array_equal(got, sinc_profile_serial(grid, 0.37, 3, 2.0 ** -6))
+    def test_pool_sized_from_affinity(self):
+        assert kernels._POOL._max_workers == len(os.sched_getaffinity(0))
 
     def test_class_finer_than_the_grid_refused(self):
         # a class of level j has its sinc profile centred at 2^(j-1), on the
