@@ -39,8 +39,12 @@ float, a direct evaluation of every norm with full-grid weights rho_I ** -e:
   rho_J ** -alpha over the grid points of the root U.  That is a
   monotone function of the l-infinity distance to J's centre, and U's
   points form a product of axis grids, so the peak sits at the distance
-  max over axes of (min over U's axis points of |u - c|).  The same
-  ufuncs applied to that one distance give the full-grid maximum's float.
+  max over axes of (min over U's axis points of |u - c|).  U's axis
+  points are 0, h, ..., 1 - h, so the nearest one to c is the nearest
+  grid point round(c / h) h clamped into [0, 1 - h] (root_distance).  c
+  and h are dyadic, so each step is exact and the distance is the float
+  of a scan over the axis.  The same ufuncs applied to that one distance
+  give the full-grid maximum's float.
 - Pruning.  level_maxima answers p = inf with one product per cube: the
   pointwise max M of the level's responses m_k, weighted.  Rounding w m
   is monotone in m for w >= 0, so max_k fl(w m_k) = fl(w max_k m_k), and
@@ -70,11 +74,14 @@ float, a direct evaluation of every norm with full-grid weights rho_I ** -e:
   norms and skips a nan, as max([0.0, ...]) does.
 - Mirrors.  A real field's response to a complex sinc box equals, in
   exact arithmetic, its response to the box's mirror (kernels module
-  docstring), the conjugate kernel.  So on a real field level_norms gives
-  a kernel whose mirror comes before it in its level the mirror's norms,
-  and level_maxima leaves such a kernel out: a duplicate cannot raise a
-  max.  Both tables thus read one response per mirror pair, the first
-  member's, which verify_witness re-evaluates with the pair.
+  docstring), the conjugate kernel.  So one rule, _distinct, drops from a
+  real field's plan each kernel whose mirror comes before it in its
+  level, and level_norms and level_maxima both read their plans through
+  it: every table reads one response per mirror pair, the first
+  member's.  Each table keeps the first of equal terms (a strict >), so
+  the second member's equal norms could never win a row: the size
+  witness is always a first member, and verify_witness re-evaluates it
+  alone.
 - Order.  Both run on the calling thread, level by level, the kernels in
   dictionary order.  Each kernel response |k * f| is one inverse FFT
   (irfftn for a real kernel on a real field, ifftn otherwise), written
@@ -94,9 +101,8 @@ level) on first use, so evaluating the window rescans no term:
 - offtree_sum reads, per table level, the maxima of the off-tree table
   over the cubes of J's level (np.maximum.reduceat over each axis), and
   max is exact.
-- offtree_geometry looks J up among the level's cubes next to one that
-  holds a leaf, each with its first such neighbour in scan order, and
-  reads root_distance once per centre coordinate and root_peak_weight
+- offtree_geometry looks J up in the level's set of ineligible indices,
+  the cubes next to one that holds a leaf, and reads root_peak_weight
   once per (level, distance).
 """
 
@@ -145,27 +151,34 @@ def level_norms(field, plan, weight_exp, p_values):
     `plan` yields (level, kernels, cubes at that level).  Yields (cube,
     [(kernel_id, {p: norm}) per kernel]) for each cube in plan order,
     kernels in dictionary order, so that callers keep their tie-breaking
-    order.  On a real field a kernel whose mirror comes before it in its
-    level takes the mirror's norms (module docstring, Mirrors).
+    order; on a real field without the kernels that _distinct drops
+    (module docstring, Mirrors).
     """
     grid = field.grid
     h_d = grid.spacing ** grid.dim
     response, scratch = np.empty(grid.shape), np.empty(grid.shape)
     write = None
-    for level, kernels, cubes in plan:
+    for level, kernels, cubes in _distinct(field, plan):
         weights = _cube_weights(grid, level, weight_exp, cubes)[2]
-        taken, rows = {}, []   # kernel id -> its norms per cube; (id, norms) per kernel
+        rows = []   # (id, its norms per cube) per kernel
         for kernel in kernels:
-            norms = taken.get(kernel.mirror) if field.is_real else None
-            if norms is None:
-                if write is None:
-                    write = response_writer(field)
-                write(kernel.multiplier, response, kernel.real)
-                norms = [lp_norms(response, h_d, p_values, weight, scratch) for weight in weights]
-            taken[kernel.kernel_id] = norms
-            rows.append((kernel.kernel_id, norms))
+            if write is None:
+                write = response_writer(field)
+            write(kernel.multiplier, response, kernel.real)
+            rows.append((kernel.kernel_id,
+                         [lp_norms(response, h_d, p_values, weight, scratch) for weight in weights]))
         yield from ((cube, [(kernel_id, norms[c]) for kernel_id, norms in rows])
                     for c, cube in enumerate(cubes))
+
+
+def _distinct(field, plan):
+    """`plan` with, on a real field, each kernel whose mirror comes before
+    it in its level left out (module docstring, Mirrors)."""
+    for level, kernels, cubes in plan:
+        if field.is_real:
+            ids = [kernel.kernel_id for kernel in kernels]
+            kernels = [kernel for k, kernel in enumerate(kernels) if kernel.mirror not in ids[:k]]
+        yield level, kernels, cubes
 
 
 # The pruned maxima (module docstring, Pruning): bounds over blocks of
@@ -322,26 +335,14 @@ def level_maxima(field, plan, weight_exp, p_values):
     kernels of ||rho_I^{-weight_exp} |k * field| ||_p}), 0.0 for a level
     without kernels: the max of the cube's level_norms row, float for
     float, with most of its norms pruned (module docstring, Pruning), and
-    on a real field no kernel whose mirror comes before it (Mirrors)."""
+    its plan read through _distinct, as level_norms reads it (Mirrors)."""
     for p in p_values:
         check_exponent(p)
-    if field.is_real:
-        plan = ((level, _without_mirrors(kernels), cubes) for level, kernels, cubes in plan)
     p_values = tuple(p_values)
     writer = functools.cache(lambda: response_writer(field))   # made with the first response
-    return ((cube, best) for level, kernels, cubes in plan
+    return ((cube, best) for level, kernels, cubes in _distinct(field, plan)
             for cube, best in zip(cubes, _cube_maxima(field, writer, level, kernels, cubes,
                                                       weight_exp, p_values)))
-
-
-def _without_mirrors(kernels):
-    """The kernels, in order, without each one whose mirror comes before it."""
-    seen, kept = set(), []
-    for kernel in kernels:
-        if kernel.mirror not in seen:
-            kept.append(kernel)
-        seen.add(kernel.kernel_id)
-    return kept
 
 
 def _dictionary(grid, level, alpha, kind, dict_spec):
@@ -441,27 +442,26 @@ def estimate_S_multi(tree, f, p_values, dict_spec):
 
 
 def verify_witness(f, est, dict_spec):
-    """Re-evaluate the witness term of f; must reproduce the estimate."""
+    """Re-evaluate the witness term of f, the witness kernel's own
+    response (module docstring, Mirrors); must reproduce the estimate."""
     if est.witness is None:
         return 0.0
     i, cube, kernel_id = est.witness
     kernels = _dictionary(f.grid, i - est.m - 2, est.alpha, "phi", dict_spec)
-    mirror = next(k for k in kernels if k.kernel_id == kernel_id).mirror
-    # with its mirror, so that the witness takes its norms from the same response
-    pair = [k for k in kernels if k.kernel_id in (kernel_id, mirror)]
-    _, rows = next(level_norms(f, [(i, pair, [cube])], est.alpha, (est.p,)))
-    return 2.0 ** (-i * f.grid.dim * _inv(est.p)) * dict(rows)[kernel_id][est.p]
+    witness = [k for k in kernels if k.kernel_id == kernel_id]
+    _, [(_, norms)] = next(level_norms(f, [(i, witness, [cube])], est.alpha, (est.p,)))
+    return 2.0 ** (-i * f.grid.dim * _inv(est.p)) * norms[est.p]
 
 
 # ---------------------------------------------------------------------------
 # Eligibility and enumeration of evaluation cubes.
 
 def root_distance(grid, c):
-    """min over the root U's grid points u on one axis of |u - c|; the
-    clamped distance from a point to U is its max over the axes (module
-    docstring, Clamping)."""
-    root_axis = grid.axis_points[grid.cube_slices(DyadicCube(0, (0,)))[0]]
-    return np.min(np.abs(root_axis - c))
+    """min over the root U's grid points u on one axis of |u - c|, in
+    closed form; the clamped distance from a point to U is its max over
+    the axes (module docstring, Clamping)."""
+    h = grid.spacing
+    return abs(min(max(round(c / h) * h, 0.0), 1.0 - h) - c)
 
 
 def root_peak_weight(dist, side, alpha):
@@ -502,7 +502,6 @@ class EstimatorContext:
 
     def __init__(self, tree, f, g, dict_spec, p_values, window_depth):
         self.tree = tree
-        self.f = f
         self.g = g
         self.grid = f.grid
         self.m = tree.cfg.gap_m
@@ -520,16 +519,14 @@ class EstimatorContext:
                 raise InternalConsistencyError(
                     f"size witness {est.witness} at p={p} re-evaluates to "
                     f"{value!r}, not {est.value!r}")
-        self._carleson_terms = self._build_carleson_terms()
+        self._carleson_terms = self._build_carleson_terms(f)
         self._offtree_terms, self.offtree_floor = self._build_offtree_terms()
         # the per-J answers' tables, each built on first use: per (p, level)
         # the Carleson buckets and the off-tree block maxima, per level the
-        # violators, per centre coordinate root_distance and per (level,
-        # distance) root_peak_weight
+        # ineligible indices and per (level, distance) root_peak_weight
         self._carleson_buckets = {}
         self._block_maxima = {}
-        self._violators = {}
-        self._root_distances = {}
+        self._ineligible = {}
         self._root_peaks = {}
 
     def _level_maxima(self, field, kind, levels):
@@ -542,10 +539,10 @@ class EstimatorContext:
 
     # -- carleson side -------------------------------------------------------
 
-    def _build_carleson_terms(self):
+    def _build_carleson_terms(self, f):
         """{p: {(level, index): term}} over tree cubes, in sorted key order,
         which is the summation order of carleson_sum."""
-        fg = self.f - self.g
+        fg = f - self.g
         terms = {p: {} for p in self.p_values}
         levels = ((i, self.tree.cubes(i)) for i in self.tree.levels())
         for cube, best in self._level_maxima(fg, "phi", levels):
@@ -616,37 +613,28 @@ class EstimatorContext:
                     2.0 ** (-i * self.d * _inv(p)) * best[p])
         return tables, floor
 
-    def _level_violators(self, level):
-        """{index: violator} of the level's cubes that have a same-level
-        neighbor (mollified distance <= 1) holding a leaf, so containing a
-        tree cube; the violator is the first such neighbor in scan order.
-        Built once per level from the cubes that hold a leaf."""
-        violators = self._violators.get(level)
-        if violators is None:
-            violators = self._violators[level] = {}
+    def _ineligible_indices(self, level):
+        """The indices of the level's cubes that have a same-level neighbor
+        (mollified distance <= 1) holding a leaf, so containing a tree
+        cube; built once per level from the cubes that hold a leaf."""
+        ineligible = self._ineligible.get(level)
+        if ineligible is None:
             holders = {leaf.ancestor(level).index for leaf in self.tree.cfg.leaves
                        if leaf.level <= level}
-            offsets = list(iproduct((-1, 0, 1), repeat=self.d))
-            for index in {tuple(h - o for h, o in zip(holder, off))
-                          for holder in holders for off in offsets}:
-                neighbors = (tuple(k + o for k, o in zip(index, off)) for off in offsets)
-                violators[index] = DyadicCube(level, next(n for n in neighbors if n in holders))
-        return violators
+            ineligible = self._ineligible[level] = frozenset(
+                tuple(k + o for k, o in zip(holder, off))
+                for holder in holders for off in iproduct((-1, 0, 1), repeat=self.d))
+        return ineligible
 
     def offtree_geometry(self, J):
-        """(violating neighbor or None, peak of rho_J^{-alpha} over U);
-        the peak is None for an ineligible J."""
-        violator = self._level_violators(J.level).get(J.index)
-        if violator is not None:
-            return violator, None
-        center = J.center
-        for c in center:
-            if c not in self._root_distances:
-                self._root_distances[c] = root_distance(self.grid, c)
-        key = (J.level, max(self._root_distances[c] for c in center))
+        """The peak of rho_J^{-alpha} over U (module docstring, Clamping),
+        or None for an ineligible J."""
+        if J.index in self._ineligible_indices(J.level):
+            return None
+        key = (J.level, max(root_distance(self.grid, c) for c in J.center))
         if key not in self._root_peaks:
             self._root_peaks[key] = root_peak_weight(key[1], J.side, self.alpha)
-        return None, self._root_peaks[key]
+        return self._root_peaks[key]
 
     def _offtree_block_maxima(self, p, level):
         """(i, k0, maxima) per table level i <= level, coarsest first,
@@ -704,8 +692,8 @@ class EstimatorContext:
     def evaluate_window(self):
         """The window's report.json rows in report order (module
         docstring): the carleson rows of every window cube, the norm rows,
-        then the off-tree rows of the cubes for which offtree_geometry
-        finds no violator.  The cubes are made once, one at a time, and
+        then the off-tree rows of the cubes that offtree_geometry finds
+        eligible.  The cubes are made once, one at a time, and
         each one's rows at every p share one context; the rows go into
         one list per (inequality, p) as they are made, so at its peak the
         call holds little more than its rows."""
@@ -718,8 +706,8 @@ class EstimatorContext:
             context = self._carleson_context(J)
             for p in p_values:
                 carleson[p].append(self.carleson_sum(J, p, context))
-            violator, rhs_weight = self.offtree_geometry(J)
-            if violator is None:
+            rhs_weight = self.offtree_geometry(J)
+            if rhs_weight is not None:
                 context = self._offtree_context(J)
                 for p in p_values:
                     offtree[p].append(self.offtree_sum(J, p, rhs_weight, context))

@@ -46,12 +46,12 @@ from .projection import ProjectionFrame, assemble, residual_decomposition
 
 def parse_p(value):
     """An exponent from a number or its name (p_name): any positive
-    number, or "inf"."""
+    number, or "inf"; a bool is no number, as _is_number holds."""
     try:
         p = float(value)
     except (TypeError, ValueError):
         p = math.nan
-    if not p > 0:
+    if isinstance(value, bool) or not p > 0:
         raise ValidationError(f"exponent {value!r} is not a positive number or inf")
     return p
 

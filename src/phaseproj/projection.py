@@ -258,9 +258,11 @@ class ProjectionBuilder:
 
     Of the filtered copies of f only psi_j*f is memoized, because assemble
     and the residual split both read it.  theta*f is read only inside
-    g_piece, which hands it to big_g and sigma, and psi_cone*f only
-    inside correction; both are memoized methods, so each copy is still
-    built once, and it is freed when that method returns."""
+    g_piece, which hands it to big_g, and psi_cone*f only inside
+    correction; both are memoized methods, so each copy is still built
+    once, and it is freed when that method returns.  big_g builds sigma
+    once per piece, for the masked route and both sigma checks, and
+    drops it before g_piece takes the derivatives."""
 
     def __init__(self, frame, f):
         if f.grid != frame.grid:
@@ -298,15 +300,34 @@ class ProjectionBuilder:
 
     def big_g(self, n, j, tf):
         """Smooth product chi_j tf of tf = theta_f(n, j), checked against
-        the masked route."""
-        smooth = self.frame.chi_s(j) * tf
-        masked_route = tf * self.frame.e_mask(j, 1) + self.sigma(j, tf)
+        the masked route, whose sigma is checked to vanish on E_j^1 and to
+        stay inside E_j^2; sigma dies with the call."""
+        fr = self.frame
+        smooth = fr.chi_s(j) * tf
+        sigma = self.sigma(j, tf)
         scale = max(smooth.max_abs(), 1e-300)
-        err = np.max(np.abs(smooth.values - masked_route.values)) / scale
+        err = np.max(np.abs(smooth.values - (tf * fr.e_mask(j, 1) + sigma).values)) / scale
         if not err <= 1e-12:   # a nan fails too
             raise InternalConsistencyError(
                 f"two routes to G differ by {err} at (n={n}, j={j})")
-        self.diagnostics["levels"].setdefault((n, j), {})["big_g_route_err"] = float(err)
+        diag = self.diagnostics["levels"].setdefault((n, j), {})
+        diag["big_g_route_err"] = float(err)
+        smax = sigma.max_abs()
+        tf_max = tf.max_abs()
+        if smax > 0 and tf_max > 0:
+            on_e = fr.e_mask(j, 1)
+            on_abs = float(np.max(np.abs(sigma.values[on_e]))) if on_e.any() else 0.0
+            out_abs = float(np.max(np.abs(sigma.values[~fr.e_mask(j, 2)])))
+            diag["sigma_on_e_rel"] = on_abs / smax
+            diag["sigma_outside_e2_rel"] = out_abs / smax
+            # floors guard against degenerate sigma much smaller than the
+            # FFT-roundoff scale |theta*f|
+            if not on_abs <= max(1e-9 * smax, 1e-12 * tf_max):
+                raise InternalConsistencyError(
+                    f"sigma does not vanish on E_{j}^1 (rel {on_abs / smax})")
+            if not out_abs <= max(1e-12 * smax, 1e-13 * tf_max):
+                raise InternalConsistencyError(
+                    f"sigma escapes E_{j}^2 (rel {out_abs / smax})")
         return smooth
 
     @_memo
@@ -343,23 +364,6 @@ class ProjectionBuilder:
                     f"finite-difference witness failed at (n={n}, j={j}): "
                     f"{fd_err:.3e} > {FD_REL_TOL}")
 
-        sigma = self.sigma(j, tf)
-        smax = sigma.max_abs()
-        tf_max = tf.max_abs()
-        if smax > 0 and tf_max > 0:
-            on_e = fr.e_mask(j, 1)
-            on_abs = float(np.max(np.abs(sigma.values[on_e]))) if on_e.any() else 0.0
-            out_abs = float(np.max(np.abs(sigma.values[~fr.e_mask(j, 2)])))
-            diag["sigma_on_e_rel"] = on_abs / smax
-            diag["sigma_outside_e2_rel"] = out_abs / smax
-            # floors guard against degenerate sigma much smaller than the
-            # FFT-roundoff scale |theta*f|
-            if not on_abs <= max(1e-9 * smax, 1e-12 * tf_max):
-                raise InternalConsistencyError(
-                    f"sigma does not vanish on E_{j}^1 (rel {on_abs / smax})")
-            if not out_abs <= max(1e-12 * smax, 1e-13 * tf_max):
-                raise InternalConsistencyError(
-                    f"sigma escapes E_{j}^2 (rel {out_abs / smax})")
         return piece
 
     @_memo

@@ -305,27 +305,35 @@ def contains_tree_element(tree, cube):
 
 
 def offtree_eligible(tree, J):
-    """(eligible, violating neighbor or None) of the off-tree inequality
-    for J: the first same-level neighbor in scan order that contains a
-    tree cube, by a contains test per neighbor and leaf."""
+    """Whether the off-tree inequality holds J eligible: no same-level
+    neighbor contains a tree cube, by a contains test per neighbor and
+    leaf."""
     if J.level < tree.j_min:
-        return True, None
+        return True
     for off in product((-1, 0, 1), repeat=J.dim):
-        neighbor = DyadicCube(J.level, tuple(k + o for k, o in zip(J.index, off)))
-        if contains_tree_element(tree, neighbor):
-            return False, neighbor
-    return True, None
+        if contains_tree_element(tree, DyadicCube(J.level, tuple(
+                k + o for k, o in zip(J.index, off)))):
+            return False
+    return True
+
+
+def root_distance_scan(grid, centres):
+    """estimators.root_distance of each centre coordinate c, as the min
+    over the root's axis points u of |c - u|, one u at a time."""
+    best, gap = np.full(len(centres), math.inf), np.empty(len(centres))
+    for u in grid.axis_points[grid.cube_slices(DyadicCube(0, (0,)))[0]]:
+        np.minimum(best, np.abs(np.subtract(centres, u, out=gap), out=gap), out=best)
+    return best
 
 
 def offtree_geometry_scan(ctx, J):
     """EstimatorContext.offtree_geometry with eligibility by
-    offtree_eligible and the clamped distance computed per axis of J."""
-    eligible, violator = offtree_eligible(ctx.tree, J)
-    if not eligible:
-        return violator, None
-    root_axis = ctx.grid.axis_points[ctx.grid.cube_slices(DyadicCube(0, (0,)))[0]]
-    dist = max(np.min(np.abs(root_axis - c)) for c in J.center)
-    return None, float(np.max(mollified_distance(np.array([dist]), J.side) ** (-ctx.alpha)))
+    offtree_eligible and the clamped distance scanned per axis of J over
+    the root's axis points: the peak weight, or None for an ineligible J."""
+    if not offtree_eligible(ctx.tree, J):
+        return None
+    dist = max(root_distance_scan(ctx.grid, np.array([c]))[0] for c in J.center)
+    return float(np.max(mollified_distance(np.array([dist]), J.side) ** (-ctx.alpha)))
 
 
 def carleson_sum_scan(ctx, J, p):
@@ -356,8 +364,8 @@ def offtree_sum_scan(ctx, J, p):
     """EstimatorContext.offtree_sum of an eligible J with the peak weight of
     offtree_geometry_scan and each level's sup the np.max of J's clipped
     block of the level's table."""
-    violator, rhs_weight = offtree_geometry_scan(ctx, J)
-    assert violator is None, f"{J.label()} is ineligible"
+    rhs_weight = offtree_geometry_scan(ctx, J)
+    assert rhs_weight is not None, f"{J.label()} is ineligible"
     lhs = 0.0
     per_scale = []
     for i in sorted(ctx._offtree_terms[p], reverse=True):

@@ -63,6 +63,14 @@ def test_bad_config_value(tmp_path, capsys):
     assert err.startswith("error:") and "'alpha'" in err and "'abc'" in err
 
 
+def test_boolean_exponent_in_config(tmp_path, capsys):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({"p_values": [True, 2]}))
+    assert cli.main(["verify", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "True" in err
+
+
 def test_any_positive_exponent(capsys, monkeypatch):
     monkeypatch.setattr(cli, "run", lambda config, out_dir=None: {
         "config_hash": config.config_hash()})

@@ -17,12 +17,13 @@ from oracles import (
     mirror_free,
     offtree_geometry_scan,
     offtree_sum_scan,
+    root_distance_scan,
     row_maxima,
 )
 
 from phaseproj import estimators
 from phaseproj.acceptance import REFERENCE_CONFIG, ConstantTable, uniformity_by_key
-from phaseproj.cubes import DyadicCube, TreeConfig, unit_cube
+from phaseproj.cubes import DyadicCube, TreeConfig, expand_to_tree, unit_cube
 from phaseproj.errors import InternalConsistencyError, ValidationError
 from phaseproj.estimators import (
     EstimatorContext,
@@ -53,6 +54,7 @@ from phaseproj.harness import (
     RunConfig,
     build_f,
     build_tree_config,
+    field_from_modes,
     random_bandpass_field,
     run,
     write_csv,
@@ -188,16 +190,14 @@ class TestCarleson:
 class TestOfftree:
     def test_eligibility(self, setup):
         _, _, ctx = setup
-        violator, peak = ctx.offtree_geometry(DyadicCube(-2, (100,)))
-        assert violator is None and peak > 0
-        violator, peak = ctx.offtree_geometry(DyadicCube(-1, (1,)))
-        assert violator == DyadicCube(-1, (0,)) and peak is None
+        assert ctx.offtree_geometry(DyadicCube(-2, (100,))) > 0
+        assert ctx.offtree_geometry(DyadicCube(-1, (1,))) is None
 
     def test_far_cube_ratio_finite(self, setup):
         _, _, ctx = setup
         J = DyadicCube(-2, (14,))
-        violator, peak = ctx.offtree_geometry(J)
-        assert violator is None
+        peak = ctx.offtree_geometry(J)
+        assert peak is not None
         rep = ctx.offtree_sum(J, 2.0, peak)
         assert np.isfinite(rep["ratio"])
         assert rep["rhs_without_constant"] > 0
@@ -206,7 +206,7 @@ class TestOfftree:
         frame, _, _ = setup
         zctx = context(frame, zero_field(frame.grid), 1, (2.0,))
         J = DyadicCube(-2, (14,))
-        rep = zctx.offtree_sum(J, 2.0, zctx.offtree_geometry(J)[1])
+        rep = zctx.offtree_sum(J, 2.0, zctx.offtree_geometry(J))
         assert rep["lhs"] == 0.0
 
 
@@ -297,8 +297,8 @@ class TestSweepTable:
         b = EstimatorContext(frame.tree, f, ctx.g, DictionarySpec(), (2.0,), 1)
         assert a.sizes[2.0].value == b.sizes[2.0].value
         J = DyadicCube(-2, (14,))
-        assert (a.offtree_sum(J, 2.0, a.offtree_geometry(J)[1])["lhs"]
-                == b.offtree_sum(J, 2.0, b.offtree_geometry(J)[1])["lhs"])
+        assert (a.offtree_sum(J, 2.0, a.offtree_geometry(J))["lhs"]
+                == b.offtree_sum(J, 2.0, b.offtree_geometry(J))["lhs"])
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +358,18 @@ class TestTableOracles:
                 full = float(np.max(rho_values(grid, J)[u_mask] ** (-alpha)))
                 assert root_peak_weight(dist, J.side, alpha) == full, (J, alpha)
 
+    @pytest.mark.parametrize("samples", [1 << 8, 1 << 10, 1 << 14, 1 << 17])
+    @pytest.mark.parametrize("half_width", [8.0, 16.0])
+    def test_root_distance_equals_axis_scan(self, samples, half_width):
+        # the closed form against the scan of the root's axis points, bit
+        # for bit, at the centre of every cube of the deepest window that
+        # the grid resolves
+        grid = TorusGrid(1, half_width, samples)
+        depth = int(math.log2(1.0 / grid.spacing)) - 2
+        centres = np.array([J.center[0] for J in enumerate_window(1, depth)])
+        got = np.array([root_distance(grid, c) for c in centres])
+        assert np.array_equal(got, root_distance_scan(grid, centres))
+
     def test_carleson_sum_equals_contains_scan(self, setup, deep):
         for ctx in (setup[2], deep):
             for J in [*enumerate_window(1, ctx.depth), DyadicCube(1, (0,))]:
@@ -390,18 +402,18 @@ class TestTableOracles:
         outside = [DyadicCube(1, (0,) * d), DyadicCube(1, (2,) * d), DyadicCube(1, (-3,) * d),
                    DyadicCube(-5, (3,) * d), DyadicCube(-5, (40,) * d),
                    DyadicCube(-1, (1000,) * d), DyadicCube(-2, (-17,) * d)]
-        violators = 0
+        ineligible = 0
         for J in [*enumerate_window(d, ctx.depth), *outside]:
-            violator, peak = geometry = ctx.offtree_geometry(J)
-            assert repr(geometry) == repr(offtree_geometry_scan(ctx, J)), J
-            violators += violator is not None
+            peak = ctx.offtree_geometry(J)
+            assert repr(peak) == repr(offtree_geometry_scan(ctx, J)), J
+            ineligible += peak is None
             for p in ctx.p_values:
                 assert (repr(ctx.carleson_sum(J, p))
                         == repr(carleson_sum_scan(ctx, J, p))), (J, p)
-                if violator is None:
+                if peak is not None:
                     assert (repr(ctx.offtree_sum(J, p, peak))
                             == repr(offtree_sum_scan(ctx, J, p))), (J, p)
-        assert violators > 0
+        assert ineligible > 0
 
     @pytest.mark.parametrize("which", ["deep", "plane"])
     def test_window_rows_in_report_order(self, which, request):
@@ -415,7 +427,7 @@ class TestTableOracles:
         assert keys == sorted(set(keys))
         window = list(enumerate_window(ctx.d, ctx.depth))
         labels = sorted(J.label() for J in window)
-        eligible = sorted(J.label() for J in window if ctx.offtree_geometry(J)[0] is None)
+        eligible = sorted(J.label() for J in window if ctx.offtree_geometry(J) is not None)
         assert 0 < len(eligible) < len(labels)
         names = sorted(map(p_name, ctx.p_values))
         assert keys == ([("carleson", p, J) for p in names for J in labels]
@@ -519,18 +531,14 @@ class TestAxisSwap:
 
 def serial_level_norms(field, plan, weight_exp, p_values):
     """The per-cube loop with every array made afresh, norms written out
-    in full; on a real field a kernel whose mirror comes before it takes
-    its response."""
+    in full; on a real field without each kernel whose mirror comes before
+    it."""
     grid = field.grid
     h_d = grid.spacing ** grid.dim
     for level, kernels, cubes in plan:
-        taken, responses = {}, []
-        for k in kernels:
-            resp = taken.get(k.mirror) if field.is_real else None
-            if resp is None:
-                resp = np.abs(apply_multiplier(field, k.multiplier, True, k.real).values)
-            taken[k.kernel_id] = resp
-            responses.append((k.kernel_id, resp))
+        responses = [(k.kernel_id,
+                      np.abs(apply_multiplier(field, k.multiplier, True, k.real).values))
+                     for k in (mirror_free(kernels) if field.is_real else kernels)]
         weight_of = level_weights(grid, level, weight_exp)
         for cube in cubes:
             weight = weight_of(cube)
@@ -669,6 +677,26 @@ class TestLevelNorms:
         assert rows == list(serial_level_norms(field, plan, 2.0, self.P_VALUES))
         assert peak <= peak_bound, peak
 
+    def test_mirrors_take_no_row(self, monkeypatch):
+        # on a real field a kernel whose mirror comes before it in its level
+        # names no row, and the size witness, a ladder box with a mirror, is
+        # re-evaluated from one response, its own
+        field, plan = norm_case(1)
+        assert field.is_real
+        for level, kernels, cubes in plan:
+            first = [k.kernel_id for k in mirror_free(kernels)]
+            assert len(first) < len(kernels)
+            for _, rows in level_norms(field, [(level, kernels, cubes)], 2.0, (2.0,)):
+                assert [kernel_id for kernel_id, _ in rows] == first
+        grid = TorusGrid(1, 8.0, 1 << 12)
+        f = field_from_modes(grid, [((96,), 1.0 + 0.5j)])
+        tree = expand_to_tree(TreeConfig((DyadicCube(-1, (0,)),), 0, 2.0))
+        est = estimate_S_multi(tree, f, (2.0,), DictionarySpec())[2.0]
+        assert est.witness[2] == "sincpow[phi,-3,eta=-4]"
+        written = watched_writes(monkeypatch, lambda out: None)
+        assert verify_witness(f, est, DictionarySpec()) == est.value
+        assert len(written) == 1
+
     def test_abandoned_generator(self):
         # as verify_witness does: one row, then the generator is dropped
         field, plan = norm_case(1)
@@ -768,13 +796,16 @@ class TestLevelMaxima:
         # the block sums of w^p equal direct sums over the cube's weight,
         # and each kernel's bound, widened by the margin, is at least its
         # norm, for every cube, kernel and finite p (in d = 3 a weight that
-        # falls by 2^-18 per cell meets its bound to an ulp)
+        # falls by 2^-18 per cell meets its bound to an ulp); the field is
+        # real, so the kernels whose mirrors come before them are left out,
+        # as level_maxima leaves them out
         field, plan = norm_case(dim)
         grid = field.grid
         h_d = grid.spacing ** dim
         size = estimators.BOUND_BLOCK
         for exponent in (2.0, 6.0):
             for level, kernels, cubes in plan:
+                kernels = mirror_free(kernels)
                 responses = [np.abs(apply_multiplier(field, k.multiplier).values)
                              for k in kernels]
                 table = weight_table(grid, level, exponent)

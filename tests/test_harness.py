@@ -367,6 +367,13 @@ class TestConfig:
         with pytest.raises(ValidationError, match=re.escape(repr(value))):
             parse_p(value)
 
+    def test_boolean_exponent_refused(self):
+        # JSON true is no exponent, as _is_number refuses a bool everywhere
+        # else: float(True) would read it as p = 1
+        data = dict(RunConfig().to_dict(), p_values=[True, 2])
+        with pytest.raises(ValidationError, match="True"):
+            RunConfig.from_dict(data)
+
     def test_exponent_names(self):
         assert [parse_p(v) for v in ("1", "2", "inf", "2.5", 4)] == [
             1.0, 2.0, math.inf, 2.5, 4.0]

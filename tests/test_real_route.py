@@ -14,7 +14,7 @@ import pytest
 from conftest import PACKAGE_CACHES
 from oracles import complex_route, is_real
 
-from phaseproj import kernels
+from phaseproj import estimators, kernels
 from phaseproj.acceptance import REFERENCE_CONFIG
 from phaseproj.cubes import DyadicCube, TreeConfig, expand_to_tree
 from phaseproj.estimators import estimate_S_multi, verify_witness
@@ -195,15 +195,17 @@ class TestKernelFacts:
     def test_ladder_witness_reproduced(self):
         # the size witness of a mode at frequency 6 is a ladder box; the
         # estimator context's `!=` check of verify_witness holds for it, and
-        # its mirror, whose norms the table took from the same response,
-        # re-evaluates to the same float
+        # its mirror, which comes after it, names no size row
         grid = TorusGrid(1, 8.0, 1 << 12)
         tree = expand_to_tree(TreeConfig((DyadicCube(-1, (0,)),), 0, 2.0))
         f = field_from_modes(grid, [((96,), 1.0 + 0.5j)])
         spec = DictionarySpec()
         for p, est in estimate_S_multi(tree, f, (1.0, 2.0, inf), spec).items():
-            level, cube, kernel_id = est.witness
-            assert kernel_id == "sincpow[phi,-3,eta=-4]", p
+            assert est.witness[2] == "sincpow[phi,-3,eta=-4]", p
             assert verify_witness(f, est, spec) == est.value
-            mirror = replace(est, witness=(level, cube, "sincpow[phi,-3,eta=4]"))
-            assert verify_witness(f, mirror, spec) == est.value
+        plan = ((i, estimators._dictionary(grid, i - 2, 2.0, "phi", spec), tree.cubes(i))
+                for i in tree.levels())
+        named = {kernel_id for _, rows in estimators.level_norms(f, plan, 2.0, (2.0,))
+                 for kernel_id, _ in rows}
+        assert "sincpow[phi,-3,eta=-4]" in named
+        assert "sincpow[phi,-3,eta=4]" not in named
