@@ -103,6 +103,9 @@ def _cmd_run(args):
 def _cmd_sweep(args):
     seeds = range(_count(args.seeds, "--seeds"))
     m_values = tuple(_numbers(args.m_list, "--m-list", kind=int))
+    if len(set(m_values)) < len(m_values):
+        # a repeated gap would run, and write, each of its configs twice
+        raise ValidationError(f"--m-list takes distinct gaps, not {args.m_list!r}")
     configs = reference_sweep_configs(seeds=seeds, m_values=m_values,
                                       grid_n=args.grid_n, depth=args.depth)
     art = run_sweep_artifacts(configs)

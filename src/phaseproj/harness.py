@@ -147,6 +147,8 @@ _ITEMS = {
         _is_number(mode[0]) or _is_list(mode[0], _is_number)) and _is_list(mode[1:], _is_number)),
     "f_annulus": lambda v: _is_list(v, _is_number, 2) and 0 <= v[0] <= v[1],
 }
+# What a refused value should have been, where its type alone does not say
+_NEEDS = {"f_annulus": "an annulus lo,hi of finite numbers with 0 <= lo <= hi"}
 
 
 def _checked_fields(cls, data):
@@ -164,7 +166,7 @@ def _checked_fields(cls, data):
         if (not any(_TYPES[t](value) for t in types[key].split(" | "))
                 or items and not items(value)):
             raise ValidationError(
-                f"{cls.__name__} key {key!r} takes {types[key]}, not {value!r}")
+                f"{cls.__name__} key {key!r} takes {_NEEDS.get(key, types[key])}, not {value!r}")
     return dict(data)
 
 

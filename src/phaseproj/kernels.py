@@ -41,9 +41,7 @@ is zero off the band.  Likewise a translate evaluates its phase on its
 base's band, a modulation shifts its base's band by its frequency's
 lattice index, and a sinc box builds its multiplier on its band from
 factors evaluated on each axis's band, and its spatial samples from a
-cached 1-d profile with eta's phase on eta's nonzero axes only.  The
-module's thread pool, one worker per CPU, fills the sinc-profile tables
-and nothing else.
+cached 1-d profile with eta's phase on eta's nonzero axes only.
 """
 
 from __future__ import annotations
@@ -51,9 +49,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -67,10 +63,6 @@ from .grid import (
     kernel_field_from_multiplier,
     rho_values,
 )
-
-_POOL = ThreadPoolExecutor(
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
-    thread_name_prefix="phaseproj-sinc")
 
 
 def _glue(u):
@@ -372,23 +364,26 @@ def _psi_box_width(j, dim, center_radius):
 @functools.lru_cache(maxsize=4)
 def _periodized_sinc_power(grid, a, k_pow, center):
     """sum_nu sinc(a (x - center + 2 B nu))^(2 k_pow) over 7 images on
-    one axis, read-only: shared by every sign of eta and every axis.  The
-    boxes of a class need one profile per |eta|, at most four, and a class
-    is built in one go, so four are cached.
+    one axis, read-only: shared by every sign of eta and every axis.  A
+    table is keyed by the box width a, not by eta: the boxes of a class
+    need one per distinct width, at most four (a phi class: eta = 0 and
+    three ladder radii), and in d = 1 the psi ladder's boxes at 3u and 7u
+    share a = u/K.  A class is built in one go, so four are cached.
 
     B and h are powers of two (TorusGrid), so for a center on the lattice
     (h/2) Z every image point y = h m - B - center is exactly (h/2)(2m - q),
     q = 2 (B + center) / h whole, and -y is an image point as well.
     a (-y) is -(a y) exactly and np.sinc is even to the bit, so
-    sinc(a y)^(2K) is evaluated once per distinct |y| = (h/2)(2t + q % 2)
-    into a table, and each image adds slices of it: in nu order, the
-    floats of the direct image sum.  A center off (h/2) Z, the cube center
-    of a class finer than the grid, is refused.
+    |sinc(a y)|^(2K) is evaluated once per distinct |y| = (h/2)(2t + q % 2)
+    into a table, and each image adds slices of it in nu order.  A center
+    off (h/2) Z, the cube center of a class finer than the grid, is refused.
 
-    The power takes numpy's slow path on negative bases, so the module's
-    thread pool fills the table (3.5 N points), one task per 2^14-point
-    chunk.  Each task runs the calls of a serial loop over its chunk, so
-    the floats do not depend on the number of workers.
+    The table (3.5 N points) is filled on the calling thread, 2^14 points
+    at a time so that the temporaries stay small.  The power is even, so
+    |s|^(2K) = s^(2K); numpy's float power takes a slow path on negative
+    bases, about half of the table, and the fast one on |s|.  A
+    non-negative s keeps its bits, and a negative one moves the entry by
+    at most 1 ULP from the signed power's.
     """
     n, h = grid.samples, grid.spacing
     if center % (h / 2):
@@ -400,12 +395,9 @@ def _periodized_sinc_power(grid, a, k_pow, center):
     odd = q % 2
     down, up = (6 * n + q - odd) // 2, (6 * n + q + odd) // 2
     table = np.empty(max(down, 7 * n - 1 - up) + 1)
-
-    def fill(lo):
+    for lo in range(0, table.size, 1 << 14):
         t = np.arange(lo, min(lo + (1 << 14), table.size), dtype=float)
-        table[lo:lo + t.size] = np.sinc(a * (0.5 * h * (2 * t + odd))) ** (2 * k_pow)
-
-    list(_POOL.map(fill, range(0, table.size, 1 << 14)))
+        table[lo:lo + t.size] = np.abs(np.sinc(a * (0.5 * h * (2 * t + odd)))) ** (2 * k_pow)
     per = np.zeros(n)
     for lo in range(0, 7 * n, n):
         mid = min(max(up, lo), lo + n)

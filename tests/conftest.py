@@ -2,12 +2,10 @@
 
 import importlib
 import pkgutil
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 import phaseproj
-from phaseproj import kernels
 
 
 def _package_caches():
@@ -36,32 +34,3 @@ def fresh_kernel_caches():
     _clear_package_caches()
     yield
     _clear_package_caches()
-
-
-class RecordingPool(ThreadPoolExecutor):
-    """A thread pool that keeps every task it was given."""
-
-    def __init__(self, workers):
-        super().__init__(workers)
-        self.tasks = []
-
-    def submit(self, fn, *args, **kwargs):
-        task = super().submit(fn, *args, **kwargs)
-        self.tasks.append(task)
-        return task
-
-
-@pytest.fixture
-def pool(monkeypatch):
-    """pool(k) puts a k-worker RecordingPool in place of the executor that
-    fills the sinc-profile tables."""
-    made = []
-
-    def install(workers):
-        made.append(RecordingPool(workers))
-        monkeypatch.setattr(kernels, "_POOL", made[-1])
-        return made[-1]
-
-    yield install
-    for executor in made:
-        executor.shutdown()

@@ -277,27 +277,6 @@ def sinc_power_lattice(grid, j, beta, kind, eta):
     return mult, SampledField(grid, values * np.exp(2j * np.pi * phase))
 
 
-def sinc_profile_serial(grid, a, k_pow, center):
-    """kernels._periodized_sinc_power with its table filled by one serial
-    loop over the same 2^14-point chunks."""
-    n, h = grid.samples, grid.spacing
-    q = int(2 * (grid.half_width + center) / h)
-    odd = q % 2
-    down, up = (6 * n + q - odd) // 2, (6 * n + q + odd) // 2
-    table = np.empty(max(down, 7 * n - 1 - up) + 1)
-    for lo in range(0, table.size, 1 << 14):
-        t = np.arange(lo, min(lo + (1 << 14), table.size), dtype=float)
-        abs_y = 0.5 * h * (2 * t + odd)
-        table[lo:lo + t.size] = np.sinc(a * abs_y) ** (2 * k_pow)
-    per = np.zeros(n)
-    for lo in range(0, 7 * n, n):
-        mid = min(max(up, lo), lo + n)
-        if mid > lo:
-            per[:mid - lo] += table[down - mid + 1:down - lo + 1][::-1]
-        per[mid - lo:] += table[mid - up:lo + n - up]
-    return per
-
-
 def contains_tree_element(tree, cube):
     """Some tree cube is a subset of `cube`: some leaf at or below its
     level lies inside it, by DyadicCube.contains."""

@@ -139,6 +139,13 @@ def test_bad_annulus(capsys):
     assert err.startswith("error:") and "--f-annulus" in err and "'1'" in err
 
 
+def test_reversed_annulus(capsys):
+    assert cli.main(["verify", "--f-annulus", "3,2"]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("FAILED at stage config:") and not err
+    assert "'f_annulus' takes an annulus lo,hi" in out and "0 <= lo <= hi, not (3.0, 2.0)" in out
+
+
 @pytest.mark.parametrize("argv,stage", [
     (["verify", "--alpha", "inf", "--no-strict"], "config"),
     (["verify", "--f-annulus", "1,inf"], "config"),
@@ -192,7 +199,7 @@ def test_negative_dict_spec_count(tmp_path, capsys):
     assert err.startswith("error:") and "DictionarySpec n_tau must be >= 0, not -1" in err
 
 
-@pytest.mark.parametrize("text", ["x", "1.5", "0,,1"])
+@pytest.mark.parametrize("text", ["x", "1.5", "0,,1", "0,0", "1,0,1"])
 def test_bad_m_list(capsys, text):
     assert cli.main(["sweep", "--m-list", text]) == 1
     err = capsys.readouterr().err

@@ -480,15 +480,6 @@ class TestTableOracles:
         digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
         assert digest == REFERENCE_2D_REPORT_SHA256
 
-    def test_reference_report_bytes_one_worker(self, tmp_path, pool):
-        # the run's one pool fills the sinc-profile tables: with one worker
-        # it gives the same bytes
-        pool(1)
-        record = run(REFERENCE_CONFIG, out_dir=str(tmp_path))
-        assert "error" not in record
-        digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
-        assert digest == REFERENCE_REPORT_SHA256
-
 
 class TestAxisSwap:
     @pytest.mark.parametrize("leaves", [None, ((-1, 1, 0),)])

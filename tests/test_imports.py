@@ -1,15 +1,13 @@
-"""phaseproj does not import scipy, at import time or later, and keeps
-its one thread pool in kernels.
+"""phaseproj does not import scipy, at import time or later, and runs
+on the calling thread.
 
 Every command-line run is a fresh process; scipy.stats alone takes about
 a second and 70 MB to import, and the package needs numpy only.
 
-The only pool is the executor that fills the sinc-profile tables
-(kernels._periodized_sinc_power): only kernels may import
-concurrent.futures, and no module threading or multiprocessing.  Every
-other job runs on the calling thread.  A pool comes back elsewhere only
-with a measured gain: each one brings threads, shared buffers and error
-paths that the tests must cover.
+No module imports concurrent, threading or multiprocessing, and building
+a dictionary starts no thread.  A pool comes back only with a measured
+gain: each one brings threads, shared buffers and error paths that the
+tests must cover.
 """
 
 import ast
@@ -39,11 +37,26 @@ print(json.dumps({"imported": names, "scipy": sorted(
 """
 
 
-def test_fresh_interpreter_imports_no_scipy():
+THREAD_PROBE = """
+import json, threading
+from phaseproj.grid import TorusGrid
+from phaseproj.kernels import DictionarySpec, build_dictionary
+before = [t.name for t in threading.enumerate()]
+build_dictionary(TorusGrid(1, 8.0, 1 << 14), -3, 8.0, "phi", DictionarySpec())
+print(json.dumps({"before": before, "after": [t.name for t in threading.enumerate()]}))
+"""
+
+
+def fresh_run(probe):
+    """The JSON that `probe` prints last, run in a fresh interpreter."""
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", PROBE], env=dict(os.environ, PYTHONPATH=path),
+    done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=120, check=True)
-    result = json.loads(done.stdout.splitlines()[-1])
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_fresh_interpreter_imports_no_scipy():
+    result = fresh_run(PROBE)
     assert sorted(result["imported"]) == sorted(
         p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
     assert result["scipy"] == []
@@ -67,7 +80,14 @@ def test_no_source_file_imports_scipy():
     assert [(name, m) for name, m in imported_modules() if m.split(".")[0] == "scipy"] == []
 
 
-def test_only_kernels_imports_a_pool():
+def test_no_module_imports_a_pool():
     found = [(name, m) for name, m in imported_modules()
              if m.split(".")[0] in ("concurrent", "threading", "multiprocessing")]
-    assert found == [("kernels.py", "concurrent.futures")]
+    assert found == []
+
+
+def test_dictionary_build_starts_no_thread():
+    # in a fresh interpreter, so that no thread an earlier test started
+    # hides one that the build starts
+    result = fresh_run(THREAD_PROBE)
+    assert result["after"] == result["before"]
